@@ -262,47 +262,60 @@ class ChannelOperator:
         return worst
 
 
-def _derivative_coefficient_blocks(grid: Grid, s_left, s_right, wall_exponent=None):
-    """Sparse −i·Γ¹·(centered difference with ghost closures), node-major.
+def _wall_closures(grid: Grid, s_left, s_right, wall_exponent=None):
+    """Ghost closures of −i·Γ¹·(centered difference), one 4×4 block per wall.
 
-    ``wall_exponent`` = ν activates the exponent-weighted ghost at the right
-    wall: the diagonal closure coefficient becomes ν/t + (t/t′)^ν/(2w) with
-    t, t′ the last two node distances, the unique symmetry-preserving choice
-    that differentiates (−x)^{−ν}·(kernel spinor) exactly at the last row.
-    ``None`` keeps the plain mirror (massless / override / natural cases).
+    Mirrored ghosts S·ψ fold +i/(2w₀)·Γ¹S_left into the first and
+    −i/(2w_{n−1})·Γ¹S_right into the last diagonal block.  ``wall_exponent``
+    = ν activates the exponent-weighted ghost at the right wall: the closure
+    coefficient 1/(2w) becomes ν/t + (t/t′)^ν/(2w) with t, t′ the last two
+    node distances, the unique symmetry-preserving choice that differentiates
+    (−x)^{−ν}·(kernel spinor) exactly at the last row.  ``None`` keeps the
+    plain mirror (massless / override / natural cases).
     """
-    n = grid.n
     w = grid.weights
     g1 = VELOCITY.astype(complex)
-    rows, cols, vals = [], [], []
+    left = (1j / (2.0 * w[0])) * (g1 @ s_left)
+    if wall_exponent is None:
+        right = (-1j / (2.0 * w[-1])) * (g1 @ s_right)
+    else:
+        t_last = -grid.nodes[-1]
+        t_prev = -grid.nodes[-2]
+        g_wall = wall_exponent / t_last + (t_last / t_prev) ** wall_exponent / (2.0 * w[-1])
+        right = (-1j * g_wall) * (g1 @ s_right)
+    return left, right
 
-    def add_block(j_row, j_col, block):
-        b = np.asarray(block)
-        for a in range(4):
-            for c in range(4):
-                if b[a, c] != 0.0:
-                    rows.append(4 * j_row + a)
-                    cols.append(4 * j_col + c)
-                    vals.append(b[a, c])
 
-    for j in range(n):
-        coef = -1j / (2.0 * w[j])
-        if j + 1 < n:
-            add_block(j, j + 1, coef * g1)
-        elif wall_exponent is None:
-            add_block(j, j, coef * (g1 @ s_right))
-        else:
-            t_last = -grid.nodes[-1]
-            t_prev = -grid.nodes[-2]
-            g_wall = wall_exponent / t_last + (t_last / t_prev) ** wall_exponent / (
-                2.0 * w[j]
-            )
-            add_block(j, j, (-1j * g_wall) * (g1 @ s_right))
-        if j - 1 >= 0:
-            add_block(j, j - 1, -coef * g1)
-        else:
-            add_block(j, j, -coef * (g1 @ s_left))
-    return rows, cols, vals
+def _block_matrix(
+    grid: Grid, velocity, angular, mass, coupling, m, a_vals, b_vals, left=None, right=None
+) -> sp.csc_matrix:
+    """Node-major sparse matrix of −i·velocity·(centered difference) plus the
+    pointwise potential coupling·A(x)·angular − m·B(x)·mass.
+
+    Row j carries the blocks ∓i/(2w_j)·velocity at columns j ± 1 and the
+    potential block at column j; ``left``/``right`` are ghost closures added
+    to the first and last diagonal blocks (zero ghosts when omitted).  Exact
+    zeros are dropped, so the sparsity pattern is that of the nonzero blocks.
+    """
+    n = grid.n
+    coef = (-1j / (2.0 * grid.weights))[:, None, None]
+    diag = (coupling * a_vals)[:, None, None] * angular - (m * b_vals)[:, None, None] * mass
+    if left is not None:
+        diag[0] += left
+    if right is not None:
+        diag[-1] += right
+    blocks = np.concatenate([coef[:-1] * velocity, diag, -coef[1:] * velocity])
+    j = np.arange(n)
+    row_node = np.concatenate([j[:-1], j, j[1:]])
+    col_node = np.concatenate([j[1:], j, j[:-1]])
+    k, a, c = np.nonzero(blocks)
+    return sp.csc_matrix(
+        sp.coo_matrix(
+            (blocks[k, a, c], (4 * row_node[k] + a, 4 * col_node[k] + c)),
+            shape=(4 * n, 4 * n),
+            dtype=complex,
+        )
+    )
 
 
 def assemble_hamiltonian(
@@ -340,12 +353,9 @@ def assemble_hamiltonian(
         if bc is None:
             bc = BoundaryCondition.MIT
 
-    n = grid.n
-    x = grid.nodes
-    a_vals = np.asarray(pair.a_ang(x), dtype=float)
-    b_vals = np.asarray(pair.b_mass(x), dtype=float)
+    a_vals = np.asarray(pair.a_ang(grid.nodes), dtype=float)
+    b_vals = np.asarray(pair.b_mass(grid.nodes), dtype=float)
     m = params.m if params is not None else 0.0
-    coupling = channel.coupling
 
     s_mirror = mit_reflection()
     s_right = s_mirror if bc == BoundaryCondition.MIT else np.zeros((4, 4))
@@ -357,22 +367,10 @@ def assemble_hamiltonian(
         and grid.resolves_wall_layer
     ):
         wall_exponent = m * params.l
-    rows, cols, vals = _derivative_coefficient_blocks(
-        grid, s_mirror, s_right, wall_exponent
-    )
-
-    ang = ANGULAR.astype(complex)
-    for j in range(n):
-        block = coupling * a_vals[j] * ang - m * b_vals[j] * MASS
-        for a in range(4):
-            for c in range(4):
-                if block[a, c] != 0.0:
-                    rows.append(4 * j + a)
-                    cols.append(4 * j + c)
-                    vals.append(block[a, c])
-
-    matrix = sp.csc_matrix(
-        sp.coo_matrix((vals, (rows, cols)), shape=(4 * n, 4 * n), dtype=complex)
+    left, right = _wall_closures(grid, s_mirror, s_right, wall_exponent)
+    matrix = _block_matrix(
+        grid, VELOCITY.astype(complex), ANGULAR.astype(complex), MASS,
+        channel.coupling, m, a_vals, b_vals, left, right,
     )
     return ChannelOperator(
         channel=channel,
@@ -449,33 +447,14 @@ def commutator_brute_force(op: ChannelOperator, values: np.ndarray) -> np.ndarra
 # ------------------------------------------------- representation identity
 
 def _alt_matrix(op: ChannelOperator) -> sp.csc_matrix:
-    """The same channel Hamiltonian assembled in the alternative
-    representation (γ⁰ diagonal), with zero ghosts — only meaningful on
-    interior-supported fields."""
+    """The same channel Hamiltonian in the alternative representation
+    (γ⁰ diagonal): the one block assembler with that representation's
+    velocity −γ⁰γ¹, angular γ⁰γ² and mass γ⁰ matrices and zero ghosts, so it
+    is only meaningful on interior-supported fields."""
     g0, g1a, g2a, _ = GAMMA_ALT
-    vel = -(g0 @ g1a)
-    n = op.grid.n
-    w = op.grid.weights
-    rows, cols, vals = [], [], []
-
-    def add_block(j_row, j_col, block):
-        for a in range(4):
-            for c in range(4):
-                if block[a, c] != 0.0:
-                    rows.append(4 * j_row + a)
-                    cols.append(4 * j_col + c)
-                    vals.append(block[a, c])
-
-    for j in range(n):
-        coef = -1j / (2.0 * w[j])
-        if j + 1 < n:
-            add_block(j, j + 1, coef * vel)
-        if j - 1 >= 0:
-            add_block(j, j - 1, -coef * vel)
-        pot = op.channel.coupling * op.a_values[j] * (g0 @ g2a) - op.mass * op.b_values[j] * g0
-        add_block(j, j, pot)
-    return sp.csc_matrix(
-        sp.coo_matrix((vals, (rows, cols)), shape=(4 * n, 4 * n), dtype=complex)
+    return _block_matrix(
+        op.grid, -(g0 @ g1a), g0 @ g2a, g0,
+        op.channel.coupling, op.mass, op.a_values, op.b_values,
     )
 
 

@@ -33,7 +33,6 @@ from .grids import SpinorField
 
 __all__ = [
     "Direction",
-    "Scheme",
     "EvolutionConfig",
     "NumericError",
     "Trajectory",
@@ -48,10 +47,6 @@ __all__ = [
 class Direction(Enum):
     FORWARD = "forward"  # e^{−itH}
     BACKWARD = "backward"  # e^{+itH}
-
-
-class Scheme(Enum):
-    CAYLEY = "cayley"
 
 
 class NumericError(RuntimeError):
@@ -74,7 +69,6 @@ class EvolutionConfig:
     t_final: float
     n_snapshots: int = 1
     snapshot_times: Optional[Sequence[float]] = None
-    scheme: Scheme = Scheme.CAYLEY
     solver_tol: float = 1e-10
 
     def __post_init__(self):
@@ -157,8 +151,6 @@ def evolve(
     on t_final (the effective dt never exceeds the requested one); snapshot
     times are snapped to the nearest step.
     """
-    if cfg.scheme != Scheme.CAYLEY:
-        raise ConfigurationError(f"unknown scheme {cfg.scheme}")
     if not np.array_equal(psi0.grid.nodes, op.grid.nodes):
         raise ConfigurationError("field and operator live on different grids")
 

@@ -27,11 +27,18 @@ Numerical conventions
 - Near the horizon r - r_sads underflows the float spacing of r_sads
   long before anything else degrades, so all evaluators run on the gap
   δ = r - r_sads.  F is computed through the cancellation-free identity
-      F(r_sads + δ) = 2Mδ/(r_sads(r_sads+δ)) + δ(2·r_sads+δ)/l²,
+      F(r_sads + δ)/δ = 2M/(r_sads(r_sads+δ)) + (2·r_sads+δ)/l²,
   which is exact relative to the computed root.
-- The inverse map x ↦ r solves in u = ln δ, where x(u) is smooth,
-  strictly increasing and asymptotically linear (slope α₁) — no infinite
-  derivatives, bracketing is safe for any x < 0.
+- The forward map is evaluated in u = ln δ as a sum of two negative terms,
+      x = -½α₁·ln(P(r)/δ²) - C·arctan(√(3r_sads² + 4l²)/(2r + r_sads)),
+  with P(r) = r² + r_sads·r + r_sads² + l².  ln(P/δ²) is taken through
+  logaddexp in u, so no term overflows or cancels at either end.
+- The inverse x ↦ u is one vectorized Newton solve, bracketed by bisection.
+  x(u) is smooth and strictly increasing with slope dx/du = δ/F, which tends
+  to α₁ at the horizon and to l²/δ at the boundary.  Each element stops once
+  its step is below tolerance, so batches and scalars agree bit for bit.
+  r, δ, √F = e^{u/2}·√(F/δ) and √F/r all follow from u; √F never passes
+  through δ, so it keeps its e^{κx} decay after δ itself underflows.
 - For -1e-8 < x < 0 the boundary series is used directly:
       r = -l²/x + x/3,   √F = -l/x - x/(6l),   √F/r = 1/l + x²/(2l³).
 """
@@ -43,7 +50,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import brentq
 
 __all__ = [
     "Regime",
@@ -57,8 +63,12 @@ __all__ = [
     "expansion_residuals",
 ]
 
-# crossover below which the boundary series replaces root finding
+# crossover below which the boundary series replaces the inverse solve
 _X_SERIES = -1e-8
+# the inverse's Newton iteration stops on a step |Δu| ≤ _NEWTON_TOL·(1 + |u|)
+# and raises after _NEWTON_MAXITER iterations
+_NEWTON_TOL = 1e-12
+_NEWTON_MAXITER = 100
 
 
 class Regime(Enum):
@@ -195,155 +205,142 @@ class CoordinateMap:
     """
     r ↔ r_* ↔ x maps for a fixed :class:`Params`.
 
-    All evaluators accept scalars or arrays.  The horizon gap
-    δ = r - r_sads is the internal variable; :meth:`delta_of_x` stays
-    accurate down to δ ≈ 1e-300 where :meth:`r_of_x` would round to
-    r_sads.
+    All evaluators accept scalars or arrays.  The inverse runs on the log
+    gap u = ln(r - r_sads), so :meth:`delta_of_x` stays accurate wherever
+    e^u is representable, long after :meth:`r_of_x` rounds to r_sads.
     """
 
     def __init__(self, params: Params):
         self.params = params
         p = params
-        self._q = 3.0 * p.r_sads**2 + p.l**2               # P(r_sads)
         self._sq4 = math.sqrt(3.0 * p.r_sads**2 + 4.0 * p.l**2)
+        self._log_q = math.log(3.0 * p.r_sads**2 + p.l**2)  # ln P(r_sads)
+        self._log_3rh = math.log(3.0 * p.r_sads)
+        # intercept of the horizon asymptote x(u) ≈ α₁·u + x_h as u → -∞
+        self._x_horizon = (
+            -0.5 * p.alpha1 * self._log_q
+            - p.c_const * math.atan(self._sq4 / (3.0 * p.r_sads))
+        )
+        self._x_unit = float(self._x_of_u(0.0))  # x at δ = 1
 
     # -- forward maps -----------------------------------------------------
 
-    def tortoise_of_delta(self, delta):
-        """r_*(r_sads + δ) via the closed form, stable for tiny δ."""
+    def _x_of_u(self, u):
+        """x at u = ln δ (module notes), with
+        ln(P/δ²) = ln(q·e^{-2u} + 3r_sads·e^{-u} + 1) and q = P(r_sads)."""
         p = self.params
-        delta = np.asarray(delta, dtype=float)
-        r = p.r_sads + delta
-        poly = r * r + p.r_sads * r + p.r_sads**2 + p.l**2
-        return (
-            p.alpha1 * np.log(delta)
-            - 0.5 * p.alpha1 * np.log(poly)
-            + p.c_const * np.arctan((2.0 * r + p.r_sads) / self._sq4)
-        )
+        r = p.r_sads + np.exp(u)
+        log_ratio = np.logaddexp(self._log_q - 2.0 * u, np.logaddexp(0.0, self._log_3rh - u))
+        return -0.5 * p.alpha1 * log_ratio - p.c_const * np.arctan(self._sq4 / (2.0 * r + p.r_sads))
 
     def tortoise(self, r):
         """
-        Closed-form tortoise coordinate r_*(r), r > r_sads.
+        Closed-form tortoise coordinate r_*(r) = x(r) + C·π/2, r > r_sads.
 
         Raises
         ------
         ValueError
             If any r ≤ r_sads.
         """
+        return self.x_of_r(r) + self.params.c_const * math.pi / 2.0
+
+    def x_of_r(self, r):
+        """Working coordinate x(r) = r_*(r) - C·π/2 ∈ (-∞, 0), r > r_sads."""
         r = np.asarray(r, dtype=float)
         if np.any(r <= self.params.r_sads):
             raise ValueError("tortoise requires r > horizon radius")
-        return self.tortoise_of_delta(r - self.params.r_sads)
-
-    def x_of_r(self, r):
-        """Working coordinate x(r) = r_*(r) - C·π/2 ∈ (-∞, 0)."""
-        return self.tortoise(r) - self.params.c_const * math.pi / 2.0
+        return self.x_of_delta(r - self.params.r_sads)
 
     def x_of_delta(self, delta):
-        return self.tortoise_of_delta(delta) - self.params.c_const * math.pi / 2.0
+        """x(r_sads + δ), accurate for δ far below the float spacing of r_sads."""
+        return self._x_of_u(np.log(np.asarray(delta, dtype=float)))
 
     # -- inverse map ------------------------------------------------------
 
-    def _x_of_logdelta(self, u: float) -> float:
-        return float(self.x_of_delta(math.exp(u)))
+    def _log_gap(self, x):
+        """
+        u = ln δ(min(x, -1e-8)) for every x < 0, returned with x as a float
+        array; the callers take -1e-8 < x < 0 from the boundary series.
 
-    def _delta_of_x_scalar(self, x: float) -> float:
+        A bracketed Newton iteration solves x(u) = x, with slope dx/du = δ/F
+        taken from the cancellation-free F/δ.  It starts from the horizon
+        asymptote (at most 0) for x < x(u=0) and from ln(-l²/x) (at least 0)
+        otherwise.  Where x(u) turns from convex to concave Newton can cycle,
+        so a step longer than half the bracket is replaced by bisection.  Each
+        element freezes once its step falls below the tolerance, so a batch
+        gives the same bits as scalar calls.
+        """
         p = self.params
-        if not x < 0.0:
-            raise ValueError("working coordinate must satisfy x < 0")
-        if math.isinf(x):
-            raise ValueError("x must be finite")
-        # initial guesses: horizon asymptote and boundary asymptote
-        # x(u) ≈ α₁·u + const  for u → -∞ ;  δ ≈ -l²/x for x → 0⁻
-        c_h = self._x_of_logdelta(0.0)  # x at δ = 1
-        u_lo = (x - c_h) / p.alpha1 - 1.0
-        while self._x_of_logdelta(u_lo) >= x:
-            u_lo -= max(8.0, (self._x_of_logdelta(u_lo) - x) / p.alpha1 + 1.0)
-            if u_lo < -700.0:
-                # δ below double-precision range: return the asymptote
-                return math.exp(max(u_lo, -745.0))
-        u_hi = math.log(max(1.0, -p.l**2 / x)) + 2.0
-        while self._x_of_logdelta(u_hi) <= x:
-            u_hi += 4.0
-        u = brentq(lambda v: self._x_of_logdelta(v) - x, u_lo, u_hi,
-                   xtol=1e-15, rtol=8.9e-16, maxiter=200)
-        return math.exp(u)
+        # [()] turns 0-d arrays into numpy scalars, whose arithmetic is several
+        # times cheaper: scalar calls come one node at a time from ODE solvers
+        xs = np.asarray(x, dtype=float)[()]
+        if not ((xs < 0.0) & (xs > -np.inf)).all():
+            raise ValueError("working coordinate must be finite and satisfy x < 0")
+        xf = np.minimum(xs, _X_SERIES)
+        u = np.where(
+            xf < self._x_unit,
+            np.minimum((xf - self._x_horizon) / p.alpha1, 0.0),
+            np.maximum(np.log(-p.l**2 / xf), 0.0),
+        )[()]
+        lo, hi, done = -np.inf, np.inf, np.False_
+        for _ in range(_NEWTON_MAXITER):
+            res = self._x_of_u(u) - xf
+            # converged elements take a zero step and stay frozen
+            step = ~done * res * self._F_over_delta(np.exp(u))
+            done = abs(step) <= _NEWTON_TOL * (1.0 + abs(u))
+            # u is now one end of the bracket and the step points inside it;
+            # a step longer than half the bracket is replaced by bisection
+            lo = np.where(res <= 0.0, u, lo)[()]
+            hi = np.where(res > 0.0, u, hi)[()]
+            newton = done | (abs(step) <= 0.5 * (hi - lo))
+            u = np.where(newton, u - step, 0.5 * (lo + hi))[()]
+            if done.all():
+                return xs, u
+        raise ArithmeticError(
+            f"coordinate inverse did not converge in {_NEWTON_MAXITER} iterations"
+        )
 
     def delta_of_x(self, x):
-        """Horizon gap δ(x) = r(x) - r_sads, accurate for all x < 0."""
-        if np.isscalar(x) or np.asarray(x).ndim == 0:
-            return self._delta_of_x_scalar(float(x))
-        return np.array([self._delta_of_x_scalar(float(v)) for v in np.asarray(x)])
+        """Horizon gap δ(x) = r(x) - r_sads, as e^u; it underflows to 0 only
+        where e^u does (x below about -372/κ)."""
+        p = self.params
+        xs, u = self._log_gap(x)
+        return np.where(xs > _X_SERIES, -p.l**2 / xs + xs / 3.0 - p.r_sads, np.exp(u))[()]
 
     def r_of_x(self, x):
-        """
-        Inverse map r(x).  Uses the boundary series for -1e-8 < x < 0 and
-        log-gap bracketing (:func:`scipy.optimize.brentq`) otherwise.
-        """
+        """Inverse map r(x): the boundary series -l²/x + x/3 for
+        -1e-8 < x < 0, r_sads + e^u otherwise."""
         p = self.params
-        xs = np.asarray(x, dtype=float)
-        scalar = xs.ndim == 0
-        xs = np.atleast_1d(xs)
-        if np.any(xs >= 0.0):
-            raise ValueError("working coordinate must satisfy x < 0")
-        out = np.empty_like(xs)
-        near = xs > _X_SERIES
-        if np.any(near):
-            xn = xs[near]
-            out[near] = -p.l**2 / xn + xn / 3.0
-        if np.any(~near):
-            out[~near] = p.r_sads + np.array(
-                [self._delta_of_x_scalar(float(v)) for v in xs[~near]]
-            )
-        return out[0] if scalar else out
+        xs, u = self._log_gap(x)
+        return np.where(xs > _X_SERIES, -p.l**2 / xs + xs / 3.0, p.r_sads + np.exp(u))[()]
 
     # -- metric quantities along x ---------------------------------------
 
+    def _F_over_delta(self, delta):
+        p = self.params
+        return 2.0 * p.M / (p.r_sads * (p.r_sads + delta)) + (2.0 * p.r_sads + delta) / (p.l * p.l)
+
     def F_of_delta(self, delta):
         """Cancellation-free F(r_sads + δ)."""
-        p = self.params
         delta = np.asarray(delta, dtype=float)
-        return (
-            2.0 * p.M * delta / (p.r_sads * (p.r_sads + delta))
-            + delta * (2.0 * p.r_sads + delta) / (p.l * p.l)
-        )
+        return delta * self._F_over_delta(delta)
+
+    def _sqrtF_of_u(self, u):
+        """√F = e^{u/2}·√(F/δ): no underflow through δ itself."""
+        return np.exp(0.5 * u) * np.sqrt(self._F_over_delta(np.exp(u)))
 
     def sqrtF_of_x(self, x):
         """√F(r(x)); boundary series −l/x − x/(6l) for -1e-8 < x < 0."""
         p = self.params
-        xs = np.asarray(x, dtype=float)
-        scalar = xs.ndim == 0
-        xs = np.atleast_1d(xs)
-        if np.any(xs >= 0.0):
-            raise ValueError("working coordinate must satisfy x < 0")
-        out = np.empty_like(xs)
-        near = xs > _X_SERIES
-        if np.any(near):
-            xn = xs[near]
-            out[near] = -p.l / xn - xn / (6.0 * p.l)
-        if np.any(~near):
-            deltas = np.array([self._delta_of_x_scalar(float(v)) for v in xs[~near]])
-            out[~near] = np.sqrt(self.F_of_delta(deltas))
-        return out[0] if scalar else out
+        xs, u = self._log_gap(x)
+        return np.where(xs > _X_SERIES, -p.l / xs - xs / (6.0 * p.l), self._sqrtF_of_u(u))[()]
 
     def angular_factor_of_x(self, x):
         """√F(r(x)) / r(x); boundary series 1/l + x²/(2l³) near x = 0."""
         p = self.params
-        xs = np.asarray(x, dtype=float)
-        scalar = xs.ndim == 0
-        xs = np.atleast_1d(xs)
-        if np.any(xs >= 0.0):
-            raise ValueError("working coordinate must satisfy x < 0")
-        out = np.empty_like(xs)
-        near = xs > _X_SERIES
-        if np.any(near):
-            xn = xs[near]
-            out[near] = 1.0 / p.l + xn * xn / (2.0 * p.l**3)
-        if np.any(~near):
-            deltas = np.array([self._delta_of_x_scalar(float(v)) for v in xs[~near]])
-            r = p.r_sads + deltas
-            out[~near] = np.sqrt(self.F_of_delta(deltas)) / r
-        return out[0] if scalar else out
+        xs, u = self._log_gap(x)
+        far = self._sqrtF_of_u(u) / (p.r_sads + np.exp(u))
+        return np.where(xs > _X_SERIES, 1.0 / p.l + xs * xs / (2.0 * p.l**3), far)[()]
 
 
 def expansion_residuals(params: Params, x_boundary=None, x_horizon=None) -> dict:

@@ -270,31 +270,30 @@ def parse_config_dict(data: Mapping) -> ExperimentConfig:
             if not _is_number(x_min) or not x_min < 0:
                 errors.append("grid: x_min must be a negative number")
             graded = {"h_min", "ratio", "h_max"} & set(raw_grid)
+            n = raw_grid.get("n", GridSpec.n)
             if "n" in raw_grid and graded:
                 errors.append("grid: give either n or the graded triple, not both")
-            elif graded:
-                if graded != {"h_min", "ratio", "h_max"}:
-                    errors.append("grid: graded spacing needs h_min, ratio and h_max")
-                else:
-                    h_min, ratio, h_max = (
-                        raw_grid["h_min"], raw_grid["ratio"], raw_grid["h_max"]
+            elif graded and graded != {"h_min", "ratio", "h_max"}:
+                errors.append("grid: graded spacing needs h_min, ratio and h_max")
+            elif graded and not all(_is_number(raw_grid[k]) for k in graded):
+                errors.append("grid: h_min, ratio, h_max must be numbers")
+            elif not graded and not _is_int(n):
+                errors.append("grid: n must be an integer")
+            elif _is_number(x_min) and x_min < 0:
+                if graded:
+                    spec = GridSpec(
+                        float(x_min), None,
+                        *(float(raw_grid[k]) for k in ("h_min", "ratio", "h_max")),
                     )
-                    if not all(_is_number(v) for v in (h_min, ratio, h_max)):
-                        errors.append("grid: h_min, ratio, h_max must be numbers")
-                    elif not (0 < h_min <= h_max and ratio > 1):
-                        errors.append(
-                            "grid: need 0 < h_min <= h_max and ratio > 1"
-                        )
-                    else:
-                        grid = GridSpec(
-                            float(x_min), None, float(h_min), float(ratio), float(h_max)
-                        )
-            else:
-                n = raw_grid.get("n", GridSpec.n)
-                if not _is_int(n) or n < 8:
-                    errors.append("grid: n must be an integer >= 8")
-                elif _is_number(x_min) and x_min < 0:
-                    grid = GridSpec(float(x_min), int(n))
+                else:
+                    spec = GridSpec(float(x_min), int(n))
+                # the grid module's own rules (node count, grading ratio)
+                # decide, so an accepted grid always builds
+                try:
+                    spec.build()
+                    grid = spec
+                except ValueError as exc:
+                    errors.append(f"grid: {exc}")
 
     evolution = EvolutionSpec()
     raw_ev = data.get("evolution")

@@ -81,9 +81,8 @@ class TestAcceptance:
 
         r = params.r_sads + np.geomspace(1e-12, 10.0, 25)
         trip_r = float(np.max(np.abs(cm.r_of_x(cm.x_of_r(r)) - r) / r))
-        # near the wall the map subtracts Cπ/2 once, so the inversion carries
-        # an absolute floor ~ulp(Cπ/2); the 1e-4 scale floor folds the
-        # matching absolute tolerance 1e-14 into the relative bound
+        # the 1e-4 scale floor folds an absolute tolerance 1e-14 into the
+        # relative bound
         x = -np.geomspace(1e-7, 30.0, 25)
         trip_x = float(
             np.max(np.abs(cm.x_of_delta(cm.delta_of_x(x)) - x) / (np.abs(x) + 1e-4))

@@ -173,6 +173,60 @@ class TestAssembly:
         assert np.allclose(op.apply(v), direct)
 
 
+class TestStencilEntrywise:
+    """Every 4×4 block of small assembled operators against its formula:
+    interior ±1 blocks ∓i/(2w_j)·Γ¹, the bag-type ghost +i/(2w_0)·Γ¹S in the
+    first row, and the right wall row of each closure."""
+
+    @staticmethod
+    def expected(op, right_closure):
+        g = op.grid
+        g1 = VELOCITY.astype(complex)
+        h = np.zeros((4 * g.n, 4 * g.n), dtype=complex)
+        for j in range(g.n):
+            row = slice(4 * j, 4 * j + 4)
+            h[row, row] = (
+                op.channel.coupling * op.a_values[j] * ANGULAR - op.mass * op.b_values[j] * MASS
+            )
+            if j + 1 < g.n:
+                h[row, 4 * j + 4 : 4 * j + 8] = -1j / (2.0 * g.weights[j]) * g1
+            if j > 0:
+                h[row, 4 * j - 4 : 4 * j] = 1j / (2.0 * g.weights[j]) * g1
+        h[:4, :4] += 1j / (2.0 * g.weights[0]) * g1 @ mit_reflection()
+        h[-4:, -4:] += right_closure
+        return h
+
+    def check(self, op, right_closure):
+        dense = op.matrix.toarray()
+        assert np.max(np.abs(dense - self.expected(op, right_closure))) <= 1e-13 * np.max(
+            np.abs(dense)
+        )
+        assert np.allclose(op.a_values, potentials_sads(op.params).a_ang(op.grid.nodes))
+
+    def test_plain_mirror(self):
+        op = assemble_hamiltonian(Channel(1.5, 0.5), P_MIT, make_grid(-8.0, 16))
+        assert op.grid.n == 16 and op.wall_exponent is None
+        g1s = VELOCITY.astype(complex) @ mit_reflection()
+        self.check(op, -1j / (2.0 * op.grid.weights[-1]) * g1s)
+
+    def test_natural_wall(self):
+        op = assemble_hamiltonian(Channel(1.5, 0.5), P_NAT, make_grid(-8.0, 16))
+        assert op.bc == BoundaryCondition.NATURAL
+        self.check(op, np.zeros((4, 4)))
+
+    def test_graded_wall_exponent(self):
+        from adsdirac.grids import BoundaryGraded
+
+        g = make_grid(-0.4, policy=BoundaryGraded(h_min=0.005, ratio=1.2, h_max=0.05))
+        op = assemble_hamiltonian(Channel(0.5, 0.5), P_MIT, g)
+        nu = P_MIT.m * P_MIT.l
+        assert g.n == 16 and op.wall_exponent == nu
+        t, t_prev = -g.nodes[-1], -g.nodes[-2]
+        g_wall = nu / t + (t / t_prev) ** nu / (2.0 * g.weights[-1])
+        g1s = VELOCITY.astype(complex) @ mit_reflection()
+        self.check(op, -1j * g_wall * g1s)
+
+
 class TestConjugateOperator:
     def test_component_signs(self):
         g = make_grid(-5.0, 32)

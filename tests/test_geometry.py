@@ -14,6 +14,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import bisect
 
@@ -216,6 +218,14 @@ class TestInverseMap:
         assert math.log(d1 / d2) == pytest.approx(2.0 * cm.params.kappa, rel=1e-9)
         assert d1 < 1e-50  # genuinely sub-ulp territory relative to r_sads = 1
 
+    def test_no_clamp_below_double_range(self):
+        """√F keeps its e^{κx} decay after δ ~ e^{2κx} underflows the
+        double range (x < -185 for M = l = 1)."""
+        cm = CoordinateMap(Params(M=1, l=1, m=1))
+        ratio = cm.sqrtF_of_x(-200.0) / cm.sqrtF_of_x(-201.0)
+        assert ratio == pytest.approx(math.exp(cm.params.kappa), rel=1e-9)
+        assert cm.delta_of_x(-400.0) == 0.0  # e^u underflows, no floor
+
     def test_series_branch_continuity(self):
         cm = CoordinateMap(Params(M=1, l=1, m=1))
         # straddle the series crossover at x = -1e-8
@@ -240,6 +250,29 @@ class TestInverseMap:
         rv = cm.r_of_x(xs)
         for i, x in enumerate(xs):
             assert rv[i] == cm.r_of_x(float(x))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    M=st.floats(0.1, 10.0),
+    l=st.floats(0.1, 10.0),
+    s=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12),
+)
+def test_inverse_properties(M, l, s):
+    """Round trip, strict monotonicity and batch/scalar bit equality of the
+    inverse on x ∈ [-100/κ, -1e-7] (log-spaced through the samples s)."""
+    cm = CoordinateMap(Params(M=M, l=l, m=1.0))
+    lo, hi = math.log(1e-7), math.log(100.0 / cm.params.kappa)
+    xs = np.sort(-np.exp(lo + (hi - lo) * np.asarray(s)))
+    deltas = cm.delta_of_x(xs)
+    back = cm.x_of_delta(deltas)
+    assert np.all(np.abs(back - xs) <= 1e-10 * (np.abs(xs) + 1e-4))
+    # strictly increasing wherever the x differ by more than rounding
+    separated = np.diff(xs) > 1e-9 * np.abs(xs[1:])
+    assert np.all(np.diff(deltas) >= 0)
+    assert np.all(np.diff(deltas)[separated] > 0)
+    for x, d in zip(xs, deltas):
+        assert cm.delta_of_x(float(x)) == d
 
 
 # ---------------------------------------------------------------- potentials

@@ -88,6 +88,8 @@ class TestConfigValidation:
             {"x_min": -10.0, "h_min": 0.1, "ratio": 0.9, "h_max": 0.2},
             {"x_min": -10.0, "n": 4},
             {"spacing": 0.1},
+            {"x_min": -10.0, "n": 8},
+            {"x_min": -10.0, "h_min": 0.01, "ratio": 1.5, "h_max": 0.1},
         ],
     )
     def test_bad_grid_blocks(self, grid):
