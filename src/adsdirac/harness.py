@@ -118,6 +118,67 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+#: domain-exponent grading options and their defaults
+_GRADING = {"h_min": 1e-3, "ratio": 1.1, "h_max": 0.05, "x_min": -24.0}
+
+
+def _graded_grid(block: Mapping) -> Tuple[Dict[str, float], Grid]:
+    """The domain-exponent grading (defaults filled in) and its grid; the
+    parser builds it too, so the grid module's rules decide at parse time."""
+    g = {k: float(block.get(k, v)) for k, v in _GRADING.items()}
+    policy = BoundaryGraded(g["h_min"], g["ratio"], g["h_max"])
+    return g, make_grid(g["x_min"], policy=policy)
+
+
+def _option_errors(name: str, block: Mapping, x_min: float) -> List[str]:
+    """Value checks for the option blocks whose bad values would otherwise
+    surface only when the experiment runs."""
+    errors: List[str] = []
+
+    def bad(message: str) -> None:
+        errors.append(f"options.{name}: {message}")
+
+    if name == "mourre":
+        iv = block.get("interval")
+        if "interval" in block and not (
+            isinstance(iv, (list, tuple)) and len(iv) == 2
+            and all(_is_number(v) for v in iv) and iv[0] < iv[1]
+        ):
+            bad("interval must be two numbers [a, b] with a < b")
+        if "n" in block:
+            if not _is_int(block["n"]):
+                bad("n must be an integer")
+            else:
+                try:
+                    make_grid(x_min, block["n"])
+                except ValueError as exc:
+                    bad(f"n: {exc}")
+        factor = block.get("fine_factor")
+        if "fine_factor" in block and not (_is_int(factor) and factor >= 2):
+            bad("fine_factor must be an integer >= 2")
+        eps = block.get("eps")
+        if "eps" in block and not (_is_number(eps) and 0.0 < eps < 1.0):
+            bad("eps must be a number in (0, 1)")
+        stability = block.get("stability")
+        if "stability" in block and not (_is_number(stability) and stability > 0.0):
+            bad("stability must be a positive number")
+    elif name == "domain-exponent":
+        if not all(_is_number(block[k]) for k in _GRADING if k in block):
+            bad("h_min, ratio, h_max and x_min must be numbers")
+        else:
+            try:
+                _graded_grid(block)
+            except ValueError as exc:
+                bad(str(exc))
+        masses = block.get("masses")
+        if "masses" in block and not (
+            isinstance(masses, (list, tuple)) and masses
+            and all(_is_number(v) and v >= 0 for v in masses)
+        ):
+            bad("masses must be a non-empty list of non-negative numbers")
+    return errors
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Either a uniform node count or a boundary-graded spacing triple."""
@@ -366,6 +427,7 @@ def parse_config_dict(data: Mapping) -> ExperimentConfig:
                     continue
                 for key in sorted(set(block) - _OPTION_KEYS[name]):
                     errors.append(f"options.{name}: unknown key {key!r}")
+                errors += _option_errors(name, block, grid.x_min)
                 options[name] = {
                     k: block[k] for k in block if k in _OPTION_KEYS[name]
                 }
@@ -825,7 +887,7 @@ def _run_mourre(cfg: ExperimentConfig, out_dir: Path) -> ExperimentResult:
         CheckLine(
             "window", rep_c.passed,
             f"min quotient = {rep_c.min_quotient:.4f} on {list(interval)}, "
-            f"η = {rep_c.eta:.4f}, {rep_c.n_states} states (need ≥ {1 - eps:g} - η)",
+            f"η = {rep_c.eta:.4f}, {rep_c.n_states} states (need ≥ {1 - eps:g})",
         )
     )
     res.checks.append(
@@ -855,6 +917,17 @@ def _run_mourre(cfg: ExperimentConfig, out_dir: Path) -> ExperimentResult:
         "coarse_states": rep_c.n_states,
         "fine_states": rep_f.n_states,
         "eta": rep_c.eta,
+        # the eigensolve behind each window: pairs requested against pairs
+        # found in the window, largest residual, W-orthonormality defect
+        "solves": {
+            name: {
+                "requested": rep.requested,
+                "found": rep.n_states,
+                "max_residual": rep.max_residual,
+                "orthonormality_defect": rep.orthonormality_defect,
+            }
+            for name, rep in (("coarse", rep_c), ("fine", rep_f), ("free", free))
+        },
     }
     _finish(res, cfg, out_dir, "mourre.json")
     return res
@@ -922,11 +995,7 @@ def _run_domain_exponent(cfg: ExperimentConfig, out_dir: Path) -> ExperimentResu
     fit per mass, judged against the regime's expected exponent."""
     res = ExperimentResult("domain-exponent")
     masses = [float(v) for v in cfg.option("domain-exponent", "masses", (1.0, 0.25))]
-    h_min = float(cfg.option("domain-exponent", "h_min", 1e-3))
-    ratio = float(cfg.option("domain-exponent", "ratio", 1.1))
-    h_max = float(cfg.option("domain-exponent", "h_max", 0.05))
-    x_min = float(cfg.option("domain-exponent", "x_min", -24.0))
-    grid = make_grid(x_min, policy=BoundaryGraded(h_min, ratio, h_max))
+    grading, grid = _graded_grid(cfg.options.get("domain-exponent", {}))
 
     rows = []
     for mass in masses:
@@ -961,7 +1030,7 @@ def _run_domain_exponent(cfg: ExperimentConfig, out_dir: Path) -> ExperimentResu
 
     res.scalars = {
         "masses": masses,
-        "grading": {"h_min": h_min, "ratio": ratio, "h_max": h_max, "x_min": x_min},
+        "grading": grading,
         "slopes": [r.slope for _, _, r in rows],
         "targets": [r.target for _, _, r in rows],
     }

@@ -2,14 +2,19 @@
 
 Three numerical shadows of the channel operator's spectral theory:
 
-* ``eigendecompose`` — the full weighted symmetric eigenproblem.  The
-  discrete operator H is self-adjoint in the quadrature inner product
-  ⟨u, v⟩_W = Σ_j w_j u(x_j)†v(x_j), so W^{1/2} H W^{−1/2} is Hermitian and
-  its eigenpairs give spectral projections by functional calculus.
+* ``eigendecompose`` — the weighted symmetric eigenproblem.  The discrete
+  operator H is self-adjoint in the quadrature inner product
+  ⟨u, v⟩_W = Σ_j w_j u(x_j)†v(x_j), so S = W^{1/2} H W^{−1/2} is Hermitian
+  and its eigenpairs give spectral projections by functional calculus.
+  The whole spectrum comes from a dense solve of S (the ``spectrum``
+  experiment and the test oracle); a window [a, b] from shift-invert
+  Lanczos on the sparse S about the window centre, which only ever
+  computes the levels near the window.
 * ``mourre_check`` — positivity of the localized commutator: the minimum
   Rayleigh quotient of P_I C P_I on ran P_I, with C the closed-form
-  commutator i[H, 𝒜] and η = ‖P_I(C − 𝟙)P_I‖ the measured size of the
-  compact correction.  PASS means min quotient ≥ (1 − ε) − η.
+  commutator i[H, 𝒜].  PASS means min quotient ≥ 1 − ε; η =
+  ‖P_I(C − 𝟙)P_I‖, the measured size of the compact correction, is
+  reported alongside.
 * ``no_eigenvalue_test`` — the ODE mechanism behind the empty point
   spectrum: after the phase rotation e^{iλγ⁰γ¹x}, a putative eigenfunction
   satisfies w′ = W(x)w with ∫‖W‖ finite (exponential horizon decay), so
@@ -18,8 +23,6 @@ Three numerical shadows of the channel operator's spectral theory:
 * ``boundary_exponent_fit`` — the wall behavior of domain elements probed
   through the resolvent: solve (H − z)u = f and fit log‖u‖ against
   log(−x) on a boundary-graded tail.
-
-Desk-scale throughout: dense eigensolves are capped at dimension 16384.
 """
 from __future__ import annotations
 
@@ -56,7 +59,11 @@ __all__ = [
     "boundary_exponent_fit",
 ]
 
+#: largest dimension a dense (whole-spectrum) solve is attempted at
 _MAX_DIM = 4 * 4096
+#: first number of pairs asked of the shift-invert Lanczos solve; doubled
+#: until the farthest returned level lies outside the window
+_FIRST_K = 16
 
 
 # ---------------------------------------------------------- eigendecompose
@@ -65,13 +72,18 @@ _MAX_DIM = 4 * 4096
 class SpectralDecomposition:
     """Eigenvalues (sorted) and W-orthonormal eigenvectors of a channel
     operator; ``vectors[:, k]`` is the flattened (component-fastest)
-    eigenvector for ``eigenvalues[k]``."""
+    eigenvector for ``eigenvalues[k]``.
+
+    ``requested`` is the number of pairs the solver was asked for: the final
+    Lanczos k of a windowed solve, or the dimension for a dense one.
+    """
 
     eigenvalues: np.ndarray
     vectors: np.ndarray
     grid: Grid
     max_residual: float
     orthonormality_defect: float
+    requested: int
 
     def eigenfield(self, k: int) -> SpinorField:
         return SpinorField(
@@ -82,44 +94,123 @@ class SpectralDecomposition:
         return int(np.sum((self.eigenvalues >= a) & (self.eigenvalues <= b)))
 
 
-def eigendecompose(op: ChannelOperator) -> SpectralDecomposition:
-    """Full eigensolution of H in the weighted inner product.
+def _symmetrized(op: ChannelOperator) -> Tuple[sp.csc_matrix, np.ndarray]:
+    """S = W^{1/2} H W^{−1/2}, Hermitian-averaged, and the diagonal √W.
 
-    Residuals are measured in the W-norm against 1e−10·‖H‖; a violation
-    raises, since every downstream projection trusts these pairs.
-    """
-    dim = op.matrix.shape[0]
-    if dim > _MAX_DIM:
-        raise ConfigurationError(
-            f"matrix dimension {dim} exceeds the desk-scale cap {_MAX_DIM}"
-        )
-    w4 = np.repeat(op.grid.weights, 4)
-    root = np.sqrt(w4)
-    dense = op.matrix.toarray()
-    sym = (root[:, None] * dense) / root[None, :]
-    sym = (sym + sym.conj().T) / 2.0
+    Scaled entry by entry, so ``S.toarray()`` is bit for bit the dense
+    W^{1/2} H W^{−1/2} averaged with its adjoint."""
+    root = np.sqrt(np.repeat(op.grid.weights, 4))
+    h = op.matrix.tocoo()
+    s = sp.csc_matrix(
+        (root[h.row] * h.data / root[h.col], (h.row, h.col)), shape=h.shape
+    )
+    return ((s + s.conj().T) / 2.0).tocsc(), root
+
+
+def _window_pairs(
+    sym: sp.csc_matrix, a: float, b: float
+) -> Optional[Tuple[np.ndarray, np.ndarray, int]]:
+    """Shift-invert Lanczos about the window centre σ.
+
+    The k returned levels are the k nearest σ; k doubles until the farthest
+    of them lies strictly outside [a, b], which guarantees that every level
+    of the window is among them.  The returned basis is then orthonormalized
+    by a Rayleigh–Ritz step in its span.  None when 2k would reach the
+    dimension, i.e. when the window holds too much of the spectrum."""
+    dim = sym.shape[0]
+    sigma = 0.5 * (a + b)
     try:
-        lam, vt = sla.eigh(sym)
-    except sla.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise NumericError("symmetric eigensolver failed", {"dim": dim}) from exc
-    vectors = vt / root[:, None]
-    resid = dense @ vectors - vectors * lam[None, :]
-    res_norms = np.sqrt(np.sum(w4[:, None] * np.abs(resid) ** 2, axis=0))
-    max_res = float(res_norms.max())
+        lu = spla.splu((sym - sigma * sp.identity(dim, format="csc")).tocsc())
+    except RuntimeError as exc:
+        raise NumericError("shift-invert factorization failed", {"sigma": sigma}) from exc
+    opinv = spla.LinearOperator((dim, dim), matvec=lu.solve, dtype=complex)
+    # a fixed start vector keeps the solve reproducible
+    v0 = np.random.default_rng(0).standard_normal(dim).astype(complex)
+    k = _FIRST_K
+    while 2 * k < dim:
+        try:
+            lam, basis = spla.eigsh(sym, k=k, sigma=sigma, OPinv=opinv, v0=v0)
+        except spla.ArpackError as exc:
+            raise NumericError("shift-invert Lanczos failed", {"k": k}) from exc
+        far = lam[np.argmax(np.abs(lam - sigma))]
+        if far < a or far > b:
+            q, _ = np.linalg.qr(basis)
+            ritz = q.conj().T @ (sym @ q)
+            theta, y = sla.eigh((ritz + ritz.conj().T) / 2.0)
+            return theta, q @ y, k
+        k *= 2
+    return None
+
+
+def _accuracy(
+    op: ChannelOperator, lam: np.ndarray, vectors: np.ndarray
+) -> Tuple[float, float]:
+    """Largest W-norm residual ‖Hv − λv‖_W and W-Gram defect of the pairs;
+    raises past 1e−10·max|λ| or 1e−10, since every downstream projection
+    trusts them."""
+    if lam.size == 0:
+        return 0.0, 0.0
+    w4 = np.repeat(op.grid.weights, 4)
+    resid = op.matrix @ vectors - vectors * lam[None, :]
+    max_res = float(np.sqrt(np.sum(w4[:, None] * np.abs(resid) ** 2, axis=0)).max())
     scale = float(np.max(np.abs(lam)))
     gram = (vectors.conj().T * w4[None, :]) @ vectors
-    ortho = float(np.max(np.abs(gram - np.eye(dim))))
+    ortho = float(np.max(np.abs(gram - np.eye(lam.size))))
     if max_res > 1e-10 * scale or ortho > 1e-10:
         raise NumericError(
             "eigendecomposition accuracy contract violated",
             {"max_residual": max_res, "orthonormality": ortho, "scale": scale},
         )
+    return max_res, ortho
+
+
+def eigendecompose(
+    op: ChannelOperator, window: Optional[Tuple[float, float]] = None
+) -> SpectralDecomposition:
+    """Eigenpairs of H in the weighted inner product.
+
+    Without a window: the full spectrum by a dense solve of the symmetrized
+    operator, O(N³), capped at dimension ``_MAX_DIM``.  With a window
+    [a, b]: only the levels inside it, by shift-invert Lanczos about the
+    window centre (one sparse LU, reused as k grows), which is O(N·k) per
+    iteration and has no cap; a window holding too much of the spectrum
+    for that falls back to the dense solve.
+
+    Either way the returned pairs pass one accuracy check: W-norm residual
+    ≤ 1e−10·max|λ| and W-Gram defect ≤ 1e−10, or ``NumericError``.
+    """
+    sym, root = _symmetrized(op)
+    dim = sym.shape[0]
+    found = None
+    if window is not None:
+        a, b = float(window[0]), float(window[1])
+        if not b > a:
+            raise ConfigurationError("empty window")
+        found = _window_pairs(sym, a, b)
+    if found is None:
+        if dim > _MAX_DIM:
+            raise ConfigurationError(
+                f"matrix dimension {dim} exceeds the dense-solve cap {_MAX_DIM}"
+            )
+        try:
+            lam, basis = sla.eigh(sym.toarray())
+        except sla.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+            raise NumericError("symmetric eigensolver failed", {"dim": dim}) from exc
+        requested = dim
+    else:
+        lam, basis, requested = found
+    if window is not None:
+        keep = (lam >= a) & (lam <= b)
+        lam, basis = lam[keep], basis[:, keep]
+    vectors = basis / root[:, None]
+    max_res, ortho = _accuracy(op, lam, vectors)
     return SpectralDecomposition(
         eigenvalues=lam,
         vectors=vectors,
         grid=op.grid,
         max_residual=max_res,
         orthonormality_defect=ortho,
+        requested=requested,
     )
 
 
@@ -133,6 +224,11 @@ class MourreReport:
     min_quotient: float
     eta: float  # ‖P_I (C − 𝟙) P_I‖, the compact-correction magnitude
     passed: bool
+    # the eigensolve behind P_I: pairs requested, largest W-norm residual
+    # and W-Gram defect of the pairs it returned
+    requested: int
+    max_residual: float
+    orthonormality_defect: float
 
 
 def mourre_check(
@@ -143,15 +239,19 @@ def mourre_check(
 ) -> MourreReport:
     """Minimum of the localized commutator on the spectral window.
 
-    P_I is built from eigenpairs; the quotient matrix ⟨v_i, C v_j⟩_W is a
+    P_I is spanned by the eigenpairs in [a, b]: those of ``decomposition``
+    when given, otherwise those of a windowed ``eigendecompose`` (sparse
+    shift-invert, no dense solve).  The quotient matrix ⟨v_i, C v_j⟩_W is a
     Rayleigh–Ritz restriction, so its smallest eigenvalue is the true
-    minimum over the computed subspace.  The interval must hold at least
-    ten levels — a thinner window is below the discrete resolution.
+    minimum over the computed subspace.  PASS means that minimum is at
+    least 1 − ε; η = ‖P_I(C − 𝟙)P_I‖ is reported, not credited.  The
+    interval must hold at least ten levels — a thinner window is below the
+    discrete resolution.
     """
     a, b = float(interval[0]), float(interval[1])
     if not b > a:
         raise ConfigurationError("empty interval")
-    dec = decomposition if decomposition is not None else eigendecompose(op)
+    dec = decomposition if decomposition is not None else eigendecompose(op, (a, b))
     sel = (dec.eigenvalues >= a) & (dec.eigenvalues <= b)
     k = int(sel.sum())
     if k < 10:
@@ -159,16 +259,13 @@ def mourre_check(
             f"interval [{a}, {b}] holds only {k} levels; need ≥ 10 spacings"
         )
     vi = dec.vectors[:, sel]
-    comm = commutator_closed_form(op)
     n = op.grid.n
-    cv = np.empty_like(vi)
-    for i in range(k):
-        cv[:, i] = comm.apply(vi[:, i].reshape((4, n), order="F")).flatten(order="F")
+    blocks = commutator_closed_form(op).blocks
+    cv = np.einsum("jab,jbk->jak", blocks, vi.reshape((n, 4, k))).reshape((4 * n, k))
     w4 = np.repeat(op.grid.weights, 4)
     quot = (vi.conj().T * w4[None, :]) @ cv
     quot = (quot + quot.conj().T) / 2.0
-    evals = sla.eigvalsh(quot)
-    min_q = float(evals.min())
+    min_q = float(sla.eigvalsh(quot).min())
     eta = float(np.max(np.abs(sla.eigvalsh(quot - np.eye(k)))))
     return MourreReport(
         interval=(a, b),
@@ -176,7 +273,10 @@ def mourre_check(
         n_states=k,
         min_quotient=min_q,
         eta=eta,
-        passed=bool(min_q >= (1.0 - eps) - eta),
+        passed=bool(min_q >= 1.0 - eps),
+        requested=dec.requested,
+        max_residual=dec.max_residual,
+        orthonormality_defect=dec.orthonormality_defect,
     )
 
 

@@ -104,6 +104,46 @@ class TestConfigValidation:
         grid = cfg.grid.build()
         assert grid.resolves_wall_layer
 
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {"mourre": {"n": "abc"}},
+            {"mourre": {"n": 8}},
+            {"mourre": {"n": 320.0}},
+            {"mourre": {"interval": [1.5, 0.5]}},
+            {"mourre": {"interval": [0.5]}},
+            {"mourre": {"interval": [0.5, "1.5"]}},
+            {"mourre": {"fine_factor": 1}},
+            {"mourre": {"eps": 0.0}},
+            {"mourre": {"eps": 1.0}},
+            {"mourre": {"stability": 0.0}},
+            {"domain-exponent": {"ratio": 1.5}},
+            {"domain-exponent": {"h_min": -1e-3}},
+            {"domain-exponent": {"h_max": 1e-4}},
+            {"domain-exponent": {"x_min": 1.0}},
+            {"domain-exponent": {"h_min": "small"}},
+            {"domain-exponent": {"masses": []}},
+        ],
+    )
+    def test_bad_option_values(self, options):
+        with pytest.raises(ConfigError, match="options"):
+            parse_config_dict({**MINIMAL, "options": options})
+
+    def test_option_values_accepted(self):
+        cfg = parse_config_dict(
+            {
+                **MINIMAL,
+                "options": {
+                    "mourre": {
+                        "n": 320, "fine_factor": 3, "interval": [0.5, 1.5],
+                        "eps": 0.25, "stability": 0.1,
+                    },
+                    "domain-exponent": {"h_min": 1e-2, "ratio": 1.2, "x_min": -12.0},
+                },
+            }
+        )
+        assert cfg.option("mourre", "fine_factor", 2) == 3
+
     def test_bad_evolution_block(self):
         with pytest.raises(ConfigError, match="evolution"):
             parse_config_dict({**MINIMAL, "evolution": {"dt": -0.1, "steps": 3}})
@@ -224,6 +264,20 @@ class TestRun:
             echo=False,
         )
         assert [r.name for r in manifest.results] == ["geometry", "spectrum"]
+
+    def test_mourre_records_its_eigensolves(self, tmp_path):
+        cfg = small_config(options={"mourre": {"n": 160}})
+        manifest = run(cfg, experiments=["mourre"], out=str(tmp_path), echo=False)
+        assert manifest.all_passed
+        scalars = json.loads((tmp_path / "mourre.json").read_text())["scalars"]
+        solves = scalars["solves"]
+        assert sorted(solves) == ["coarse", "fine", "free"]
+        assert solves["coarse"]["found"] == scalars["coarse_states"]
+        assert solves["fine"]["found"] == scalars["fine_states"]
+        for solve in solves.values():
+            assert solve["found"] <= solve["requested"] < 4 * 320
+            assert solve["max_residual"] <= 1e-10 * 1.5
+            assert solve["orthonormality_defect"] <= 1e-10
 
     def test_empty_selection_rejected(self, tmp_path):
         cfg = small_config()
