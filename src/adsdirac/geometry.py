@@ -329,18 +329,24 @@ class CoordinateMap:
         """√F = e^{u/2}·√(F/δ): no underflow through δ itself."""
         return np.exp(0.5 * u) * np.sqrt(self._F_over_delta(np.exp(u)))
 
-    def sqrtF_of_x(self, x):
-        """√F(r(x)); boundary series −l/x − x/(6l) for -1e-8 < x < 0."""
+    def _potentials_of_x(self, x):
+        """(√F/r, √F) at x from one inverse solve, with the boundary series
+        for -1e-8 < x < 0; the channel potentials A and B together."""
         p = self.params
         xs, u = self._log_gap(x)
-        return np.where(xs > _X_SERIES, -p.l / xs - xs / (6.0 * p.l), self._sqrtF_of_u(u))[()]
+        series = xs > _X_SERIES
+        root = self._sqrtF_of_u(u)
+        a = np.where(series, 1.0 / p.l + xs * xs / (2.0 * p.l**3), root / (p.r_sads + np.exp(u)))
+        b = np.where(series, -p.l / xs - xs / (6.0 * p.l), root)
+        return a[()], b[()]
+
+    def sqrtF_of_x(self, x):
+        """√F(r(x)); boundary series −l/x − x/(6l) for -1e-8 < x < 0."""
+        return self._potentials_of_x(x)[1]
 
     def angular_factor_of_x(self, x):
         """√F(r(x)) / r(x); boundary series 1/l + x²/(2l³) near x = 0."""
-        p = self.params
-        xs, u = self._log_gap(x)
-        far = self._sqrtF_of_u(u) / (p.r_sads + np.exp(u))
-        return np.where(xs > _X_SERIES, 1.0 / p.l + xs * xs / (2.0 * p.l**3), far)[()]
+        return self._potentials_of_x(x)[0]
 
 
 def expansion_residuals(params: Params, x_boundary=None, x_horizon=None) -> dict:

@@ -44,7 +44,7 @@ from .channel import (
     potentials_sads,
 )
 from .dynamics import NumericError
-from .geometry import Params
+from .geometry import CoordinateMap, Params
 from .grids import Grid, SpinorField
 
 __all__ = [
@@ -326,12 +326,19 @@ class NoEigenvalueReport:
 def _resolve_potentials(
     channel: Channel, params: Optional[Params], pair: Optional[PotentialPair]
 ):
+    """(x ↦ (A(x), B(x)), m, coupling).  The black-hole pair takes both
+    potentials from one coordinate inverse per x."""
     if pair is None:
         if params is None:
             raise ConfigurationError("need params or an explicit potential pair")
         pair = potentials_sads(params)
     m = params.m if params is not None else 0.0
-    return pair, m, channel.coupling
+    if pair.mode == "sads" and pair.params is not None:
+        both = CoordinateMap(pair.params)._potentials_of_x
+    else:
+        def both(x):
+            return pair.a_ang(x), pair.b_mass(x)
+    return both, m, channel.coupling
 
 
 def no_eigenvalue_test(
@@ -353,7 +360,7 @@ def no_eigenvalue_test(
     matrix as X → ∞: every solution has a nonzero limit at −∞ and none is
     square-integrable, which is how the point spectrum stays empty.
     """
-    pair_r, m, coupling = _resolve_potentials(channel, params, pair)
+    potentials, m, coupling = _resolve_potentials(channel, params, pair)
     g01 = -VELOCITY  # γ⁰γ¹ = diag(−1, 1, 1, −1)
     phases = np.diag(g01)
 
@@ -361,7 +368,8 @@ def no_eigenvalue_test(
         return np.exp(1j * lam * phases * x)
 
     def w_matrix(x):
-        v = coupling * float(pair_r.a_ang(x)) * ANGULAR - m * float(pair_r.b_mass(x)) * MASS
+        a, b = potentials(x)
+        v = coupling * float(a) * ANGULAR - m * float(b) * MASS
         e = rotation(x)
         return 1j * g01 @ (e[:, None] * v * np.conj(e)[None, :])
 

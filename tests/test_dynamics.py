@@ -2,7 +2,10 @@
 propagation-speed and boundary-trace behavior."""
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import splu, spsolve
 
+import adsdirac.dynamics as dynamics
 from adsdirac.algebra import Channel
 from adsdirac.channel import (
     ConfigurationError,
@@ -14,6 +17,7 @@ from adsdirac.dynamics import (
     CayleyStepper,
     Direction,
     EvolutionConfig,
+    NumericError,
     boundary_trace,
     evolve,
     free_propagate,
@@ -54,6 +58,18 @@ class TestUnitarity:
         traj = evolve(op, psi0, cfg)
         assert traj.norm_drift <= 1e-10
 
+    @pytest.mark.parametrize("params", [P_MIT, P_NAT], ids=["mirror", "natural"])
+    def test_drift_does_not_build_up(self, params):
+        """2048 steps to t = 40 in each direction: the LU factor's rounding
+        error repeats on every step, and unless the update cancels it the
+        drift grows linearly to ~1e-13 (5e-14 with the two-matrix form)."""
+        g = make_grid(-10.0, 256)
+        op = assemble_hamiltonian(Channel(0.5, 0.5), params, g)
+        psi0 = gaussian_packet(g, -5.0, 0.6, components=(1.0, -0.5j, 0.25, 0.8))
+        cfg = EvolutionConfig(dt=g.min_spacing / 2, t_final=40.0)
+        for direction in Direction:
+            assert evolve(op, psi0, cfg, direction).norm_drift <= 1e-14
+
     def test_zero_field_stays_zero(self):
         g = make_grid(-10.0, 64)
         op = free_operator(g)
@@ -84,6 +100,80 @@ class TestUnitarity:
         assert traj.times[0] == 0.0
         assert traj.times[-1] == pytest.approx(1.0)
         assert len(traj.fields) == len(traj.times) == 6
+
+
+def _plus_matrix(op, dt, sgn=1.0):
+    """M₊ = 𝟙 + i·sgn·dt/2·H, built here independently of the stepper."""
+    eye = sp.identity(op.matrix.shape[0], dtype=complex, format="csc")
+    return (eye + 0.5j * sgn * dt * op.matrix).tocsc()
+
+
+class TestCayleyStep:
+    @pytest.mark.parametrize("params", [P_MIT, P_NAT], ids=["mirror", "natural"])
+    @pytest.mark.parametrize("direction", [Direction.FORWARD, Direction.BACKWARD])
+    def test_matches_two_matrix_cayley_form(self, params, direction):
+        """20 steps of evolve against spsolve of (𝟙 + A)ψ' = (𝟙 − A)ψ."""
+        g = make_grid(-10.0, 256)
+        op = assemble_hamiltonian(Channel(0.5, 0.5), params, g)
+        psi0 = gaussian_packet(g, -5.0, 0.5, components=(1.0, -0.5j, 0.25, 0.8))
+        dt = g.min_spacing / 2
+        traj = evolve(op, psi0, EvolutionConfig(dt=dt, t_final=20 * dt), direction)
+        assert traj.steps == 20
+        sgn = 1.0 if direction == Direction.FORWARD else -1.0
+        plus = _plus_matrix(op, traj.dt_effective, sgn)
+        minus = _plus_matrix(op, traj.dt_effective, -sgn)
+        psi = psi0.values.flatten(order="F")
+        for _ in range(20):
+            psi = spsolve(plus, minus @ psi)
+        got = traj.final.values.flatten(order="F")
+        assert np.linalg.norm(got - psi) <= 1e-12 * np.linalg.norm(psi)
+
+    def test_perturbed_factor_is_refined_or_rejected(self):
+        """Negative control for the per-step residual check: the factor of
+        a perturbed M₊ needs the refinement round, and a large perturbation
+        is rejected with its residual."""
+        g = make_grid(-10.0, 128)
+        op = assemble_hamiltonian(Channel(0.5, 0.5), P_NAT, g)
+        dt = g.min_spacing / 2
+        psi = gaussian_packet(g, -5.0, 0.5).values.flatten(order="F")
+        exact = CayleyStepper(op, dt).step(psi)
+        plus = _plus_matrix(op, dt)
+        noise = sp.diags(np.random.default_rng(1).standard_normal(plus.shape[0]))
+
+        small = CayleyStepper(op, dt)
+        small._lu = splu((plus + 1e-9 * noise).tocsc())
+        out = small.step(psi)
+        assert small.refinements == 1
+        assert 0.0 < small.max_residual <= small.solver_tol
+        assert np.linalg.norm(out - exact) <= 1e-12 * np.linalg.norm(psi)
+
+        large = CayleyStepper(op, dt)
+        large._lu = splu((plus + 1e-2 * noise).tocsc())
+        with pytest.raises(NumericError) as err:
+            large.step(psi)
+        diag = err.value.diagnostics
+        assert diag["residual"] > large.solver_tol * diag["rhs_norm"]
+        assert diag["dt"] == dt
+
+    def test_trajectory_records_solver_residuals(self, monkeypatch):
+        g = make_grid(-10.0, 128)
+        op = assemble_hamiltonian(Channel(0.5, 0.5), P_MIT, g)
+        psi0 = gaussian_packet(g, -5.0, 0.5)
+        cfg = EvolutionConfig(dt=g.min_spacing / 2, t_final=1.0)
+        clean = evolve(op, psi0, cfg)
+        assert clean.refinements == 0
+        assert 0.0 < clean.max_residual <= cfg.solver_tol
+        # every factor perturbed: every step refines, and the count says so
+        exact_splu = dynamics.splu
+
+        def perturbed_splu(a):
+            return exact_splu((a + 1e-9 * sp.identity(a.shape[0], format="csc")).tocsc())
+
+        monkeypatch.setattr(dynamics, "splu", perturbed_splu)
+        refined = evolve(op, psi0, cfg)
+        assert refined.refinements == refined.steps
+        assert 0.0 < refined.max_residual <= cfg.solver_tol
+        assert g.norm(refined.final.values - clean.final.values) <= 1e-12
 
 
 class TestFreeOracle:

@@ -291,6 +291,22 @@ class TestMetricAlongX:
         assert cm.sqrtF_of_x(-0.5) == pytest.approx(
             1.95523344582044309739, rel=1e-12)
 
+    def test_one_solve_gives_both_potentials_bit_for_bit(self):
+        """The ODE's one-inverse pair (A, B), called one x at a time, equals
+        the batched public evaluators bit for bit, through the boundary
+        series band and across its crossover."""
+        cm = CoordinateMap(Params(M=1, l=1, m=1))
+        xs = np.concatenate([
+            -np.geomspace(1e-12, 60.0, 400),
+            [-1.0000001e-8, -1e-8, -0.9999999e-8, -5e-9],
+        ])
+        a_vec, b_vec = cm.angular_factor_of_x(xs), cm.sqrtF_of_x(xs)
+        for x, a, b in zip(xs, a_vec, b_vec):
+            pa, pb = cm._potentials_of_x(float(x))
+            assert pa == a and pb == b
+            assert pa == cm.angular_factor_of_x(float(x))
+            assert pb == cm.sqrtF_of_x(float(x))
+
     def test_cancellation_free_F(self):
         cm = CoordinateMap(Params(M=1, l=1, m=1))
         # tiny gaps: no sign flips, exact exponential ratios

@@ -279,6 +279,46 @@ class TestRun:
             assert solve["max_residual"] <= 1e-10 * 1.5
             assert solve["orthonormality_defect"] <= 1e-10
 
+    def test_evolve_records_solver_residuals(self, tmp_path):
+        cfg = small_config()
+        manifest = run(cfg, experiments=["evolve"], out=str(tmp_path), echo=False)
+        assert manifest.all_passed
+        scalars = json.loads((tmp_path / "evolve.json").read_text())["scalars"]
+        assert scalars["refinements"] == 0
+        assert 0.0 < scalars["max_residual"] <= 1e-10
+
+    def test_rejected_eigensolve_fails_its_checks(self, tmp_path, monkeypatch):
+        """Negative control for the spectrum contract lines: eigenvalues
+        shifted by 1e-6 and vectors scaled by 1 + 1e-6 make the solver's
+        own accuracy check reject the solve; the two lines must FAIL with
+        its numbers while the sweep still runs."""
+        import scipy.linalg as sla
+
+        exact_eigh = sla.eigh
+
+        def bad_eigh(a):
+            lam, vec = exact_eigh(a)
+            return lam + 1e-6, vec * (1.0 + 1e-6)
+
+        monkeypatch.setattr(sla, "eigh", bad_eigh)
+        cfg = small_config(
+            options={"spectrum": {"n": 64, "lambdas": [0.0], "depth": 5.0}}
+        )
+        manifest = run(cfg, experiments=["spectrum"], out=str(tmp_path), echo=False)
+        (result,) = manifest.results
+        assert result.status == "fail"
+        checks = {c.name: c for c in result.checks}
+        assert not checks["eigen_residual"].passed
+        assert not checks["orthonormality"].passed
+        assert "rejected" in checks["eigen_residual"].detail
+        assert "1.000e-06" in checks["eigen_residual"].detail
+        assert "2.000e-06" in checks["orthonormality"].detail
+        assert "no_eigenvalue[0]" in checks  # the sweep still ran
+        assert sorted(result.files) == ["spectrum.json", "spectrum_eigenvalues.csv"]
+        rows = (tmp_path / "spectrum_eigenvalues.csv").read_text().splitlines()
+        assert rows[-1] == "k,lambda"
+        assert json.loads((tmp_path / "spectrum.json").read_text())["scalars"]["dimension"] == 0
+
     def test_empty_selection_rejected(self, tmp_path):
         cfg = small_config()
         with pytest.raises(Exception, match="no experiments"):

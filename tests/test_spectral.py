@@ -13,7 +13,7 @@ from adsdirac.channel import (
     potentials_tabulated,
     potentials_zero,
 )
-from adsdirac.geometry import make_params
+from adsdirac.geometry import CoordinateMap, make_params
 from adsdirac.grids import BoundaryGraded, SpinorField, gaussian_packet, make_grid
 from adsdirac.spectral import (
     boundary_exponent_fit,
@@ -264,6 +264,36 @@ class TestNoEigenvalue:
         loose = no_eigenvalue_test(1.0, CHANNEL, params=p, depth=20.0, rtol=1e-10)
         tight = no_eigenvalue_test(1.0, CHANNEL, params=p, depth=20.0, rtol=2e-11)
         assert np.max(np.abs(loose.propagation - tight.propagation)) <= 1e-8
+
+    def test_one_coordinate_inverse_per_point(self, monkeypatch):
+        """The black-hole pair solves the inverse once per x, and gives the
+        same propagation matrix, bit for bit, as the same potentials passed
+        as two separate evaluators."""
+        p = make_params(1.0, 1.0, 1.0)
+        cm = CoordinateMap(p)
+        two_calls = no_eigenvalue_test(
+            0.5, CHANNEL, params=p, depth=8.0,
+            pair=potentials_tabulated(cm.angular_factor_of_x, cm.sqrtF_of_x),
+        )
+        counts = {"solves": 0, "points": 0}
+        solve = CoordinateMap._log_gap
+        both = CoordinateMap._potentials_of_x
+
+        def counted_solve(self, x):
+            counts["solves"] += 1
+            return solve(self, x)
+
+        def counted_both(self, x):
+            counts["points"] += 1
+            return both(self, x)
+
+        monkeypatch.setattr(CoordinateMap, "_log_gap", counted_solve)
+        monkeypatch.setattr(CoordinateMap, "_potentials_of_x", counted_both)
+        one_call = no_eigenvalue_test(0.5, CHANNEL, params=p, depth=8.0)
+        assert counts["points"] > 0
+        assert counts["solves"] == counts["points"]
+        assert np.array_equal(one_call.propagation, two_calls.propagation)
+        assert one_call.integral_tail == two_calls.integral_tail
 
     def test_depth_must_exceed_matching_point(self):
         with pytest.raises(ConfigurationError):
