@@ -37,13 +37,14 @@ from scipy.interpolate import CubicSpline
 from scipy.sparse.linalg import splu
 
 from .channel import ChannelOperator, ConfigurationError
-from .grids import SpinorField
+from .grids import Grid, SpinorField
 
 __all__ = [
     "Direction",
     "EvolutionConfig",
     "NumericError",
     "Trajectory",
+    "check_step",
     "CayleyStepper",
     "evolve",
     "free_propagate",
@@ -88,6 +89,16 @@ class EvolutionConfig:
             raise ConfigurationError("need at least one snapshot")
 
 
+def check_step(dt: float, grid: Grid) -> None:
+    """Raise :class:`ConfigurationError` unless dt ≤ min(spacing)/2, the
+    guard every Cayley step is held to (see :class:`EvolutionConfig`)."""
+    if dt > 0.5 * grid.min_spacing * (1.0 + 1e-12):
+        raise ConfigurationError(
+            f"dt={dt} exceeds half the minimum spacing "
+            f"{grid.min_spacing}; transport would skip cells"
+        )
+
+
 class CayleyStepper:
     """Factorized one-step map; ``direction`` picks e^{∓i·dt·H}.
 
@@ -107,11 +118,7 @@ class CayleyStepper:
         direction: Direction = Direction.FORWARD,
         solver_tol: float = 1e-10,
     ):
-        if dt > 0.5 * op.grid.min_spacing * (1.0 + 1e-12):
-            raise ConfigurationError(
-                f"dt={dt} exceeds half the minimum spacing "
-                f"{op.grid.min_spacing}; transport would skip cells"
-            )
+        check_step(dt, op.grid)
         sgn = 1.0 if direction == Direction.FORWARD else -1.0
         eye = sp.identity(op.matrix.shape[0], dtype=complex, format="csc")
         self.dt = dt

@@ -1,28 +1,38 @@
 """Experiment harness: validated configs, orchestrated runs, flat-file reports.
 
-A run is described by one JSON file.  Parsing is strict — unknown keys are
-errors, every block is validated against the module that will consume it,
-and all complaints are aggregated into a single :class:`ConfigError` so a
-long run cannot die late on a typo.  Execution schedules the selected
-experiments over a bounded thread pool, collects results in a fixed order,
-and emits CSV for traces and JSON for verdicts and scalars.  Numeric
-outputs are byte-reproducible for identical configs: fixed seed, fixed
-float formatting, deterministic solvers.  Timing lives only in the
-manifest, which is the one file allowed to differ between reruns.
+A run is described by one JSON file.  Parsing walks one table,
+:data:`_SCHEMA`, that gives every key its default, its test and what the
+test demands: unknown keys are errors, a null is the same as a missing key,
+and defaults are filled in.  A short list of rules then ties keys together
+by handing the values to the modules that will consume them (parameters and
+channel, bc against the 2ml regime, the grids, dt against the grid spacing,
+the wave packets).  All complaints are aggregated into a single
+:class:`ConfigError` so a long run cannot die late on a typo.  Execution
+schedules the selected experiments over a bounded thread pool, collects
+results in a fixed order, and emits CSV for traces and JSON for verdicts and
+scalars.  Numeric outputs are byte-reproducible for identical configs: fixed
+seed, fixed float formatting, deterministic solvers.  Timing lives only in
+the manifest, which is the one file allowed to differ between reruns.
 
-Config shape (only ``M``, ``l``, ``m``, ``channel`` are required)::
+Config shape (only ``M``, ``l``, ``m``, ``channel`` are required; shown
+with the defaults, ``options`` abridged)::
 
     {
       "M": 1.0, "l": 1.0, "m": 1.0,
       "channel": [0.5, 0.5],
-      "bc": "natural",
-      "grid": {"x_min": -32.0, "n": 2048},
+      "bc": null,
+      "grid": {"x_min": -32.0, "n": 2048, "h_min": null, "ratio": null, "h_max": null},
       "evolution": {"dt": null, "t_final": 10.0, "snapshots": 5},
       "experiments": ["all"],
       "out": "runs",
       "seed": 0,
-      "options": {"scatter": {"schedule": [1, 2, 4, 8, 16]}}
+      "options": {"scatter": {"schedule": [1, 2, 4, 8, 16], "tol": 0.01, ...}, ...}
     }
+
+``bc`` null is the one the regime requires; ``grid`` takes ``n`` or the
+graded triple ``h_min``, ``ratio``, ``h_max``; ``dt`` null is half the
+minimum spacing.  The canonical form of a config is this tree with every
+default filled in, and its SHA-256 is the digest stamped into every report.
 
 Every emitted number traces to a module operation; the harness itself only
 builds inputs, forwards them, and formats what comes back.
@@ -32,6 +42,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -41,6 +52,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 from scipy.integrate import quad
 
+from adsdirac import __version__ as VERSION
 from adsdirac.algebra import Channel
 from adsdirac.channel import (
     BoundaryCondition,
@@ -50,7 +62,13 @@ from adsdirac.channel import (
     free_operator,
     select_bc,
 )
-from adsdirac.dynamics import EvolutionConfig, NumericError, evolve, free_propagate
+from adsdirac.dynamics import (
+    EvolutionConfig,
+    NumericError,
+    check_step,
+    evolve,
+    free_propagate,
+)
 from adsdirac.geometry import (
     CoordinateMap,
     Params,
@@ -58,21 +76,20 @@ from adsdirac.geometry import (
     make_params,
     metric_factor,
 )
-from adsdirac.grids import BoundaryGraded, Grid, gaussian_packet, make_grid
+from adsdirac.grids import BoundaryGraded, Grid, SpinorField, gaussian_packet, make_grid
 from adsdirac.scattering import (
     velocity_report,
     wave_operator_backward,
     wave_operator_forward,
 )
 from adsdirac.spectral import (
+    _MAX_DIM,
     boundary_exponent_fit,
     eigendecompose,
     mourre_check,
     mourre_refinement_study,
     no_eigenvalue_test,
 )
-
-VERSION = "0.1.0"
 
 EXPERIMENTS: Tuple[str, ...] = (
     "geometry",
@@ -84,22 +101,11 @@ EXPERIMENTS: Tuple[str, ...] = (
     "domain-exponent",
 )
 
-_TOP_KEYS = {
-    "M", "l", "m", "channel", "bc", "grid", "evolution",
-    "experiments", "out", "seed", "options",
-}
-_GRID_KEYS = {"x_min", "n", "h_min", "ratio", "h_max"}
-_EVOLUTION_KEYS = {"dt", "t_final", "snapshots"}
-_OPTION_KEYS: Dict[str, set] = {
-    "geometry": set(),
-    "evolve": {"center", "width", "components"},
-    "scatter": {"schedule", "tol", "center", "width",
-                "target_center", "target_width"},
-    "velocity": {"times", "delta", "eps", "cone_delta", "center", "width"},
-    "mourre": {"n", "fine_factor", "interval", "eps", "stability"},
-    "spectrum": {"n", "lambdas", "depth"},
-    "domain-exponent": {"masses", "h_min", "ratio", "h_max", "x_min"},
-}
+#: the spinor of the runners' packets (the evolve default too):
+#: components 1 and 4, the two that move toward the wall
+_PAIR = (1.0, 0.0, 0.0, 1.0)
+_TRIPLE = ("h_min", "ratio", "h_max")
+_REQUIRED = object()  # the default of a key that must be given
 
 
 class ConfigError(ConfigurationError):
@@ -111,80 +117,190 @@ class ConfigError(ConfigurationError):
 
 
 def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    """A finite real number: bools, NaN and ±Infinity are not."""
+    return (
+        isinstance(v, (int, float)) and not isinstance(v, bool)
+        and abs(v) <= sys.float_info.max
+    )
 
 
 def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-#: domain-exponent grading options and their defaults
-_GRADING = {"h_min": 1e-3, "ratio": 1.1, "h_max": 0.05, "x_min": -24.0}
+def _numbers(v, size: Optional[int] = None) -> bool:
+    """A non-empty list of numbers, of length ``size`` when given."""
+    return (
+        isinstance(v, (list, tuple)) and len(v) > 0
+        and (size is None or len(v) == size) and all(_is_number(x) for x in v)
+    )
 
 
-def _graded_grid(block: Mapping) -> Tuple[Dict[str, float], Grid]:
-    """The domain-exponent grading (defaults filled in) and its grid; the
-    parser builds it too, so the grid module's rules decide at parse time."""
-    g = {k: float(block.get(k, v)) for k, v in _GRADING.items()}
-    policy = BoundaryGraded(g["h_min"], g["ratio"], g["h_max"])
-    return g, make_grid(g["x_min"], policy=policy)
+def _times(least: int):
+    """The test for at least ``least`` increasing positive times."""
+    return lambda v: (
+        _numbers(v) and len(v) >= least and v[0] > 0
+        and all(a < b for a, b in zip(v, v[1:]))
+    )
 
 
-def _option_errors(name: str, block: Mapping, x_min: float) -> List[str]:
-    """Value checks for the option blocks whose bad values would otherwise
-    surface only when the experiment runs."""
-    errors: List[str] = []
+_NUMBER = (_is_number, "a number")
+_POSITIVE = (lambda v: _is_number(v) and v > 0, "a positive number")
+_NEGATIVE = (lambda v: _is_number(v) and v < 0, "a negative number")
+_FRACTION = (lambda v: _is_number(v) and 0 < v < 1, "a number in (0, 1)")
+_INTEGER = (_is_int, "an integer")
 
-    def bad(message: str) -> None:
-        errors.append(f"options.{name}: {message}")
+#: block → key → (default, test, what the test demands); a dict is a
+#: sub-block.  Every default of a config is written here and only here.
+_SCHEMA: Dict = {
+    "M": (_REQUIRED, *_POSITIVE),
+    "l": (_REQUIRED, *_POSITIVE),
+    "m": (_REQUIRED, lambda v: _is_number(v) and v >= 0, "a non-negative number"),
+    "channel": (_REQUIRED, lambda v: _numbers(v, 2), "a pair of numbers [s, n]"),
+    "bc": (None, lambda v: v in ("mit", "natural"), "'mit' or 'natural'"),
+    "grid": {
+        "x_min": (-32.0, *_NEGATIVE),
+        "n": (2048, *_INTEGER),
+        "h_min": (None, *_POSITIVE),
+        "ratio": (None, *_POSITIVE),
+        "h_max": (None, *_POSITIVE),
+    },
+    "evolution": {
+        "dt": (None, *_POSITIVE),
+        "t_final": (10.0, *_POSITIVE),
+        "snapshots": (5, lambda v: _is_int(v) and v >= 1, "a positive integer"),
+    },
+    "experiments": (
+        ("all",),
+        lambda v: isinstance(v, (list, tuple)) and len(v) > 0
+        and all(e in (*EXPERIMENTS, "all") for e in v),
+        f"a non-empty list of names from {', '.join((*EXPERIMENTS, 'all'))}",
+    ),
+    "out": ("runs", lambda v: isinstance(v, str) and v != "", "a non-empty string"),
+    "seed": (0, lambda v: _is_int(v) and v >= 0, "a non-negative integer"),
+    "options": {
+        "geometry": {},
+        "evolve": {
+            "center": (-4.0, *_NUMBER),
+            "width": (0.5, *_POSITIVE),
+            "components": (_PAIR, lambda v: _numbers(v, 4), "a list of four numbers"),
+        },
+        "scatter": {
+            "schedule": (
+                (1.0, 2.0, 4.0, 8.0, 16.0), _times(3),
+                "at least 3 increasing positive times",
+            ),
+            "tol": (1e-2, *_POSITIVE),
+            "center": (-4.0, *_NUMBER),
+            "width": (0.5, *_POSITIVE),
+            "target_center": (-2.5, *_NUMBER),
+            "target_width": (0.4, *_POSITIVE),
+        },
+        "velocity": {
+            "times": (
+                (4.0, 8.0, 12.0, 16.0, 20.0), _times(2),
+                "at least 2 increasing positive times",
+            ),
+            "delta": (0.2, lambda v: _is_number(v) and 0 < v < 0.5, "a number in (0, 0.5)"),
+            "eps": (0.2, *_POSITIVE),
+            "cone_delta": (0.25, *_FRACTION),
+            "center": (-2.5, *_NUMBER),
+            "width": (0.25, *_POSITIVE),
+        },
+        "mourre": {
+            "n": (640, *_INTEGER),
+            "fine_factor": (2, lambda v: _is_int(v) and v >= 2, "an integer >= 2"),
+            "interval": (
+                (0.5, 1.5), lambda v: _numbers(v, 2) and v[0] < v[1],
+                "two numbers [a, b] with a < b",
+            ),
+            "eps": (0.5, *_FRACTION),
+            "stability": (0.05, *_POSITIVE),
+        },
+        "spectrum": {
+            "n": (
+                640, lambda v: _is_int(v) and 4 * v <= _MAX_DIM,
+                f"an integer <= {_MAX_DIM // 4}, the dense eigensolve's cap",
+            ),
+            "lambdas": ((-2.0, -1.0, 0.0, 1.0, 2.0), _numbers, "a non-empty list of numbers"),
+            # the probe integrates from x = -depth to x = -1
+            "depth": (20.0, lambda v: _is_number(v) and v > 1, "a number > 1"),
+        },
+        "domain-exponent": {
+            "masses": (
+                (1.0, 0.25), lambda v: _numbers(v) and min(v) >= 0,
+                "a non-empty list of non-negative numbers",
+            ),
+            "h_min": (1e-3, *_POSITIVE),
+            "ratio": (1.1, *_POSITIVE),
+            "h_max": (0.05, *_POSITIVE),
+            "x_min": (-24.0, *_NEGATIVE),
+        },
+    },
+}
 
-    if name == "mourre":
-        iv = block.get("interval")
-        if "interval" in block and not (
-            isinstance(iv, (list, tuple)) and len(iv) == 2
-            and all(_is_number(v) for v in iv) and iv[0] < iv[1]
-        ):
-            bad("interval must be two numbers [a, b] with a < b")
-        if "n" in block:
-            if not _is_int(block["n"]):
-                bad("n must be an integer")
-            else:
-                try:
-                    make_grid(x_min, block["n"])
-                except ValueError as exc:
-                    bad(f"n: {exc}")
-        factor = block.get("fine_factor")
-        if "fine_factor" in block and not (_is_int(factor) and factor >= 2):
-            bad("fine_factor must be an integer >= 2")
-        eps = block.get("eps")
-        if "eps" in block and not (_is_number(eps) and 0.0 < eps < 1.0):
-            bad("eps must be a number in (0, 1)")
-        stability = block.get("stability")
-        if "stability" in block and not (_is_number(stability) and stability > 0.0):
-            bad("stability must be a positive number")
-    elif name == "domain-exponent":
-        if not all(_is_number(block[k]) for k in _GRADING if k in block):
-            bad("h_min, ratio, h_max and x_min must be numbers")
+
+def _normal(value, default):
+    """An accepted value in canonical form: numbers become floats (lists
+    element by element), except where the default is an integer."""
+    if _is_int(default):
+        return value
+    if isinstance(value, (list, tuple)):
+        return [_normal(v, None) for v in value]
+    return float(value) if _is_number(value) else value
+
+
+def _walk(schema: Mapping, raw, where: str, errors: List[str]) -> Optional[Dict]:
+    """One block checked against its schema and returned with every default
+    filled in (None when it is not an object).  A null value is the same as
+    a missing key; a value that fails its test is reported and left out."""
+    if raw is None:
+        raw = {}
+    if not isinstance(raw, Mapping):
+        errors.append(f"{where or 'config'} must be an object")
+        return None
+    label = f"{where}: " if where else ""
+    errors += [f"{label}unknown key {key!r}" for key in sorted(set(raw) - set(schema))]
+    block: Dict = {}
+    for key, spec in schema.items():
+        value = raw.get(key)
+        if isinstance(spec, dict):
+            sub = _walk(spec, value, f"{where}.{key}" if where else key, errors)
+            if sub is not None:
+                block[key] = sub
+            continue
+        default, test, demand = spec
+        if value is None and default is _REQUIRED:
+            errors.append(f"missing required key {key!r}")
+        elif value is None or test(value):
+            block[key] = _normal(default if value is None else value, default)
         else:
-            try:
-                _graded_grid(block)
-            except ValueError as exc:
-                bad(str(exc))
-        masses = block.get("masses")
-        if "masses" in block and not (
-            isinstance(masses, (list, tuple)) and masses
-            and all(_is_number(v) and v >= 0 for v in masses)
-        ):
-            bad("masses must be a non-empty list of non-negative numbers")
-    return errors
+            errors.append(f"{label}{key} must be {demand}, got {value!r}")
+    return block
+
+
+def _graded_grid(block: Mapping) -> Grid:
+    """The domain-exponent grid; the parser builds it too, so the grid
+    module's rules decide at parse time."""
+    policy = BoundaryGraded(block["h_min"], block["ratio"], block["h_max"])
+    return make_grid(block["x_min"], policy=policy)
+
+
+def _packet(block: Mapping, grid: Grid, prefix: str = "") -> SpinorField:
+    """The packet an option block describes (``prefix`` picks the scatter
+    target); the parser builds each one on the configured grid."""
+    return gaussian_packet(
+        grid, block[prefix + "center"], block[prefix + "width"],
+        components=block.get("components", _PAIR),
+    )
 
 
 @dataclass(frozen=True)
 class GridSpec:
     """Either a uniform node count or a boundary-graded spacing triple."""
 
-    x_min: float = -32.0
-    n: Optional[int] = 2048
+    x_min: float
+    n: Optional[int] = None
     h_min: Optional[float] = None
     ratio: Optional[float] = None
     h_max: Optional[float] = None
@@ -197,16 +313,34 @@ class GridSpec:
         )
 
 
+def _grid_spec(block: Dict, raw) -> GridSpec:
+    """Settle the grid block on ``n`` or the graded triple, whichever was
+    given; the other leaves the block, and so the canonical form."""
+    given = {k for k, v in (raw or {}).items() if v is not None}
+    graded = given & set(_TRIPLE)
+    if graded and "n" in given:
+        raise ValueError("give either n or the graded triple, not both")
+    if graded and len(graded) < 3:
+        raise ValueError("graded spacing needs h_min, ratio and h_max")
+    if graded:
+        del block["n"]
+        return GridSpec(block["x_min"], None, *(block[k] for k in _TRIPLE))
+    for key in _TRIPLE:
+        del block[key]
+    return GridSpec(block["x_min"], block["n"])
+
+
 @dataclass(frozen=True)
 class EvolutionSpec:
     """Step, horizon time, snapshot count; dt=None means half the spacing."""
 
-    dt: Optional[float] = None
-    t_final: float = 10.0
-    snapshots: int = 5
+    dt: Optional[float]
+    t_final: float
+    snapshots: int
 
     def to_config(self, grid: Grid) -> EvolutionConfig:
         dt = self.dt if self.dt is not None else 0.5 * grid.min_spacing
+        check_step(dt, grid)
         return EvolutionConfig(dt=dt, t_final=self.t_final, n_snapshots=self.snapshots)
 
 
@@ -214,9 +348,10 @@ class EvolutionSpec:
 class ExperimentConfig:
     """One validated run description.
 
-    ``digest`` is the SHA-256 of the canonical (defaults-filled) form and is
-    stamped into the header of every output file, so an artifact can always
-    be traced back to the exact configuration that produced it.
+    ``canonical`` is the config with every default filled in, and
+    ``digest`` is its SHA-256, stamped into the header of every output file,
+    so an artifact can always be traced back to the exact configuration that
+    produced it.
     """
 
     params: Params
@@ -236,222 +371,77 @@ class ExperimentConfig:
             self.channel, self.params, grid if grid is not None else self.grid.build()
         )
 
-    def option(self, experiment: str, key: str, default):
+    def option(self, experiment: str, key: str, default=None):
+        """One option value; every schema key is filled in, so ``default``
+        only answers keys outside the schema."""
         return self.options.get(experiment, {}).get(key, default)
 
 
-def _canonical(params, channel, bc, grid, evolution, experiments, out, seed, options):
-    g = {"x_min": grid.x_min}
-    if grid.n is not None:
-        g["n"] = grid.n
-    else:
-        g.update(h_min=grid.h_min, ratio=grid.ratio, h_max=grid.h_max)
-    return {
-        "M": params.M,
-        "l": params.l,
-        "m": params.m,
-        "channel": [channel.s, channel.n],
-        "bc": bc.value,
-        "grid": g,
-        "evolution": {
-            "dt": evolution.dt,
-            "t_final": evolution.t_final,
-            "snapshots": evolution.snapshots,
-        },
-        "experiments": list(experiments),
-        "out": out,
-        "seed": seed,
-        "options": {k: dict(v) for k, v in sorted(options.items())},
-    }
-
-
 def parse_config_dict(data: Mapping) -> ExperimentConfig:
-    """Validate a decoded config mapping; raise :class:`ConfigError` listing
+    """Validate a decoded config mapping against :data:`_SCHEMA` and the
+    rules that tie its keys together; raise :class:`ConfigError` listing
     every problem found, or return the frozen config."""
     errors: List[str] = []
-    if not isinstance(data, Mapping):
-        raise ConfigError(["config must be a JSON object"])
+    tree = _walk(_SCHEMA, data, "", errors)
+    if tree is None:
+        raise ConfigError(errors)
 
-    for key in sorted(set(data) - _TOP_KEYS):
-        errors.append(f"unknown key {key!r}")
-    for key in ("M", "l", "m", "channel"):
-        if key not in data:
-            errors.append(f"missing required key {key!r}")
-
-    params = None
-    if all(_is_number(data.get(k)) for k in ("M", "l", "m")):
+    def rule(label: str, build):
+        # the module that consumes the values decides; a rule that reads a
+        # value which failed its own test is skipped (its KeyError)
         try:
-            params = make_params(float(data["M"]), float(data["l"]), float(data["m"]))
-        except ValueError as exc:
-            errors.append(f"params: {exc}")
-    elif all(k in data for k in ("M", "l", "m")):
-        errors.append("M, l, m must be numbers")
+            return build()
+        except KeyError:
+            return None
+        except (ValueError, ConfigurationError) as exc:
+            errors.append(f"{label}: {exc}")
+            return None
 
-    channel = None
-    raw_ch = data.get("channel")
-    if raw_ch is not None:
-        if (
-            isinstance(raw_ch, (list, tuple))
-            and len(raw_ch) == 2
-            and all(_is_number(v) for v in raw_ch)
-        ):
-            try:
-                channel = Channel(float(raw_ch[0]), float(raw_ch[1]))
-            except ValueError as exc:
-                errors.append(f"channel: {exc}")
-        else:
-            errors.append("channel must be a pair of numbers [s, n]")
-
-    bc = None
-    if "bc" in data:
-        raw_bc = data["bc"]
-        try:
-            bc = BoundaryCondition(raw_bc)
-        except ValueError:
-            errors.append(f"bc must be 'mit' or 'natural', got {raw_bc!r}")
-    if params is not None:
-        required = select_bc(params)
-        if bc is None:
-            bc = required
-        elif bc != required:
-            errors.append(
-                f"bc {bc.value!r} contradicts regime {params.regime.value} "
-                f"(2ml = {params.two_ml:g} requires {required.value!r})"
+    def regime(params: Params) -> None:
+        required = select_bc(params).value
+        if tree["bc"] not in (None, required):
+            raise ValueError(
+                f"{tree['bc']!r} contradicts regime {params.regime.value} "
+                f"(2ml = {params.two_ml:g} requires {required!r})"
             )
+        tree["bc"] = required
 
-    grid = GridSpec()
-    raw_grid = data.get("grid")
-    if raw_grid is not None:
-        if not isinstance(raw_grid, Mapping):
-            errors.append("grid must be an object")
-        else:
-            for key in sorted(set(raw_grid) - _GRID_KEYS):
-                errors.append(f"grid: unknown key {key!r}")
-            x_min = raw_grid.get("x_min", GridSpec.x_min)
-            if not _is_number(x_min) or not x_min < 0:
-                errors.append("grid: x_min must be a negative number")
-            graded = {"h_min", "ratio", "h_max"} & set(raw_grid)
-            n = raw_grid.get("n", GridSpec.n)
-            if "n" in raw_grid and graded:
-                errors.append("grid: give either n or the graded triple, not both")
-            elif graded and graded != {"h_min", "ratio", "h_max"}:
-                errors.append("grid: graded spacing needs h_min, ratio and h_max")
-            elif graded and not all(_is_number(raw_grid[k]) for k in graded):
-                errors.append("grid: h_min, ratio, h_max must be numbers")
-            elif not graded and not _is_int(n):
-                errors.append("grid: n must be an integer")
-            elif _is_number(x_min) and x_min < 0:
-                if graded:
-                    spec = GridSpec(
-                        float(x_min), None,
-                        *(float(raw_grid[k]) for k in ("h_min", "ratio", "h_max")),
-                    )
-                else:
-                    spec = GridSpec(float(x_min), int(n))
-                # the grid module's own rules (node count, grading ratio)
-                # decide, so an accepted grid always builds
-                try:
-                    spec.build()
-                    grid = spec
-                except ValueError as exc:
-                    errors.append(f"grid: {exc}")
-
-    evolution = EvolutionSpec()
-    raw_ev = data.get("evolution")
-    if raw_ev is not None:
-        if not isinstance(raw_ev, Mapping):
-            errors.append("evolution must be an object")
-        else:
-            for key in sorted(set(raw_ev) - _EVOLUTION_KEYS):
-                errors.append(f"evolution: unknown key {key!r}")
-            dt = raw_ev.get("dt")
-            t_final = raw_ev.get("t_final", EvolutionSpec.t_final)
-            snapshots = raw_ev.get("snapshots", EvolutionSpec.snapshots)
-            ok = True
-            if dt is not None and (not _is_number(dt) or not dt > 0):
-                errors.append("evolution: dt must be a positive number or null")
-                ok = False
-            if not _is_number(t_final) or not t_final > 0:
-                errors.append("evolution: t_final must be a positive number")
-                ok = False
-            if not _is_int(snapshots) or snapshots < 1:
-                errors.append("evolution: snapshots must be a positive integer")
-                ok = False
-            if ok:
-                evolution = EvolutionSpec(
-                    None if dt is None else float(dt), float(t_final), int(snapshots)
-                )
-
-    experiments: Tuple[str, ...] = EXPERIMENTS
-    raw_exp = data.get("experiments")
-    if raw_exp is not None:
-        if not isinstance(raw_exp, (list, tuple)) or not all(
-            isinstance(e, str) for e in raw_exp
-        ):
-            errors.append("experiments must be a list of names")
-        else:
-            bad = sorted(set(raw_exp) - set(EXPERIMENTS) - {"all"})
-            for name in bad:
-                errors.append(f"experiments: unknown name {name!r}")
-            if not bad:
-                if "all" in raw_exp:
-                    experiments = EXPERIMENTS
-                else:
-                    experiments = tuple(e for e in EXPERIMENTS if e in raw_exp)
-                if not experiments:
-                    errors.append("experiments: empty selection")
-
-    out = data.get("out", "runs")
-    if not isinstance(out, str) or not out:
-        errors.append("out must be a non-empty string")
-        out = "runs"
-
-    seed = data.get("seed", 0)
-    if not _is_int(seed) or seed < 0:
-        errors.append("seed must be a non-negative integer")
-        seed = 0
-
-    options: Dict[str, Dict] = {}
-    raw_opts = data.get("options")
-    if raw_opts is not None:
-        if not isinstance(raw_opts, Mapping):
-            errors.append("options must be an object")
-        else:
-            for name in sorted(raw_opts):
-                if name not in _OPTION_KEYS:
-                    errors.append(f"options: unknown experiment {name!r}")
-                    continue
-                block = raw_opts[name]
-                if not isinstance(block, Mapping):
-                    errors.append(f"options.{name} must be an object")
-                    continue
-                for key in sorted(set(block) - _OPTION_KEYS[name]):
-                    errors.append(f"options.{name}: unknown key {key!r}")
-                errors += _option_errors(name, block, grid.x_min)
-                options[name] = {
-                    k: block[k] for k in block if k in _OPTION_KEYS[name]
-                }
-
+    opts = tree.get("options", {})
+    params = rule("params", lambda: make_params(tree["M"], tree["l"], tree["m"]))
+    channel = rule("channel", lambda: Channel(*tree["channel"]))
+    if params is not None:
+        rule("bc", lambda: regime(params))
+    grid = rule("grid", lambda: _grid_spec(tree["grid"], data.get("grid")).build())
+    if grid is not None:
+        ev = tree.get("evolution", {})
+        rule("evolution", lambda: EvolutionSpec(
+            ev["dt"], ev["t_final"], ev["snapshots"]).to_config(grid))
+        for name, prefix in (("evolve", ""), ("scatter", ""), ("scatter", "target_"),
+                             ("velocity", "")):
+            label = f"options.{name}: {prefix.replace('_', ' ')}packet"
+            rule(label, lambda: _packet(opts[name], grid, prefix))
+    for name in ("mourre", "spectrum"):
+        rule(f"options.{name}: n", lambda: make_grid(tree["grid"]["x_min"], opts[name]["n"]))
+    rule("options.domain-exponent", lambda: _graded_grid(opts["domain-exponent"]))
     if errors:
         raise ConfigError(errors)
 
-    canonical = _canonical(
-        params, channel, bc, grid, evolution, experiments, out, seed, options
-    )
+    chosen = tree["experiments"]
+    tree["experiments"] = [e for e in EXPERIMENTS if e in chosen or "all" in chosen]
     digest = hashlib.sha256(
-        json.dumps(canonical, sort_keys=True, separators=(",", ":")).encode()
+        json.dumps(tree, sort_keys=True, separators=(",", ":")).encode()
     ).hexdigest()
     return ExperimentConfig(
         params=params,
         channel=channel,
-        bc=bc,
-        grid=grid,
-        evolution=evolution,
-        experiments=experiments,
-        out=out,
-        seed=seed,
-        options=options,
-        canonical=canonical,
+        bc=BoundaryCondition(tree["bc"]),
+        grid=GridSpec(**tree["grid"]),
+        evolution=EvolutionSpec(**tree["evolution"]),
+        experiments=tuple(tree["experiments"]),
+        out=tree["out"],
+        seed=tree["seed"],
+        options=tree["options"],
+        canonical=tree,
         digest=digest,
     )
 
@@ -568,15 +558,6 @@ class RunManifest:
 # -------------------------------------------------------- the experiments
 
 
-def _packet(cfg, experiment, grid, center, width, components=(1.0, 0.0, 0.0, 1.0)):
-    return gaussian_packet(
-        grid,
-        cfg.option(experiment, "center", center),
-        cfg.option(experiment, "width", width),
-        components=cfg.option(experiment, "components", components),
-    )
-
-
 def _run_geometry(cfg: ExperimentConfig, out_dir: Path) -> ExperimentResult:
     """Horizon root, tortoise map vs. quadrature, coordinate round trips."""
     p = cfg.params
@@ -653,7 +634,7 @@ def _run_evolve(cfg: ExperimentConfig, out_dir: Path) -> ExperimentResult:
         CheckLine("hermiticity", herm <= 1e-10, f"defect = {herm:.3e} (<= 1e-10)")
     )
 
-    psi0 = _packet(cfg, "evolve", grid, center=-4.0, width=0.5)
+    psi0 = _packet(cfg.options["evolve"], grid)
     traj = evolve(op, psi0, cfg.evolution.to_config(grid))
     res.checks.append(
         CheckLine(
@@ -715,18 +696,11 @@ def _run_scatter(cfg: ExperimentConfig, out_dir: Path) -> ExperimentResult:
     res = ExperimentResult("scatter")
     grid = cfg.grid.build()
     op = cfg.operator(grid)
-    schedule = [float(t) for t in cfg.option(
-        "scatter", "schedule", (1.0, 2.0, 4.0, 8.0, 16.0)
-    )]
-    tol = float(cfg.option("scatter", "tol", 1e-2))
+    schedule = cfg.option("scatter", "schedule")
+    tol = cfg.option("scatter", "tol")
 
-    phi = _packet(cfg, "scatter", grid, center=-4.0, width=0.5)
-    psi = gaussian_packet(
-        grid,
-        cfg.option("scatter", "target_center", -2.5),
-        cfg.option("scatter", "target_width", 0.4),
-        components=(1.0, 0.0, 0.0, 1.0),
-    )
+    phi = _packet(cfg.options["scatter"], grid)
+    psi = _packet(cfg.options["scatter"], grid, "target_")
 
     fwd = wave_operator_forward(phi, op, schedule)
     res.checks.append(
@@ -800,19 +774,17 @@ def _run_velocity(cfg: ExperimentConfig, out_dir: Path) -> ExperimentResult:
     res = ExperimentResult("velocity")
     grid = cfg.grid.build()
     op = cfg.operator(grid)
-    times = [float(t) for t in cfg.option(
-        "velocity", "times", (4.0, 8.0, 12.0, 16.0, 20.0)
-    )]
+    times = cfg.option("velocity", "times")
     if abs(grid.x_min) < times[-1] + 6.0:
         raise ConfigurationError(
             f"velocity traces to t = {times[-1]:g} need x_min <= -{times[-1] + 6:g}"
         )
-    phi = _packet(cfg, "velocity", grid, center=-2.5, width=0.25)
+    phi = _packet(cfg.options["velocity"], grid)
     rep = velocity_report(
         phi, times, op,
-        delta=float(cfg.option("velocity", "delta", 0.2)),
-        eps=float(cfg.option("velocity", "eps", 0.2)),
-        cone_delta=float(cfg.option("velocity", "cone_delta", 0.25)),
+        delta=cfg.option("velocity", "delta"),
+        eps=cfg.option("velocity", "eps"),
+        cone_delta=cfg.option("velocity", "cone_delta"),
     )
 
     mn = float(rep.minimal_values[-1])
@@ -874,11 +846,11 @@ def _run_mourre(cfg: ExperimentConfig, out_dir: Path) -> ExperimentResult:
     """Commutator positivity on a spectral window, cross-checked under
     refinement, plus the free operator where the quotient is exactly one."""
     res = ExperimentResult("mourre")
-    n = int(cfg.option("mourre", "n", 640))
-    factor = int(cfg.option("mourre", "fine_factor", 2))
-    interval = tuple(float(v) for v in cfg.option("mourre", "interval", (0.5, 1.5)))
-    eps = float(cfg.option("mourre", "eps", 0.5))
-    stability = float(cfg.option("mourre", "stability", 0.05))
+    n = cfg.option("mourre", "n")
+    factor = cfg.option("mourre", "fine_factor")
+    interval = tuple(cfg.option("mourre", "interval"))
+    eps = cfg.option("mourre", "eps")
+    stability = cfg.option("mourre", "stability")
     x_min = cfg.grid.x_min
 
     coarse = cfg.operator(make_grid(x_min, n))
@@ -943,7 +915,7 @@ def _run_spectrum(cfg: ExperimentConfig, out_dir: Path) -> ExperimentResult:
     the rejected numbers; the sweep still runs and the eigenvalue file is
     written with its header only."""
     res = ExperimentResult("spectrum")
-    n = int(cfg.option("spectrum", "n", 640))
+    n = cfg.option("spectrum", "n")
     op = cfg.operator(make_grid(cfg.grid.x_min, n))
     try:
         dec = eigendecompose(op)
@@ -967,8 +939,8 @@ def _run_spectrum(cfg: ExperimentConfig, out_dir: Path) -> ExperimentResult:
         )
     )
 
-    lambdas = [float(v) for v in cfg.option("spectrum", "lambdas", (-2.0, -1.0, 0.0, 1.0, 2.0))]
-    depth = float(cfg.option("spectrum", "depth", 20.0))
+    lambdas = cfg.option("spectrum", "lambdas")
+    depth = cfg.option("spectrum", "depth")
     sweep = []
     for lam in lambdas:
         rep = no_eigenvalue_test(lam, cfg.channel, params=cfg.params, depth=depth)
@@ -1006,8 +978,9 @@ def _run_domain_exponent(cfg: ExperimentConfig, out_dir: Path) -> ExperimentResu
     """Wall decay rate of generic resolvent elements on a graded grid, one
     fit per mass, judged against the regime's expected exponent."""
     res = ExperimentResult("domain-exponent")
-    masses = [float(v) for v in cfg.option("domain-exponent", "masses", (1.0, 0.25))]
-    grading, grid = _graded_grid(cfg.options.get("domain-exponent", {}))
+    masses = cfg.option("domain-exponent", "masses")
+    block = cfg.options["domain-exponent"]
+    grid = _graded_grid(block)
 
     rows = []
     for mass in masses:
@@ -1042,7 +1015,7 @@ def _run_domain_exponent(cfg: ExperimentConfig, out_dir: Path) -> ExperimentResu
 
     res.scalars = {
         "masses": masses,
-        "grading": grading,
+        "grading": {k: block[k] for k in (*_TRIPLE, "x_min")},
         "slopes": [r.slope for _, _, r in rows],
         "targets": [r.target for _, _, r in rows],
     }

@@ -41,13 +41,9 @@ __all__ = [
     "minimal_velocity_cutoff",
     "maximal_velocity_cutoff",
     "constant_cutoff",
-    "VelocityTrace",
-    "velocity_trace",
     "VelocityReport",
     "velocity_report",
     "cone_mass_fraction",
-    "AsymptoticVelocity",
-    "asymptotic_velocity",
     "MultichannelReport",
     "multichannel_scatter",
     "channel_weights",
@@ -96,20 +92,15 @@ def _check_schedule(schedule: Sequence[float]):
     return t
 
 
-def _free_backward(op: ChannelOperator, psi: SpinorField, t: float, free_factor: str):
+def _free_flow(
+    op: ChannelOperator, psi: SpinorField, t: float, free_factor: str, direction: Direction
+) -> SpinorField:
+    """The comparison flow over time t on ``op``'s grid, in closed form or
+    by Cayley steps of the assembled free generator."""
     if free_factor == "exact":
-        return free_propagate(psi, t, Direction.BACKWARD)
-    h_c = free_operator(op.grid)
+        return free_propagate(psi, t, direction)
     cfg = EvolutionConfig(dt=op.grid.min_spacing / 2, t_final=t)
-    return evolve(h_c, psi, cfg, Direction.BACKWARD).final
-
-
-def _free_forward(op: ChannelOperator, psi: SpinorField, t: float, free_factor: str):
-    if free_factor == "exact":
-        return free_propagate(psi, t, Direction.FORWARD)
-    h_c = free_operator(op.grid)
-    cfg = EvolutionConfig(dt=op.grid.min_spacing / 2, t_final=t)
-    return evolve(h_c, psi, cfg, Direction.FORWARD).final
+    return evolve(free_operator(op.grid), psi, cfg, direction).final
 
 
 def wave_operator_forward(
@@ -129,7 +120,7 @@ def wave_operator_forward(
     )
     traj = evolve(op, phi, cfg)
     omegas = [
-        _free_backward(op, f, t, free_factor)
+        _free_flow(op, f, t, free_factor, Direction.BACKWARD)
         for t, f in zip(traj.times[1:], traj.fields[1:])
     ]
     increments = np.array(
@@ -166,7 +157,7 @@ def wave_operator_backward(
     times = _check_schedule(schedule)
     outs: List[SpinorField] = []
     for t in times:
-        zeta = _free_forward(op, psi, float(t), free_factor)
+        zeta = _free_flow(op, psi, float(t), free_factor, Direction.FORWARD)
         cfg = EvolutionConfig(dt=op.grid.min_spacing / 2, t_final=float(t))
         outs.append(evolve(op, zeta, cfg, Direction.BACKWARD).final)
     increments = np.array(
@@ -276,15 +267,6 @@ def cone_mass_fraction(field: SpinorField, t: float, delta: float = 0.25) -> flo
     return inside / total if total > 0 else 0.0
 
 
-@dataclass
-class VelocityTrace:
-    times: np.ndarray
-    values: np.ndarray  # ⟨ψ(t), J(𝒜/t) ψ(t)⟩
-    cone_fractions: np.ndarray  # sliding-window mass fractions, δ = 0.25
-    cutoff: CutoffSpec
-    norm_sq: float
-
-
 def _fields_at_times(
     phi: SpinorField, times: np.ndarray, op: Optional[ChannelOperator]
 ) -> List[SpinorField]:
@@ -300,30 +282,6 @@ def _fields_at_times(
         k = int(np.argmin(np.abs(np.asarray(traj.times) - t)))
         out.append(traj.fields[k])
     return out
-
-
-def velocity_trace(
-    phi: SpinorField,
-    times: Sequence[float],
-    cutoff: CutoffSpec,
-    op: Optional[ChannelOperator] = None,
-) -> VelocityTrace:
-    """Trace t ↦ ⟨ψ(t), J(𝒜/t)ψ(t)⟩ under the discrete flow of ``op``
-    (or the exact free flow when ``op`` is None), plus the sliding-cone
-    mass fractions."""
-    times = np.asarray(times, dtype=float)
-    if np.any(times <= 0) or np.any(np.diff(times) <= 0):
-        raise ConfigurationError("times must be positive and increasing")
-    fields = _fields_at_times(phi, times, op)
-    values = np.array([_cutoff_expectation(f, float(t), cutoff) for t, f in zip(times, fields)])
-    cones = np.array([cone_mass_fraction(f, float(t)) for t, f in zip(times, fields)])
-    return VelocityTrace(
-        times=times,
-        values=values,
-        cone_fractions=cones,
-        cutoff=cutoff,
-        norm_sq=phi.norm() ** 2,
-    )
 
 
 @dataclass
@@ -368,7 +326,9 @@ def velocity_report(
     cone_delta: float = 0.25,
 ) -> VelocityReport:
     """Minimal/maximal cutoff traces, cone mass fractions, and the mean
-    velocity with its Richardson limit — all from a single evolution."""
+    velocity ⟨𝒜/t⟩ with its Richardson limit — all from a single evolution
+    under the discrete flow of ``op`` (the exact free flow when ``op`` is
+    None).  The input is normalized, so v(t) is a mean velocity."""
     times = np.asarray(times, dtype=float)
     if np.any(times <= 0) or np.any(np.diff(times) <= 0):
         raise ConfigurationError("times must be positive and increasing")
@@ -396,36 +356,6 @@ def velocity_report(
         maximal_cutoff=j_max,
         cone_delta=cone_delta,
     )
-
-
-@dataclass
-class AsymptoticVelocity:
-    times: np.ndarray
-    values: np.ndarray  # v(t) = ⟨ψ(t), (𝒜/t) ψ(t)⟩
-    extrapolated: float  # 2-point Richardson in 1/t from the last two times
-
-
-def asymptotic_velocity(
-    phi: SpinorField,
-    times: Sequence[float],
-    op: Optional[ChannelOperator] = None,
-) -> AsymptoticVelocity:
-    """⟨𝒜/t⟩ along the flow and its Richardson limit (exact free flow when
-    ``op`` is None).  The input is normalized internally, so v(t) is a mean
-    velocity; the expected limit is 1."""
-    times = np.asarray(times, dtype=float)
-    if np.any(times <= 0) or np.any(np.diff(times) <= 0):
-        raise ConfigurationError("times must be positive and increasing")
-    nrm = phi.norm()
-    if nrm == 0:
-        raise ConfigurationError("cannot trace the zero field")
-    phi = SpinorField(phi.grid, phi.values / nrm)
-    fields = _fields_at_times(phi, times, op)
-    vals = np.array([_mean_velocity(f, float(t)) for t, f in zip(times, fields)])
-    t1, t2 = times[-2], times[-1]
-    v1, v2 = vals[-2], vals[-1]
-    extrapolated = float((v2 * t2 - v1 * t1) / (t2 - t1))
-    return AsymptoticVelocity(times=times, values=vals, extrapolated=extrapolated)
 
 
 # ------------------------------------------------------------- multichannel

@@ -22,7 +22,6 @@ from adsdirac.dynamics import EvolutionConfig, evolve, free_propagate
 from adsdirac.geometry import CoordinateMap, make_params, metric_factor
 from adsdirac.grids import BoundaryGraded, gaussian_packet, make_grid
 from adsdirac.scattering import (
-    asymptotic_velocity,
     velocity_report,
     wave_operator_backward,
     wave_operator_forward,
@@ -208,9 +207,9 @@ class TestAcceptance:
     def test_criterion_07_asymptotic_velocity(self, reference_velocity):
         grid = make_grid(-26.0, 4096)
         phi = gaussian_packet(grid, -2.5, 0.25, components=(1.0, 0.0, 0.0, 1.0))
-        free = asymptotic_velocity(phi, (4.0, 8.0, 12.0, 16.0, 20.0), op=None)
+        free = velocity_report(phi, (4.0, 8.0, 12.0, 16.0, 20.0), op=None)
         v_int = reference_velocity.v_extrapolated
-        v_free = free.extrapolated
+        v_free = free.v_extrapolated
         ok = verdict(
             7, "asymptotic velocity = identity",
             abs(v_int - 1.0) <= 0.05 and abs(v_free - 1.0) <= 0.05,

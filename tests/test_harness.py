@@ -1,14 +1,21 @@
 """Config validation, run orchestration, report files, and the CLI."""
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, note, seed, settings
+from hypothesis import strategies as st
 
 from adsdirac.channel import BoundaryCondition
 from adsdirac.cli import _thread_count, build_parser, main
-from adsdirac.geometry import Regime
+from adsdirac.dynamics import check_step
+from adsdirac.geometry import Regime, make_params
+from adsdirac.grids import BoundaryGraded, gaussian_packet, make_grid
 from adsdirac.harness import (
+    _SCHEMA,
     EXPERIMENTS,
     ConfigError,
     ExperimentResult,
@@ -16,6 +23,12 @@ from adsdirac.harness import (
     parse_config_dict,
     run,
 )
+from adsdirac.scattering import (
+    _check_schedule,
+    maximal_velocity_cutoff,
+    minimal_velocity_cutoff,
+)
+from adsdirac.spectral import _MAX_DIM
 
 MINIMAL = {"M": 1, "l": 1, "m": 1, "channel": [0.5, 0.5]}
 
@@ -123,6 +136,17 @@ class TestConfigValidation:
             {"domain-exponent": {"x_min": 1.0}},
             {"domain-exponent": {"h_min": "small"}},
             {"domain-exponent": {"masses": []}},
+            {"scatter": {"schedule": [1]}},
+            {"scatter": {"schedule": "abc"}},
+            {"scatter": {"tol": "x"}},
+            {"scatter": {"width": -1}},
+            {"velocity": {"times": [40]}},
+            {"velocity": {"delta": 0.7}},
+            {"spectrum": {"n": 8}},
+            {"spectrum": {"lambdas": "x"}},
+            {"spectrum": {"depth": -1}},
+            {"evolve": {"components": [1, 0]}},
+            {"evolve": {"width": 0}},
         ],
     )
     def test_bad_option_values(self, options):
@@ -145,8 +169,10 @@ class TestConfigValidation:
         assert cfg.option("mourre", "fine_factor", 2) == 3
 
     def test_bad_evolution_block(self):
-        with pytest.raises(ConfigError, match="evolution"):
-            parse_config_dict({**MINIMAL, "evolution": {"dt": -0.1, "steps": 3}})
+        # dt = 1.0 is more than half the default grid's spacing
+        for evolution in ({"dt": -0.1, "steps": 3}, {"dt": 1.0}):
+            with pytest.raises(ConfigError, match="evolution"):
+                parse_config_dict({**MINIMAL, "evolution": evolution})
 
     def test_unknown_experiment_name(self):
         with pytest.raises(ConfigError, match="resonance"):
@@ -200,6 +226,206 @@ class TestDigest:
         assert cfg.canonical["grid"] == {"x_min": -32.0, "n": 2048}
         assert cfg.canonical["evolution"]["t_final"] == 10.0
         assert cfg.canonical["seed"] == 0
+
+
+    def test_canonical_is_a_fixed_point(self):
+        graded = {
+            **MINIMAL, "m": 0.25,
+            "grid": {"x_min": -10, "h_min": 0.01, "ratio": 1.1, "h_max": 0.1},
+            "evolution": {"t_final": 2, "snapshots": 1},
+            "experiments": ["mourre", "geometry"],
+            "options": {"mourre": {"n": 320, "interval": [1, 2]}, "evolve": None},
+        }
+        for data in (MINIMAL, graded):
+            cfg = parse_config_dict(data)
+            again = parse_config_dict(cfg.canonical)
+            assert again.digest == cfg.digest
+            assert again.canonical == cfg.canonical
+
+    def test_spelled_out_defaults_keep_the_digest(self):
+        spelled = {
+            **MINIMAL,
+            "bc": "natural",
+            "grid": {"x_min": -32, "n": 2048, "h_min": None},
+            "evolution": {"dt": None, "t_final": 10},
+            "seed": 0,
+            "options": {
+                "scatter": {"schedule": [1, 2, 4, 8, 16], "tol": 0.01},
+                "mourre": {"n": 640, "interval": [0.5, 1.5]},
+                "geometry": {},
+            },
+        }
+        assert parse_config_dict(spelled).digest == parse_config_dict(MINIMAL).digest
+        assert parse_config_dict({**MINIMAL, "seed": 1}).digest != (
+            parse_config_dict(MINIMAL).digest
+        )
+
+    def test_readme_reference_lists_the_schema_defaults(self):
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = text.split("### Config reference", 1)[1]
+        block = block.split("```jsonc", 1)[1].split("```", 1)[0]
+        data = json.loads(re.sub(r"//.*", "", block))
+
+        def keys(tree, prefix=""):
+            out = set()
+            for key, value in tree.items():
+                out.add(prefix + key)
+                if isinstance(value, dict):
+                    out |= keys(value, f"{prefix}{key}.")
+            return out
+
+        assert keys(data) == keys(_SCHEMA)
+        assert parse_config_dict(data).digest == parse_config_dict(MINIMAL).digest
+
+
+_PACKET = {
+    "center": ((-4.0, -2, -12.0, 5.0), (1e6, "x")),  # 1e6: the packet underflows
+    "width": ((0.5, 0.25, 1e-2), (0, -1)),
+}
+
+#: key path → (valid values, type and range violations); grids stay at
+#: n <= 256, graded ones at a few thousand nodes at most
+_VALUES = {
+    "M": ((1, 1.0, 2.5), (0, "x", True)),
+    "l": ((1, 0.5), (-1.0, float("nan"))),
+    "m": ((1, 0.25, 0.0), (-2, True)),
+    "channel": (([0.5, 0.5], [1.5, -0.5]), ([0.5, 1.5], [0.5], "x")),
+    "bc": (("natural", "mit", None), ("robin", 3)),
+    "typo": ((), (1,)),
+    "grid.x_min": ((-16.0, -8, -40.0), (0, 3.0, "x")),
+    "grid.n": ((16, 64, 256), (8, 100.0, "x")),
+    "grid.h_min": ((0.05, 0.02), (-1, "x")),
+    "grid.ratio": ((1.0, 1.1), (1.5, "x")),
+    "grid.h_max": ((0.2, 0.5), (0.01, "x")),
+    "evolution.dt": ((None, 0.01, 1e-4), (100.0, -0.1, "x")),  # 100 > any h/2
+    "evolution.t_final": ((1.0, 5), (0, float("inf"), "x")),
+    "evolution.snapshots": ((1, 3), (0, 2.5)),
+    "experiments": ((["all"], ["geometry", "mourre"]), ([], ["resonance"], "all")),
+    "out": (("runs", "elsewhere"), ("", 3)),
+    "seed": ((0, 7), (-1, True)),
+    "options.geometry.typo": ((), (1,)),
+    "options.evolve.components": (([1, 0, 0, 1], [0, 1, 0, 0]), ([0, 0, 0, 0], [1, 0], "x")),
+    **{f"options.{name}.{key}": values
+       for name in ("evolve", "scatter", "velocity") for key, values in _PACKET.items()},
+    "options.scatter.target_center": _PACKET["center"],
+    "options.scatter.target_width": _PACKET["width"],
+    "options.scatter.schedule": (([1, 2, 4], [0.5, 1, 2, 3]), ([1], [3, 2, 1], [0, 1, 2], "abc")),
+    "options.scatter.tol": ((0.01, 1), (0, "x")),
+    "options.velocity.times": (([4, 8], [1, 2, 3]), ([40], [2, 1], [-1, 2])),
+    "options.velocity.delta": ((0.2, 0.49), (0.5, 0.7, 0, "x")),
+    "options.velocity.eps": ((0.2, 1), (0, -0.1)),
+    "options.velocity.cone_delta": ((0.25, 0.5), (0, 1.0)),
+    "options.mourre.n": ((16, 64), (8, 320.0, "abc")),
+    "options.mourre.fine_factor": ((2, 3), (1, 2.0)),
+    "options.mourre.interval": (([0.5, 1.5], [-1, 1]), ([1.5, 0.5], [0.5], [0.5, "1.5"])),
+    "options.mourre.eps": ((0.5, 0.1), (0.0, 1.0, float("nan"))),
+    "options.mourre.stability": ((0.05, 1), (0.0, -1)),
+    "options.spectrum.n": ((16, 64), (8, 5000, "x")),
+    "options.spectrum.lambdas": (([0.0], [-1, 1]), ([], "x")),
+    "options.spectrum.depth": ((5.0, 20), (1, -1)),
+    "options.domain-exponent.masses": (([1.0, 0.25], [0]), ([], [-1], "x")),
+    "options.domain-exponent.h_min": ((0.05, 0.02), (-1e-3, "x")),
+    "options.domain-exponent.ratio": ((1.0, 1.1), (1.5,)),
+    "options.domain-exponent.h_max": ((0.2, 0.5), (1e-4,)),
+    "options.domain-exponent.x_min": ((-8.0, -24.0), (1.0,)),
+}
+_GRADED = ("grid.h_min", "grid.ratio", "grid.h_max")
+
+
+@st.composite
+def _configs(draw):
+    """A config of valid values with up to two keys given a violation, and
+    whether it has one.
+
+    The physics keys and ``grid.x_min`` are always given, and either
+    ``grid.n`` or the graded triple; any other key only sometimes.  Rules
+    that tie keys together (index rule, bc against the regime, dt against
+    the spacing, n next to the triple) can still reject such a config."""
+    faults = draw(st.sets(st.sampled_from(sorted(_VALUES)), max_size=2))
+    graded = draw(st.booleans())
+    data: dict = {}
+    for path, (good, bad) in _VALUES.items():
+        if path in faults:
+            value = draw(st.sampled_from(bad))
+        elif not good:
+            continue
+        elif path in ("M", "l", "m", "channel", "grid.x_min") or (
+            path == "grid.n" and not graded
+        ) or (path in _GRADED and graded) or (
+            path not in (*_GRADED, "grid.n") and draw(st.booleans())
+        ):
+            value = draw(st.sampled_from(good))
+        else:
+            continue
+        *blocks, key = path.split(".")
+        node = data
+        for name in blocks:
+            node = node.setdefault(name, {})
+        node[key] = value
+    return data, bool(faults)
+
+
+def _build_inputs(cfg):
+    """Every input the selected experiments build before they compute,
+    through the consuming modules' own constructors and checks."""
+    opts = cfg.options
+    grid = cfg.grid.build()
+    check_step(cfg.evolution.to_config(grid).dt, grid)
+    for name, prefix, components in (
+        ("evolve", "", opts["evolve"]["components"]),
+        ("scatter", "", (1, 0, 0, 1)),
+        ("scatter", "target_", (1, 0, 0, 1)),
+        ("velocity", "", (1, 0, 0, 1)),
+    ):
+        block = opts[name]
+        gaussian_packet(
+            grid, block[prefix + "center"], block[prefix + "width"], components=components
+        )
+    _check_schedule(opts["scatter"]["schedule"])
+    times = np.asarray(opts["velocity"]["times"])
+    assert times.size >= 2 and times[0] > 0 and np.all(np.diff(times) > 0)
+    minimal_velocity_cutoff(opts["velocity"]["delta"])
+    maximal_velocity_cutoff(opts["velocity"]["eps"])
+    mourre = opts["mourre"]
+    make_grid(cfg.grid.x_min, mourre["n"])
+    make_grid(cfg.grid.x_min, mourre["fine_factor"] * mourre["n"])
+    assert mourre["interval"][0] < mourre["interval"][1]
+    assert 0 < mourre["eps"] < 1 and mourre["stability"] > 0
+    spectrum = opts["spectrum"]
+    make_grid(cfg.grid.x_min, spectrum["n"])
+    assert 4 * spectrum["n"] <= _MAX_DIM and spectrum["depth"] > 1
+    graded = opts["domain-exponent"]
+    make_grid(
+        graded["x_min"],
+        policy=BoundaryGraded(graded["h_min"], graded["ratio"], graded["h_max"]),
+    )
+    for mass in graded["masses"]:
+        make_params(cfg.params.M, cfg.params.l, mass)
+
+
+class TestSchemaProperty:
+
+    @seed(20261018)
+    @settings(
+        max_examples=300, deadline=None, database=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(case=_configs())
+    def test_accepted_configs_build_every_input(self, case):
+        """A config either raises ConfigError alone, or every input its
+        experiments need builds without ValueError or ConfigurationError
+        and its canonical form parses back to the same digest.  A config
+        with a violation is always rejected."""
+        data, faulty = case
+        note(repr(data))
+        try:
+            cfg = parse_config_dict(data)
+        except ConfigError as exc:
+            assert exc.errors
+            return
+        assert not faulty
+        _build_inputs(cfg)
+        assert parse_config_dict(cfg.canonical).digest == cfg.digest
 
 
 class TestRun:

@@ -17,16 +17,13 @@ from adsdirac.geometry import make_params
 from adsdirac.grids import gaussian_packet, make_grid
 from adsdirac.scattering import (
     adjointness_residual,
-    asymptotic_velocity,
     channel_weights,
     cone_mass_fraction,
-    constant_cutoff,
     maximal_velocity_cutoff,
     minimal_velocity_cutoff,
     multichannel_scatter,
     quintic_step,
     velocity_report,
-    velocity_trace,
     wave_operator_backward,
     wave_operator_forward,
 )
@@ -173,43 +170,43 @@ class TestFreeVelocity:
 
     def test_mean_velocity_exact_profile(self):
         # ⟨𝒜/t⟩ = 1 + 2.5/t for a left-mover released at −2.5
-        av = asymptotic_velocity(self.bump, (10.0, 20.0, 40.0))
+        rep = velocity_report(self.bump, (10.0, 20.0, 40.0))
         expected = 1.0 + 2.5 / np.array([10.0, 20.0, 40.0])
-        assert av.values == pytest.approx(expected, abs=1e-6)
+        assert rep.v_values == pytest.approx(expected, abs=1e-6)
 
     def test_richardson_limit_is_exact(self):
         # v(t) = 1 + c/t makes the two-point extrapolation exact
-        av = asymptotic_velocity(self.bump, (20.0, 40.0))
-        assert av.extrapolated == pytest.approx(1.0, abs=1e-6)
+        rep = velocity_report(self.bump, (20.0, 40.0))
+        assert rep.v_extrapolated == pytest.approx(1.0, abs=1e-6)
 
     def test_mean_velocity_tolerances(self):
         wide = make_grid(-90.0, 4096)
         bump = gaussian_packet(wide, center=-2.5, width=0.25, components=(0, 1, 0, 0))
-        av = asymptotic_velocity(bump, (10.0, 20.0, 40.0, 80.0))
-        v = dict(zip(av.times, av.values))
+        rep = velocity_report(bump, (10.0, 20.0, 40.0, 80.0))
+        v = dict(zip(rep.times, rep.v_values))
         assert abs(v[20.0] - 1.0) <= 0.15
         assert abs(v[80.0] - 1.0) <= 0.05
 
     def test_constant_cutoff_trace_is_one(self):
-        vt = velocity_trace(self.bump, (5.0, 15.0), constant_cutoff())
-        assert vt.values == pytest.approx(np.ones(2), abs=1e-5)
+        rep = velocity_report(self.bump, (5.0, 15.0))
+        assert rep.unit_values == pytest.approx(np.ones(2), abs=1e-5)
 
     def test_maximal_trace_dies_after_entry(self):
         # support enters (1+ε, ∞) only while t < |x₀|/ε; afterwards exactly 0
-        vt = velocity_trace(self.bump, (5.0, 30.0), maximal_velocity_cutoff(0.2))
-        assert vt.values[0] > 0.9  # −x/t = 1.5 at t=5: deep inside the cutoff
-        assert vt.values[1] <= 1e-12
+        rep = velocity_report(self.bump, (5.0, 30.0), eps=0.2)
+        assert rep.maximal_values[0] > 0.9  # −x/t = 1.5 at t=5: deep inside the cutoff
+        assert rep.maximal_values[1] <= 1e-12
 
     def test_minimal_trace_dies_after_reflection(self):
         # right-mover content reflects, then drains out of (−∞, 1−δ)
         mix = gaussian_packet(self.grid, center=-2.5, width=0.25, components=(1, 0, 0, 1))
-        vt = velocity_trace(mix, (1.0, 30.0), minimal_velocity_cutoff(0.2))
-        assert vt.values[0] > 0.4  # un-reflected content still at small x/t
-        assert vt.values[1] <= 1e-10
+        rep = velocity_report(mix, (1.0, 30.0), delta=0.2)
+        assert rep.minimal_values[0] > 0.4  # un-reflected content still at small x/t
+        assert rep.minimal_values[1] <= 1e-10
 
     def test_cone_fraction_reaches_one(self):
-        vt = velocity_trace(self.bump, (5.0, 30.0), constant_cutoff())
-        assert vt.cone_fractions[-1] == pytest.approx(1.0, abs=1e-10)
+        rep = velocity_report(self.bump, (5.0, 30.0), cone_delta=0.25)
+        assert rep.cone_fractions[-1] == pytest.approx(1.0, abs=1e-10)
         assert cone_mass_fraction(free_propagate(self.bump, 30.0, Direction.FORWARD), 30.0) == pytest.approx(1.0, abs=1e-10)
 
     def test_velocity_report_consistency(self):
@@ -237,9 +234,9 @@ class TestInteractingVelocity:
         grid = make_grid(-16.0, 256)
         phi = gaussian_packet(grid, center=-8.0, width=0.5)
         with pytest.raises(ConfigurationError):
-            velocity_trace(phi, (2.0, 1.0), constant_cutoff())
+            velocity_report(phi, (2.0, 1.0))
         with pytest.raises(ConfigurationError):
-            asymptotic_velocity(phi, (-1.0, 2.0))
+            velocity_report(phi, (-1.0, 2.0))
 
 
 class TestMultichannel:
