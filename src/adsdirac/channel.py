@@ -1,10 +1,11 @@
 """Radial channel Hamiltonians H = Γ¹D_x + (s+1/2)A(x)γ⁰γ² − m·B(x)γ⁰.
 
 The potentials A = √F/r and B = √F come from the geometry module; an
-override mode carries zero or tabulated potentials for oracle cases.  The
-discrete operator is a banded matrix on a cell-centered grid: a centered
-first difference (exactly skew-adjoint against the grid inner product, see
-grids.py) plus pointwise 4×4 potential blocks.  Boundary closures eliminate
+override pair carries any other A and B (zero for the free comparison
+generator, deformed wells for negative controls).  The discrete operator
+is a banded matrix on a cell-centered grid: a centered first difference
+(exactly skew-adjoint against the grid inner product, see grids.py) plus
+pointwise 4×4 potential blocks.  Boundary closures eliminate
 one ghost node per wall through a reflection matrix S with Γ¹S + S*Γ¹ = 0,
 which is precisely the condition making the closed operator self-adjoint in
 the weighted inner product:
@@ -36,7 +37,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import null_space
 
-from .algebra import ANGULAR, Channel, GAMMA, MASS, VELOCITY, GAMMA5_ALT, GAMMA_ALT, BASIS_CHANGE
+from .algebra import ANGULAR, Channel, GAMMA, MASS, VELOCITY
 from .geometry import CoordinateMap, Params
 from .grids import Grid
 
@@ -46,20 +47,13 @@ __all__ = [
     "PotentialPair",
     "potentials_sads",
     "potentials_zero",
-    "potentials_tabulated",
-    "smooth_cutoff",
-    "reference_potentials",
-    "EnvelopeReport",
-    "envelope_check",
     "select_bc",
     "mit_reflection",
     "ChannelOperator",
     "assemble_hamiltonian",
     "free_operator",
-    "conjugate_apply",
     "PointwiseBlocks",
     "commutator_closed_form",
-    "transform_consistency",
 ]
 
 
@@ -79,16 +73,13 @@ class PotentialPair:
     """The two scalar potentials of a channel Hamiltonian.
 
     ``a_ang`` multiplies (s+1/2)·γ⁰γ², ``b_mass`` multiplies −m·γ⁰.  The
-    envelope exponents (theta, beta) are the advertised horizon decay rates
-    of A − A₀ and B − B₀; for the black-hole pair both equal the surface
-    gravity κ.
+    black-hole pair ("sads") carries its params, which fix the wall
+    condition; an "override" pair is any pair of functions of x.
     """
 
     a_ang: Callable
     b_mass: Callable
     mode: str  # "sads" | "override"
-    theta: float
-    beta: float
     params: Optional[Params] = None
 
 
@@ -99,8 +90,6 @@ def potentials_sads(p: Params) -> PotentialPair:
         a_ang=cm.angular_factor_of_x,
         b_mass=cm.sqrtF_of_x,
         mode="sads",
-        theta=p.kappa,
-        beta=p.kappa,
         params=p,
     )
 
@@ -108,74 +97,7 @@ def potentials_sads(p: Params) -> PotentialPair:
 def potentials_zero() -> PotentialPair:
     """A ≡ B ≡ 0; the assembled operator is the free generator Γ¹D_x."""
     zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
-    return PotentialPair(zero, zero, mode="override", theta=np.inf, beta=np.inf)
-
-
-def potentials_tabulated(a_fn, b_fn, theta=np.inf, beta=np.inf) -> PotentialPair:
-    """Override pair with user-supplied potentials (for envelope experiments)."""
-    return PotentialPair(a_fn, b_fn, mode="override", theta=theta, beta=beta)
-
-
-def smooth_cutoff(x, lo: float = -2.0, hi: float = -1.0):
-    """C^∞ step: 0 for x ≤ lo, 1 for x ≥ hi, strictly monotone between."""
-    x = np.asarray(x, dtype=float)
-    t = np.clip((x - lo) / (hi - lo), 0.0, 1.0)
-    with np.errstate(divide="ignore", over="ignore"):
-        g = np.where(t > 0.0, np.exp(-1.0 / np.maximum(t, 1e-300)), 0.0)
-        gc = np.where(t < 1.0, np.exp(-1.0 / np.maximum(1.0 - t, 1e-300)), 0.0)
-    return g / (g + gc)
-
-
-def reference_potentials(l: float):
-    """The comparison pair (A₀, B₀): the exact wall asymptotics 1/l and
-    l/(−x), switched off smoothly across [−2, −1] and identically zero for
-    x ≤ −2."""
-    a0 = lambda x: smooth_cutoff(x) / l
-    b0 = lambda x: smooth_cutoff(x) * l / (-np.asarray(x, dtype=float))
-    return a0, b0
-
-
-@dataclass(frozen=True)
-class EnvelopeReport:
-    """Fitted decay rates and boundary-envelope constants for A−A₀, B−B₀."""
-
-    theta_fit: float
-    beta_fit: float
-    boundary_quad_sup: float  # sup |A−A₀|/x²  on the sample
-    boundary_lin_sup: float  # sup |B−B₀|/(−x) on the sample
-    kappa: float
-    margin: float  # min(theta_fit, beta_fit) − 0.95·κ
-    passed: bool
-
-
-def envelope_check(pp: PotentialPair, p: Params) -> EnvelopeReport:
-    """Verify the two-sided envelopes of the black-hole potentials.
-
-    Horizon side: A − A₀ = A and B − B₀ = B for x ≤ −2; their log-slopes
-    against x on a window deep in the horizon region fit the advertised
-    exponential rate κ.  Boundary side: |A − A₀| / x² and |B − B₀| / (−x)
-    stay bounded as x → 0⁻ (the quadratic/linear envelopes).
-    """
-    if pp.mode != "sads":
-        raise ConfigurationError("envelope check applies to the black-hole pair")
-    a0, b0 = reference_potentials(p.l)
-
-    w = max(6.0, 24.0 / p.kappa)
-    xs = np.linspace(-w, -w / 2.0, 25)
-    da = np.asarray(pp.a_ang(xs)) - a0(xs)
-    db = np.asarray(pp.b_mass(xs)) - b0(xs)
-    theta_fit = float(np.polyfit(xs, np.log(np.abs(da)), 1)[0])
-    beta_fit = float(np.polyfit(xs, np.log(np.abs(db)), 1)[0])
-
-    xb = -np.geomspace(1e-4, 1e-1, 16)
-    qa = np.abs(np.asarray(pp.a_ang(xb)) - a0(xb)) / xb**2
-    qb = np.abs(np.asarray(pp.b_mass(xb)) - b0(xb)) / (-xb)
-    quad_sup = float(np.max(qa))
-    lin_sup = float(np.max(qb))
-
-    margin = min(theta_fit, beta_fit) - 0.95 * p.kappa
-    passed = bool(margin >= 0.0 and np.isfinite(quad_sup) and np.isfinite(lin_sup))
-    return EnvelopeReport(theta_fit, beta_fit, quad_sup, lin_sup, p.kappa, margin, passed)
+    return PotentialPair(zero, zero, mode="override")
 
 
 # ------------------------------------------------------ boundary closures
@@ -286,24 +208,21 @@ def _wall_closures(grid: Grid, s_left, s_right, wall_exponent=None):
     return left, right
 
 
-def _block_matrix(
-    grid: Grid, velocity, angular, mass, coupling, m, a_vals, b_vals, left=None, right=None
-) -> sp.csc_matrix:
-    """Node-major sparse matrix of −i·velocity·(centered difference) plus the
-    pointwise potential coupling·A(x)·angular − m·B(x)·mass.
+def _block_matrix(grid: Grid, coupling, m, a_vals, b_vals, left, right) -> sp.csc_matrix:
+    """Node-major sparse matrix of −i·VELOCITY·(centered difference) plus the
+    pointwise potential coupling·A(x)·ANGULAR − m·B(x)·MASS.
 
-    Row j carries the blocks ∓i/(2w_j)·velocity at columns j ± 1 and the
-    potential block at column j; ``left``/``right`` are ghost closures added
-    to the first and last diagonal blocks (zero ghosts when omitted).  Exact
-    zeros are dropped, so the sparsity pattern is that of the nonzero blocks.
+    Row j carries the blocks ∓i/(2w_j)·VELOCITY at columns j ± 1 and the
+    potential block at column j; ``left``/``right`` are the ghost closures
+    added to the first and last diagonal blocks.  Exact zeros are dropped,
+    so the sparsity pattern is that of the nonzero blocks.
     """
     n = grid.n
+    velocity, angular = VELOCITY.astype(complex), ANGULAR.astype(complex)
     coef = (-1j / (2.0 * grid.weights))[:, None, None]
-    diag = (coupling * a_vals)[:, None, None] * angular - (m * b_vals)[:, None, None] * mass
-    if left is not None:
-        diag[0] += left
-    if right is not None:
-        diag[-1] += right
+    diag = (coupling * a_vals)[:, None, None] * angular - (m * b_vals)[:, None, None] * MASS
+    diag[0] += left
+    diag[-1] += right
     blocks = np.concatenate([coef[:-1] * velocity, diag, -coef[1:] * velocity])
     j = np.arange(n)
     row_node = np.concatenate([j[:-1], j, j[1:]])
@@ -368,10 +287,7 @@ def assemble_hamiltonian(
     ):
         wall_exponent = m * params.l
     left, right = _wall_closures(grid, s_mirror, s_right, wall_exponent)
-    matrix = _block_matrix(
-        grid, VELOCITY.astype(complex), ANGULAR.astype(complex), MASS,
-        channel.coupling, m, a_vals, b_vals, left, right,
-    )
+    matrix = _block_matrix(grid, channel.coupling, m, a_vals, b_vals, left, right)
     return ChannelOperator(
         channel=channel,
         params=params,
@@ -392,13 +308,7 @@ def free_operator(grid: Grid) -> ChannelOperator:
     )
 
 
-# ------------------------------------------- conjugate operator + commutator
-
-def conjugate_apply(values: np.ndarray, grid: Grid) -> np.ndarray:
-    """𝒜 = Γ¹·x: component k at node x_j scaled by Γ¹_kk·x_j."""
-    signs = np.diag(VELOCITY)
-    return values * signs[:, None] * grid.nodes[None, :]
-
+# ------------------------------------------------------------ commutator
 
 @dataclass(frozen=True)
 class PointwiseBlocks:
@@ -434,47 +344,3 @@ def commutator_closed_form(op: ChannelOperator) -> PointwiseBlocks:
         + cb[:, None, None] * g1[None, :, :]
     )
     return PointwiseBlocks(op.grid, blocks)
-
-
-def commutator_brute_force(op: ChannelOperator, values: np.ndarray) -> np.ndarray:
-    """i(H(𝒜ψ) − 𝒜(Hψ)) evaluated through the assembled matrix."""
-    return 1j * (
-        op.apply(conjugate_apply(values, op.grid))
-        - conjugate_apply(op.apply(values), op.grid)
-    )
-
-
-# ------------------------------------------------- representation identity
-
-def _alt_matrix(op: ChannelOperator) -> sp.csc_matrix:
-    """The same channel Hamiltonian in the alternative representation
-    (γ⁰ diagonal): the one block assembler with that representation's
-    velocity −γ⁰γ¹, angular γ⁰γ² and mass γ⁰ matrices and zero ghosts, so it
-    is only meaningful on interior-supported fields."""
-    g0, g1a, g2a, _ = GAMMA_ALT
-    return _block_matrix(
-        op.grid, -(g0 @ g1a), g0 @ g2a, g0,
-        op.channel.coupling, op.mass, op.a_values, op.b_values,
-    )
-
-
-def transform_consistency(op: ChannelOperator, n_fields: int = 20, seed: int = 5) -> float:
-    """Residual of H = U·(−H̃)·U⁻¹, U = BASIS_CHANGE·γ⁵_alt, on random
-    interior bumps (zero on the two nodes nearest each wall, so neither
-    operator's boundary closure is touched).  Algebraically exact, so the
-    result is rounding-level."""
-    alt = _alt_matrix(op)
-    u = BASIS_CHANGE @ GAMMA5_ALT
-    n = op.grid.n
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(n_fields):
-        psi = rng.normal(size=(4, n)) + 1j * rng.normal(size=(4, n))
-        psi[:, :2] = 0.0
-        psi[:, -2:] = 0.0
-        lhs = op.apply(psi)
-        flat = (u.conj().T @ psi).flatten(order="F")
-        rhs = u @ (-(alt @ flat)).reshape((4, n), order="F")
-        denom = op.grid.norm(psi)
-        worst = max(worst, op.grid.norm(lhs - rhs) / denom)
-    return worst

@@ -48,8 +48,6 @@ __all__ = [
     "CayleyStepper",
     "evolve",
     "free_propagate",
-    "BoundaryTrace",
-    "boundary_trace",
 ]
 
 
@@ -191,7 +189,10 @@ def evolve(
 
     The step count is rounded so an integer number of steps lands exactly
     on t_final (the effective dt never exceeds the requested one); snapshot
-    times are snapped to the nearest step.
+    times are snapped to the nearest step.  The fields are the initial
+    state, then one snapshot per requested time in the order asked (two
+    times on the same step give two entries), then the final state unless
+    the last requested time already is t_final.
     """
     if not np.array_equal(psi0.grid.nodes, op.grid.nodes):
         raise ConfigurationError("field and operator live on different grids")
@@ -204,7 +205,11 @@ def evolve(
         wanted = np.asarray(cfg.snapshot_times, dtype=float)
     else:
         wanted = np.linspace(0.0, cfg.t_final, cfg.n_snapshots + 1)[1:]
-    snap_idx = {int(round(t / dt_eff)) for t in wanted} - {0}
+    snap_steps = [int(round(t / dt_eff)) for t in wanted]
+    if any(k < 0 or k > n_steps for k in snap_steps):
+        raise ConfigurationError("snapshot times must lie in [0, t_final]")
+    if not snap_steps or snap_steps[-1] != n_steps:
+        snap_steps.append(n_steps)
 
     n = op.grid.n
     # W-norm of the flat state through its float view: node j owns floats
@@ -218,18 +223,17 @@ def evolve(
 
     psi = psi0.values.flatten(order="F")
     norm0 = w_norm(psi)
-    times = [0.0]
-    fields = [psi0.copy()]
+    taken = set(snap_steps)
+    at_step = {0: psi0.copy()}
     drift = 0.0
     for k in range(1, n_steps + 1):
         psi = stepper.step(psi)
         drift = max(drift, abs(w_norm(psi) - norm0) / max(norm0, 1e-30))
-        if k in snap_idx or k == n_steps:
-            times.append(k * dt_eff)
-            fields.append(SpinorField(op.grid, psi.reshape((4, n), order="F").copy()))
+        if k in taken:
+            at_step[k] = SpinorField(op.grid, psi.reshape((4, n), order="F").copy())
     return Trajectory(
-        times=np.asarray(times),
-        fields=fields,
+        times=np.asarray([0.0] + [k * dt_eff for k in snap_steps]),
+        fields=[at_step[0]] + [at_step[k] for k in snap_steps],
         norm_drift=drift,
         dt_effective=dt_eff,
         steps=n_steps,
@@ -275,29 +279,3 @@ def free_propagate(
         out[c, direct] = sample(c, args[direct])
         out[c, ~direct] = sign * sample(partner, -args[~direct])
     return SpinorField(grid, out)
-
-
-@dataclass(frozen=True)
-class BoundaryTrace:
-    """Extrapolated wall values and the scaled bag-condition residual."""
-
-    values: np.ndarray  # 4 complex values at x = 0⁻ (Richardson from 2 nodes)
-    mit_residual: float  # ‖(γ¹+i)ψ(x_last)‖ / √(−x_last)
-    x_last: float
-
-
-def boundary_trace(psi: SpinorField) -> BoundaryTrace:
-    """Wall trace of a field: linear Richardson extrapolation of the last
-    two nodes to x = 0, plus ‖(γ¹+i·𝟙)ψ(x_last)‖·(−x_last)^{−1/2} — the
-    quantity that must vanish in the small-spacing limit for elements of
-    the bag-type domain."""
-    from .algebra import GAMMA
-
-    x = psi.grid.nodes
-    v_last = psi.values[:, -1]
-    v_prev = psi.values[:, -2]
-    slope = (v_last - v_prev) / (x[-1] - x[-2])
-    at_wall = v_last + slope * (0.0 - x[-1])
-    resid_vec = (GAMMA[1] + 1j * np.eye(4)) @ v_last
-    resid = float(np.linalg.norm(resid_vec) / np.sqrt(-x[-1]))
-    return BoundaryTrace(values=at_wall, mit_residual=resid, x_last=float(x[-1]))

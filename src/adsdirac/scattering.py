@@ -1,4 +1,5 @@
-"""Wave operators, velocity-cutoff diagnostics, and the asymptotic velocity.
+"""Wave operators and their adjoint pairing, velocity-cutoff diagnostics,
+and the asymptotic velocity — one channel at a time.
 
 Wave operators are estimated hybrid-fashion: the interacting factor is the
 discrete unitary flow, while the comparison factor e^{±itH_c} is applied in
@@ -13,11 +14,14 @@ Convergence of Ω_k φ = e^{+it_kH_c} e^{−it_kH} φ along a geometric schedule
 is judged by the Cauchy increments ‖Ω_{k+1}φ − Ω_kφ‖: "converged" means the
 last three increments decrease monotonically and the final one is at most
 1e−2·‖φ‖ (a deliberately conservative engineering threshold — existence of
-the limit carries no rate).
+the limit carries no rate).  ``adjointness_residual`` measures how far the
+two finite-time estimates are from adjoint: |⟨Ωφ, ψ⟩ − ⟨φ, Wψ⟩|.
 
 The conjugate observable 𝒜/t is pointwise multiplication by Γ¹x/t, so the
 functional calculus J(𝒜/t) is pointwise evaluation of J at ±x/t per
-component.  Cutoffs are C² quintic steps with explicit support metadata.
+component.  Cutoffs are C² quintic steps with explicit support metadata;
+``velocity_report`` evaluates every velocity diagnostic on the snapshots
+of one evolution.
 """
 from __future__ import annotations
 
@@ -44,9 +48,6 @@ __all__ = [
     "VelocityReport",
     "velocity_report",
     "cone_mass_fraction",
-    "MultichannelReport",
-    "multichannel_scatter",
-    "channel_weights",
 ]
 
 _CONVERGED_FRACTION = 1e-2  # final increment vs ‖φ‖; engineering choice
@@ -66,8 +67,6 @@ class ScatteringReport:
     input_norm: float
     limit_norm: float
     converged: bool
-    convergence_failure: bool
-    adjoint_residual: Optional[float] = None
 
     @property
     def final_increment(self) -> float:
@@ -130,7 +129,6 @@ def wave_operator_forward(
         ]
     )
     nrm = phi.norm()
-    converged = _verdict(increments, nrm)
     return ScatteringReport(
         channel=op.channel,
         times=np.asarray(traj.times[1:]),
@@ -138,8 +136,7 @@ def wave_operator_forward(
         limit=omegas[-1],
         input_norm=nrm,
         limit_norm=omegas[-1].norm(),
-        converged=converged,
-        convergence_failure=not converged,
+        converged=_verdict(increments, nrm),
     )
 
 
@@ -164,7 +161,6 @@ def wave_operator_backward(
         [op.grid.norm(b.values - a.values) for a, b in zip(outs[:-1], outs[1:])]
     )
     nrm = psi.norm()
-    converged = _verdict(increments, nrm)
     return ScatteringReport(
         channel=op.channel,
         times=times,
@@ -172,8 +168,7 @@ def wave_operator_backward(
         limit=outs[-1],
         input_norm=nrm,
         limit_norm=outs[-1].norm(),
-        converged=converged,
-        convergence_failure=not converged,
+        converged=_verdict(increments, nrm),
     )
 
 
@@ -275,13 +270,7 @@ def _fields_at_times(
     cfg = EvolutionConfig(
         dt=op.grid.min_spacing / 2, t_final=float(times[-1]), snapshot_times=times
     )
-    traj = evolve(op, phi, cfg)
-    # snapshot snapping keeps |t_snap − t| ≤ dt/2; pair by nearest
-    out = []
-    for t in times:
-        k = int(np.argmin(np.abs(np.asarray(traj.times) - t)))
-        out.append(traj.fields[k])
-    return out
+    return evolve(op, phi, cfg).fields[1:]
 
 
 @dataclass
@@ -355,45 +344,4 @@ def velocity_report(
         minimal_cutoff=j_min,
         maximal_cutoff=j_max,
         cone_delta=cone_delta,
-    )
-
-
-# ------------------------------------------------------------- multichannel
-
-def channel_weights(channels: Sequence[Channel]) -> np.ndarray:
-    """Square-summable weights (s+1/2)^{−2} used for channel aggregation."""
-    return np.array([ch.coupling ** (-2.0) for ch in channels])
-
-
-@dataclass
-class MultichannelReport:
-    reports: List[ScatteringReport]
-    weights: np.ndarray
-    aggregate_increments: np.ndarray  # weighted root-sum-square per time gap
-    converged: bool
-
-
-def multichannel_scatter(
-    phi: SpinorField,
-    operators: Sequence[ChannelOperator],
-    schedule: Sequence[float],
-    weights: Optional[Sequence[float]] = None,
-) -> MultichannelReport:
-    """Independent per-channel wave operators with aggregated increments.
-
-    Aggregate increment at each time gap: √(Σ_ch (w_ch·c_ch)²).  Any
-    channel's convergence failure makes the aggregate fail."""
-    if weights is None:
-        weights = channel_weights([op.channel for op in operators])
-    weights = np.asarray(weights, dtype=float)
-    if weights.shape != (len(operators),):
-        raise ConfigurationError("one weight per channel required")
-    reports = [wave_operator_forward(phi, op, schedule) for op in operators]
-    stacked = np.stack([r.increments for r in reports])
-    aggregate = np.sqrt(np.sum((weights[:, None] * stacked) ** 2, axis=0))
-    return MultichannelReport(
-        reports=reports,
-        weights=weights,
-        aggregate_increments=aggregate,
-        converged=bool(all(r.converged for r in reports)),
     )

@@ -1,5 +1,5 @@
 """Unitary evolution against the closed-form comparison flow, plus
-propagation-speed and boundary-trace behavior."""
+propagation-speed and wall-coupling behavior."""
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -13,12 +13,10 @@ from adsdirac.channel import (
     free_operator,
 )
 from adsdirac.dynamics import (
-    BoundaryTrace,
     CayleyStepper,
     Direction,
     EvolutionConfig,
     NumericError,
-    boundary_trace,
     evolve,
     free_propagate,
 )
@@ -100,6 +98,22 @@ class TestUnitarity:
         assert traj.times[0] == 0.0
         assert traj.times[-1] == pytest.approx(1.0)
         assert len(traj.fields) == len(traj.times) == 6
+
+    def test_one_snapshot_per_requested_time(self):
+        # 1 and 1.001 land on the same step: both get a snapshot, and the
+        # final state closes the list only when no requested time is t_final
+        g = make_grid(-10.0, 64)
+        op = free_operator(g)
+        psi0 = gaussian_packet(g, -5.0, 0.5)
+        wanted = (1.0, 1.001, 2.0)
+        traj = evolve(op, psi0, EvolutionConfig(dt=0.05, t_final=2.0, snapshot_times=wanted))
+        assert traj.times == pytest.approx([0.0, 1.0, 1.0, 2.0])
+        assert np.array_equal(traj.fields[1].values, traj.fields[2].values)
+        longer = evolve(op, psi0, EvolutionConfig(dt=0.05, t_final=3.0, snapshot_times=wanted))
+        assert longer.times == pytest.approx([0.0, 1.0, 1.0, 2.0, 3.0])
+        assert np.array_equal(longer.fields[3].values, traj.final.values)
+        with pytest.raises(ConfigurationError):
+            evolve(op, psi0, EvolutionConfig(dt=0.05, t_final=1.0, snapshot_times=wanted))
 
 
 def _plus_matrix(op, dt, sgn=1.0):
@@ -255,29 +269,15 @@ class TestPropagationSpeed:
 
 
 class TestBoundaryTrace:
-    def test_kernel_field_zero_residual(self):
-        g = make_grid(-5.0, 64)
-        vals = np.zeros((4, g.n), dtype=complex)
-        vals[0] = 1.0
-        vals[2] = -1.0  # ψ₃ = −ψ₁ and ψ₂ = ψ₄ = 0: in ker(γ¹+i)
-        tr = boundary_trace(SpinorField(g, vals))
-        assert tr.mit_residual <= 1e-14
-
     def test_free_solution_wall_coupling(self):
-        # right-moving bump arrives at the wall at t = 2.5: the trace obeys
+        # right-moving bump arrives at the wall at t = 2.5: the wall values,
+        # extrapolated linearly from the last two nodes, obey
         # φ₁(0) = −φ₃(0) mid-reflection.
         g = make_grid(-10.0, 4000)
         vals = np.zeros((4, g.n), dtype=complex)
         vals[0] = bump(g.nodes, -2.5, 0.2)
-        out = free_propagate(SpinorField(g, vals), 2.5, Direction.FORWARD)
-        tr = boundary_trace(out)
-        assert abs(tr.values[0] + tr.values[2]) <= 1e-4
-        assert abs(tr.values[0]) > 0.5  # the bump really is at the wall
-
-    def test_interior_bump_traces_vanish(self):
-        g = make_grid(-10.0, 512)
-        psi = gaussian_packet(g, -5.0, 0.3, components=(1.0, 1.0, 1.0, 1.0))
-        tr = boundary_trace(psi)
-        assert np.max(np.abs(tr.values)) <= 1e-12
-        assert tr.mit_residual <= 1e-10
-        assert isinstance(tr, BoundaryTrace)
+        out = free_propagate(SpinorField(g, vals), 2.5, Direction.FORWARD).values
+        x = g.nodes
+        at_wall = out[:, -1] - (out[:, -1] - out[:, -2]) / (x[-1] - x[-2]) * x[-1]
+        assert abs(at_wall[0] + at_wall[2]) <= 1e-4
+        assert abs(at_wall[0]) > 0.5  # the bump really is at the wall

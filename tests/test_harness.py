@@ -505,6 +505,32 @@ class TestRun:
             assert solve["max_residual"] <= 1e-10 * 1.5
             assert solve["orthonormality_defect"] <= 1e-10
 
+    def test_thin_mourre_window_fails_with_its_level_count(self, tmp_path):
+        cfg = small_config(options={"mourre": {"n": 64, "interval": [100, 101]}})
+        manifest = run(cfg, experiments=["mourre"], out=str(tmp_path), echo=False)
+        (result,) = manifest.results
+        assert result.error is None and result.status == "fail"
+        checks = {c.name: c for c in result.checks}
+        assert sorted(checks) == ["free_quotient", "refinement", "window"]
+        for name in ("window", "refinement"):
+            assert not checks[name].passed
+            assert "holds only 0 levels" in checks[name].detail
+        assert result.files == ["mourre.json"]
+        scalars = json.loads((tmp_path / "mourre.json").read_text())["scalars"]
+        assert scalars["interval"] == [100, 101]
+
+    def test_scatter_schedule_times_on_one_step(self, tmp_path):
+        cfg = parse_config_dict({
+            **MINIMAL, "grid": {"x_min": -16, "n": 256},
+            "options": {"scatter": {"schedule": [1, 1.001, 2]}},
+        })
+        manifest = run(cfg, experiments=["scatter"], out=str(tmp_path), echo=False)
+        (result,) = manifest.results
+        assert result.error is None
+        rows = (tmp_path / "scatter_increments.csv").read_text().splitlines()
+        assert rows[-3] == "t,forward_increment,backward_increment"
+        assert [float(r.split(",")[0]) for r in rows[-2:]] == pytest.approx([1.001, 2])
+
     def test_evolve_records_solver_residuals(self, tmp_path):
         cfg = small_config()
         manifest = run(cfg, experiments=["evolve"], out=str(tmp_path), echo=False)

@@ -7,10 +7,10 @@ import pytest
 from adsdirac.algebra import Channel
 from adsdirac.channel import (
     ConfigurationError,
+    PotentialPair,
     assemble_hamiltonian,
     free_operator,
     potentials_sads,
-    potentials_tabulated,
     potentials_zero,
 )
 from adsdirac.geometry import CoordinateMap, make_params
@@ -224,9 +224,10 @@ class TestMourre:
         too, so a check that credited η would pass this operator."""
         params = make_params(1.0, 1.0, 1.0)
         sads = potentials_sads(params)
-        pair = potentials_tabulated(
+        pair = PotentialPair(
             lambda x: sads.a_ang(x) + 40.0 * np.exp(-((np.asarray(x) + 3.0) ** 2)),
             sads.b_mass,
+            mode="override",
         )
         coarse, fine = (
             assemble_hamiltonian(CHANNEL, params, make_grid(-32.0, n), pair)
@@ -273,7 +274,7 @@ class TestNoEigenvalue:
         cm = CoordinateMap(p)
         two_calls = no_eigenvalue_test(
             0.5, CHANNEL, params=p, depth=8.0,
-            pair=potentials_tabulated(cm.angular_factor_of_x, cm.sqrtF_of_x),
+            pair=PotentialPair(cm.angular_factor_of_x, cm.sqrtF_of_x, mode="override"),
         )
         counts = {"solves": 0, "points": 0}
         solve = CoordinateMap._log_gap
