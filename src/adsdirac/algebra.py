@@ -163,8 +163,3 @@ class Channel:
     def coupling(self) -> float:
         """Strength s + 1/2 multiplying the angular potential √F/r."""
         return self.s + 0.5
-
-    @property
-    def degeneracy(self) -> int:
-        """Number of channels sharing this s: 2s + 1 values of n."""
-        return int(round(2.0 * self.s + 1.0))

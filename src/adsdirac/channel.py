@@ -152,7 +152,6 @@ class ChannelOperator:
     params: Optional[Params]
     grid: Grid
     bc: BoundaryCondition
-    pair: PotentialPair
     matrix: sp.csc_matrix
     a_values: np.ndarray
     b_values: np.ndarray
@@ -171,11 +170,11 @@ class ChannelOperator:
             (4, self.grid.n), order="F"
         )
 
-    def hermiticity_defect(self, n_pairs: int = 100, seed: int = 0) -> float:
-        """max |⟨Hu, v⟩ − ⟨u, Hv⟩| / (‖u‖‖v‖) over random field pairs."""
+    def hermiticity_defect(self, seed: int = 0) -> float:
+        """max |⟨Hu, v⟩ − ⟨u, Hv⟩| / (‖u‖‖v‖) over 100 random field pairs."""
         rng = np.random.default_rng(seed)
         worst = 0.0
-        for _ in range(n_pairs):
+        for _ in range(100):
             u = rng.normal(size=(4, self.grid.n)) + 1j * rng.normal(size=(4, self.grid.n))
             v = rng.normal(size=(4, self.grid.n)) + 1j * rng.normal(size=(4, self.grid.n))
             hu, hv = self.apply(u), self.apply(v)
@@ -293,7 +292,6 @@ def assemble_hamiltonian(
         params=params,
         grid=grid,
         bc=bc,
-        pair=pair,
         matrix=matrix,
         a_values=a_vals,
         b_values=b_vals,

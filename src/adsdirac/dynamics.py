@@ -11,7 +11,7 @@ solver's rounding, never by the step size.  With A = i·dt/2·H and
 M₊ = 𝟙 + A, the same map is (𝟙 + A)⁻¹(𝟙 − A) = 2M₊⁻¹ − 𝟙, so a step is one
 sparse solve y = M₊⁻¹ψ and the update ψ ← 2y − ψ.  Only M₊ is formed and
 factored, once per (operator, dt), and reused across steps.  Every step
-checks its solve with one matvec, r = ψ − M₊y with ‖r‖ ≤ solver_tol·‖ψ‖,
+checks its solve with one matvec, r = ψ − M₊y with ‖r‖ ≤ 1e−10·‖ψ‖,
 refining once before it gives up, and updates by ψ ← 2(y + r) − ψ: adding
 the residual it already has keeps the factor's rounding from building up
 a norm drift.  The state travels as the flat node-major vector that the
@@ -50,6 +50,9 @@ __all__ = [
     "free_propagate",
 ]
 
+#: relative residual ‖ψ − M₊y‖/‖ψ‖ every Cayley solve is held to
+SOLVER_TOL = 1e-10
+
 
 class Direction(Enum):
     FORWARD = "forward"  # e^{−itH}
@@ -66,7 +69,8 @@ class NumericError(RuntimeError):
 
 @dataclass(frozen=True)
 class EvolutionConfig:
-    """Step size, horizon time, snapshot layout, and solver tolerance.
+    """Step size, horizon time and the snapshot times (the final time
+    only when unset).
 
     The step-size guard dt ≤ min(spacing)/2 is about resolving transport
     across a cell, not stability — the scheme is unconditionally stable.
@@ -74,17 +78,13 @@ class EvolutionConfig:
 
     dt: float
     t_final: float
-    n_snapshots: int = 1
     snapshot_times: Optional[Sequence[float]] = None
-    solver_tol: float = 1e-10
 
     def __post_init__(self):
         if not (self.dt > 0):
             raise ConfigurationError("dt must be positive")
         if not (self.t_final > 0):
             raise ConfigurationError("t_final must be positive")
-        if self.n_snapshots < 1:
-            raise ConfigurationError("need at least one snapshot")
 
 
 def check_step(dt: float, grid: Grid) -> None:
@@ -101,7 +101,7 @@ class CayleyStepper:
     """Factorized one-step map; ``direction`` picks e^{∓i·dt·H}.
 
     Keeps M₊ = 𝟙 + i·sgn·dt/2·H and its LU factor.  ``step`` solves
-    y = M₊⁻¹ψ, checks r = ψ − M₊y by ‖r‖ ≤ ``solver_tol``·‖ψ‖ on every call
+    y = M₊⁻¹ψ, checks r = ψ − M₊y by ‖r‖ ≤ ``SOLVER_TOL``·‖ψ‖ on every call
     (one round of iterative refinement, then ``NumericError``) and returns
     2(y + r) − ψ, which is (𝟙 + A)⁻¹(𝟙 − A)ψ up to rounding.
     ``max_residual`` is the largest relative residual ‖r‖/‖ψ‖ of the
@@ -114,14 +114,11 @@ class CayleyStepper:
         op: ChannelOperator,
         dt: float,
         direction: Direction = Direction.FORWARD,
-        solver_tol: float = 1e-10,
     ):
         check_step(dt, op.grid)
         sgn = 1.0 if direction == Direction.FORWARD else -1.0
         eye = sp.identity(op.matrix.shape[0], dtype=complex, format="csc")
         self.dt = dt
-        self.direction = direction
-        self.solver_tol = solver_tol
         self.max_residual = 0.0
         self.refinements = 0
         self._implicit = (eye + 0.5j * sgn * dt * op.matrix).tocsc()
@@ -134,7 +131,7 @@ class CayleyStepper:
         resid = self._implicit @ y
         np.subtract(psi, resid, out=resid)
         scale = _norm(psi)
-        limit = self.solver_tol * max(scale, 1e-30)
+        limit = SOLVER_TOL * max(scale, 1e-30)
         res = _norm(resid)
         if res > limit:
             # one round of iterative refinement before giving up
@@ -190,21 +187,19 @@ def evolve(
     The step count is rounded so an integer number of steps lands exactly
     on t_final (the effective dt never exceeds the requested one); snapshot
     times are snapped to the nearest step.  The fields are the initial
-    state, then one snapshot per requested time in the order asked (two
-    times on the same step give two entries), then the final state unless
-    the last requested time already is t_final.
+    state, then one snapshot per time of ``cfg.snapshot_times`` in the
+    order asked (two times on the same step give two entries), then the
+    final state unless the last requested time already is t_final; with no
+    snapshot times, that is the initial and the final state.
     """
     if not np.array_equal(psi0.grid.nodes, op.grid.nodes):
         raise ConfigurationError("field and operator live on different grids")
 
     n_steps = max(1, int(np.ceil(cfg.t_final / cfg.dt - 1e-12)))
     dt_eff = cfg.t_final / n_steps
-    stepper = CayleyStepper(op, dt_eff, direction, cfg.solver_tol)
+    stepper = CayleyStepper(op, dt_eff, direction)
 
-    if cfg.snapshot_times is not None:
-        wanted = np.asarray(cfg.snapshot_times, dtype=float)
-    else:
-        wanted = np.linspace(0.0, cfg.t_final, cfg.n_snapshots + 1)[1:]
+    wanted = cfg.snapshot_times if cfg.snapshot_times is not None else ()
     snap_steps = [int(round(t / dt_eff)) for t in wanted]
     if any(k < 0 or k > n_steps for k in snap_steps):
         raise ConfigurationError("snapshot times must lie in [0, t_final]")
@@ -256,8 +251,12 @@ def free_propagate(
         ψ₃(x) = ψ₃⁰(x−τ)  if x−τ < 0,  else −ψ₁⁰(−(x−τ))
         ψ₄(x) = ψ₄⁰(x+τ)  if x+τ < 0,  else +ψ₂⁰(−(x+τ))
 
-    Out-of-grid sample arguments are clamped to the end nodes (the data is
-    expected to vanish there; experiments size the grid accordingly).
+    Either way the sample point is −|x ± τ|.  Points in the half-cells
+    between the end nodes and the walls read the end node's value; both lie
+    inside the physical domain.  A point left of x_min has no data: when
+    the output's W-mass at such points exceeds 1e−12·‖ψ⁰‖², the flow has
+    carried content through the artificial wall and ``NumericError`` is
+    raised instead of returning mass made up from the end node.
     """
     grid = psi0.grid
     x = grid.nodes
@@ -271,6 +270,7 @@ def free_propagate(
         return splines[c](clamped)
 
     out = np.zeros((4, grid.n), dtype=complex)
+    outside = np.zeros((4, grid.n), dtype=bool)
     plus, minus = x + tau, x - tau
     for c, (args, partner, sign) in enumerate(
         [(plus, 2, -1.0), (minus, 3, +1.0), (minus, 0, -1.0), (plus, 1, +1.0)]
@@ -278,4 +278,11 @@ def free_propagate(
         direct = args < 0.0
         out[c, direct] = sample(c, args[direct])
         out[c, ~direct] = sign * sample(partner, -args[~direct])
+        outside[c] = -np.abs(args) < grid.x_min
+    lost = float(np.sum((grid.weights * np.abs(out) ** 2)[outside]))
+    if lost > 1e-12 * psi0.norm() ** 2:
+        raise NumericError(
+            "free flow samples data left of x_min; extend the grid",
+            {"t": t, "mass_outside": lost, "x_min": grid.x_min},
+        )
     return SpinorField(grid, out)

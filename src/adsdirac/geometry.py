@@ -191,10 +191,6 @@ class Params:
     def two_ml(self) -> float:
         return 2.0 * self.m * self.l
 
-    @property
-    def cosmological_constant(self) -> float:
-        return -3.0 / (self.l * self.l)
-
 
 def make_params(M: float, l: float, m: float) -> Params:
     """Convenience constructor (mirrors the config entry point)."""

@@ -11,7 +11,7 @@ which makes the centered first-difference operator exactly skew-adjoint in
 ⟨u, v⟩ = Σ_j w_j ū_j v_j for *any* node distribution, and makes the weights
 sum exactly to |x_min|.
 
-Two spacing policies: ``Uniform`` and ``BoundaryGraded`` (cells shrink
+Two spacings: uniform (``n`` cells) and ``BoundaryGraded`` (cells shrink
 geometrically toward x = 0 with a mild ratio, for resolving boundary-layer
 exponents).
 """
@@ -23,7 +23,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 __all__ = [
-    "Uniform",
     "BoundaryGraded",
     "Grid",
     "make_grid",
@@ -32,13 +31,6 @@ __all__ = [
 ]
 
 _MIN_NODES = 16
-
-
-@dataclass(frozen=True)
-class Uniform:
-    """Equal cell widths; give either the width h or let make_grid use n."""
-
-    h: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -109,16 +101,6 @@ class Grid:
             -self.nodes[-1] <= 0.5 * self.max_spacing
         )
 
-    @property
-    def ghost_left(self) -> float:
-        """Mirror image of the first node across the left wall."""
-        return 2.0 * self.x_min - float(self.nodes[0])
-
-    @property
-    def ghost_right(self) -> float:
-        """Mirror image of the last node across x = 0."""
-        return -float(self.nodes[-1])
-
     def inner(self, u: np.ndarray, v: np.ndarray) -> complex:
         """⟨u, v⟩ = Σ_j w_j Σ_k ū_kj v_kj for (4, n) component arrays."""
         return complex(np.sum(self.weights * np.sum(np.conj(u) * v, axis=0)))
@@ -136,34 +118,27 @@ def _nodes_and_weights(edges: np.ndarray):
     return nodes, weights
 
 
-def make_grid(x_min: float, n: Optional[int] = None, policy=None) -> Grid:
-    """Build a grid on (x_min, 0) under the given spacing policy.
+def make_grid(
+    x_min: float, n: Optional[int] = None, policy: Optional[BoundaryGraded] = None
+) -> Grid:
+    """Build a grid on (x_min, 0): ``n`` equal cells, or the cells of a
+    ``BoundaryGraded`` policy.
 
-    Uniform: pass ``n`` or ``Uniform(h)`` (h is snapped so the cells tile
-    the interval exactly).  BoundaryGraded: ``n`` is ignored and the node
-    count follows from (h_min, ratio, h_max); the leftmost cell absorbs the
-    remainder so the edges land exactly on x_min.
+    A graded grid's node count follows from (h_min, ratio, h_max); the
+    leftmost cell absorbs the remainder so the edges land exactly on x_min.
     """
     if not (x_min < 0):
         raise ValueError("x_min must be negative")
     length = -x_min
-    if policy is None:
-        policy = Uniform()
 
-    if isinstance(policy, Uniform):
-        if policy.h is None:
-            if n is None:
-                raise ValueError("Uniform grid needs n or Uniform(h)")
-            count = int(n)
-        else:
-            count = int(round(length / policy.h))
+    if policy is None:
+        if n is None:
+            raise ValueError("a uniform grid needs n")
+        count = int(n)
         if count < _MIN_NODES:
             raise ValueError(f"need at least {_MIN_NODES} nodes, got {count}")
         edges = np.linspace(x_min, 0.0, count + 1)
-        nodes, weights = _nodes_and_weights(edges)
-        return Grid(x_min=float(x_min), nodes=nodes, weights=weights)
-
-    if isinstance(policy, BoundaryGraded):
+    elif isinstance(policy, BoundaryGraded):
         widths = []
         covered, w = 0.0, policy.h_min
         cap = policy.h_max if policy.h_max is not None else np.inf
@@ -192,10 +167,10 @@ def make_grid(x_min: float, n: Optional[int] = None, policy=None) -> Grid:
         steps = np.array(widths[::-1])
         edges = np.concatenate([[x_min], x_min + np.cumsum(steps)])
         edges[-1] = 0.0
-        nodes, weights = _nodes_and_weights(edges)
-        return Grid(x_min=float(x_min), nodes=nodes, weights=weights)
-
-    raise ValueError(f"unknown spacing policy: {policy!r}")
+    else:
+        raise ValueError(f"unknown spacing policy: {policy!r}")
+    nodes, weights = _nodes_and_weights(edges)
+    return Grid(x_min=float(x_min), nodes=nodes, weights=weights)
 
 
 @dataclass
@@ -243,19 +218,14 @@ def gaussian_packet(
     center: float,
     width: float,
     components: Sequence[complex] = (1.0, 0.0, 0.0, 0.0),
-    momentum: float = 0.0,
-    normalize: bool = True,
 ) -> SpinorField:
-    """Gaussian bump e^{−(x−c)²/2σ²} e^{ikx} times a constant spinor."""
+    """Normalized Gaussian bump e^{−(x−c)²/2σ²} times a constant spinor."""
     x = grid.nodes
     profile = np.exp(-((x - center) ** 2) / (2.0 * width**2)).astype(complex)
-    if momentum != 0.0:
-        profile = profile * np.exp(1j * momentum * x)
     values = np.outer(np.asarray(components, dtype=complex), profile)
     psi = SpinorField(grid, values)
-    if normalize:
-        nrm = psi.norm()
-        if nrm == 0.0:
-            raise ValueError("cannot normalize the zero field")
-        psi.values /= nrm
+    nrm = psi.norm()
+    if nrm == 0.0:
+        raise ValueError("cannot normalize the zero field")
+    psi.values /= nrm
     return psi

@@ -5,14 +5,15 @@ A run is described by one JSON file.  Parsing walks one table,
 test demands: unknown keys are errors, a null is the same as a missing key,
 and defaults are filled in.  A short list of rules then ties keys together
 by handing the values to the modules that will consume them (parameters and
-channel, bc against the 2ml regime, the grids, dt against the grid spacing,
-the wave packets).  All complaints are aggregated into a single
-:class:`ConfigError` so a long run cannot die late on a typo.  Execution
-schedules the selected experiments over a bounded thread pool, collects
-results in a fixed order, and emits CSV for traces and JSON for verdicts and
-scalars.  Numeric outputs are byte-reproducible for identical configs: fixed
-seed, fixed float formatting, deterministic solvers.  Timing lives only in
-the manifest, which is the one file allowed to differ between reruns.
+channel, the grids, dt against the grid spacing, the wave packets), and the
+parsed config keeps the grid and the evolution settings those rules built.
+All complaints are aggregated into a single :class:`ConfigError` so a long
+run cannot die late on a typo.  Execution schedules the selected
+experiments over a bounded thread pool, collects results in a fixed order,
+and emits CSV for traces and JSON for verdicts and scalars.  Numeric
+outputs are byte-reproducible for identical configs: fixed seed, fixed
+float formatting, deterministic solvers.  Timing lives only in the
+manifest, which is the one file allowed to differ between reruns.
 
 Config shape (only ``M``, ``l``, ``m``, ``channel`` are required; shown
 with the defaults, ``options`` abridged)::
@@ -20,7 +21,6 @@ with the defaults, ``options`` abridged)::
     {
       "M": 1.0, "l": 1.0, "m": 1.0,
       "channel": [0.5, 0.5],
-      "bc": null,
       "grid": {"x_min": -32.0, "n": 2048, "h_min": null, "ratio": null, "h_max": null},
       "evolution": {"dt": null, "t_final": 10.0, "snapshots": 5},
       "experiments": ["all"],
@@ -29,10 +29,11 @@ with the defaults, ``options`` abridged)::
       "options": {"scatter": {"schedule": [1, 2, 4, 8, 16], "tol": 0.01, ...}, ...}
     }
 
-``bc`` null is the one the regime requires; ``grid`` takes ``n`` or the
-graded triple ``h_min``, ``ratio``, ``h_max``; ``dt`` null is half the
-minimum spacing.  The canonical form of a config is this tree with every
-default filled in, and its SHA-256 is the digest stamped into every report.
+``grid`` takes ``n`` or the graded triple ``h_min``, ``ratio``, ``h_max``;
+``dt`` null is half the minimum spacing.  The boundary condition at the
+wall is the one the 2ml regime requires; every report records it.  The
+canonical form of a config is this tree with every default filled in, and
+its SHA-256 is the digest stamped into every report.
 
 Every emitted number traces to a module operation; the harness itself only
 builds inputs, forwards them, and formats what comes back.
@@ -55,12 +56,10 @@ from scipy.integrate import quad
 from adsdirac import __version__ as VERSION
 from adsdirac.algebra import Channel
 from adsdirac.channel import (
-    BoundaryCondition,
     ChannelOperator,
     ConfigurationError,
     assemble_hamiltonian,
     free_operator,
-    select_bc,
 )
 from adsdirac.dynamics import (
     EvolutionConfig,
@@ -158,7 +157,6 @@ _SCHEMA: Dict = {
     "l": (_REQUIRED, *_POSITIVE),
     "m": (_REQUIRED, lambda v: _is_number(v) and v >= 0, "a non-negative number"),
     "channel": (_REQUIRED, lambda v: _numbers(v, 2), "a pair of numbers [s, n]"),
-    "bc": (None, lambda v: v in ("mit", "natural"), "'mit' or 'natural'"),
     "grid": {
         "x_min": (-32.0, *_NEGATIVE),
         "n": (2048, *_INTEGER),
@@ -296,27 +294,10 @@ def _packet(block: Mapping, grid: Grid, prefix: str = "") -> SpinorField:
     )
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Either a uniform node count or a boundary-graded spacing triple."""
-
-    x_min: float
-    n: Optional[int] = None
-    h_min: Optional[float] = None
-    ratio: Optional[float] = None
-    h_max: Optional[float] = None
-
-    def build(self) -> Grid:
-        if self.n is not None:
-            return make_grid(self.x_min, self.n)
-        return make_grid(
-            self.x_min, policy=BoundaryGraded(self.h_min, self.ratio, self.h_max)
-        )
-
-
-def _grid_spec(block: Dict, raw) -> GridSpec:
+def _grid(block: Dict, raw) -> Grid:
     """Settle the grid block on ``n`` or the graded triple, whichever was
-    given; the other leaves the block, and so the canonical form."""
+    given, and build the grid; the other leaves the block, and so the
+    canonical form."""
     given = {k for k, v in (raw or {}).items() if v is not None}
     graded = given & set(_TRIPLE)
     if graded and "n" in given:
@@ -325,24 +306,20 @@ def _grid_spec(block: Dict, raw) -> GridSpec:
         raise ValueError("graded spacing needs h_min, ratio and h_max")
     if graded:
         del block["n"]
-        return GridSpec(block["x_min"], None, *(block[k] for k in _TRIPLE))
+        return _graded_grid(block)
     for key in _TRIPLE:
         del block[key]
-    return GridSpec(block["x_min"], block["n"])
+    return make_grid(block["x_min"], block["n"])
 
 
-@dataclass(frozen=True)
-class EvolutionSpec:
-    """Step, horizon time, snapshot count; dt=None means half the spacing."""
-
-    dt: Optional[float]
-    t_final: float
-    snapshots: int
-
-    def to_config(self, grid: Grid) -> EvolutionConfig:
-        dt = self.dt if self.dt is not None else 0.5 * grid.min_spacing
-        check_step(dt, grid)
-        return EvolutionConfig(dt=dt, t_final=self.t_final, n_snapshots=self.snapshots)
+def _evolution(block: Mapping, grid: Grid) -> EvolutionConfig:
+    """The evolution block on ``grid``: dt null is half the minimum
+    spacing, and the snapshots are evenly spaced up to t_final."""
+    dt = block["dt"] if block["dt"] is not None else 0.5 * grid.min_spacing
+    check_step(dt, grid)
+    t_final = block["t_final"]
+    times = np.linspace(0.0, t_final, block["snapshots"] + 1)[1:]
+    return EvolutionConfig(dt=dt, t_final=t_final, snapshot_times=tuple(times.tolist()))
 
 
 @dataclass(frozen=True)
@@ -357,9 +334,8 @@ class ExperimentConfig:
 
     params: Params
     channel: Channel
-    bc: BoundaryCondition
-    grid: GridSpec
-    evolution: EvolutionSpec
+    grid: Grid
+    evolution: EvolutionConfig
     experiments: Tuple[str, ...]
     out: str
     seed: int
@@ -369,7 +345,7 @@ class ExperimentConfig:
 
     def operator(self, grid: Optional[Grid] = None) -> ChannelOperator:
         return assemble_hamiltonian(
-            self.channel, self.params, grid if grid is not None else self.grid.build()
+            self.channel, self.params, grid if grid is not None else self.grid
         )
 
     def option(self, experiment: str, key: str, default=None):
@@ -398,25 +374,13 @@ def parse_config_dict(data: Mapping) -> ExperimentConfig:
             errors.append(f"{label}: {exc}")
             return None
 
-    def regime(params: Params) -> None:
-        required = select_bc(params).value
-        if tree["bc"] not in (None, required):
-            raise ValueError(
-                f"{tree['bc']!r} contradicts regime {params.regime.value} "
-                f"(2ml = {params.two_ml:g} requires {required!r})"
-            )
-        tree["bc"] = required
-
     opts = tree.get("options", {})
     params = rule("params", lambda: make_params(tree["M"], tree["l"], tree["m"]))
     channel = rule("channel", lambda: Channel(*tree["channel"]))
-    if params is not None:
-        rule("bc", lambda: regime(params))
-    grid = rule("grid", lambda: _grid_spec(tree["grid"], data.get("grid")).build())
+    grid = rule("grid", lambda: _grid(tree["grid"], data.get("grid")))
+    evolution = None
     if grid is not None:
-        ev = tree.get("evolution", {})
-        rule("evolution", lambda: EvolutionSpec(
-            ev["dt"], ev["t_final"], ev["snapshots"]).to_config(grid))
+        evolution = rule("evolution", lambda: _evolution(tree["evolution"], grid))
         for name, prefix in (("evolve", ""), ("scatter", ""), ("scatter", "target_"),
                              ("velocity", "")):
             label = f"options.{name}: {prefix.replace('_', ' ')}packet"
@@ -435,9 +399,8 @@ def parse_config_dict(data: Mapping) -> ExperimentConfig:
     return ExperimentConfig(
         params=params,
         channel=channel,
-        bc=BoundaryCondition(tree["bc"]),
-        grid=GridSpec(**tree["grid"]),
-        evolution=EvolutionSpec(**tree["evolution"]),
+        grid=grid,
+        evolution=evolution,
         experiments=tuple(tree["experiments"]),
         out=tree["out"],
         seed=tree["seed"],
@@ -627,8 +590,8 @@ def _run_geometry(cfg: ExperimentConfig, out_dir: Path) -> ExperimentResult:
 def _run_evolve(cfg: ExperimentConfig, out_dir: Path) -> ExperimentResult:
     """Unitary flow on the configured operator plus the free-flow oracle."""
     res = ExperimentResult("evolve")
-    grid = cfg.grid.build()
-    op = cfg.operator(grid)
+    grid = cfg.grid
+    op = cfg.operator()
 
     herm = op.hermiticity_defect(seed=cfg.seed)
     res.checks.append(
@@ -636,7 +599,7 @@ def _run_evolve(cfg: ExperimentConfig, out_dir: Path) -> ExperimentResult:
     )
 
     psi0 = _packet(cfg.options["evolve"], grid)
-    traj = evolve(op, psi0, cfg.evolution.to_config(grid))
+    traj = evolve(op, psi0, cfg.evolution)
     res.checks.append(
         CheckLine(
             "unitarity", traj.norm_drift <= 1e-8,
@@ -695,8 +658,8 @@ def _run_scatter(cfg: ExperimentConfig, out_dir: Path) -> ExperimentResult:
     """Wave operators along a dyadic schedule, their adjoint pairing, and
     the trivial self-comparison that must come out exactly zero."""
     res = ExperimentResult("scatter")
-    grid = cfg.grid.build()
-    op = cfg.operator(grid)
+    grid = cfg.grid
+    op = cfg.operator()
     schedule = cfg.option("scatter", "schedule")
     tol = cfg.option("scatter", "tol")
 
@@ -768,15 +731,26 @@ def _run_scatter(cfg: ExperimentConfig, out_dir: Path) -> ExperimentResult:
 
 def _run_velocity(cfg: ExperimentConfig, out_dir: Path) -> ExperimentResult:
     """Propagation-velocity diagnostics from one evolution: minimal and
-    maximal cutoff traces, the light-cone sandwich, and ⟨𝒜/t⟩ → 1."""
+    maximal cutoff traces, the light-cone sandwich, and ⟨𝒜/t⟩ → 1.
+
+    Content moving left at unit speed must stay on the grid until the last
+    trace time; a shorter domain records the four checks as FAIL lines
+    saying so, and the trace file is written with its header only."""
     res = ExperimentResult("velocity")
-    grid = cfg.grid.build()
-    op = cfg.operator(grid)
+    grid = cfg.grid
+    op = cfg.operator()
     times = cfg.option("velocity", "times")
+    csv = out_dir / "velocity_traces.csv"
+    columns = ("t", "minimal", "maximal", "unit", "cone", "v")
     if abs(grid.x_min) < times[-1] + 6.0:
-        raise ConfigurationError(
-            f"velocity traces to t = {times[-1]:g} need x_min <= -{times[-1] + 6:g}"
-        )
+        short = f"velocity traces to t = {times[-1]:g} need x_min <= -{times[-1] + 6:g}"
+        for name in ("minimal", "maximal", "cone", "asymptotic"):
+            res.checks.append(CheckLine(name, False, short))
+        res.scalars = {"bc": op.bc.value}
+        write_csv(csv, cfg.digest, columns, [])
+        res.files.append(csv.name)
+        _finish(res, cfg, out_dir, "velocity.json")
+        return res
     phi = _packet(cfg.options["velocity"], grid)
     rep = velocity_report(
         phi, times, op,
@@ -820,9 +794,8 @@ def _run_velocity(cfg: ExperimentConfig, out_dir: Path) -> ExperimentResult:
         "unit_final": float(rep.unit_values[-1]),
         "bc": op.bc.value,
     }
-    csv = out_dir / "velocity_traces.csv"
     write_csv(
-        csv, cfg.digest, ("t", "minimal", "maximal", "unit", "cone", "v"),
+        csv, cfg.digest, columns,
         [
             (
                 times[k],
@@ -842,7 +815,8 @@ def _run_velocity(cfg: ExperimentConfig, out_dir: Path) -> ExperimentResult:
 
 def _run_mourre(cfg: ExperimentConfig, out_dir: Path) -> ExperimentResult:
     """Commutator positivity on a spectral window, cross-checked under
-    refinement, plus the free operator where the quotient is exactly one."""
+    refinement, plus the free operator on the coarse grid, where the
+    quotient is exactly one."""
     res = ExperimentResult("mourre")
     n = cfg.option("mourre", "n")
     factor = cfg.option("mourre", "fine_factor")
@@ -891,7 +865,7 @@ def _run_mourre(cfg: ExperimentConfig, out_dir: Path) -> ExperimentResult:
         })
 
     try:
-        free = reports["free"] = mourre_check(free_operator(make_grid(-16.0, 320)), interval, eps)
+        free = reports["free"] = mourre_check(free_operator(coarse.grid), interval, eps)
     except ConfigurationError as exc:
         res.checks.append(CheckLine("free_quotient", False, f"free operator: {exc}"))
     else:

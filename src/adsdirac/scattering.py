@@ -1,5 +1,5 @@
-"""Wave operators and their adjoint pairing, velocity-cutoff diagnostics,
-and the asymptotic velocity — one channel at a time.
+"""Wave operators and their adjoint pairing, and the velocity diagnostics —
+one channel at a time.
 
 Wave operators are estimated hybrid-fashion: the interacting factor is the
 discrete unitary flow, while the comparison factor e^{±itH_c} is applied in
@@ -8,7 +8,8 @@ discretization error.  Passing ``free_factor="discrete"`` replaces the
 closed form by backward Cayley stepping under the assembled free generator;
 since the backward Cayley step is the exact algebraic inverse of the
 forward one, the zero-potential composition then collapses to the identity
-at solver rounding — the trivial oracle for the whole pipeline.
+at solver rounding — the trivial oracle for the whole pipeline.  Any other
+``free_factor`` is a ``ConfigurationError``.
 
 Convergence of Ω_k φ = e^{+it_kH_c} e^{−it_kH} φ along a geometric schedule
 is judged by the Cauchy increments ‖Ω_{k+1}φ − Ω_kφ‖: "converged" means the
@@ -19,18 +20,19 @@ two finite-time estimates are from adjoint: |⟨Ωφ, ψ⟩ − ⟨φ, Wψ⟩|.
 
 The conjugate observable 𝒜/t is pointwise multiplication by Γ¹x/t, so the
 functional calculus J(𝒜/t) is pointwise evaluation of J at ±x/t per
-component.  Cutoffs are C² quintic steps with explicit support metadata;
-``velocity_report`` evaluates every velocity diagnostic on the snapshots
-of one evolution.
+component.  ``velocity_report`` evaluates every velocity diagnostic —
+the minimal and maximal velocity traces with C² quintic cutoffs, the cone
+mass fraction and the mean velocity ⟨𝒜/t⟩ — as one weighted sum each over
+the density of every snapshot of one evolution.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .algebra import Channel, VELOCITY
+from .algebra import VELOCITY
 from .channel import ChannelOperator, ConfigurationError, free_operator
 from .dynamics import Direction, EvolutionConfig, NumericError, evolve, free_propagate
 from .grids import SpinorField
@@ -40,14 +42,9 @@ __all__ = [
     "wave_operator_forward",
     "wave_operator_backward",
     "adjointness_residual",
-    "CutoffSpec",
     "quintic_step",
-    "minimal_velocity_cutoff",
-    "maximal_velocity_cutoff",
-    "constant_cutoff",
     "VelocityReport",
     "velocity_report",
-    "cone_mass_fraction",
 ]
 
 _CONVERGED_FRACTION = 1e-2  # final increment vs ‖φ‖; engineering choice
@@ -60,17 +57,12 @@ _ROUNDING_FLOOR = 1e-9  # below this (relative) the tail is solver noise
 class ScatteringReport:
     """One wave-operator estimate along a geometric schedule."""
 
-    channel: Channel
     times: np.ndarray
     increments: np.ndarray
     limit: SpinorField
     input_norm: float
     limit_norm: float
     converged: bool
-
-    @property
-    def final_increment(self) -> float:
-        return float(self.increments[-1])
 
 
 def _verdict(increments: np.ndarray, input_norm: float) -> bool:
@@ -84,7 +76,11 @@ def _verdict(increments: np.ndarray, input_norm: float) -> bool:
     return small and (monotone or at_floor)
 
 
-def _check_schedule(schedule: Sequence[float]):
+def _check_schedule(schedule: Sequence[float], free_factor: str):
+    if free_factor not in ("exact", "discrete"):
+        raise ConfigurationError(
+            f"free_factor must be 'exact' or 'discrete', got {free_factor!r}"
+        )
     t = np.asarray(schedule, dtype=float)
     if t.size < 3 or np.any(np.diff(t) <= 0) or np.any(t <= 0):
         raise ConfigurationError("schedule must be at least 3 increasing positive times")
@@ -113,7 +109,7 @@ def wave_operator_forward(
     The interacting evolution runs once with snapshots at the schedule
     times; each snapshot is pulled back by the free flow.
     """
-    times = _check_schedule(schedule)
+    times = _check_schedule(schedule, free_factor)
     cfg = EvolutionConfig(
         dt=op.grid.min_spacing / 2, t_final=float(times[-1]), snapshot_times=times
     )
@@ -130,7 +126,6 @@ def wave_operator_forward(
     )
     nrm = phi.norm()
     return ScatteringReport(
-        channel=op.channel,
         times=np.asarray(traj.times[1:]),
         increments=increments,
         limit=omegas[-1],
@@ -151,7 +146,7 @@ def wave_operator_backward(
     Mirror of the forward operator: the free factor is exact, the
     interacting factor is the discrete backward flow (one run per t_k —
     the inputs differ, so nothing can be shared)."""
-    times = _check_schedule(schedule)
+    times = _check_schedule(schedule, free_factor)
     outs: List[SpinorField] = []
     for t in times:
         zeta = _free_flow(op, psi, float(t), free_factor, Direction.FORWARD)
@@ -162,7 +157,6 @@ def wave_operator_backward(
     )
     nrm = psi.norm()
     return ScatteringReport(
-        channel=op.channel,
         times=times,
         increments=increments,
         limit=outs[-1],
@@ -184,82 +178,12 @@ def adjointness_residual(
     return float(abs(lhs - rhs))
 
 
-# ---------------------------------------------------------- velocity cutoffs
+# ------------------------------------------------------- velocity diagnostics
 
 def quintic_step(t):
     """C² monotone step: 0 for t ≤ 0, 1 for t ≥ 1, 10t³ − 15t⁴ + 6t⁵ between."""
     t = np.clip(np.asarray(t, dtype=float), 0.0, 1.0)
     return t**3 * (10.0 - 15.0 * t + 6.0 * t * t)
-
-
-@dataclass(frozen=True)
-class CutoffSpec:
-    """Named cutoff with support metadata (nonzero strictly inside)."""
-
-    name: str
-    fn: Callable
-    support_lo: float
-    support_hi: float
-
-
-def minimal_velocity_cutoff(delta: float) -> CutoffSpec:
-    """≡1 below 1−2δ, C²-decays to 0 across [1−2δ, 1−δ]; support ⊂ (−∞, 1−δ)."""
-    if not (0 < delta < 0.5):
-        raise ConfigurationError("need 0 < delta < 1/2")
-    lo, hi = 1.0 - 2.0 * delta, 1.0 - delta
-
-    def fn(v):
-        return 1.0 - quintic_step((np.asarray(v, dtype=float) - lo) / (hi - lo))
-
-    return CutoffSpec(name=f"minimal(delta={delta})", fn=fn, support_lo=-np.inf, support_hi=hi)
-
-
-def maximal_velocity_cutoff(eps: float) -> CutoffSpec:
-    """0 below 1+ε, C²-grows to 1 across [1+ε, 1+2ε]; support ⊂ (1+ε, ∞)."""
-    if not (eps > 0):
-        raise ConfigurationError("need eps > 0")
-    lo, hi = 1.0 + eps, 1.0 + 2.0 * eps
-
-    def fn(v):
-        return quintic_step((np.asarray(v, dtype=float) - lo) / (hi - lo))
-
-    return CutoffSpec(name=f"maximal(eps={eps})", fn=fn, support_lo=lo, support_hi=np.inf)
-
-
-def constant_cutoff() -> CutoffSpec:
-    return CutoffSpec(
-        name="one",
-        fn=lambda v: np.ones_like(np.asarray(v, dtype=float)),
-        support_lo=-np.inf,
-        support_hi=np.inf,
-    )
-
-
-def _cutoff_expectation(field: SpinorField, t: float, cutoff: CutoffSpec) -> float:
-    """⟨ψ, J(𝒜/t)ψ⟩ — pointwise since 𝒜/t multiplies component k by Γ¹_kk·x/t."""
-    signs = np.diag(VELOCITY)
-    x = field.grid.nodes
-    w = field.grid.weights
-    total = 0.0
-    for c in range(4):
-        total += float(
-            np.sum(w * cutoff.fn(signs[c] * x / t) * np.abs(field.values[c]) ** 2)
-        )
-    return total
-
-
-def cone_mass_fraction(field: SpinorField, t: float, delta: float = 0.25) -> float:
-    """Mass fraction with the velocity observable Γ¹x/t inside [1−δ, 1+δ]."""
-    signs = np.diag(VELOCITY)
-    x = field.grid.nodes
-    w = field.grid.weights
-    total, inside = 0.0, 0.0
-    for c in range(4):
-        dens = w * np.abs(field.values[c]) ** 2
-        arg = signs[c] * x / t
-        total += float(np.sum(dens))
-        inside += float(np.sum(dens[(arg >= 1.0 - delta) & (arg <= 1.0 + delta)]))
-    return inside / total if total > 0 else 0.0
 
 
 def _fields_at_times(
@@ -284,26 +208,7 @@ class VelocityReport:
     cone_fractions: np.ndarray
     v_values: np.ndarray
     v_extrapolated: float
-    minimal_cutoff: CutoffSpec
-    maximal_cutoff: CutoffSpec
     cone_delta: float
-
-
-def _mean_velocity(field: SpinorField, t: float) -> float:
-    mass = field.norm() ** 2
-    if mass < 1e-8:
-        raise NumericError(
-            "state mass vanished while tracing the velocity — content has "
-            "left the grid; extend x_min past the largest trace time",
-            {"t": t, "mass": mass, "x_min": field.grid.x_min},
-        )
-    signs = np.diag(VELOCITY)
-    acc = 0.0
-    for c in range(4):
-        acc += float(
-            np.sum(field.grid.weights * (signs[c] * field.grid.nodes / t) * np.abs(field.values[c]) ** 2)
-        )
-    return acc / mass
 
 
 def velocity_report(
@@ -314,10 +219,27 @@ def velocity_report(
     eps: float = 0.2,
     cone_delta: float = 0.25,
 ) -> VelocityReport:
-    """Minimal/maximal cutoff traces, cone mass fractions, and the mean
-    velocity ⟨𝒜/t⟩ with its Richardson limit — all from a single evolution
-    under the discrete flow of ``op`` (the exact free flow when ``op`` is
-    None).  The input is normalized, so v(t) is a mean velocity."""
+    """Velocity traces ⟨ψ(t), J(𝒜/t)ψ(t)⟩ from a single evolution under
+    the discrete flow of ``op`` (the exact free flow when ``op`` is None).
+
+    The input is normalized, and each snapshot gives the density
+    w·|ψ_k|² and the velocity Γ¹_kk·x/t per component; every diagnostic is
+    one weighted sum over them:
+
+    * minimal: J ≡ 1 below 1 − 2δ, C²-decaying to 0 at 1 − δ;
+    * maximal: J ≡ 0 below 1 + ε, C²-growing to 1 at 1 + 2ε;
+    * unit: J ≡ 1, the squared norm;
+    * cone: the mass fraction with velocity in [1 − δ_c, 1 + δ_c];
+    * v: the mean velocity ⟨𝒜/t⟩, with its Richardson limit from the last
+      two times.
+
+    Raises ``ConfigurationError`` unless 0 < δ < 1/2 and ε > 0, and
+    ``NumericError`` when the mass has left the grid.
+    """
+    if not (0 < delta < 0.5):
+        raise ConfigurationError("need 0 < delta < 1/2")
+    if not (eps > 0):
+        raise ConfigurationError("need eps > 0")
     times = np.asarray(times, dtype=float)
     if np.any(times <= 0) or np.any(np.diff(times) <= 0):
         raise ConfigurationError("times must be positive and increasing")
@@ -325,23 +247,36 @@ def velocity_report(
     if nrm == 0:
         raise ConfigurationError("cannot trace the zero field")
     phi = SpinorField(phi.grid, phi.values / nrm)
-    j_min = minimal_velocity_cutoff(delta)
-    j_max = maximal_velocity_cutoff(eps)
-    j_one = constant_cutoff()
-    fields = _fields_at_times(phi, times, op)
-    ts = [float(t) for t in times]
-    v_vals = np.array([_mean_velocity(f, t) for t, f in zip(ts, fields)])
+    signs = np.diag(VELOCITY)[:, None]
+    rows = []
+    for t, field in zip(times, _fields_at_times(phi, times, op)):
+        dens = field.grid.weights * np.abs(field.values) ** 2
+        arg = signs * field.grid.nodes / t
+        mass = float(np.sum(dens))
+        if mass < 1e-8:
+            raise NumericError(
+                "state mass vanished while tracing the velocity — content has "
+                "left the grid; extend x_min past the largest trace time",
+                {"t": float(t), "mass": mass, "x_min": field.grid.x_min},
+            )
+        cone = (arg >= 1.0 - cone_delta) & (arg <= 1.0 + cone_delta)
+        rows.append((
+            np.sum(dens * (1.0 - quintic_step((arg - 1.0 + 2.0 * delta) / delta))),
+            np.sum(dens * quintic_step((arg - 1.0 - eps) / eps)),
+            mass,
+            np.sum(dens[cone]) / mass,
+            np.sum(dens * arg) / mass,
+        ))
+    minimal, maximal, unit, cone_fractions, v_vals = np.array(rows).T
     t1, t2 = times[-2], times[-1]
     v1, v2 = v_vals[-2], v_vals[-1]
     return VelocityReport(
         times=times,
-        minimal_values=np.array([_cutoff_expectation(f, t, j_min) for t, f in zip(ts, fields)]),
-        maximal_values=np.array([_cutoff_expectation(f, t, j_max) for t, f in zip(ts, fields)]),
-        unit_values=np.array([_cutoff_expectation(f, t, j_one) for t, f in zip(ts, fields)]),
-        cone_fractions=np.array([cone_mass_fraction(f, t, cone_delta) for t, f in zip(ts, fields)]),
+        minimal_values=minimal,
+        maximal_values=maximal,
+        unit_values=unit,
+        cone_fractions=cone_fractions,
         v_values=v_vals,
         v_extrapolated=float((v2 * t2 - v1 * t1) / (t2 - t1)),
-        minimal_cutoff=j_min,
-        maximal_cutoff=j_max,
         cone_delta=cone_delta,
     )

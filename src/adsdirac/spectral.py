@@ -27,7 +27,7 @@ Three numerical shadows of the channel operator's spectral theory:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 import scipy.linalg as sla
@@ -64,6 +64,9 @@ _MAX_DIM = 4 * 4096
 #: first number of pairs asked of the shift-invert Lanczos solve; doubled
 #: until the farthest returned level lies outside the window
 _FIRST_K = 16
+#: the no-eigenvalue verdict: ‖Φ_X − Φ_{2X}‖₂ and cond₂ Φ_X at most these
+_CONVERGE_TOL = 1e-8
+_COND_LIMIT = 1e3
 
 
 # ---------------------------------------------------------- eigendecompose
@@ -84,11 +87,6 @@ class SpectralDecomposition:
     max_residual: float
     orthonormality_defect: float
     requested: int
-
-    def eigenfield(self, k: int) -> SpinorField:
-        return SpinorField(
-            self.grid, self.vectors[:, k].reshape((4, self.grid.n), order="F").copy()
-        )
 
     def count_in(self, a: float, b: float) -> int:
         return int(np.sum((self.eigenvalues >= a) & (self.eigenvalues <= b)))
@@ -218,7 +216,6 @@ def eigendecompose(
 
 @dataclass
 class MourreReport:
-    interval: Tuple[float, float]
     eps: float
     n_states: int
     min_quotient: float
@@ -268,7 +265,6 @@ def mourre_check(
     min_q = float(sla.eigvalsh(quot).min())
     eta = float(np.max(np.abs(sla.eigvalsh(quot - np.eye(k)))))
     return MourreReport(
-        interval=(a, b),
         eps=float(eps),
         n_states=k,
         min_quotient=min_q,
@@ -313,9 +309,6 @@ def mourre_refinement_study(
 
 @dataclass
 class NoEigenvalueReport:
-    lam: float
-    x0: float
-    depth: float
     propagation: np.ndarray  # Φ(−X → x₀)
     depth_difference: float  # ‖Φ_X − Φ_{2X}‖₂
     condition: float  # cond₂ Φ_X
@@ -349,8 +342,6 @@ def no_eigenvalue_test(
     depth: float = 30.0,
     x0: float = -1.0,
     rtol: float = 1e-10,
-    converge_tol: float = 1e-8,
-    cond_limit: float = 1e3,
 ) -> NoEigenvalueReport:
     """Propagation-matrix convergence for the eigenfunction ODE at energy λ.
 
@@ -403,14 +394,11 @@ def no_eigenvalue_test(
     wn = np.array([np.linalg.norm(w_matrix(x), 2) for x in xs])
     tail = float(np.trapezoid(wn, xs))
     return NoEigenvalueReport(
-        lam=float(lam),
-        x0=float(x0),
-        depth=float(depth),
         propagation=phi,
         depth_difference=difference,
         condition=condition,
         integral_tail=tail,
-        invertible_limit=bool(difference <= converge_tol and condition <= cond_limit),
+        invertible_limit=bool(difference <= _CONVERGE_TOL and condition <= _COND_LIMIT),
     )
 
 
@@ -419,8 +407,6 @@ def no_eigenvalue_test(
 @dataclass
 class BoundaryFitReport:
     slope: Optional[float]
-    intercept: Optional[float]
-    window: Tuple[float, float]  # (−x) range used for the fit
     n_points: int
     fitted: bool
     reason: str
@@ -470,23 +456,20 @@ def boundary_exponent_fit(
     window[-3:] = False
     window &= unorm > 0.0
     n_pts = int(window.sum())
-    w_range = (float(t_ref), float(10.0 * t_ref))
     if n_pts < 5:
         return BoundaryFitReport(
-            slope=None, intercept=None, window=w_range, n_points=n_pts,
+            slope=None, n_points=n_pts,
             fitted=False, reason="fit window holds fewer than 5 nodes",
             target=_slope_target(op),
         )
     if unorm[window].max() < 1e-10 * unorm.max():
         return BoundaryFitReport(
-            slope=None, intercept=None, window=w_range, n_points=n_pts,
+            slope=None, n_points=n_pts,
             fitted=False, reason="no boundary tail", target=_slope_target(op),
         )
-    slope, intercept = np.polyfit(np.log(t[window]), np.log(unorm[window]), 1)
+    slope, _ = np.polyfit(np.log(t[window]), np.log(unorm[window]), 1)
     return BoundaryFitReport(
         slope=float(slope),
-        intercept=float(intercept),
-        window=w_range,
         n_points=n_pts,
         fitted=True,
         reason="",

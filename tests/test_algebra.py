@@ -158,7 +158,6 @@ class TestChannel:
     def test_valid(self, s, n):
         ch = Channel(s, n)
         assert ch.coupling == s + 0.5
-        assert ch.degeneracy == round(2 * s + 1)
 
     @pytest.mark.parametrize(
         "s,n",

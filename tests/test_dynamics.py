@@ -37,8 +37,6 @@ class TestConfig:
             EvolutionConfig(dt=-0.1, t_final=1.0)
         with pytest.raises(ConfigurationError):
             EvolutionConfig(dt=0.1, t_final=0.0)
-        with pytest.raises(ConfigurationError):
-            EvolutionConfig(dt=0.1, t_final=1.0, n_snapshots=0)
 
     def test_step_size_guard(self):
         g = make_grid(-10.0, 64)  # spacing 0.15625
@@ -94,10 +92,14 @@ class TestUnitarity:
         g = make_grid(-10.0, 64)
         op = free_operator(g)
         psi0 = gaussian_packet(g, -5.0, 0.5)
-        traj = evolve(op, psi0, EvolutionConfig(dt=0.05, t_final=1.0, n_snapshots=5))
-        assert traj.times[0] == 0.0
-        assert traj.times[-1] == pytest.approx(1.0)
+        wanted = (0.2, 0.4, 0.6, 0.8, 1.0)
+        traj = evolve(op, psi0, EvolutionConfig(dt=0.05, t_final=1.0, snapshot_times=wanted))
+        assert traj.times == pytest.approx([0.0, *wanted])
         assert len(traj.fields) == len(traj.times) == 6
+        # unset: the initial and the final state only
+        final = evolve(op, psi0, EvolutionConfig(dt=0.05, t_final=1.0))
+        assert final.times == pytest.approx([0.0, 1.0])
+        assert np.array_equal(final.final.values, traj.final.values)
 
     def test_one_snapshot_per_requested_time(self):
         # 1 and 1.001 land on the same step: both get a snapshot, and the
@@ -158,7 +160,7 @@ class TestCayleyStep:
         small._lu = splu((plus + 1e-9 * noise).tocsc())
         out = small.step(psi)
         assert small.refinements == 1
-        assert 0.0 < small.max_residual <= small.solver_tol
+        assert 0.0 < small.max_residual <= dynamics.SOLVER_TOL
         assert np.linalg.norm(out - exact) <= 1e-12 * np.linalg.norm(psi)
 
         large = CayleyStepper(op, dt)
@@ -166,7 +168,7 @@ class TestCayleyStep:
         with pytest.raises(NumericError) as err:
             large.step(psi)
         diag = err.value.diagnostics
-        assert diag["residual"] > large.solver_tol * diag["rhs_norm"]
+        assert diag["residual"] > dynamics.SOLVER_TOL * diag["rhs_norm"]
         assert diag["dt"] == dt
 
     def test_trajectory_records_solver_residuals(self, monkeypatch):
@@ -176,7 +178,7 @@ class TestCayleyStep:
         cfg = EvolutionConfig(dt=g.min_spacing / 2, t_final=1.0)
         clean = evolve(op, psi0, cfg)
         assert clean.refinements == 0
-        assert 0.0 < clean.max_residual <= cfg.solver_tol
+        assert 0.0 < clean.max_residual <= dynamics.SOLVER_TOL
         # every factor perturbed: every step refines, and the count says so
         exact_splu = dynamics.splu
 
@@ -186,11 +188,24 @@ class TestCayleyStep:
         monkeypatch.setattr(dynamics, "splu", perturbed_splu)
         refined = evolve(op, psi0, cfg)
         assert refined.refinements == refined.steps
-        assert 0.0 < refined.max_residual <= cfg.solver_tol
+        assert 0.0 < refined.max_residual <= dynamics.SOLVER_TOL
         assert g.norm(refined.final.values - clean.final.values) <= 1e-12
 
 
 class TestFreeOracle:
+    def test_sampling_left_of_the_grid_raises(self):
+        # a right-mover 1 from the artificial wall, run forward for t = 2,
+        # would read its data from x − 2 < x_min: mass made up from the end
+        # node (norm 1.025 with the old clamp) instead of an error
+        g = make_grid(-16.0, 320)
+        psi = gaussian_packet(g, -15.0, 0.5, components=(1.0, 0.0, 0.0, 0.0))
+        with pytest.raises(NumericError, match="x_min") as err:
+            free_propagate(psi, 2.0, Direction.FORWARD)
+        assert err.value.diagnostics["mass_outside"] > 1e-12
+        # away from the wall the same flow stays silent and unitary
+        inside = gaussian_packet(g, -8.0, 0.5, components=(1.0, 0.0, 0.0, 0.0))
+        assert free_propagate(inside, 2.0, Direction.FORWARD).norm() == pytest.approx(1.0)
+
     def test_worked_reflection_example(self):
         # (0, g, 0, 0) with g on (−3, −2), backward flow for t = 4:
         # everything lands in component 4 as g(−x−4), supported in (−2, −1).

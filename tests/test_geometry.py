@@ -132,7 +132,6 @@ class TestParams:
         assert p.alpha1 == pytest.approx(0.25, rel=1e-14)
         assert p.c_const == pytest.approx(5.0 / (4.0 * math.sqrt(7.0)), rel=1e-14)
         assert p.regime is Regime.SUPERCRITICAL
-        assert p.cosmological_constant == pytest.approx(-3.0)
 
     def test_alpha1_is_inverse_double_kappa(self):
         for M, l in [(1, 1), (2, 1.5), (1, 4), (0.25, 6)]:

@@ -6,18 +6,12 @@ from adsdirac.grids import (
     BoundaryGraded,
     Grid,
     SpinorField,
-    Uniform,
     gaussian_packet,
     make_grid,
 )
 
 
 class TestUniform:
-    def test_example_node_count(self):
-        g = make_grid(-20.0, policy=Uniform(h=0.01))
-        assert g.n == 2000
-        assert np.unique(g.nodes).size == 2000
-
     def test_nodes_inside_and_increasing(self):
         g = make_grid(-5.0, 64)
         assert np.all(np.diff(g.nodes) > 0)
@@ -32,11 +26,6 @@ class TestUniform:
     def test_weights_sum_to_length(self):
         g = make_grid(-20.0, 256)
         assert np.sum(g.weights) == pytest.approx(20.0, abs=1e-12)
-
-    def test_ghost_mirrors(self):
-        g = make_grid(-8.0, 64)
-        assert g.ghost_left == pytest.approx(2 * -8.0 - g.nodes[0])
-        assert g.ghost_right == pytest.approx(-g.nodes[-1])
 
     def test_needs_count_or_width(self):
         with pytest.raises(ValueError):
@@ -142,7 +131,7 @@ class TestSpinorField:
 
     def test_gaussian_normalized(self):
         g = make_grid(-10.0, 256)
-        psi = gaussian_packet(g, -4.0, 0.3, components=(1, 2j, 0, -1), momentum=3.0)
+        psi = gaussian_packet(g, -4.0, 0.3, components=(1, 2j, 0, -1))
         assert psi.norm() == pytest.approx(1.0, rel=1e-13)
 
     def test_zero_packet_rejected(self):

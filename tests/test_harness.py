@@ -23,11 +23,7 @@ from adsdirac.harness import (
     parse_config_dict,
     run,
 )
-from adsdirac.scattering import (
-    _check_schedule,
-    maximal_velocity_cutoff,
-    minimal_velocity_cutoff,
-)
+from adsdirac.scattering import _check_schedule, velocity_report
 from adsdirac.spectral import _MAX_DIM
 
 MINIMAL = {"M": 1, "l": 1, "m": 1, "channel": [0.5, 0.5]}
@@ -51,26 +47,31 @@ class TestConfigValidation:
     def test_minimal_is_valid(self):
         cfg = parse_config_dict(MINIMAL)
         assert cfg.params.regime == Regime.SUPERCRITICAL
-        assert cfg.bc == BoundaryCondition.NATURAL
+        assert cfg.operator().bc == BoundaryCondition.NATURAL
         assert cfg.channel.coupling == 1.0
         assert cfg.experiments == EXPERIMENTS
+
+    def test_keeps_the_grid_and_evolution_it_built(self):
+        cfg = parse_config_dict({**MINIMAL, "evolution": {"t_final": 2.0, "snapshots": 4}})
+        assert cfg.grid.n == 2048 and cfg.grid.x_min == -32.0
+        assert cfg.evolution.dt == 0.5 * cfg.grid.min_spacing
+        assert cfg.evolution.t_final == 2.0
+        assert cfg.evolution.snapshot_times == (0.5, 1.0, 1.5, 2.0)
 
     def test_subcritical_selects_bag_rows(self):
         cfg = parse_config_dict({**MINIMAL, "m": 0.25})
         assert cfg.params.regime == Regime.SUBCRITICAL
-        assert cfg.bc == BoundaryCondition.MIT
+        assert cfg.operator().bc == BoundaryCondition.MIT
 
     def test_index_rule_rejects_bad_channel(self):
         with pytest.raises(ConfigError, match="channel"):
             parse_config_dict({**MINIMAL, "channel": [0.5, 1.5]})
 
-    def test_bc_contradiction(self):
-        with pytest.raises(ConfigError, match="contradicts"):
-            parse_config_dict({**MINIMAL, "bc": "mit"})
-
-    def test_bc_matching_regime_accepted(self):
-        cfg = parse_config_dict({**MINIMAL, "bc": "natural"})
-        assert cfg.bc == BoundaryCondition.NATURAL
+    def test_bc_key_is_unknown(self):
+        # the regime fixes the wall condition; there is nothing to choose
+        for bc in ("natural", "mit"):
+            with pytest.raises(ConfigError, match="unknown key 'bc'"):
+                parse_config_dict({**MINIMAL, "bc": bc})
 
     def test_errors_aggregate(self):
         with pytest.raises(ConfigError) as err:
@@ -113,9 +114,8 @@ class TestConfigValidation:
         cfg = parse_config_dict(
             {**MINIMAL, "grid": {"x_min": -10.0, "h_min": 0.01, "ratio": 1.1, "h_max": 0.1}}
         )
-        assert cfg.grid.n is None
-        grid = cfg.grid.build()
-        assert grid.resolves_wall_layer
+        assert "n" not in cfg.canonical["grid"]
+        assert cfg.grid.resolves_wall_layer
 
     @pytest.mark.parametrize(
         "options",
@@ -245,7 +245,6 @@ class TestDigest:
     def test_spelled_out_defaults_keep_the_digest(self):
         spelled = {
             **MINIMAL,
-            "bc": "natural",
             "grid": {"x_min": -32, "n": 2048, "h_min": None},
             "evolution": {"dt": None, "t_final": 10},
             "seed": 0,
@@ -290,7 +289,7 @@ _VALUES = {
     "l": ((1, 0.5), (-1.0, float("nan"))),
     "m": ((1, 0.25, 0.0), (-2, True)),
     "channel": (([0.5, 0.5], [1.5, -0.5]), ([0.5, 1.5], [0.5], "x")),
-    "bc": (("natural", "mit", None), ("robin", 3)),
+    "bc": ((), ("natural", "mit")),
     "typo": ((), (1,)),
     "grid.x_min": ((-16.0, -8, -40.0), (0, 3.0, "x")),
     "grid.n": ((16, 64, 256), (8, 100.0, "x")),
@@ -339,8 +338,8 @@ def _configs(draw):
 
     The physics keys and ``grid.x_min`` are always given, and either
     ``grid.n`` or the graded triple; any other key only sometimes.  Rules
-    that tie keys together (index rule, bc against the regime, dt against
-    the spacing, n next to the triple) can still reject such a config."""
+    that tie keys together (index rule, dt against the spacing, n next to
+    the triple) can still reject such a config."""
     faults = draw(st.sets(st.sampled_from(sorted(_VALUES)), max_size=2))
     graded = draw(st.booleans())
     data: dict = {}
@@ -369,8 +368,9 @@ def _build_inputs(cfg):
     """Every input the selected experiments build before they compute,
     through the consuming modules' own constructors and checks."""
     opts = cfg.options
-    grid = cfg.grid.build()
-    check_step(cfg.evolution.to_config(grid).dt, grid)
+    grid = cfg.grid
+    check_step(cfg.evolution.dt, grid)
+    assert len(cfg.evolution.snapshot_times) == cfg.canonical["evolution"]["snapshots"]
     for name, prefix, components in (
         ("evolve", "", opts["evolve"]["components"]),
         ("scatter", "", (1, 0, 0, 1)),
@@ -381,11 +381,17 @@ def _build_inputs(cfg):
         gaussian_packet(
             grid, block[prefix + "center"], block[prefix + "width"], components=components
         )
-    _check_schedule(opts["scatter"]["schedule"])
+    _check_schedule(opts["scatter"]["schedule"], "exact")
     times = np.asarray(opts["velocity"]["times"])
     assert times.size >= 2 and times[0] > 0 and np.all(np.diff(times) > 0)
-    minimal_velocity_cutoff(opts["velocity"]["delta"])
-    maximal_velocity_cutoff(opts["velocity"]["eps"])
+    # the cutoff parameters through velocity_report's own checks, on a
+    # packet short traces keep inside a fixed grid
+    velocity = opts["velocity"]
+    probe = make_grid(-8.0, 64)
+    velocity_report(
+        gaussian_packet(probe, -4.0, 0.5), (0.5, 1.0),
+        delta=velocity["delta"], eps=velocity["eps"], cone_delta=velocity["cone_delta"],
+    )
     mourre = opts["mourre"]
     make_grid(cfg.grid.x_min, mourre["n"])
     make_grid(cfg.grid.x_min, mourre["fine_factor"] * mourre["n"])
@@ -518,6 +524,38 @@ class TestRun:
         assert result.files == ["mourre.json"]
         scalars = json.loads((tmp_path / "mourre.json").read_text())["scalars"]
         assert scalars["interval"] == [100, 101]
+
+    def test_short_velocity_domain_fails_its_checks(self, tmp_path):
+        # traces to t = 20 need x_min <= -26: four FAIL lines saying so, the
+        # scalars file, and the trace file with its header only
+        cfg = parse_config_dict({**MINIMAL, "grid": {"x_min": -16, "n": 64}})
+        manifest = run(cfg, experiments=["velocity"], out=str(tmp_path), echo=False)
+        (result,) = manifest.results
+        assert result.error is None and result.status == "fail"
+        checks = {c.name: c for c in result.checks}
+        assert sorted(checks) == ["asymptotic", "cone", "maximal", "minimal"]
+        for check in checks.values():
+            assert not check.passed
+            assert check.detail == "velocity traces to t = 20 need x_min <= -26"
+        assert sorted(result.files) == ["velocity.json", "velocity_traces.csv"]
+        rows = (tmp_path / "velocity_traces.csv").read_text().splitlines()
+        assert rows[-1] == "t,minimal,maximal,unit,cone,v"
+        doc = json.loads((tmp_path / "velocity.json").read_text())
+        assert doc["scalars"] == {"bc": "natural"}
+
+    def test_free_mourre_window_on_the_configured_domain(self, tmp_path):
+        # on x_min = -32 the free window [0.5, 0.9] holds as many levels as
+        # the interacting one; on a fixed (-16, 0) it held half, too few
+        cfg = parse_config_dict({
+            **MINIMAL, "grid": {"x_min": -32, "n": 256},
+            "options": {"mourre": {"n": 320, "interval": [0.5, 0.9]}},
+        })
+        manifest = run(cfg, experiments=["mourre"], out=str(tmp_path), echo=False)
+        (result,) = manifest.results
+        checks = {c.name: c for c in result.checks}
+        assert checks["window"].passed and checks["free_quotient"].passed
+        solves = json.loads((tmp_path / "mourre.json").read_text())["scalars"]["solves"]
+        assert solves["free"]["found"] == solves["coarse"]["found"] == 16
 
     def test_scatter_schedule_times_on_one_step(self, tmp_path):
         cfg = parse_config_dict({

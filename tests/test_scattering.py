@@ -6,7 +6,7 @@ re-runs the heavyweight configurations at tighter tolerances.
 import numpy as np
 import pytest
 
-from adsdirac.algebra import Channel
+from adsdirac.algebra import VELOCITY, Channel
 from adsdirac.channel import (
     ConfigurationError,
     assemble_hamiltonian,
@@ -14,12 +14,9 @@ from adsdirac.channel import (
 )
 from adsdirac.dynamics import Direction, EvolutionConfig, evolve, free_propagate
 from adsdirac.geometry import make_params
-from adsdirac.grids import gaussian_packet, make_grid
+from adsdirac.grids import SpinorField, gaussian_packet, make_grid
 from adsdirac.scattering import (
     adjointness_residual,
-    cone_mass_fraction,
-    maximal_velocity_cutoff,
-    minimal_velocity_cutoff,
     quintic_step,
     velocity_report,
     wave_operator_backward,
@@ -64,6 +61,13 @@ class TestTrivialOracle:
         with pytest.raises(ConfigurationError):
             wave_operator_forward(self.phi, self.op, (2.0, 1.0, 4.0))
 
+    def test_unknown_free_factor_rejected(self):
+        # a misspelt factor must not fall through to the discrete flow,
+        # whose self-comparison is the trivially exact oracle
+        for wave_operator in (wave_operator_forward, wave_operator_backward):
+            with pytest.raises(ConfigurationError, match="free_factor"):
+                wave_operator(self.phi, self.op, (1.0, 2.0, 4.0), free_factor="exakt")
+
 
 def test_one_estimate_per_schedule_time():
     # 1 and 1.001 land on the same Cayley step; each schedule time still
@@ -93,14 +97,14 @@ class TestWaveOperators:
         assert rep.converged
         tail = rep.increments[-3:]
         assert np.all(np.diff(tail) < 0)
-        assert rep.final_increment <= 1e-2 * rep.input_norm
+        assert rep.increments[-1] <= 1e-2 * rep.input_norm
         # isometry of the limit within 10x the final increment
-        assert abs(rep.limit_norm - rep.input_norm) <= 10 * rep.final_increment
+        assert abs(rep.limit_norm - rep.input_norm) <= 10 * rep.increments[-1]
 
     def test_backward_converges_strong_mass(self):
         rep = wave_operator_backward(self.psi, self._op(1.0), self.SCHEDULE)
         assert rep.converged
-        assert abs(rep.limit_norm - rep.input_norm) <= 10 * max(rep.final_increment, 1e-9)
+        assert abs(rep.limit_norm - rep.input_norm) <= 10 * max(rep.increments[-1], 1e-9)
 
     def test_adjoint_pairing(self):
         op = self._op(1.0)
@@ -121,7 +125,7 @@ class TestWaveOperators:
         phi_tau = evolve(op, self.phi, cfg).final
         fwd_tau = wave_operator_forward(phi_tau, op, self.SCHEDULE)
         defect = self.grid.norm(lhs.values - fwd_tau.limit.values)
-        assert defect <= 2.0 * (fwd.final_increment + fwd_tau.final_increment)
+        assert defect <= 2.0 * (fwd.increments[-1] + fwd_tau.increments[-1])
 
     def test_forward_weak_mass_monotone_tail(self):
         # 2ml = 0.9: the wall reflection leaves an O(h^{2ml}) high-wavenumber
@@ -130,7 +134,7 @@ class TestWaveOperators:
         rep = wave_operator_forward(self.phi, self._op(0.45), self.SCHEDULE)
         tail = rep.increments[-3:]
         assert np.all(np.diff(tail) < 0)
-        assert rep.final_increment <= 3e-2 * rep.input_norm
+        assert rep.increments[-1] <= 3e-2 * rep.input_norm
 
 
 class TestCutoffs:
@@ -150,24 +154,47 @@ class TestCutoffs:
             assert abs(d1) < 1e-3
             assert abs(d2) < 1e-2
 
+    @staticmethod
+    def _traces_at(velocity):
+        """(velocity, minimal trace, maximal trace) at t = 1, δ = ε = 0.2,
+        for a state whose whole mass sits at one node: a left-mover at
+        1 − v for v ≥ 1, else a right-mover at v − 1 that has reflected off
+        the wall by t = 1.  Either way Γ¹x/t at t = 1 is v to within the
+        grid spacing, and the free flow moves the node onto a node."""
+        grid = make_grid(-4.0, 400)
+        k = int(np.argmin(np.abs(grid.nodes + abs(velocity - 1.0))))
+        values = np.zeros((4, grid.n), dtype=complex)
+        values[1 if velocity >= 1.0 else 0, k] = 1.0
+        rep = velocity_report(SpinorField(grid, values), (0.5, 1.0))
+        return rep.v_values[-1], rep.minimal_values[-1], rep.maximal_values[-1]
+
     def test_minimal_cutoff_support(self):
-        j = minimal_velocity_cutoff(0.2)
-        assert j.fn(0.0) == 1.0
-        assert j.fn(0.59) == 1.0
-        assert j.fn(0.81) == 0.0
-        assert j.support_hi == pytest.approx(0.8)
+        # ≡ 1 up to 1 − 2δ = 0.6, ≡ 0 from 1 − δ = 0.8 on
+        for target, expected in ((0.1, 1.0), (0.59, 1.0), (0.81, 0.0)):
+            v, minimal, _ = self._traces_at(target)
+            assert abs(v - target) <= 0.01 and (v < 0.6 or v > 0.8)
+            assert minimal == pytest.approx(expected, abs=1e-12)
+        _, minimal, _ = self._traces_at(0.7)
+        assert 0.1 < minimal < 0.9
 
     def test_maximal_cutoff_support(self):
-        j = maximal_velocity_cutoff(0.2)
-        assert j.fn(1.19) == 0.0
-        assert j.fn(1.41) == 1.0
-        assert j.support_lo == pytest.approx(1.2)
+        # ≡ 0 up to 1 + ε = 1.2, ≡ 1 from 1 + 2ε = 1.4 on
+        for target, expected in ((1.19, 0.0), (1.41, 1.0), (3.0, 1.0)):
+            v, _, maximal = self._traces_at(target)
+            assert abs(v - target) <= 0.01 and (v < 1.2 or v > 1.4)
+            assert maximal == pytest.approx(expected, abs=1e-12)
+        _, _, maximal = self._traces_at(1.3)
+        assert 0.1 < maximal < 0.9
 
     def test_cutoff_validation(self):
-        with pytest.raises(ConfigurationError):
-            minimal_velocity_cutoff(0.6)
-        with pytest.raises(ConfigurationError):
-            maximal_velocity_cutoff(-0.1)
+        grid = make_grid(-16.0, 256)
+        phi = gaussian_packet(grid, center=-8.0, width=0.5)
+        for delta in (0.6, 0.5, 0.0):
+            with pytest.raises(ConfigurationError, match="delta"):
+                velocity_report(phi, (1.0, 2.0), delta=delta)
+        for eps in (-0.1, 0.0):
+            with pytest.raises(ConfigurationError, match="eps"):
+                velocity_report(phi, (1.0, 2.0), eps=eps)
 
 
 class TestFreeVelocity:
@@ -217,7 +244,33 @@ class TestFreeVelocity:
     def test_cone_fraction_reaches_one(self):
         rep = velocity_report(self.bump, (5.0, 30.0), cone_delta=0.25)
         assert rep.cone_fractions[-1] == pytest.approx(1.0, abs=1e-10)
-        assert cone_mass_fraction(free_propagate(self.bump, 30.0, Direction.FORWARD), 30.0) == pytest.approx(1.0, abs=1e-10)
+
+    def test_one_pass_sums_match_the_component_loop(self):
+        # reference: each trace summed component by component, with the
+        # cutoff written through its support edges
+        phi = gaussian_packet(self.grid, center=-2.5, width=0.25, components=(1, 0.5j, 0.3, 1))
+        times = (1.0, 5.0, 30.0)
+        delta, eps, cone_delta = 0.2, 0.15, 0.25
+        rep = velocity_report(phi, times, delta=delta, eps=eps, cone_delta=cone_delta)
+        signs = np.diag(VELOCITY)
+        for k, t in enumerate(times):
+            field = free_propagate(SpinorField(self.grid, phi.values / phi.norm()), t)
+            sums = np.zeros(5)
+            for c in range(4):
+                dens = self.grid.weights * np.abs(field.values[c]) ** 2
+                arg = signs[c] * self.grid.nodes / t
+                lo, hi = 1.0 - 2.0 * delta, 1.0 - delta
+                sums[0] += np.sum(dens * (1.0 - quintic_step((arg - lo) / (hi - lo))))
+                lo, hi = 1.0 + eps, 1.0 + 2.0 * eps
+                sums[1] += np.sum(dens * quintic_step((arg - lo) / (hi - lo)))
+                sums[2] += np.sum(dens)
+                sums[3] += np.sum(dens[(arg >= 1.0 - cone_delta) & (arg <= 1.0 + cone_delta)])
+                sums[4] += np.sum(dens * arg)
+            sums[3:] /= sums[2]
+            got = [rep.minimal_values[k], rep.maximal_values[k], rep.unit_values[k],
+                   rep.cone_fractions[k], rep.v_values[k]]
+            assert got == pytest.approx(sums, rel=1e-13, abs=1e-20)
+        assert 0.0 < rep.minimal_values[0] < 1.0 and 0.0 < rep.maximal_values[0] < 1.0
 
     def test_velocity_report_consistency(self):
         rep = velocity_report(self.bump, (10.0, 20.0, 40.0))
