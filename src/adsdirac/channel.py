@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -169,6 +169,20 @@ class ChannelOperator:
         return (self.matrix @ values.flatten(order="F")).reshape(
             (4, self.grid.n), order="F"
         )
+
+    def symmetrized(self) -> Tuple[sp.csc_matrix, np.ndarray]:
+        """S = W^{1/2} H W^{−1/2}, Hermitian-averaged, and the diagonal √W.
+
+        H is self-adjoint in the weighted inner product, so S is Hermitian
+        in the plain one; W^{1/2} maps a flat field to S's coordinates.
+        Scaled entry by entry, so ``S.toarray()`` is bit for bit the dense
+        W^{1/2} H W^{−1/2} averaged with its adjoint."""
+        root = np.sqrt(np.repeat(self.grid.weights, 4))
+        h = self.matrix.tocoo()
+        s = sp.csc_matrix(
+            (root[h.row] * h.data / root[h.col], (h.row, h.col)), shape=h.shape
+        )
+        return ((s + s.conj().T) / 2.0).tocsc(), root
 
     def hermiticity_defect(self, seed: int = 0) -> float:
         """max |⟨Hu, v⟩ − ⟨u, Hv⟩| / (‖u‖‖v‖) over 100 random field pairs."""

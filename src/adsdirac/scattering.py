@@ -2,21 +2,25 @@
 one channel at a time.
 
 Wave operators are estimated hybrid-fashion: the interacting factor is the
-discrete unitary flow, while the comparison factor e^{±itH_c} is applied in
-exact closed form (``free_factor="exact"``), so only one factor carries
-discretization error.  Passing ``free_factor="discrete"`` replaces the
-closed form by backward Cayley stepping under the assembled free generator;
-since the backward Cayley step is the exact algebraic inverse of the
-forward one, the zero-potential composition then collapses to the identity
-at solver rounding — the trivial oracle for the whole pipeline.  Any other
-``free_factor`` is a ``ConfigurationError``.
+exponential of the assembled operator, applied by ``chebyshev_propagate`` to
+the truncation level of its series, while the comparison factor e^{±itH_c}
+is applied in exact closed form (``free_factor="exact"``), so only one
+factor carries discretization error, and that error is the spatial
+stencil's — the expansion adds no time-step error.  Passing
+``free_factor="discrete"`` replaces the closed form by the same expansion
+under the assembled free generator; the zero-potential composition
+e^{+itS}e^{−itS} then collapses to the identity at the series' truncation
+level (about 1e−15, never exactly zero) — the trivial oracle for the whole
+pipeline.  Any other ``free_factor`` is a ``ConfigurationError``.
 
 Convergence of Ω_k φ = e^{+it_kH_c} e^{−it_kH} φ along a geometric schedule
 is judged by the Cauchy increments ‖Ω_{k+1}φ − Ω_kφ‖: "converged" means the
 last three increments decrease monotonically and the final one is at most
 1e−2·‖φ‖ (a deliberately conservative engineering threshold — existence of
 the limit carries no rate).  ``adjointness_residual`` measures how far the
-two finite-time estimates are from adjoint: |⟨Ωφ, ψ⟩ − ⟨φ, Wψ⟩|.
+two finite-time estimates are from adjoint: |⟨Ωφ, ψ⟩ − ⟨φ, Wψ⟩|.  Every
+report carries the expansion's counters: matvecs, the bound R on the
+spectrum and the worst W-norm drift.
 
 The conjugate observable 𝒜/t is pointwise multiplication by Γ¹x/t, so the
 functional calculus J(𝒜/t) is pointwise evaluation of J at ±x/t per
@@ -34,7 +38,13 @@ import numpy as np
 
 from .algebra import VELOCITY
 from .channel import ChannelOperator, ConfigurationError, free_operator
-from .dynamics import Direction, EvolutionConfig, NumericError, evolve, free_propagate
+from .dynamics import (
+    Direction,
+    NumericError,
+    Propagation,
+    chebyshev_propagate,
+    free_propagate,
+)
 from .grids import SpinorField
 
 __all__ = [
@@ -48,7 +58,7 @@ __all__ = [
 ]
 
 _CONVERGED_FRACTION = 1e-2  # final increment vs ‖φ‖; engineering choice
-_ROUNDING_FLOOR = 1e-9  # below this (relative) the tail is solver noise
+_ROUNDING_FLOOR = 1e-9  # below this (relative) the tail is truncation noise
 
 
 # ------------------------------------------------------------ wave operators
@@ -63,12 +73,16 @@ class ScatteringReport:
     input_norm: float
     limit_norm: float
     converged: bool
+    matvecs: int  # over every Chebyshev run of the estimate
+    bound: float  # R of the interacting operator
+    norm_drift: float  # worst over every Chebyshev run of the estimate
 
 
 def _verdict(increments: np.ndarray, input_norm: float) -> bool:
     # Converged: the last three increments decrease monotonically and the
-    # final one is ≤ 1e−2·‖φ‖.  A tail already at the solver's rounding
-    # floor counts as converged — monotonicity is meaningless in noise.
+    # final one is ≤ 1e−2·‖φ‖.  A tail already at the propagator's
+    # truncation floor counts as converged — monotonicity is meaningless
+    # in noise.
     tail = increments[-3:]
     monotone = bool(np.all(np.diff(tail) < 0.0)) if tail.size >= 2 else True
     at_floor = bool(np.max(tail) <= _ROUNDING_FLOOR * input_norm)
@@ -88,14 +102,41 @@ def _check_schedule(schedule: Sequence[float], free_factor: str):
 
 
 def _free_flow(
-    op: ChannelOperator, psi: SpinorField, t: float, free_factor: str, direction: Direction
+    op: ChannelOperator,
+    psi: SpinorField,
+    t: float,
+    free_factor: str,
+    direction: Direction,
+    runs: List[Propagation],
 ) -> SpinorField:
     """The comparison flow over time t on ``op``'s grid, in closed form or
-    by Cayley steps of the assembled free generator."""
+    by the expansion under the assembled free generator (that run is
+    appended to ``runs``)."""
     if free_factor == "exact":
         return free_propagate(psi, t, direction)
-    cfg = EvolutionConfig(dt=op.grid.min_spacing / 2, t_final=t)
-    return evolve(free_operator(op.grid), psi, cfg, direction).final
+    runs.append(chebyshev_propagate(free_operator(op.grid), psi, (t,), direction))
+    return runs[-1].fields[0]
+
+
+def _report(
+    times: np.ndarray,
+    increments: np.ndarray,
+    limit: SpinorField,
+    input_norm: float,
+    runs: List[Propagation],
+) -> ScatteringReport:
+    """The report of one estimate; ``runs[0]`` is an interacting run."""
+    return ScatteringReport(
+        times=times,
+        increments=increments,
+        limit=limit,
+        input_norm=input_norm,
+        limit_norm=limit.norm(),
+        converged=_verdict(increments, input_norm),
+        matvecs=sum(r.matvecs for r in runs),
+        bound=runs[0].bound,
+        norm_drift=max(r.norm_drift for r in runs),
+    )
 
 
 def wave_operator_forward(
@@ -106,17 +147,14 @@ def wave_operator_forward(
 ) -> ScatteringReport:
     """Ω_k φ = e^{+it_kH_c} e^{−it_kH} φ along the schedule.
 
-    The interacting evolution runs once with snapshots at the schedule
-    times; each snapshot is pulled back by the free flow.
+    The interacting flow is one chained run through the schedule times;
+    each snapshot is pulled back by the free flow.
     """
     times = _check_schedule(schedule, free_factor)
-    cfg = EvolutionConfig(
-        dt=op.grid.min_spacing / 2, t_final=float(times[-1]), snapshot_times=times
-    )
-    traj = evolve(op, phi, cfg)
+    runs = [chebyshev_propagate(op, phi, times)]
     omegas = [
-        _free_flow(op, f, t, free_factor, Direction.BACKWARD)
-        for t, f in zip(traj.times[1:], traj.fields[1:])
+        _free_flow(op, f, float(t), free_factor, Direction.BACKWARD, runs)
+        for t, f in zip(times, runs[0].fields)
     ]
     increments = np.array(
         [
@@ -124,15 +162,7 @@ def wave_operator_forward(
             for a, b in zip(omegas[:-1], omegas[1:])
         ]
     )
-    nrm = phi.norm()
-    return ScatteringReport(
-        times=np.asarray(traj.times[1:]),
-        increments=increments,
-        limit=omegas[-1],
-        input_norm=nrm,
-        limit_norm=omegas[-1].norm(),
-        converged=_verdict(increments, nrm),
-    )
+    return _report(times, increments, omegas[-1], phi.norm(), runs)
 
 
 def wave_operator_backward(
@@ -143,27 +173,28 @@ def wave_operator_backward(
 ) -> ScatteringReport:
     """W_k ψ = e^{+it_kH} e^{−it_kH_c} ψ along the schedule.
 
-    Mirror of the forward operator: the free factor is exact, the
-    interacting factor is the discrete backward flow (one run per t_k —
-    the inputs differ, so nothing can be shared)."""
+    With ζ_k = e^{−it_kH_c}ψ, unitarity of the interacting flow gives
+    ‖W_{k+1}ψ − W_kψ‖ = ‖e^{+iΔ_kH}ζ_{k+1} − ζ_k‖ for Δ_k = t_{k+1} − t_k,
+    so each increment needs a run of length Δ_k only, and the limit
+    W_Kψ = e^{+it_KH}ζ_K one full run: t_K − t_1 + t_K time units in all,
+    not Σ t_k.  The identity holds for the expansion up to its truncation
+    level, far below any increment the verdict reads.
+    """
     times = _check_schedule(schedule, free_factor)
-    outs: List[SpinorField] = []
-    for t in times:
-        zeta = _free_flow(op, psi, float(t), free_factor, Direction.FORWARD)
-        cfg = EvolutionConfig(dt=op.grid.min_spacing / 2, t_final=float(t))
-        outs.append(evolve(op, zeta, cfg, Direction.BACKWARD).final)
+    free_runs: List[Propagation] = []
+    zetas = [
+        _free_flow(op, psi, float(t), free_factor, Direction.FORWARD, free_runs)
+        for t in times
+    ]
+    runs = [
+        chebyshev_propagate(op, newer, (dt,), Direction.BACKWARD)
+        for dt, newer in zip(np.diff(times), zetas[1:])
+    ]
     increments = np.array(
-        [op.grid.norm(b.values - a.values) for a, b in zip(outs[:-1], outs[1:])]
+        [op.grid.norm(r.fields[0].values - z.values) for r, z in zip(runs, zetas)]
     )
-    nrm = psi.norm()
-    return ScatteringReport(
-        times=times,
-        increments=increments,
-        limit=outs[-1],
-        input_norm=nrm,
-        limit_norm=outs[-1].norm(),
-        converged=_verdict(increments, nrm),
-    )
+    runs.append(chebyshev_propagate(op, zetas[-1], (times[-1],), Direction.BACKWARD))
+    return _report(times, increments, runs[-1].fields[0], psi.norm(), runs + free_runs)
 
 
 def adjointness_residual(
@@ -186,17 +217,6 @@ def quintic_step(t):
     return t**3 * (10.0 - 15.0 * t + 6.0 * t * t)
 
 
-def _fields_at_times(
-    phi: SpinorField, times: np.ndarray, op: Optional[ChannelOperator]
-) -> List[SpinorField]:
-    if op is None:
-        return [free_propagate(phi, float(t), Direction.FORWARD) for t in times]
-    cfg = EvolutionConfig(
-        dt=op.grid.min_spacing / 2, t_final=float(times[-1]), snapshot_times=times
-    )
-    return evolve(op, phi, cfg).fields[1:]
-
-
 @dataclass
 class VelocityReport:
     """Everything the velocity diagnostics measure, from one evolution."""
@@ -209,6 +229,10 @@ class VelocityReport:
     v_values: np.ndarray
     v_extrapolated: float
     cone_delta: float
+    # the Chebyshev run's counters; zero for the closed-form free flow
+    matvecs: int
+    bound: float
+    norm_drift: float
 
 
 def velocity_report(
@@ -219,8 +243,8 @@ def velocity_report(
     eps: float = 0.2,
     cone_delta: float = 0.25,
 ) -> VelocityReport:
-    """Velocity traces ⟨ψ(t), J(𝒜/t)ψ(t)⟩ from a single evolution under
-    the discrete flow of ``op`` (the exact free flow when ``op`` is None).
+    """Velocity traces ⟨ψ(t), J(𝒜/t)ψ(t)⟩ from a single chained Chebyshev
+    run under ``op`` (the exact free flow when ``op`` is None).
 
     The input is normalized, and each snapshot gives the density
     w·|ψ_k|² and the velocity Γ¹_kk·x/t per component; every diagnostic is
@@ -249,7 +273,14 @@ def velocity_report(
     phi = SpinorField(phi.grid, phi.values / nrm)
     signs = np.diag(VELOCITY)[:, None]
     rows = []
-    for t, field in zip(times, _fields_at_times(phi, times, op)):
+    if op is None:
+        fields = [free_propagate(phi, float(t), Direction.FORWARD) for t in times]
+        matvecs, bound, drift = 0, 0.0, 0.0
+    else:
+        run = chebyshev_propagate(op, phi, times)
+        fields, matvecs = run.fields, run.matvecs
+        bound, drift = run.bound, run.norm_drift
+    for t, field in zip(times, fields):
         dens = field.grid.weights * np.abs(field.values) ** 2
         arg = signs * field.grid.nodes / t
         mass = float(np.sum(dens))
@@ -279,4 +310,7 @@ def velocity_report(
         v_values=v_vals,
         v_extrapolated=float((v2 * t2 - v1 * t1) / (t2 - t1)),
         cone_delta=cone_delta,
+        matvecs=matvecs,
+        bound=bound,
+        norm_drift=drift,
     )

@@ -92,19 +92,6 @@ class SpectralDecomposition:
         return int(np.sum((self.eigenvalues >= a) & (self.eigenvalues <= b)))
 
 
-def _symmetrized(op: ChannelOperator) -> Tuple[sp.csc_matrix, np.ndarray]:
-    """S = W^{1/2} H W^{−1/2}, Hermitian-averaged, and the diagonal √W.
-
-    Scaled entry by entry, so ``S.toarray()`` is bit for bit the dense
-    W^{1/2} H W^{−1/2} averaged with its adjoint."""
-    root = np.sqrt(np.repeat(op.grid.weights, 4))
-    h = op.matrix.tocoo()
-    s = sp.csc_matrix(
-        (root[h.row] * h.data / root[h.col], (h.row, h.col)), shape=h.shape
-    )
-    return ((s + s.conj().T) / 2.0).tocsc(), root
-
-
 def _window_pairs(
     sym: sp.csc_matrix, a: float, b: float
 ) -> Optional[Tuple[np.ndarray, np.ndarray, int]]:
@@ -177,7 +164,7 @@ def eigendecompose(
     Either way the returned pairs pass one accuracy check: W-norm residual
     ≤ 1e−10·max|λ| and W-Gram defect ≤ 1e−10, or ``NumericError``.
     """
-    sym, root = _symmetrized(op)
+    sym, root = op.symmetrized()
     dim = sym.shape[0]
     found = None
     if window is not None:

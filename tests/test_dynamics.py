@@ -3,7 +3,10 @@ propagation-speed and wall-coupling behavior."""
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu, spsolve
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse.linalg import expm_multiply, splu, spsolve
+from scipy.special import jv
 
 import adsdirac.dynamics as dynamics
 from adsdirac.algebra import Channel
@@ -17,6 +20,7 @@ from adsdirac.dynamics import (
     Direction,
     EvolutionConfig,
     NumericError,
+    chebyshev_propagate,
     evolve,
     free_propagate,
 )
@@ -190,6 +194,81 @@ class TestCayleyStep:
         assert refined.refinements == refined.steps
         assert 0.0 < refined.max_residual <= dynamics.SOLVER_TOL
         assert g.norm(refined.final.values - clean.final.values) <= 1e-12
+
+
+class TestChebyshev:
+    @pytest.mark.parametrize("direction", [Direction.FORWARD, Direction.BACKWARD])
+    def test_agrees_with_expm_multiply(self, direction):
+        """e^{∓itH}ψ against scipy's truncated-Taylor action of the
+        exponential (Al-Mohy & Higham) on an interacting bag-regime operator."""
+        g = make_grid(-12.0, 96)
+        op = assemble_hamiltonian(Channel(0.5, 0.5), P_MIT, g)
+        psi0 = gaussian_packet(g, -5.0, 0.6, components=(1.0, -0.5j, 0.25, 0.8))
+        times = (0.5, 1.5, 4.0)
+        run = chebyshev_propagate(op, psi0, times, direction)
+        sgn = -1j if direction == Direction.FORWARD else 1j
+        for t, field in zip(times, run.fields):
+            ref = expm_multiply(sgn * t * op.matrix, psi0.values.flatten(order="F"))
+            diff = field.values - ref.reshape((4, g.n), order="F")
+            assert g.norm(diff) <= 1e-10 * psi0.norm()
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.integers(16, 96),
+        mass=st.sampled_from([0.25, 0.45, 1.0]),
+        t=st.floats(0.01, 6.0),
+        seed=st.integers(0, 2**16),
+    )
+    def test_unitary_and_invertible(self, n, mass, t, seed):
+        g = make_grid(-8.0, n)
+        op = assemble_hamiltonian(Channel(0.5, 0.5), make_params(1.0, 1.0, mass), g)
+        rng = np.random.default_rng(seed)
+        psi0 = SpinorField(g, rng.normal(size=(4, n)) + 1j * rng.normal(size=(4, n)))
+        there = chebyshev_propagate(op, psi0, (t,))
+        back = chebyshev_propagate(op, there.fields[0], (t,), Direction.BACKWARD)
+        assert there.norm_drift <= 1e-12 and back.norm_drift <= 1e-12
+        assert g.norm(back.fields[0].values - psi0.values) <= 1e-12 * psi0.norm()
+
+    def test_stops_at_the_first_small_bessel_order(self):
+        g = make_grid(-8.0, 64)
+        op = assemble_hamiltonian(Channel(0.5, 0.5), P_NAT, g)
+        run = chebyshev_propagate(op, gaussian_packet(g, -4.0, 0.5), (2.0,))
+        z = 2.0 * run.bound
+        k = np.arange(int(z) + 200)
+        first = k[(k > z) & (np.abs(jv(k, z)) < 1e-17)][0]
+        # terms T_0 … T_{K−1}: one matvec for each past T_0
+        assert run.matvecs == first - 1
+        sym, _ = op.symmetrized()
+        assert run.bound == pytest.approx(np.max(np.abs(sym.toarray()).sum(axis=1)))
+
+    def test_snapshots_chain(self):
+        g = make_grid(-8.0, 64)
+        op = assemble_hamiltonian(Channel(0.5, 0.5), P_MIT, g)
+        psi0 = gaussian_packet(g, -4.0, 0.5, components=(1.0, 0.0, 0.0, 1.0))
+        chained = chebyshev_propagate(op, psi0, (0.0, 0.7, 0.7, 2.0))
+        assert np.array_equal(chained.fields[0].values, psi0.values)
+        assert np.array_equal(chained.fields[1].values, chained.fields[2].values)
+        direct = chebyshev_propagate(op, psi0, (2.0,))
+        assert g.norm(chained.fields[-1].values - direct.fields[0].values) <= 1e-12
+        for bad in ((), (-1.0, 1.0), (2.0, 1.0)):
+            with pytest.raises(ConfigurationError):
+                chebyshev_propagate(op, psi0, bad)
+
+    def test_bound_below_gershgorin_raises(self, monkeypatch):
+        """Negative control for the drift guard: the free operator's
+        spectral radius is its Gershgorin bound 1/h, so with R 1 % below it
+        the truncated series grows like T_K(1.01) on the top levels, and the
+        run raises instead of returning a state."""
+        g = make_grid(-8.0, 256)
+        op = free_operator(g)
+        rng = np.random.default_rng(3)
+        psi0 = SpinorField(g, rng.normal(size=(4, g.n)) + 0j)
+        assert chebyshev_propagate(op, psi0, (10.0,)).norm_drift <= 1e-12
+        exact = dynamics._gershgorin_bound
+        monkeypatch.setattr(dynamics, "_gershgorin_bound", lambda s: 0.99 * exact(s))
+        with pytest.raises(NumericError, match="unitarity") as err:
+            chebyshev_propagate(op, psi0, (10.0,))
+        assert not err.value.diagnostics["norm_drift"] <= dynamics.DRIFT_LIMIT
 
 
 class TestFreeOracle:

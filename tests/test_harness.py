@@ -569,6 +569,23 @@ class TestRun:
         assert rows[-3] == "t,forward_increment,backward_increment"
         assert [float(r.split(",")[0]) for r in rows[-2:]] == pytest.approx([1.001, 2])
 
+    def test_scatter_and_velocity_record_propagator_counters(self, tmp_path):
+        cfg = parse_config_dict({
+            **MINIMAL, "grid": {"x_min": -16, "n": 128},
+            "options": {"scatter": {"schedule": [1, 2, 3]},
+                        "velocity": {"times": [1, 2, 4]}},
+        })
+        manifest = run(cfg, experiments=["scatter", "velocity"], out=str(tmp_path), echo=False)
+        assert all(r.error is None for r in manifest.results)
+        sym, _ = cfg.operator().symmetrized()
+        gershgorin = float(np.max(abs(sym).sum(axis=1)))
+        for name, least_time in (("scatter", 3 + 2 + 3), ("velocity", 4)):
+            scalars = json.loads((tmp_path / f"{name}.json").read_text())["scalars"]
+            assert scalars["bound"] == pytest.approx(gershgorin, rel=1e-15)
+            # at least t·R terms over every interacting run
+            assert scalars["matvecs"] >= least_time * scalars["bound"]
+            assert 0.0 <= scalars["norm_drift"] <= 1e-12
+
     def test_evolve_records_solver_residuals(self, tmp_path):
         cfg = small_config()
         manifest = run(cfg, experiments=["evolve"], out=str(tmp_path), echo=False)
