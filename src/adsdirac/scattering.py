@@ -1,17 +1,24 @@
 """Wave operators and their adjoint pairing, and the velocity diagnostics —
 one channel at a time.
 
-Wave operators are estimated hybrid-fashion: the interacting factor is the
-exponential of the assembled operator, applied by ``chebyshev_propagate`` to
-the truncation level of its series, while the comparison factor e^{±itH_c}
-is applied in exact closed form (``free_factor="exact"``), so only one
-factor carries discretization error, and that error is the spatial
-stencil's — the expansion adds no time-step error.  Passing
-``free_factor="discrete"`` replaces the closed form by the same expansion
-under the assembled free generator; the zero-potential composition
-e^{+itS}e^{−itS} then collapses to the identity at the series' truncation
-level (about 1e−15, never exactly zero) — the trivial oracle for the whole
-pipeline.  Any other ``free_factor`` is a ``ConfigurationError``.
+Wave operators are estimated hybrid-fashion: the interacting factor is a
+discrete flow, while the comparison factor e^{±itH_c} is applied in exact
+closed form (``free_factor="exact"``), so only one factor carries
+discretization error.  The two estimates take the interacting factor from
+different propagators.  Ω runs the Cayley ``evolve`` (structurally unitary,
+second order in its step dt = h/2) once, with snapshots at the schedule
+times.  W runs ``chebyshev_propagate``, the exponential of the assembled
+operator to the truncation level of its series, which adds no time-step
+error.  The adjoint pairing of the two is therefore a cross-check of the
+propagators (about 1e−5 on criterion 6's grids), not an identity that holds
+by construction.  Passing ``free_factor="discrete"`` replaces the closed
+form by the estimate's own propagator under the assembled free generator.
+For Ω these are backward Cayley steps, the exact algebraic inverse of the
+forward ones, so the zero-potential composition collapses to the identity
+at solver rounding — the trivial oracle for the whole pipeline.  For W the
+composition e^{+itS}e^{−itS} collapses at the series' truncation level
+(about 1e−15, never exactly zero).  Any other ``free_factor`` is a
+``ConfigurationError``.
 
 Convergence of Ω_k φ = e^{+it_kH_c} e^{−it_kH} φ along a geometric schedule
 is judged by the Cauchy increments ‖Ω_{k+1}φ − Ω_kφ‖: "converged" means the
@@ -19,8 +26,9 @@ last three increments decrease monotonically and the final one is at most
 1e−2·‖φ‖ (a deliberately conservative engineering threshold — existence of
 the limit carries no rate).  ``adjointness_residual`` measures how far the
 two finite-time estimates are from adjoint: |⟨Ωφ, ψ⟩ − ⟨φ, Wψ⟩|.  Every
-report carries the expansion's counters: matvecs, the bound R on the
-spectrum and the worst W-norm drift.
+report carries the expansion's counters, matvecs and the bound R on the
+spectrum (both zero for the all-Cayley Ω), and the worst norm drift over
+every run of the estimate.
 
 The conjugate observable 𝒜/t is pointwise multiplication by Γ¹x/t, so the
 functional calculus J(𝒜/t) is pointwise evaluation of J at ±x/t per
@@ -40,9 +48,11 @@ from .algebra import VELOCITY
 from .channel import ChannelOperator, ConfigurationError, free_operator
 from .dynamics import (
     Direction,
+    EvolutionConfig,
     NumericError,
     Propagation,
     chebyshev_propagate,
+    evolve,
     free_propagate,
 )
 from .grids import SpinorField
@@ -58,7 +68,7 @@ __all__ = [
 ]
 
 _CONVERGED_FRACTION = 1e-2  # final increment vs ‖φ‖; engineering choice
-_ROUNDING_FLOOR = 1e-9  # below this (relative) the tail is truncation noise
+_ROUNDING_FLOOR = 1e-9  # below this (relative) the tail is propagator noise
 
 
 # ------------------------------------------------------------ wave operators
@@ -73,15 +83,15 @@ class ScatteringReport:
     input_norm: float
     limit_norm: float
     converged: bool
-    matvecs: int  # over every Chebyshev run of the estimate
-    bound: float  # R of the interacting operator
-    norm_drift: float  # worst over every Chebyshev run of the estimate
+    matvecs: int  # over every Chebyshev run of the estimate; 0 for Ω
+    bound: float  # R of the interacting operator; 0.0 for Ω
+    norm_drift: float  # worst over every run of the estimate
 
 
 def _verdict(increments: np.ndarray, input_norm: float) -> bool:
     # Converged: the last three increments decrease monotonically and the
     # final one is ≤ 1e−2·‖φ‖.  A tail already at the propagator's
-    # truncation floor counts as converged — monotonicity is meaningless
+    # rounding or truncation floor counts as converged — monotonicity is meaningless
     # in noise.
     tail = increments[-3:]
     monotone = bool(np.all(np.diff(tail) < 0.0)) if tail.size >= 2 else True
@@ -101,44 +111,6 @@ def _check_schedule(schedule: Sequence[float], free_factor: str):
     return t
 
 
-def _free_flow(
-    op: ChannelOperator,
-    psi: SpinorField,
-    t: float,
-    free_factor: str,
-    direction: Direction,
-    runs: List[Propagation],
-) -> SpinorField:
-    """The comparison flow over time t on ``op``'s grid, in closed form or
-    by the expansion under the assembled free generator (that run is
-    appended to ``runs``)."""
-    if free_factor == "exact":
-        return free_propagate(psi, t, direction)
-    runs.append(chebyshev_propagate(free_operator(op.grid), psi, (t,), direction))
-    return runs[-1].fields[0]
-
-
-def _report(
-    times: np.ndarray,
-    increments: np.ndarray,
-    limit: SpinorField,
-    input_norm: float,
-    runs: List[Propagation],
-) -> ScatteringReport:
-    """The report of one estimate; ``runs[0]`` is an interacting run."""
-    return ScatteringReport(
-        times=times,
-        increments=increments,
-        limit=limit,
-        input_norm=input_norm,
-        limit_norm=limit.norm(),
-        converged=_verdict(increments, input_norm),
-        matvecs=sum(r.matvecs for r in runs),
-        bound=runs[0].bound,
-        norm_drift=max(r.norm_drift for r in runs),
-    )
-
-
 def wave_operator_forward(
     phi: SpinorField,
     op: ChannelOperator,
@@ -147,22 +119,46 @@ def wave_operator_forward(
 ) -> ScatteringReport:
     """Ω_k φ = e^{+it_kH_c} e^{−it_kH} φ along the schedule.
 
-    The interacting flow is one chained run through the schedule times;
-    each snapshot is pulled back by the free flow.
+    The interacting evolution is one Cayley run with snapshots at the
+    schedule times (each snapped to the nearest step); each snapshot is
+    pulled back by the free flow, in closed form or by backward Cayley
+    steps of the assembled free generator.
     """
     times = _check_schedule(schedule, free_factor)
-    runs = [chebyshev_propagate(op, phi, times)]
-    omegas = [
-        _free_flow(op, f, float(t), free_factor, Direction.BACKWARD, runs)
-        for t, f in zip(times, runs[0].fields)
-    ]
+    dt = op.grid.min_spacing / 2
+    traj = evolve(
+        op, phi, EvolutionConfig(dt=dt, t_final=float(times[-1]), snapshot_times=times)
+    )
+    snaps = list(zip(traj.times[1:], traj.fields[1:]))
+    drift = traj.norm_drift
+    if free_factor == "exact":
+        omegas = [free_propagate(f, float(t), Direction.BACKWARD) for t, f in snaps]
+    else:
+        free = free_operator(op.grid)
+        pulled = [
+            evolve(free, f, EvolutionConfig(dt=dt, t_final=float(t)), Direction.BACKWARD)
+            for t, f in snaps
+        ]
+        omegas = [p.final for p in pulled]
+        drift = max([drift] + [p.norm_drift for p in pulled])
     increments = np.array(
         [
             op.grid.norm(b.values - a.values)
             for a, b in zip(omegas[:-1], omegas[1:])
         ]
     )
-    return _report(times, increments, omegas[-1], phi.norm(), runs)
+    nrm = phi.norm()
+    return ScatteringReport(
+        times=np.asarray(traj.times[1:]),
+        increments=increments,
+        limit=omegas[-1],
+        input_norm=nrm,
+        limit_norm=omegas[-1].norm(),
+        converged=_verdict(increments, nrm),
+        matvecs=0,
+        bound=0.0,
+        norm_drift=drift,
+    )
 
 
 def wave_operator_backward(
@@ -181,11 +177,14 @@ def wave_operator_backward(
     level, far below any increment the verdict reads.
     """
     times = _check_schedule(schedule, free_factor)
+    # ζ_k in closed form, or from one chained run of the expansion under
+    # the assembled free generator
     free_runs: List[Propagation] = []
-    zetas = [
-        _free_flow(op, psi, float(t), free_factor, Direction.FORWARD, free_runs)
-        for t in times
-    ]
+    if free_factor == "exact":
+        zetas = [free_propagate(psi, float(t), Direction.FORWARD) for t in times]
+    else:
+        free_runs.append(chebyshev_propagate(free_operator(op.grid), psi, times))
+        zetas = free_runs[0].fields
     runs = [
         chebyshev_propagate(op, newer, (dt,), Direction.BACKWARD)
         for dt, newer in zip(np.diff(times), zetas[1:])
@@ -194,7 +193,19 @@ def wave_operator_backward(
         [op.grid.norm(r.fields[0].values - z.values) for r, z in zip(runs, zetas)]
     )
     runs.append(chebyshev_propagate(op, zetas[-1], (times[-1],), Direction.BACKWARD))
-    return _report(times, increments, runs[-1].fields[0], psi.norm(), runs + free_runs)
+    limit = runs[-1].fields[0]
+    nrm = psi.norm()
+    return ScatteringReport(
+        times=times,
+        increments=increments,
+        limit=limit,
+        input_norm=nrm,
+        limit_norm=limit.norm(),
+        converged=_verdict(increments, nrm),
+        matvecs=sum(r.matvecs for r in runs + free_runs),
+        bound=runs[0].bound,
+        norm_drift=max(r.norm_drift for r in runs + free_runs),
+    )
 
 
 def adjointness_residual(
