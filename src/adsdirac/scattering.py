@@ -26,9 +26,9 @@ last three increments decrease monotonically and the final one is at most
 1e−2·‖φ‖ (a deliberately conservative engineering threshold — existence of
 the limit carries no rate).  ``adjointness_residual`` measures how far the
 two finite-time estimates are from adjoint: |⟨Ωφ, ψ⟩ − ⟨φ, Wψ⟩|.  Every
-report carries the expansion's counters, matvecs and the bound R on the
-spectrum (both zero for the all-Cayley Ω), and the worst norm drift over
-every run of the estimate.
+report carries the worst norm drift over every run of the estimate; W's
+also carries the expansion's counters, its matvecs and the bound R on the
+spectrum.
 
 The conjugate observable 𝒜/t is pointwise multiplication by Γ¹x/t, so the
 functional calculus J(𝒜/t) is pointwise evaluation of J at ±x/t per
@@ -83,9 +83,15 @@ class ScatteringReport:
     input_norm: float
     limit_norm: float
     converged: bool
-    matvecs: int  # over every Chebyshev run of the estimate; 0 for Ω
-    bound: float  # R of the interacting operator; 0.0 for Ω
     norm_drift: float  # worst over every run of the estimate
+
+
+@dataclass
+class BackwardReport(ScatteringReport):
+    """W's estimate, with the counters of its Chebyshev runs."""
+
+    matvecs: int  # over every run of the estimate
+    bound: float  # R of the interacting operator
 
 
 def _verdict(increments: np.ndarray, input_norm: float) -> bool:
@@ -155,8 +161,6 @@ def wave_operator_forward(
         input_norm=nrm,
         limit_norm=omegas[-1].norm(),
         converged=_verdict(increments, nrm),
-        matvecs=0,
-        bound=0.0,
         norm_drift=drift,
     )
 
@@ -166,7 +170,7 @@ def wave_operator_backward(
     op: ChannelOperator,
     schedule: Sequence[float],
     free_factor: str = "exact",
-) -> ScatteringReport:
+) -> BackwardReport:
     """W_k ψ = e^{+it_kH} e^{−it_kH_c} ψ along the schedule.
 
     With ζ_k = e^{−it_kH_c}ψ, unitarity of the interacting flow gives
@@ -195,7 +199,7 @@ def wave_operator_backward(
     runs.append(chebyshev_propagate(op, zetas[-1], (times[-1],), Direction.BACKWARD))
     limit = runs[-1].fields[0]
     nrm = psi.norm()
-    return ScatteringReport(
+    return BackwardReport(
         times=times,
         increments=increments,
         limit=limit,
