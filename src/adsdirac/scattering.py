@@ -96,8 +96,8 @@ class BackwardReport(ScatteringReport):
 
 def _verdict(increments: np.ndarray, input_norm: float) -> bool:
     # Converged: the last three increments decrease monotonically and the
-    # final one is ≤ 1e−2·‖φ‖.  A tail already at the propagator's
-    # rounding or truncation floor counts as converged — monotonicity is meaningless
+    # final one is ≤ 1e−2·‖φ‖.  A tail already at the propagator's rounding
+    # or truncation floor counts as converged — monotonicity is meaningless
     # in noise.
     tail = increments[-3:]
     monotone = bool(np.all(np.diff(tail) < 0.0)) if tail.size >= 2 else True
