@@ -268,7 +268,8 @@ class CoordinateMap:
         """
         p = self.params
         # [()] turns 0-d arrays into numpy scalars, whose arithmetic is several
-        # times cheaper: scalar calls come one node at a time from ODE solvers
+        # times cheaper, for single-point calls (the expansion checks); the
+        # solvers pass every node or Gauss point in one array
         xs = np.asarray(x, dtype=float)[()]
         if not ((xs < 0.0) & (xs > -np.inf)).all():
             raise ValueError("working coordinate must be finite and satisfy x < 0")

@@ -957,6 +957,8 @@ def _run_spectrum(cfg: ExperimentConfig, out_dir: Path) -> ExperimentResult:
         "depth": depth,
         "conditions": [r.condition for r in sweep],
         "depth_differences": [r.depth_difference for r in sweep],
+        "current_defects": [r.current_defect for r in sweep],
+        "steps": [r.steps for r in sweep],
     }
     csv = out_dir / "spectrum_eigenvalues.csv"
     write_csv(

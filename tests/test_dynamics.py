@@ -1,5 +1,7 @@
 """Unitary evolution against the closed-form comparison flow, plus
 propagation-speed and wall-coupling behavior."""
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -147,6 +149,21 @@ class TestCayleyStep:
             psi = spsolve(plus, minus @ psi)
         got = traj.final.values.flatten(order="F")
         assert np.linalg.norm(got - psi) <= 1e-12 * np.linalg.norm(psi)
+
+    def test_non_hermitian_generator_fails_the_drift_bound(self):
+        """Negative control for unitarity (criterion 3, drift ≤ 1e-8): the
+        same flow built on H + iεI, ε = 1e-3, grows the norm like e^{εt},
+        so the drift check is not true by algebra."""
+        g = make_grid(-32.0, 512)
+        op = assemble_hamiltonian(Channel(0.5, 0.5), P_NAT, g)
+        psi0 = gaussian_packet(g, -4.0, 0.5, components=(1.0, 0.0, 0.0, 1.0))
+        cfg = EvolutionConfig(dt=0.5 * g.min_spacing, t_final=10.0)
+        assert evolve(op, psi0, cfg).norm_drift <= 1e-8
+        eye = sp.identity(op.matrix.shape[0], dtype=complex, format="csc")
+        lossy = dataclasses.replace(op, matrix=(op.matrix + 1e-3j * eye).tocsc())
+        drift = evolve(lossy, psi0, cfg).norm_drift
+        assert drift > 1e-8
+        assert drift == pytest.approx(np.expm1(1e-3 * 10.0), rel=1e-3)
 
     def test_perturbed_factor_is_refined_or_rejected(self):
         """Negative control for the per-step residual check: the factor of

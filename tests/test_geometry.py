@@ -291,7 +291,7 @@ class TestMetricAlongX:
             1.95523344582044309739, rel=1e-12)
 
     def test_one_solve_gives_both_potentials_bit_for_bit(self):
-        """The ODE's one-inverse pair (A, B), called one x at a time, equals
+        """The one-inverse pair (A, B), called one x at a time, equals
         the batched public evaluators bit for bit, through the boundary
         series band and across its crossover."""
         cm = CoordinateMap(Params(M=1, l=1, m=1))

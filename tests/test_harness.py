@@ -497,6 +497,19 @@ class TestRun:
         )
         assert [r.name for r in manifest.results] == ["geometry", "spectrum"]
 
+    def test_spectrum_records_the_sweep_counters(self, tmp_path):
+        cfg = small_config(
+            options={"spectrum": {"n": 64, "lambdas": [-1.0, 0.0, 4.0], "depth": 20.0}}
+        )
+        manifest = run(cfg, experiments=["spectrum"], out=str(tmp_path), echo=False)
+        assert manifest.all_passed
+        scalars = json.loads((tmp_path / "spectrum.json").read_text())["scalars"]
+        assert len(scalars["current_defects"]) == len(scalars["steps"]) == 3
+        assert max(scalars["current_defects"]) <= 1e-12
+        assert all(isinstance(k, int) and k > 0 for k in scalars["steps"])
+        # the step shrinks with |λ| past 2
+        assert scalars["steps"][0] == scalars["steps"][1] < scalars["steps"][2]
+
     def test_mourre_records_its_eigensolves(self, tmp_path):
         cfg = small_config(options={"mourre": {"n": 160}})
         manifest = run(cfg, experiments=["mourre"], out=str(tmp_path), echo=False)

@@ -3,8 +3,12 @@ propagation-matrix convergence (no point spectrum), and wall-exponent fits."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
-from adsdirac.algebra import Channel
+import adsdirac.spectral as spectral
+from adsdirac.algebra import ANGULAR, MASS, VELOCITY, Channel
 from adsdirac.channel import (
     ConfigurationError,
     PotentialPair,
@@ -241,6 +245,27 @@ class TestMourre:
         assert study["verdict"] == "fail"
 
 
+def _adaptive_propagation(lam, params, depth, x0=-1.0):
+    """Reference Φ(−X → x₀): the eigenfunction ODE w′ = W(x)w by adaptive
+    DOP853 at rtol 1e-12, one potential evaluation per right-hand side."""
+    cm = CoordinateMap(params)
+    g01 = -np.diag(VELOCITY)
+
+    def rhs(x, y):
+        a, b = cm._potentials_of_x(x)
+        v = CHANNEL.coupling * a * ANGULAR - params.m * b * MASS
+        e = np.exp(1j * lam * g01 * x)
+        w = 1j * g01[:, None] * (e[:, None] * v * np.conj(e)[None, :])
+        return (w @ y.reshape(4, 4)).ravel()
+
+    sol = solve_ivp(
+        rhs, (-depth, x0), np.eye(4, dtype=complex).ravel(),
+        method="DOP853", rtol=1e-12, atol=1e-14,
+    )
+    assert sol.success
+    return sol.y[:, -1].reshape(4, 4)
+
+
 class TestNoEigenvalue:
     def test_zero_potential_propagation_is_identity(self):
         rep = no_eigenvalue_test(1.0, CHANNEL, pair=potentials_zero(), depth=20.0)
@@ -260,41 +285,83 @@ class TestNoEigenvalue:
         assert rep.condition <= 1e3
         assert rep.invertible_limit
 
-    def test_tolerance_stability(self):
-        p = make_params(1.0, 1.0, 1.0)
-        loose = no_eigenvalue_test(1.0, CHANNEL, params=p, depth=20.0, rtol=1e-10)
-        tight = no_eigenvalue_test(1.0, CHANNEL, params=p, depth=20.0, rtol=2e-11)
-        assert np.max(np.abs(loose.propagation - tight.propagation)) <= 1e-8
+    @pytest.mark.parametrize("lam, mass", [(-2.0, 1.0), (1.0, 0.25)])
+    def test_agrees_with_adaptive_reference(self, lam, mass):
+        """The Magnus sweep against an adaptive integrator of the same ODE:
+        Φ within 1e-9 and cond Φ within 1e-8 relative."""
+        p = make_params(1.0, 1.0, mass)
+        rep = no_eigenvalue_test(lam, CHANNEL, params=p, depth=20.0)
+        ref = _adaptive_propagation(lam, p, 20.0)
+        assert np.max(np.abs(rep.propagation - ref)) <= 1e-9
+        assert rep.condition == pytest.approx(np.linalg.cond(ref, 2), rel=1e-8)
 
-    def test_one_coordinate_inverse_per_point(self, monkeypatch):
-        """The black-hole pair solves the inverse once per x, and gives the
-        same propagation matrix, bit for bit, as the same potentials passed
-        as two separate evaluators."""
+    def test_kink_holds_a_bound_state(self):
+        """Negative control (Jackiw & Rebbi 1976): an angular term
+        2·tanh(x + 10) does not decay toward the horizon, the gap it opens
+        holds a bound state, and Φ(−X → x₀) has no limit as X grows."""
+        kink = PotentialPair(
+            lambda x: 2.0 * np.tanh(x + 10.0), np.zeros_like, mode="override"
+        )
+        rep = no_eigenvalue_test(0.0, CHANNEL, pair=kink, depth=20.0)
+        assert rep.depth_difference > 1e10
+        assert not rep.invertible_limit
+
+    def test_step_halving_stability(self, monkeypatch):
+        """Halving the Magnus step moves Φ by at most 1e-9, also at λ = 8,
+        where the step shrinks with |λ| to follow the phases e^{±2iλx}.  At
+        λ = 8 an unscaled step h = 0.01 misses the bound (by 1.5e-8)."""
+        p = make_params(1.0, 1.0, 1.0)
+
+        def halving_gap(lam, step):
+            monkeypatch.setattr(spectral, "_STEP", step)
+            coarse = no_eigenvalue_test(lam, CHANNEL, params=p, depth=20.0)
+            monkeypatch.setattr(spectral, "_STEP", step / 2.0)
+            fine = no_eigenvalue_test(lam, CHANNEL, params=p, depth=20.0)
+            assert fine.steps > coarse.steps
+            return np.max(np.abs(fine.propagation - coarse.propagation))
+
+        step = spectral._STEP
+        assert halving_gap(1.0, step) <= 1e-9
+        assert halving_gap(8.0, step) <= 1e-9
+        assert halving_gap(8.0, 4.0 * step) > 1e-9
+
+    def test_one_vectorized_inverse_per_sweep(self, monkeypatch):
+        """The probe and the sweep each take their points from one
+        vectorized coordinate inverse, the sweep's holding every Gauss
+        point, so the number of inverse solves does not grow with the depth.
+        The black-hole pair and the same potentials passed as two separate
+        evaluators give the same propagation matrix, bit for bit."""
         p = make_params(1.0, 1.0, 1.0)
         cm = CoordinateMap(p)
         two_calls = no_eigenvalue_test(
             0.5, CHANNEL, params=p, depth=8.0,
             pair=PotentialPair(cm.angular_factor_of_x, cm.sqrtF_of_x, mode="override"),
         )
-        counts = {"solves": 0, "points": 0}
+        sizes = []
         solve = CoordinateMap._log_gap
-        both = CoordinateMap._potentials_of_x
 
         def counted_solve(self, x):
-            counts["solves"] += 1
+            sizes.append(np.size(x))
             return solve(self, x)
 
-        def counted_both(self, x):
-            counts["points"] += 1
-            return both(self, x)
-
         monkeypatch.setattr(CoordinateMap, "_log_gap", counted_solve)
-        monkeypatch.setattr(CoordinateMap, "_potentials_of_x", counted_both)
+        for depth in (8.0, 20.0, 40.0):
+            sizes.clear()
+            rep = no_eigenvalue_test(0.5, CHANNEL, params=p, depth=depth)
+            assert len(sizes) == 2
+            assert sizes[-1] == 2 * rep.steps
         one_call = no_eigenvalue_test(0.5, CHANNEL, params=p, depth=8.0)
-        assert counts["points"] > 0
-        assert counts["solves"] == counts["points"]
         assert np.array_equal(one_call.propagation, two_calls.propagation)
         assert one_call.integral_tail == two_calls.integral_tail
+
+    @settings(max_examples=25, deadline=None)
+    @given(lam=st.floats(-8.0, 8.0), mass=st.sampled_from([0.25, 0.45, 1.0]))
+    def test_current_conserved(self, lam, mass):
+        """W†Γ¹ + Γ¹W = 0, so the flow keeps Φ†Γ¹Φ = Γ¹; each Magnus step is
+        the exponential of an element of that algebra, so the sweep keeps
+        it to rounding."""
+        rep = no_eigenvalue_test(lam, CHANNEL, params=make_params(1.0, 1.0, mass), depth=20.0)
+        assert rep.current_defect <= 1e-12
 
     def test_depth_must_exceed_matching_point(self):
         with pytest.raises(ConfigurationError):
