@@ -58,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
         "scatter": "wave operators, adjoint pairing, trivial self-comparison",
         "velocity": "propagation-velocity traces and the asymptotic mean",
         "mourre": "commutator positivity on a spectral window",
-        "spectrum": "dense eigensolve and the no-eigenvalue probe",
+        "spectrum": "level counts, a windowed eigensolve and the no-eigenvalue probe",
         "domain-exponent": "wall decay rate of generic resolvent elements",
         "all": "every experiment above",
     }

@@ -2,14 +2,15 @@
 
 Three numerical shadows of the channel operator's spectral theory:
 
-* ``eigendecompose`` — the weighted symmetric eigenproblem.  The discrete
-  operator H is self-adjoint in the quadrature inner product
-  ⟨u, v⟩_W = Σ_j w_j u(x_j)†v(x_j), so S = W^{1/2} H W^{−1/2} is Hermitian
-  and its eigenpairs give spectral projections by functional calculus.
-  The whole spectrum comes from a dense solve of S (the ``spectrum``
-  experiment and the test oracle); a window [a, b] from shift-invert
-  Lanczos on the sparse S about the window centre, which only ever
-  computes the levels near the window.
+* ``level_count`` and ``eigendecompose`` — the weighted symmetric
+  eigenproblem.  The discrete operator H is self-adjoint in the quadrature
+  inner product ⟨u, v⟩_W = Σ_j w_j u(x_j)†v(x_j), so S = W^{1/2} H W^{−1/2}
+  is Hermitian and its eigenpairs give spectral projections by functional
+  calculus.  S is block tridiagonal, so the number of levels below any σ
+  comes from the inertia of one block LDL† sweep of S − σI, in O(n); the
+  levels of a window [a, b] come from one shift-invert Lanczos solve of
+  the sparse S about the window centre, sized by that count.  Nothing
+  computes the whole spectrum.
 * ``mourre_check`` — positivity of the localized commutator: the minimum
   Rayleigh quotient of P_I C P_I on ran P_I, with C the closed-form
   commutator i[H, 𝒜].  PASS means min quotient ≥ 1 − ε; η =
@@ -53,6 +54,7 @@ from .grids import Grid, SpinorField
 
 __all__ = [
     "SpectralDecomposition",
+    "level_count",
     "eigendecompose",
     "MourreReport",
     "mourre_check",
@@ -63,11 +65,6 @@ __all__ = [
     "boundary_exponent_fit",
 ]
 
-#: largest dimension a dense (whole-spectrum) solve is attempted at
-_MAX_DIM = 4 * 4096
-#: first number of pairs asked of the shift-invert Lanczos solve; doubled
-#: until the farthest returned level lies outside the window
-_FIRST_K = 16
 #: the no-eigenvalue verdict: ‖Φ_X − Φ_{2X}‖₂ and cond₂ Φ_X at most these
 _CONVERGE_TOL = 1e-8
 _COND_LIMIT = 1e3
@@ -88,11 +85,10 @@ _DIAG = (np.arange(4), np.arange(4))
 @dataclass
 class SpectralDecomposition:
     """Eigenvalues (sorted) and W-orthonormal eigenvectors of a channel
-    operator; ``vectors[:, k]`` is the flattened (component-fastest)
-    eigenvector for ``eigenvalues[k]``.
-
-    ``requested`` is the number of pairs the solver was asked for: the final
-    Lanczos k of a windowed solve, or the dimension for a dense one.
+    operator on a window; ``vectors[:, k]`` is the flattened
+    (component-fastest) eigenvector for ``eigenvalues[k]``.  ``requested``
+    is the number of pairs the Lanczos solve was asked for, 0 when the
+    window holds no level and nothing was solved.
     """
 
     eigenvalues: np.ndarray
@@ -102,43 +98,54 @@ class SpectralDecomposition:
     orthonormality_defect: float
     requested: int
 
-    def count_in(self, a: float, b: float) -> int:
-        return int(np.sum((self.eigenvalues >= a) & (self.eigenvalues <= b)))
 
+def level_count(op: ChannelOperator, sigmas) -> np.ndarray:
+    """The number of levels of H below each σ, by Sylvester's law of inertia.
 
-def _window_pairs(
-    sym: sp.csc_matrix, a: float, b: float
-) -> Optional[Tuple[np.ndarray, np.ndarray, int]]:
-    """Shift-invert Lanczos about the window centre σ.
-
-    The k returned levels are the k nearest σ; k doubles until the farthest
-    of them lies strictly outside [a, b], which guarantees that every level
-    of the window is among them.  The returned basis is then orthonormalized
-    by a Rayleigh–Ritz step in its span.  None when 2k would reach the
-    dimension, i.e. when the window holds too much of the spectrum."""
-    dim = sym.shape[0]
-    sigma = 0.5 * (a + b)
-    try:
-        lu = spla.splu((sym - sigma * sp.identity(dim, format="csc")).tocsc())
-    except RuntimeError as exc:
-        raise NumericError("shift-invert factorization failed", {"sigma": sigma}) from exc
-    opinv = spla.LinearOperator((dim, dim), matvec=lu.solve, dtype=complex)
-    # a fixed start vector keeps the solve reproducible
-    v0 = np.random.default_rng(0).standard_normal(dim).astype(complex)
-    k = _FIRST_K
-    while 2 * k < dim:
-        try:
-            lam, basis = spla.eigsh(sym, k=k, sigma=sigma, OPinv=opinv, v0=v0)
-        except spla.ArpackError as exc:
-            raise NumericError("shift-invert Lanczos failed", {"k": k}) from exc
-        far = lam[np.argmax(np.abs(lam - sigma))]
-        if far < a or far > b:
-            q, _ = np.linalg.qr(basis)
-            ritz = q.conj().T @ (sym @ q)
-            theta, y = sla.eigh((ritz + ritz.conj().T) / 2.0)
-            return theta, q @ y, k
-        k *= 2
-    return None
+    S = W^{1/2}HW^{−1/2} is block tridiagonal in 4×4 node blocks, so the
+    block LDL† sweep D_j = S_jj − σ − S_{j−1,j}† D_{j−1}^{−1} S_{j−1,j}
+    reduces S − σI congruently to the pivots D_j, whose negative
+    eigenvalues are the levels below σ: O(n) small solves for all σ at once.
+    A pivot with an eigenvalue below √ε·max|S_ij| in magnitude (σ at a
+    level of a leading block, as at a wall closure's own levels) would
+    spoil the pivots after it, so it joins the next node in one 8×8 pivot,
+    the 2×2-block pivot of Bunch and Kaufman.  A near-singular merged
+    pivot or a non-finite pivot raises ``NumericError``."""
+    sigmas = np.asarray(sigmas, dtype=float)
+    s = op.symmetrized()[0].tocoo()
+    node, col = s.row // 4, s.col // 4
+    diag = np.zeros((op.grid.n, 4, 4), dtype=complex)
+    upper = np.zeros_like(diag)  # S_{j−1,j} at j; zero at 0
+    on, up = node == col, col == node + 1
+    diag[node[on], s.row[on] % 4, s.col[on] % 4] = s.data[on]
+    upper[col[up], s.row[up] % 4, s.col[up] % 4] = s.data[up]
+    floor = math.sqrt(np.finfo(float).eps) * float(np.abs(s.data).max())
+    shift = sigmas.reshape(-1, 1, 1) * np.eye(4)
+    below = np.zeros(shift.shape[0], dtype=int)
+    inverse = np.zeros_like(shift, dtype=complex)  # what S_{j−1,j} meets: D_{j−1}^{−1}
+    merge = np.zeros(shift.shape[0], dtype=bool)  # D_{j−1} is near-singular
+    for j in range(op.grid.n):
+        x = diag[j] - shift
+        pivot = x - upper[j].conj().T @ inverse @ upper[j]
+        if not np.all(np.isfinite(pivot)):
+            raise NumericError("non-finite pivot in the inertia sweep", {"node": j})
+        mu, v = np.linalg.eigh(pivot)
+        negative = np.sum(mu < 0.0, axis=1)
+        small = np.abs(mu) < floor
+        # finite stand-ins where a pivot is merged with the next node instead
+        inverse = (v / np.where(small, floor, mu)[:, None, :]) @ v.conj().transpose(0, 2, 1)
+        if merge.any():  # D_{j−1} and node j as one 8×8 pivot
+            b = np.broadcast_to(upper[j], (int(merge.sum()), 4, 4))
+            block = np.block([[last[merge], b], [b.conj().transpose(0, 2, 1), x[merge]]])
+            nu = np.linalg.eigvalsh(block)
+            if np.any(np.abs(nu) < floor):
+                raise NumericError("near-singular merged pivot in the inertia sweep", {"node": j})
+            negative[merge] = np.sum(nu < 0.0, axis=1) - last_negative[merge]
+            inverse[merge] = np.linalg.inv(block)[:, 4:, 4:]
+            small[merge] = False
+        below += negative
+        merge, last, last_negative = small.any(axis=1), pivot, negative
+    return below.reshape(sigmas.shape)
 
 
 def _accuracy(
@@ -147,8 +154,6 @@ def _accuracy(
     """Largest W-norm residual ‖Hv − λv‖_W and W-Gram defect of the pairs;
     raises past 1e−10·max|λ| or 1e−10, since every downstream projection
     trusts them."""
-    if lam.size == 0:
-        return 0.0, 0.0
     w4 = np.repeat(op.grid.weights, 4)
     resid = op.matrix @ vectors - vectors * lam[None, :]
     max_res = float(np.sqrt(np.sum(w4[:, None] * np.abs(resid) ** 2, axis=0)).max())
@@ -163,54 +168,60 @@ def _accuracy(
     return max_res, ortho
 
 
-def eigendecompose(
-    op: ChannelOperator, window: Optional[Tuple[float, float]] = None
-) -> SpectralDecomposition:
-    """Eigenpairs of H in the weighted inner product.
+def eigendecompose(op: ChannelOperator, window: Tuple[float, float]) -> SpectralDecomposition:
+    """Eigenpairs of H in the weighted inner product with eigenvalue in
+    the window [a, b].
 
-    Without a window: the full spectrum by a dense solve of the symmetrized
-    operator, O(N³), capped at dimension ``_MAX_DIM``.  With a window
-    [a, b]: only the levels inside it, by shift-invert Lanczos about the
-    window centre (one sparse LU, reused as k grows), which is O(N·k) per
-    iteration and has no cap; a window holding too much of the spectrum
-    for that falls back to the dense solve.
-
-    Either way the returned pairs pass one accuracy check: W-norm residual
-    ≤ 1e−10·max|λ| and W-Gram defect ≤ 1e−10, or ``NumericError``.
+    ``level_count`` counts the window's levels before any solve; none
+    returns no pairs.  Otherwise one shift-invert Lanczos solve of the
+    sparse S about the window centre asks for the count plus a margin, and
+    a Rayleigh–Ritz step orthonormalizes its basis.  The count levels
+    nearest the centre are exactly the window's, so a solve with another
+    number of levels in the window raises ``NumericError`` naming both; a
+    window too wide for Lanczos (2k ≥ dimension) raises
+    ``ConfigurationError``.  The pairs pass one accuracy check, W-norm
+    residual ≤ 1e−10·max|λ| and W-Gram defect ≤ 1e−10, or ``NumericError``.
     """
+    a, b = float(window[0]), float(window[1])
+    if not b > a:
+        raise ConfigurationError("empty window")
+    lo, hi = level_count(op, (a, b))
+    count = int(hi - lo)
     sym, root = op.symmetrized()
     dim = sym.shape[0]
-    found = None
-    if window is not None:
-        a, b = float(window[0]), float(window[1])
-        if not b > a:
-            raise ConfigurationError("empty window")
-        found = _window_pairs(sym, a, b)
-    if found is None:
-        if dim > _MAX_DIM:
-            raise ConfigurationError(
-                f"matrix dimension {dim} exceeds the dense-solve cap {_MAX_DIM}"
-            )
-        try:
-            lam, basis = sla.eigh(sym.toarray())
-        except sla.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-            raise NumericError("symmetric eigensolver failed", {"dim": dim}) from exc
-        requested = dim
-    else:
-        lam, basis, requested = found
-    if window is not None:
-        keep = (lam >= a) & (lam <= b)
-        lam, basis = lam[keep], basis[:, keep]
-    vectors = basis / root[:, None]
-    max_res, ortho = _accuracy(op, lam, vectors)
-    return SpectralDecomposition(
-        eigenvalues=lam,
-        vectors=vectors,
-        grid=op.grid,
-        max_residual=max_res,
-        orthonormality_defect=ortho,
-        requested=requested,
-    )
+    if count == 0:
+        return SpectralDecomposition(
+            np.empty(0), np.empty((dim, 0), dtype=complex), op.grid, 0.0, 0.0, 0
+        )
+    k = count + max(8, count // 4)
+    if 2 * k >= dim:
+        raise ConfigurationError(
+            f"window [{a}, {b}] holds {count} of {dim} levels; Lanczos needs 2k < {dim}, k = {k}"
+        )
+    sigma = 0.5 * (a + b)
+    try:
+        lu = spla.splu((sym - sigma * sp.identity(dim, format="csc")).tocsc())
+    except RuntimeError as exc:
+        raise NumericError("shift-invert factorization failed", {"sigma": sigma}) from exc
+    opinv = spla.LinearOperator((dim, dim), matvec=lu.solve, dtype=complex)
+    # a fixed start vector keeps the solve reproducible
+    v0 = np.random.default_rng(0).standard_normal(dim).astype(complex)
+    try:
+        _, basis = spla.eigsh(sym, k=k, sigma=sigma, OPinv=opinv, v0=v0)
+    except spla.ArpackError as exc:
+        raise NumericError("shift-invert Lanczos failed", {"k": k}) from exc
+    q, _ = np.linalg.qr(basis)
+    ritz = q.conj().T @ (sym @ q)
+    lam, y = sla.eigh((ritz + ritz.conj().T) / 2.0)
+    keep = (lam >= a) & (lam <= b)
+    found = int(keep.sum())
+    if found != count:
+        raise NumericError(
+            f"window solve found {found} levels in [{a}, {b}], inertia counts {count}",
+            {"found": found, "counted": count, "requested": k},
+        )
+    vectors = (q @ y[:, keep]) / root[:, None]
+    return SpectralDecomposition(lam[keep], vectors, op.grid, *_accuracy(op, lam[keep], vectors), k)
 
 
 # ------------------------------------------------------------ Mourre check
@@ -238,24 +249,25 @@ def mourre_check(
     """Minimum of the localized commutator on the spectral window.
 
     P_I is spanned by the eigenpairs in [a, b]: those of ``decomposition``
-    when given, otherwise those of a windowed ``eigendecompose`` (sparse
-    shift-invert, no dense solve).  The quotient matrix ⟨v_i, C v_j⟩_W is a
-    Rayleigh–Ritz restriction, so its smallest eigenvalue is the true
-    minimum over the computed subspace.  PASS means that minimum is at
-    least 1 − ε; η = ‖P_I(C − 𝟙)P_I‖ is reported, not credited.  The
-    interval must hold at least ten levels — a thinner window is below the
-    discrete resolution.
+    when given, otherwise those of ``eigendecompose`` on the window.  The
+    quotient matrix ⟨v_i, C v_j⟩_W is a Rayleigh–Ritz restriction, so its
+    smallest eigenvalue is the true minimum over the computed subspace.
+    PASS means that minimum is at least 1 − ε; η = ‖P_I(C − 𝟙)P_I‖ is
+    reported, not credited.  The interval must hold at least ten levels —
+    a thinner window is below the discrete resolution — which
+    ``level_count`` settles before any solve.
     """
     a, b = float(interval[0]), float(interval[1])
     if not b > a:
         raise ConfigurationError("empty interval")
+    lo, hi = level_count(op, (a, b))
+    if hi - lo < 10:
+        raise ConfigurationError(
+            f"interval [{a}, {b}] holds only {hi - lo} levels; need ≥ 10 spacings"
+        )
     dec = decomposition if decomposition is not None else eigendecompose(op, (a, b))
     sel = (dec.eigenvalues >= a) & (dec.eigenvalues <= b)
     k = int(sel.sum())
-    if k < 10:
-        raise ConfigurationError(
-            f"interval [{a}, {b}] holds only {k} levels; need ≥ 10 spacings"
-        )
     vi = dec.vectors[:, sel]
     n = op.grid.n
     blocks = commutator_closed_form(op).blocks
@@ -298,12 +310,7 @@ def mourre_refinement_study(
         verdict = "inconclusive"
     else:
         verdict = "pass" if rep_f.passed else "fail"
-    return {
-        "coarse": rep_c,
-        "fine": rep_f,
-        "quotient_drift": drift,
-        "verdict": verdict,
-    }
+    return {"coarse": rep_c, "fine": rep_f, "quotient_drift": drift, "verdict": verdict}
 
 
 # ------------------------------------------------------ no-eigenvalue test
@@ -530,21 +537,10 @@ def boundary_exponent_fit(
     window &= unorm > 0.0
     n_pts = int(window.sum())
     if n_pts < 5:
-        return BoundaryFitReport(
-            slope=None, n_points=n_pts,
-            fitted=False, reason="fit window holds fewer than 5 nodes",
-            target=_slope_target(op),
-        )
-    if unorm[window].max() < 1e-10 * unorm.max():
-        return BoundaryFitReport(
-            slope=None, n_points=n_pts,
-            fitted=False, reason="no boundary tail", target=_slope_target(op),
-        )
-    slope, _ = np.polyfit(np.log(t[window]), np.log(unorm[window]), 1)
-    return BoundaryFitReport(
-        slope=float(slope),
-        n_points=n_pts,
-        fitted=True,
-        reason="",
-        target=_slope_target(op),
-    )
+        reason = "fit window holds fewer than 5 nodes"
+    elif unorm[window].max() < 1e-10 * unorm.max():
+        reason = "no boundary tail"
+    else:
+        slope, _ = np.polyfit(np.log(t[window]), np.log(unorm[window]), 1)
+        return BoundaryFitReport(float(slope), n_pts, True, "", _slope_target(op))
+    return BoundaryFitReport(None, n_pts, False, reason, _slope_target(op))

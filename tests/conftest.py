@@ -1,4 +1,5 @@
-"""Shared test plumbing: the acceptance-line reporter.
+"""Shared test plumbing: the acceptance-line reporter and the dense
+eigensolve oracle.
 
 Acceptance tests register one human-readable verdict line each; the lines
 are replayed in the terminal summary so the full pass/fail slate is visible
@@ -6,6 +7,28 @@ even when pytest captures per-test output.
 """
 
 from typing import List
+
+import numpy as np
+import scipy.linalg as sla
+
+from adsdirac.channel import ChannelOperator
+from adsdirac.spectral import SpectralDecomposition, _accuracy
+
+
+def dense_decomposition(op: ChannelOperator) -> SpectralDecomposition:
+    """Every eigenpair of H by a dense O(N³) solve of the symmetrized
+    operator, under the package's accuracy contract: the oracle the
+    windowed solve and the inertia counts are tested against."""
+    sym, root = op.symmetrized()
+    lam, basis = sla.eigh(sym.toarray())
+    vectors = basis / root[:, None]
+    max_res, ortho = _accuracy(op, lam, vectors)
+    return SpectralDecomposition(lam, vectors, op.grid, max_res, ortho, requested=lam.size)
+
+
+def dense_levels(op: ChannelOperator) -> np.ndarray:
+    """Every eigenvalue of H, sorted, by a dense solve without vectors."""
+    return sla.eigvalsh(op.symmetrized()[0].toarray())
 
 ACCEPTANCE_LINES: List[str] = []
 

@@ -24,7 +24,7 @@ from adsdirac.harness import (
     run,
 )
 from adsdirac.scattering import _check_schedule, velocity_report
-from adsdirac.spectral import _MAX_DIM
+from adsdirac.spectral import level_count
 
 MINIMAL = {"M": 1, "l": 1, "m": 1, "channel": [0.5, 0.5]}
 
@@ -319,7 +319,7 @@ _VALUES = {
     "options.mourre.interval": (([0.5, 1.5], [-1, 1]), ([1.5, 0.5], [0.5], [0.5, "1.5"])),
     "options.mourre.eps": ((0.5, 0.1), (0.0, 1.0, float("nan"))),
     "options.mourre.stability": ((0.05, 1), (0.0, -1)),
-    "options.spectrum.n": ((16, 64), (8, 5000, "x")),
+    "options.spectrum.n": ((16, 64), (8, "x")),
     "options.spectrum.lambdas": (([0.0], [-1, 1]), ([], "x")),
     "options.spectrum.depth": ((5.0, 20), (1, -1)),
     "options.domain-exponent.masses": (([1.0, 0.25], [0]), ([], [-1], "x")),
@@ -399,7 +399,7 @@ def _build_inputs(cfg):
     assert 0 < mourre["eps"] < 1 and mourre["stability"] > 0
     spectrum = opts["spectrum"]
     make_grid(cfg.grid.x_min, spectrum["n"])
-    assert 4 * spectrum["n"] <= _MAX_DIM and spectrum["depth"] > 1
+    assert spectrum["depth"] > 1
     graded = opts["domain-exponent"]
     make_grid(
         graded["x_min"],
@@ -504,6 +504,15 @@ class TestRun:
         manifest = run(cfg, experiments=["spectrum"], out=str(tmp_path), echo=False)
         assert manifest.all_passed
         scalars = json.loads((tmp_path / "spectrum.json").read_text())["scalars"]
+        # the counts are inertia differences, and the CSV holds the window's levels
+        op = cfg.operator(make_grid(cfg.grid.x_min, 64))
+        for k, count in scalars["counts"].items():
+            lo, hi = level_count(op, (-float(k), float(k)))
+            assert count == hi - lo
+        rows = (tmp_path / "spectrum_eigenvalues.csv").read_text().splitlines()[3:]
+        assert len(rows) == scalars["counts"]["1"] > 0
+        assert scalars["window"] == [-1.0, 1.0]
+        assert scalars["requested"] > scalars["counts"]["1"]
         assert len(scalars["current_defects"]) == len(scalars["steps"]) == 3
         assert max(scalars["current_defects"]) <= 1e-12
         assert all(isinstance(k, int) and k > 0 for k in scalars["steps"])
@@ -638,7 +647,36 @@ class TestRun:
         assert sorted(result.files) == ["spectrum.json", "spectrum_eigenvalues.csv"]
         rows = (tmp_path / "spectrum_eigenvalues.csv").read_text().splitlines()
         assert rows[-1] == "k,lambda"
-        assert json.loads((tmp_path / "spectrum.json").read_text())["scalars"]["dimension"] == 0
+        assert json.loads((tmp_path / "spectrum.json").read_text())["scalars"]["requested"] is None
+
+    def test_dropped_level_fails_its_checks(self, tmp_path, monkeypatch):
+        """Negative control for the count-checked window solve: an ``eigsh``
+        that loses the level nearest its shift returns one level fewer than
+        inertia counts in [−1, 1]; both lines must FAIL carrying the two
+        numbers while the sweep still runs."""
+        import scipy.sparse.linalg as spla
+
+        exact_eigsh = spla.eigsh
+
+        def lossy_eigsh(a, k, sigma, **kw):
+            lam, vec = exact_eigsh(a, k=k, sigma=sigma, **kw)
+            keep = np.arange(lam.size) != np.argmin(np.abs(lam - sigma))
+            return lam[keep], vec[:, keep]
+
+        monkeypatch.setattr(spla, "eigsh", lossy_eigsh)
+        cfg = small_config(
+            options={"spectrum": {"n": 64, "lambdas": [0.0], "depth": 5.0}}
+        )
+        manifest = run(cfg, experiments=["spectrum"], out=str(tmp_path), echo=False)
+        (result,) = manifest.results
+        assert result.status == "fail"
+        checks = {c.name: c for c in result.checks}
+        counted = json.loads((tmp_path / "spectrum.json").read_text())["scalars"]["counts"]["1"]
+        for name in ("eigen_residual", "orthonormality"):
+            assert not checks[name].passed
+            assert f"found {counted - 1} levels" in checks[name].detail
+            assert f"inertia counts {counted}" in checks[name].detail
+        assert "no_eigenvalue[0]" in checks  # the sweep still ran
 
     def test_empty_selection_rejected(self, tmp_path):
         cfg = small_config()

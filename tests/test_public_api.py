@@ -101,3 +101,17 @@ def test_oracle_allow_list_is_current(entry):
     # once something uses it, the entry goes
     assert entry in set(_exports())
     assert entry in _unused_exports(kept=())
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_dense_matrix_in_the_package(path):
+    # every operator stays sparse; the dense eigensolve is a test oracle
+    # (tests/conftest.py), so the package never densifies a matrix
+    calls = [
+        f"line {node.lineno}: .{node.func.attr}()"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("toarray", "todense")
+    ]
+    assert not calls, f"{path.name} densifies: " + ", ".join(calls)

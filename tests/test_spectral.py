@@ -3,13 +3,16 @@ propagation-matrix convergence (no point spectrum), and wall-exponent fits."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.sparse.linalg as spla
+from conftest import dense_decomposition, dense_levels
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 import adsdirac.spectral as spectral
 from adsdirac.algebra import ANGULAR, MASS, VELOCITY, Channel
 from adsdirac.channel import (
+    BoundaryCondition,
     ConfigurationError,
     PotentialPair,
     assemble_hamiltonian,
@@ -17,11 +20,13 @@ from adsdirac.channel import (
     potentials_sads,
     potentials_zero,
 )
+from adsdirac.dynamics import NumericError
 from adsdirac.geometry import CoordinateMap, make_params
 from adsdirac.grids import BoundaryGraded, SpinorField, gaussian_packet, make_grid
 from adsdirac.spectral import (
     boundary_exponent_fit,
     eigendecompose,
+    level_count,
     mourre_check,
     mourre_refinement_study,
     no_eigenvalue_test,
@@ -32,84 +37,170 @@ CHANNEL = Channel(0.5, 0.5)
 
 @pytest.fixture(scope="module")
 def free_decomposition():
-    """Eigenpairs of Γ¹D_x on (−16, 0), N = 320 — shared, the solve is the
-    expensive part."""
-    return eigendecompose(free_operator(make_grid(-16.0, 320)))
+    """Dense eigenpairs of Γ¹D_x on (−16, 0), N = 320: the oracle, shared,
+    the solve is the expensive part."""
+    return dense_decomposition(free_operator(make_grid(-16.0, 320)))
 
 
 @pytest.fixture(scope="module")
 def sads_decomposition():
-    """Eigenpairs of the interacting operator on the Mourre geometry
+    """Dense eigenpairs of the interacting operator on the Mourre geometry
     (m = 1, x_min = −32, N = 640)."""
-    op = assemble_hamiltonian(
-        CHANNEL, make_params(1.0, 1.0, 1.0), make_grid(-32.0, 640)
-    )
-    return op, eigendecompose(op)
+    op = _sads_operator(640)
+    return op, dense_decomposition(op)
+
+
+@pytest.fixture(scope="module")
+def sads_320():
+    op = _sads_operator(320)
+    return op, dense_decomposition(op)
+
+
+WINDOW = (0.5, 1.5)
+#: the cuts of the ``spectrum`` experiment's counts, ±1, ±2, ±4, ±8
+CUTS = (-8.0, -4.0, -2.0, -1.0, 1.0, 2.0, 4.0, 8.0)
+
+
+def _sads_operator(n, m=1.0, x_min=-32.0):
+    return assemble_hamiltonian(CHANNEL, make_params(1.0, 1.0, m), make_grid(x_min, n))
+
+
+def _in_window(op, window):
+    lo, hi = level_count(op, window)
+    return int(hi - lo)
 
 
 class TestEigendecompose:
-    def test_free_contract(self, free_decomposition):
-        dec = free_decomposition
+    """The windowed solve's contract, on its own."""
+
+    @pytest.fixture(scope="class")
+    def free_window(self):
+        op = free_operator(make_grid(-16.0, 320))
+        return op, eigendecompose(op, WINDOW)
+
+    def test_free_contract(self, free_window):
+        op, dec = free_window
+        assert dec.eigenvalues.size == _in_window(op, WINDOW) >= 10
+        assert dec.requested > dec.eigenvalues.size
         assert dec.max_residual <= 1e-10 * np.max(np.abs(dec.eigenvalues))
         assert dec.orthonormality_defect <= 1e-10
 
-    def test_free_spectrum_chirally_symmetric(self, free_decomposition):
-        """Γ¹D_x anticommutes with the mass matrix, so λ ↦ −λ is exact."""
-        lam = np.sort(free_decomposition.eigenvalues)
-        assert np.max(np.abs(lam + lam[::-1])) <= 1e-12 * np.max(np.abs(lam))
+    def test_free_spectrum_chirally_symmetric(self, free_window):
+        """Γ¹D_x anticommutes with the mass matrix, so λ ↦ −λ is exact: the
+        mirrored window holds the negated levels, and the counts below −σ
+        and below σ add up to the dimension."""
+        op, dec = free_window
+        lam = dec.eigenvalues
+        mirrored = eigendecompose(op, (-WINDOW[1], -WINDOW[0])).eigenvalues
+        assert np.max(np.abs(lam + mirrored[::-1])) <= 1e-12 * np.max(np.abs(lam))
+        below = level_count(op, CUTS)
+        assert np.array_equal(below + below[::-1], np.full(len(CUTS), 4 * op.grid.n))
 
     @pytest.mark.parametrize("k_cut", [4.0, 8.0])
-    def test_free_counting_function(self, free_decomposition, k_cut):
+    def test_free_counting_function(self, k_cut):
         """Integrated density of states ≈ 8KL/π: two transport systems,
         each unfolded across the reflecting wall."""
         predicted = 8.0 * k_cut * 16.0 / np.pi
-        counted = free_decomposition.count_in(-k_cut, k_cut)
+        counted = _in_window(free_operator(make_grid(-16.0, 320)), (-k_cut, k_cut))
         assert counted == pytest.approx(predicted, rel=0.10)
 
-    def test_free_counting_doubles(self, free_decomposition):
-        c4 = free_decomposition.count_in(-4.0, 4.0)
-        c8 = free_decomposition.count_in(-8.0, 8.0)
+    def test_free_counting_doubles(self):
+        op = free_operator(make_grid(-16.0, 320))
+        c4, c8 = _in_window(op, (-4.0, 4.0)), _in_window(op, (-8.0, 8.0))
         assert c8 / c4 == pytest.approx(2.0, rel=0.05)
 
     def test_interacting_contract_in_bag_regime(self):
-        op = assemble_hamiltonian(
-            CHANNEL, make_params(1.0, 1.0, 0.25), make_grid(-16.0, 320)
-        )
-        dec = eigendecompose(op)
-        assert dec.eigenvalues.size == 4 * 320
+        op = _sads_operator(320, m=0.25, x_min=-16.0)
+        dec = eigendecompose(op, WINDOW)
+        assert dec.eigenvalues.size == _in_window(op, WINDOW) >= 10
+        assert dec.max_residual <= 1e-10 * np.max(np.abs(dec.eigenvalues))
         assert dec.orthonormality_defect <= 1e-10
 
-    def test_eigenfield_is_an_eigenvector(self, free_decomposition):
-        dec = free_decomposition
+    def test_eigenfield_is_an_eigenvector(self, free_window):
+        _, dec = free_window
         k = dec.eigenvalues.size // 3
         field = SpinorField(dec.grid, dec.vectors[:, k].reshape((4, dec.grid.n), order="F"))
         op = free_operator(field.grid)
         resid = op.apply(field.values) - dec.eigenvalues[k] * field.values
         assert field.grid.norm(resid) <= 1e-10 * max(abs(dec.eigenvalues[k]), 1.0)
 
-    def test_dimension_cap(self):
-        op = free_operator(make_grid(-24.0, 8192))
-        with pytest.raises(ConfigurationError):
-            eigendecompose(op)
 
-    def test_dense_solve_requests_every_pair(self, free_decomposition):
-        assert free_decomposition.requested == 4 * 320
+class TestLevelCount:
+    """Inertia counts against the dense oracle's eigenvalues."""
+
+    @pytest.fixture(params=["free-320", "sads-320", "sads-640", "bag-320", "graded-511"])
+    def oracle(self, request, free_decomposition, sads_320, sads_decomposition):
+        """(operator, every level sorted) per case."""
+        name = request.param
+        if name == "free-320":
+            return free_operator(make_grid(-16.0, 320)), free_decomposition.eigenvalues
+        if name in ("sads-320", "sads-640"):
+            op, dense = sads_320 if name == "sads-320" else sads_decomposition
+            return op, dense.eigenvalues
+        op = _graded_operator(0.25, 1e-3) if name == "graded-511" else _sads_operator(
+            320, m=0.25, x_min=-16.0
+        )
+        return op, dense_levels(op)
+
+    def test_matches_dense_oracle(self, oracle):
+        op, levels = oracle
+        expected = [int(np.sum(levels < s)) for s in CUTS]
+        assert level_count(op, CUTS).tolist() == expected
+
+    @pytest.fixture(scope="class")
+    def sads_64(self):
+        op = _sads_operator(64)
+        return op, dense_levels(op)
+
+    @settings(max_examples=40, deadline=None)
+    @given(sigmas=st.lists(st.floats(-8.0, 8.0), min_size=2, max_size=6))
+    @example(sigmas=[-1.0, 1.0])  # the left wall closure's levels at h = 1/2
+    def test_rises_with_sigma_and_matches_oracle(self, sads_64, sigmas):
+        op, levels = sads_64
+        sigmas = np.sort(sigmas)
+        counts = level_count(op, sigmas)
+        assert np.all(np.diff(counts) >= 0)
+        assert counts.tolist() == [int(np.sum(levels < s)) for s in sigmas]
+
+    def test_singular_first_pivot_is_merged(self):
+        """σ = ±1/(2h) are levels of the free operator's first node block
+        (the left wall closure), so the first pivot is singular; the sweep
+        must take it together with the second node and still count
+        exactly."""
+        op = free_operator(make_grid(-32.0, 64))
+        sigmas = (-1.0, 1.0)
+        first = np.linalg.eigvalsh(op.symmetrized()[0].toarray()[:4, :4])
+        assert np.min(np.abs(first - sigmas[1])) <= 1e-15
+        levels = dense_levels(op)
+        assert level_count(op, sigmas).tolist() == [int(np.sum(levels < s)) for s in sigmas]
+
+    def test_non_finite_pivot_raises(self):
+        """A NaN potential at one node must not be counted past or clamped."""
+        grid = make_grid(-16.0, 64)
+        bad = grid.nodes[20]
+        pair = PotentialPair(
+            lambda x: np.where(np.asarray(x) == bad, np.nan, 0.0), np.zeros_like,
+            mode="override",
+        )
+        op = assemble_hamiltonian(CHANNEL, None, grid, pair)
+        with pytest.raises(NumericError, match="non-finite pivot"):
+            level_count(op, (0.5, 1.5))
 
 
-WINDOW = (0.5, 1.5)
+def _drop_nearest_level(monkeypatch):
+    """Make ``eigsh`` lose the returned level nearest its shift."""
+    exact_eigsh = spla.eigsh
 
+    def lossy_eigsh(a, k, sigma, **kw):
+        lam, vec = exact_eigsh(a, k=k, sigma=sigma, **kw)
+        keep = np.arange(lam.size) != np.argmin(np.abs(lam - sigma))
+        return lam[keep], vec[:, keep]
 
-def _sads_operator(n):
-    return assemble_hamiltonian(CHANNEL, make_params(1.0, 1.0, 1.0), make_grid(-32.0, n))
+    monkeypatch.setattr(spla, "eigsh", lossy_eigsh)
 
 
 class TestWindowedEigendecompose:
     """Shift-invert Lanczos on a window against the dense oracle."""
-
-    @pytest.fixture(scope="class")
-    def sads_320(self):
-        op = _sads_operator(320)
-        return op, eigendecompose(op)
 
     @pytest.fixture(params=["free-320", "sads-320", "sads-640"])
     def oracle(self, request, free_decomposition, sads_320, sads_decomposition):
@@ -137,30 +228,41 @@ class TestWindowedEigendecompose:
         assert by_window.min_quotient == pytest.approx(by_dense.min_quotient, abs=1e-12)
         assert by_window.eta == pytest.approx(by_dense.eta, abs=1e-12)
 
-    def test_window_beyond_the_spectrum(self):
+    def test_window_beyond_the_spectrum(self, monkeypatch):
+        """No level in the window: no pairs, and ARPACK is never called."""
+        monkeypatch.setattr(spla, "eigsh", None)
         op = _sads_operator(64)
         dec = eigendecompose(op, (1e3, 1e3 + 1.0))
         assert dec.eigenvalues.size == 0
-        assert dec.requested == 16
+        assert dec.vectors.shape == (4 * 64, 0)
+        assert dec.requested == 0
         with pytest.raises(ConfigurationError, match="need ≥ 10"):
             mourre_check(op, (1e3, 1e3 + 1.0), 0.5)
 
-    def test_whole_spectrum_window_falls_back_to_dense(self):
+    def test_window_too_wide_for_lanczos_rejected(self):
         op = _sads_operator(64)
-        dense = eigendecompose(op)
-        edge = 2.0 * float(np.max(np.abs(dense.eigenvalues)))
-        win = eigendecompose(op, (-edge, edge))
-        assert win.requested == 4 * 64
-        assert win.eigenvalues.size == dense.eigenvalues.size
-        assert np.max(np.abs(win.eigenvalues - dense.eigenvalues)) == 0.0
+        edge = 2.0 * float(np.max(np.abs(dense_levels(op))))
+        with pytest.raises(ConfigurationError, match=f"holds {4 * 64} of {4 * 64} levels"):
+            eigendecompose(op, (-edge, edge))
+
+    def test_dropped_level_is_rejected(self, monkeypatch):
+        """Negative control for the count check: a solve that loses the
+        level nearest its shift returns one level fewer than inertia counts
+        in the window, and the decomposition must name both numbers."""
+        op = _sads_operator(320)
+        count = _in_window(op, WINDOW)
+        _drop_nearest_level(monkeypatch)
+        with pytest.raises(NumericError, match=f"found {count - 1} levels.*counts {count}"):
+            eigendecompose(op, WINDOW)
 
     def test_empty_window_rejected(self):
         with pytest.raises(ConfigurationError):
             eigendecompose(_sads_operator(64), (1.5, 0.5))
 
     def test_mourre_above_the_dense_cap(self):
-        """Dimension 32768 is twice the dense cap; the window solve only
-        ever touches the levels near [0.5, 1.5]."""
+        """Dimension 32768, twice the size the dense solve was once capped
+        at: the inertia sweep is O(n) and the window solve only ever touches
+        the levels near [0.5, 1.5]."""
         op = _sads_operator(8192)
         rep = mourre_check(op, WINDOW, 0.5)
         assert rep.n_states >= 30
@@ -402,6 +504,22 @@ class TestBoundaryFit:
             rep = boundary_exponent_fit(_graded_operator(m, h_min))
             gaps.append(abs(rep.slope - target))
         assert gaps[0] > gaps[1] > gaps[2]
+
+    def test_wrong_regime_closure_fails(self):
+        """Negative control: the bag-regime potentials (m = 0.25) closed by
+        the natural wall instead, on criterion 10's graded grid.  The fit
+        lands on the wrong side of zero, about 0.5 from the regime's target
+        −ml = −1/4, so the judgement |slope − target| ≤ 0.05 must fail."""
+        params = make_params(1.0, 1.0, 0.25)
+        sads = potentials_sads(params)
+        pair = PotentialPair(sads.a_ang, sads.b_mass, mode="override")
+        grid = make_grid(-24.0, policy=BoundaryGraded(1e-3, 1.1, 0.05))
+        op = assemble_hamiltonian(CHANNEL, params, grid, pair, BoundaryCondition.NATURAL)
+        rep = boundary_exponent_fit(op)
+        assert rep.fitted
+        assert rep.target == -0.25
+        assert rep.slope > 0.0
+        assert not abs(rep.slope - rep.target) <= 0.05
 
     def test_wall_row_activation(self):
         graded = _graded_operator(0.25, 1e-3)
