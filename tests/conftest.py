@@ -1,5 +1,5 @@
-"""Shared test plumbing: the acceptance-line reporter and the dense
-eigensolve oracle.
+"""Shared test plumbing: the acceptance-line reporter, the dense
+eigensolve oracle and a lossy eigensolver for negative controls.
 
 Acceptance tests register one human-readable verdict line each; the lines
 are replayed in the terminal summary so the full pass/fail slate is visible
@@ -10,6 +10,7 @@ from typing import List
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse.linalg as spla
 
 from adsdirac.channel import ChannelOperator
 from adsdirac.spectral import SpectralDecomposition, _accuracy
@@ -24,6 +25,19 @@ def dense_decomposition(op: ChannelOperator) -> SpectralDecomposition:
     vectors = basis / root[:, None]
     max_res, ortho = _accuracy(op, lam, vectors)
     return SpectralDecomposition(lam, vectors, op.grid, max_res, ortho, requested=lam.size)
+
+
+def drop_nearest_level(monkeypatch) -> None:
+    """Make ``scipy.sparse.linalg.eigsh`` lose the returned level nearest
+    its shift: the negative control of the count-checked window solve."""
+    exact_eigsh = spla.eigsh
+
+    def lossy_eigsh(a, k, sigma, **kw):
+        lam, vec = exact_eigsh(a, k=k, sigma=sigma, **kw)
+        keep = np.arange(lam.size) != np.argmin(np.abs(lam - sigma))
+        return lam[keep], vec[:, keep]
+
+    monkeypatch.setattr(spla, "eigsh", lossy_eigsh)
 
 
 def dense_levels(op: ChannelOperator) -> np.ndarray:

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import drop_nearest_level
 from hypothesis import HealthCheck, given, note, seed, settings
 from hypothesis import strategies as st
 
@@ -654,16 +655,7 @@ class TestRun:
         that loses the level nearest its shift returns one level fewer than
         inertia counts in [−1, 1]; both lines must FAIL carrying the two
         numbers while the sweep still runs."""
-        import scipy.sparse.linalg as spla
-
-        exact_eigsh = spla.eigsh
-
-        def lossy_eigsh(a, k, sigma, **kw):
-            lam, vec = exact_eigsh(a, k=k, sigma=sigma, **kw)
-            keep = np.arange(lam.size) != np.argmin(np.abs(lam - sigma))
-            return lam[keep], vec[:, keep]
-
-        monkeypatch.setattr(spla, "eigsh", lossy_eigsh)
+        drop_nearest_level(monkeypatch)
         cfg = small_config(
             options={"spectrum": {"n": 64, "lambdas": [0.0], "depth": 5.0}}
         )

@@ -4,7 +4,7 @@ propagation-matrix convergence (no point spectrum), and wall-exponent fits."""
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
-from conftest import dense_decomposition, dense_levels
+from conftest import dense_decomposition, dense_levels, drop_nearest_level
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
@@ -162,15 +162,17 @@ class TestLevelCount:
         assert np.all(np.diff(counts) >= 0)
         assert counts.tolist() == [int(np.sum(levels < s)) for s in sigmas]
 
-    def test_singular_first_pivot_is_merged(self):
-        """σ = ±1/(2h) are levels of the free operator's first node block
-        (the left wall closure), so the first pivot is singular; the sweep
-        must take it together with the second node and still count
-        exactly."""
-        op = free_operator(make_grid(-32.0, 64))
-        sigmas = (-1.0, 1.0)
+    @pytest.mark.parametrize("m", [1.0, 0.25])
+    def test_singular_first_pivot_is_merged(self, m):
+        """σ = ±1/(2h) = ±2 are levels of the first node block (the left
+        wall closure), so the first pivot is singular; the sweep must take
+        it together with the second node and still count exactly.  Without
+        the merge both regimes count 2 too many at σ = −2, 0.03 away from
+        the nearest level."""
+        op = _sads_operator(64, m=m, x_min=-16.0)
+        sigmas = (-2.0, 2.0)
         first = np.linalg.eigvalsh(op.symmetrized()[0].toarray()[:4, :4])
-        assert np.min(np.abs(first - sigmas[1])) <= 1e-15
+        assert np.min(np.abs(first - sigmas[0])) <= 1e-12
         levels = dense_levels(op)
         assert level_count(op, sigmas).tolist() == [int(np.sum(levels < s)) for s in sigmas]
 
@@ -185,18 +187,6 @@ class TestLevelCount:
         op = assemble_hamiltonian(CHANNEL, None, grid, pair)
         with pytest.raises(NumericError, match="non-finite pivot"):
             level_count(op, (0.5, 1.5))
-
-
-def _drop_nearest_level(monkeypatch):
-    """Make ``eigsh`` lose the returned level nearest its shift."""
-    exact_eigsh = spla.eigsh
-
-    def lossy_eigsh(a, k, sigma, **kw):
-        lam, vec = exact_eigsh(a, k=k, sigma=sigma, **kw)
-        keep = np.arange(lam.size) != np.argmin(np.abs(lam - sigma))
-        return lam[keep], vec[:, keep]
-
-    monkeypatch.setattr(spla, "eigsh", lossy_eigsh)
 
 
 class TestWindowedEigendecompose:
@@ -251,7 +241,7 @@ class TestWindowedEigendecompose:
         in the window, and the decomposition must name both numbers."""
         op = _sads_operator(320)
         count = _in_window(op, WINDOW)
-        _drop_nearest_level(monkeypatch)
+        drop_nearest_level(monkeypatch)
         with pytest.raises(NumericError, match=f"found {count - 1} levels.*counts {count}"):
             eigendecompose(op, WINDOW)
 
