@@ -38,7 +38,7 @@ import scipy.sparse as sp
 from scipy.linalg import null_space
 
 from .algebra import ANGULAR, Channel, GAMMA, MASS, VELOCITY
-from .geometry import CoordinateMap, Params
+from .geometry import CoordinateMap, Params, Regime
 from .grids import Grid
 
 __all__ = [
@@ -107,7 +107,7 @@ def select_bc(p: Params) -> BoundaryCondition:
 
     Depends on the product m·l only, never on the black-hole mass.
     """
-    return BoundaryCondition.MIT if p.two_ml < 1.0 else BoundaryCondition.NATURAL
+    return BoundaryCondition.MIT if p.regime is Regime.SUBCRITICAL else BoundaryCondition.NATURAL
 
 
 _S_MIT: Optional[np.ndarray] = None

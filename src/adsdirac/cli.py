@@ -6,22 +6,19 @@ One subcommand per experiment plus ``all``::
     adsdirac velocity --config run.json --out traces --threads 2
 
 The selected experiments run through the harness; the process exits 0
-exactly when every acceptance check among them passed.  Thread count comes
-from ``--threads`` when given, else the ``ADSDIRAC_THREADS`` environment
-variable, else 1.  ``--dump-matrix`` additionally writes the assembled
-operator as a sparse CSV (row, col, re, im) for external inspection.
+exactly when every acceptance check among them passed.  ``--threads`` sets
+the width of the harness's work pool (default 1; values below 1 count as
+1).  ``--dump-matrix`` additionally writes the assembled operator as a
+sparse CSV (row, col, re, im) for external inspection.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import Optional, Sequence
 
 from adsdirac.harness import EXPERIMENTS, ConfigError, parse_config, run
-
-_THREADS_VAR = "ADSDIRAC_THREADS"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -43,8 +40,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="output directory (default: the config's 'out' entry)",
     )
     common.add_argument(
-        "--threads", type=int, default=None, metavar="N",
-        help=f"work-pool width (default: ${_THREADS_VAR} or 1)",
+        "--threads", type=int, default=1, metavar="N",
+        help="work-pool width (default: 1)",
     )
     common.add_argument(
         "--dump-matrix", action="store_true",
@@ -67,18 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _thread_count(flag: Optional[int]) -> int:
-    if flag is not None:
-        return max(1, flag)
-    env = os.environ.get(_THREADS_VAR)
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            print(f"ignoring non-integer ${_THREADS_VAR}={env!r}", file=sys.stderr)
-    return 1
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -97,7 +82,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         cfg,
         experiments=selected,
         out=args.out,
-        threads=_thread_count(args.threads),
+        threads=max(1, args.threads),
         dump_matrix=args.dump_matrix,
     )
     return 0 if manifest.all_passed else 1

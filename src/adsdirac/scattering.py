@@ -3,32 +3,29 @@ one channel at a time.
 
 Wave operators are estimated hybrid-fashion: the interacting factor is a
 discrete flow, while the comparison factor e^{±itH_c} is applied in exact
-closed form (``free_factor="exact"``), so only one factor carries
-discretization error.  The two estimates take the interacting factor from
-different propagators.  Ω runs the Cayley ``evolve`` (structurally unitary,
-second order in its step dt = h/2) once, with snapshots at the schedule
-times.  W runs ``chebyshev_propagate``, the exponential of the assembled
-operator to the truncation level of its series, which adds no time-step
-error.  The adjoint pairing of the two is therefore a cross-check of the
-propagators (about 1e−5 on criterion 6's grids), not an identity that holds
-by construction.  Passing ``free_factor="discrete"`` replaces the closed
-form by the estimate's own propagator under the assembled free generator.
-For Ω these are backward Cayley steps, the exact algebraic inverse of the
-forward ones, so the zero-potential composition collapses to the identity
-at solver rounding — the trivial oracle for the whole pipeline.  For W the
-composition e^{+itS}e^{−itS} collapses at the series' truncation level
-(about 1e−15, never exactly zero).  Any other ``free_factor`` is a
-``ConfigurationError``.
+closed form, so only one factor carries discretization error.  The two
+estimates take the interacting factor from different propagators.  Ω runs
+the Cayley ``evolve`` (structurally unitary, second order in its step
+dt = h/2) once, with snapshots at the schedule times.  W runs
+``chebyshev_propagate``, the exponential of the assembled operator to the
+truncation level of its series, which adds no time-step error.  The adjoint
+pairing of the two is therefore a cross-check of the propagators (about
+1e−5 on criterion 6's grids), not an identity that holds by construction.
+Ω alone takes ``free_factor="discrete"``, which replaces the closed form by
+backward Cayley steps under the assembled free generator, the exact
+algebraic inverse of the forward ones, so the zero-potential composition
+collapses to the identity at solver rounding — the trivial oracle for the
+whole pipeline.  Any other ``free_factor`` is a ``ConfigurationError``.
 
 Convergence of Ω_k φ = e^{+it_kH_c} e^{−it_kH} φ along a geometric schedule
 is judged by the Cauchy increments ‖Ω_{k+1}φ − Ω_kφ‖: "converged" means the
 last three increments decrease monotonically and the final one is at most
-1e−2·‖φ‖ (a deliberately conservative engineering threshold — existence of
-the limit carries no rate).  ``adjointness_residual`` measures how far the
-two finite-time estimates are from adjoint: |⟨Ωφ, ψ⟩ − ⟨φ, Wψ⟩|.  Every
-report carries the worst norm drift over every run of the estimate; W's
-also carries the expansion's counters, its matvecs and the bound R on the
-spectrum.
+``CONVERGED_FRACTION``·‖φ‖ = 1e−2·‖φ‖ (a deliberately conservative
+engineering threshold — existence of the limit carries no rate).
+``adjointness_residual`` measures how far the two finite-time estimates are
+from adjoint: |⟨Ωφ, ψ⟩ − ⟨φ, Wψ⟩|.  Every report carries the worst norm
+drift over every run of the estimate; W's also carries the expansion's
+counters, its matvecs and the bound R on the spectrum.
 
 The conjugate observable 𝒜/t is pointwise multiplication by Γ¹x/t, so the
 functional calculus J(𝒜/t) is pointwise evaluation of J at ±x/t per
@@ -40,7 +37,7 @@ the density of every snapshot of one evolution.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -50,7 +47,6 @@ from .dynamics import (
     Direction,
     EvolutionConfig,
     NumericError,
-    Propagation,
     chebyshev_propagate,
     evolve,
     free_propagate,
@@ -67,7 +63,8 @@ __all__ = [
     "velocity_report",
 ]
 
-_CONVERGED_FRACTION = 1e-2  # final increment vs ‖φ‖; engineering choice
+#: the largest final increment, relative to ‖φ‖, of a converged estimate
+CONVERGED_FRACTION = 1e-2
 _ROUNDING_FLOOR = 1e-9  # below this (relative) the tail is propagator noise
 
 
@@ -102,15 +99,11 @@ def _verdict(increments: np.ndarray, input_norm: float) -> bool:
     tail = increments[-3:]
     monotone = bool(np.all(np.diff(tail) < 0.0)) if tail.size >= 2 else True
     at_floor = bool(np.max(tail) <= _ROUNDING_FLOOR * input_norm)
-    small = bool(increments[-1] <= _CONVERGED_FRACTION * input_norm)
+    small = bool(increments[-1] <= CONVERGED_FRACTION * input_norm)
     return small and (monotone or at_floor)
 
 
-def _check_schedule(schedule: Sequence[float], free_factor: str):
-    if free_factor not in ("exact", "discrete"):
-        raise ConfigurationError(
-            f"free_factor must be 'exact' or 'discrete', got {free_factor!r}"
-        )
+def _check_schedule(schedule: Sequence[float]) -> np.ndarray:
     t = np.asarray(schedule, dtype=float)
     if t.size < 3 or np.any(np.diff(t) <= 0) or np.any(t <= 0):
         raise ConfigurationError("schedule must be at least 3 increasing positive times")
@@ -130,7 +123,11 @@ def wave_operator_forward(
     pulled back by the free flow, in closed form or by backward Cayley
     steps of the assembled free generator.
     """
-    times = _check_schedule(schedule, free_factor)
+    if free_factor not in ("exact", "discrete"):
+        raise ConfigurationError(
+            f"free_factor must be 'exact' or 'discrete', got {free_factor!r}"
+        )
+    times = _check_schedule(schedule)
     dt = op.grid.min_spacing / 2
     traj = evolve(
         op, phi, EvolutionConfig(dt=dt, t_final=float(times[-1]), snapshot_times=times)
@@ -169,7 +166,6 @@ def wave_operator_backward(
     psi: SpinorField,
     op: ChannelOperator,
     schedule: Sequence[float],
-    free_factor: str = "exact",
 ) -> BackwardReport:
     """W_k ψ = e^{+it_kH} e^{−it_kH_c} ψ along the schedule.
 
@@ -180,15 +176,8 @@ def wave_operator_backward(
     not Σ t_k.  The identity holds for the expansion up to its truncation
     level, far below any increment the verdict reads.
     """
-    times = _check_schedule(schedule, free_factor)
-    # ζ_k in closed form, or from one chained run of the expansion under
-    # the assembled free generator
-    free_runs: List[Propagation] = []
-    if free_factor == "exact":
-        zetas = [free_propagate(psi, float(t), Direction.FORWARD) for t in times]
-    else:
-        free_runs.append(chebyshev_propagate(free_operator(op.grid), psi, times))
-        zetas = free_runs[0].fields
+    times = _check_schedule(schedule)
+    zetas = [free_propagate(psi, float(t), Direction.FORWARD) for t in times]
     runs = [
         chebyshev_propagate(op, newer, (dt,), Direction.BACKWARD)
         for dt, newer in zip(np.diff(times), zetas[1:])
@@ -206,9 +195,9 @@ def wave_operator_backward(
         input_norm=nrm,
         limit_norm=limit.norm(),
         converged=_verdict(increments, nrm),
-        matvecs=sum(r.matvecs for r in runs + free_runs),
+        matvecs=sum(r.matvecs for r in runs),
         bound=runs[0].bound,
-        norm_drift=max(r.norm_drift for r in runs + free_runs),
+        norm_drift=max(r.norm_drift for r in runs),
     )
 
 

@@ -49,7 +49,7 @@ from .channel import (
     potentials_sads,
 )
 from .dynamics import NumericError
-from .geometry import CoordinateMap, Params
+from .geometry import CoordinateMap, Params, Regime
 from .grids import Grid, SpinorField
 
 __all__ = [
@@ -99,6 +99,11 @@ class SpectralDecomposition:
     requested: int
 
 
+def _pivot_floor(sym) -> float:
+    """√ε·max|S_ij|: a pivot eigenvalue below it is taken as zero."""
+    return math.sqrt(np.finfo(float).eps) * float(np.abs(sym.data).max())
+
+
 def level_count(op: ChannelOperator, sigmas) -> np.ndarray:
     """The number of levels of H below each σ, by Sylvester's law of inertia.
 
@@ -119,7 +124,7 @@ def level_count(op: ChannelOperator, sigmas) -> np.ndarray:
     on, up = node == col, col == node + 1
     diag[node[on], s.row[on] % 4, s.col[on] % 4] = s.data[on]
     upper[col[up], s.row[up] % 4, s.col[up] % 4] = s.data[up]
-    floor = math.sqrt(np.finfo(float).eps) * float(np.abs(s.data).max())
+    floor = _pivot_floor(s)
     shift = sigmas.reshape(-1, 1, 1) * np.eye(4)
     below = np.zeros(shift.shape[0], dtype=int)
     inverse = np.zeros_like(shift, dtype=complex)  # what S_{j−1,j} meets: D_{j−1}^{−1}
@@ -172,10 +177,13 @@ def eigendecompose(op: ChannelOperator, window: Tuple[float, float]) -> Spectral
     """Eigenpairs of H in the weighted inner product with eigenvalue in
     the window [a, b].
 
-    ``level_count`` counts the window's levels before any solve; none
-    returns no pairs.  Otherwise one shift-invert Lanczos solve of the
-    sparse S about the window centre asks for the count plus a margin, and
-    a Rayleigh–Ritz step orthonormalizes its basis.  The count levels
+    One ``level_count`` sweep counts the window's levels, and those within
+    the pivot floor √ε·max|S_ij| of the window centre σ, before any solve.
+    A level at σ would make the shift-invert factor singular, so any there
+    raise ``ConfigurationError`` naming σ and their number; a window with
+    no level returns no pairs.  Otherwise one shift-invert Lanczos solve of
+    the sparse S about σ asks for the count plus a margin, and a
+    Rayleigh–Ritz step orthonormalizes its basis.  The count levels
     nearest the centre are exactly the window's, so a solve with another
     number of levels in the window raises ``NumericError`` naming both; a
     window too wide for Lanczos (2k ≥ dimension) raises
@@ -185,9 +193,16 @@ def eigendecompose(op: ChannelOperator, window: Tuple[float, float]) -> Spectral
     a, b = float(window[0]), float(window[1])
     if not b > a:
         raise ConfigurationError("empty window")
-    lo, hi = level_count(op, (a, b))
-    count = int(hi - lo)
     sym, root = op.symmetrized()
+    sigma = 0.5 * (a + b)
+    floor = _pivot_floor(sym)
+    lo, below, above, hi = level_count(op, (a, sigma - floor, sigma + floor, b))
+    if above > below:
+        raise ConfigurationError(
+            f"window [{a}, {b}] is centred on a level: {above - below} levels lie "
+            f"within {floor:.1e} of σ = {sigma:g}"
+        )
+    count = int(hi - lo)
     dim = sym.shape[0]
     if count == 0:
         return SpectralDecomposition(
@@ -198,7 +213,6 @@ def eigendecompose(op: ChannelOperator, window: Tuple[float, float]) -> Spectral
         raise ConfigurationError(
             f"window [{a}, {b}] holds {count} of {dim} levels; Lanczos needs 2k < {dim}, k = {k}"
         )
-    sigma = 0.5 * (a + b)
     try:
         lu = spla.splu((sym - sigma * sp.identity(dim, format="csc")).tocsc())
     except RuntimeError as exc:
@@ -254,20 +268,20 @@ def mourre_check(
     smallest eigenvalue is the true minimum over the computed subspace.
     PASS means that minimum is at least 1 − ε; η = ‖P_I(C − 𝟙)P_I‖ is
     reported, not credited.  The interval must hold at least ten levels —
-    a thinner window is below the discrete resolution — which
-    ``level_count`` settles before any solve.
+    a thinner window is below the discrete resolution — counted from the
+    window's pairs, which ``eigendecompose`` has matched against the
+    inertia count.
     """
     a, b = float(interval[0]), float(interval[1])
     if not b > a:
         raise ConfigurationError("empty interval")
-    lo, hi = level_count(op, (a, b))
-    if hi - lo < 10:
-        raise ConfigurationError(
-            f"interval [{a}, {b}] holds only {hi - lo} levels; need ≥ 10 spacings"
-        )
     dec = decomposition if decomposition is not None else eigendecompose(op, (a, b))
     sel = (dec.eigenvalues >= a) & (dec.eigenvalues <= b)
     k = int(sel.sum())
+    if k < 10:
+        raise ConfigurationError(
+            f"interval [{a}, {b}] holds only {k} levels; need ≥ 10 spacings"
+        )
     vi = dec.vectors[:, sel]
     n = op.grid.n
     blocks = commutator_closed_form(op).blocks
@@ -496,10 +510,9 @@ class BoundaryFitReport:
 def _slope_target(op: ChannelOperator) -> Optional[float]:
     if op.params is None:
         return None
-    two_ml = op.params.two_ml
-    if two_ml > 1.0:
+    if op.params.regime is Regime.SUPERCRITICAL:
         return 0.5
-    if two_ml < 1.0:
+    if op.params.regime is Regime.SUBCRITICAL:
         return -op.params.m * op.params.l
     return None  # √(−x)·log correction: reported, not fitted against
 

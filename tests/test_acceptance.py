@@ -22,6 +22,7 @@ from adsdirac.dynamics import EvolutionConfig, evolve, free_propagate
 from adsdirac.geometry import CoordinateMap, make_params, metric_factor
 from adsdirac.grids import BoundaryGraded, gaussian_packet, make_grid
 from adsdirac.scattering import (
+    adjointness_residual,
     velocity_report,
     wave_operator_backward,
     wave_operator_forward,
@@ -183,10 +184,7 @@ class TestAcceptance:
             and np.all(np.diff(bwd.increments[-3:]) < 0)
         )
         finals_ok = fwd.increments[-1] <= 1e-2 and bwd.increments[-1] <= 1e-2
-        pairing = abs(
-            grid.inner(fwd.limit.values, psi.values)
-            - grid.inner(phi.values, bwd.limit.values)
-        )
+        pairing = adjointness_residual(fwd, bwd, phi, psi)
 
         f_grid = make_grid(-16.0, 320)
         f_phi = gaussian_packet(f_grid, -4.0, 0.5, components=(1.0, 0.0, 0.0, 1.0))

@@ -3,6 +3,7 @@
 import json
 import re
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from hypothesis import HealthCheck, given, note, seed, settings
 from hypothesis import strategies as st
 
 from adsdirac.channel import BoundaryCondition
-from adsdirac.cli import _thread_count, build_parser, main
+import adsdirac.cli as cli
+from adsdirac.cli import build_parser, main
 from adsdirac.dynamics import check_step
 from adsdirac.geometry import Regime, make_params
 from adsdirac.grids import BoundaryGraded, gaussian_packet, make_grid
@@ -73,6 +75,11 @@ class TestConfigValidation:
         for bc in ("natural", "mit"):
             with pytest.raises(ConfigError, match="unknown key 'bc'"):
                 parse_config_dict({**MINIMAL, "bc": bc})
+
+    def test_scatter_tol_key_is_unknown(self):
+        # convergence has one bound, scattering.CONVERGED_FRACTION
+        with pytest.raises(ConfigError, match="options.scatter: unknown key 'tol'"):
+            parse_config_dict({**MINIMAL, "options": {"scatter": {"tol": 0.01}}})
 
     def test_errors_aggregate(self):
         with pytest.raises(ConfigError) as err:
@@ -139,7 +146,7 @@ class TestConfigValidation:
             {"domain-exponent": {"masses": []}},
             {"scatter": {"schedule": [1]}},
             {"scatter": {"schedule": "abc"}},
-            {"scatter": {"tol": "x"}},
+            {"scatter": {"target_width": 0}},
             {"scatter": {"width": -1}},
             {"velocity": {"times": [40]}},
             {"velocity": {"delta": 0.7}},
@@ -250,7 +257,7 @@ class TestDigest:
             "evolution": {"dt": None, "t_final": 10},
             "seed": 0,
             "options": {
-                "scatter": {"schedule": [1, 2, 4, 8, 16], "tol": 0.01},
+                "scatter": {"schedule": [1, 2, 4, 8, 16]},
                 "mourre": {"n": 640, "interval": [0.5, 1.5]},
                 "geometry": {},
             },
@@ -310,7 +317,6 @@ _VALUES = {
     "options.scatter.target_center": _PACKET["center"],
     "options.scatter.target_width": _PACKET["width"],
     "options.scatter.schedule": (([1, 2, 4], [0.5, 1, 2, 3]), ([1], [3, 2, 1], [0, 1, 2], "abc")),
-    "options.scatter.tol": ((0.01, 1), (0, "x")),
     "options.velocity.times": (([4, 8], [1, 2, 3]), ([40], [2, 1], [-1, 2])),
     "options.velocity.delta": ((0.2, 0.49), (0.5, 0.7, 0, "x")),
     "options.velocity.eps": ((0.2, 1), (0, -0.1)),
@@ -382,7 +388,7 @@ def _build_inputs(cfg):
         gaussian_packet(
             grid, block[prefix + "center"], block[prefix + "width"], components=components
         )
-    _check_schedule(opts["scatter"]["schedule"], "exact")
+    _check_schedule(opts["scatter"]["schedule"])
     times = np.asarray(opts["velocity"]["times"])
     assert times.size >= 2 and times[0] > 0 and np.all(np.diff(times) > 0)
     # the cutoff parameters through velocity_report's own checks, on a
@@ -547,6 +553,16 @@ class TestRun:
         assert result.files == ["mourre.json"]
         scalars = json.loads((tmp_path / "mourre.json").read_text())["scalars"]
         assert scalars["interval"] == [100, 101]
+
+    def test_mourre_window_centred_on_a_level_fails_its_checks(self, tmp_path):
+        # the free operator has levels at 0, the centre of [-0.5, 0.5]
+        cfg = small_config(options={"mourre": {"n": 64, "interval": [-0.5, 0.5]}})
+        manifest = run(cfg, experiments=["mourre"], out=str(tmp_path), echo=False)
+        (result,) = manifest.results
+        assert result.error is None and result.status == "fail"
+        free = {c.name: c for c in result.checks}["free_quotient"]
+        assert not free.passed
+        assert "centred on a level: 4 levels" in free.detail
 
     def test_short_velocity_domain_fails_its_checks(self, tmp_path):
         # traces to t = 20 need x_min <= -26: four FAIL lines saying so, the
@@ -742,15 +758,26 @@ class TestCli:
         assert (int(k), int(j)) == (0, 0)
         assert np.isfinite(float(re)) and np.isfinite(float(im))
 
-    def test_thread_count_resolution(self, monkeypatch):
-        monkeypatch.delenv("ADSDIRAC_THREADS", raising=False)
-        assert _thread_count(None) == 1
-        assert _thread_count(3) == 3
+    def threads_passed(self, tmp_path, monkeypatch, *flags):
+        """The pool width ``main`` hands the harness for these flags."""
+        seen = []
+
+        def fake_run(cfg, **kwargs):
+            seen.append(kwargs["threads"])
+            return SimpleNamespace(all_passed=True)
+
+        monkeypatch.setattr(cli, "run", fake_run)
+        path = self.write(tmp_path, MINIMAL)
+        assert main(["geometry", "--config", path, *flags]) == 0
+        return seen[0]
+
+    def test_thread_count_resolution(self, tmp_path, monkeypatch):
+        # --threads is the one setting of the pool width; ADSDIRAC_THREADS
+        # is not read
         monkeypatch.setenv("ADSDIRAC_THREADS", "4")
-        assert _thread_count(None) == 4
-        assert _thread_count(2) == 2
-        monkeypatch.setenv("ADSDIRAC_THREADS", "many")
-        assert _thread_count(None) == 1
+        assert self.threads_passed(tmp_path, monkeypatch) == 1
+        assert self.threads_passed(tmp_path, monkeypatch, "--threads", "3") == 3
+        assert self.threads_passed(tmp_path, monkeypatch, "--threads", "0") == 1
 
     def test_parser_covers_all_experiments(self):
         parser = build_parser()

@@ -31,7 +31,7 @@ def _grid(x_min=-24.0, n=2048):
 
 
 class TestTrivialOracle:
-    """Zero potentials: both compositions collapse to the identity."""
+    """Zero potentials: Ω's composition collapses to the identity."""
 
     def setup_method(self):
         self.grid = _grid(-16.0, 1024)
@@ -42,11 +42,6 @@ class TestTrivialOracle:
         rep = wave_operator_forward(self.phi, self.op, (1.0, 2.0, 4.0), free_factor="discrete")
         assert np.all(rep.increments <= 1e-9)
         assert rep.converged
-        assert self.grid.norm(rep.limit.values - self.phi.values) <= 1e-9
-
-    def test_backward_identity_discrete_factor(self):
-        rep = wave_operator_backward(self.phi, self.op, (1.0, 2.0, 4.0), free_factor="discrete")
-        assert np.all(rep.increments <= 1e-9)
         assert self.grid.norm(rep.limit.values - self.phi.values) <= 1e-9
 
     def test_hybrid_identity_within_discretization(self):
@@ -64,9 +59,8 @@ class TestTrivialOracle:
     def test_unknown_free_factor_rejected(self):
         # a misspelt factor must not fall through to the discrete flow,
         # whose self-comparison is the trivially exact oracle
-        for wave_operator in (wave_operator_forward, wave_operator_backward):
-            with pytest.raises(ConfigurationError, match="free_factor"):
-                wave_operator(self.phi, self.op, (1.0, 2.0, 4.0), free_factor="exakt")
+        with pytest.raises(ConfigurationError, match="free_factor"):
+            wave_operator_forward(self.phi, self.op, (1.0, 2.0, 4.0), free_factor="exakt")
 
 
 def test_one_estimate_per_schedule_time():

@@ -249,6 +249,30 @@ class TestWindowedEigendecompose:
         with pytest.raises(ConfigurationError):
             eigendecompose(_sads_operator(64), (1.5, 0.5))
 
+    @pytest.mark.parametrize("x_min,n", [(-32.0, 320), (-16.0, 64)])
+    def test_window_centred_on_a_level_rejected(self, x_min, n):
+        """The free operator has four levels at 0 to rounding, so the shift
+        σ = 0 of the window (−1, 1) is a level: a ConfigurationError naming
+        σ and the levels there, not a failed factorization or a miscount."""
+        op = free_operator(make_grid(x_min, n))
+        with pytest.raises(ConfigurationError, match="centred on a level: 4 levels.*σ = 0"):
+            eigendecompose(op, (-1.0, 1.0))
+
+    def test_one_inertia_sweep_per_mourre_check(self, monkeypatch):
+        """The ten-level test reads the window's pairs, which the solve has
+        matched against its own inertia count: one sweep per window."""
+        sweeps = []
+        count = spectral.level_count
+        monkeypatch.setattr(
+            spectral, "level_count", lambda op, sigmas: sweeps.append(sigmas) or count(op, sigmas)
+        )
+        op = _sads_operator(320)
+        assert mourre_check(op, WINDOW, 0.5).n_states >= 10
+        assert len(sweeps) == 1
+        with pytest.raises(ConfigurationError, match="holds only .* levels; need ≥ 10"):
+            mourre_check(op, (0.97, 1.03), 0.5)
+        assert len(sweeps) == 2
+
     def test_mourre_above_the_dense_cap(self):
         """Dimension 32768, twice the size the dense solve was once capped
         at: the inertia sweep is O(n) and the window solve only ever touches
