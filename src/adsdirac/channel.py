@@ -1,28 +1,30 @@
 """Radial channel Hamiltonians H = Γ¹D_x + (s+1/2)A(x)γ⁰γ² − m·B(x)γ⁰.
 
-The potentials A = √F/r and B = √F come from the geometry module; an
-override pair carries any other A and B (zero for the free comparison
-generator, deformed wells for negative controls).  The discrete operator
-is a banded matrix on a cell-centered grid: a centered first difference
-(exactly skew-adjoint against the grid inner product, see grids.py) plus
-pointwise 4×4 potential blocks.  Boundary closures eliminate
-one ghost node per wall through a reflection matrix S with Γ¹S + S*Γ¹ = 0,
-which is precisely the condition making the closed operator self-adjoint in
-the weighted inner product:
+The potentials are the black-hole pair A = √F/r and B = √F of the params,
+from the geometry module, unless the caller passes another map x ↦ (A, B)
+(zero for the free comparison generator, deformed wells for negative
+controls).  The wall is always the one the params' regime requires, and
+bag-type without params.  The discrete operator is a banded matrix on a
+cell-centered grid: a centered first difference (exactly skew-adjoint
+against the grid inner product, see grids.py) plus pointwise 4×4 potential
+blocks.  Boundary closures eliminate one ghost node per wall through a
+reflection matrix S with Γ¹S + S*Γ¹ = 0, which is precisely the condition
+making the closed operator self-adjoint in the weighted inner product:
 
 * right wall (x = 0): for 2ml < 1 the reflection through the kernel of
   (γ¹ + i·𝟙) — the bag-type condition; for 2ml ≥ 1 a zero ghost — the mass
   barrier ~ ml/(−x) enforces decay by itself and no boundary data is needed.
-  In the massive bag regime, when the grid resolves the wall layer
-  (boundary-graded spacing), the ghost weight additionally carries the
-  boundary exponent: states there behave like (−x)^{−ml} times a kernel
-  spinor, and a plain mirrored difference misreads that power by an O(1)
-  factor.  Tuning the single symmetry-allowed closure coefficient makes the
-  wall row exact on the admissible branch while leaving the excluded
-  (−x)^{+ml} branch penalized, which is what selects the right boundary
-  behavior in stationary solves.  On uniform grids the layer is sub-cell —
-  the weighted row would only plant a spurious quasi-mode in the last cell
-  — so those keep the plain mirror, whose reflections are clean;
+  For the black-hole pair in the massive bag regime, when the grid
+  resolves the wall layer (boundary-graded spacing), the ghost weight
+  additionally carries the boundary exponent: states there behave like
+  (−x)^{−ml} times a kernel spinor, and a plain mirrored difference
+  misreads that power by an O(1) factor.  Tuning the single
+  symmetry-allowed closure coefficient makes the wall row exact on the
+  admissible branch while leaving the excluded (−x)^{+ml} branch
+  penalized, which is what selects the right boundary behavior in
+  stationary solves.  On uniform grids the layer is sub-cell — the
+  weighted row would only plant a spurious quasi-mode in the last cell —
+  so those keep the plain mirror, whose reflections are clean;
 * left wall (x = x_min): always the bag-type reflection; experiments place
   x_min far enough left that no signal reaches it (propagation speed ≤ 1),
   so the wall only has to be norm-preserving, not physical.
@@ -44,9 +46,6 @@ from .grids import Grid
 __all__ = [
     "ConfigurationError",
     "BoundaryCondition",
-    "PotentialPair",
-    "potentials_sads",
-    "potentials_zero",
     "select_bc",
     "mit_reflection",
     "ChannelOperator",
@@ -58,46 +57,12 @@ __all__ = [
 
 
 class ConfigurationError(ValueError):
-    """Inconsistent combination of parameters, potentials, and boundary data."""
+    """Inconsistent or missing model data."""
 
 
 class BoundaryCondition(Enum):
     MIT = "mit"
     NATURAL = "natural"
-
-
-# ------------------------------------------------------------- potentials
-
-@dataclass(frozen=True)
-class PotentialPair:
-    """The two scalar potentials of a channel Hamiltonian.
-
-    ``a_ang`` multiplies (s+1/2)·γ⁰γ², ``b_mass`` multiplies −m·γ⁰.  The
-    black-hole pair ("sads") carries its params, which fix the wall
-    condition; an "override" pair is any pair of functions of x.
-    """
-
-    a_ang: Callable
-    b_mass: Callable
-    mode: str  # "sads" | "override"
-    params: Optional[Params] = None
-
-
-def potentials_sads(p: Params) -> PotentialPair:
-    """A = √F/r and B = √F as functions of the working coordinate x < 0."""
-    cm = CoordinateMap(p)
-    return PotentialPair(
-        a_ang=cm.angular_factor_of_x,
-        b_mass=cm.sqrtF_of_x,
-        mode="sads",
-        params=p,
-    )
-
-
-def potentials_zero() -> PotentialPair:
-    """A ≡ B ≡ 0; the assembled operator is the free generator Γ¹D_x."""
-    zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
-    return PotentialPair(zero, zero, mode="override")
 
 
 # ------------------------------------------------------ boundary closures
@@ -156,8 +121,8 @@ class ChannelOperator:
     a_values: np.ndarray
     b_values: np.ndarray
     #: boundary exponent ml carried by the wall ghost weight, or None when
-    #: the plain mirror closure is in effect (massless, natural, override,
-    #: or wall layer not resolved by the grid)
+    #: the plain mirror closure is in effect (massless, natural, potentials
+    #: passed by the caller, or wall layer not resolved by the grid)
     wall_exponent: Optional[float] = None
 
     @property
@@ -206,7 +171,7 @@ def _wall_closures(grid: Grid, s_left, s_right, wall_exponent=None):
     coefficient 1/(2w) becomes ν/t + (t/t′)^ν/(2w) with t, t′ the last two
     node distances, the unique symmetry-preserving choice that differentiates
     (−x)^{−ν}·(kernel spinor) exactly at the last row.  ``None`` keeps the
-    plain mirror (massless / override / natural cases).
+    plain mirror (massless / given potentials / natural cases).
     """
     w = grid.weights
     g1 = VELOCITY.astype(complex)
@@ -254,39 +219,23 @@ def assemble_hamiltonian(
     channel: Channel,
     params: Optional[Params],
     grid: Grid,
-    pair: Optional[PotentialPair] = None,
-    bc: Optional[BoundaryCondition] = None,
+    potentials: Optional[Callable] = None,
 ) -> ChannelOperator:
     """Build the banded channel Hamiltonian.
 
-    For the black-hole pair the wall condition is dictated by the regime
-    (bag-type iff 2ml < 1); passing a conflicting ``bc`` raises.  Override
-    pairs accept either condition (default bag-type, matching the free
-    comparison generator).
+    The potentials are the black-hole pair √F/r and √F of ``params``,
+    unless ``potentials`` maps the node array x to (A(x), B(x)).  The wall
+    is always ``select_bc(params)``, bag-type when ``params`` is None; the
+    exponent-weighted wall row applies only to the black-hole pair.
     """
-    if pair is None:
+    if potentials is None:
         if params is None:
-            raise ConfigurationError("need params or an explicit potential pair")
-        pair = potentials_sads(params)
-
-    if pair.mode == "sads":
-        if params is None:
-            params = pair.params
-        if pair.params is not None and params != pair.params:
-            raise ConfigurationError("potential pair was built from different params")
-        required = select_bc(params)
-        if bc is None:
-            bc = required
-        elif bc != required:
-            raise ConfigurationError(
-                f"regime 2ml={params.two_ml} requires {required}, got {bc}"
-            )
+            raise ConfigurationError("need params or potentials")
+        cm = CoordinateMap(params)
+        a_vals, b_vals = cm.angular_factor_of_x(grid.nodes), cm.sqrtF_of_x(grid.nodes)
     else:
-        if bc is None:
-            bc = BoundaryCondition.MIT
-
-    a_vals = np.asarray(pair.a_ang(grid.nodes), dtype=float)
-    b_vals = np.asarray(pair.b_mass(grid.nodes), dtype=float)
+        a_vals, b_vals = (np.asarray(v, dtype=float) for v in potentials(grid.nodes))
+    bc = select_bc(params) if params is not None else BoundaryCondition.MIT
     m = params.m if params is not None else 0.0
 
     s_mirror = mit_reflection()
@@ -294,7 +243,7 @@ def assemble_hamiltonian(
     wall_exponent = None
     if (
         bc == BoundaryCondition.MIT
-        and pair.mode == "sads"
+        and potentials is None
         and m > 0.0
         and grid.resolves_wall_layer
     ):
@@ -316,7 +265,7 @@ def assemble_hamiltonian(
 def free_operator(grid: Grid) -> ChannelOperator:
     """The comparison generator Γ¹D_x with the bag-type wall at x = 0."""
     return assemble_hamiltonian(
-        Channel(0.5, 0.5), None, grid, potentials_zero(), BoundaryCondition.MIT
+        Channel(0.5, 0.5), None, grid, lambda x: (np.zeros_like(x), np.zeros_like(x))
     )
 
 

@@ -56,7 +56,6 @@ __all__ = [
     "Params",
     "CoordinateMap",
     "horizon_radius",
-    "surface_gravity",
     "metric_factor",
     "metric_factor_deriv",
     "make_params",
@@ -131,11 +130,6 @@ def horizon_radius(M: float, l: float) -> float:
     return r
 
 
-def surface_gravity(M: float, l: float) -> float:
-    """κ = F'(r_sads)/2."""
-    return 0.5 * metric_factor_deriv(horizon_radius(M, l), M, l).item()
-
-
 @dataclass(frozen=True)
 class Params:
     """
@@ -174,7 +168,7 @@ class Params:
         if self.m < 0:
             raise ValueError("require m >= 0")
         rh = horizon_radius(self.M, self.l)
-        kap = 0.5 * (2.0 * self.M / rh**2 + 2.0 * rh / self.l**2)
+        kap = 0.5 * float(metric_factor_deriv(rh, self.M, self.l))
         q = 3.0 * rh * rh + self.l * self.l
         c = (
             self.l * self.l
@@ -346,14 +340,15 @@ class CoordinateMap:
         return self._potentials_of_x(x)[0]
 
 
-def expansion_residuals(params: Params, x_boundary=None, x_horizon=None) -> dict:
+def expansion_residuals(params: Params, x_horizon=None) -> dict:
     """
     Check the two asymptotic expansions of the coordinate map.
 
     Boundary side (x → 0⁻): residuals of r(x), √F(x) and √F/r against
         r = -l²/x + x/3,  √F = -l/x - x/(6l),  √F/r = 1/l + x²/(2l³),
-    evaluated at `x_boundary` together with the observed decay order of
-    each residual between consecutive points.
+    evaluated at x = -1e-1, -1e-2, -1e-3 (below |x| ~ 1e-3 the residuals
+    sink under the inversion noise floor) together with the observed decay
+    order of each residual between consecutive points.
 
     Horizon side (x → -∞): least-squares slope of ln √F(x) against x on
     `x_horizon`, which must reproduce the surface gravity κ (√F decays
@@ -364,18 +359,15 @@ def expansion_residuals(params: Params, x_boundary=None, x_horizon=None) -> dict
     """
     cm = CoordinateMap(params)
     p = params
-    if x_boundary is None:
-        # below |x| ~ 1e-3 the residuals sink under the inversion noise floor
-        x_boundary = np.array([-1e-1, -1e-2, -1e-3])
+    x_boundary = np.array([-1e-1, -1e-2, -1e-3])
     if x_horizon is None:
         lo = -40.0 / (2.0 * p.kappa) * 2.0
         x_horizon = np.linspace(2 * lo, lo, 21)  # safely exponential region
-    x_boundary = np.asarray(x_boundary, dtype=float)
     x_horizon = np.asarray(x_horizon, dtype=float)
 
     rows = []
     for xv in x_boundary:
-        r = cm.r_of_x(xv) if xv <= _X_SERIES else float(-p.l**2 / xv)
+        r = cm.r_of_x(xv)
         delta = cm.delta_of_x(xv)
         sqrtF = math.sqrt(float(cm.F_of_delta(delta)))
         rows.append(

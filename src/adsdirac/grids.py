@@ -195,23 +195,6 @@ class SpinorField:
     def inner(self, other: "SpinorField") -> complex:
         return self.grid.inner(self.values, other.values)
 
-    def component_mass(self, k: int) -> float:
-        """Σ_j w_j |ψ_k(x_j)|² for one component k ∈ {0,1,2,3}."""
-        return float(np.sum(self.grid.weights * np.abs(self.values[k]) ** 2))
-
-    def pair_masses(self) -> tuple:
-        """Masses of the reflection-coupled pairs (1,3) and (2,4)."""
-        return (
-            self.component_mass(0) + self.component_mass(2),
-            self.component_mass(1) + self.component_mass(3),
-        )
-
-    def mass_in(self, a: float, b: float) -> float:
-        """Total mass carried by nodes with a ≤ x ≤ b."""
-        sel = (self.grid.nodes >= a) & (self.grid.nodes <= b)
-        dens = np.sum(np.abs(self.values) ** 2, axis=0)
-        return float(np.sum(self.grid.weights[sel] * dens[sel]))
-
 
 def gaussian_packet(
     grid: Grid,

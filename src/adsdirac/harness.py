@@ -23,7 +23,6 @@ with the defaults, ``options`` abridged)::
       "channel": [0.5, 0.5],
       "grid": {"x_min": -32.0, "n": 2048, "h_min": null, "ratio": null, "h_max": null},
       "evolution": {"dt": null, "t_final": 10.0, "snapshots": 5},
-      "experiments": ["all"],
       "out": "runs",
       "seed": 0,
       "options": {"scatter": {"schedule": [1, 2, 4, 8, 16], ...}, ...}
@@ -173,12 +172,6 @@ _SCHEMA: Dict = {
         "t_final": (10.0, *_POSITIVE),
         "snapshots": (5, lambda v: _is_int(v) and v >= 1, "a positive integer"),
     },
-    "experiments": (
-        ("all",),
-        lambda v: isinstance(v, (list, tuple)) and len(v) > 0
-        and all(e in (*EXPERIMENTS, "all") for e in v),
-        f"a non-empty list of names from {', '.join((*EXPERIMENTS, 'all'))}",
-    ),
     "out": ("runs", lambda v: isinstance(v, str) and v != "", "a non-empty string"),
     "seed": (0, lambda v: _is_int(v) and v >= 0, "a non-negative integer"),
     "options": {
@@ -336,7 +329,6 @@ class ExperimentConfig:
     channel: Channel
     grid: Grid
     evolution: EvolutionConfig
-    experiments: Tuple[str, ...]
     out: str
     seed: int
     options: Mapping[str, Mapping]
@@ -391,8 +383,6 @@ def parse_config_dict(data: Mapping) -> ExperimentConfig:
     if errors:
         raise ConfigError(errors)
 
-    chosen = tree["experiments"]
-    tree["experiments"] = [e for e in EXPERIMENTS if e in chosen or "all" in chosen]
     digest = hashlib.sha256(
         json.dumps(tree, sort_keys=True, separators=(",", ":")).encode()
     ).hexdigest()
@@ -401,7 +391,6 @@ def parse_config_dict(data: Mapping) -> ExperimentConfig:
         channel=channel,
         grid=grid,
         evolution=evolution,
-        experiments=tuple(tree["experiments"]),
         out=tree["out"],
         seed=tree["seed"],
         options=tree["options"],
@@ -1073,7 +1062,7 @@ def _dump_matrix(cfg: ExperimentConfig, out_dir: Path) -> str:
 
 def run(
     cfg: ExperimentConfig,
-    experiments: Optional[Sequence[str]] = None,
+    experiments: Sequence[str],
     out: Optional[str] = None,
     threads: int = 1,
     dump_matrix: bool = False,
@@ -1086,10 +1075,7 @@ def run(
     deterministic regardless of scheduling.  A module error inside one
     experiment marks that experiment as errored and leaves the rest alone.
     """
-    selected = tuple(
-        e for e in EXPERIMENTS
-        if e in (experiments if experiments is not None else cfg.experiments)
-    )
+    selected = tuple(e for e in EXPERIMENTS if e in experiments)
     if not selected:
         raise ConfigurationError("no experiments selected")
     out_dir = Path(out) if out is not None else Path(cfg.out)

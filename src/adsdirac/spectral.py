@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 import scipy.linalg as sla
@@ -41,13 +41,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .algebra import ANGULAR, Channel, MASS, VELOCITY
-from .channel import (
-    ChannelOperator,
-    ConfigurationError,
-    PotentialPair,
-    commutator_closed_form,
-    potentials_sads,
-)
+from .channel import ChannelOperator, ConfigurationError, commutator_closed_form
 from .dynamics import NumericError
 from .geometry import CoordinateMap, Params, Regime
 from .grids import Grid, SpinorField
@@ -65,6 +59,8 @@ __all__ = [
     "boundary_exponent_fit",
 ]
 
+#: the matching point x₀ of the no-eigenvalue sweep, which runs from −2X to it
+_X0 = -1.0
 #: the no-eigenvalue verdict: ‖Φ_X − Φ_{2X}‖₂ and cond₂ Φ_X at most these
 _CONVERGE_TOL = 1e-8
 _COND_LIMIT = 1e3
@@ -341,25 +337,6 @@ class NoEigenvalueReport:
     steps: int  # Magnus steps of the sweep over [−2X, x₀]
 
 
-def _resolve_potentials(
-    channel: Channel, params: Optional[Params], pair: Optional[PotentialPair]
-):
-    """(x ↦ (A(x), B(x)) on arrays, m, coupling).  The black-hole pair takes
-    both potentials from one coordinate inverse; an override pair calls each
-    of its functions once on the array."""
-    if pair is None:
-        if params is None:
-            raise ConfigurationError("need params or an explicit potential pair")
-        pair = potentials_sads(params)
-    m = params.m if params is not None else 0.0
-    if pair.mode == "sads" and pair.params is not None:
-        both = CoordinateMap(pair.params)._potentials_of_x
-    else:
-        def both(x):
-            return pair.a_ang(x), pair.b_mass(x)
-    return both, m, channel.coupling
-
-
 def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Products a_k·b_k of two stacks of 4×4 matrices laid out (4, 4, n),
     as four broadcast products over n instead of n small matrix products."""
@@ -400,10 +377,9 @@ def _ordered_product(flows: np.ndarray) -> np.ndarray:
 def no_eigenvalue_test(
     lam: float,
     channel: Channel,
-    params: Optional[Params] = None,
-    pair: Optional[PotentialPair] = None,
-    depth: float = 30.0,
-    x0: float = -1.0,
+    params: Optional[Params],
+    depth: float,
+    potentials: Optional[Callable] = None,
 ) -> NoEigenvalueReport:
     """Propagation-matrix convergence for the eigenfunction ODE at energy λ.
 
@@ -411,7 +387,10 @@ def no_eigenvalue_test(
     W(x) = iγ⁰γ¹ e^{iλγ⁰γ¹x} V(x) e^{−iλγ⁰γ¹x}.  The potentials die like
     e^{θx} toward the horizon, so Φ(−X → x₀) converges to an invertible
     matrix as X → ∞: every solution has a nonzero limit at −∞ and none is
-    square-integrable, which is how the point spectrum stays empty.
+    square-integrable, which is how the point spectrum stays empty.  V
+    takes the black-hole pair of ``params``, both potentials from one
+    coordinate inverse, unless ``potentials`` maps an array x to
+    (A(x), B(x)); the matching point is x₀ = ``_X0`` = −1.
 
     One sweep of the fourth-order Gauss–Magnus integrator (Iserles &
     Nørsett 1999; Blanes et al. 2009) over [−2X, x₀] gives both depths:
@@ -426,9 +405,14 @@ def no_eigenvalue_test(
     keeps Φ†Γ¹Φ = Γ¹; the Magnus flow keeps it to rounding, and the report
     carries the defect.
     """
-    if x0 >= 0.0 or depth <= -x0:
-        raise ConfigurationError("need x0 < 0 and depth > |x0|")
-    potentials, m, coupling = _resolve_potentials(channel, params, pair)
+    if depth <= -_X0:
+        raise ConfigurationError(f"need depth > {-_X0:g}")
+    if potentials is None:
+        if params is None:
+            raise ConfigurationError("need params or potentials")
+        potentials = CoordinateMap(params)._potentials_of_x
+    m = params.m if params is not None else 0.0
+    coupling = channel.coupling
     g01 = -np.diag(VELOCITY)  # γ⁰γ¹ = diag(−1, 1, 1, −1)
 
     def w_stack(x, a, b):
@@ -441,7 +425,7 @@ def no_eigenvalue_test(
     n_deep = math.ceil(depth / _CELL)
     edges = np.concatenate([
         np.linspace(-2.0 * depth, -depth, n_deep + 1)[:-1],
-        np.linspace(-depth, x0, math.ceil((depth + x0) / _CELL) + 1),
+        np.linspace(-depth, _X0, math.ceil((depth + _X0) / _CELL) + 1),
     ])
     width = np.diff(edges)
     probe = (edges[:-1, None] + width[:, None] * _GAUSS).ravel()

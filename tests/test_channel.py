@@ -12,15 +12,25 @@ from adsdirac.channel import (
     commutator_closed_form,
     free_operator,
     mit_reflection,
-    potentials_sads,
-    potentials_zero,
     select_bc,
 )
-from adsdirac.geometry import make_params
-from adsdirac.grids import gaussian_packet, make_grid
+from adsdirac.geometry import CoordinateMap, make_params
+from adsdirac.grids import BoundaryGraded, gaussian_packet, make_grid
 
 P_MIT = make_params(1.0, 1.0, 0.25)  # 2ml = 1/2 — bag-type wall
 P_NAT = make_params(1.0, 1.0, 1.0)  # 2ml = 2   — no boundary data
+#: the black-hole potentials of P_MIT, A = √F/r and B = √F
+CM = CoordinateMap(P_MIT)
+
+
+def zero_potentials(x):
+    return np.zeros_like(x), np.zeros_like(x)
+
+
+def black_hole_map(params):
+    """The black-hole pair of ``params`` as a map passed by the caller."""
+    cm = CoordinateMap(params)
+    return lambda x: (cm.angular_factor_of_x(x), cm.sqrtF_of_x(x))
 
 
 def reference_pair(l):
@@ -48,52 +58,49 @@ def commutator_brute_force(op, values):
 
 class TestPotentials:
     def test_wall_limits_unit_l(self):
-        pp = potentials_sads(P_MIT)
-        assert pp.a_ang(-1e-4) == pytest.approx(1.0, abs=1e-7)
-        assert 1e-4 * pp.b_mass(-1e-4) == pytest.approx(1.0, abs=1e-7)
+        assert CM.angular_factor_of_x(-1e-4) == pytest.approx(1.0, abs=1e-7)
+        assert 1e-4 * CM.sqrtF_of_x(-1e-4) == pytest.approx(1.0, abs=1e-7)
 
     def test_horizon_decay_rate(self):
         # A(−30)/A(−29) ≈ e^{−κ} with κ = 2 for M = l = 1
-        pp = potentials_sads(P_MIT)
-        ratio = pp.a_ang(-30.0) / pp.a_ang(-29.0)
+        ratio = CM.angular_factor_of_x(-30.0) / CM.angular_factor_of_x(-29.0)
         assert ratio == pytest.approx(np.exp(-2.0), rel=0.05)
 
     def test_domain_error(self):
-        pp = potentials_sads(P_MIT)
         with pytest.raises(ValueError):
-            pp.a_ang(0.5)
+            CM.angular_factor_of_x(0.5)
 
     def test_zero_pair(self):
-        pp = potentials_zero()
-        x = -np.linspace(0.1, 5.0, 7)
-        assert np.all(pp.a_ang(x) == 0.0)
-        assert np.all(pp.b_mass(x) == 0.0)
+        """The free generator: zero potentials, no params, and the bag wall
+        at x = 0 with the plain mirror."""
+        op = free_operator(make_grid(-10.0, 64))
+        assert np.all(op.a_values == 0.0) and np.all(op.b_values == 0.0)
+        assert op.params is None and op.mass == 0.0
+        assert op.bc is BoundaryCondition.MIT and op.wall_exponent is None
 
 
 class TestCutoffAndEnvelopes:
     def test_envelope_report(self):
-        pp = potentials_sads(P_MIT)
         a0, b0 = reference_pair(P_MIT.l)
         # horizon side: log-slopes deep in the horizon region fit the
         # exponential rate κ
         w = max(6.0, 24.0 / P_MIT.kappa)
         xs = np.linspace(-w, -w / 2.0, 25)
-        for f, f0 in ((pp.a_ang, a0), (pp.b_mass, b0)):
+        for f, f0 in ((CM.angular_factor_of_x, a0), (CM.sqrtF_of_x, b0)):
             rate = np.polyfit(xs, np.log(np.abs(f(xs) - f0(xs))), 1)[0]
             assert rate >= 0.95 * P_MIT.kappa
         # boundary envelopes with their analytic leading constants,
         # 1/(2l³) and 1/(6l)
         xb = -np.geomspace(1e-4, 1e-1, 16)
-        quad_sup = np.max(np.abs(pp.a_ang(xb) - a0(xb)) / xb**2)
-        lin_sup = np.max(np.abs(pp.b_mass(xb) - b0(xb)) / (-xb))
+        quad_sup = np.max(np.abs(CM.angular_factor_of_x(xb) - a0(xb)) / xb**2)
+        lin_sup = np.max(np.abs(CM.sqrtF_of_x(xb) - b0(xb)) / (-xb))
         assert quad_sup == pytest.approx(0.5, rel=0.01)
         assert lin_sup == pytest.approx(1.0 / 6.0, rel=0.01)
 
     def test_mass_defect_small_near_wall(self):
         # |B − B₀| at x = −10⁻³ is linear-order small
-        pp = potentials_sads(P_MIT)
         _, b0 = reference_pair(1.0)
-        assert abs(pp.b_mass(-1e-3) - b0(-1e-3)) <= 1e-2
+        assert abs(CM.sqrtF_of_x(-1e-3) - b0(-1e-3)) <= 1e-2
 
 
 class TestBoundarySelection:
@@ -115,14 +122,14 @@ class TestBoundarySelection:
         g1 = VELOCITY.astype(complex)
         assert np.allclose(g1 @ s + s.conj().T @ g1, 0.0, atol=1e-14)
 
-    def test_bc_mismatch_raises(self):
+    def test_given_potentials_take_the_regime_wall(self):
+        """Potentials passed as a map with m = 1 params get the natural
+        wall of 2ml = 2, not a bag-type default, and no exponent row: the
+        black-hole pair passed as a map assembles the black-hole operator."""
         g = make_grid(-10.0, 64)
-        with pytest.raises(ConfigurationError):
-            assemble_hamiltonian(
-                Channel(0.5, 0.5), P_MIT, g, bc=BoundaryCondition.NATURAL
-            )
-        with pytest.raises(ConfigurationError):
-            assemble_hamiltonian(Channel(0.5, 0.5), P_NAT, g, bc=BoundaryCondition.MIT)
+        op = assemble_hamiltonian(Channel(0.5, 0.5), P_NAT, g, black_hole_map(P_NAT))
+        assert op.bc is BoundaryCondition.NATURAL and op.wall_exponent is None
+        assert (op.matrix != assemble_hamiltonian(Channel(0.5, 0.5), P_NAT, g).matrix).nnz == 0
 
 
 class TestAssembly:
@@ -137,8 +144,6 @@ class TestAssembly:
         assert op.hermiticity_defect(100) <= 1e-12
 
     def test_self_adjoint_graded(self):
-        from adsdirac.grids import BoundaryGraded
-
         g = make_grid(-6.0, policy=BoundaryGraded(h_min=1e-3, ratio=1.08))
         op = assemble_hamiltonian(Channel(0.5, 0.5), P_MIT, g)
         assert op.hermiticity_defect(50) <= 1e-12
@@ -148,18 +153,22 @@ class TestAssembly:
         ch = Channel(2.5, -1.5)
         op = assemble_hamiltonian(ch, P_MIT, g)
         dense = op.matrix.toarray()
-        pp = potentials_sads(P_MIT)
         j = 20  # interior node: diagonal block is exactly the potential
         x = g.nodes[j]
         block = dense[4 * j : 4 * j + 4, 4 * j : 4 * j + 4]
-        expected = ch.coupling * pp.a_ang(x) * ANGULAR - P_MIT.m * pp.b_mass(x) * MASS
+        expected = (
+            ch.coupling * CM.angular_factor_of_x(x) * ANGULAR
+            - P_MIT.m * CM.sqrtF_of_x(x) * MASS
+        )
         assert np.allclose(block, expected, atol=1e-14)
+
+    def test_needs_params_or_potentials(self):
+        with pytest.raises(ConfigurationError, match="need params or potentials"):
+            assemble_hamiltonian(Channel(0.5, 0.5), None, make_grid(-10.0, 64))
 
     def test_zero_override_equals_free_generator(self):
         g = make_grid(-10.0, 64)
-        op = assemble_hamiltonian(
-            Channel(0.5, 0.5), None, g, potentials_zero(), BoundaryCondition.MIT
-        )
+        op = assemble_hamiltonian(Channel(0.5, 0.5), None, g, zero_potentials)
         assert (op.matrix != free_operator(g).matrix).nnz == 0
 
     def test_banded_node_major(self):
@@ -205,7 +214,7 @@ class TestStencilEntrywise:
         assert np.max(np.abs(dense - self.expected(op, right_closure))) <= 1e-13 * np.max(
             np.abs(dense)
         )
-        assert np.allclose(op.a_values, potentials_sads(op.params).a_ang(op.grid.nodes))
+        assert np.allclose(op.a_values, CoordinateMap(op.params).angular_factor_of_x(op.grid.nodes))
 
     def test_plain_mirror(self):
         op = assemble_hamiltonian(Channel(1.5, 0.5), P_MIT, make_grid(-8.0, 16))
@@ -219,8 +228,6 @@ class TestStencilEntrywise:
         self.check(op, np.zeros((4, 4)))
 
     def test_graded_wall_exponent(self):
-        from adsdirac.grids import BoundaryGraded
-
         g = make_grid(-0.4, policy=BoundaryGraded(h_min=0.005, ratio=1.2, h_max=0.05))
         op = assemble_hamiltonian(Channel(0.5, 0.5), P_MIT, g)
         nu = P_MIT.m * P_MIT.l
@@ -229,6 +236,15 @@ class TestStencilEntrywise:
         g_wall = nu / t + (t / t_prev) ** nu / (2.0 * g.weights[-1])
         g1s = VELOCITY.astype(complex) @ mit_reflection()
         self.check(op, -1j * g_wall * g1s)
+
+    def test_exponent_row_only_for_the_black_hole_pair(self):
+        """The same potentials passed as a map, on the same graded grid in
+        the bag regime: the bag wall with the plain mirror."""
+        g = make_grid(-0.4, policy=BoundaryGraded(h_min=0.005, ratio=1.2, h_max=0.05))
+        op = assemble_hamiltonian(Channel(0.5, 0.5), P_MIT, g, black_hole_map(P_MIT))
+        assert op.bc is BoundaryCondition.MIT and op.wall_exponent is None
+        g1s = VELOCITY.astype(complex) @ mit_reflection()
+        self.check(op, -1j / (2.0 * g.weights[-1]) * g1s)
 
 
 class TestConjugateOperator:

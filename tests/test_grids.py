@@ -115,20 +115,6 @@ class TestSpinorField:
         assert lhs == pytest.approx(np.conj(z) * u.inner(v), rel=1e-12)
         assert u.inner(v) == pytest.approx(np.conj(v.inner(u)), rel=1e-12)
 
-    def test_pair_masses_sum_to_norm_squared(self):
-        g = make_grid(-5.0, 48)
-        rng = np.random.default_rng(3)
-        psi = SpinorField(g, rng.normal(size=(4, 48)) + 1j * rng.normal(size=(4, 48)))
-        p13, p24 = psi.pair_masses()
-        assert p13 + p24 == pytest.approx(psi.norm() ** 2, rel=1e-12)
-
-    def test_mass_in_complementary(self):
-        g = make_grid(-10.0, 100)
-        psi = gaussian_packet(g, -5.0, 0.5)
-        inside = psi.mass_in(-6.5, -3.5)
-        outside = psi.mass_in(-10.0, -6.5 - 1e-12) + psi.mass_in(-3.5 + 1e-12, 0.0)
-        assert inside + outside == pytest.approx(psi.norm() ** 2, rel=1e-12)
-
     def test_gaussian_normalized(self):
         g = make_grid(-10.0, 256)
         psi = gaussian_packet(g, -4.0, 0.3, components=(1, 2j, 0, -1))

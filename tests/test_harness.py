@@ -52,7 +52,6 @@ class TestConfigValidation:
         assert cfg.params.regime == Regime.SUPERCRITICAL
         assert cfg.operator().bc == BoundaryCondition.NATURAL
         assert cfg.channel.coupling == 1.0
-        assert cfg.experiments == EXPERIMENTS
 
     def test_keeps_the_grid_and_evolution_it_built(self):
         cfg = parse_config_dict({**MINIMAL, "evolution": {"t_final": 2.0, "snapshots": 4}})
@@ -183,12 +182,22 @@ class TestConfigValidation:
                 parse_config_dict({**MINIMAL, "evolution": evolution})
 
     def test_unknown_experiment_name(self):
-        with pytest.raises(ConfigError, match="resonance"):
-            parse_config_dict({**MINIMAL, "experiments": ["geometry", "resonance"]})
+        # the subcommand names the experiments; the config has no say
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["resonance", "--config", "x.json"])
+        with pytest.raises(ConfigError, match="unknown key 'experiments'"):
+            parse_config_dict({**MINIMAL, "experiments": ["geometry"]})
 
-    def test_experiment_selection_keeps_canonical_order(self):
-        cfg = parse_config_dict({**MINIMAL, "experiments": ["mourre", "geometry"]})
-        assert cfg.experiments == ("geometry", "mourre")
+    def test_experiment_selection_keeps_canonical_order(self, tmp_path, monkeypatch):
+        import adsdirac.harness as hn
+
+        for name in EXPERIMENTS:
+            monkeypatch.setitem(hn._RUNNERS, name, lambda cfg, out_dir, name=name: (
+                ExperimentResult(name)
+            ))
+        selected = list(reversed(EXPERIMENTS))
+        manifest = run(small_config(), experiments=selected, out=str(tmp_path), echo=False)
+        assert tuple(r.name for r in manifest.results) == EXPERIMENTS
 
     def test_bool_is_not_a_number(self):
         with pytest.raises(ConfigError):
@@ -221,7 +230,7 @@ class TestDigest:
 
     def test_stable_across_equivalent_inputs(self):
         a = parse_config_dict(MINIMAL)
-        b = parse_config_dict({**MINIMAL, "experiments": ["all"]})
+        b = parse_config_dict({**MINIMAL, "seed": 0, "grid": {"n": 2048}, "options": None})
         assert a.digest == b.digest
 
     def test_sensitive_to_physics(self):
@@ -241,7 +250,6 @@ class TestDigest:
             **MINIMAL, "m": 0.25,
             "grid": {"x_min": -10, "h_min": 0.01, "ratio": 1.1, "h_max": 0.1},
             "evolution": {"t_final": 2, "snapshots": 1},
-            "experiments": ["mourre", "geometry"],
             "options": {"mourre": {"n": 320, "interval": [1, 2]}, "evolve": None},
         }
         for data in (MINIMAL, graded):
@@ -307,7 +315,7 @@ _VALUES = {
     "evolution.dt": ((None, 0.01, 1e-4), (100.0, -0.1, "x")),  # 100 > any h/2
     "evolution.t_final": ((1.0, 5), (0, float("inf"), "x")),
     "evolution.snapshots": ((1, 3), (0, 2.5)),
-    "experiments": ((["all"], ["geometry", "mourre"]), ([], ["resonance"], "all")),
+    "experiments": ((), (["all"], ["geometry", "mourre"])),
     "out": (("runs", "elsewhere"), ("", 3)),
     "seed": ((0, 7), (-1, True)),
     "options.geometry.typo": ((), (1,)),

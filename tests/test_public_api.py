@@ -1,12 +1,12 @@
 """The exported surface is the one the lab runs on.
 
-Every function or class a module lists in ``__all__`` must be used outside
-its own definition by the package itself, by the benchmark driver in
+Every function or class a module lists in ``__all__``, and every public
+method and property of such a class, must be used outside its own
+definition by the package itself, by the benchmark driver in
 ``perfbench/`` or by the acceptance criteria in ``tests/test_acceptance.py``.
 A helper that only unit tests call is surface without a user.  A name used
 only by other such helpers counts as unused too, so a dead cluster cannot
-keep itself alive.  Oracles that tests compare the lab against stay on the
-allow-list below, each with its reason.
+keep itself alive.
 """
 
 import ast
@@ -24,63 +24,84 @@ USERS = (
     + [ROOT / "tests" / "test_acceptance.py"]
 )
 
-#: (module, name) → why the export stays although only unit tests use it
-ORACLES = {
-    ("geometry", "surface_gravity"): "the closed-form κ that Params.kappa is tested against",
-}
+
+def _names(node):
+    """Identifiers, attributes and string constants under ``node`` (the
+    benchmark's tracer patches functions by name)."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            names.add(sub.value)
+    return names
 
 
 def _statements(path):
-    """(defined name or None, names referenced) per top-level statement.
-
-    Names are read from identifiers, attributes and string constants (the
-    benchmark's tracer patches functions by name); the ``__all__`` list
-    itself references nothing."""
+    """(defined name or None, names referenced) per top-level statement,
+    with each method of a class as a statement of its own, defining
+    ``Class.method``; the ``__all__`` list itself references nothing."""
     out = []
     for stmt in ast.parse(path.read_text()).body:
         if isinstance(stmt, ast.Assign) and any(
             getattr(t, "id", None) == "__all__" for t in stmt.targets
         ):
             continue
-        names = set()
-        for node in ast.walk(stmt):
-            if isinstance(node, ast.Name):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
-            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                names.add(node.value)
-        defined = stmt.name if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) else None
-        out.append((defined, names))
+        if isinstance(stmt, ast.ClassDef):
+            rest = set()
+            for member in stmt.body:
+                if isinstance(member, ast.FunctionDef):
+                    out.append((f"{stmt.name}.{member.name}", _names(member)))
+                else:
+                    rest |= _names(member)
+            out.append((stmt.name, rest | set().union(*map(_names, stmt.decorator_list))))
+            continue
+        defined = stmt.name if isinstance(stmt, ast.FunctionDef) else None
+        out.append((defined, _names(stmt)))
     return out
 
 
 def _exports():
-    """(module, name) for every function and class in an ``__all__``."""
+    """(module, name) for every function and class in an ``__all__``, and
+    (module, ``Class.member``) for every public method and property the
+    class itself defines."""
     for path in sorted(PACKAGE.glob("*.py")):
         module = import_module(f"adsdirac.{path.stem}")
         for name in getattr(module, "__all__", ()):
             obj = getattr(module, name)
-            if inspect.isfunction(obj) or inspect.isclass(obj):
+            if inspect.isfunction(obj):
                 yield path.stem, name
+            elif inspect.isclass(obj):
+                yield path.stem, name
+                for member, value in vars(obj).items():
+                    if not member.startswith("_") and (
+                        inspect.isfunction(value) or isinstance(value, property)
+                    ):
+                        yield path.stem, f"{name}.{member}"
 
 
-def _unused_exports(kept):
+def _unused_exports():
     """Exports with no use outside their own definitions and the
     definitions of other unused exports, found by iterating to a fixed
-    point; the ``kept`` names count as used, and so does what they use."""
+    point.  A member counts as used wherever its name appears."""
     statements = {path: _statements(path) for path in USERS}
-    exports = set(_exports()) - set(kept)
+    exports = set(_exports())
     unused = set()
     while True:
         found = set()
         for module, name in sorted(exports - unused):
             skip = unused | {(module, name)}
             if not any(
-                name in names
+                name.rpartition(".")[2] in names
                 for path, stmts in statements.items()
                 for defined, names in stmts
-                if not (path.parent == PACKAGE and (path.stem, defined) in skip)
+                if not (
+                    path.parent == PACKAGE
+                    and defined is not None
+                    and {(path.stem, defined), (path.stem, defined.split(".")[0])} & skip
+                )
             ):
                 found.add((module, name))
         if not found:
@@ -89,18 +110,10 @@ def _unused_exports(kept):
 
 
 def test_every_export_has_a_user():
-    unused = _unused_exports(ORACLES)
+    unused = _unused_exports()
     assert not unused, "exported but used only by unit tests: " + ", ".join(
         f"{m}.{n}" for m, n in sorted(unused)
     )
-
-
-@pytest.mark.parametrize("entry", sorted(ORACLES))
-def test_oracle_allow_list_is_current(entry):
-    # an allow-listed name must still be exported and still lack a user;
-    # once something uses it, the entry goes
-    assert entry in set(_exports())
-    assert entry in _unused_exports(kept=())
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)

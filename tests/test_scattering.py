@@ -7,11 +7,7 @@ import numpy as np
 import pytest
 
 from adsdirac.algebra import VELOCITY, Channel
-from adsdirac.channel import (
-    ConfigurationError,
-    assemble_hamiltonian,
-    potentials_zero,
-)
+from adsdirac.channel import ConfigurationError, assemble_hamiltonian, free_operator
 from adsdirac.dynamics import Direction, EvolutionConfig, evolve, free_propagate
 from adsdirac.geometry import make_params
 from adsdirac.grids import SpinorField, gaussian_packet, make_grid
@@ -35,7 +31,7 @@ class TestTrivialOracle:
 
     def setup_method(self):
         self.grid = _grid(-16.0, 1024)
-        self.op = assemble_hamiltonian(CHANNEL, None, self.grid, pair=potentials_zero())
+        self.op = free_operator(self.grid)
         self.phi = gaussian_packet(self.grid, center=-8.0, width=0.5, components=(0, 1, 0, 0))
 
     def test_forward_identity_discrete_factor(self):

@@ -9,16 +9,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
+import adsdirac.channel as channel
 import adsdirac.spectral as spectral
 from adsdirac.algebra import ANGULAR, MASS, VELOCITY, Channel
 from adsdirac.channel import (
     BoundaryCondition,
     ConfigurationError,
-    PotentialPair,
     assemble_hamiltonian,
     free_operator,
-    potentials_sads,
-    potentials_zero,
 )
 from adsdirac.dynamics import NumericError
 from adsdirac.geometry import CoordinateMap, make_params
@@ -33,6 +31,10 @@ from adsdirac.spectral import (
 )
 
 CHANNEL = Channel(0.5, 0.5)
+
+
+def zero_potentials(x):
+    return np.zeros_like(x), np.zeros_like(x)
 
 
 @pytest.fixture(scope="module")
@@ -180,11 +182,9 @@ class TestLevelCount:
         """A NaN potential at one node must not be counted past or clamped."""
         grid = make_grid(-16.0, 64)
         bad = grid.nodes[20]
-        pair = PotentialPair(
-            lambda x: np.where(np.asarray(x) == bad, np.nan, 0.0), np.zeros_like,
-            mode="override",
+        op = assemble_hamiltonian(
+            CHANNEL, None, grid, lambda x: (np.where(x == bad, np.nan, 0.0), np.zeros_like(x))
         )
-        op = assemble_hamiltonian(CHANNEL, None, grid, pair)
         with pytest.raises(NumericError, match="non-finite pivot"):
             level_count(op, (0.5, 1.5))
 
@@ -343,15 +343,13 @@ class TestMourre:
         the localized commutator negative on the window.  η is large here
         too, so a check that credited η would pass this operator."""
         params = make_params(1.0, 1.0, 1.0)
-        sads = potentials_sads(params)
-        pair = PotentialPair(
-            lambda x: sads.a_ang(x) + 40.0 * np.exp(-((np.asarray(x) + 3.0) ** 2)),
-            sads.b_mass,
-            mode="override",
-        )
+        cm = CoordinateMap(params)
+
+        def well(x):
+            return cm.angular_factor_of_x(x) + 40.0 * np.exp(-((x + 3.0) ** 2)), cm.sqrtF_of_x(x)
+
         coarse, fine = (
-            assemble_hamiltonian(CHANNEL, params, make_grid(-32.0, n), pair)
-            for n in (320, 640)
+            assemble_hamiltonian(CHANNEL, params, make_grid(-32.0, n), well) for n in (320, 640)
         )
         study = mourre_refinement_study(coarse, fine, (0.5, 1.5), 0.5)
         for rep in (study["coarse"], study["fine"]):
@@ -384,7 +382,7 @@ def _adaptive_propagation(lam, params, depth, x0=-1.0):
 
 class TestNoEigenvalue:
     def test_zero_potential_propagation_is_identity(self):
-        rep = no_eigenvalue_test(1.0, CHANNEL, pair=potentials_zero(), depth=20.0)
+        rep = no_eigenvalue_test(1.0, CHANNEL, None, 20.0, zero_potentials)
         assert np.max(np.abs(rep.propagation - np.eye(4))) <= 1e-12
         assert rep.depth_difference <= 1e-12
         assert rep.condition == pytest.approx(1.0, abs=1e-10)
@@ -415,10 +413,10 @@ class TestNoEigenvalue:
         """Negative control (Jackiw & Rebbi 1976): an angular term
         2·tanh(x + 10) does not decay toward the horizon, the gap it opens
         holds a bound state, and Φ(−X → x₀) has no limit as X grows."""
-        kink = PotentialPair(
-            lambda x: 2.0 * np.tanh(x + 10.0), np.zeros_like, mode="override"
-        )
-        rep = no_eigenvalue_test(0.0, CHANNEL, pair=kink, depth=20.0)
+        def kink(x):
+            return 2.0 * np.tanh(x + 10.0), np.zeros_like(x)
+
+        rep = no_eigenvalue_test(0.0, CHANNEL, None, 20.0, kink)
         assert rep.depth_difference > 1e10
         assert not rep.invertible_limit
 
@@ -450,8 +448,7 @@ class TestNoEigenvalue:
         p = make_params(1.0, 1.0, 1.0)
         cm = CoordinateMap(p)
         two_calls = no_eigenvalue_test(
-            0.5, CHANNEL, params=p, depth=8.0,
-            pair=PotentialPair(cm.angular_factor_of_x, cm.sqrtF_of_x, mode="override"),
+            0.5, CHANNEL, p, 8.0, lambda x: (cm.angular_factor_of_x(x), cm.sqrtF_of_x(x))
         )
         sizes = []
         solve = CoordinateMap._log_gap
@@ -479,9 +476,13 @@ class TestNoEigenvalue:
         rep = no_eigenvalue_test(lam, CHANNEL, params=make_params(1.0, 1.0, mass), depth=20.0)
         assert rep.current_defect <= 1e-12
 
+    def test_needs_params_or_potentials(self):
+        with pytest.raises(ConfigurationError, match="need params or potentials"):
+            no_eigenvalue_test(1.0, CHANNEL, None, 20.0)
+
     def test_depth_must_exceed_matching_point(self):
         with pytest.raises(ConfigurationError):
-            no_eigenvalue_test(1.0, CHANNEL, pair=potentials_zero(), depth=0.5, x0=-1.0)
+            no_eigenvalue_test(1.0, CHANNEL, None, 0.5, zero_potentials)
 
 
 def _graded_operator(m, h_min):
@@ -519,16 +520,17 @@ class TestBoundaryFit:
             gaps.append(abs(rep.slope - target))
         assert gaps[0] > gaps[1] > gaps[2]
 
-    def test_wrong_regime_closure_fails(self):
+    def test_wrong_regime_closure_fails(self, monkeypatch):
         """Negative control: the bag-regime potentials (m = 0.25) closed by
-        the natural wall instead, on criterion 10's graded grid.  The fit
-        lands on the wrong side of zero, about 0.5 from the regime's target
-        −ml = −1/4, so the judgement |slope − target| ≤ 0.05 must fail."""
+        the natural wall instead, on criterion 10's graded grid, through a
+        broken wall rule.  The fit lands on the wrong side of zero, about
+        0.5 from the regime's target −ml = −1/4, so the judgement
+        |slope − target| ≤ 0.05 must fail."""
+        monkeypatch.setattr(channel, "select_bc", lambda p: BoundaryCondition.NATURAL)
         params = make_params(1.0, 1.0, 0.25)
-        sads = potentials_sads(params)
-        pair = PotentialPair(sads.a_ang, sads.b_mass, mode="override")
         grid = make_grid(-24.0, policy=BoundaryGraded(1e-3, 1.1, 0.05))
-        op = assemble_hamiltonian(CHANNEL, params, grid, pair, BoundaryCondition.NATURAL)
+        op = assemble_hamiltonian(CHANNEL, params, grid)
+        assert op.bc is BoundaryCondition.NATURAL
         rep = boundary_exponent_fit(op)
         assert rep.fitted
         assert rep.target == -0.25
