@@ -34,7 +34,6 @@ __all__ = [
     "VELOCITY",
     "ANGULAR",
     "MASS",
-    "CHIRAL_MIRROR",
     "GAMMA_ALT",
     "GAMMA5_ALT",
     "BASIS_CHANGE",
@@ -82,11 +81,6 @@ ANGULAR = (GAMMA[0] @ GAMMA[2]).real.copy()
 
 #: Coefficient of the mass potential; enters as -c_m(x)·MASS, c_m = m·√F.
 MASS = GAMMA[0]
-
-#: Unitary that anticommutes with the free generator Γ¹D_x *and* preserves
-#: the reflecting boundary condition ψ₁ = -ψ₃, ψ₂ = ψ₄, forcing the free
-#: spectrum to be symmetric about zero.
-CHIRAL_MIRROR = GAMMA5 @ GAMMA[0]
 
 # Alternative representation: γ⁰ diagonal.
 GAMMA_ALT = (

@@ -5,8 +5,11 @@ One subcommand per experiment plus ``all``::
     adsdirac all --config run.json
     adsdirac velocity --config run.json --out traces --threads 2
 
-The selected experiments run through the harness; the process exits 0
-exactly when every acceptance check among them passed.  ``--threads`` sets
+The selected experiments run through the harness, which writes the
+reports and returns the manifest; ``main`` prints one verdict line per
+check (an ``[ERROR]`` line per errored experiment) and a summary line from
+it.  The process exits 0 exactly when every acceptance check among them
+passed.  ``--threads`` sets
 the width of the harness's work pool (default 1; values below 1 count as
 1).  ``--dump-matrix`` additionally writes the assembled operator as a
 sparse CSV (row, col, re, im) for external inspection.
@@ -85,6 +88,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         threads=max(1, args.threads),
         dump_matrix=args.dump_matrix,
     )
+    for r in manifest.results:
+        if r.error is not None:
+            print(f"[ERROR] {r.name}: {r.error}")
+        for c in r.checks:
+            print(c.line(r.name))
+    verdict = "all checks passed" if manifest.all_passed else "FAILURES present"
+    print(f"{verdict} ({len(manifest.results)} experiment(s), {manifest.wall_clock:.1f} s)")
     return 0 if manifest.all_passed else 1
 
 

@@ -340,7 +340,7 @@ class CoordinateMap:
         return self._potentials_of_x(x)[0]
 
 
-def expansion_residuals(params: Params, x_horizon=None) -> dict:
+def expansion_residuals(params: Params) -> dict:
     """
     Check the two asymptotic expansions of the coordinate map.
 
@@ -350,9 +350,9 @@ def expansion_residuals(params: Params, x_horizon=None) -> dict:
     sink under the inversion noise floor) together with the observed decay
     order of each residual between consecutive points.
 
-    Horizon side (x → -∞): least-squares slope of ln √F(x) against x on
-    `x_horizon`, which must reproduce the surface gravity κ (√F decays
-    like e^{κx}), and the same for the angular factor √F/r.
+    Horizon side (x → -∞): least-squares slope of ln √F(x) against x at 21
+    points of [-40/κ, -20/κ], which must reproduce the surface gravity κ
+    (√F decays like e^{κx}), and the same for the angular factor √F/r.
 
     Returns a dict with keys ``boundary`` (list of rows), ``horizon_slope_B``,
     ``horizon_slope_A`` and ``kappa``.
@@ -360,10 +360,8 @@ def expansion_residuals(params: Params, x_horizon=None) -> dict:
     cm = CoordinateMap(params)
     p = params
     x_boundary = np.array([-1e-1, -1e-2, -1e-3])
-    if x_horizon is None:
-        lo = -40.0 / (2.0 * p.kappa) * 2.0
-        x_horizon = np.linspace(2 * lo, lo, 21)  # safely exponential region
-    x_horizon = np.asarray(x_horizon, dtype=float)
+    lo = -40.0 / (2.0 * p.kappa) * 2.0
+    x_horizon = np.linspace(2 * lo, lo, 21)  # safely exponential region
 
     rows = []
     for xv in x_boundary:

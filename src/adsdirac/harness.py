@@ -8,12 +8,14 @@ by handing the values to the modules that will consume them (parameters and
 channel, the grids, dt against the grid spacing, the wave packets), and the
 parsed config keeps the grid and the evolution settings those rules built.
 All complaints are aggregated into a single :class:`ConfigError` so a long
-run cannot die late on a typo.  Execution schedules the selected
-experiments over a bounded thread pool, collects results in a fixed order,
-and emits CSV for traces and JSON for verdicts and scalars.  Numeric
-outputs are byte-reproducible for identical configs: fixed seed, fixed
-float formatting, deterministic solvers.  Timing lives only in the
-manifest, which is the one file allowed to differ between reruns.
+run cannot die late on a typo.  Execution runs the selected experiments on
+a bounded thread pool and collects them in a fixed order; each runner
+returns its verdicts, scalars and CSV tables, and one writer emits the
+tables, then a JSON file of verdicts and scalars.  ``run`` prints nothing;
+the CLI prints the verdict lines.  Numeric outputs are byte-reproducible for
+identical configs: fixed seed, fixed float formatting, deterministic
+solvers.  Timing lives only in the manifest, which is the one file allowed
+to differ between reruns.
 
 Config shape (only ``M``, ``l``, ``m``, ``channel`` are required; shown
 with the defaults, ``options`` abridged)::
@@ -21,18 +23,19 @@ with the defaults, ``options`` abridged)::
     {
       "M": 1.0, "l": 1.0, "m": 1.0,
       "channel": [0.5, 0.5],
-      "grid": {"x_min": -32.0, "n": 2048, "h_min": null, "ratio": null, "h_max": null},
+      "grid": {"x_min": -32.0, "n": 2048},
       "evolution": {"dt": null, "t_final": 10.0, "snapshots": 5},
       "out": "runs",
       "seed": 0,
       "options": {"scatter": {"schedule": [1, 2, 4, 8, 16], ...}, ...}
     }
 
-``grid`` takes ``n`` or the graded triple ``h_min``, ``ratio``, ``h_max``;
-``dt`` null is half the minimum spacing.  The boundary condition at the
-wall is the one the 2ml regime requires; every report records it.  The
-canonical form of a config is this tree with every default filled in, and
-its SHA-256 is the digest stamped into every report.
+``grid`` is uniform (only ``domain-exponent`` grades, from its own keys);
+``dt`` null is half the minimum spacing.  Verdict bounds are constants, not
+keys.  The boundary condition at the wall is the one the 2ml regime
+requires; every report records it.  The canonical form of a config is this
+tree with every default filled in, and its SHA-256 is the digest stamped
+into every report.
 
 Every emitted number traces to a module operation; the harness itself only
 builds inputs, forwards them, and formats what comes back.
@@ -84,6 +87,8 @@ from adsdirac.scattering import (
     wave_operator_forward,
 )
 from adsdirac.spectral import (
+    MOURRE_EPS,
+    MOURRE_STABILITY,
     boundary_exponent_fit,
     eigendecompose,
     level_count,
@@ -105,7 +110,6 @@ EXPERIMENTS: Tuple[str, ...] = (
 #: the spinor of the runners' packets (the evolve default too):
 #: components 1 and 4, the two that move toward the wall
 _PAIR = (1.0, 0.0, 0.0, 1.0)
-_TRIPLE = ("h_min", "ratio", "h_max")
 #: the levels ``spectrum`` solves for; the channel operators keep a gap at 0
 _SPECTRUM_WINDOW = (-1.0, 1.0)
 _REQUIRED = object()  # the default of a key that must be given
@@ -150,7 +154,6 @@ def _times(least: int):
 _NUMBER = (_is_number, "a number")
 _POSITIVE = (lambda v: _is_number(v) and v > 0, "a positive number")
 _NEGATIVE = (lambda v: _is_number(v) and v < 0, "a negative number")
-_FRACTION = (lambda v: _is_number(v) and 0 < v < 1, "a number in (0, 1)")
 _INTEGER = (_is_int, "an integer")
 
 #: block → key → (default, test, what the test demands); a dict is a
@@ -163,9 +166,6 @@ _SCHEMA: Dict = {
     "grid": {
         "x_min": (-32.0, *_NEGATIVE),
         "n": (2048, *_INTEGER),
-        "h_min": (None, *_POSITIVE),
-        "ratio": (None, *_POSITIVE),
-        "h_max": (None, *_POSITIVE),
     },
     "evolution": {
         "dt": (None, *_POSITIVE),
@@ -196,9 +196,6 @@ _SCHEMA: Dict = {
                 (4.0, 8.0, 12.0, 16.0, 20.0), _times(2),
                 "at least 2 increasing positive times",
             ),
-            "delta": (0.2, lambda v: _is_number(v) and 0 < v < 0.5, "a number in (0, 0.5)"),
-            "eps": (0.2, *_POSITIVE),
-            "cone_delta": (0.25, *_FRACTION),
             "center": (-2.5, *_NUMBER),
             "width": (0.25, *_POSITIVE),
         },
@@ -209,8 +206,6 @@ _SCHEMA: Dict = {
                 (0.5, 1.5), lambda v: _numbers(v, 2) and v[0] < v[1],
                 "two numbers [a, b] with a < b",
             ),
-            "eps": (0.5, *_FRACTION),
-            "stability": (0.05, *_POSITIVE),
         },
         "spectrum": {
             "n": (640, *_INTEGER),
@@ -287,24 +282,6 @@ def _packet(block: Mapping, grid: Grid, prefix: str = "") -> SpinorField:
     )
 
 
-def _grid(block: Dict, raw) -> Grid:
-    """Settle the grid block on ``n`` or the graded triple, whichever was
-    given, and build the grid; the other leaves the block, and so the
-    canonical form."""
-    given = {k for k, v in (raw or {}).items() if v is not None}
-    graded = given & set(_TRIPLE)
-    if graded and "n" in given:
-        raise ValueError("give either n or the graded triple, not both")
-    if graded and len(graded) < 3:
-        raise ValueError("graded spacing needs h_min, ratio and h_max")
-    if graded:
-        del block["n"]
-        return _graded_grid(block)
-    for key in _TRIPLE:
-        del block[key]
-    return make_grid(block["x_min"], block["n"])
-
-
 def _evolution(block: Mapping, grid: Grid) -> EvolutionConfig:
     """The evolution block on ``grid``: dt null is half the minimum
     spacing, and the snapshots are evenly spaced up to t_final."""
@@ -369,7 +346,7 @@ def parse_config_dict(data: Mapping) -> ExperimentConfig:
     opts = tree.get("options", {})
     params = rule("params", lambda: make_params(tree["M"], tree["l"], tree["m"]))
     channel = rule("channel", lambda: Channel(*tree["channel"]))
-    grid = rule("grid", lambda: _grid(tree["grid"], data.get("grid")))
+    grid = rule("grid", lambda: make_grid(tree["grid"]["x_min"], tree["grid"]["n"]))
     evolution = None
     if grid is not None:
         evolution = rule("evolution", lambda: _evolution(tree["evolution"], grid))
@@ -458,9 +435,13 @@ class CheckLine:
 
 @dataclass
 class ExperimentResult:
+    """One runner's verdicts, scalars and CSV tables (file name → (columns,
+    rows)); ``files`` lists what the writer wrote."""
+
     name: str
     checks: List[CheckLine] = field(default_factory=list)
     scalars: Dict = field(default_factory=dict)
+    tables: Dict[str, Tuple[Sequence[str], list]] = field(default_factory=dict)
     files: List[str] = field(default_factory=list)
     error: Optional[str] = None
     wall_clock: float = 0.0
@@ -511,7 +492,7 @@ class RunManifest:
 # -------------------------------------------------------- the experiments
 
 
-def _run_geometry(cfg: ExperimentConfig, out_dir: Path) -> ExperimentResult:
+def _run_geometry(cfg: ExperimentConfig) -> ExperimentResult:
     """Horizon root, tortoise map vs. quadrature, coordinate round trips."""
     p = cfg.params
     cm = CoordinateMap(p)
@@ -569,14 +550,11 @@ def _run_geometry(cfg: ExperimentConfig, out_dir: Path) -> ExperimentResult:
         np.atleast_1d(cm.sqrtF_of_x(xs)).tolist(),
         np.atleast_1d(cm.angular_factor_of_x(xs)).tolist(),
     )
-    csv = out_dir / "geometry_map.csv"
-    write_csv(csv, cfg.digest, ("x", "r", "sqrtF", "angular"), rows)
-    res.files.append(csv.name)
-    _finish(res, cfg, out_dir, "geometry.json")
+    res.tables["geometry_map.csv"] = (("x", "r", "sqrtF", "angular"), list(rows))
     return res
 
 
-def _run_evolve(cfg: ExperimentConfig, out_dir: Path) -> ExperimentResult:
+def _run_evolve(cfg: ExperimentConfig) -> ExperimentResult:
     """Unitary flow on the configured operator plus the free-flow oracle."""
     res = ExperimentResult("evolve")
     grid = cfg.grid
@@ -633,17 +611,13 @@ def _run_evolve(cfg: ExperimentConfig, out_dir: Path) -> ExperimentResult:
         "free_order": order,
         "bc": op.bc.value,
     }
-    csv = out_dir / "evolve_norms.csv"
-    write_csv(
-        csv, cfg.digest, ("t", "norm"),
-        [(float(t), f.norm()) for t, f in zip(traj.times, traj.fields)],
+    res.tables["evolve_norms.csv"] = (
+        ("t", "norm"), [(float(t), f.norm()) for t, f in zip(traj.times, traj.fields)]
     )
-    res.files.append(csv.name)
-    _finish(res, cfg, out_dir, "evolve.json")
     return res
 
 
-def _run_scatter(cfg: ExperimentConfig, out_dir: Path) -> ExperimentResult:
+def _run_scatter(cfg: ExperimentConfig) -> ExperimentResult:
     """Wave operators along a dyadic schedule, their adjoint pairing, and
     the trivial self-comparison that must come out at solver rounding."""
     res = ExperimentResult("scatter")
@@ -705,48 +679,38 @@ def _run_scatter(cfg: ExperimentConfig, out_dir: Path) -> ExperimentResult:
         "bound": bwd.bound,
         "norm_drift": max(fwd.norm_drift, bwd.norm_drift, triv.norm_drift),
     }
-    csv = out_dir / "scatter_increments.csv"
-    write_csv(
-        csv, cfg.digest, ("t", "forward_increment", "backward_increment"),
+    res.tables["scatter_increments.csv"] = (
+        ("t", "forward_increment", "backward_increment"),
         [
             (schedule[k + 1], float(fwd.increments[k]), float(bwd.increments[k]))
             for k in range(len(schedule) - 1)
         ],
     )
-    res.files.append(csv.name)
-    _finish(res, cfg, out_dir, "scatter.json")
     return res
 
 
-def _run_velocity(cfg: ExperimentConfig, out_dir: Path) -> ExperimentResult:
+def _run_velocity(cfg: ExperimentConfig) -> ExperimentResult:
     """Propagation-velocity diagnostics from one evolution: minimal and
     maximal cutoff traces, the light-cone sandwich, and ⟨𝒜/t⟩ → 1.
 
-    Content moving left at unit speed must stay on the grid until the last
-    trace time; a shorter domain records the four checks as FAIL lines
-    saying so, and the trace file is written with its header only."""
+    Content moving left at unit speed must not reach the left wall before
+    the last trace time.  The flow is unitary and the wall reflects, so
+    only this test guards it: a shorter domain records the four checks as
+    FAIL lines saying so, with a header-only trace table."""
     res = ExperimentResult("velocity")
     grid = cfg.grid
     op = cfg.operator()
     times = cfg.option("velocity", "times")
-    csv = out_dir / "velocity_traces.csv"
     columns = ("t", "minimal", "maximal", "unit", "cone", "v")
     if abs(grid.x_min) < times[-1] + 6.0:
         short = f"velocity traces to t = {times[-1]:g} need x_min <= -{times[-1] + 6:g}"
         for name in ("minimal", "maximal", "cone", "asymptotic"):
             res.checks.append(CheckLine(name, False, short))
         res.scalars = {"bc": op.bc.value}
-        write_csv(csv, cfg.digest, columns, [])
-        res.files.append(csv.name)
-        _finish(res, cfg, out_dir, "velocity.json")
+        res.tables["velocity_traces.csv"] = (columns, [])
         return res
     phi = _packet(cfg.options["velocity"], grid)
-    rep = velocity_report(
-        phi, times, op,
-        delta=cfg.option("velocity", "delta"),
-        eps=cfg.option("velocity", "eps"),
-        cone_delta=cfg.option("velocity", "cone_delta"),
-    )
+    rep = velocity_report(phi, times, op)
 
     mn = float(rep.minimal_values[-1])
     mx = float(abs(rep.maximal_values[-1]))
@@ -786,8 +750,8 @@ def _run_velocity(cfg: ExperimentConfig, out_dir: Path) -> ExperimentResult:
         "bound": rep.bound,
         "norm_drift": rep.norm_drift,
     }
-    write_csv(
-        csv, cfg.digest, columns,
+    res.tables["velocity_traces.csv"] = (
+        columns,
         [
             (
                 times[k],
@@ -800,12 +764,10 @@ def _run_velocity(cfg: ExperimentConfig, out_dir: Path) -> ExperimentResult:
             for k in range(len(times))
         ],
     )
-    res.files.append(csv.name)
-    _finish(res, cfg, out_dir, "velocity.json")
     return res
 
 
-def _run_mourre(cfg: ExperimentConfig, out_dir: Path) -> ExperimentResult:
+def _run_mourre(cfg: ExperimentConfig) -> ExperimentResult:
     """Commutator positivity on a spectral window, cross-checked under
     refinement, plus the free operator on the coarse grid, where the
     quotient is exactly one."""
@@ -813,20 +775,18 @@ def _run_mourre(cfg: ExperimentConfig, out_dir: Path) -> ExperimentResult:
     n = cfg.option("mourre", "n")
     factor = cfg.option("mourre", "fine_factor")
     interval = tuple(cfg.option("mourre", "interval"))
-    eps = cfg.option("mourre", "eps")
-    stability = cfg.option("mourre", "stability")
     x_min = cfg.grid.x_min
 
     coarse = cfg.operator(make_grid(x_min, n))
     fine = cfg.operator(make_grid(x_min, factor * n))
-    res.scalars = {"interval": list(interval), "eps": eps}
+    res.scalars = {"interval": list(interval), "eps": MOURRE_EPS}
     reports = {}
     # A window holding fewer than ten levels is below the discrete
     # resolution, and one centred on a level cannot be shift-inverted; the
     # ConfigurationError names the levels and is recorded as the FAIL
     # detail instead of ending the experiment.
     try:
-        study = mourre_refinement_study(coarse, fine, interval, eps, stability)
+        study = mourre_refinement_study(coarse, fine, interval)
     except ConfigurationError as exc:
         res.checks.append(CheckLine("window", False, str(exc)))
         res.checks.append(CheckLine("refinement", False, f"not run: {exc}"))
@@ -837,14 +797,14 @@ def _run_mourre(cfg: ExperimentConfig, out_dir: Path) -> ExperimentResult:
             CheckLine(
                 "window", rep_c.passed,
                 f"min quotient = {rep_c.min_quotient:.4f} on {list(interval)}, "
-                f"η = {rep_c.eta:.4f}, {rep_c.n_states} states (need ≥ {1 - eps:g})",
+                f"η = {rep_c.eta:.4f}, {rep_c.n_states} states (need ≥ {1 - MOURRE_EPS:g})",
             )
         )
         res.checks.append(
             CheckLine(
                 "refinement", study["verdict"] == "pass",
                 f"verdict = {study['verdict']}, quotient drift = "
-                f"{study['quotient_drift']:.3e} (<= {stability:g})",
+                f"{study['quotient_drift']:.3e} (<= {MOURRE_STABILITY:g})",
             )
         )
         res.scalars.update({
@@ -858,7 +818,7 @@ def _run_mourre(cfg: ExperimentConfig, out_dir: Path) -> ExperimentResult:
         })
 
     try:
-        free = reports["free"] = mourre_check(free_operator(coarse.grid), interval, eps)
+        free = reports["free"] = mourre_check(free_operator(coarse.grid), interval)
     except ConfigurationError as exc:
         res.checks.append(CheckLine("free_quotient", False, f"free operator: {exc}"))
     else:
@@ -881,11 +841,10 @@ def _run_mourre(cfg: ExperimentConfig, out_dir: Path) -> ExperimentResult:
         }
         for name, rep in reports.items()
     }
-    _finish(res, cfg, out_dir, "mourre.json")
     return res
 
 
-def _run_spectrum(cfg: ExperimentConfig, out_dir: Path) -> ExperimentResult:
+def _run_spectrum(cfg: ExperimentConfig) -> ExperimentResult:
     """Level counts for |λ| ≤ 1, 2, 4, 8 from one inertia sweep, the levels
     of ``_SPECTRUM_WINDOW`` from one windowed eigensolve (contract numbers,
     eigenvalue dump), and the compactified no-eigenvalue probe over a sweep
@@ -893,7 +852,7 @@ def _run_spectrum(cfg: ExperimentConfig, out_dir: Path) -> ExperimentResult:
 
     A solve that ``eigendecompose`` rejects, or a window too wide for it,
     becomes two FAIL lines carrying the rejected numbers; the sweep still
-    runs and the eigenvalue file is written with its header only."""
+    runs and the eigenvalue table holds its header only."""
     res = ExperimentResult("spectrum")
     n = cfg.option("spectrum", "n")
     op = cfg.operator(make_grid(cfg.grid.x_min, n))
@@ -946,17 +905,13 @@ def _run_spectrum(cfg: ExperimentConfig, out_dir: Path) -> ExperimentResult:
         "current_defects": [r.current_defect for r in sweep],
         "steps": [r.steps for r in sweep],
     }
-    csv = out_dir / "spectrum_eigenvalues.csv"
-    write_csv(
-        csv, cfg.digest, ("k", "lambda"),
-        [(k, float(v)) for k, v in enumerate(eigenvalues)],
+    res.tables["spectrum_eigenvalues.csv"] = (
+        ("k", "lambda"), [(k, float(v)) for k, v in enumerate(eigenvalues)]
     )
-    res.files.append(csv.name)
-    _finish(res, cfg, out_dir, "spectrum.json")
     return res
 
 
-def _run_domain_exponent(cfg: ExperimentConfig, out_dir: Path) -> ExperimentResult:
+def _run_domain_exponent(cfg: ExperimentConfig) -> ExperimentResult:
     """Wall decay rate of generic resolvent elements on a graded grid, one
     fit per mass, judged against the regime's expected exponent."""
     res = ExperimentResult("domain-exponent")
@@ -997,13 +952,12 @@ def _run_domain_exponent(cfg: ExperimentConfig, out_dir: Path) -> ExperimentResu
 
     res.scalars = {
         "masses": masses,
-        "grading": {k: block[k] for k in (*_TRIPLE, "x_min")},
+        "grading": {k: block[k] for k in ("h_min", "ratio", "h_max", "x_min")},
         "slopes": [r.slope for _, _, r in rows],
         "targets": [r.target for _, _, r in rows],
     }
-    csv = out_dir / "domain_exponent.csv"
-    write_csv(
-        csv, cfg.digest, ("mass", "two_ml", "slope", "target", "n_points"),
+    res.tables["domain_exponent.csv"] = (
+        ("mass", "two_ml", "slope", "target", "n_points"),
         [
             (
                 mass, two_ml, rep.slope,
@@ -1013,15 +967,19 @@ def _run_domain_exponent(cfg: ExperimentConfig, out_dir: Path) -> ExperimentResu
             for mass, two_ml, rep in rows
         ],
     )
-    res.files.append(csv.name)
-    _finish(res, cfg, out_dir, "domain_exponent.json")
     return res
 
 
-def _finish(res: ExperimentResult, cfg: ExperimentConfig, out_dir: Path, name: str):
-    path = out_dir / name
+def _write_reports(res: ExperimentResult, cfg: ExperimentConfig, out_dir: Path) -> None:
+    """Write a runner's tables as stamped CSV, then ``<name>.json`` (dashes
+    become underscores) with its verdicts and scalars, and list the files
+    in that order."""
+    for name, (columns, rows) in res.tables.items():
+        write_csv(out_dir / name, cfg.digest, columns, rows)
+        res.files.append(name)
+    name = res.name.replace("-", "_") + ".json"
     write_json(
-        path, cfg.digest,
+        out_dir / name, cfg.digest,
         {
             "experiment": res.name,
             "checks": {
@@ -1030,7 +988,7 @@ def _finish(res: ExperimentResult, cfg: ExperimentConfig, out_dir: Path, name: s
             "scalars": res.scalars,
         },
     )
-    res.files.append(path.name)
+    res.files.append(name)
 
 
 _RUNNERS = {
@@ -1066,14 +1024,15 @@ def run(
     out: Optional[str] = None,
     threads: int = 1,
     dump_matrix: bool = False,
-    echo: bool = True,
 ) -> RunManifest:
-    """Execute the selected experiments and write all report files.
+    """Execute the selected experiments, write all report files and
+    ``manifest.json``, and return the manifest; nothing is printed.
 
     Jobs go onto a bounded thread pool (``threads`` ≥ 1 wide) but results are
-    collected and printed in the fixed experiment order, so output is
-    deterministic regardless of scheduling.  A module error inside one
-    experiment marks that experiment as errored and leaves the rest alone.
+    collected in the fixed experiment order, so output is deterministic
+    regardless of scheduling.  Each job runs its experiment and writes its
+    reports; a module error inside one marks that experiment as errored
+    and leaves the rest alone.
     """
     selected = tuple(e for e in EXPERIMENTS if e in experiments)
     if not selected:
@@ -1089,7 +1048,8 @@ def run(
     def job(name: str) -> ExperimentResult:
         start = time.perf_counter()
         try:
-            result = _RUNNERS[name](cfg, out_dir)
+            result = _RUNNERS[name](cfg)
+            _write_reports(result, cfg, out_dir)
         except Exception as exc:  # noqa: BLE001 — isolation is the point
             result = ExperimentResult(name, error=f"{type(exc).__name__}: {exc}")
         result.wall_clock = time.perf_counter() - start
@@ -1112,15 +1072,4 @@ def run(
     (out_dir / "manifest.json").write_text(
         json.dumps(doc, sort_keys=True, indent=2, default=_json_default) + "\n"
     )
-
-    if echo:
-        for r in results:
-            if r.error is not None:
-                print(f"[ERROR] {r.name}: {r.error}")
-            for c in r.checks:
-                print(c.line(r.name))
-        print(
-            f"{'all checks passed' if manifest.all_passed else 'FAILURES present'} "
-            f"({len(results)} experiment(s), {manifest.wall_clock:.1f} s)"
-        )
     return manifest

@@ -262,7 +262,13 @@ def velocity_report(
       two times.
 
     Raises ``ConfigurationError`` unless 0 < δ < 1/2 and ε > 0, and
-    ``NumericError`` when the mass has left the grid.
+    ``NumericError`` below a snapshot mass of 1e-8, which cannot happen
+    under ``op``: the Chebyshev flow is unitary on the closed grid (it
+    raises past a drift of 1e-8), and content that reaches x_min reflects
+    off the bag wall.  A domain too short for the trace times goes unseen
+    here, so the caller sizes x_min (the harness needs x_min ≤ −(t + 6) at
+    the last time t); the free flow raises itself when it would read data
+    from left of x_min.
     """
     if not (0 < delta < 0.5):
         raise ConfigurationError("need 0 < delta < 1/2")

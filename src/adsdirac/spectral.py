@@ -13,7 +13,7 @@ Three numerical shadows of the channel operator's spectral theory:
   computes the whole spectrum.
 * ``mourre_check`` — positivity of the localized commutator: the minimum
   Rayleigh quotient of P_I C P_I on ran P_I, with C the closed-form
-  commutator i[H, 𝒜].  PASS means min quotient ≥ 1 − ε; η =
+  commutator i[H, 𝒜].  PASS means min quotient ≥ 1 − ``MOURRE_EPS``; η =
   ‖P_I(C − 𝟙)P_I‖, the measured size of the compact correction, is
   reported alongside.
 * ``no_eigenvalue_test`` — the ODE mechanism behind the empty point
@@ -59,6 +59,11 @@ __all__ = [
     "boundary_exponent_fit",
 ]
 
+#: the Mourre verdict: PASS means min quotient ≥ 1 − MOURRE_EPS, and a
+#: refinement study whose quotient moves more than MOURRE_STABILITY between
+#: its two grids is inconclusive
+MOURRE_EPS = 0.5
+MOURRE_STABILITY = 0.05
 #: the matching point x₀ of the no-eigenvalue sweep, which runs from −2X to it
 _X0 = -1.0
 #: the no-eigenvalue verdict: ‖Φ_X − Φ_{2X}‖₂ and cond₂ Φ_X at most these
@@ -238,7 +243,6 @@ def eigendecompose(op: ChannelOperator, window: Tuple[float, float]) -> Spectral
 
 @dataclass
 class MourreReport:
-    eps: float
     n_states: int
     min_quotient: float
     eta: float  # ‖P_I (C − 𝟙) P_I‖, the compact-correction magnitude
@@ -253,7 +257,6 @@ class MourreReport:
 def mourre_check(
     op: ChannelOperator,
     interval: Tuple[float, float],
-    eps: float,
     decomposition: Optional[SpectralDecomposition] = None,
 ) -> MourreReport:
     """Minimum of the localized commutator on the spectral window.
@@ -262,7 +265,7 @@ def mourre_check(
     when given, otherwise those of ``eigendecompose`` on the window.  The
     quotient matrix ⟨v_i, C v_j⟩_W is a Rayleigh–Ritz restriction, so its
     smallest eigenvalue is the true minimum over the computed subspace.
-    PASS means that minimum is at least 1 − ε; η = ‖P_I(C − 𝟙)P_I‖ is
+    PASS means that minimum is at least 1 − ``MOURRE_EPS``; η = ‖P_I(C − 𝟙)P_I‖ is
     reported, not credited.  The interval must hold at least ten levels —
     a thinner window is below the discrete resolution — counted from the
     window's pairs, which ``eigendecompose`` has matched against the
@@ -288,11 +291,10 @@ def mourre_check(
     min_q = float(sla.eigvalsh(quot).min())
     eta = float(np.max(np.abs(sla.eigvalsh(quot - np.eye(k)))))
     return MourreReport(
-        eps=float(eps),
         n_states=k,
         min_quotient=min_q,
         eta=eta,
-        passed=bool(min_q >= 1.0 - eps),
+        passed=bool(min_q >= 1.0 - MOURRE_EPS),
         requested=dec.requested,
         max_residual=dec.max_residual,
         orthonormality_defect=dec.orthonormality_defect,
@@ -303,20 +305,18 @@ def mourre_refinement_study(
     coarse: ChannelOperator,
     fine: ChannelOperator,
     interval: Tuple[float, float],
-    eps: float,
-    stability: float = 0.05,
 ) -> dict:
     """Run the check at two resolutions and map the pair to a verdict.
 
     The continuous estimate has no level-spacing artifacts; its discrete
     shadow does.  A window whose PASS flips under refinement, or whose
-    quotient moves more than the stability budget, is "inconclusive"
+    quotient moves more than ``MOURRE_STABILITY``, is "inconclusive"
     rather than failed.
     """
-    rep_c = mourre_check(coarse, interval, eps)
-    rep_f = mourre_check(fine, interval, eps)
+    rep_c = mourre_check(coarse, interval)
+    rep_f = mourre_check(fine, interval)
     drift = abs(rep_f.min_quotient - rep_c.min_quotient)
-    if drift > stability or rep_c.passed != rep_f.passed:
+    if drift > MOURRE_STABILITY or rep_c.passed != rep_f.passed:
         verdict = "inconclusive"
     else:
         verdict = "pass" if rep_f.passed else "fail"
@@ -502,15 +502,12 @@ def _slope_target(op: ChannelOperator) -> Optional[float]:
 
 
 def boundary_exponent_fit(
-    op: ChannelOperator,
-    z: complex = 2j,
-    f: Optional[SpinorField] = None,
+    op: ChannelOperator, f: Optional[SpinorField] = None
 ) -> BoundaryFitReport:
-    """Resolvent probe of the wall behavior: solve (H − z)u = f and fit
-    log‖u(x)‖ against log(−x) over the lowest decade of −x, excluding the
-    last three nodes (the ghost rows contaminate them)."""
-    if z.imag == 0.0:
-        raise ConfigurationError("shift must have nonzero imaginary part")
+    """Resolvent probe of the wall behavior: solve (H − z)u = f at z = 2i
+    and fit log‖u(x)‖ against log(−x) over the lowest decade of −x,
+    excluding the last three nodes (the ghost rows contaminate them)."""
+    z = 2j
     grid = op.grid
     if f is None:
         prof = np.exp(-((grid.nodes + 3.0) ** 2) / 0.5).astype(complex)

@@ -236,8 +236,8 @@ class TestAcceptance:
         params = make_params(1.0, 1.0, 1.0)
         coarse = assemble_hamiltonian(CHANNEL, params, make_grid(-32.0, 640))
         fine = assemble_hamiltonian(CHANNEL, params, make_grid(-32.0, 1280))
-        study = mourre_refinement_study(coarse, fine, (0.5, 1.5), eps=0.5)
-        free = mourre_check(free_operator(make_grid(-16.0, 320)), (0.5, 1.5), 0.5)
+        study = mourre_refinement_study(coarse, fine, (0.5, 1.5))
+        free = mourre_check(free_operator(make_grid(-16.0, 320)), (0.5, 1.5))
         free_gap = abs(free.min_quotient - 1.0)
         ok = verdict(
             9, "commutator positivity",

@@ -6,7 +6,6 @@ import pytest
 from adsdirac.algebra import (
     ANGULAR,
     BASIS_CHANGE,
-    CHIRAL_MIRROR,
     Channel,
     GAMMA,
     GAMMA5,
@@ -102,16 +101,18 @@ class TestCliffordAlgebra:
 
 
 class TestChiralMirror:
-    """The unitary that flips the sign of the free generator."""
+    """γ⁵γ⁰, the unitary that anticommutes with the free generator Γ¹D_x
+    and preserves the reflecting constraint ψ₁ = −ψ₃, ψ₂ = ψ₄, which
+    forces the free spectrum to be symmetric about zero."""
 
     def test_unitary(self):
-        u = CHIRAL_MIRROR
+        u = GAMMA5 @ GAMMA[0]
         assert np.array_equal(u @ u.conj().T, np.eye(4, dtype=complex))
 
     def test_anticommutes_with_velocity(self):
+        u = GAMMA5 @ GAMMA[0]
         assert np.array_equal(
-            CHIRAL_MIRROR @ VELOCITY.astype(complex),
-            -VELOCITY.astype(complex) @ CHIRAL_MIRROR,
+            u @ VELOCITY.astype(complex), -VELOCITY.astype(complex) @ u
         )
 
     def test_preserves_reflecting_constraint(self):
@@ -122,7 +123,7 @@ class TestChiralMirror:
         for _ in range(10):
             a, b = rng.normal(size=2) + 1j * rng.normal(size=2)
             psi = np.array([a, b, -a, b])
-            phi = CHIRAL_MIRROR @ psi
+            phi = GAMMA5 @ GAMMA[0] @ psi
             assert phi[2] == pytest.approx(-phi[0], abs=1e-15)
             assert phi[3] == pytest.approx(phi[1], abs=1e-15)
 

@@ -17,19 +17,28 @@ from adsdirac.cli import build_parser, main
 from adsdirac.dynamics import check_step
 from adsdirac.geometry import Regime, make_params
 from adsdirac.grids import BoundaryGraded, gaussian_packet, make_grid
+from adsdirac import __version__ as VERSION
 from adsdirac.harness import (
     _SCHEMA,
     EXPERIMENTS,
+    CheckLine,
     ConfigError,
     ExperimentResult,
     parse_config,
     parse_config_dict,
     run,
 )
-from adsdirac.scattering import _check_schedule, velocity_report
+from adsdirac.scattering import _check_schedule
 from adsdirac.spectral import level_count
 
 MINIMAL = {"M": 1, "l": 1, "m": 1, "channel": [0.5, 0.5]}
+#: keys the config no longer has: the Mourre and velocity verdict bounds
+#: and the main grid's graded triple
+_REMOVED_KEYS = (
+    "options.mourre.eps", "options.mourre.stability", "options.velocity.delta",
+    "options.velocity.eps", "options.velocity.cone_delta",
+    "grid.h_min", "grid.ratio", "grid.h_max",
+)
 
 
 def small_config(**extra):
@@ -80,6 +89,19 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="options.scatter: unknown key 'tol'"):
             parse_config_dict({**MINIMAL, "options": {"scatter": {"tol": 0.01}}})
 
+    @pytest.mark.parametrize("path", _REMOVED_KEYS)
+    def test_removed_keys_are_unknown(self, path):
+        # the verdict bounds are constants, and only domain-exponent grades
+        *blocks, key = path.split(".")
+        data = {**MINIMAL}
+        node = data
+        for name in blocks:
+            node = node.setdefault(name, {})
+        node[key] = 0.2
+        where = ".".join(blocks)
+        with pytest.raises(ConfigError, match=f"{where}: unknown key '{key}'"):
+            parse_config_dict(data)
+
     def test_errors_aggregate(self):
         with pytest.raises(ConfigError) as err:
             parse_config_dict(
@@ -116,13 +138,6 @@ class TestConfigValidation:
     def test_bad_grid_blocks(self, grid):
         with pytest.raises(ConfigError, match="grid"):
             parse_config_dict({**MINIMAL, "grid": grid})
-
-    def test_graded_grid_accepted(self):
-        cfg = parse_config_dict(
-            {**MINIMAL, "grid": {"x_min": -10.0, "h_min": 0.01, "ratio": 1.1, "h_max": 0.1}}
-        )
-        assert "n" not in cfg.canonical["grid"]
-        assert cfg.grid.resolves_wall_layer
 
     @pytest.mark.parametrize(
         "options",
@@ -165,10 +180,7 @@ class TestConfigValidation:
             {
                 **MINIMAL,
                 "options": {
-                    "mourre": {
-                        "n": 320, "fine_factor": 3, "interval": [0.5, 1.5],
-                        "eps": 0.25, "stability": 0.1,
-                    },
+                    "mourre": {"n": 320, "fine_factor": 3, "interval": [0.5, 1.5]},
                     "domain-exponent": {"h_min": 1e-2, "ratio": 1.2, "x_min": -12.0},
                 },
             }
@@ -192,11 +204,11 @@ class TestConfigValidation:
         import adsdirac.harness as hn
 
         for name in EXPERIMENTS:
-            monkeypatch.setitem(hn._RUNNERS, name, lambda cfg, out_dir, name=name: (
+            monkeypatch.setitem(hn._RUNNERS, name, lambda cfg, name=name: (
                 ExperimentResult(name)
             ))
         selected = list(reversed(EXPERIMENTS))
-        manifest = run(small_config(), experiments=selected, out=str(tmp_path), echo=False)
+        manifest = run(small_config(), experiments=selected, out=str(tmp_path))
         assert tuple(r.name for r in manifest.results) == EXPERIMENTS
 
     def test_bool_is_not_a_number(self):
@@ -246,13 +258,13 @@ class TestDigest:
 
 
     def test_canonical_is_a_fixed_point(self):
-        graded = {
+        given = {
             **MINIMAL, "m": 0.25,
-            "grid": {"x_min": -10, "h_min": 0.01, "ratio": 1.1, "h_max": 0.1},
+            "grid": {"x_min": -10, "n": 128},
             "evolution": {"t_final": 2, "snapshots": 1},
             "options": {"mourre": {"n": 320, "interval": [1, 2]}, "evolve": None},
         }
-        for data in (MINIMAL, graded):
+        for data in (MINIMAL, given):
             cfg = parse_config_dict(data)
             again = parse_config_dict(cfg.canonical)
             assert again.digest == cfg.digest
@@ -261,7 +273,7 @@ class TestDigest:
     def test_spelled_out_defaults_keep_the_digest(self):
         spelled = {
             **MINIMAL,
-            "grid": {"x_min": -32, "n": 2048, "h_min": None},
+            "grid": {"x_min": -32, "n": 2048},
             "evolution": {"dt": None, "t_final": 10},
             "seed": 0,
             "options": {
@@ -299,7 +311,8 @@ _PACKET = {
 }
 
 #: key path → (valid values, type and range violations); grids stay at
-#: n <= 256, graded ones at a few thousand nodes at most
+#: n <= 256, the domain-exponent one at a few thousand nodes at most; a
+#: removed key has no valid value
 _VALUES = {
     "M": ((1, 1.0, 2.5), (0, "x", True)),
     "l": ((1, 0.5), (-1.0, float("nan"))),
@@ -309,9 +322,9 @@ _VALUES = {
     "typo": ((), (1,)),
     "grid.x_min": ((-16.0, -8, -40.0), (0, 3.0, "x")),
     "grid.n": ((16, 64, 256), (8, 100.0, "x")),
-    "grid.h_min": ((0.05, 0.02), (-1, "x")),
-    "grid.ratio": ((1.0, 1.1), (1.5, "x")),
-    "grid.h_max": ((0.2, 0.5), (0.01, "x")),
+    "grid.h_min": ((), (0.05, -1)),
+    "grid.ratio": ((), (1.1, 1.5)),
+    "grid.h_max": ((), (0.2, 0.01)),
     "evolution.dt": ((None, 0.01, 1e-4), (100.0, -0.1, "x")),  # 100 > any h/2
     "evolution.t_final": ((1.0, 5), (0, float("inf"), "x")),
     "evolution.snapshots": ((1, 3), (0, 2.5)),
@@ -326,14 +339,14 @@ _VALUES = {
     "options.scatter.target_width": _PACKET["width"],
     "options.scatter.schedule": (([1, 2, 4], [0.5, 1, 2, 3]), ([1], [3, 2, 1], [0, 1, 2], "abc")),
     "options.velocity.times": (([4, 8], [1, 2, 3]), ([40], [2, 1], [-1, 2])),
-    "options.velocity.delta": ((0.2, 0.49), (0.5, 0.7, 0, "x")),
-    "options.velocity.eps": ((0.2, 1), (0, -0.1)),
-    "options.velocity.cone_delta": ((0.25, 0.5), (0, 1.0)),
+    "options.velocity.delta": ((), (0.2, 0.7)),
+    "options.velocity.eps": ((), (0.2, -0.1)),
+    "options.velocity.cone_delta": ((), (0.25, 1.0)),
     "options.mourre.n": ((16, 64), (8, 320.0, "abc")),
     "options.mourre.fine_factor": ((2, 3), (1, 2.0)),
     "options.mourre.interval": (([0.5, 1.5], [-1, 1]), ([1.5, 0.5], [0.5], [0.5, "1.5"])),
-    "options.mourre.eps": ((0.5, 0.1), (0.0, 1.0, float("nan"))),
-    "options.mourre.stability": ((0.05, 1), (0.0, -1)),
+    "options.mourre.eps": ((), (0.5, 1.0)),
+    "options.mourre.stability": ((), (0.05, -1)),
     "options.spectrum.n": ((16, 64), (8, "x")),
     "options.spectrum.lambdas": (([0.0], [-1, 1]), ([], "x")),
     "options.spectrum.depth": ((5.0, 20), (1, -1)),
@@ -343,7 +356,6 @@ _VALUES = {
     "options.domain-exponent.h_max": ((0.2, 0.5), (1e-4,)),
     "options.domain-exponent.x_min": ((-8.0, -24.0), (1.0,)),
 }
-_GRADED = ("grid.h_min", "grid.ratio", "grid.h_max")
 
 
 @st.composite
@@ -351,23 +363,17 @@ def _configs(draw):
     """A config of valid values with up to two keys given a violation, and
     whether it has one.
 
-    The physics keys and ``grid.x_min`` are always given, and either
-    ``grid.n`` or the graded triple; any other key only sometimes.  Rules
-    that tie keys together (index rule, dt against the spacing, n next to
-    the triple) can still reject such a config."""
+    The physics keys, ``grid.x_min`` and ``grid.n`` are always given; any
+    other key only sometimes.  Rules that tie keys together (index rule,
+    dt against the spacing) can still reject such a config."""
     faults = draw(st.sets(st.sampled_from(sorted(_VALUES)), max_size=2))
-    graded = draw(st.booleans())
     data: dict = {}
     for path, (good, bad) in _VALUES.items():
         if path in faults:
             value = draw(st.sampled_from(bad))
         elif not good:
             continue
-        elif path in ("M", "l", "m", "channel", "grid.x_min") or (
-            path == "grid.n" and not graded
-        ) or (path in _GRADED and graded) or (
-            path not in (*_GRADED, "grid.n") and draw(st.booleans())
-        ):
+        elif path in ("M", "l", "m", "channel", "grid.x_min", "grid.n") or draw(st.booleans()):
             value = draw(st.sampled_from(good))
         else:
             continue
@@ -399,19 +405,10 @@ def _build_inputs(cfg):
     _check_schedule(opts["scatter"]["schedule"])
     times = np.asarray(opts["velocity"]["times"])
     assert times.size >= 2 and times[0] > 0 and np.all(np.diff(times) > 0)
-    # the cutoff parameters through velocity_report's own checks, on a
-    # packet short traces keep inside a fixed grid
-    velocity = opts["velocity"]
-    probe = make_grid(-8.0, 64)
-    velocity_report(
-        gaussian_packet(probe, -4.0, 0.5), (0.5, 1.0),
-        delta=velocity["delta"], eps=velocity["eps"], cone_delta=velocity["cone_delta"],
-    )
     mourre = opts["mourre"]
     make_grid(cfg.grid.x_min, mourre["n"])
     make_grid(cfg.grid.x_min, mourre["fine_factor"] * mourre["n"])
     assert mourre["interval"][0] < mourre["interval"][1]
-    assert 0 < mourre["eps"] < 1 and mourre["stability"] > 0
     spectrum = opts["spectrum"]
     make_grid(cfg.grid.x_min, spectrum["n"])
     assert spectrum["depth"] > 1
@@ -453,7 +450,7 @@ class TestRun:
 
     def test_geometry_only_writes_one_csv_one_json(self, tmp_path):
         cfg = small_config()
-        manifest = run(cfg, experiments=["geometry"], out=str(tmp_path), echo=False)
+        manifest = run(cfg, experiments=["geometry"], out=str(tmp_path))
         assert manifest.all_passed
         assert [r.name for r in manifest.results] == ["geometry"]
         assert sorted(p.name for p in tmp_path.iterdir()) == [
@@ -464,7 +461,7 @@ class TestRun:
 
     def test_headers_carry_config_hash(self, tmp_path):
         cfg = small_config()
-        run(cfg, experiments=["geometry"], out=str(tmp_path), echo=False)
+        run(cfg, experiments=["geometry"], out=str(tmp_path))
         first = (tmp_path / "geometry_map.csv").read_text().splitlines()[0]
         assert first == f"# config {cfg.digest}"
         doc = json.loads((tmp_path / "geometry.json").read_text())
@@ -472,8 +469,8 @@ class TestRun:
 
     def test_identical_reruns_byte_identical(self, tmp_path):
         cfg = small_config()
-        run(cfg, experiments=["geometry"], out=str(tmp_path / "a"), echo=False)
-        run(cfg, experiments=["geometry"], out=str(tmp_path / "b"), echo=False)
+        run(cfg, experiments=["geometry"], out=str(tmp_path / "a"))
+        run(cfg, experiments=["geometry"], out=str(tmp_path / "b"))
         for name in ("geometry_map.csv", "geometry.json"):
             assert (tmp_path / "a" / name).read_bytes() == (
                 tmp_path / "b" / name
@@ -482,13 +479,13 @@ class TestRun:
     def test_module_error_aborts_only_that_experiment(self, tmp_path, monkeypatch):
         import adsdirac.harness as hn
 
-        def boom(cfg, out_dir):
+        def boom(cfg):
             raise RuntimeError("synthetic failure")
 
         monkeypatch.setitem(hn._RUNNERS, "evolve", boom)
         cfg = small_config()
         manifest = run(
-            cfg, experiments=["geometry", "evolve"], out=str(tmp_path), echo=False
+            cfg, experiments=["geometry", "evolve"], out=str(tmp_path)
         )
         by_name = {r.name: r for r in manifest.results}
         assert by_name["geometry"].status == "pass"
@@ -508,7 +505,6 @@ class TestRun:
             experiments=["spectrum", "geometry"],
             out=str(tmp_path),
             threads=2,
-            echo=False,
         )
         assert [r.name for r in manifest.results] == ["geometry", "spectrum"]
 
@@ -516,7 +512,7 @@ class TestRun:
         cfg = small_config(
             options={"spectrum": {"n": 64, "lambdas": [-1.0, 0.0, 4.0], "depth": 20.0}}
         )
-        manifest = run(cfg, experiments=["spectrum"], out=str(tmp_path), echo=False)
+        manifest = run(cfg, experiments=["spectrum"], out=str(tmp_path))
         assert manifest.all_passed
         scalars = json.loads((tmp_path / "spectrum.json").read_text())["scalars"]
         # the counts are inertia differences, and the CSV holds the window's levels
@@ -536,7 +532,7 @@ class TestRun:
 
     def test_mourre_records_its_eigensolves(self, tmp_path):
         cfg = small_config(options={"mourre": {"n": 160}})
-        manifest = run(cfg, experiments=["mourre"], out=str(tmp_path), echo=False)
+        manifest = run(cfg, experiments=["mourre"], out=str(tmp_path))
         assert manifest.all_passed
         scalars = json.loads((tmp_path / "mourre.json").read_text())["scalars"]
         solves = scalars["solves"]
@@ -550,7 +546,7 @@ class TestRun:
 
     def test_thin_mourre_window_fails_with_its_level_count(self, tmp_path):
         cfg = small_config(options={"mourre": {"n": 64, "interval": [100, 101]}})
-        manifest = run(cfg, experiments=["mourre"], out=str(tmp_path), echo=False)
+        manifest = run(cfg, experiments=["mourre"], out=str(tmp_path))
         (result,) = manifest.results
         assert result.error is None and result.status == "fail"
         checks = {c.name: c for c in result.checks}
@@ -565,7 +561,7 @@ class TestRun:
     def test_mourre_window_centred_on_a_level_fails_its_checks(self, tmp_path):
         # the free operator has levels at 0, the centre of [-0.5, 0.5]
         cfg = small_config(options={"mourre": {"n": 64, "interval": [-0.5, 0.5]}})
-        manifest = run(cfg, experiments=["mourre"], out=str(tmp_path), echo=False)
+        manifest = run(cfg, experiments=["mourre"], out=str(tmp_path))
         (result,) = manifest.results
         assert result.error is None and result.status == "fail"
         free = {c.name: c for c in result.checks}["free_quotient"]
@@ -576,7 +572,7 @@ class TestRun:
         # traces to t = 20 need x_min <= -26: four FAIL lines saying so, the
         # scalars file, and the trace file with its header only
         cfg = parse_config_dict({**MINIMAL, "grid": {"x_min": -16, "n": 64}})
-        manifest = run(cfg, experiments=["velocity"], out=str(tmp_path), echo=False)
+        manifest = run(cfg, experiments=["velocity"], out=str(tmp_path))
         (result,) = manifest.results
         assert result.error is None and result.status == "fail"
         checks = {c.name: c for c in result.checks}
@@ -597,7 +593,7 @@ class TestRun:
             **MINIMAL, "grid": {"x_min": -32, "n": 256},
             "options": {"mourre": {"n": 320, "interval": [0.5, 0.9]}},
         })
-        manifest = run(cfg, experiments=["mourre"], out=str(tmp_path), echo=False)
+        manifest = run(cfg, experiments=["mourre"], out=str(tmp_path))
         (result,) = manifest.results
         checks = {c.name: c for c in result.checks}
         assert checks["window"].passed and checks["free_quotient"].passed
@@ -609,7 +605,7 @@ class TestRun:
             **MINIMAL, "grid": {"x_min": -16, "n": 256},
             "options": {"scatter": {"schedule": [1, 1.001, 2]}},
         })
-        manifest = run(cfg, experiments=["scatter"], out=str(tmp_path), echo=False)
+        manifest = run(cfg, experiments=["scatter"], out=str(tmp_path))
         (result,) = manifest.results
         assert result.error is None
         rows = (tmp_path / "scatter_increments.csv").read_text().splitlines()
@@ -622,7 +618,7 @@ class TestRun:
             "options": {"scatter": {"schedule": [1, 2, 3]},
                         "velocity": {"times": [1, 2, 4]}},
         })
-        manifest = run(cfg, experiments=["scatter", "velocity"], out=str(tmp_path), echo=False)
+        manifest = run(cfg, experiments=["scatter", "velocity"], out=str(tmp_path))
         assert all(r.error is None for r in manifest.results)
         sym, _ = cfg.operator().symmetrized()
         gershgorin = float(np.max(abs(sym).sum(axis=1)))
@@ -636,7 +632,7 @@ class TestRun:
 
     def test_evolve_records_solver_residuals(self, tmp_path):
         cfg = small_config()
-        manifest = run(cfg, experiments=["evolve"], out=str(tmp_path), echo=False)
+        manifest = run(cfg, experiments=["evolve"], out=str(tmp_path))
         assert manifest.all_passed
         scalars = json.loads((tmp_path / "evolve.json").read_text())["scalars"]
         assert scalars["refinements"] == 0
@@ -659,7 +655,7 @@ class TestRun:
         cfg = small_config(
             options={"spectrum": {"n": 64, "lambdas": [0.0], "depth": 5.0}}
         )
-        manifest = run(cfg, experiments=["spectrum"], out=str(tmp_path), echo=False)
+        manifest = run(cfg, experiments=["spectrum"], out=str(tmp_path))
         (result,) = manifest.results
         assert result.status == "fail"
         checks = {c.name: c for c in result.checks}
@@ -683,7 +679,7 @@ class TestRun:
         cfg = small_config(
             options={"spectrum": {"n": 64, "lambdas": [0.0], "depth": 5.0}}
         )
-        manifest = run(cfg, experiments=["spectrum"], out=str(tmp_path), echo=False)
+        manifest = run(cfg, experiments=["spectrum"], out=str(tmp_path))
         (result,) = manifest.results
         assert result.status == "fail"
         checks = {c.name: c for c in result.checks}
@@ -697,14 +693,74 @@ class TestRun:
     def test_empty_selection_rejected(self, tmp_path):
         cfg = small_config()
         with pytest.raises(Exception, match="no experiments"):
-            run(cfg, experiments=["nothing"], out=str(tmp_path), echo=False)
+            run(cfg, experiments=["nothing"], out=str(tmp_path))
 
-    def test_verdict_lines_echoed(self, tmp_path, capsys):
-        cfg = small_config()
-        run(cfg, experiments=["geometry"], out=str(tmp_path))
+    def test_verdict_lines_echoed(self, tmp_path, capsys, monkeypatch):
+        """``run`` prints nothing; ``main`` prints an [ERROR] line per
+        errored experiment and a line per check of the manifest it gets
+        back, then the summary line."""
+        import adsdirac.harness as hn
+
+        def stub(name):
+            if name == "evolve":
+                raise RuntimeError("synthetic failure")
+            checks = [CheckLine("a", True, "one"), CheckLine("b", name != "mourre", "two")]
+            return ExperimentResult(name, checks=checks)
+
+        for name in EXPERIMENTS:
+            monkeypatch.setitem(hn._RUNNERS, name, lambda cfg, name=name: stub(name))
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(MINIMAL))
+        manifest = run(parse_config(path), experiments=EXPERIMENTS, out=str(tmp_path / "a"))
+        assert capsys.readouterr().out == ""
+        assert main(["all", "--config", str(path), "--out", str(tmp_path / "b")]) == 1
         lines = capsys.readouterr().out.splitlines()
-        assert any(line.startswith("[pass] geometry.horizon_root") for line in lines)
-        assert lines[-1].startswith("all checks passed")
+        expected = []
+        for r in manifest.results:
+            expected += [f"[ERROR] {r.name}: {r.error}"] if r.error else []
+            expected += [c.line(r.name) for c in r.checks]
+        assert lines[:-1] == expected
+        assert "[ERROR] evolve: RuntimeError: synthetic failure" in lines
+        assert "[pass] geometry.a: one" in lines and "[FAIL] mourre.b: two" in lines
+        assert re.fullmatch(r"FAILURES present \(7 experiment\(s\), \d+\.\d s\)", lines[-1])
+
+    def test_tables_are_written_before_the_json(self, tmp_path, monkeypatch):
+        """A runner only returns its tables; one writer stamps each as CSV,
+        then writes ``<name>.json`` (dashes as underscores), and the
+        manifest lists the files in that order."""
+        import adsdirac.harness as hn
+
+        written = []
+        for writer in ("write_csv", "write_json"):
+            real = getattr(hn, writer)
+            monkeypatch.setattr(
+                hn, writer, lambda path, *rest, real=real: written.append(path.name) or real(path, *rest)
+            )
+
+        def stub(cfg):
+            res = ExperimentResult(
+                "domain-exponent", checks=[CheckLine("a", True, "x")], scalars={"k": 1.5}
+            )
+            res.tables["second.csv"] = (("t", "v"), [(1.0, 0.25), (2.0, 0.5)])
+            res.tables["first.csv"] = (("k",), [])
+            return res
+
+        monkeypatch.setitem(hn._RUNNERS, "domain-exponent", stub)
+        cfg = small_config()
+        manifest = run(cfg, experiments=["domain-exponent"], out=str(tmp_path))
+        order = ["second.csv", "first.csv", "domain_exponent.json"]
+        assert written == order
+        assert manifest.results[0].files == order
+        doc = json.loads((tmp_path / "manifest.json").read_text())
+        assert doc["experiments"]["domain-exponent"]["files"] == order
+        stamp = [f"# config {cfg.digest}", f"# artifact {VERSION}"]
+        assert (tmp_path / "second.csv").read_text().splitlines() == [
+            *stamp, "t,v", "1,0.25", "2,0.5",
+        ]
+        assert (tmp_path / "first.csv").read_text().splitlines() == [*stamp, "k"]
+        report = json.loads((tmp_path / "domain_exponent.json").read_text())
+        assert report["config"] == cfg.digest and report["scalars"] == {"k": 1.5}
+        assert report["checks"] == {"a": {"passed": True, "detail": "x"}}
 
 
 class TestCli:
@@ -772,7 +828,7 @@ class TestCli:
 
         def fake_run(cfg, **kwargs):
             seen.append(kwargs["threads"])
-            return SimpleNamespace(all_passed=True)
+            return SimpleNamespace(all_passed=True, results=[], wall_clock=0.0)
 
         monkeypatch.setattr(cli, "run", fake_run)
         path = self.write(tmp_path, MINIMAL)

@@ -1,7 +1,7 @@
 """The exported surface is the one the lab runs on.
 
-Every function or class a module lists in ``__all__``, and every public
-method and property of such a class, must be used outside its own
+Every name a module lists in ``__all__`` (function, class or constant),
+and every public method and property of such a class, must be used outside its own
 definition by the package itself, by the benchmark driver in
 ``perfbench/`` or by the acceptance criteria in ``tests/test_acceptance.py``.
 A helper that only unit tests call is surface without a user.  A name used
@@ -42,7 +42,8 @@ def _names(node):
 def _statements(path):
     """(defined name or None, names referenced) per top-level statement,
     with each method of a class as a statement of its own, defining
-    ``Class.method``; the ``__all__`` list itself references nothing."""
+    ``Class.method``, and an assignment to one name defining that name;
+    the ``__all__`` list itself references nothing."""
     out = []
     for stmt in ast.parse(path.read_text()).body:
         if isinstance(stmt, ast.Assign) and any(
@@ -59,22 +60,22 @@ def _statements(path):
             out.append((stmt.name, rest | set().union(*map(_names, stmt.decorator_list))))
             continue
         defined = stmt.name if isinstance(stmt, ast.FunctionDef) else None
+        if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
+            defined = getattr(stmt.targets[0], "id", None)
         out.append((defined, _names(stmt)))
     return out
 
 
 def _exports():
-    """(module, name) for every function and class in an ``__all__``, and
+    """(module, name) for every name in an ``__all__``, and
     (module, ``Class.member``) for every public method and property the
     class itself defines."""
     for path in sorted(PACKAGE.glob("*.py")):
         module = import_module(f"adsdirac.{path.stem}")
         for name in getattr(module, "__all__", ()):
             obj = getattr(module, name)
-            if inspect.isfunction(obj):
-                yield path.stem, name
-            elif inspect.isclass(obj):
-                yield path.stem, name
+            yield path.stem, name
+            if inspect.isclass(obj):
                 for member, value in vars(obj).items():
                     if not member.startswith("_") and (
                         inspect.isfunction(value) or isinstance(value, property)

@@ -212,8 +212,8 @@ class TestWindowedEigendecompose:
         assert win.requested < 4 * op.grid.n
         assert win.max_residual <= 1e-10 * np.max(np.abs(inside))
         assert win.orthonormality_defect <= 1e-10
-        by_window = mourre_check(op, WINDOW, 0.5)
-        by_dense = mourre_check(op, WINDOW, 0.5, decomposition=dense)
+        by_window = mourre_check(op, WINDOW)
+        by_dense = mourre_check(op, WINDOW, decomposition=dense)
         assert by_window.n_states == by_dense.n_states
         assert by_window.min_quotient == pytest.approx(by_dense.min_quotient, abs=1e-12)
         assert by_window.eta == pytest.approx(by_dense.eta, abs=1e-12)
@@ -227,7 +227,7 @@ class TestWindowedEigendecompose:
         assert dec.vectors.shape == (4 * 64, 0)
         assert dec.requested == 0
         with pytest.raises(ConfigurationError, match="need ≥ 10"):
-            mourre_check(op, (1e3, 1e3 + 1.0), 0.5)
+            mourre_check(op, (1e3, 1e3 + 1.0))
 
     def test_window_too_wide_for_lanczos_rejected(self):
         op = _sads_operator(64)
@@ -267,10 +267,10 @@ class TestWindowedEigendecompose:
             spectral, "level_count", lambda op, sigmas: sweeps.append(sigmas) or count(op, sigmas)
         )
         op = _sads_operator(320)
-        assert mourre_check(op, WINDOW, 0.5).n_states >= 10
+        assert mourre_check(op, WINDOW).n_states >= 10
         assert len(sweeps) == 1
         with pytest.raises(ConfigurationError, match="holds only .* levels; need ≥ 10"):
-            mourre_check(op, (0.97, 1.03), 0.5)
+            mourre_check(op, (0.97, 1.03))
         assert len(sweeps) == 2
 
     def test_mourre_above_the_dense_cap(self):
@@ -278,7 +278,7 @@ class TestWindowedEigendecompose:
         at: the inertia sweep is O(n) and the window solve only ever touches
         the levels near [0.5, 1.5]."""
         op = _sads_operator(8192)
-        rep = mourre_check(op, WINDOW, 0.5)
+        rep = mourre_check(op, WINDOW)
         assert rep.n_states >= 30
         assert rep.requested < 4 * 8192
         assert rep.max_residual <= 1e-10 * WINDOW[1]
@@ -292,7 +292,7 @@ class TestMourre:
 
     def test_free_quotient_is_exactly_one(self, free_decomposition):
         op = free_operator(make_grid(-16.0, 320))
-        rep = mourre_check(op, (0.5, 1.5), 0.5, decomposition=free_decomposition)
+        rep = mourre_check(op, (0.5, 1.5), decomposition=free_decomposition)
         # i[Γ¹D, Γ¹x] = 𝟙 identically: the localized quotient is the Gram matrix
         assert rep.min_quotient == pytest.approx(1.0, abs=1e-9)
         assert rep.eta <= 1e-9
@@ -300,17 +300,17 @@ class TestMourre:
 
     def test_interacting_window_passes(self, sads_decomposition):
         op, dec = sads_decomposition
-        rep = mourre_check(op, (0.5, 1.5), 0.5, decomposition=dec)
+        rep = mourre_check(op, (0.5, 1.5), decomposition=dec)
         assert rep.n_states >= 30
         assert rep.passed
-        assert rep.min_quotient >= 1.0 - rep.eps
+        assert rep.min_quotient >= 1.0 - spectral.MOURRE_EPS
 
     def test_compact_correction_shrinks_on_nested_windows(self, sads_decomposition):
         """η = ‖P_I(C − 𝟙)P_I‖ decays as the window tightens around λ = 1,
         the fingerprint of a compact remainder."""
         op, dec = sads_decomposition
         etas = [
-            mourre_check(op, iv, 0.5, decomposition=dec).eta
+            mourre_check(op, iv, decomposition=dec).eta
             for iv in ((0.5, 1.5), (0.7, 1.3), (0.85, 1.15))
         ]
         assert etas[0] > etas[1] > etas[2]
@@ -319,12 +319,12 @@ class TestMourre:
     def test_under_resolved_window_rejected(self, sads_decomposition):
         op, dec = sads_decomposition
         with pytest.raises(ConfigurationError):
-            mourre_check(op, (0.97, 1.03), 0.5, decomposition=dec)
+            mourre_check(op, (0.97, 1.03), decomposition=dec)
 
     def test_empty_interval_rejected(self, sads_decomposition):
         op, dec = sads_decomposition
         with pytest.raises(ConfigurationError):
-            mourre_check(op, (1.5, 0.5), 0.5, decomposition=dec)
+            mourre_check(op, (1.5, 0.5), decomposition=dec)
 
     def test_refinement_study_verdict(self):
         p = make_params(1.0, 1.0, 1.0)
@@ -332,7 +332,6 @@ class TestMourre:
             assemble_hamiltonian(CHANNEL, p, make_grid(-16.0, 320)),
             assemble_hamiltonian(CHANNEL, p, make_grid(-16.0, 400)),
             (0.5, 1.5),
-            0.5,
         )
         assert study["verdict"] == "pass"
         assert study["quotient_drift"] <= 0.05
@@ -351,10 +350,10 @@ class TestMourre:
         coarse, fine = (
             assemble_hamiltonian(CHANNEL, params, make_grid(-32.0, n), well) for n in (320, 640)
         )
-        study = mourre_refinement_study(coarse, fine, (0.5, 1.5), 0.5)
+        study = mourre_refinement_study(coarse, fine, (0.5, 1.5))
         for rep in (study["coarse"], study["fine"]):
             assert rep.min_quotient < 0.0
-            assert rep.min_quotient >= (1.0 - rep.eps) - rep.eta
+            assert rep.min_quotient >= (1.0 - spectral.MOURRE_EPS) - rep.eta
             assert not rep.passed
         assert study["verdict"] == "fail"
 
@@ -552,10 +551,6 @@ class TestBoundaryFit:
         u0 = gaussian_packet(op.grid, center=-12.0, width=0.8, components=(1, 0, 1, 0))
         z = 2j
         f_vals = op.apply(u0.values) - z * u0.values
-        rep = boundary_exponent_fit(op, z=z, f=SpinorField(op.grid, f_vals))
+        rep = boundary_exponent_fit(op, f=SpinorField(op.grid, f_vals))
         assert not rep.fitted
         assert rep.reason == "no boundary tail"
-
-    def test_real_shift_rejected(self):
-        with pytest.raises(ConfigurationError):
-            boundary_exponent_fit(_graded_operator(0.25, 1e-3), z=2.0)
