@@ -268,6 +268,7 @@ class Propagation:
     matvecs: int  # products with S over the whole run
     bound: float  # R, the Gershgorin bound on the spectrum of S
     norm_drift: float  # worst relative W-norm change over the snapshots
+    asymmetry: float  # row-sum bound on ‖S − S†‖₂, which the run averages away
 
 
 def _gershgorin_bound(sym: sp.spmatrix) -> float:
@@ -320,7 +321,9 @@ def chebyshev_propagate(
     """e^{∓itH}ψ⁰ at each requested time, by the Chebyshev expansion.
 
     The run works on u = W^{1/2}ψ and S = W^{1/2} H W^{−1/2}, so the
-    W-norm of ψ is the plain norm of u.  Snapshots chain: the state at
+    W-norm of ψ is the plain norm of u.  S is Hermitian-averaged first; the
+    bound on what that drops is ``asymmetry``, the operator's
+    ``hermiticity_defect``.  Snapshots chain: the state at
     t_{k+1} is e^{∓i(t_{k+1}−t_k)S} applied to the state at t_k, so one run
     costs about t_last·R matvecs whatever the number of times.  ``times``
     must be non-negative and non-decreasing; a repeated time repeats the
@@ -333,7 +336,7 @@ def chebyshev_propagate(
     t = np.asarray(times, dtype=float)
     if t.size == 0 or t[0] < 0 or np.any(np.diff(t) < 0):
         raise ConfigurationError("times must be non-negative and non-decreasing")
-    sym, root = op.symmetrized()
+    sym, root, asymmetry = op.symmetrized()
     bound = _gershgorin_bound(sym)
     scaled = (sym * (2.0 / bound)).tocsr()
     phase = -1j if direction == Direction.FORWARD else 1j
@@ -357,7 +360,7 @@ def chebyshev_propagate(
             field = SpinorField(op.grid, (u / root).reshape((4, op.grid.n), order="F"))
             now = t_k
         fields.append(field)
-    return Propagation(fields=fields, matvecs=matvecs, bound=bound, norm_drift=drift)
+    return Propagation(fields, matvecs, bound, drift, asymmetry)
 
 
 def free_propagate(

@@ -13,9 +13,9 @@ a bounded thread pool and collects them in a fixed order; each runner
 returns its verdicts, scalars and CSV tables, and one writer emits the
 tables, then a JSON file of verdicts and scalars.  ``run`` prints nothing;
 the CLI prints the verdict lines.  Numeric outputs are byte-reproducible for
-identical configs: fixed seed, fixed float formatting, deterministic
-solvers.  Timing lives only in the manifest, which is the one file allowed
-to differ between reruns.
+identical configs: fixed float formatting, deterministic solvers.  Timing
+lives only in the manifest, which is the one file allowed to differ between
+reruns.
 
 Config shape (only ``M``, ``l``, ``m``, ``channel`` are required; shown
 with the defaults, ``options`` abridged)::
@@ -173,6 +173,7 @@ _SCHEMA: Dict = {
         "snapshots": (5, lambda v: _is_int(v) and v >= 1, "a positive integer"),
     },
     "out": ("runs", lambda v: isinstance(v, str) and v != "", "a non-empty string"),
+    # accepted and read by nothing since no check samples random fields
     "seed": (0, lambda v: _is_int(v) and v >= 0, "a non-negative integer"),
     "options": {
         "geometry": {},
@@ -560,7 +561,7 @@ def _run_evolve(cfg: ExperimentConfig) -> ExperimentResult:
     grid = cfg.grid
     op = cfg.operator()
 
-    herm = op.hermiticity_defect(seed=cfg.seed)
+    herm = op.hermiticity_defect()
     res.checks.append(
         CheckLine("hermiticity", herm <= 1e-10, f"defect = {herm:.3e} (<= 1e-10)")
     )
@@ -674,10 +675,12 @@ def _run_scatter(cfg: ExperimentConfig) -> ExperimentResult:
         "trivial_max": triv_max,
         "bc": op.bc.value,
         # the Chebyshev runs of W (Ω and the trivial oracle run Cayley);
-        # R of the configured operator; the drift of every run
+        # R of the configured operator; the drift of every run; what W's
+        # Hermitian average of S dropped
         "matvecs": bwd.matvecs,
         "bound": bwd.bound,
         "norm_drift": max(fwd.norm_drift, bwd.norm_drift, triv.norm_drift),
+        "asymmetry": bwd.asymmetry,
     }
     res.tables["scatter_increments.csv"] = (
         ("t", "forward_increment", "backward_increment"),
@@ -749,6 +752,7 @@ def _run_velocity(cfg: ExperimentConfig) -> ExperimentResult:
         "matvecs": rep.matvecs,
         "bound": rep.bound,
         "norm_drift": rep.norm_drift,
+        "asymmetry": rep.asymmetry,
     }
     res.tables["velocity_traces.csv"] = (
         columns,
@@ -831,13 +835,15 @@ def _run_mourre(cfg: ExperimentConfig) -> ExperimentResult:
         )
 
     # the eigensolve behind each window: pairs requested against pairs
-    # found in the window, largest residual, W-orthonormality defect
+    # found in the window, largest residual, W-orthonormality defect, and
+    # what solving the averaged S dropped
     res.scalars["solves"] = {
         name: {
             "requested": rep.requested,
             "found": rep.n_states,
             "max_residual": rep.max_residual,
             "orthonormality_defect": rep.orthonormality_defect,
+            "asymmetry": rep.asymmetry,
         }
         for name, rep in reports.items()
     }

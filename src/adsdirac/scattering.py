@@ -89,6 +89,7 @@ class BackwardReport(ScatteringReport):
 
     matvecs: int  # over every run of the estimate
     bound: float  # R of the interacting operator
+    asymmetry: float  # what the runs' Hermitian average of S dropped
 
 
 def _verdict(increments: np.ndarray, input_norm: float) -> bool:
@@ -198,6 +199,7 @@ def wave_operator_backward(
         matvecs=sum(r.matvecs for r in runs),
         bound=runs[0].bound,
         norm_drift=max(r.norm_drift for r in runs),
+        asymmetry=runs[0].asymmetry,
     )
 
 
@@ -237,6 +239,7 @@ class VelocityReport:
     matvecs: int
     bound: float
     norm_drift: float
+    asymmetry: float
 
 
 def velocity_report(
@@ -285,11 +288,11 @@ def velocity_report(
     rows = []
     if op is None:
         fields = [free_propagate(phi, float(t), Direction.FORWARD) for t in times]
-        matvecs, bound, drift = 0, 0.0, 0.0
+        matvecs, bound, drift, asymmetry = 0, 0.0, 0.0, 0.0
     else:
         run = chebyshev_propagate(op, phi, times)
         fields, matvecs = run.fields, run.matvecs
-        bound, drift = run.bound, run.norm_drift
+        bound, drift, asymmetry = run.bound, run.norm_drift, run.asymmetry
     for t, field in zip(times, fields):
         dens = field.grid.weights * np.abs(field.values) ** 2
         arg = signs * field.grid.nodes / t
@@ -323,4 +326,5 @@ def velocity_report(
         matvecs=matvecs,
         bound=bound,
         norm_drift=drift,
+        asymmetry=asymmetry,
     )

@@ -89,7 +89,9 @@ class SpectralDecomposition:
     operator on a window; ``vectors[:, k]`` is the flattened
     (component-fastest) eigenvector for ``eigenvalues[k]``.  ``requested``
     is the number of pairs the Lanczos solve was asked for, 0 when the
-    window holds no level and nothing was solved.
+    window holds no level and nothing was solved.  ``asymmetry`` is the
+    row-sum bound on ‖S − S†‖₂ that solving the averaged S drops, the
+    operator's ``hermiticity_defect``.
     """
 
     eigenvalues: np.ndarray
@@ -98,6 +100,7 @@ class SpectralDecomposition:
     max_residual: float
     orthonormality_defect: float
     requested: int
+    asymmetry: float
 
 
 def _pivot_floor(sym) -> float:
@@ -194,7 +197,7 @@ def eigendecompose(op: ChannelOperator, window: Tuple[float, float]) -> Spectral
     a, b = float(window[0]), float(window[1])
     if not b > a:
         raise ConfigurationError("empty window")
-    sym, root = op.symmetrized()
+    sym, root, asymmetry = op.symmetrized()
     sigma = 0.5 * (a + b)
     floor = _pivot_floor(sym)
     lo, below, above, hi = level_count(op, (a, sigma - floor, sigma + floor, b))
@@ -207,7 +210,7 @@ def eigendecompose(op: ChannelOperator, window: Tuple[float, float]) -> Spectral
     dim = sym.shape[0]
     if count == 0:
         return SpectralDecomposition(
-            np.empty(0), np.empty((dim, 0), dtype=complex), op.grid, 0.0, 0.0, 0
+            np.empty(0), np.empty((dim, 0), dtype=complex), op.grid, 0.0, 0.0, 0, asymmetry
         )
     k = count + max(8, count // 4)
     if 2 * k >= dim:
@@ -236,7 +239,8 @@ def eigendecompose(op: ChannelOperator, window: Tuple[float, float]) -> Spectral
             {"found": found, "counted": count, "requested": k},
         )
     vectors = (q @ y[:, keep]) / root[:, None]
-    return SpectralDecomposition(lam[keep], vectors, op.grid, *_accuracy(op, lam[keep], vectors), k)
+    max_res, ortho = _accuracy(op, lam[keep], vectors)
+    return SpectralDecomposition(lam[keep], vectors, op.grid, max_res, ortho, k, asymmetry)
 
 
 # ------------------------------------------------------------ Mourre check
@@ -248,10 +252,12 @@ class MourreReport:
     eta: float  # ‖P_I (C − 𝟙) P_I‖, the compact-correction magnitude
     passed: bool
     # the eigensolve behind P_I: pairs requested, largest W-norm residual
-    # and W-Gram defect of the pairs it returned
+    # and W-Gram defect of the pairs it returned, and the asymmetry its
+    # averaged S dropped
     requested: int
     max_residual: float
     orthonormality_defect: float
+    asymmetry: float
 
 
 def mourre_check(
@@ -298,6 +304,7 @@ def mourre_check(
         requested=dec.requested,
         max_residual=dec.max_residual,
         orthonormality_defect=dec.orthonormality_defect,
+        asymmetry=dec.asymmetry,
     )
 
 

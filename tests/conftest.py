@@ -1,30 +1,46 @@
-"""Shared test plumbing: the acceptance-line reporter, the dense
-eigensolve oracle and a lossy eigensolver for negative controls.
+"""Shared test plumbing: the acceptance-line reporter, the operator's
+action on component arrays, the dense eigensolve oracle, and a perturbed
+operator and a lossy eigensolver for negative controls.
 
 Acceptance tests register one human-readable verdict line each; the lines
 are replayed in the terminal summary so the full pass/fail slate is visible
 even when pytest captures per-test output.
 """
 
+import dataclasses
 from typing import List
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from adsdirac.channel import ChannelOperator
 from adsdirac.spectral import SpectralDecomposition, _accuracy
 
 
+def apply(op: ChannelOperator, values: np.ndarray) -> np.ndarray:
+    """H acting on a (4, n) component array, through the node-major
+    (component-fastest) flattening of ``op.matrix``."""
+    return (op.matrix @ values.flatten(order="F")).reshape(values.shape, order="F")
+
+
+def perturbed(op: ChannelOperator, row: int, col: int, size: float) -> ChannelOperator:
+    """``op`` with ``size`` added to the entry (row, col) of H: the negative
+    control of every self-adjointness record."""
+    bump = sp.csc_matrix(([size], ([row], [col])), shape=op.matrix.shape)
+    return dataclasses.replace(op, matrix=(op.matrix + bump).tocsc())
+
+
 def dense_decomposition(op: ChannelOperator) -> SpectralDecomposition:
     """Every eigenpair of H by a dense O(N³) solve of the symmetrized
     operator, under the package's accuracy contract: the oracle the
     windowed solve and the inertia counts are tested against."""
-    sym, root = op.symmetrized()
+    sym, root, asymmetry = op.symmetrized()
     lam, basis = sla.eigh(sym.toarray())
     vectors = basis / root[:, None]
     max_res, ortho = _accuracy(op, lam, vectors)
-    return SpectralDecomposition(lam, vectors, op.grid, max_res, ortho, requested=lam.size)
+    return SpectralDecomposition(lam, vectors, op.grid, max_res, ortho, lam.size, asymmetry)
 
 
 def drop_nearest_level(monkeypatch) -> None:

@@ -3,6 +3,9 @@ self-adjointness, and the conjugate-operator commutator against its
 brute-force oracle."""
 import numpy as np
 import pytest
+from conftest import apply, perturbed
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adsdirac.algebra import ANGULAR, Channel, GAMMA, MASS, VELOCITY
 from adsdirac.channel import (
@@ -16,6 +19,7 @@ from adsdirac.channel import (
 )
 from adsdirac.geometry import CoordinateMap, make_params
 from adsdirac.grids import BoundaryGraded, gaussian_packet, make_grid
+from adsdirac.harness import ExperimentConfig, _run_evolve, parse_config_dict
 
 P_MIT = make_params(1.0, 1.0, 0.25)  # 2ml = 1/2 — bag-type wall
 P_NAT = make_params(1.0, 1.0, 1.0)  # 2ml = 2   — no boundary data
@@ -51,8 +55,8 @@ def commutator_brute_force(op, values):
     """i(H(𝒜ψ) − 𝒜(Hψ)) through the assembled matrix: the oracle for
     ``commutator_closed_form``."""
     return 1j * (
-        op.apply(conjugate_apply(values, op.grid))
-        - conjugate_apply(op.apply(values), op.grid)
+        apply(op, conjugate_apply(values, op.grid))
+        - conjugate_apply(apply(op, values), op.grid)
     )
 
 
@@ -136,17 +140,17 @@ class TestAssembly:
     def test_self_adjoint_mit(self):
         g = make_grid(-10.0, 128)
         op = assemble_hamiltonian(Channel(1.5, 0.5), P_MIT, g)
-        assert op.hermiticity_defect(100) <= 1e-12
+        assert op.hermiticity_defect() <= 1e-12
 
     def test_self_adjoint_natural(self):
         g = make_grid(-10.0, 128)
         op = assemble_hamiltonian(Channel(0.5, -0.5), P_NAT, g)
-        assert op.hermiticity_defect(100) <= 1e-12
+        assert op.hermiticity_defect() <= 1e-12
 
     def test_self_adjoint_graded(self):
         g = make_grid(-6.0, policy=BoundaryGraded(h_min=1e-3, ratio=1.08))
         op = assemble_hamiltonian(Channel(0.5, 0.5), P_MIT, g)
-        assert op.hermiticity_defect(50) <= 1e-12
+        assert op.hermiticity_defect() <= 1e-12
 
     def test_potential_blocks_entrywise(self):
         g = make_grid(-8.0, 64)
@@ -177,13 +181,78 @@ class TestAssembly:
         coo = op.matrix.tocoo()
         assert np.max(np.abs(coo.row - coo.col)) <= 7
 
-    def test_apply_matches_matvec(self):
-        g = make_grid(-10.0, 64)
-        op = assemble_hamiltonian(Channel(0.5, 0.5), P_MIT, g)
-        rng = np.random.default_rng(2)
-        v = rng.normal(size=(4, g.n)) + 1j * rng.normal(size=(4, g.n))
-        direct = (op.matrix @ v.flatten(order="F")).reshape((4, g.n), order="F")
-        assert np.allclose(op.apply(v), direct)
+
+def sampled_quotient(op, pairs):
+    """max |⟨Hu, v⟩ − ⟨u, Hv⟩| / (‖u‖‖v‖) over (4, n) field pairs: the random
+    probe the row-sum bound replaced, kept as the bound's oracle."""
+    g = op.grid
+    return max(
+        abs(g.inner(apply(op, u), v) - g.inner(u, apply(op, v))) / (g.norm(u) * g.norm(v))
+        for u, v in pairs
+    )
+
+
+def random_pairs(rng, n, count):
+    def field():
+        return rng.normal(size=(4, n)) + 1j * rng.normal(size=(4, n))
+
+    return [(field(), field()) for _ in range(count)]
+
+
+class TestHermiticityBound:
+    def test_single_entry_perturbation_fails_the_evolve_check(self, monkeypatch):
+        """1e-7 added to the coupling of one desk-grid node to the next:
+        the bound reads it in full and the ``hermiticity`` line fails,
+        where 100 random field pairs read below the 1e-10 bound."""
+        cfg = parse_config_dict({
+            "M": 1, "l": 1, "m": 1, "channel": [0.5, 0.5],
+            "evolution": {"t_final": 0.5, "snapshots": 1},
+        })
+        j = cfg.grid.n // 2
+        op = perturbed(cfg.operator(), 4 * j, 4 * j + 4, 1e-7)
+        assert op.hermiticity_defect() >= 1e-7
+        rng = np.random.default_rng(0)
+        assert sampled_quotient(op, random_pairs(rng, cfg.grid.n, 100)) <= 1e-10
+        monkeypatch.setattr(ExperimentConfig, "operator", lambda self, grid=None: op)
+        (line,) = [c for c in _run_evolve(cfg).checks if c.name == "hermiticity"]
+        assert not line.passed and "defect = 1.000e-07" in line.detail
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        graded=st.booleans(),
+        x_min=st.floats(-16.0, -2.0),
+        n=st.integers(16, 256),
+        h_min=st.floats(1e-3, 1e-2),
+        ratio=st.floats(1.02, 1.2),
+        s=st.sampled_from([0.5, 1.5, 2.5, 3.5]),
+        mass=st.floats(0.0, 2.0),
+        entry=st.tuples(st.floats(0.0, 1.0), st.integers(0, 12)),
+        size=st.sampled_from([0.0, 1e-9, 1e-5, 1e-2]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_bound_is_never_below_the_sampled_quotient(
+        self, graded, x_min, n, h_min, ratio, s, mass, entry, size, seed
+    ):
+        """On uniform and graded grids, any channel and mass, with or
+        without one perturbed entry: no field pair, random or the pair of
+        unit fields at the perturbed entry, reads above the bound beyond
+        rounding.  The unit pair reads the perturbed entry's defect, so a
+        bound that missed it would fail."""
+        if graded:
+            g = make_grid(x_min, policy=BoundaryGraded(h_min=h_min, ratio=ratio))
+        else:
+            g = make_grid(x_min, n)
+        op = assemble_hamiltonian(Channel(s, 0.5), make_params(1.0, 1.0, mass), g)
+        row = min(int(entry[0] * 4 * g.n), 4 * g.n - 1)
+        col = min(row + entry[1], 4 * g.n - 1)
+        op = perturbed(op, row, col, size)
+        pairs = random_pairs(np.random.default_rng(seed), g.n, 5)
+        unit_col, unit_row = np.zeros((2, 4 * g.n), dtype=complex)
+        unit_col[col] = unit_row[row] = 1.0
+        pairs.append(tuple(v.reshape((4, g.n), order="F") for v in (unit_col, unit_row)))
+        # both sides are computed, each to within a few ε·max|H_ij|
+        slack = 8 * np.finfo(float).eps * np.abs(op.matrix.data).max()
+        assert sampled_quotient(op, pairs) <= op.hermiticity_defect() + slack
 
 
 class TestStencilEntrywise:
@@ -295,9 +364,8 @@ class TestCommutator:
             g = make_grid(-10.0, n)
             op = assemble_hamiltonian(Channel(1.5, 0.5), P_MIT, g)
             psi = gaussian_packet(g, -5.0, 0.5).values
-            diff = commutator_closed_form(op).apply(psi) - commutator_brute_force(
-                op, psi
-            )
+            blocks = commutator_closed_form(op).blocks
+            diff = np.einsum("jab,bj->aj", blocks, psi) - commutator_brute_force(op, psi)
             errs.append(g.norm(diff))
         orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
         assert np.all(orders >= 1.8)
@@ -308,9 +376,8 @@ class TestCommutator:
             g = make_grid(-10.0, n)
             op = assemble_hamiltonian(Channel(0.5, 0.5), P_NAT, g)
             psi = gaussian_packet(g, -4.0, 0.4).values
-            diff = commutator_closed_form(op).apply(psi) - commutator_brute_force(
-                op, psi
-            )
+            blocks = commutator_closed_form(op).blocks
+            diff = np.einsum("jab,bj->aj", blocks, psi) - commutator_brute_force(op, psi)
             errs.append(g.norm(diff))
         orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
         assert np.all(orders >= 1.8)

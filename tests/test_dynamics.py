@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from conftest import perturbed
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import expm_multiply, splu, spsolve
@@ -255,8 +256,20 @@ class TestChebyshev:
         first = k[(k > z) & (np.abs(jv(k, z)) < 1e-17)][0]
         # terms T_0 … T_{K−1}: one matvec for each past T_0
         assert run.matvecs == first - 1
-        sym, _ = op.symmetrized()
+        sym = op.symmetrized()[0]
         assert run.bound == pytest.approx(np.max(np.abs(sym.toarray()).sum(axis=1)))
+
+    def test_records_the_asymmetry_it_averages_away(self):
+        """The run symmetrizes H; a 1e-7 defect in one entry of H shows in
+        its record as the operator's hermiticity defect."""
+        g = make_grid(-8.0, 64)
+        op = assemble_hamiltonian(Channel(0.5, 0.5), P_NAT, g)
+        psi0 = gaussian_packet(g, -4.0, 0.5)
+        run = chebyshev_propagate(op, psi0, (0.5,))
+        assert run.asymmetry == op.hermiticity_defect() <= 1e-12
+        broken = perturbed(op, 100, 104, 1e-7)
+        run = chebyshev_propagate(broken, psi0, (0.5,))
+        assert run.asymmetry == broken.hermiticity_defect() >= 1e-7
 
     def test_snapshots_chain(self):
         g = make_grid(-8.0, 64)

@@ -539,7 +539,10 @@ class TestRun:
         assert sorted(solves) == ["coarse", "fine", "free"]
         assert solves["coarse"]["found"] == scalars["coarse_states"]
         assert solves["fine"]["found"] == scalars["fine_states"]
+        coarse = cfg.operator(make_grid(cfg.grid.x_min, 160))
+        assert solves["coarse"]["asymmetry"] == coarse.hermiticity_defect()
         for solve in solves.values():
+            assert 0.0 <= solve["asymmetry"] <= 1e-12
             assert solve["found"] <= solve["requested"] < 4 * 320
             assert solve["max_residual"] <= 1e-10 * 1.5
             assert solve["orthonormality_defect"] <= 1e-10
@@ -620,7 +623,7 @@ class TestRun:
         })
         manifest = run(cfg, experiments=["scatter", "velocity"], out=str(tmp_path))
         assert all(r.error is None for r in manifest.results)
-        sym, _ = cfg.operator().symmetrized()
+        sym = cfg.operator().symmetrized()[0]
         gershgorin = float(np.max(abs(sym).sum(axis=1)))
         # W's increments span t_3 − t_1 = 2 and its limit t_3 = 3; Ω runs Cayley
         for name, least_time in (("scatter", 2 + 3), ("velocity", 4)):
@@ -629,6 +632,7 @@ class TestRun:
             # at least t·R terms over every interacting run
             assert scalars["matvecs"] >= least_time * scalars["bound"]
             assert 0.0 <= scalars["norm_drift"] <= 1e-12
+            assert scalars["asymmetry"] == cfg.operator().hermiticity_defect() <= 1e-12
 
     def test_evolve_records_solver_residuals(self, tmp_path):
         cfg = small_config()

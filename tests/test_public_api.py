@@ -129,3 +129,43 @@ def test_no_dense_matrix_in_the_package(path):
         and node.func.attr in ("toarray", "todense")
     ]
     assert not calls, f"{path.name} densifies: " + ", ".join(calls)
+
+
+def _random_uses(path):
+    """(enclosing function, line) of every random-number use in a module:
+    an attribute or name ``random`` or ``default_rng``, or an import of a
+    ``random`` module."""
+    uses = set()
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, ast.FunctionDef) else function
+            modules = []
+            if isinstance(child, (ast.Import, ast.ImportFrom)):
+                modules = [a.name for a in child.names] + [getattr(child, "module", None) or ""]
+            if (
+                (isinstance(child, ast.Attribute) and child.attr in ("random", "default_rng"))
+                or (isinstance(child, ast.Name) and child.id in ("random", "default_rng"))
+                or any(m.split(".")[-1] == "random" for m in modules)
+            ):
+                uses.add((inner, child.lineno))
+            visit(child, inner)
+
+    visit(ast.parse(path.read_text()), None)
+    return uses
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_random_sampling_in_the_package(path):
+    # no verdict may rest on random sampling; the one exception is the
+    # fixed start vector that keeps eigendecompose's Lanczos solve
+    # reproducible, a single line
+    uses = _random_uses(path)
+    start = {u for u in uses if path.name == "spectral.py" and u[0] == "eigendecompose"}
+    if len(start) == 1:
+        uses -= start
+    assert not uses, f"{path.name} draws random numbers: " + ", ".join(
+        f"line {line} in {function or 'module scope'}" for function, line in sorted(
+            uses, key=lambda u: u[1]
+        )
+    )

@@ -105,6 +105,25 @@ class TestWaveOperators:
         # the pairing itself must be a genuine overlap, not a trivial zero
         assert abs(fwd.limit.inner(self.psi)) > 0.1
 
+    def test_mismatched_backward_operator_fails_the_pairing(self):
+        """Criterion 6's pairing on the scatter grid can fail: Ω on the
+        m = 1 operator against W on an m = 0.45 operator exceeds the 1e-2
+        bound that the matched W meets."""
+        grid = make_grid(-32.0, 2048)
+        schedule = (1.0, 2.0, 4.0, 8.0, 16.0, 24.0)
+        phi = gaussian_packet(grid, -4.0, 0.5, components=(1, 0, 0, 1))
+        psi = gaussian_packet(grid, -2.5, 0.4, components=(1, 0, 0, 1))
+
+        def backward(m):
+            op = assemble_hamiltonian(CHANNEL, make_params(1.0, 1.0, m), grid)
+            return wave_operator_backward(psi, op, schedule)
+
+        fwd = wave_operator_forward(
+            phi, assemble_hamiltonian(CHANNEL, make_params(1.0, 1.0, 1.0), grid), schedule
+        )
+        assert adjointness_residual(fwd, backward(1.0), phi, psi) <= 1e-2
+        assert adjointness_residual(fwd, backward(0.45), phi, psi) > 1e-2
+
     def test_intertwining(self):
         # e^{−iτH_c} Ωφ = Ω e^{−iτH} φ up to twice the increment budget
         op = self._op(1.0)

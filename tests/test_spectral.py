@@ -4,7 +4,7 @@ propagation-matrix convergence (no point spectrum), and wall-exponent fits."""
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
-from conftest import dense_decomposition, dense_levels, drop_nearest_level
+from conftest import apply, dense_decomposition, dense_levels, drop_nearest_level
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
@@ -117,13 +117,15 @@ class TestEigendecompose:
         assert dec.eigenvalues.size == _in_window(op, WINDOW) >= 10
         assert dec.max_residual <= 1e-10 * np.max(np.abs(dec.eigenvalues))
         assert dec.orthonormality_defect <= 1e-10
+        # what solving the averaged S drops is recorded, not discarded
+        assert dec.asymmetry == op.hermiticity_defect() <= 1e-12
 
     def test_eigenfield_is_an_eigenvector(self, free_window):
         _, dec = free_window
         k = dec.eigenvalues.size // 3
         field = SpinorField(dec.grid, dec.vectors[:, k].reshape((4, dec.grid.n), order="F"))
         op = free_operator(field.grid)
-        resid = op.apply(field.values) - dec.eigenvalues[k] * field.values
+        resid = apply(op, field.values) - dec.eigenvalues[k] * field.values
         assert field.grid.norm(resid) <= 1e-10 * max(abs(dec.eigenvalues[k]), 1.0)
 
 
@@ -550,7 +552,7 @@ class TestBoundaryFit:
         op = _graded_operator(0.25, 1e-3)
         u0 = gaussian_packet(op.grid, center=-12.0, width=0.8, components=(1, 0, 1, 0))
         z = 2j
-        f_vals = op.apply(u0.values) - z * u0.values
+        f_vals = apply(op, u0.values) - z * u0.values
         rep = boundary_exponent_fit(op, f=SpinorField(op.grid, f_vals))
         assert not rep.fitted
         assert rep.reason == "no boundary tail"
