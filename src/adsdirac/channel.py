@@ -31,7 +31,7 @@ making the closed operator self-adjoint in the weighted inner product:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional, Tuple
 
@@ -124,6 +124,10 @@ class ChannelOperator:
     #: the plain mirror closure is in effect (massless, natural, potentials
     #: passed by the caller, or wall layer not resolved by the grid)
     wall_exponent: Optional[float] = None
+    #: what ``symmetrized`` built, kept for the operator's lifetime
+    _symmetrized: Optional[Tuple[sp.csc_matrix, np.ndarray, float]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def mass(self) -> float:
@@ -135,18 +139,11 @@ class ChannelOperator:
 
         H is self-adjoint in the weighted inner product, so S is Hermitian
         in the plain one; W^{1/2} maps a flat field to S's coordinates.
-        Scaled entry by entry, so ``S.toarray()`` is bit for bit the dense
-        W^{1/2} H W^{−1/2} averaged with its adjoint.  S − S† is
-        anti-Hermitian, so its row and column sums agree and the largest
-        row sum bounds ‖S − S†‖₂ from above."""
-        root = np.sqrt(np.repeat(self.grid.weights, 4))
-        h = self.matrix.tocoo()
-        s = sp.csc_matrix(
-            (root[h.row] * h.data / root[h.col], (h.row, h.col)), shape=h.shape
-        )
-        adjoint = s.conj().T
-        asymmetry = float(np.max(abs(s - adjoint).sum(axis=1)))
-        return ((s + adjoint) / 2.0).tocsc(), root, asymmetry
+        Built on the first call and returned on every later one; the arrays
+        are read-only, since every caller shares them."""
+        if self._symmetrized is None:
+            self._symmetrized = _symmetrize(self.matrix, self.grid.weights)
+        return self._symmetrized
 
     def hermiticity_defect(self, seed: Optional[int] = None) -> float:
         """The row-sum bound on ‖S − S†‖₂ from ``symmetrized``: zero up to
@@ -154,6 +151,23 @@ class ChannelOperator:
         product, and at least |⟨Hu, v⟩ − ⟨u, Hv⟩| / (‖u‖‖v‖) for every
         field pair.  ``seed`` is accepted and ignored."""
         return self.symmetrized()[2]
+
+
+def _symmetrize(matrix: sp.csc_matrix, weights: np.ndarray):
+    """S = W^{1/2} H W^{−1/2} averaged with S†, √W and the row-sum bound on
+    ‖S − S†‖₂.  Scaled entry by entry, so ``S.toarray()`` is bit for bit
+    the dense W^{1/2} H W^{−1/2} averaged with its adjoint.  S − S† is
+    anti-Hermitian, so its row and column sums agree and the largest row
+    sum bounds ‖S − S†‖₂ from above."""
+    root = np.sqrt(np.repeat(weights, 4))
+    h = matrix.tocoo()
+    s = sp.csc_matrix((root[h.row] * h.data / root[h.col], (h.row, h.col)), shape=h.shape)
+    adjoint = s.conj().T
+    asymmetry = float(np.max(abs(s - adjoint).sum(axis=1)))
+    sym = ((s + adjoint) / 2.0).tocsc()
+    for frozen in (root, sym.data, sym.indices, sym.indptr):
+        frozen.flags.writeable = False
+    return sym, root, asymmetry
 
 
 def _wall_closures(grid: Grid, s_left, s_right, wall_exponent=None):

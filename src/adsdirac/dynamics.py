@@ -16,8 +16,8 @@ refining once before it gives up, and updates by ψ ← 2(y + r) − ψ: adding
 the residual it already has keeps the factor's rounding from building up
 a norm drift.  The state travels as the flat node-major vector that the
 operator matrix acts on.  The Cayley flow is the structurally unitary
-reference: the unitarity and free-oracle checks and the ``evolve``
-experiment run on it.
+reference: the unitarity check, the ``evolve`` experiment's own flow and
+the forward wave operator run on it.
 
 ``chebyshev_propagate`` applies the exponential itself, by the Chebyshev
 expansion of e^{−itS} for S = W^{1/2} H W^{−1/2} (Tal-Ezer & Kosloff, J. Chem.
@@ -30,7 +30,9 @@ since the series diverges on any level outside [−R, R] — and the sum cut at
 the first order K > tR with |J_K(tR)| < 1e−17.  It is unitary only up to
 that truncation, so every run measures its W-norm drift and raises past
 1e−8.  It costs about tR matvecs and no solve, and it has no time-step
-error, so the wave operators and the velocity traces run on it.
+error, so the backward wave operator, the velocity traces and the
+free-oracle check (the discrete comparison flow against the closed form
+below) run on it.
 
 The comparison generator Γ¹D_x with the bag-type wall has an explicit
 method-of-characteristics solution: components (1, 4) transport with speed

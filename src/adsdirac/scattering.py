@@ -172,22 +172,26 @@ def wave_operator_backward(
 
     With ζ_k = e^{−it_kH_c}ψ, unitarity of the interacting flow gives
     ‖W_{k+1}ψ − W_kψ‖ = ‖e^{+iΔ_kH}ζ_{k+1} − ζ_k‖ for Δ_k = t_{k+1} − t_k,
-    so each increment needs a run of length Δ_k only, and the limit
-    W_Kψ = e^{+it_KH}ζ_K one full run: t_K − t_1 + t_K time units in all,
-    not Σ t_k.  The identity holds for the expansion up to its truncation
-    level, far below any increment the verdict reads.
+    so each increment needs a run of length Δ_k only.  The last run goes
+    on from Δ_{K−1} to t_K, where it reaches the limit W_Kψ = e^{+it_KH}ζ_K:
+    t_K − t_1 + t_{K−1} time units in all, not Σ t_k.  The identity holds
+    for the expansion up to its truncation level, far below any increment
+    the verdict reads.
     """
     times = _check_schedule(schedule)
     zetas = [free_propagate(psi, float(t), Direction.FORWARD) for t in times]
+    steps = np.diff(times)
     runs = [
         chebyshev_propagate(op, newer, (dt,), Direction.BACKWARD)
-        for dt, newer in zip(np.diff(times), zetas[1:])
+        for dt, newer in zip(steps[:-1], zetas[1:-1])
     ]
+    runs.append(
+        chebyshev_propagate(op, zetas[-1], (steps[-1], times[-1]), Direction.BACKWARD)
+    )
     increments = np.array(
         [op.grid.norm(r.fields[0].values - z.values) for r, z in zip(runs, zetas)]
     )
-    runs.append(chebyshev_propagate(op, zetas[-1], (times[-1],), Direction.BACKWARD))
-    limit = runs[-1].fields[0]
+    limit = runs[-1].fields[-1]
     nrm = psi.norm()
     return BackwardReport(
         times=times,

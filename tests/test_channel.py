@@ -175,6 +175,19 @@ class TestAssembly:
         op = assemble_hamiltonian(Channel(0.5, 0.5), None, g, zero_potentials)
         assert (op.matrix != free_operator(g).matrix).nnz == 0
 
+    def test_symmetrized_is_built_once_and_shared_read_only(self):
+        """One build per operator; the shared arrays refuse writes, and an
+        operator copied with another matrix builds its own."""
+        op = free_operator(make_grid(-10.0, 64))
+        sym, root, asymmetry = first = op.symmetrized()
+        assert op.symmetrized() is first
+        with pytest.raises(ValueError):
+            root[0] = 0.0
+        with pytest.raises(ValueError):
+            sym.data[0] = 0.0
+        assert perturbed(op, 8, 12, 1e-7).hermiticity_defect() >= 1e-7
+        assert op.hermiticity_defect() == asymmetry <= 1e-12
+
     def test_banded_node_major(self):
         g = make_grid(-10.0, 64)
         op = free_operator(g)

@@ -1,5 +1,6 @@
 """Config validation, run orchestration, report files, and the CLI."""
 
+import dataclasses
 import json
 import re
 from pathlib import Path
@@ -11,7 +12,7 @@ from conftest import drop_nearest_level
 from hypothesis import HealthCheck, given, note, seed, settings
 from hypothesis import strategies as st
 
-from adsdirac.channel import BoundaryCondition
+from adsdirac.channel import BoundaryCondition, free_operator
 import adsdirac.cli as cli
 from adsdirac.cli import build_parser, main
 from adsdirac.dynamics import check_step
@@ -625,8 +626,9 @@ class TestRun:
         assert all(r.error is None for r in manifest.results)
         sym = cfg.operator().symmetrized()[0]
         gershgorin = float(np.max(abs(sym).sum(axis=1)))
-        # W's increments span t_3 − t_1 = 2 and its limit t_3 = 3; Ω runs Cayley
-        for name, least_time in (("scatter", 2 + 3), ("velocity", 4)):
+        # W's increments span t_3 − t_1 = 2, and its last increment run goes
+        # on from Δ_2 = 1 to the limit at t_3 = 3, 2 more; Ω runs Cayley
+        for name, least_time in (("scatter", 2 + 2), ("velocity", 4)):
             scalars = json.loads((tmp_path / f"{name}.json").read_text())["scalars"]
             assert scalars["bound"] == pytest.approx(gershgorin, rel=1e-15)
             # at least t·R terms over every interacting run
@@ -641,6 +643,60 @@ class TestRun:
         scalars = json.loads((tmp_path / "evolve.json").read_text())["scalars"]
         assert scalars["refinements"] == 0
         assert 0.0 < scalars["max_residual"] <= 1e-10
+
+    def test_free_oracle_records_its_counters_and_takes_no_cayley_step(
+        self, tmp_path, monkeypatch
+    ):
+        """The oracle's Chebyshev counters read back from ``evolve.json``,
+        and every Cayley step of the run belongs to the configured flow,
+        whose ``steps`` the report records."""
+        from adsdirac.dynamics import CayleyStepper
+
+        calls = []
+        step = CayleyStepper.step
+
+        def counted(self, psi):
+            calls.append(1)
+            return step(self, psi)
+
+        monkeypatch.setattr(CayleyStepper, "step", counted)
+        manifest = run(small_config(), experiments=["evolve"], out=str(tmp_path))
+        assert manifest.all_passed
+        scalars = json.loads((tmp_path / "evolve.json").read_text())["scalars"]
+        assert len(calls) == scalars["steps"] > 0
+        assert len(scalars["free_errors"]) == 3
+        for n, matvecs, bound, drift in zip(
+            (512, 1024, 2048), scalars["free_matvecs"], scalars["free_bounds"],
+            scalars["free_drifts"],
+        ):
+            sym = free_operator(make_grid(-8.0, n)).symmetrized()[0]
+            assert bound == float(np.max(abs(sym).sum(axis=1)))
+            # at least t·R terms for the run to t = 5
+            assert isinstance(matvecs, int) and matvecs >= 5 * bound
+            assert 0.0 <= drift <= 1e-12
+
+    def test_open_right_wall_fails_the_free_oracle(self, tmp_path, monkeypatch):
+        """Negative control for criterion 4: the free operator without its
+        right-wall closure block (a zero ghost at x = 0) reflects the packet
+        into the wrong components, and both oracle lines must FAIL."""
+        import adsdirac.harness as hn
+
+        def open_wall(grid):
+            op = free_operator(grid)
+            matrix = op.matrix.tolil()
+            assert matrix[-4:, -4:].count_nonzero() > 0  # the free closure
+            matrix[-4:, -4:] = 0.0
+            return dataclasses.replace(op, matrix=matrix.tocsc())
+
+        monkeypatch.setattr(hn, "free_operator", open_wall)
+        manifest = run(small_config(), experiments=["evolve"], out=str(tmp_path))
+        (result,) = manifest.results
+        assert result.error is None and result.status == "fail"
+        checks = {c.name: c for c in result.checks}
+        assert checks["unitarity"].passed
+        assert not checks["free_oracle"].passed and not checks["free_order"].passed
+        errors = json.loads((tmp_path / "evolve.json").read_text())["scalars"]["free_errors"]
+        assert min(errors) > 1.0
 
     def test_rejected_eigensolve_fails_its_checks(self, tmp_path, monkeypatch):
         """Negative control for the spectrum contract lines: eigenvalues

@@ -8,7 +8,14 @@ import pytest
 
 from adsdirac.algebra import VELOCITY, Channel
 from adsdirac.channel import ConfigurationError, assemble_hamiltonian, free_operator
-from adsdirac.dynamics import Direction, EvolutionConfig, evolve, free_propagate
+import adsdirac.channel as channel
+from adsdirac.dynamics import (
+    Direction,
+    EvolutionConfig,
+    chebyshev_propagate,
+    evolve,
+    free_propagate,
+)
 from adsdirac.geometry import make_params
 from adsdirac.grids import SpinorField, gaussian_packet, make_grid
 from adsdirac.scattering import (
@@ -123,6 +130,26 @@ class TestWaveOperators:
         )
         assert adjointness_residual(fwd, backward(1.0), phi, psi) <= 1e-2
         assert adjointness_residual(fwd, backward(0.45), phi, psi) > 1e-2
+
+    def test_backward_builds_s_once_and_chains_its_limit(self, monkeypatch):
+        """W builds S once for all its runs, and its last increment run goes
+        on to the limit: the state a separate run of length t_K gives, up
+        to the expansion's truncation level."""
+        builds = []
+        build = channel._symmetrize
+
+        def counted(*args):
+            builds.append(1)
+            return build(*args)
+
+        monkeypatch.setattr(channel, "_symmetrize", counted)
+        op = self._op(1.0)
+        rep = wave_operator_backward(self.psi, op, self.SCHEDULE)
+        assert len(builds) == 1
+        zeta = free_propagate(self.psi, self.SCHEDULE[-1], Direction.FORWARD)
+        direct = chebyshev_propagate(op, zeta, self.SCHEDULE[-1:], Direction.BACKWARD)
+        assert self.grid.norm(rep.limit.values - direct.fields[0].values) <= 1e-12
+        assert len(builds) == 1
 
     def test_intertwining(self):
         # e^{−iτH_c} Ωφ = Ω e^{−iτH} φ up to twice the increment budget
