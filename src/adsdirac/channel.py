@@ -49,6 +49,8 @@ __all__ = [
     "select_bc",
     "mit_reflection",
     "ChannelOperator",
+    "to_sectors",
+    "from_sectors",
     "assemble_hamiltonian",
     "free_operator",
     "PointwiseBlocks",
@@ -84,7 +86,11 @@ def mit_reflection() -> np.ndarray:
 
     The kernel is computed numerically (rank 2), so the two scalar
     constraints of the bag condition enter without hand-derived component
-    relations.  Checked once at build: S is an involution and satisfies
+    relations.  Its entries are Gaussian integers, so the numeric S is
+    snapped to the nearest ones (none may move by more than 1e−13): the
+    rounding of the kernel solve would otherwise reach every operator as
+    a hermiticity defect and as entries that mix the two sectors of
+    γ³γ⁵.  Checked once at build: S is an involution and satisfies
     Γ¹S + S*Γ¹ = 0, the exact discrete self-adjointness condition.
     """
     global _S_MIT
@@ -92,7 +98,11 @@ def mit_reflection() -> np.ndarray:
         kernel = null_space(GAMMA[1] + 1j * np.eye(4))
         if kernel.shape[1] != 2:
             raise AssertionError("(γ¹ + i) must have a two-dimensional kernel")
-        s = 2.0 * kernel @ kernel.conj().T - np.eye(4)
+        numeric = 2.0 * kernel @ kernel.conj().T - np.eye(4)
+        # + 0.0 turns the −0.0 that rounding leaves into +0.0
+        s = np.round(numeric.real) + 0.0 + 1j * (np.round(numeric.imag) + 0.0)
+        if np.max(np.abs(s - numeric)) > 1e-13:
+            raise AssertionError("reflection entries must be Gaussian integers")
         g1 = VELOCITY.astype(complex)
         if not np.allclose(g1 @ s + s.conj().T @ g1, 0.0, atol=1e-13):
             raise AssertionError("reflection fails the self-adjointness condition")
@@ -124,8 +134,12 @@ class ChannelOperator:
     #: the plain mirror closure is in effect (massless, natural, potentials
     #: passed by the caller, or wall layer not resolved by the grid)
     wall_exponent: Optional[float] = None
-    #: what ``symmetrized`` built, kept for the operator's lifetime
+    #: what ``symmetrized`` and ``sectors`` built, kept for the operator's
+    #: lifetime
     _symmetrized: Optional[Tuple[sp.csc_matrix, np.ndarray, float]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _sectors: Optional[Tuple["SectorBlock", ...]] = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -152,6 +166,16 @@ class ChannelOperator:
         field pair.  ``seed`` is accepted and ignored."""
         return self.symmetrized()[2]
 
+    def sectors(self) -> Tuple["SectorBlock", ...]:
+        """The diagonal blocks of H and of the symmetrized S in sector
+        coordinates (``to_sectors``): one block per sector of γ³γ⁵ when no
+        entry couples the two, one block of every coordinate otherwise.
+        Built on the first call and returned on every later one, read-only
+        like ``symmetrized``."""
+        if self._sectors is None:
+            self._sectors = _split_sectors(self.matrix, self.symmetrized()[0])
+        return self._sectors
+
 
 def _symmetrize(matrix: sp.csc_matrix, weights: np.ndarray):
     """S = W^{1/2} H W^{−1/2} averaged with S†, √W and the row-sum bound on
@@ -168,6 +192,80 @@ def _symmetrize(matrix: sp.csc_matrix, weights: np.ndarray):
     for frozen in (root, sym.data, sym.indices, sym.indptr):
         frozen.flags.writeable = False
     return sym, root, asymmetry
+
+
+# ---------------------------------------------------------------- sectors
+#
+# Q = γ³γ⁵ commutes with Γ¹, ANGULAR, MASS and the wall reflection, so it
+# commutes with every assembled H node by node.  The rows of _SECTOR_ROWS
+# span its eigenspaces, (1, 0, 0, −1) and (0, 1, 1, 0) for Q = +1 and
+# (1, 0, 0, 1) and (0, 1, −1, 0) for Q = −1; with P that matrix at every node,
+# PPᵀ = 2·𝟙, so ψ = Pᵀv/2 and H acts on v = Pψ as PHPᵀ/2, whose entries are
+# sums and differences of H's with no rounding where the sectors cancel.
+
+_SECTOR_ROWS = np.array([[1, 0, 0, -1], [0, 1, 1, 0], [1, 0, 0, 1], [0, 1, -1, 0]])
+
+
+@dataclass(frozen=True)
+class SectorBlock:
+    """One diagonal block of an operator in sector coordinates."""
+
+    rows: slice  # the sector coordinates the block acts on
+    hamiltonian: sp.csc_matrix  # that block of PHPᵀ/2
+    scaled: sp.csr_matrix  # 2S/R for that block of the symmetrized PSPᵀ/2
+    bound: float  # R, the block's largest absolute row sum
+
+
+def to_sectors(flat: np.ndarray) -> np.ndarray:
+    """Sector coordinates v = Pψ of a flat node-major field: the Q = +1
+    sector's two components node-major in the first half, the Q = −1
+    sector's in the second.  The rows of P are written out, since a
+    product with the 4×4 table is ten times slower."""
+    c = flat.reshape(-1, 4)
+    out = np.empty(flat.size, dtype=complex)
+    plus, minus = (half.reshape(-1, 2) for half in np.split(out, 2))
+    plus[:, 0], plus[:, 1] = c[:, 0] - c[:, 3], c[:, 1] + c[:, 2]
+    minus[:, 0], minus[:, 1] = c[:, 0] + c[:, 3], c[:, 1] - c[:, 2]
+    return out
+
+
+def from_sectors(v: np.ndarray) -> np.ndarray:
+    """The flat node-major field ψ = Pᵀv/2 of sector coordinates v."""
+    plus, minus = (half.reshape(-1, 2) for half in np.split(v, 2))
+    out = np.empty((v.size // 4, 4), dtype=complex)
+    out[:, 0], out[:, 3] = 0.5 * (plus[:, 0] + minus[:, 0]), 0.5 * (minus[:, 0] - plus[:, 0])
+    out[:, 1], out[:, 2] = 0.5 * (plus[:, 1] + minus[:, 1]), 0.5 * (plus[:, 1] - minus[:, 1])
+    return out.ravel()
+
+
+def _gershgorin_bound(matrix: sp.spmatrix) -> float:
+    """Largest absolute row sum, a bound on every eigenvalue's size."""
+    return float(np.max(abs(matrix).sum(axis=1)))
+
+
+def _split_sectors(matrix: sp.csc_matrix, sym: sp.csc_matrix) -> Tuple[SectorBlock, ...]:
+    """H and S in sector coordinates, cut into their diagonal blocks: two
+    when neither has an entry across the sectors, else one."""
+    size = matrix.shape[0]
+    j = 4 * np.arange(size // 4)[:, None]
+    order = np.concatenate([(j + [0, 1]).ravel(), (j + [2, 3]).ravel()])
+    p = sp.kron(sp.identity(size // 4, format="csr"), _SECTOR_ROWS, format="csr")[order]
+    h, s = ((p @ m @ p.T * 0.5).tocsc() for m in (matrix, sym))
+    for m in (h, s):
+        m.eliminate_zeros()
+    half = size // 2
+    crossing = sum(m[:half, half:].nnz + m[half:, :half].nnz for m in (h, s))
+    cuts = (slice(0, size),) if crossing else (slice(0, half), slice(half, size))
+    blocks = []
+    for rows in cuts:
+        h_block, s_block = h[rows, rows], s[rows, rows]
+        bound = _gershgorin_bound(s_block)
+        scaled = (s_block * (2.0 / bound)).tocsr()
+        for m in (h_block, scaled):
+            for frozen in (m.data, m.indices, m.indptr):
+                frozen.flags.writeable = False
+        blocks.append(SectorBlock(rows, h_block, scaled, bound))
+    return tuple(blocks)
 
 
 def _wall_closures(grid: Grid, s_left, s_right, wall_exponent=None):

@@ -14,10 +14,19 @@ factored, once per (operator, dt), and reused across steps.  Every step
 checks its solve with one matvec, r = ψ − M₊y with ‖r‖ ≤ 1e−10·‖ψ‖,
 refining once before it gives up, and updates by ψ ← 2(y + r) − ψ: adding
 the residual it already has keeps the factor's rounding from building up
-a norm drift.  The state travels as the flat node-major vector that the
-operator matrix acts on.  The Cayley flow is the structurally unitary
-reference: the unitarity check, the ``evolve`` experiment's own flow and
-the forward wave operator run on it.
+a norm drift.  The Cayley flow is the structurally unitary reference: the
+unitarity check, the ``evolve`` experiment's own flow and the forward wave
+operator run on it.
+
+Both propagators work in sector coordinates.  Q = γ³γ⁵ commutes with every
+assembled H node by node, so H splits into two 2n-row blocks, one for each
+eigenvalue ±1 of Q, that never mix (``ChannelOperator.sectors``; one 4n-row
+block for an operator that breaks Q).  A run maps the state to v = Pψ once
+at the start and back once per snapshot, and propagates only the blocks v
+occupies; a block it does not occupy stays exactly zero.  The packets
+(1, 0, 0, 1) of the experiments lie in the Q = −1 sector alone, so they
+pay half of every solve and product.  The Cayley factors are one per
+block, and each step checks its residual over the whole state.
 
 ``chebyshev_propagate`` applies the exponential itself, by the Chebyshev
 expansion of e^{−itS} for S = W^{1/2} H W^{−1/2} (Tal-Ezer & Kosloff, J. Chem.
@@ -25,9 +34,11 @@ Phys. 81, 3967 (1984)):
 
     e^{−itS} = Σ_k (2 − δ_k0)(−i)^k J_k(tR) T_k(S/R) ,
 
-with R the Gershgorin bound on the spectrum of S — a guaranteed bound,
-since the series diverges on any level outside [−R, R] — and the sum cut at
-the first order K > tR with |J_K(tR)| < 1e−17.  It is unitary only up to
+run block by block, with R the Gershgorin bound on the spectrum of the
+block of S — a guaranteed bound, since the series diverges on any level
+outside [−R, R] — and the sum cut at the first order K > tR with
+|J_K(tR)| < 1e−17.  Each block's R and its scaled matrix 2S/R are built
+once per operator with the blocks.  It is unitary only up to
 that truncation, so every run measures its W-norm drift and raises past
 1e−8.  It costs about tR matvecs and no solve, and it has no time-step
 error, so the backward wave operator, the velocity traces and the
@@ -54,7 +65,7 @@ from scipy.interpolate import CubicSpline
 from scipy.sparse.linalg import splu
 from scipy.special import jv
 
-from .channel import ChannelOperator, ConfigurationError
+from .channel import ChannelOperator, ConfigurationError, from_sectors, to_sectors
 from .grids import Grid, SpinorField
 
 __all__ = [
@@ -124,12 +135,15 @@ def check_step(dt: float, grid: Grid) -> None:
 class CayleyStepper:
     """Factorized one-step map; ``direction`` picks e^{∓i·dt·H}.
 
-    Keeps M₊ = 𝟙 + i·sgn·dt/2·H and its LU factor.  ``step`` solves
-    y = M₊⁻¹ψ, checks r = ψ − M₊y by ‖r‖ ≤ ``SOLVER_TOL``·‖ψ‖ on every call
-    (one round of iterative refinement, then ``NumericError``) and returns
-    2(y + r) − ψ, which is (𝟙 + A)⁻¹(𝟙 − A)ψ up to rounding.
-    ``max_residual`` is the largest relative residual ‖r‖/‖ψ‖ of the
-    accepted solves, ``refinements`` the number of steps that needed the
+    Keeps M₊ = 𝟙 + i·sgn·dt/2·H and its LU factor for each block of
+    ``op.sectors()``.  ``step`` takes a state in sector coordinates and, on
+    every block the state occupies, solves y = M₊⁻¹v and forms the residual
+    r = v − M₊y; it checks ‖r‖ ≤ ``SOLVER_TOL``·‖v‖ over the whole state
+    on every call (one round of iterative refinement, then ``NumericError``)
+    and returns 2(y + r) − v, which is (𝟙 + A)⁻¹(𝟙 − A)v up to rounding.  A
+    block the state does not occupy is left at exactly zero.
+    ``max_residual`` is the largest relative residual ‖r‖/‖v‖ of the
+    accepted steps, ``refinements`` the number of steps that needed the
     refinement round.
     """
 
@@ -141,27 +155,35 @@ class CayleyStepper:
     ):
         check_step(dt, op.grid)
         sgn = 1.0 if direction == Direction.FORWARD else -1.0
-        eye = sp.identity(op.matrix.shape[0], dtype=complex, format="csc")
         self.dt = dt
         self.max_residual = 0.0
         self.refinements = 0
-        self._implicit = (eye + 0.5j * sgn * dt * op.matrix).tocsc()
-        self._lu = splu(self._implicit)
+        self._rows, self._implicit, self._lu = [], [], []
+        for block in op.sectors():
+            eye = sp.identity(block.hamiltonian.shape[0], dtype=complex, format="csc")
+            implicit = (eye + 0.5j * sgn * dt * block.hamiltonian).tocsc()
+            self._rows.append(block.rows)
+            self._implicit.append(implicit)
+            self._lu.append(splu(implicit))
 
-    def step(self, psi: np.ndarray) -> np.ndarray:
-        """Advance a flat node-major state (``values.flatten(order="F")``)
+    def step(self, v: np.ndarray) -> np.ndarray:
+        """Advance a state in sector coordinates (``channel.to_sectors``)
         by one step of dt; returns a new vector."""
-        y = self._lu.solve(psi)
-        resid = self._implicit @ y
-        np.subtract(psi, resid, out=resid)
-        scale = _norm(psi)
+        out = np.zeros_like(v)
+        # (block, its part of v, its part of the result) per occupied block
+        work = [(k, v[rows], out[rows]) for k, rows in enumerate(self._rows) if v[rows].any()]
+        for k, part, y in work:
+            y[:] = self._lu[k].solve(part)
+        resid = self._residuals(work)
+        scale = math.hypot(*(_norm(part) for _, part, _ in work))
         limit = SOLVER_TOL * max(scale, 1e-30)
-        res = _norm(resid)
+        res = math.hypot(*map(_norm, resid))
         if res > limit:
             # one round of iterative refinement before giving up
-            y += self._lu.solve(resid)
-            resid = psi - self._implicit @ y
-            res = _norm(resid)
+            for (k, _, y), r in zip(work, resid):
+                y += self._lu[k].solve(r)
+            resid = self._residuals(work)
+            res = math.hypot(*map(_norm, resid))
             if res > limit:
                 raise NumericError(
                     "Cayley solve did not converge",
@@ -171,12 +193,17 @@ class CayleyStepper:
         self.max_residual = max(self.max_residual, res / max(scale, 1e-30))
         # y + r is a Richardson sweep with 𝟙 for M₊ = 𝟙 + A: it maps the
         # solve error e to −A·e.  The factor's rounding error is the same on
-        # every step, so 2y − ψ, which doubles it, would let the norm drift
+        # every step, so 2y − v, which doubles it, would let the norm drift
         # linearly in the step count at twice the two-matrix form's rate.
-        y += resid
-        y *= 2.0
-        y -= psi
-        return y
+        for (_, part, y), r in zip(work, resid):
+            y += r
+            y *= 2.0
+            y -= part
+        return out
+
+    def _residuals(self, work) -> List[np.ndarray]:
+        """v − M₊y on each occupied block."""
+        return [part - self._implicit[k] @ y for k, part, y in work]
 
 
 def _norm(v: np.ndarray) -> float:
@@ -231,25 +258,25 @@ def evolve(
         snap_steps.append(n_steps)
 
     n = op.grid.n
-    # W-norm of the flat state through its float view: node j owns floats
-    # 8j … 8j+7, so the weights repeat 8 times
-    root_w = np.sqrt(np.repeat(op.grid.weights, 8))
+    # W-norm of the sector state through its float view: in each half,
+    # node j owns floats 4j … 4j+3, so the weights repeat 4 times, twice
+    root_w = np.tile(np.sqrt(np.repeat(op.grid.weights, 4)), 2)
     buf = np.empty(root_w.size)
 
     def w_norm(v: np.ndarray) -> float:
         np.multiply(root_w, v.view(float), out=buf)
         return math.sqrt(buf @ buf)
 
-    psi = psi0.values.flatten(order="F")
-    norm0 = w_norm(psi)
+    v = to_sectors(psi0.values.flatten(order="F"))
+    norm0 = w_norm(v)
     taken = set(snap_steps)
     at_step = {0: psi0.copy()}
     drift = 0.0
     for k in range(1, n_steps + 1):
-        psi = stepper.step(psi)
-        drift = max(drift, abs(w_norm(psi) - norm0) / max(norm0, 1e-30))
+        v = stepper.step(v)
+        drift = max(drift, abs(w_norm(v) - norm0) / max(norm0, 1e-30))
         if k in taken:
-            at_step[k] = SpinorField(op.grid, psi.reshape((4, n), order="F").copy())
+            at_step[k] = SpinorField(op.grid, from_sectors(v).reshape((4, n), order="F"))
     return Trajectory(
         times=np.asarray([0.0] + [k * dt_eff for k in snap_steps]),
         fields=[at_step[0]] + [at_step[k] for k in snap_steps],
@@ -267,15 +294,10 @@ class Propagation:
     counters."""
 
     fields: List[SpinorField]
-    matvecs: int  # products with S over the whole run
-    bound: float  # R, the Gershgorin bound on the spectrum of S
+    matvecs: int  # products with a sector block of S over the whole run
+    bound: float  # the largest R, the Gershgorin bound of a sector block of S
     norm_drift: float  # worst relative W-norm change over the snapshots
     asymmetry: float  # row-sum bound on ‖S − S†‖₂, which the run averages away
-
-
-def _gershgorin_bound(sym: sp.spmatrix) -> float:
-    """Largest absolute row sum of S, a bound on every eigenvalue's size."""
-    return float(np.max(abs(sym).sum(axis=1)))
 
 
 def _bessel_terms(z: float) -> np.ndarray:
@@ -325,33 +347,39 @@ def chebyshev_propagate(
     The run works on u = W^{1/2}ψ and S = W^{1/2} H W^{−1/2}, so the
     W-norm of ψ is the plain norm of u.  S is Hermitian-averaged first; the
     bound on what that drops is ``asymmetry``, the operator's
-    ``hermiticity_defect``.  Snapshots chain: the state at
+    ``hermiticity_defect``.  The series runs on each sector block that u
+    occupies, with that block's R; ``matvecs`` counts the products with
+    every block, ``bound`` is the largest R.  Snapshots chain: the state at
     t_{k+1} is e^{∓i(t_{k+1}−t_k)S} applied to the state at t_k, so one run
-    costs about t_last·R matvecs whatever the number of times.  ``times``
-    must be non-negative and non-decreasing; a repeated time repeats the
-    state.  After every interval the W-norm is compared with the input's,
-    and a relative drift past 1e−8 raises ``NumericError`` — the sign of a
-    bound R below the spectral radius.
+    costs about t_last·R matvecs per occupied block whatever the number of
+    times.  ``times`` must be non-negative and non-decreasing; a repeated
+    time repeats the state.  After every interval the W-norm is compared
+    with the input's, and a relative drift past 1e−8 raises
+    ``NumericError`` — the sign of a bound R below the spectral radius.
     """
     if not np.array_equal(psi0.grid.nodes, op.grid.nodes):
         raise ConfigurationError("field and operator live on different grids")
     t = np.asarray(times, dtype=float)
     if t.size == 0 or t[0] < 0 or np.any(np.diff(t) < 0):
         raise ConfigurationError("times must be non-negative and non-decreasing")
-    sym, root, asymmetry = op.symmetrized()
-    bound = _gershgorin_bound(sym)
-    scaled = (sym * (2.0 / bound)).tocsr()
+    _, root, asymmetry = op.symmetrized()
+    blocks = op.sectors()
+    bound = max(block.bound for block in blocks)
     phase = -1j if direction == Direction.FORWARD else 1j
 
-    u = root * psi0.values.flatten(order="F")
+    u = to_sectors(root * psi0.values.flatten(order="F"))
     norm0 = _norm(u)
     field = psi0.copy()
     fields: List[SpinorField] = []
     matvecs, drift, now = 0, 0.0, 0.0
     for t_k in t:
         if t_k > now:
-            u, count = _chebyshev_series(scaled, u, (t_k - now) * bound, phase)
-            matvecs += count
+            for block in blocks:
+                if u[block.rows].any():
+                    u[block.rows], count = _chebyshev_series(
+                        block.scaled, u[block.rows], (t_k - now) * block.bound, phase
+                    )
+                    matvecs += count
             change = abs(_norm(u) - norm0) / max(norm0, 1e-30)
             if not change <= DRIFT_LIMIT:  # NaN from a diverged series too
                 raise NumericError(
@@ -359,7 +387,8 @@ def chebyshev_propagate(
                     {"t": float(t_k), "norm_drift": change, "bound": bound},
                 )
             drift = max(drift, change)
-            field = SpinorField(op.grid, (u / root).reshape((4, op.grid.n), order="F"))
+            flat = from_sectors(u) / root
+            field = SpinorField(op.grid, flat.reshape((4, op.grid.n), order="F"))
             now = t_k
         fields.append(field)
     return Propagation(fields, matvecs, bound, drift, asymmetry)

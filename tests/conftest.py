@@ -1,6 +1,7 @@
 """Shared test plumbing: the acceptance-line reporter, the operator's
-action on component arrays, the dense eigensolve oracle, and a perturbed
-operator and a lossy eigensolver for negative controls.
+action on component arrays, the dense eigensolve oracle, the dense sector
+split, and a perturbed operator and a lossy eigensolver for negative
+controls.
 
 Acceptance tests register one human-readable verdict line each; the lines
 are replayed in the terminal summary so the full pass/fail slate is visible
@@ -59,6 +60,26 @@ def drop_nearest_level(monkeypatch) -> None:
 def dense_levels(op: ChannelOperator) -> np.ndarray:
     """Every eigenvalue of H, sorted, by a dense solve without vectors."""
     return sla.eigvalsh(op.symmetrized()[0].toarray())
+
+
+#: eigenvectors of γ³γ⁵ at one node, the two of eigenvalue +1 first
+SECTOR_ROWS = np.array([[1, 0, 0, -1], [0, 1, 1, 0], [1, 0, 0, 1], [0, 1, -1, 0]])
+
+
+def dense_sector_blocks(a: np.ndarray):
+    """(+1 block, −1 block, largest cross entry) of PAPᵀ/2 for a dense
+    node-major 4n×4n matrix A, with P the per-node transform onto the
+    eigenspaces of γ³γ⁵ in sector-major order, built here entry by entry:
+    the oracle of ``ChannelOperator.sectors``."""
+    n = a.shape[0] // 4
+    p = np.zeros((4 * n, 4 * n))
+    for j in range(n):
+        p[2 * j : 2 * j + 2, 4 * j : 4 * j + 4] = SECTOR_ROWS[:2]
+        p[2 * (n + j) : 2 * (n + j) + 2, 4 * j : 4 * j + 4] = SECTOR_ROWS[2:]
+    b = p @ a @ p.T / 2.0
+    half = 2 * n
+    cross = max(np.max(np.abs(b[:half, half:])), np.max(np.abs(b[half:, :half])))
+    return b[:half, :half], b[half:, half:], float(cross)
 
 ACCEPTANCE_LINES: List[str] = []
 

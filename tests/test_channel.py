@@ -3,11 +3,12 @@ self-adjointness, and the conjugate-operator commutator against its
 brute-force oracle."""
 import numpy as np
 import pytest
-from conftest import apply, perturbed
+from conftest import SECTOR_ROWS, apply, dense_sector_blocks, perturbed
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adsdirac.algebra import ANGULAR, Channel, GAMMA, MASS, VELOCITY
+import adsdirac.channel as channel
+from adsdirac.algebra import ANGULAR, Channel, GAMMA, GAMMA5, MASS, VELOCITY
 from adsdirac.channel import (
     BoundaryCondition,
     ConfigurationError,
@@ -126,6 +127,15 @@ class TestBoundarySelection:
         g1 = VELOCITY.astype(complex)
         assert np.allclose(g1 @ s + s.conj().T @ g1, 0.0, atol=1e-14)
 
+    def test_reflection_is_exact(self):
+        """The snapped reflection holds Gaussian integers only, and its
+        conditions hold with no rounding."""
+        s = mit_reflection()
+        assert set(s.ravel().tolist()) <= {0, 1, -1, 1j, -1j}
+        g1 = VELOCITY.astype(complex)
+        assert not np.any(g1 @ s + s.conj().T @ g1)
+        assert np.array_equal(s @ s, np.eye(4))
+
     def test_given_potentials_take_the_regime_wall(self):
         """Potentials passed as a map with m = 1 params get the natural
         wall of 2ml = 2, not a bag-type default, and no exponent row: the
@@ -230,6 +240,18 @@ class TestHermiticityBound:
         (line,) = [c for c in _run_evolve(cfg).checks if c.name == "hermiticity"]
         assert not line.passed and "defect = 1.000e-07" in line.detail
 
+    def test_desk_operator_has_no_rounding_defect(self):
+        """With the exact reflection, the desk operator's S is Hermitian to
+        the last bit, and the ``hermiticity`` line reads 0."""
+        cfg = parse_config_dict({
+            "M": 1, "l": 1, "m": 1, "channel": [0.5, 0.5],
+            "grid": {"x_min": -32.0, "n": 2048},
+            "evolution": {"t_final": 0.5, "snapshots": 1},
+        })
+        assert cfg.operator().hermiticity_defect() == 0.0
+        (line,) = [c for c in _run_evolve(cfg).checks if c.name == "hermiticity"]
+        assert line.passed and "defect = 0.000e+00" in line.detail
+
     @settings(max_examples=40, deadline=None)
     @given(
         graded=st.booleans(),
@@ -266,6 +288,118 @@ class TestHermiticityBound:
         # both sides are computed, each to within a few ε·max|H_ij|
         slack = 8 * np.finfo(float).eps * np.abs(op.matrix.data).max()
         assert sampled_quotient(op, pairs) <= op.hermiticity_defect() + slack
+
+
+def kink_pair(x):
+    """The Jackiw–Rebbi kink 2·tanh(x + 10) with B ≡ 0."""
+    return 2.0 * np.tanh(x + 10.0), np.zeros_like(x)
+
+
+def smooth_well(x):
+    return np.exp(x / 3.0), 1.0 / (1.0 + x**2)
+
+
+class TestSectors:
+    """Every operator the package builds commutes with γ³γ⁵ node by node,
+    so it splits into two blocks with nothing between them."""
+
+    def test_sector_rows_are_eigenvectors_of_gamma3_gamma5(self):
+        q = GAMMA[3] @ GAMMA5
+        for rows, sign in ((SECTOR_ROWS[:2], 1.0), (SECTOR_ROWS[2:], -1.0)):
+            assert np.array_equal(q @ rows.T, sign * rows.T)
+        assert np.array_equal(SECTOR_ROWS @ SECTOR_ROWS.T, 2 * np.eye(4))
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        kind=st.sampled_from(["uniform", "graded", "graded-bag", "free", "kink", "well"]),
+        x_min=st.floats(-16.0, -12.0),
+        n=st.integers(16, 64),
+        s=st.sampled_from([0.5, 1.5, 2.5, 3.5]),
+        mass=st.floats(0.0, 2.0),
+    )
+    def test_every_operator_splits_into_isospectral_sectors(self, kind, x_min, n, s, mass):
+        """Uniform and graded grids, every coupling, both regimes (the
+        graded bag case with the exponent wall row), the free generator and
+        potentials passed by the caller: two blocks, as the dense transform
+        gives them, with the same spectrum."""
+        if kind == "graded-bag":
+            mass = 0.01 + 0.24 * mass  # 2ml < 1 with m > 0: the exponent row
+        elif kind == "graded":
+            mass = 0.5 + 0.75 * mass  # 2ml ≥ 1: the natural wall
+        params = make_params(1.0, 1.0, mass)
+        if kind.startswith("graded"):
+            g = make_grid(x_min, policy=BoundaryGraded(h_min=1e-2, ratio=1.08))
+        else:
+            g = make_grid(x_min, n)
+        potentials = {"kink": kink_pair, "well": smooth_well}.get(kind)
+        if kind == "free":
+            op = free_operator(g)
+        else:
+            op = assemble_hamiltonian(Channel(s, 0.5), params, g, potentials)
+        assert (op.wall_exponent is not None) == (kind == "graded-bag")
+        blocks = op.sectors()
+        half = 2 * g.n
+        assert [b.rows for b in blocks] == [slice(0, half), slice(half, 2 * half)]
+        bound = max(b.bound for b in blocks)
+        plus, minus, cross = dense_sector_blocks(op.symmetrized()[0].toarray())
+        assert cross <= 1e-14 * bound
+        h_plus, h_minus, h_cross = dense_sector_blocks(op.matrix.toarray())
+        scale = np.abs(op.matrix.data).max()
+        assert h_cross <= 1e-14 * scale
+        for block, s_dense, h_dense in zip(blocks, (plus, minus), (h_plus, h_minus)):
+            assert block.bound == pytest.approx(np.abs(s_dense).sum(axis=1).max(), rel=1e-14)
+            scaled = block.scaled.toarray() * (block.bound / 2.0)
+            assert np.max(np.abs(scaled - s_dense)) <= 1e-14 * bound
+            assert np.max(np.abs(block.hamiltonian.toarray() - h_dense)) <= 1e-14 * scale
+        levels = [np.linalg.eigvalsh(b) for b in (plus, minus)]
+        assert np.max(np.abs(levels[0] - levels[1])) <= 1e-12 * bound
+
+    @pytest.mark.parametrize("mass", [1.0, 0.45])
+    def test_each_sector_holds_half_of_the_window(self, mass):
+        """The Mourre window [0.5, 1.5] at n = 320 holds 40 levels, 20 in
+        each sector, and the two sector spectra agree."""
+        params = make_params(1.0, 1.0, mass)
+        op = assemble_hamiltonian(Channel(0.5, 0.5), params, make_grid(-32.0, 320))
+        levels = [
+            np.linalg.eigvalsh(b.scaled.toarray() * (b.bound / 2.0)) for b in op.sectors()
+        ]
+        assert [int(np.sum((x >= 0.5) & (x <= 1.5))) for x in levels] == [20, 20]
+        assert np.max(np.abs(levels[0] - levels[1])) <= 1e-12 * op.sectors()[0].bound
+
+    def test_entry_across_the_sectors_gives_one_block(self):
+        """Negative control: one entry from component 1 of a node to
+        component 1 of the next has no γ³γ⁵ partner, and the operator
+        stays one block of every coordinate."""
+        g = make_grid(-8.0, 64)
+        op = assemble_hamiltonian(Channel(0.5, 0.5), P_MIT, g)
+        j = 10
+        broken = perturbed(op, 4 * j, 4 * j + 4, 1e-2)
+        _, _, cross = dense_sector_blocks(broken.matrix.toarray())
+        assert cross == pytest.approx(0.5e-2)
+        (block,) = broken.sectors()
+        assert block.rows == slice(0, 4 * g.n)
+        assert len(op.sectors()) == 2
+
+    def test_built_once_by_the_propagators_only(self, monkeypatch):
+        """Assembly and the hermiticity bound never split; the first call
+        does, every later one returns the same read-only blocks."""
+        calls = []
+        split = channel._split_sectors
+
+        def counted(*args):
+            calls.append(1)
+            return split(*args)
+
+        monkeypatch.setattr(channel, "_split_sectors", counted)
+        op = assemble_hamiltonian(Channel(0.5, 0.5), P_NAT, make_grid(-8.0, 64))
+        op.hermiticity_defect()
+        assert calls == []
+        first = op.sectors()
+        assert op.sectors() is first and calls == [1]
+        with pytest.raises(ValueError):
+            first[0].scaled.data[0] = 0.0
+        with pytest.raises(ValueError):
+            first[1].hamiltonian.data[0] = 0.0
 
 
 class TestStencilEntrywise:

@@ -4,19 +4,22 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
-from conftest import perturbed
+from conftest import dense_sector_blocks, perturbed
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import expm_multiply, splu, spsolve
 from scipy.special import jv
 
+import adsdirac.channel as channel
 import adsdirac.dynamics as dynamics
 from adsdirac.algebra import Channel
 from adsdirac.channel import (
     ConfigurationError,
     assemble_hamiltonian,
     free_operator,
+    to_sectors,
 )
 from adsdirac.dynamics import (
     CayleyStepper,
@@ -125,10 +128,10 @@ class TestUnitarity:
             evolve(op, psi0, EvolutionConfig(dt=0.05, t_final=1.0, snapshot_times=wanted))
 
 
-def _plus_matrix(op, dt, sgn=1.0):
+def _plus_matrix(h, dt, sgn=1.0):
     """M₊ = 𝟙 + i·sgn·dt/2·H, built here independently of the stepper."""
-    eye = sp.identity(op.matrix.shape[0], dtype=complex, format="csc")
-    return (eye + 0.5j * sgn * dt * op.matrix).tocsc()
+    eye = sp.identity(h.shape[0], dtype=complex, format="csc")
+    return (eye + 0.5j * sgn * dt * h).tocsc()
 
 
 class TestCayleyStep:
@@ -143,8 +146,8 @@ class TestCayleyStep:
         traj = evolve(op, psi0, EvolutionConfig(dt=dt, t_final=20 * dt), direction)
         assert traj.steps == 20
         sgn = 1.0 if direction == Direction.FORWARD else -1.0
-        plus = _plus_matrix(op, traj.dt_effective, sgn)
-        minus = _plus_matrix(op, traj.dt_effective, -sgn)
+        plus = _plus_matrix(op.matrix, traj.dt_effective, sgn)
+        minus = _plus_matrix(op.matrix, traj.dt_effective, -sgn)
         psi = psi0.values.flatten(order="F")
         for _ in range(20):
             psi = spsolve(plus, minus @ psi)
@@ -168,27 +171,36 @@ class TestCayleyStep:
 
     def test_perturbed_factor_is_refined_or_rejected(self):
         """Negative control for the per-step residual check: the factor of
-        a perturbed M₊ needs the refinement round, and a large perturbation
-        is rejected with its residual."""
+        a perturbed M₊ on the block the state occupies needs the refinement
+        round, and a large perturbation is rejected with its residual.  A
+        perturbed factor of the empty block is never used."""
         g = make_grid(-10.0, 128)
         op = assemble_hamiltonian(Channel(0.5, 0.5), P_NAT, g)
         dt = g.min_spacing / 2
-        psi = gaussian_packet(g, -5.0, 0.5).values.flatten(order="F")
-        exact = CayleyStepper(op, dt).step(psi)
-        plus = _plus_matrix(op, dt)
+        packet = gaussian_packet(g, -5.0, 0.5, components=(1.0, 0.0, 0.0, 1.0))
+        v = to_sectors(packet.values.flatten(order="F"))
+        empty, occupied = op.sectors()
+        assert not v[empty.rows].any() and v[occupied.rows].any()
+        exact = CayleyStepper(op, dt).step(v)
+        plus = _plus_matrix(occupied.hamiltonian, dt)
         noise = sp.diags(np.random.default_rng(1).standard_normal(plus.shape[0]))
 
+        unused = CayleyStepper(op, dt)
+        unused._lu[0] = splu((plus + 1e-2 * noise).tocsc())
+        assert np.array_equal(unused.step(v), exact)
+        assert unused.refinements == 0
+
         small = CayleyStepper(op, dt)
-        small._lu = splu((plus + 1e-9 * noise).tocsc())
-        out = small.step(psi)
+        small._lu[1] = splu((plus + 1e-9 * noise).tocsc())
+        out = small.step(v)
         assert small.refinements == 1
         assert 0.0 < small.max_residual <= dynamics.SOLVER_TOL
-        assert np.linalg.norm(out - exact) <= 1e-12 * np.linalg.norm(psi)
+        assert np.linalg.norm(out - exact) <= 1e-12 * np.linalg.norm(v)
 
         large = CayleyStepper(op, dt)
-        large._lu = splu((plus + 1e-2 * noise).tocsc())
+        large._lu[1] = splu((plus + 1e-2 * noise).tocsc())
         with pytest.raises(NumericError) as err:
-            large.step(psi)
+            large.step(v)
         diag = err.value.diagnostics
         assert diag["residual"] > dynamics.SOLVER_TOL * diag["rhs_norm"]
         assert diag["dt"] == dt
@@ -248,16 +260,20 @@ class TestChebyshev:
         assert g.norm(back.fields[0].values - psi0.values) <= 1e-12 * psi0.norm()
 
     def test_stops_at_the_first_small_bessel_order(self):
+        """The default (1, 0, 0, 0) packet occupies both sectors, and both
+        blocks share R, so the run takes K − 1 products with each."""
         g = make_grid(-8.0, 64)
         op = assemble_hamiltonian(Channel(0.5, 0.5), P_NAT, g)
         run = chebyshev_propagate(op, gaussian_packet(g, -4.0, 0.5), (2.0,))
         z = 2.0 * run.bound
         k = np.arange(int(z) + 200)
         first = k[(k > z) & (np.abs(jv(k, z)) < 1e-17)][0]
-        # terms T_0 … T_{K−1}: one matvec for each past T_0
-        assert run.matvecs == first - 1
-        sym = op.symmetrized()[0]
-        assert run.bound == pytest.approx(np.max(np.abs(sym.toarray()).sum(axis=1)))
+        # terms T_0 … T_{K−1}: one matvec for each past T_0, in each block
+        assert run.matvecs == 2 * (first - 1)
+        plus, minus, _ = dense_sector_blocks(op.symmetrized()[0].toarray())
+        rows = [np.max(np.abs(b).sum(axis=1)) for b in (plus, minus)]
+        assert rows[0] == pytest.approx(rows[1], rel=1e-15)
+        assert run.bound == pytest.approx(max(rows), rel=1e-15)
 
     def test_records_the_asymmetry_it_averages_away(self):
         """The run symmetrizes H; a 1e-7 defect in one entry of H shows in
@@ -288,17 +304,78 @@ class TestChebyshev:
         """Negative control for the drift guard: the free operator's
         spectral radius is its Gershgorin bound 1/h, so with R 1 % below it
         the truncated series grows like T_K(1.01) on the top levels, and the
-        run raises instead of returning a state."""
+        run raises instead of returning a state.  R is computed once per
+        operator, so the low bound goes into a fresh one."""
         g = make_grid(-8.0, 256)
-        op = free_operator(g)
         rng = np.random.default_rng(3)
         psi0 = SpinorField(g, rng.normal(size=(4, g.n)) + 0j)
-        assert chebyshev_propagate(op, psi0, (10.0,)).norm_drift <= 1e-12
-        exact = dynamics._gershgorin_bound
-        monkeypatch.setattr(dynamics, "_gershgorin_bound", lambda s: 0.99 * exact(s))
+        assert chebyshev_propagate(free_operator(g), psi0, (10.0,)).norm_drift <= 1e-12
+        exact = channel._gershgorin_bound
+        monkeypatch.setattr(channel, "_gershgorin_bound", lambda s: 0.99 * exact(s))
+        op = free_operator(g)
+        assert max(b.bound for b in op.sectors()) == pytest.approx(0.99 / g.min_spacing)
         with pytest.raises(NumericError, match="unitarity") as err:
             chebyshev_propagate(op, psi0, (10.0,))
         assert not err.value.diagnostics["norm_drift"] <= dynamics.DRIFT_LIMIT
+
+
+class TestSectors:
+    """Both propagators work in sector coordinates, block by block.  Dense
+    references of the whole state catch a split that dropped an entry
+    across the sectors or skipped a sector the state occupies."""
+
+    G = make_grid(-8.0, 64)
+    TIMES = (0.5, 1.5, 3.0)
+
+    def operator(self, broken):
+        op = assemble_hamiltonian(Channel(0.5, 0.5), P_MIT, self.G)
+        # an entry with no γ³γ⁵ partner, at the node under the packet's
+        # centre: the operator is one block
+        j = 32
+        return perturbed(op, 4 * j, 4 * j + 4, 1e-2) if broken else op
+
+    @pytest.mark.parametrize("broken", [False, True], ids=["split", "one-block"])
+    @pytest.mark.parametrize(
+        "components", [(1.0, 0.0, 0.0, 1.0), (1.0, -0.5j, 0.25, 0.8)],
+        ids=["one-sector", "two-sector"],
+    )
+    def test_propagators_match_dense_references(self, broken, components):
+        op = self.operator(broken)
+        assert len(op.sectors()) == (1 if broken else 2)
+        psi0 = gaussian_packet(self.G, -4.0, 0.5, components=components)
+        flat = psi0.values.flatten(order="F")
+
+        cfg = EvolutionConfig(dt=self.G.min_spacing / 2, t_final=3.0, snapshot_times=self.TIMES)
+        traj = evolve(op, psi0, cfg)
+        a = 0.5j * traj.dt_effective * op.matrix.toarray()
+        eye = np.eye(a.shape[0])
+        factor = sla.lu_factor(eye + a)
+        psi, done = flat, 0
+        for t, field in zip(traj.times[1:], traj.fields[1:]):
+            for _ in range(int(round(t / traj.dt_effective)) - done):
+                psi = sla.lu_solve(factor, (eye - a) @ psi)
+            done = int(round(t / traj.dt_effective))
+            got = field.values.flatten(order="F")
+            assert np.linalg.norm(got - psi) <= 1e-12 * np.linalg.norm(psi)
+
+        sym, root, _ = op.symmetrized()
+        run = chebyshev_propagate(op, psi0, self.TIMES)
+        for t, field in zip(self.TIMES, run.fields):
+            ref = sla.expm(-1j * t * sym.toarray()) @ (root * flat)
+            got = root * field.values.flatten(order="F")
+            assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_one_sector_packet_keeps_its_symmetry_bit_for_bit(self):
+        """A (1, 0, 0, 1) packet lies in the γ³γ⁵ = −1 sector: ψ₁ = ψ₄ and
+        ψ₂ = −ψ₃ at every snapshot of both propagators, to the last bit."""
+        op = self.operator(False)
+        psi0 = gaussian_packet(self.G, -4.0, 0.5, components=(1.0, 0.0, 0.0, 1.0))
+        cfg = EvolutionConfig(dt=self.G.min_spacing / 2, t_final=3.0, snapshot_times=self.TIMES)
+        fields = evolve(op, psi0, cfg).fields[1:] + chebyshev_propagate(op, psi0, self.TIMES).fields
+        for field in fields:
+            v = field.values
+            assert np.array_equal(v[0], v[3]) and np.array_equal(v[1], -v[2])
+            assert np.any(v[1])  # the angular coupling has filled ψ₂ and ψ₃
 
 
 class TestFreeOracle:

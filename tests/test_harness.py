@@ -8,7 +8,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from conftest import drop_nearest_level
+from conftest import dense_sector_blocks, drop_nearest_level
 from hypothesis import HealthCheck, given, note, seed, settings
 from hypothesis import strategies as st
 
@@ -624,8 +624,9 @@ class TestRun:
         })
         manifest = run(cfg, experiments=["scatter", "velocity"], out=str(tmp_path))
         assert all(r.error is None for r in manifest.results)
-        sym = cfg.operator().symmetrized()[0]
-        gershgorin = float(np.max(abs(sym).sum(axis=1)))
+        # R is the largest Gershgorin bound of the two sector blocks
+        blocks = dense_sector_blocks(cfg.operator().symmetrized()[0].toarray())[:2]
+        gershgorin = max(float(np.abs(b).sum(axis=1).max()) for b in blocks)
         # W's increments span t_3 − t_1 = 2, and its last increment run goes
         # on from Δ_2 = 1 to the limit at t_3 = 3, 2 more; Ω runs Cayley
         for name, least_time in (("scatter", 2 + 2), ("velocity", 4)):
@@ -879,8 +880,11 @@ class TestCli:
         rows = (tmp_path / "out" / "matrix.csv").read_text().splitlines()
         assert rows[2] == "row,col,re,im"
         k, j, re, im = rows[3].split(",")
-        assert (int(k), int(j)) == (0, 0)
-        assert np.isfinite(float(re)) and np.isfinite(float(im))
+        # the first stored entry of row 0; the wall block has no diagonal
+        matrix = parse_config_dict({**MINIMAL, "grid": {"x_min": -16.0, "n": 64}}).operator().matrix
+        first = int(matrix.tocsr()[0].nonzero()[1].min())
+        assert (int(k), int(j)) == (0, first)
+        assert complex(float(re), float(im)) == matrix[0, first]
 
     def threads_passed(self, tmp_path, monkeypatch, *flags):
         """The pool width ``main`` hands the harness for these flags."""
