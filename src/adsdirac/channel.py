@@ -134,11 +134,9 @@ class ChannelOperator:
     #: the plain mirror closure is in effect (massless, natural, potentials
     #: passed by the caller, or wall layer not resolved by the grid)
     wall_exponent: Optional[float] = None
-    #: what ``symmetrized`` and ``sectors`` built, kept for the operator's
-    #: lifetime
-    _symmetrized: Optional[Tuple[sp.csc_matrix, np.ndarray, float]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    #: what ``hermiticity_defect`` and ``sectors`` built, kept for the
+    #: operator's lifetime
+    _defect: Optional[float] = field(default=None, init=False, repr=False, compare=False)
     _sectors: Optional[Tuple["SectorBlock", ...]] = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -147,51 +145,33 @@ class ChannelOperator:
     def mass(self) -> float:
         return self.params.m if self.params is not None else 0.0
 
-    def symmetrized(self) -> Tuple[sp.csc_matrix, np.ndarray, float]:
-        """S = W^{1/2} H W^{−1/2}, Hermitian-averaged, the diagonal √W, and
-        the largest absolute row sum of S − S†, the part the averaging drops.
-
-        H is self-adjoint in the weighted inner product, so S is Hermitian
-        in the plain one; W^{1/2} maps a flat field to S's coordinates.
-        Built on the first call and returned on every later one; the arrays
-        are read-only, since every caller shares them."""
-        if self._symmetrized is None:
-            self._symmetrized = _symmetrize(self.matrix, self.grid.weights)
-        return self._symmetrized
-
     def hermiticity_defect(self, seed: Optional[int] = None) -> float:
-        """The row-sum bound on ‖S − S†‖₂ from ``symmetrized``: zero up to
-        rounding exactly when H is self-adjoint in the weighted inner
-        product, and at least |⟨Hu, v⟩ − ⟨u, Hv⟩| / (‖u‖‖v‖) for every
-        field pair.  ``seed`` is accepted and ignored."""
-        return self.symmetrized()[2]
+        """The largest absolute row sum of the anti-Hermitian S − S†, for
+        S = W^{1/2} H W^{−1/2}: a bound on ‖S − S†‖₂, zero up to rounding
+        exactly when H is self-adjoint in the weighted inner product, and at
+        least |⟨Hu, v⟩ − ⟨u, Hv⟩| / (‖u‖‖v‖) for every field pair.  Computed
+        once, without the sector split; ``seed`` is accepted and ignored."""
+        if self._defect is None:
+            s = _scaled(self.matrix, self.grid.weights)
+            self._defect = float(np.max(abs(s - s.conj().T).sum(axis=1)))
+        return self._defect
 
     def sectors(self) -> Tuple["SectorBlock", ...]:
-        """The diagonal blocks of H and of the symmetrized S in sector
-        coordinates (``to_sectors``): one block per sector of γ³γ⁵ when no
-        entry couples the two, one block of every coordinate otherwise.
-        Built on the first call and returned on every later one, read-only
-        like ``symmetrized``."""
+        """The diagonal blocks of H and of the Hermitian (S + S†)/2 in sector
+        coordinates (``to_sectors``): one per sector of γ³γ⁵ when no entry
+        couples the two, else one of every coordinate.  Built once; the
+        arrays are read-only, since every caller shares them."""
         if self._sectors is None:
-            self._sectors = _split_sectors(self.matrix, self.symmetrized()[0])
+            s = _scaled(self.matrix, self.grid.weights)
+            self._sectors = _split_sectors(self.matrix, ((s + s.conj().T) / 2.0).tocsc())
         return self._sectors
 
 
-def _symmetrize(matrix: sp.csc_matrix, weights: np.ndarray):
-    """S = W^{1/2} H W^{−1/2} averaged with S†, √W and the row-sum bound on
-    ‖S − S†‖₂.  Scaled entry by entry, so ``S.toarray()`` is bit for bit
-    the dense W^{1/2} H W^{−1/2} averaged with its adjoint.  S − S† is
-    anti-Hermitian, so its row and column sums agree and the largest row
-    sum bounds ‖S − S†‖₂ from above."""
+def _scaled(matrix: sp.csc_matrix, weights: np.ndarray) -> sp.csc_matrix:
+    """S = W^{1/2} H W^{−1/2}, entry by entry: bit for bit the dense product."""
     root = np.sqrt(np.repeat(weights, 4))
     h = matrix.tocoo()
-    s = sp.csc_matrix((root[h.row] * h.data / root[h.col], (h.row, h.col)), shape=h.shape)
-    adjoint = s.conj().T
-    asymmetry = float(np.max(abs(s - adjoint).sum(axis=1)))
-    sym = ((s + adjoint) / 2.0).tocsc()
-    for frozen in (root, sym.data, sym.indices, sym.indptr):
-        frozen.flags.writeable = False
-    return sym, root, asymmetry
+    return sp.csc_matrix((root[h.row] * h.data / root[h.col], (h.row, h.col)), shape=h.shape)
 
 
 # ---------------------------------------------------------------- sectors
@@ -212,7 +192,7 @@ class SectorBlock:
 
     rows: slice  # the sector coordinates the block acts on
     hamiltonian: sp.csc_matrix  # that block of PHPᵀ/2
-    scaled: sp.csr_matrix  # 2S/R for that block of the symmetrized PSPᵀ/2
+    scaled: sp.csr_matrix  # 2S/R for that block of the averaged PSPᵀ/2
     bound: float  # R, the block's largest absolute row sum
 
 
@@ -230,12 +210,13 @@ def to_sectors(flat: np.ndarray) -> np.ndarray:
 
 
 def from_sectors(v: np.ndarray) -> np.ndarray:
-    """The flat node-major field ψ = Pᵀv/2 of sector coordinates v."""
-    plus, minus = (half.reshape(-1, 2) for half in np.split(v, 2))
-    out = np.empty((v.size // 4, 4), dtype=complex)
+    """The flat node-major field ψ = Pᵀv/2 of sector coordinates v, column
+    by column when v has columns."""
+    plus, minus = (half.reshape(-1, 2, *v.shape[1:]) for half in np.split(v, 2))
+    out = np.empty((v.shape[0] // 4, 4) + v.shape[1:], dtype=complex)
     out[:, 0], out[:, 3] = 0.5 * (plus[:, 0] + minus[:, 0]), 0.5 * (minus[:, 0] - plus[:, 0])
     out[:, 1], out[:, 2] = 0.5 * (plus[:, 1] + minus[:, 1]), 0.5 * (plus[:, 1] - minus[:, 1])
-    return out.ravel()
+    return out.reshape(v.shape)
 
 
 def _gershgorin_bound(matrix: sp.spmatrix) -> float:

@@ -362,7 +362,7 @@ def chebyshev_propagate(
     t = np.asarray(times, dtype=float)
     if t.size == 0 or t[0] < 0 or np.any(np.diff(t) < 0):
         raise ConfigurationError("times must be non-negative and non-decreasing")
-    _, root, asymmetry = op.symmetrized()
+    root = np.sqrt(np.repeat(op.grid.weights, 4))
     blocks = op.sectors()
     bound = max(block.bound for block in blocks)
     phase = -1j if direction == Direction.FORWARD else 1j
@@ -391,7 +391,7 @@ def chebyshev_propagate(
             field = SpinorField(op.grid, flat.reshape((4, op.grid.n), order="F"))
             now = t_k
         fields.append(field)
-    return Propagation(fields, matvecs, bound, drift, asymmetry)
+    return Propagation(fields, matvecs, bound, drift, op.hermiticity_defect())
 
 
 def free_propagate(

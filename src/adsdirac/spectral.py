@@ -6,11 +6,11 @@ Three numerical shadows of the channel operator's spectral theory:
   eigenproblem.  The discrete operator H is self-adjoint in the quadrature
   inner product ⟨u, v⟩_W = Σ_j w_j u(x_j)†v(x_j), so S = W^{1/2} H W^{−1/2}
   is Hermitian and its eigenpairs give spectral projections by functional
-  calculus.  S is block tridiagonal, so the number of levels below any σ
-  comes from the inertia of one block LDL† sweep of S − σI, in O(n); the
-  levels of a window [a, b] come from one shift-invert Lanczos solve of
-  the sparse S about the window centre, sized by that count.  Nothing
-  computes the whole spectrum.
+  calculus.  Every solver reads S as its γ³γ⁵ sector blocks, each block
+  tridiagonal in nodes: the levels below any σ come from the inertia of
+  one block LDL† sweep of S − σI, in O(n), those of a window [a, b] from
+  one shift-invert Lanczos solve per block about the window centre, sized
+  by its count.  Nothing computes the whole spectrum.
 * ``mourre_check`` — positivity of the localized commutator: the minimum
   Rayleigh quotient of P_I C P_I on ran P_I, with C the closed-form
   commutator i[H, 𝒜].  PASS means min quotient ≥ 1 − ``MOURRE_EPS``; η =
@@ -41,7 +41,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .algebra import ANGULAR, Channel, MASS, VELOCITY
-from .channel import ChannelOperator, ConfigurationError, commutator_closed_form
+from .channel import ChannelOperator, ConfigurationError, commutator_closed_form, from_sectors
 from .dynamics import NumericError
 from .geometry import CoordinateMap, Params, Regime
 from .grids import Grid, SpinorField
@@ -79,6 +79,8 @@ _CHUNK = 4096
 #: two-point Gauss–Legendre nodes on [0, 1]
 _GAUSS = 0.5 + np.array([-1.0, 1.0]) * math.sqrt(3.0) / 6.0
 _DIAG = (np.arange(4), np.arange(4))
+#: a pivot eigenvalue below _ROOT_EPS·max|2S_ij/R| of its sector block is zero
+_ROOT_EPS = math.sqrt(np.finfo(float).eps)
 
 
 # ---------------------------------------------------------- eigendecompose
@@ -88,10 +90,10 @@ class SpectralDecomposition:
     """Eigenvalues (sorted) and W-orthonormal eigenvectors of a channel
     operator on a window; ``vectors[:, k]`` is the flattened
     (component-fastest) eigenvector for ``eigenvalues[k]``.  ``requested``
-    is the number of pairs the Lanczos solve was asked for, 0 when the
-    window holds no level and nothing was solved.  ``asymmetry`` is the
-    row-sum bound on ‖S − S†‖₂ that solving the averaged S drops, the
-    operator's ``hermiticity_defect``.
+    is the number of pairs the Lanczos solves of the sector blocks were
+    asked for together, 0 when the window holds no level and nothing was
+    solved.  ``asymmetry`` is the row-sum bound on ‖S − S†‖₂ that solving
+    the averaged S drops, the operator's ``hermiticity_defect``.
     """
 
     eigenvalues: np.ndarray
@@ -103,58 +105,69 @@ class SpectralDecomposition:
     asymmetry: float
 
 
-def _pivot_floor(sym) -> float:
-    """√ε·max|S_ij|: a pivot eigenvalue below it is taken as zero."""
-    return math.sqrt(np.finfo(float).eps) * float(np.abs(sym.data).max())
+def _block_counts(op: ChannelOperator, sigmas) -> np.ndarray:
+    """``level_count`` per sector block, shape (blocks,) + σ's shape.  Index
+    k of a block sits at node (k mod 2n) // 2 and local index 2·(k // 2n) +
+    k mod 2 (``to_sectors``): d = 2 per node for a split block, 4 for one."""
+    sigmas = np.asarray(sigmas, dtype=float)
+    blocks, n = op.sectors(), op.grid.n
+    d = blocks[0].scaled.shape[0] // n
+    diag = np.zeros((n, len(blocks), d, d), dtype=complex)
+    upper = np.zeros_like(diag)  # the block of nodes (j − 1, j) at j; zero at 0
+    for i, block in enumerate(blocks):
+        s = block.scaled.tocoo()
+        node, a = (s.row % (2 * n)) // 2, 2 * (s.row // (2 * n)) + s.row % 2
+        col, c = (s.col % (2 * n)) // 2, 2 * (s.col // (2 * n)) + s.col % 2
+        distance = int(np.max(np.abs(node - col), initial=0))
+        if distance >= 2:  # the sweep would read the entry as zero
+            raise ConfigurationError(f"inertia sweep: S couples nodes {distance} apart")
+        on, up = node == col, col == node + 1
+        diag[node[on], i, a[on], c[on]] = s.data[on]
+        upper[col[up], i, a[up], c[up]] = s.data[up]
+    # one batch entry per (block, σ), shifted by 2σ/R in the block's scale
+    diag, upper = (np.repeat(m, sigmas.size, axis=1) for m in (diag, upper))
+    shift = np.outer([2.0 / b.bound for b in blocks], sigmas).reshape(-1, 1, 1) * np.eye(d)
+    floor = _ROOT_EPS * np.repeat([abs(b.scaled.data).max() for b in blocks], sigmas.size)
+    below = np.zeros(floor.size, dtype=int)
+    inverse = np.zeros_like(shift, dtype=complex)  # what S_{j−1,j} meets: D_{j−1}^{−1}
+    merge = np.zeros(floor.size, dtype=bool)  # D_{j−1} is near-singular
+    for j in range(n):
+        x, b, b_adj = diag[j] - shift, upper[j], upper[j].conj().transpose(0, 2, 1)
+        pivot = x - b_adj @ inverse @ b
+        if not np.all(np.isfinite(pivot)):
+            raise NumericError("non-finite pivot in the inertia sweep", {"node": j})
+        mu, v = np.linalg.eigh(pivot)
+        negative = np.sum(mu < 0.0, axis=1)
+        small = np.abs(mu) < floor[:, None]
+        # finite stand-ins where a pivot is merged with the next node instead
+        inverse = (v / np.where(small, floor[:, None], mu)[:, None, :]) @ v.conj().swapaxes(1, 2)
+        if merge.any():  # D_{j−1} and node j as one 2d×2d pivot
+            block = np.block([[last[merge], b[merge]], [b_adj[merge], x[merge]]])
+            nu = np.linalg.eigvalsh(block)
+            if np.any(np.abs(nu) < floor[merge, None]):
+                raise NumericError("near-singular merged pivot in the inertia sweep", {"node": j})
+            negative[merge] = np.sum(nu < 0.0, axis=1) - last_negative[merge]
+            inverse[merge] = np.linalg.inv(block)[:, d:, d:]
+            small[merge] = False
+        below += negative
+        merge, last, last_negative = small.any(axis=1), pivot, negative
+    return below.reshape((len(blocks),) + sigmas.shape)
 
 
 def level_count(op: ChannelOperator, sigmas) -> np.ndarray:
     """The number of levels of H below each σ, by Sylvester's law of inertia.
 
-    S = W^{1/2}HW^{−1/2} is block tridiagonal in 4×4 node blocks, so the
-    block LDL† sweep D_j = S_jj − σ − S_{j−1,j}† D_{j−1}^{−1} S_{j−1,j}
-    reduces S − σI congruently to the pivots D_j, whose negative
-    eigenvalues are the levels below σ: O(n) small solves for all σ at once.
-    A pivot with an eigenvalue below √ε·max|S_ij| in magnitude (σ at a
-    level of a leading block, as at a wall closure's own levels) would
-    spoil the pivots after it, so it joins the next node in one 8×8 pivot,
-    the 2×2-block pivot of Bunch and Kaufman.  A near-singular merged
-    pivot or a non-finite pivot raises ``NumericError``."""
-    sigmas = np.asarray(sigmas, dtype=float)
-    s = op.symmetrized()[0].tocoo()
-    node, col = s.row // 4, s.col // 4
-    diag = np.zeros((op.grid.n, 4, 4), dtype=complex)
-    upper = np.zeros_like(diag)  # S_{j−1,j} at j; zero at 0
-    on, up = node == col, col == node + 1
-    diag[node[on], s.row[on] % 4, s.col[on] % 4] = s.data[on]
-    upper[col[up], s.row[up] % 4, s.col[up] % 4] = s.data[up]
-    floor = _pivot_floor(s)
-    shift = sigmas.reshape(-1, 1, 1) * np.eye(4)
-    below = np.zeros(shift.shape[0], dtype=int)
-    inverse = np.zeros_like(shift, dtype=complex)  # what S_{j−1,j} meets: D_{j−1}^{−1}
-    merge = np.zeros(shift.shape[0], dtype=bool)  # D_{j−1} is near-singular
-    for j in range(op.grid.n):
-        x = diag[j] - shift
-        pivot = x - upper[j].conj().T @ inverse @ upper[j]
-        if not np.all(np.isfinite(pivot)):
-            raise NumericError("non-finite pivot in the inertia sweep", {"node": j})
-        mu, v = np.linalg.eigh(pivot)
-        negative = np.sum(mu < 0.0, axis=1)
-        small = np.abs(mu) < floor
-        # finite stand-ins where a pivot is merged with the next node instead
-        inverse = (v / np.where(small, floor, mu)[:, None, :]) @ v.conj().transpose(0, 2, 1)
-        if merge.any():  # D_{j−1} and node j as one 8×8 pivot
-            b = np.broadcast_to(upper[j], (int(merge.sum()), 4, 4))
-            block = np.block([[last[merge], b], [b.conj().transpose(0, 2, 1), x[merge]]])
-            nu = np.linalg.eigvalsh(block)
-            if np.any(np.abs(nu) < floor):
-                raise NumericError("near-singular merged pivot in the inertia sweep", {"node": j})
-            negative[merge] = np.sum(nu < 0.0, axis=1) - last_negative[merge]
-            inverse[merge] = np.linalg.inv(block)[:, 4:, 4:]
-            small[merge] = False
-        below += negative
-        merge, last, last_negative = small.any(axis=1), pivot, negative
-    return below.reshape(sigmas.shape)
+    On each sector block of S = W^{1/2}HW^{−1/2}, the block LDL† sweep
+    D_j = S_jj − σ − S_{j−1,j}† D_{j−1}^{−1} S_{j−1,j} over nodes reduces
+    S − σI congruently to pivots whose negative eigenvalues are the levels
+    below σ: O(n) small solves for every σ and block at once, on 2S/R
+    shifted by 2σ/R (inertia ignores the scale).  A pivot eigenvalue below
+    √ε·max|2S_ij/R| (σ at a level of a leading block, as at a wall
+    closure's) would spoil the pivots after it, so that pivot joins the
+    next node, the 2×2-block pivot of Bunch and Kaufman.  A near-singular
+    merged or a non-finite pivot raises ``NumericError``; an entry coupling
+    nodes two or more apart, read as zero otherwise, ``ConfigurationError``."""
+    return _block_counts(op, sigmas).sum(axis=0)
 
 
 def _accuracy(
@@ -165,10 +178,10 @@ def _accuracy(
     trusts them."""
     w4 = np.repeat(op.grid.weights, 4)
     resid = op.matrix @ vectors - vectors * lam[None, :]
-    max_res = float(np.sqrt(np.sum(w4[:, None] * np.abs(resid) ** 2, axis=0)).max())
-    scale = float(np.max(np.abs(lam)))
+    max_res = float(np.sqrt(np.sum(w4[:, None] * np.abs(resid) ** 2, axis=0)).max(initial=0.0))
+    scale = float(np.max(np.abs(lam), initial=0.0))
     gram = (vectors.conj().T * w4[None, :]) @ vectors
-    ortho = float(np.max(np.abs(gram - np.eye(lam.size))))
+    ortho = float(np.max(np.abs(gram - np.eye(lam.size)), initial=0.0))
     if max_res > 1e-10 * scale or ortho > 1e-10:
         raise NumericError(
             "eigendecomposition accuracy contract violated",
@@ -181,66 +194,79 @@ def eigendecompose(op: ChannelOperator, window: Tuple[float, float]) -> Spectral
     """Eigenpairs of H in the weighted inner product with eigenvalue in
     the window [a, b].
 
-    One ``level_count`` sweep counts the window's levels, and those within
-    the pivot floor √ε·max|S_ij| of the window centre σ, before any solve.
-    A level at σ would make the shift-invert factor singular, so any there
-    raise ``ConfigurationError`` naming σ and their number; a window with
-    no level returns no pairs.  Otherwise one shift-invert Lanczos solve of
-    the sparse S about σ asks for the count plus a margin, and a
-    Rayleigh–Ritz step orthonormalizes its basis.  The count levels
-    nearest the centre are exactly the window's, so a solve with another
-    number of levels in the window raises ``NumericError`` naming both; a
-    window too wide for Lanczos (2k ≥ dimension) raises
-    ``ConfigurationError``.  The pairs pass one accuracy check, W-norm
-    residual ≤ 1e−10·max|λ| and W-Gram defect ≤ 1e−10, or ``NumericError``.
+    One inertia sweep counts each sector block's levels in the window and
+    within √ε·max|S_ij| of the centre σ.  Levels at σ would make a
+    shift-invert factor singular: they raise ``ConfigurationError`` naming
+    σ and their number.  Each block holding levels gets one shift-invert
+    Lanczos solve of its 2S/R about 2σ/R, for its count plus a margin, and
+    a Rayleigh–Ritz step; the vectors map back by √2·``from_sectors``, as
+    PᵀP = 2·𝟙.  The count levels nearest the centre are exactly the
+    block's window levels, so a solve with another number raises
+    ``NumericError`` naming the totals found and counted; a window too wide
+    for Lanczos (2k ≥ the block's dimension) raises ``ConfigurationError``.
+    The pairs pass one accuracy check, W-norm residual ≤ 1e−10·max|λ| and
+    W-Gram defect ≤ 1e−10, or ``NumericError``.
     """
     a, b = float(window[0]), float(window[1])
     if not b > a:
         raise ConfigurationError("empty window")
-    sym, root, asymmetry = op.symmetrized()
+    blocks = op.sectors()
     sigma = 0.5 * (a + b)
-    floor = _pivot_floor(sym)
-    lo, below, above, hi = level_count(op, (a, sigma - floor, sigma + floor, b))
-    if above > below:
+    floor = _ROOT_EPS * max(0.5 * block.bound * abs(block.scaled.data).max() for block in blocks)
+    lo, below, above, hi = _block_counts(op, (a, sigma - floor, sigma + floor, b)).T
+    if np.any(above > below):
         raise ConfigurationError(
-            f"window [{a}, {b}] is centred on a level: {above - below} levels lie "
-            f"within {floor:.1e} of σ = {sigma:g}"
+            f"window [{a}, {b}] is centred on a level: {int(np.sum(above - below))} levels "
+            f"lie within {floor:.1e} of σ = {sigma:g}"
         )
-    count = int(hi - lo)
-    dim = sym.shape[0]
-    if count == 0:
-        return SpectralDecomposition(
-            np.empty(0), np.empty((dim, 0), dtype=complex), op.grid, 0.0, 0.0, 0, asymmetry
-        )
-    k = count + max(8, count // 4)
-    if 2 * k >= dim:
-        raise ConfigurationError(
-            f"window [{a}, {b}] holds {count} of {dim} levels; Lanczos needs 2k < {dim}, k = {k}"
-        )
-    try:
-        lu = spla.splu((sym - sigma * sp.identity(dim, format="csc")).tocsc())
-    except RuntimeError as exc:
-        raise NumericError("shift-invert factorization failed", {"sigma": sigma}) from exc
-    opinv = spla.LinearOperator((dim, dim), matvec=lu.solve, dtype=complex)
-    # a fixed start vector keeps the solve reproducible
-    v0 = np.random.default_rng(0).standard_normal(dim).astype(complex)
-    try:
-        _, basis = spla.eigsh(sym, k=k, sigma=sigma, OPinv=opinv, v0=v0)
-    except spla.ArpackError as exc:
-        raise NumericError("shift-invert Lanczos failed", {"k": k}) from exc
-    q, _ = np.linalg.qr(basis)
-    ritz = q.conj().T @ (sym @ q)
-    lam, y = sla.eigh((ritz + ritz.conj().T) / 2.0)
-    keep = (lam >= a) & (lam <= b)
-    found = int(keep.sum())
-    if found != count:
+    counts = hi - lo
+    count, dim = int(counts.sum()), 4 * op.grid.n
+    values, fields, found, requested = [np.empty(0)], [np.empty((dim, 0), complex)], [], 0
+    for block, block_count in zip(blocks, counts):
+        if block_count == 0:
+            continue
+        size = block.scaled.shape[0]
+        k = int(block_count) + max(8, int(block_count) // 4)
+        if 2 * k >= size:
+            raise ConfigurationError(
+                f"window [{a}, {b}] holds {count} of {dim} levels; "
+                f"Lanczos needs 2k < {size}, k = {k}"
+            )
+        requested += k
+        shift = 2.0 * sigma / block.bound
+        try:
+            lu = spla.splu((block.scaled - shift * sp.identity(size, format="csr")).tocsc())
+        except RuntimeError as exc:
+            raise NumericError("shift-invert factorization failed", {"sigma": sigma}) from exc
+        opinv = spla.LinearOperator((size, size), matvec=lu.solve, dtype=complex)
+        # a fixed start vector keeps the solve reproducible
+        v0 = np.random.default_rng(0).standard_normal(size).astype(complex)
+        try:
+            _, basis = spla.eigsh(block.scaled, k=k, sigma=shift, OPinv=opinv, v0=v0)
+        except spla.ArpackError as exc:
+            raise NumericError("shift-invert Lanczos failed", {"k": k}) from exc
+        q, _ = np.linalg.qr(basis)
+        ritz = (0.5 * block.bound) * (q.conj().T @ (block.scaled @ q))
+        lam, y = sla.eigh((ritz + ritz.conj().T) / 2.0)
+        keep = (lam >= a) & (lam <= b)
+        found.append(int(keep.sum()))
+        values.append(lam[keep])
+        v = np.zeros((dim, found[-1]), dtype=complex)
+        v[block.rows] = q @ y[:, keep]
+        fields.append(from_sectors(v))
+    if found != [int(c) for c in counts if c]:
         raise NumericError(
-            f"window solve found {found} levels in [{a}, {b}], inertia counts {count}",
-            {"found": found, "counted": count, "requested": k},
+            f"window solve found {sum(found)} levels in [{a}, {b}], inertia counts {count}",
+            {"found": sum(found), "counted": count, "requested": requested},
         )
-    vectors = (q @ y[:, keep]) / root[:, None]
-    max_res, ortho = _accuracy(op, lam[keep], vectors)
-    return SpectralDecomposition(lam[keep], vectors, op.grid, max_res, ortho, k, asymmetry)
+    lam = np.concatenate(values)
+    order = np.argsort(lam, kind="stable")
+    lift = math.sqrt(2.0) / np.sqrt(np.repeat(op.grid.weights, 4))  # ‖Pᵀv/2‖² = ‖v‖²/2
+    vectors = lift[:, None] * np.hstack(fields)[:, order]
+    max_res, ortho = _accuracy(op, lam[order], vectors)
+    return SpectralDecomposition(
+        lam[order], vectors, op.grid, max_res, ortho, requested, op.hermiticity_defect()
+    )
 
 
 # ------------------------------------------------------------ Mourre check
@@ -260,15 +286,10 @@ class MourreReport:
     asymmetry: float
 
 
-def mourre_check(
-    op: ChannelOperator,
-    interval: Tuple[float, float],
-    decomposition: Optional[SpectralDecomposition] = None,
-) -> MourreReport:
+def mourre_check(op: ChannelOperator, interval: Tuple[float, float]) -> MourreReport:
     """Minimum of the localized commutator on the spectral window.
 
-    P_I is spanned by the eigenpairs in [a, b]: those of ``decomposition``
-    when given, otherwise those of ``eigendecompose`` on the window.  The
+    P_I is spanned by the eigenpairs of ``eigendecompose`` in [a, b].  The
     quotient matrix ⟨v_i, C v_j⟩_W is a Rayleigh–Ritz restriction, so its
     smallest eigenvalue is the true minimum over the computed subspace.
     PASS means that minimum is at least 1 − ``MOURRE_EPS``; η = ‖P_I(C − 𝟙)P_I‖ is
@@ -280,14 +301,12 @@ def mourre_check(
     a, b = float(interval[0]), float(interval[1])
     if not b > a:
         raise ConfigurationError("empty interval")
-    dec = decomposition if decomposition is not None else eigendecompose(op, (a, b))
-    sel = (dec.eigenvalues >= a) & (dec.eigenvalues <= b)
-    k = int(sel.sum())
+    dec = eigendecompose(op, (a, b))
+    k, vi = dec.eigenvalues.size, dec.vectors
     if k < 10:
         raise ConfigurationError(
             f"interval [{a}, {b}] holds only {k} levels; need ≥ 10 spacings"
         )
-    vi = dec.vectors[:, sel]
     n = op.grid.n
     blocks = commutator_closed_form(op).blocks
     cv = np.einsum("jab,jbk->jak", blocks, vi.reshape((n, 4, k))).reshape((4 * n, k))

@@ -1,7 +1,7 @@
 """Shared test plumbing: the acceptance-line reporter, the operator's
-action on component arrays, the dense eigensolve oracle, the dense sector
-split, and a perturbed operator and a lossy eigensolver for negative
-controls.
+action on component arrays, the dense symmetric operator and the
+eigensolve oracle built on it, the dense sector split, and a perturbed
+operator and a lossy eigensolver for negative controls.
 
 Acceptance tests register one human-readable verdict line each; the lines
 are replayed in the terminal summary so the full pass/fail slate is visible
@@ -33,33 +33,47 @@ def perturbed(op: ChannelOperator, row: int, col: int, size: float) -> ChannelOp
     return dataclasses.replace(op, matrix=(op.matrix + bump).tocsc())
 
 
+def dense_symmetric(op: ChannelOperator):
+    """(S, √W) with S = W^{1/2} H W^{−1/2} averaged with its adjoint, dense,
+    formed here from the assembled H and the grid weights: the reference
+    the package's sector blocks and spectral solvers are tested against."""
+    root = np.sqrt(np.repeat(op.grid.weights, 4))
+    s = root[:, None] * op.matrix.toarray() / root[None, :]
+    return (s + s.conj().T) / 2.0, root
+
+
 def dense_decomposition(op: ChannelOperator) -> SpectralDecomposition:
-    """Every eigenpair of H by a dense O(N³) solve of the symmetrized
-    operator, under the package's accuracy contract: the oracle the
-    windowed solve and the inertia counts are tested against."""
-    sym, root, asymmetry = op.symmetrized()
-    lam, basis = sla.eigh(sym.toarray())
+    """Every eigenpair of H by a dense O(N³) solve of ``dense_symmetric``,
+    under the package's accuracy contract: the oracle the windowed solve
+    and the inertia counts are tested against."""
+    sym, root = dense_symmetric(op)
+    lam, basis = sla.eigh(sym)
     vectors = basis / root[:, None]
     max_res, ortho = _accuracy(op, lam, vectors)
-    return SpectralDecomposition(lam, vectors, op.grid, max_res, ortho, lam.size, asymmetry)
+    return SpectralDecomposition(
+        lam, vectors, op.grid, max_res, ortho, lam.size, op.hermiticity_defect()
+    )
 
 
 def drop_nearest_level(monkeypatch) -> None:
-    """Make ``scipy.sparse.linalg.eigsh`` lose the returned level nearest
-    its shift: the negative control of the count-checked window solve."""
+    """Make the first ``scipy.sparse.linalg.eigsh`` call lose the returned
+    level nearest its shift: the negative control of the count-checked
+    window solve, one level short in one sector block."""
     exact_eigsh = spla.eigsh
+    calls = []
 
     def lossy_eigsh(a, k, sigma, **kw):
         lam, vec = exact_eigsh(a, k=k, sigma=sigma, **kw)
+        calls.append(1)
         keep = np.arange(lam.size) != np.argmin(np.abs(lam - sigma))
-        return lam[keep], vec[:, keep]
+        return (lam[keep], vec[:, keep]) if len(calls) == 1 else (lam, vec)
 
     monkeypatch.setattr(spla, "eigsh", lossy_eigsh)
 
 
 def dense_levels(op: ChannelOperator) -> np.ndarray:
     """Every eigenvalue of H, sorted, by a dense solve without vectors."""
-    return sla.eigvalsh(op.symmetrized()[0].toarray())
+    return sla.eigvalsh(dense_symmetric(op)[0])
 
 
 #: eigenvectors of γ³γ⁵ at one node, the two of eigenvalue +1 first

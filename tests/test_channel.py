@@ -3,7 +3,7 @@ self-adjointness, and the conjugate-operator commutator against its
 brute-force oracle."""
 import numpy as np
 import pytest
-from conftest import SECTOR_ROWS, apply, dense_sector_blocks, perturbed
+from conftest import SECTOR_ROWS, apply, dense_sector_blocks, dense_symmetric, perturbed
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -185,18 +185,19 @@ class TestAssembly:
         op = assemble_hamiltonian(Channel(0.5, 0.5), None, g, zero_potentials)
         assert (op.matrix != free_operator(g).matrix).nnz == 0
 
-    def test_symmetrized_is_built_once_and_shared_read_only(self):
-        """One build per operator; the shared arrays refuse writes, and an
-        operator copied with another matrix builds its own."""
+    def test_hermiticity_defect_is_computed_once_without_the_split(self, monkeypatch):
+        """One scaling pass per operator and never the sector split; an
+        operator copied with another matrix computes its own."""
+        calls = []
+        scaled, split = channel._scaled, channel._split_sectors
+        monkeypatch.setattr(channel, "_scaled", lambda *a: calls.append("S") or scaled(*a))
+        monkeypatch.setattr(channel, "_split_sectors", lambda *a: calls.append("P") or split(*a))
         op = free_operator(make_grid(-10.0, 64))
-        sym, root, asymmetry = first = op.symmetrized()
-        assert op.symmetrized() is first
-        with pytest.raises(ValueError):
-            root[0] = 0.0
-        with pytest.raises(ValueError):
-            sym.data[0] = 0.0
+        first = op.hermiticity_defect()
+        assert op.hermiticity_defect() == first <= 1e-12
+        assert calls == ["S"]
         assert perturbed(op, 8, 12, 1e-7).hermiticity_defect() >= 1e-7
-        assert op.hermiticity_defect() == asymmetry <= 1e-12
+        assert calls == ["S", "S"]
 
     def test_banded_node_major(self):
         g = make_grid(-10.0, 64)
@@ -341,7 +342,7 @@ class TestSectors:
         half = 2 * g.n
         assert [b.rows for b in blocks] == [slice(0, half), slice(half, 2 * half)]
         bound = max(b.bound for b in blocks)
-        plus, minus, cross = dense_sector_blocks(op.symmetrized()[0].toarray())
+        plus, minus, cross = dense_sector_blocks(dense_symmetric(op)[0])
         assert cross <= 1e-14 * bound
         h_plus, h_minus, h_cross = dense_sector_blocks(op.matrix.toarray())
         scale = np.abs(op.matrix.data).max()

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from conftest import dense_sector_blocks, drop_nearest_level
+from conftest import dense_sector_blocks, dense_symmetric, drop_nearest_level
 from hypothesis import HealthCheck, given, note, seed, settings
 from hypothesis import strategies as st
 
@@ -625,7 +625,7 @@ class TestRun:
         manifest = run(cfg, experiments=["scatter", "velocity"], out=str(tmp_path))
         assert all(r.error is None for r in manifest.results)
         # R is the largest Gershgorin bound of the two sector blocks
-        blocks = dense_sector_blocks(cfg.operator().symmetrized()[0].toarray())[:2]
+        blocks = dense_sector_blocks(dense_symmetric(cfg.operator())[0])[:2]
         gershgorin = max(float(np.abs(b).sum(axis=1).max()) for b in blocks)
         # W's increments span t_3 − t_1 = 2, and its last increment run goes
         # on from Δ_2 = 1 to the limit at t_3 = 3, 2 more; Ω runs Cayley
@@ -636,6 +636,36 @@ class TestRun:
             assert scalars["matvecs"] >= least_time * scalars["bound"]
             assert 0.0 <= scalars["norm_drift"] <= 1e-12
             assert scalars["asymmetry"] == cfg.operator().hermiticity_defect() <= 1e-12
+
+    def test_trivial_oracle_fails_on_a_lagging_pullback(self, tmp_path, monkeypatch):
+        """Negative control for the trivial oracle, the identity by algebra:
+        a discrete pullback by the previous schedule time (the first
+        snapshot keeps its own) leaves Ω₂φ = e^{−iH}φ against Ω₁φ = φ, and
+        the line must FAIL where the same run passes unpatched."""
+        import adsdirac.scattering as scattering
+        from adsdirac.dynamics import Direction
+
+        times = [1.0, 2.0, 3.0]
+        exact_evolve = scattering.evolve
+
+        def lagging(op, psi, config, direction=Direction.FORWARD):
+            if direction is Direction.BACKWARD:
+                k = int(np.argmin(np.abs(np.subtract(times, config.t_final))))
+                config = dataclasses.replace(config, t_final=times[max(k - 1, 0)])
+            return exact_evolve(op, psi, config, direction)
+
+        cfg = parse_config_dict({
+            **MINIMAL, "grid": {"x_min": -16, "n": 64},
+            "options": {"scatter": {"schedule": times}},
+        })
+        lines = []
+        for patch in (exact_evolve, lagging):
+            monkeypatch.setattr(scattering, "evolve", patch)
+            (result,) = run(cfg, experiments=["scatter"], out=str(tmp_path)).results
+            (line,) = [c for c in result.checks if c.name == "trivial"]
+            assert "the identity by algebra" in line.detail
+            lines.append(line)
+        assert lines[0].passed and not lines[1].passed
 
     def test_evolve_records_solver_residuals(self, tmp_path):
         cfg = small_config()
@@ -670,8 +700,8 @@ class TestRun:
             (512, 1024, 2048), scalars["free_matvecs"], scalars["free_bounds"],
             scalars["free_drifts"],
         ):
-            sym = free_operator(make_grid(-8.0, n)).symmetrized()[0]
-            assert bound == float(np.max(abs(sym).sum(axis=1)))
+            sym = dense_symmetric(free_operator(make_grid(-8.0, n)))[0]
+            assert bound == float(np.max(np.abs(sym).sum(axis=1)))
             # at least t·R terms for the run to t = 5
             assert isinstance(matvecs, int) and matvecs >= 5 * bound
             assert 0.0 <= drift <= 1e-12

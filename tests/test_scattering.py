@@ -132,17 +132,17 @@ class TestWaveOperators:
         assert adjointness_residual(fwd, backward(0.45), phi, psi) > 1e-2
 
     def test_backward_builds_s_once_and_chains_its_limit(self, monkeypatch):
-        """W builds S once for all its runs, and its last increment run goes
-        on to the limit: the state a separate run of length t_K gives, up
-        to the expansion's truncation level."""
+        """W builds the sector blocks of S once for all its runs, and its
+        last increment run goes on to the limit: the state a separate run of
+        length t_K gives, up to the expansion's truncation level."""
         builds = []
-        build = channel._symmetrize
+        build = channel._split_sectors
 
         def counted(*args):
             builds.append(1)
             return build(*args)
 
-        monkeypatch.setattr(channel, "_symmetrize", counted)
+        monkeypatch.setattr(channel, "_split_sectors", counted)
         op = self._op(1.0)
         rep = wave_operator_backward(self.psi, op, self.SCHEDULE)
         assert len(builds) == 1

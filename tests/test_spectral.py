@@ -1,11 +1,21 @@
 """Spectral experiments: eigensolver contract, Mourre positivity window,
 propagation-matrix convergence (no point spectrum), and wall-exponent fits."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
-from conftest import apply, dense_decomposition, dense_levels, drop_nearest_level
-from hypothesis import example, given, settings
+from conftest import (
+    apply,
+    dense_decomposition,
+    dense_levels,
+    dense_sector_blocks,
+    dense_symmetric,
+    drop_nearest_level,
+    perturbed,
+)
+from hypothesis import assume, example, given, seed, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
@@ -17,6 +27,7 @@ from adsdirac.channel import (
     ConfigurationError,
     assemble_hamiltonian,
     free_operator,
+    to_sectors,
 )
 from adsdirac.dynamics import NumericError
 from adsdirac.geometry import CoordinateMap, make_params
@@ -70,6 +81,19 @@ def _sads_operator(n, m=1.0, x_min=-32.0):
 def _in_window(op, window):
     lo, hi = level_count(op, window)
     return int(hi - lo)
+
+
+def hand_in(monkeypatch, dec):
+    """Make ``mourre_check`` read the pairs of ``dec`` in its window in
+    place of its window solve."""
+
+    def window_of(op, window):
+        sel = (dec.eigenvalues >= window[0]) & (dec.eigenvalues <= window[1])
+        return dataclasses.replace(
+            dec, eigenvalues=dec.eigenvalues[sel], vectors=dec.vectors[:, sel]
+        )
+
+    monkeypatch.setattr(spectral, "eigendecompose", window_of)
 
 
 class TestEigendecompose:
@@ -175,7 +199,7 @@ class TestLevelCount:
         the nearest level."""
         op = _sads_operator(64, m=m, x_min=-16.0)
         sigmas = (-2.0, 2.0)
-        first = np.linalg.eigvalsh(op.symmetrized()[0].toarray()[:4, :4])
+        first = np.linalg.eigvalsh(dense_symmetric(op)[0][:4, :4])
         assert np.min(np.abs(first - sigmas[0])) <= 1e-12
         levels = dense_levels(op)
         assert level_count(op, sigmas).tolist() == [int(np.sum(levels < s)) for s in sigmas]
@@ -200,7 +224,7 @@ class TestWindowedEigendecompose:
             return free_operator(make_grid(-16.0, 320)), free_decomposition
         return sads_320 if request.param == "sads-320" else sads_decomposition
 
-    def test_agrees_with_dense_oracle(self, oracle):
+    def test_agrees_with_dense_oracle(self, oracle, monkeypatch):
         """Same levels, same quotient.  The free levels are doubly degenerate
         (two decoupled transport systems), so a Lanczos solve that kept one
         copy of a pair would miss the dense count."""
@@ -215,7 +239,8 @@ class TestWindowedEigendecompose:
         assert win.max_residual <= 1e-10 * np.max(np.abs(inside))
         assert win.orthonormality_defect <= 1e-10
         by_window = mourre_check(op, WINDOW)
-        by_dense = mourre_check(op, WINDOW, decomposition=dense)
+        hand_in(monkeypatch, dense)
+        by_dense = mourre_check(op, WINDOW)
         assert by_window.n_states == by_dense.n_states
         assert by_window.min_quotient == pytest.approx(by_dense.min_quotient, abs=1e-12)
         assert by_window.eta == pytest.approx(by_dense.eta, abs=1e-12)
@@ -264,9 +289,10 @@ class TestWindowedEigendecompose:
         """The ten-level test reads the window's pairs, which the solve has
         matched against its own inertia count: one sweep per window."""
         sweeps = []
-        count = spectral.level_count
+        count = spectral._block_counts
         monkeypatch.setattr(
-            spectral, "level_count", lambda op, sigmas: sweeps.append(sigmas) or count(op, sigmas)
+            spectral, "_block_counts",
+            lambda op, sigmas: sweeps.append(sigmas) or count(op, sigmas),
         )
         op = _sads_operator(320)
         assert mourre_check(op, WINDOW).n_states >= 10
@@ -288,45 +314,137 @@ class TestWindowedEigendecompose:
         assert rep.passed
 
 
+class TestSectorBlocks:
+    """The sweep and the window solve read the γ³γ⁵ sector blocks of S."""
+
+    @seed(1818)
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kind=st.sampled_from(["uniform", "graded", "free", "perturbed"]),
+        x_min=st.floats(-16.0, -4.0),
+        n=st.integers(16, 64),
+        mass=st.floats(0.0, 2.0),
+        sigmas=st.lists(st.floats(-8.0, 8.0), min_size=1, max_size=4),
+    )
+    def test_each_block_counts_its_dense_levels(self, kind, x_min, n, mass, sigmas):
+        """Uniform and graded grids in both regimes (2ml < 1 below m = 1/2,
+        the graded one with the exponent wall row), the free generator and
+        a one-block control with a Hermitian pair across the sectors: each
+        block's count is the dense count of that block's levels, and
+        ``level_count`` the dense count of H's.  A σ within 1e-6 of a level
+        is dropped: the count there is a rounding choice, not an answer."""
+        if kind == "graded":
+            g = make_grid(x_min, policy=BoundaryGraded(h_min=1e-2, ratio=1.08))
+        else:
+            g = make_grid(x_min, n)
+        if kind == "free":
+            op = free_operator(g)
+        else:
+            op = assemble_hamiltonian(CHANNEL, make_params(1.0, 1.0, mass), g)
+        if kind == "perturbed":
+            j = 4 * (g.n // 2)
+            op = perturbed(perturbed(op, j, j + 4, 1e-2), j + 4, j, 1e-2)
+        sym = dense_symmetric(op)[0]
+        levels = np.linalg.eigvalsh(sym)
+        sigmas = [x for x in sigmas if np.min(np.abs(levels - x)) > 1e-6]
+        assume(sigmas)
+        if kind == "perturbed":
+            per_block = [levels]
+        else:
+            plus, minus, _ = dense_sector_blocks(sym)
+            per_block = [np.linalg.eigvalsh(b) for b in (plus, minus)]
+        assert len(op.sectors()) == len(per_block)
+        expected = [[int(np.sum(x < s)) for s in sigmas] for x in per_block]
+        assert spectral._block_counts(op, sigmas).tolist() == expected
+        assert level_count(op, sigmas).tolist() == [int(np.sum(levels < s)) for s in sigmas]
+
+    @pytest.mark.parametrize("mass", [1.0, 0.45])
+    def test_window_solve_returns_each_level_once_per_sector(self, mass):
+        """Each sector block holds 20 of the 40 levels of [0.5, 1.5]; the
+        solve returns each block's levels once, each pair in its own sector,
+        as the dense blocks give them, from one request of 20 + 8 per
+        block."""
+        op = _sads_operator(320, m=mass)
+        dec = eigendecompose(op, WINDOW)
+        sym, root = dense_symmetric(op)
+        plus, minus, _ = dense_sector_blocks(sym)
+        inside = []
+        for block in (plus, minus):
+            x = np.linalg.eigvalsh(block)
+            inside.append(x[(x >= WINDOW[0]) & (x <= WINDOW[1])])
+        assert [x.size for x in inside] == [20, 20]
+        assert dec.requested == 2 * (20 + 8)
+        v = np.column_stack([to_sectors(root * column) for column in dec.vectors.T])
+        half = 2 * op.grid.n
+        weight = np.linalg.norm(v[:half], axis=0), np.linalg.norm(v[half:], axis=0)
+        in_plus = weight[0] > weight[1]
+        assert np.max(np.minimum(*weight)) <= 1e-12
+        for lam, expected in ((dec.eigenvalues[in_plus], inside[0]),
+                              (dec.eigenvalues[~in_plus], inside[1])):
+            assert np.max(np.abs(lam - expected)) <= 1e-12 * WINDOW[1]
+        assert dec.max_residual <= 1e-10 * WINDOW[1]
+        assert dec.orthonormality_defect <= 1e-10
+
+    @pytest.mark.parametrize("split", [False, True])
+    def test_entry_two_nodes_apart_is_refused(self, split):
+        """The sweep reads the blocks of neighbouring nodes only, so a
+        Hermitian entry between nodes j and j + 2 must raise, not count as
+        zero: one entry across the sectors (one block), or the same entry
+        on every component, which keeps the split."""
+        op = _sads_operator(64)
+        j = 4 * 20
+        for a in range(4) if split else (0,):
+            op = perturbed(perturbed(op, j + a, j + 8 + a, 0.5), j + 8 + a, j + a, 0.5)
+        assert len(op.sectors()) == (2 if split else 1)
+        with pytest.raises(ConfigurationError, match="couples nodes 2 apart"):
+            level_count(op, (-1.0, 1.0))
+        with pytest.raises(ConfigurationError, match="couples nodes 2 apart"):
+            eigendecompose(op, WINDOW)
+
+
 class TestMourre:
     """Localized commutator positivity: ⟨ψ, i[H, 𝒜]ψ⟩ ≥ (1 − ε)‖ψ‖² − ‖Kψ‖
     on spectral windows, with 𝒜 = Γ¹·x."""
 
-    def test_free_quotient_is_exactly_one(self, free_decomposition):
+    def test_free_quotient_is_exactly_one(self, free_decomposition, monkeypatch):
         op = free_operator(make_grid(-16.0, 320))
-        rep = mourre_check(op, (0.5, 1.5), decomposition=free_decomposition)
+        hand_in(monkeypatch, free_decomposition)
+        rep = mourre_check(op, (0.5, 1.5))
         # i[Γ¹D, Γ¹x] = 𝟙 identically: the localized quotient is the Gram matrix
         assert rep.min_quotient == pytest.approx(1.0, abs=1e-9)
         assert rep.eta <= 1e-9
         assert rep.passed
 
-    def test_interacting_window_passes(self, sads_decomposition):
+    def test_interacting_window_passes(self, sads_decomposition, monkeypatch):
         op, dec = sads_decomposition
-        rep = mourre_check(op, (0.5, 1.5), decomposition=dec)
+        hand_in(monkeypatch, dec)
+        rep = mourre_check(op, (0.5, 1.5))
         assert rep.n_states >= 30
         assert rep.passed
         assert rep.min_quotient >= 1.0 - spectral.MOURRE_EPS
 
-    def test_compact_correction_shrinks_on_nested_windows(self, sads_decomposition):
+    def test_compact_correction_shrinks_on_nested_windows(
+        self, sads_decomposition, monkeypatch
+    ):
         """η = ‖P_I(C − 𝟙)P_I‖ decays as the window tightens around λ = 1,
         the fingerprint of a compact remainder."""
         op, dec = sads_decomposition
-        etas = [
-            mourre_check(op, iv, decomposition=dec).eta
-            for iv in ((0.5, 1.5), (0.7, 1.3), (0.85, 1.15))
-        ]
+        hand_in(monkeypatch, dec)
+        etas = [mourre_check(op, iv).eta for iv in ((0.5, 1.5), (0.7, 1.3), (0.85, 1.15))]
         assert etas[0] > etas[1] > etas[2]
         assert etas[2] <= 0.1
 
-    def test_under_resolved_window_rejected(self, sads_decomposition):
+    def test_under_resolved_window_rejected(self, sads_decomposition, monkeypatch):
         op, dec = sads_decomposition
+        hand_in(monkeypatch, dec)
         with pytest.raises(ConfigurationError):
-            mourre_check(op, (0.97, 1.03), decomposition=dec)
+            mourre_check(op, (0.97, 1.03))
 
-    def test_empty_interval_rejected(self, sads_decomposition):
+    def test_empty_interval_rejected(self, sads_decomposition, monkeypatch):
         op, dec = sads_decomposition
+        hand_in(monkeypatch, dec)
         with pytest.raises(ConfigurationError):
-            mourre_check(op, (1.5, 0.5), decomposition=dec)
+            mourre_check(op, (1.5, 0.5))
 
     def test_refinement_study_verdict(self):
         p = make_params(1.0, 1.0, 1.0)
