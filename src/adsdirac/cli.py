@@ -9,10 +9,11 @@ The selected experiments run through the harness, which writes the
 reports and returns the manifest; ``main`` prints one verdict line per
 check (an ``[ERROR]`` line per errored experiment) and a summary line from
 it.  The process exits 0 exactly when every acceptance check among them
-passed.  ``--threads`` sets
-the width of the harness's work pool (default 1; values below 1 count as
-1).  ``--dump-matrix`` additionally writes the assembled operator as a
-sparse CSV (row, col, re, im) for external inspection.
+passed.  ``--threads N`` runs
+the experiments in up to N worker processes started by ``fork`` (default
+1, which runs them in this process; values below 1 count as 1).
+``--dump-matrix`` additionally writes the assembled operator as a sparse
+CSV (row, col, re, im) for external inspection.
 """
 
 from __future__ import annotations
@@ -44,7 +45,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--threads", type=int, default=1, metavar="N",
-        help="work-pool width (default: 1)",
+        help="run the experiments in N worker processes started by fork; "
+             "1 runs them in-process (default: 1)",
     )
     common.add_argument(
         "--dump-matrix", action="store_true",

@@ -301,15 +301,19 @@ class Propagation:
 
 
 def _bessel_terms(z: float) -> np.ndarray:
-    """J_k(z) for k < K, with K the first order past z where |J_K(z)| < 1e−17."""
-    top = int(z) + 32
+    """J_k(z) for k < K, with K the first order past z where |J_K(z)| < 1e−17.
+
+    K − z grows like z^{1/3}, the width of J_k's turning region, so the
+    orders up to z + 12·z^{1/3} + 32 are evaluated first; should K lie
+    beyond, the margin doubles and only the new orders are evaluated."""
+    margin = int(12.0 * np.cbrt(z)) + 32
+    j = np.empty(0)
     while True:
-        k = np.arange(top + 1)
-        j = jv(k, z)
-        past = np.flatnonzero((k > z) & (np.abs(j) < _BESSEL_TAIL))
+        j = np.concatenate((j, jv(np.arange(j.size, int(z) + margin + 1), z)))
+        past = np.flatnonzero((np.arange(j.size) > z) & (np.abs(j) < _BESSEL_TAIL))
         if past.size:
             return j[: past[0]]
-        top *= 2
+        margin *= 2
 
 
 def _chebyshev_series(

@@ -8,8 +8,9 @@ by handing the values to the modules that will consume them (parameters and
 channel, the grids, dt against the grid spacing, the wave packets), and the
 parsed config keeps the grid and the evolution settings those rules built.
 All complaints are aggregated into a single :class:`ConfigError` so a long
-run cannot die late on a typo.  Execution runs the selected experiments on
-a bounded thread pool and collects them in a fixed order; each runner
+run cannot die late on a typo.  Execution runs the selected experiments in
+up to ``threads`` worker processes started by ``fork`` (in this process
+when the width is 1) and collects them in a fixed order; each runner
 returns its verdicts, scalars and CSV tables, and one writer emits the
 tables, then a JSON file of verdicts and scalars.  ``run`` prints nothing;
 the CLI prints the verdict lines.  Numeric outputs are byte-reproducible for
@@ -43,14 +44,18 @@ builds inputs, forwards them, and formats what comes back.
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
+import itertools
 import json
+import resource
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.integrate import quad
@@ -447,6 +452,7 @@ class ExperimentResult:
     files: List[str] = field(default_factory=list)
     error: Optional[str] = None
     wall_clock: float = 0.0
+    cpu_s: float = 0.0
 
     @property
     def status(self) -> str:
@@ -457,7 +463,9 @@ class ExperimentResult:
 
 @dataclass
 class RunManifest:
-    """What ran, what it wrote, and whether everything passed."""
+    """What ran, what it wrote, and whether everything passed.
+    ``peak_rss_mb`` is the larger of the run process's and its workers'
+    peak resident memory."""
 
     version: str
     config: str
@@ -465,6 +473,7 @@ class RunManifest:
     threads: int
     results: List[ExperimentResult]
     wall_clock: float
+    peak_rss_mb: float
 
     @property
     def all_passed(self) -> bool:
@@ -477,11 +486,13 @@ class RunManifest:
             "out": self.out,
             "threads": self.threads,
             "wall_clock": self.wall_clock,
+            "peak_rss_mb": self.peak_rss_mb,
             "all_passed": self.all_passed,
             "experiments": {
                 r.name: {
                     "status": r.status,
                     "wall_clock": r.wall_clock,
+                    "cpu_s": r.cpu_s,
                     "files": r.files,
                     "checks": {c.name: c.passed for c in r.checks},
                     **({"error": r.error} if r.error else {}),
@@ -1032,6 +1043,83 @@ def _dump_matrix(cfg: ExperimentConfig, out_dir: Path) -> str:
     return path.name
 
 
+def _job(name: str, cfg: ExperimentConfig, out_dir: Path) -> ExperimentResult:
+    """Run one experiment and write its reports, with its wall clock and CPU
+    time; a module error inside marks the experiment as errored and goes no
+    further.  Module level, so that a worker process can run it."""
+    start, cpu = time.perf_counter(), time.process_time()
+    try:
+        result = _RUNNERS[name](cfg)
+        _write_reports(result, cfg, out_dir)
+    except Exception as exc:  # noqa: BLE001 — isolation is the point
+        result = ExperimentResult(name, error=f"{type(exc).__name__}: {exc}")
+    result.wall_clock = time.perf_counter() - start
+    result.cpu_s = time.process_time() - cpu
+    return result
+
+
+def _collect(name: str, future: Future) -> ExperimentResult:
+    """A worker's result; a worker that died (``BrokenProcessPool``) or a
+    result that could not come back errors only that experiment."""
+    try:
+        return future.result()
+    except Exception as exc:  # noqa: BLE001 — isolation is the point
+        return ExperimentResult(name, error=f"{type(exc).__name__}: {exc}")
+
+
+def _openblas_thread_controls() -> List[Tuple[Callable, Callable]]:
+    """(get, set) of the thread count of every OpenBLAS in this process:
+    numpy's and scipy's wheels each load one, under their own symbol
+    prefix.  Found through ``/proc/self/maps``; empty where that is not
+    readable or no OpenBLAS is loaded."""
+    try:
+        maps = Path("/proc/self/maps").read_text()
+    except OSError:
+        return []
+    paths = {
+        line.split()[-1] for line in maps.splitlines()
+        if "openblas" in line.rsplit("/", 1)[-1] and ".so" in line
+    }
+    controls = []
+    for path in sorted(paths):
+        lib = ctypes.CDLL(path)
+        for prefix, suffix in itertools.product(("", "scipy_"), ("", "64_")):
+            get = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                controls.append((get, put))
+    return controls
+
+
+@contextmanager
+def _one_blas_thread() -> Iterator[None]:
+    """Hold every OpenBLAS at one thread, and give back its count after.
+
+    The run's parallelism is its workers, which inherit the count: BLAS
+    threads on top of them oversubscribe the cores, and waiting OpenBLAS
+    threads spin.  One thread also keeps the reports independent of the
+    BLAS thread count, which moves the last bits of the window solves."""
+    controls = _openblas_thread_controls()
+    before = [get() for get, _ in controls]
+    for _, put in controls:
+        put(1)
+    try:
+        yield
+    finally:
+        for (_, put), count in zip(controls, before):
+            put(count)
+
+
+def _peak_rss_mb() -> float:
+    """The larger of this process's and its waited-for workers' peak RSS."""
+    return max(
+        resource.getrusage(who).ru_maxrss
+        for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)
+    ) / 1024.0
+
+
 def run(
     cfg: ExperimentConfig,
     experiments: Sequence[str],
@@ -1042,11 +1130,16 @@ def run(
     """Execute the selected experiments, write all report files and
     ``manifest.json``, and return the manifest; nothing is printed.
 
-    Jobs go onto a bounded thread pool (``threads`` ≥ 1 wide) but results are
-    collected in the fixed experiment order, so output is deterministic
-    regardless of scheduling.  Each job runs its experiment and writes its
-    reports; a module error inside one marks that experiment as errored
-    and leaves the rest alone.
+    Each experiment is one job: it runs, writes its reports and is timed
+    (wall clock and CPU).  With ``threads`` > 1 the jobs go to at most that
+    many worker processes started by ``fork``, which inherit the parsed
+    config and the imported modules; with one job or ``threads`` = 1 they
+    run in this process, one after the other.  Every job runs on one BLAS
+    thread.  Results are collected in the fixed experiment order, so every
+    report but the manifest is byte-identical whatever the width and the
+    BLAS thread setting.  A module error inside a job, or a
+    worker that dies, marks only the experiments it took as errored, and no
+    worker outlives the call.
     """
     selected = tuple(e for e in EXPERIMENTS if e in experiments)
     if not selected:
@@ -1059,18 +1152,24 @@ def run(
     if dump_matrix:
         extra_files.append(_dump_matrix(cfg, out_dir))
 
-    def job(name: str) -> ExperimentResult:
-        start = time.perf_counter()
-        try:
-            result = _RUNNERS[name](cfg)
-            _write_reports(result, cfg, out_dir)
-        except Exception as exc:  # noqa: BLE001 — isolation is the point
-            result = ExperimentResult(name, error=f"{type(exc).__name__}: {exc}")
-        result.wall_clock = time.perf_counter() - start
-        return result
+    width = min(threads, len(selected))
+    with _one_blas_thread():
+        if width <= 1:
+            results = [_job(name, cfg, out_dir) for name in selected]
+        else:
+            # Imported here, so that a run in this process skips their
+            # 15 ms.  fork, not spawn: a spawned worker imports numpy and
+            # scipy again, most of a desk run's set-up.  The pool forks every
+            # worker at the first submit, before it starts its own threads,
+            # and the package starts none.
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        results = list(pool.map(job, selected))
+            with ProcessPoolExecutor(
+                max_workers=width, mp_context=multiprocessing.get_context("fork")
+            ) as pool:
+                futures = [pool.submit(_job, name, cfg, out_dir) for name in selected]
+                results = [_collect(name, f) for name, f in zip(selected, futures)]
 
     manifest = RunManifest(
         version=VERSION,
@@ -1079,6 +1178,7 @@ def run(
         threads=threads,
         results=results,
         wall_clock=time.perf_counter() - t0,
+        peak_rss_mb=_peak_rss_mb(),
     )
     doc = manifest.to_dict()
     if extra_files:

@@ -275,6 +275,23 @@ class TestChebyshev:
         assert rows[0] == pytest.approx(rows[1], rel=1e-15)
         assert run.bound == pytest.approx(max(rows), rel=1e-15)
 
+    @pytest.mark.parametrize("z", [0.0, 0.3, 160.0, 3840.0, 7876.0, 15384.0])
+    def test_bessel_orders_are_evaluated_once(self, monkeypatch, z):
+        """The series holds J_k(z) for k < K bit for bit, and no order is
+        evaluated twice or beyond z + 12·z^{1/3} + 32: K − z is 62, 174,
+        220 and 273 at the four large z."""
+        k = np.arange(int(z) + 400)
+        full = jv(k, z)
+        first = k[(k > z) & (np.abs(full) < 1e-17)][0]
+        evaluated = []
+        monkeypatch.setattr(
+            dynamics, "jv", lambda orders, x: evaluated.extend(orders) or jv(orders, x)
+        )
+        j = dynamics._bessel_terms(z)
+        assert np.array_equal(j, full[:first])
+        assert evaluated == list(range(len(evaluated)))
+        assert first <= len(evaluated) <= int(z) + int(12.0 * np.cbrt(z)) + 33
+
     def test_records_the_asymmetry_it_averages_away(self):
         """The run symmetrizes H; a 1e-7 defect in one entry of H shows in
         its record as the operator's hermiticity defect."""

@@ -2,7 +2,10 @@
 
 import dataclasses
 import json
+import multiprocessing
+import os
 import re
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -508,6 +511,91 @@ class TestRun:
             threads=2,
         )
         assert [r.name for r in manifest.results] == ["geometry", "spectrum"]
+
+    def test_width_changes_no_report(self, tmp_path, monkeypatch):
+        """Every file but the manifest is byte-identical at widths 1 and 2,
+        width 1 starts no process, and width 2 leaves none behind."""
+        cfg = small_config()
+        with monkeypatch.context() as m:
+            m.setattr(os, "fork", None)
+            one = run(cfg, experiments=EXPERIMENTS, out=str(tmp_path / "one"))
+        two = run(cfg, experiments=EXPERIMENTS, out=str(tmp_path / "two"), threads=2)
+        assert multiprocessing.active_children() == []
+        assert [r.status for r in one.results] == [r.status for r in two.results]
+        names = sorted(p.name for p in (tmp_path / "one").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "two").iterdir())
+        assert len(names) > len(EXPERIMENTS) + 1
+        for name in names:
+            if name != "manifest.json":
+                assert (tmp_path / "one" / name).read_bytes() == (
+                    tmp_path / "two" / name
+                ).read_bytes(), name
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_experiments_run_on_one_blas_thread(self, tmp_path, monkeypatch, threads):
+        """In this process and in the workers every OpenBLAS runs one thread
+        during the run, and gets its count back after."""
+        import adsdirac.harness as hn
+
+        controls = hn._openblas_thread_controls()
+        if not controls:
+            pytest.skip("no OpenBLAS found in this process")
+
+        def probe(cfg):
+            counts = [get() for get, _ in hn._openblas_thread_controls()]
+            return ExperimentResult("geometry", scalars={"counts": counts})
+
+        monkeypatch.setitem(hn._RUNNERS, "geometry", probe)
+        before = [get() for get, _ in controls]
+        try:
+            for _, put in controls:
+                put(2)
+            run(small_config(), experiments=["geometry", "evolve"], out=str(tmp_path),
+                threads=threads)
+            assert [get() for get, _ in controls] == [2] * len(controls)
+        finally:
+            for (_, put), count in zip(controls, before):
+                put(count)
+        report = json.loads((tmp_path / "geometry.json").read_text())
+        assert report["scalars"]["counts"] == [1] * len(controls)
+
+    def test_manifest_records_cpu_time_and_peak_memory(self, tmp_path):
+        run(small_config(), experiments=["geometry", "evolve"], out=str(tmp_path), threads=2)
+        doc = json.loads((tmp_path / "manifest.json").read_text())
+        assert doc["peak_rss_mb"] > 10.0
+        assert set(doc["experiments"]) == {"geometry", "evolve"}
+        for entry in doc["experiments"].values():
+            assert entry["status"] == "pass"
+            assert entry["wall_clock"] > 0.0 and entry["cpu_s"] > 0.0
+
+    def test_dead_worker_errors_only_its_experiments(self, tmp_path, monkeypatch):
+        """``mourre``'s worker exits once ``geometry`` is done; ``spectrum``,
+        running on the other worker when the pool breaks, errors too, and
+        ``geometry`` keeps its result."""
+        import adsdirac.harness as hn
+
+        def die(cfg):
+            deadline = time.monotonic() + 30.0
+            while not (tmp_path / "geometry.json").exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            time.sleep(0.5)
+            os._exit(3)
+
+        monkeypatch.setitem(hn._RUNNERS, "mourre", die)
+        monkeypatch.setitem(hn._RUNNERS, "spectrum", lambda cfg: time.sleep(60))
+        manifest = run(
+            small_config(),
+            experiments=["geometry", "mourre", "spectrum"],
+            out=str(tmp_path),
+            threads=2,
+        )
+        assert multiprocessing.active_children() == []
+        doc = json.loads((tmp_path / "manifest.json").read_text())
+        assert doc["experiments"]["geometry"]["status"] == "pass"
+        for name in ("mourre", "spectrum"):
+            assert doc["experiments"][name]["status"] == "error"
+            assert doc["experiments"][name]["error"].startswith("BrokenProcessPool: ")
+        assert [r.status for r in manifest.results] == ["pass", "error", "error"]
 
     def test_spectrum_records_the_sweep_counters(self, tmp_path):
         cfg = small_config(
