@@ -28,6 +28,14 @@ making the closed operator self-adjoint in the weighted inner product:
 * left wall (x = x_min): always the bag-type reflection; experiments place
   x_min far enough left that no signal reaches it (propagation speed ≤ 1),
   so the wall only has to be norm-preserving, not physical.
+
+Row 4j + a of the assembled matrix (node j, component a) holds at most
+four entries: the difference's ∓i/(2w_j)·Γ¹_aa at columns 4(j ∓ 1) + a,
+and node j's potential block at two partner columns 4j + c.  Γ¹ is
+diagonal, and the two partners of each component are the supports of
+γ⁰γ² and γ⁰, on which the wall closures Γ¹S fall too; both facts are read
+off the algebra at assembly, which refuses anything that breaks them.
+The rows are written straight into compressed sparse arrays.
 """
 from __future__ import annotations
 
@@ -168,10 +176,12 @@ class ChannelOperator:
 
 
 def _scaled(matrix: sp.csc_matrix, weights: np.ndarray) -> sp.csc_matrix:
-    """S = W^{1/2} H W^{−1/2}, entry by entry: bit for bit the dense product."""
+    """S = W^{1/2} H W^{−1/2} of a CSC matrix, entry by entry, each entry's
+    column read from ``indptr``: bit for bit the dense product."""
     root = np.sqrt(np.repeat(weights, 4))
-    h = matrix.tocoo()
-    return sp.csc_matrix((root[h.row] * h.data / root[h.col], (h.row, h.col)), shape=h.shape)
+    col = np.repeat(np.arange(matrix.shape[1]), np.diff(matrix.indptr))
+    data = root[matrix.indices] * matrix.data / root[col]
+    return sp.csc_matrix((data, matrix.indices, matrix.indptr), shape=matrix.shape)
 
 
 # ---------------------------------------------------------------- sectors
@@ -273,33 +283,67 @@ def _wall_closures(grid: Grid, s_left, s_right, wall_exponent=None):
     return left, right
 
 
-def _block_matrix(grid: Grid, coupling, m, a_vals, b_vals, left, right) -> sp.csc_matrix:
+def _partner_columns(reflection: np.ndarray) -> np.ndarray:
+    """The two columns of each component's row in a node's potential block,
+    read off the algebra: the supports of ANGULAR and MASS, on which the
+    wall closures Γ¹S fall too.
+
+    Raises ``ConfigurationError`` unless VELOCITY is diagonal and every row
+    of the union holds exactly two entries: the row layout
+    ``_block_matrix`` writes has room for nothing else.
+    """
+    if np.any(VELOCITY != np.diag(np.diag(VELOCITY))):
+        raise ConfigurationError("the velocity matrix must be diagonal")
+    support = (ANGULAR != 0) | (MASS != 0) | (VELOCITY @ reflection != 0)
+    if np.any(support.sum(axis=1) != 2):
+        raise ConfigurationError(
+            "each row of a node's potential block and wall closures must have "
+            f"exactly two entries, got {support.sum(axis=1).tolist()}"
+        )
+    return np.nonzero(support)[1].reshape(4, 2)
+
+
+def _block_matrix(grid: Grid, coupling, m, a_vals, b_vals, left, right, partners) -> sp.csc_matrix:
     """Node-major sparse matrix of −i·VELOCITY·(centered difference) plus the
     pointwise potential coupling·A(x)·ANGULAR − m·B(x)·MASS.
 
-    Row j carries the blocks ∓i/(2w_j)·VELOCITY at columns j ± 1 and the
-    potential block at column j; ``left``/``right`` are the ghost closures
-    added to the first and last diagonal blocks.  Exact zeros are dropped,
-    so the sparsity pattern is that of the nonzero blocks.
+    Row 4j + a holds at most four entries, in column order: −coef_j·v_a at
+    column 4(j − 1) + a, node j's potential block at its two ``partners``
+    columns 4j + c for component a, and coef_j·v_a at column 4(j + 1) + a,
+    with coef = −i/(2w) and v = diag(VELOCITY).  ``left``/``right`` are the
+    ghost closures added to the first and last potential blocks; an entry
+    of theirs off the partner columns raises ``ConfigurationError``.  The
+    entries go into a value table of four slots per row beside their column
+    table, exact zeros are dropped with one mask, and the CSR arrays so
+    written are converted to CSC once.
     """
     n = grid.n
-    velocity, angular = VELOCITY.astype(complex), ANGULAR.astype(complex)
-    coef = (-1j / (2.0 * grid.weights))[:, None, None]
-    diag = (coupling * a_vals)[:, None, None] * angular - (m * b_vals)[:, None, None] * MASS
-    diag[0] += left
-    diag[-1] += right
-    blocks = np.concatenate([coef[:-1] * velocity, diag, -coef[1:] * velocity])
-    j = np.arange(n)
-    row_node = np.concatenate([j[:-1], j, j[1:]])
-    col_node = np.concatenate([j[1:], j, j[:-1]])
-    k, a, c = np.nonzero(blocks)
-    return sp.csc_matrix(
-        sp.coo_matrix(
-            (blocks[k, a, c], (4 * row_node[k] + a, 4 * col_node[k] + c)),
-            shape=(4 * n, 4 * n),
-            dtype=complex,
-        )
-    )
+    comp = np.arange(4)[:, None]
+    off_pattern = np.ones((4, 4), dtype=bool)
+    off_pattern[comp, partners] = False
+    if np.any(left[off_pattern]) or np.any(right[off_pattern]):
+        raise ConfigurationError("a wall closure has an entry off the potential blocks' pattern")
+    v = np.diag(VELOCITY).astype(complex)
+    coef = (-1j / (2.0 * grid.weights))[:, None]
+    diag = (
+        (coupling * a_vals)[:, None] * ANGULAR.astype(complex)[comp, partners].ravel()
+        - (m * b_vals)[:, None] * MASS[comp, partners].ravel()
+    ).reshape(n, 4, 2)
+    diag[0] += left[comp, partners]
+    diag[-1] += right[comp, partners]
+    values = np.empty((n, 4, 4), dtype=complex)
+    values[:, :, 0] = -coef * v
+    values[:, :, 1:3] = diag
+    values[:, :, 3] = coef * v
+    values[0, :, 0] = values[-1, :, 3] = 0.0  # no node beyond either wall
+    offsets = np.column_stack([comp - 4, partners, comp + 4]).astype(np.int32)
+    columns = 4 * np.arange(n, dtype=np.int32)[:, None, None] + offsets
+    keep = values != 0
+    indptr = np.zeros(4 * n + 1, dtype=np.int32)
+    np.cumsum(keep.sum(axis=2).ravel(), out=indptr[1:])
+    return sp.csr_matrix(
+        (values[keep], columns[keep], indptr), shape=(4 * n, 4 * n)
+    ).tocsc()
 
 
 def assemble_hamiltonian(
@@ -322,6 +366,11 @@ def assemble_hamiltonian(
         a_vals, b_vals = cm.angular_factor_of_x(grid.nodes), cm.sqrtF_of_x(grid.nodes)
     else:
         a_vals, b_vals = (np.asarray(v, dtype=float) for v in potentials(grid.nodes))
+        if a_vals.shape != grid.nodes.shape or b_vals.shape != grid.nodes.shape:
+            raise ConfigurationError(
+                f"a potential map must return two arrays of shape ({grid.n},), "
+                f"got {a_vals.shape} and {b_vals.shape}"
+            )
     bc = select_bc(params) if params is not None else BoundaryCondition.MIT
     m = params.m if params is not None else 0.0
 
@@ -336,7 +385,9 @@ def assemble_hamiltonian(
     ):
         wall_exponent = m * params.l
     left, right = _wall_closures(grid, s_mirror, s_right, wall_exponent)
-    matrix = _block_matrix(grid, channel.coupling, m, a_vals, b_vals, left, right)
+    matrix = _block_matrix(
+        grid, channel.coupling, m, a_vals, b_vals, left, right, _partner_columns(s_mirror)
+    )
     return ChannelOperator(
         channel=channel,
         params=params,

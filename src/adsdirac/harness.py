@@ -767,6 +767,7 @@ def _run_velocity(cfg: ExperimentConfig) -> ExperimentResult:
         "v_extrapolated": v,
         "cone_delta": rep.cone_delta,
         "unit_final": float(rep.unit_values[-1]),
+        "wall_mass": rep.wall_mass,
         "bc": op.bc.value,
         "matvecs": rep.matvecs,
         "bound": rep.bound,

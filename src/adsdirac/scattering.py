@@ -65,6 +65,8 @@ __all__ = [
 
 #: the largest final increment, relative to ‖φ‖, of a converged estimate
 CONVERGED_FRACTION = 1e-2
+#: the width of the strip next to x_min whose W-mass a velocity report records
+WALL_DISTANCE = 2.0
 _ROUNDING_FLOOR = 1e-9  # below this (relative) the tail is propagator noise
 
 
@@ -239,6 +241,9 @@ class VelocityReport:
     v_values: np.ndarray
     v_extrapolated: float
     cone_delta: float
+    #: the largest W-mass of the normalized state within ``WALL_DISTANCE``
+    #: of x_min over the snapshots: content that reached the artificial wall
+    wall_mass: float
     # the Chebyshev run's counters; zero for the closed-form free flow
     matvecs: int
     bound: float
@@ -266,16 +271,17 @@ def velocity_report(
     * unit: J ≡ 1, the squared norm;
     * cone: the mass fraction with velocity in [1 − δ_c, 1 + δ_c];
     * v: the mean velocity ⟨𝒜/t⟩, with its Richardson limit from the last
-      two times.
+      two times;
+    * wall mass: the largest mass within ``WALL_DISTANCE`` of x_min.
 
     Raises ``ConfigurationError`` unless 0 < δ < 1/2 and ε > 0, and
     ``NumericError`` below a snapshot mass of 1e-8, which cannot happen
     under ``op``: the Chebyshev flow is unitary on the closed grid (it
     raises past a drift of 1e-8), and content that reaches x_min reflects
-    off the bag wall.  A domain too short for the trace times goes unseen
-    here, so the caller sizes x_min (the harness needs x_min ≤ −(t + 6) at
-    the last time t); the free flow raises itself when it would read data
-    from left of x_min.
+    off the bag wall.  A domain too short for the trace times shows only
+    in the wall mass, so the caller sizes x_min (the harness needs
+    x_min ≤ −(t + 6) at the last time t); the free flow raises itself when
+    it would read data from left of x_min.
     """
     if not (0 < delta < 0.5):
         raise ConfigurationError("need 0 < delta < 1/2")
@@ -289,6 +295,7 @@ def velocity_report(
         raise ConfigurationError("cannot trace the zero field")
     phi = SpinorField(phi.grid, phi.values / nrm)
     signs = np.diag(VELOCITY)[:, None]
+    near_wall = phi.grid.nodes < phi.grid.x_min + WALL_DISTANCE
     rows = []
     if op is None:
         fields = [free_propagate(phi, float(t), Direction.FORWARD) for t in times]
@@ -314,8 +321,9 @@ def velocity_report(
             mass,
             np.sum(dens[cone]) / mass,
             np.sum(dens * arg) / mass,
+            np.sum(dens[:, near_wall]),
         ))
-    minimal, maximal, unit, cone_fractions, v_vals = np.array(rows).T
+    minimal, maximal, unit, cone_fractions, v_vals, wall = np.array(rows).T
     t1, t2 = times[-2], times[-1]
     v1, v2 = v_vals[-2], v_vals[-1]
     return VelocityReport(
@@ -327,6 +335,7 @@ def velocity_report(
         v_values=v_vals,
         v_extrapolated=float((v2 * t2 - v1 * t1) / (t2 - t1)),
         cone_delta=cone_delta,
+        wall_mass=float(np.max(wall)),
         matvecs=matvecs,
         bound=bound,
         norm_drift=drift,

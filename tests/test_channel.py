@@ -3,8 +3,9 @@ self-adjointness, and the conjugate-operator commutator against its
 brute-force oracle."""
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from conftest import SECTOR_ROWS, apply, dense_sector_blocks, dense_symmetric, perturbed
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import adsdirac.channel as channel
@@ -58,6 +59,47 @@ def commutator_brute_force(op, values):
     return 1j * (
         apply(op, conjugate_apply(values, op.grid))
         - conjugate_apply(apply(op, values), op.grid)
+    )
+
+
+def reference_block_matrix(grid, coupling, m, a_vals, b_vals, left, right):
+    """The dense-block construction the assembly replaced, kept as its
+    bit-for-bit oracle: a (3n − 2, 4, 4) table of the ±1 and diagonal node
+    blocks, scanned for nonzeros and sorted from COO into CSC."""
+    n = grid.n
+    velocity, angular = VELOCITY.astype(complex), ANGULAR.astype(complex)
+    coef = (-1j / (2.0 * grid.weights))[:, None, None]
+    diag = (coupling * a_vals)[:, None, None] * angular - (m * b_vals)[:, None, None] * MASS
+    diag[0] += left
+    diag[-1] += right
+    blocks = np.concatenate([coef[:-1] * velocity, diag, -coef[1:] * velocity])
+    j = np.arange(n)
+    row_node = np.concatenate([j[:-1], j, j[1:]])
+    col_node = np.concatenate([j[1:], j, j[:-1]])
+    k, a, c = np.nonzero(blocks)
+    return sp.csc_matrix(
+        sp.coo_matrix(
+            (blocks[k, a, c], (4 * row_node[k] + a, 4 * col_node[k] + c)),
+            shape=(4 * n, 4 * n),
+            dtype=complex,
+        )
+    )
+
+
+def reference_scaled(matrix, weights):
+    """S = W^{1/2} H W^{−1/2} through a COO round trip: the oracle of
+    ``channel._scaled``."""
+    root = np.sqrt(np.repeat(weights, 4))
+    h = matrix.tocoo()
+    return sp.csc_matrix((root[h.row] * h.data / root[h.col], (h.row, h.col)), shape=h.shape)
+
+
+def same_bits(a, b):
+    """Equal CSC arrays, the data compared as raw bits (signed zeros count)."""
+    return (
+        np.array_equal(a.indptr, b.indptr)
+        and np.array_equal(a.indices, b.indices)
+        and np.array_equal(a.data.view(np.int64), b.data.view(np.int64))
     )
 
 
@@ -198,6 +240,114 @@ class TestAssembly:
         assert calls == ["S"]
         assert perturbed(op, 8, 12, 1e-7).hermiticity_defect() >= 1e-7
         assert calls == ["S", "S"]
+
+    @pytest.mark.parametrize(
+        "pair",
+        [
+            lambda x: (np.zeros(3), np.zeros(3)),
+            lambda x: (0.0, 0.0),
+            lambda x: (np.zeros((x.size, 1)), np.zeros((x.size, 1))),
+        ],
+        ids=["too-short", "scalar", "column"],
+    )
+    def test_potential_map_of_the_wrong_shape_raises(self, pair):
+        with pytest.raises(ConfigurationError, match=r"two arrays of shape \(64,\)"):
+            assemble_hamiltonian(Channel(0.5, 0.5), None, make_grid(-8.0, 64), pair)
+
+    def test_partner_columns_are_the_supports_of_the_potentials(self):
+        """Two columns per component, read off the algebra: one of ANGULAR,
+        one of MASS, and the wall closure Γ¹S on MASS's."""
+        partners = channel._partner_columns(mit_reflection())
+        g1s = VELOCITY @ mit_reflection()
+        for a, cols in enumerate(partners):
+            assert sorted(cols) == sorted(
+                [int(np.flatnonzero(ANGULAR[a])[0]), int(np.flatnonzero(MASS[a])[0])]
+            )
+            assert set(np.flatnonzero(g1s[a])) <= set(cols)
+
+    def test_reflection_on_the_block_diagonal_raises(self, monkeypatch):
+        """Negative control: S = 𝟙 puts Γ¹·𝟙 on the diagonal of the first
+        block, outside the two partner columns, and assembly refuses."""
+        monkeypatch.setattr(channel, "mit_reflection", lambda: np.eye(4, dtype=complex))
+        with pytest.raises(ConfigurationError, match="exactly two entries"):
+            assemble_hamiltonian(Channel(0.5, 0.5), P_MIT, make_grid(-8.0, 64))
+
+    def test_non_diagonal_velocity_raises(self, monkeypatch):
+        reflection = mit_reflection()
+        monkeypatch.setattr(channel, "VELOCITY", np.roll(VELOCITY, 1, axis=1))
+        with pytest.raises(ConfigurationError, match="diagonal"):
+            channel._partner_columns(reflection)
+
+    @pytest.mark.parametrize("wall", ["left", "right"])
+    def test_closure_off_the_pattern_raises(self, wall):
+        """A closure entry the row layout has no slot for is refused, not
+        dropped."""
+        g = make_grid(-8.0, 64)
+        closures = {"left": np.zeros((4, 4), dtype=complex), "right": np.zeros((4, 4), dtype=complex)}
+        closures[wall][2, 2] = 1e-3
+        partners = channel._partner_columns(mit_reflection())
+        zeros = np.zeros(g.n)
+        with pytest.raises(ConfigurationError, match="off the potential blocks' pattern"):
+            channel._block_matrix(
+                g, 1.0, 0.0, zeros, zeros, closures["left"], closures["right"], partners
+            )
+
+    def test_assembly_and_defect_build_no_coo_matrix(self, monkeypatch):
+        """The CSR arrays are written directly and S reads its columns from
+        ``indptr``: no COO matrix on the way, on either wall."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("built a COO matrix")
+
+        monkeypatch.setattr(sp._coo._coo_base, "__init__", refuse)
+        for params in (P_MIT, P_NAT):
+            op = assemble_hamiltonian(Channel(1.5, 0.5), params, make_grid(-8.0, 64))
+            assert op.hermiticity_defect() <= 1e-12
+        with pytest.raises(AssertionError, match="COO"):
+            op.matrix.tocoo()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kind=st.sampled_from(["black-hole", "free", "map"]),
+        graded=st.booleans(),
+        x_min=st.floats(-32.0, -2.0),
+        n=st.integers(16, 512),
+        ratio=st.floats(1.02, 1.2),
+        s=st.sampled_from([0.5, 1.5, 2.5, 3.5]),
+        mass=st.one_of(st.floats(0.0, 0.49), st.floats(0.5, 2.0)),
+    )
+    @example(kind="black-hole", graded=True, x_min=-6.0, n=16, ratio=1.08, s=0.5, mass=0.25)
+    @example(kind="black-hole", graded=False, x_min=-32.0, n=4096, ratio=1.1, s=3.5, mass=1.0)
+    @example(kind="free", graded=False, x_min=-16.0, n=320, ratio=1.1, s=0.5, mass=0.0)
+    @example(kind="map", graded=True, x_min=-24.0, n=16, ratio=1.1, s=2.5, mass=0.45)
+    def test_bit_for_bit_the_dense_block_construction(
+        self, kind, graded, x_min, n, ratio, s, mass
+    ):
+        """Uniform and graded grids (the graded bag case with the exponent
+        wall row), every coupling, both sides of 2ml = 1, the free operator
+        and a caller's map: the same CSC arrays and the same S to the last
+        bit as the dense-block oracle, and the same hermiticity defect."""
+        if graded:
+            g = make_grid(x_min, policy=BoundaryGraded(h_min=1e-3, ratio=ratio))
+        else:
+            g = make_grid(x_min, n)
+        params = make_params(1.0, 1.0, mass)
+        if kind == "free":
+            op = free_operator(g)
+        else:
+            op = assemble_hamiltonian(
+                Channel(s, 0.5), params, g, smooth_well if kind == "map" else None
+            )
+        reflection = mit_reflection()
+        right = reflection if op.bc is BoundaryCondition.MIT else np.zeros((4, 4))
+        left, right = channel._wall_closures(g, reflection, right, op.wall_exponent)
+        expected = reference_block_matrix(
+            g, op.channel.coupling, op.mass, op.a_values, op.b_values, left, right
+        )
+        assert same_bits(op.matrix, expected)
+        scaled = reference_scaled(expected, g.weights)
+        assert same_bits(channel._scaled(op.matrix, g.weights), scaled)
+        assert op.hermiticity_defect() == float(np.max(abs(scaled - scaled.conj().T).sum(axis=1)))
 
     def test_banded_node_major(self):
         g = make_grid(-10.0, 64)

@@ -28,11 +28,12 @@ from adsdirac.harness import (
     CheckLine,
     ConfigError,
     ExperimentResult,
+    _packet,
     parse_config,
     parse_config_dict,
     run,
 )
-from adsdirac.scattering import _check_schedule
+from adsdirac.scattering import _check_schedule, velocity_report
 from adsdirac.spectral import level_count
 
 MINIMAL = {"M": 1, "l": 1, "m": 1, "channel": [0.5, 0.5]}
@@ -724,6 +725,10 @@ class TestRun:
             assert scalars["matvecs"] >= least_time * scalars["bound"]
             assert 0.0 <= scalars["norm_drift"] <= 1e-12
             assert scalars["asymmetry"] == cfg.operator().hermiticity_defect() <= 1e-12
+        # the velocity run's largest mass next to x_min, as its report reads it
+        velocity = json.loads((tmp_path / "velocity.json").read_text())["scalars"]
+        phi = _packet(cfg.options["velocity"], cfg.grid)
+        assert velocity["wall_mass"] == velocity_report(phi, [1, 2, 4], cfg.operator()).wall_mass
 
     def test_trivial_oracle_fails_on_a_lagging_pullback(self, tmp_path, monkeypatch):
         """Negative control for the trivial oracle, the identity by algebra:

@@ -329,6 +329,20 @@ class TestInteractingVelocity:
         assert rep.unit_values == pytest.approx(np.ones(3), abs=1e-9)
         assert abs(rep.v_extrapolated - 1.0) <= 0.05
 
+    @pytest.mark.parametrize(
+        "x_min, n, low, high", [(-16.0, 512, 0.5, 0.6), (-32.0, 2048, 0.0, 1e-150)]
+    )
+    def test_wall_mass_reads_a_short_domain(self, x_min, n, low, high):
+        """The desk velocity packet traced to t = 20: on x_min = −16 half
+        its mass reaches the artificial wall and reflects, with the norm
+        intact; on the desk grid, x_min = −32, none does."""
+        grid = make_grid(x_min, n)
+        phi = gaussian_packet(grid, center=-2.5, width=0.25, components=(1, 0, 0, 1))
+        op = assemble_hamiltonian(CHANNEL, make_params(1.0, 1.0, 1.0), grid)
+        rep = velocity_report(phi, (4.0, 8.0, 12.0, 16.0, 20.0), op)
+        assert rep.unit_values == pytest.approx(np.ones(5), abs=1e-9)
+        assert low <= rep.wall_mass <= high
+
     def test_times_validation(self):
         grid = make_grid(-16.0, 256)
         phi = gaussian_packet(grid, center=-8.0, width=0.5)
