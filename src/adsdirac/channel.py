@@ -36,11 +36,17 @@ diagonal, and the two partners of each component are the supports of
 γ⁰γ² and γ⁰, on which the wall closures Γ¹S fall too; both facts are read
 off the algebra at assembly, which refuses anything that breaks them.
 The rows are written straight into compressed sparse arrays.
+
+Every solver works in one coordinate system, u = PW^{1/2}ψ (``to_sectors``),
+with P the per-node transform onto the sectors of γ³γ⁵: S = W^{1/2}HW^{−1/2}
+is formed once per operator and transformed once to G = PSPᵀ/2, whose blocks
+Cayley steps with and whose Hermitian averages the other solvers read.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from functools import cache, cached_property
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -49,7 +55,7 @@ from scipy.linalg import null_space
 
 from .algebra import ANGULAR, Channel, GAMMA, MASS, VELOCITY
 from .geometry import CoordinateMap, Params, Regime
-from .grids import Grid
+from .grids import Grid, SpinorField
 
 __all__ = [
     "ConfigurationError",
@@ -85,9 +91,7 @@ def select_bc(p: Params) -> BoundaryCondition:
     return BoundaryCondition.MIT if p.regime is Regime.SUBCRITICAL else BoundaryCondition.NATURAL
 
 
-_S_MIT: Optional[np.ndarray] = None
-
-
+@cache
 def mit_reflection() -> np.ndarray:
     """Ghost reflection S = 2Π − 𝟙 with Π the orthogonal projector onto
     ker(γ¹ + i·𝟙).
@@ -101,23 +105,20 @@ def mit_reflection() -> np.ndarray:
     γ³γ⁵.  Checked once at build: S is an involution and satisfies
     Γ¹S + S*Γ¹ = 0, the exact discrete self-adjointness condition.
     """
-    global _S_MIT
-    if _S_MIT is None:
-        kernel = null_space(GAMMA[1] + 1j * np.eye(4))
-        if kernel.shape[1] != 2:
-            raise AssertionError("(γ¹ + i) must have a two-dimensional kernel")
-        numeric = 2.0 * kernel @ kernel.conj().T - np.eye(4)
-        # + 0.0 turns the −0.0 that rounding leaves into +0.0
-        s = np.round(numeric.real) + 0.0 + 1j * (np.round(numeric.imag) + 0.0)
-        if np.max(np.abs(s - numeric)) > 1e-13:
-            raise AssertionError("reflection entries must be Gaussian integers")
-        g1 = VELOCITY.astype(complex)
-        if not np.allclose(g1 @ s + s.conj().T @ g1, 0.0, atol=1e-13):
-            raise AssertionError("reflection fails the self-adjointness condition")
-        if not np.allclose(s @ s, np.eye(4), atol=1e-13):
-            raise AssertionError("reflection must be an involution")
-        _S_MIT = s
-    return _S_MIT
+    kernel = null_space(GAMMA[1] + 1j * np.eye(4))
+    if kernel.shape[1] != 2:
+        raise AssertionError("(γ¹ + i) must have a two-dimensional kernel")
+    numeric = 2.0 * kernel @ kernel.conj().T - np.eye(4)
+    # + 0.0 turns the −0.0 that rounding leaves into +0.0
+    s = np.round(numeric.real) + 0.0 + 1j * (np.round(numeric.imag) + 0.0)
+    if np.max(np.abs(s - numeric)) > 1e-13:
+        raise AssertionError("reflection entries must be Gaussian integers")
+    g1 = VELOCITY.astype(complex)
+    if not np.allclose(g1 @ s + s.conj().T @ g1, 0.0, atol=1e-13):
+        raise AssertionError("reflection fails the self-adjointness condition")
+    if not np.allclose(s @ s, np.eye(4), atol=1e-13):
+        raise AssertionError("reflection must be an involution")
+    return s
 
 
 # ------------------------------------------------------- operator assembly
@@ -142,12 +143,6 @@ class ChannelOperator:
     #: the plain mirror closure is in effect (massless, natural, potentials
     #: passed by the caller, or wall layer not resolved by the grid)
     wall_exponent: Optional[float] = None
-    #: what ``hermiticity_defect`` and ``sectors`` built, kept for the
-    #: operator's lifetime
-    _defect: Optional[float] = field(default=None, init=False, repr=False, compare=False)
-    _sectors: Optional[Tuple["SectorBlock", ...]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     @property
     def mass(self) -> float:
@@ -159,26 +154,38 @@ class ChannelOperator:
         exactly when H is self-adjoint in the weighted inner product, and at
         least |⟨Hu, v⟩ − ⟨u, Hv⟩| / (‖u‖‖v‖) for every field pair.  Computed
         once, without the sector split; ``seed`` is accepted and ignored."""
-        if self._defect is None:
-            s = _scaled(self.matrix, self.grid.weights)
-            self._defect = float(np.max(abs(s - s.conj().T).sum(axis=1)))
         return self._defect
 
     def sectors(self) -> Tuple["SectorBlock", ...]:
-        """The diagonal blocks of H and of the Hermitian (S + S†)/2 in sector
-        coordinates (``to_sectors``): one per sector of γ³γ⁵ when no entry
-        couples the two, else one of every coordinate.  Built once; the
-        arrays are read-only, since every caller shares them."""
-        if self._sectors is None:
-            s = _scaled(self.matrix, self.grid.weights)
-            self._sectors = _split_sectors(self.matrix, ((s + s.conj().T) / 2.0).tocsc())
+        """The diagonal blocks of G = PSPᵀ/2 (``_split_sectors``), built once;
+        the arrays are read-only, since every caller shares them."""
         return self._sectors
+
+    # S = W^{1/2} H W^{−1/2}, and what the two methods above read off it:
+    # each is formed on first use and kept for the operator's lifetime
+    @cached_property
+    def _similar(self) -> sp.csc_matrix:
+        return _scaled(self.matrix, self.grid.weights)
+
+    @cached_property
+    def _defect(self) -> float:
+        s = self._similar
+        return float(np.max(abs(s - s.conj().T).sum(axis=1)))
+
+    @cached_property
+    def _sectors(self) -> Tuple["SectorBlock", ...]:
+        return _split_sectors(self._similar)
+
+
+def _root(weights: np.ndarray) -> np.ndarray:
+    """W^{1/2} on node-major flat fields."""
+    return np.sqrt(np.repeat(weights, 4))
 
 
 def _scaled(matrix: sp.csc_matrix, weights: np.ndarray) -> sp.csc_matrix:
     """S = W^{1/2} H W^{−1/2} of a CSC matrix, entry by entry, each entry's
     column read from ``indptr``: bit for bit the dense product."""
-    root = np.sqrt(np.repeat(weights, 4))
+    root = _root(weights)
     col = np.repeat(np.arange(matrix.shape[1]), np.diff(matrix.indptr))
     data = root[matrix.indices] * matrix.data / root[col]
     return sp.csc_matrix((data, matrix.indices, matrix.indptr), shape=matrix.shape)
@@ -190,43 +197,44 @@ def _scaled(matrix: sp.csc_matrix, weights: np.ndarray) -> sp.csc_matrix:
 # commutes with every assembled H node by node.  The rows of _SECTOR_ROWS
 # span its eigenspaces, (1, 0, 0, −1) and (0, 1, 1, 0) for Q = +1 and
 # (1, 0, 0, 1) and (0, 1, −1, 0) for Q = −1; with P that matrix at every node,
-# PPᵀ = 2·𝟙, so ψ = Pᵀv/2 and H acts on v = Pψ as PHPᵀ/2, whose entries are
-# sums and differences of H's with no rounding where the sectors cancel.
+# PPᵀ = 2·𝟙, so S acts on u = PW^{1/2}ψ as G = PSPᵀ/2, whose entries are sums
+# and differences of S's with no rounding where the sectors cancel.
 
 _SECTOR_ROWS = np.array([[1, 0, 0, -1], [0, 1, 1, 0], [1, 0, 0, 1], [0, 1, -1, 0]])
 
 
 @dataclass(frozen=True)
 class SectorBlock:
-    """One diagonal block of an operator in sector coordinates."""
+    """One diagonal block of G = PSPᵀ/2."""
 
     rows: slice  # the sector coordinates the block acts on
-    hamiltonian: sp.csc_matrix  # that block of PHPᵀ/2
-    scaled: sp.csr_matrix  # 2S/R for that block of the averaged PSPᵀ/2
-    bound: float  # R, the block's largest absolute row sum
+    generator: sp.csc_matrix  # that block of G, which Cayley steps with
+    scaled: sp.csr_matrix  # 2/R times its Hermitian average
+    bound: float  # R, the average's largest absolute row sum
+    nodes: np.ndarray  # the node of each of the block's coordinates
+    slots: np.ndarray  # each coordinate's index among its node's in the block
 
 
-def to_sectors(flat: np.ndarray) -> np.ndarray:
-    """Sector coordinates v = Pψ of a flat node-major field: the Q = +1
-    sector's two components node-major in the first half, the Q = −1
-    sector's in the second.  The rows of P are written out, since a
-    product with the 4×4 table is ten times slower."""
-    c = flat.reshape(-1, 4)
-    out = np.empty(flat.size, dtype=complex)
+def to_sectors(field: SpinorField) -> np.ndarray:
+    """Sector coordinates u = PW^{1/2}ψ of a field, ‖u‖ = √2·‖ψ‖_W: the Q = +1
+    sector's two components node-major in the first half, the Q = −1 sector's
+    in the second.  P's rows are written out; a 4×4 product is ten times slower."""
+    c = (_root(field.grid.weights) * field.values.flatten(order="F")).reshape(-1, 4)
+    out = np.empty(c.size, dtype=complex)
     plus, minus = (half.reshape(-1, 2) for half in np.split(out, 2))
     plus[:, 0], plus[:, 1] = c[:, 0] - c[:, 3], c[:, 1] + c[:, 2]
     minus[:, 0], minus[:, 1] = c[:, 0] + c[:, 3], c[:, 1] - c[:, 2]
     return out
 
 
-def from_sectors(v: np.ndarray) -> np.ndarray:
-    """The flat node-major field ψ = Pᵀv/2 of sector coordinates v, column
-    by column when v has columns."""
-    plus, minus = (half.reshape(-1, 2, *v.shape[1:]) for half in np.split(v, 2))
-    out = np.empty((v.shape[0] // 4, 4) + v.shape[1:], dtype=complex)
+def from_sectors(u: np.ndarray, grid: Grid) -> np.ndarray:
+    """The flat node-major field ψ = W^{−1/2}Pᵀu/2 of sector coordinates u
+    on ``grid``, column by column when u has columns."""
+    plus, minus = (half.reshape(-1, 2, *u.shape[1:]) for half in np.split(u, 2))
+    out = np.empty((u.shape[0] // 4, 4) + u.shape[1:], dtype=complex)
     out[:, 0], out[:, 3] = 0.5 * (plus[:, 0] + minus[:, 0]), 0.5 * (minus[:, 0] - plus[:, 0])
     out[:, 1], out[:, 2] = 0.5 * (plus[:, 1] + minus[:, 1]), 0.5 * (plus[:, 1] - minus[:, 1])
-    return out.reshape(v.shape)
+    return out.reshape(u.shape) / _root(grid.weights).reshape((-1,) + (1,) * (u.ndim - 1))
 
 
 def _gershgorin_bound(matrix: sp.spmatrix) -> float:
@@ -234,28 +242,31 @@ def _gershgorin_bound(matrix: sp.spmatrix) -> float:
     return float(np.max(abs(matrix).sum(axis=1)))
 
 
-def _split_sectors(matrix: sp.csc_matrix, sym: sp.csc_matrix) -> Tuple[SectorBlock, ...]:
-    """H and S in sector coordinates, cut into their diagonal blocks: two
-    when neither has an entry across the sectors, else one."""
-    size = matrix.shape[0]
+def _split_sectors(s: sp.csc_matrix) -> Tuple[SectorBlock, ...]:
+    """G = PSPᵀ/2 cut into its diagonal blocks: two when no entry crosses
+    the sectors, else one."""
+    size = s.shape[0]
     j = 4 * np.arange(size // 4)[:, None]
     order = np.concatenate([(j + [0, 1]).ravel(), (j + [2, 3]).ravel()])
     p = sp.kron(sp.identity(size // 4, format="csr"), _SECTOR_ROWS, format="csr")[order]
-    h, s = ((p @ m @ p.T * 0.5).tocsc() for m in (matrix, sym))
-    for m in (h, s):
-        m.eliminate_zeros()
+    g = (p @ s @ p.T * 0.5).tocsc()
+    g.eliminate_zeros()
     half = size // 2
-    crossing = sum(m[:half, half:].nnz + m[half:, :half].nnz for m in (h, s))
+    crossing = g[:half, half:].nnz + g[half:, :half].nnz
     cuts = (slice(0, size),) if crossing else (slice(0, half), slice(half, size))
+    node, row = np.divmod(order, 4)  # each coordinate's node and row of P
     blocks = []
     for rows in cuts:
-        h_block, s_block = h[rows, rows], s[rows, rows]
-        bound = _gershgorin_bound(s_block)
-        scaled = (s_block * (2.0 / bound)).tocsr()
-        for m in (h_block, scaled):
-            for frozen in (m.data, m.indices, m.indptr):
-                frozen.flags.writeable = False
-        blocks.append(SectorBlock(rows, h_block, scaled, bound))
+        generator = g[rows, rows]
+        average = (generator + generator.conj().T) / 2.0
+        bound = _gershgorin_bound(average)
+        scaled = (average * (2.0 / bound)).tocsr()
+        # a split block holds rows 0, 1 or rows 2, 3 of P at every node
+        nodes, slots = node[rows], row[rows] % (4 * (rows.stop - rows.start) // size)
+        for frozen in (generator.data, generator.indices, generator.indptr,
+                       scaled.data, scaled.indices, scaled.indptr, nodes, slots):
+            frozen.flags.writeable = False
+        blocks.append(SectorBlock(rows, generator, scaled, bound, nodes, slots))
     return tuple(blocks)
 
 

@@ -1,49 +1,42 @@
 """Norm-preserving time evolution and the exact comparison propagator.
 
+Both propagators work in the sector coordinates u = PW^{1/2}ψ of
+``channel.to_sectors``, ‖u‖ = √2·‖ψ‖_W, on the blocks of G = PSPᵀ/2 with
+S = W^{1/2} H W^{−1/2} (``ChannelOperator.sectors``): one 2n-row block per
+sector of γ³γ⁵, or one 4n-row block for an operator that mixes them.  A
+run maps the state to u once at the start and back once per snapshot, and
+propagates only the blocks u occupies; the others stay exactly zero, so
+the packets (1, 0, 0, 1) of the experiments, which lie in one sector,
+pay half of every solve and product.
+
 The one-step map is the Cayley (trapezoidal) rational approximation of the
 exponential,
 
-    (𝟙 + i·dt/2·H) ψ^{k+1} = (𝟙 − i·dt/2·H) ψ^k ,
+    (𝟙 + i·dt/2·G) u^{k+1} = (𝟙 − i·dt/2·G) u^k ,
 
 which is *exactly* unitary for a discretely self-adjoint H — unitarity of
 the computed flow is then a structural fact, limited only by the direct
-solver's rounding, never by the step size.  With A = i·dt/2·H and
-M₊ = 𝟙 + A, the same map is (𝟙 + A)⁻¹(𝟙 − A) = 2M₊⁻¹ − 𝟙, so a step is one
-sparse solve y = M₊⁻¹ψ and the update ψ ← 2y − ψ.  Only M₊ is formed and
-factored, once per (operator, dt), and reused across steps.  Every step
-checks its solve with one matvec, r = ψ − M₊y with ‖r‖ ≤ 1e−10·‖ψ‖,
-refining once before it gives up, and updates by ψ ← 2(y + r) − ψ: adding
-the residual it already has keeps the factor's rounding from building up
-a norm drift.  The Cayley flow is the structurally unitary reference: the
-unitarity check, the ``evolve`` experiment's own flow and the forward wave
-operator run on it.
-
-Both propagators work in sector coordinates.  Q = γ³γ⁵ commutes with every
-assembled H node by node, so H splits into two 2n-row blocks, one for each
-eigenvalue ±1 of Q, that never mix (``ChannelOperator.sectors``; one 4n-row
-block for an operator that breaks Q).  A run maps the state to v = Pψ once
-at the start and back once per snapshot, and propagates only the blocks v
-occupies; a block it does not occupy stays exactly zero.  The packets
-(1, 0, 0, 1) of the experiments lie in the Q = −1 sector alone, so they
-pay half of every solve and product.  The Cayley factors are one per
-block, and each step checks its residual over the whole state.
+solver's rounding, never by the step size.  With A = i·dt/2·G and
+M₊ = 𝟙 + A, the same map is (𝟙 + A)⁻¹(𝟙 − A) = 2M₊⁻¹ − 𝟙: one sparse
+solve y = M₊⁻¹u per occupied block, with M₊ factored once per (block, dt),
+checked by its residual r = u − M₊y and folded in as u ← 2(y + r) − u.
+The unitarity check, the ``evolve`` experiment's own flow and the forward
+wave operator run on it.
 
 ``chebyshev_propagate`` applies the exponential itself, by the Chebyshev
-expansion of e^{−itS} for S = W^{1/2} H W^{−1/2} (Tal-Ezer & Kosloff, J. Chem.
-Phys. 81, 3967 (1984)):
+expansion (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)) on each
+occupied block, with Ḡ the Hermitian average of the block of G:
 
-    e^{−itS} = Σ_k (2 − δ_k0)(−i)^k J_k(tR) T_k(S/R) ,
+    e^{−itḠ} = Σ_k (2 − δ_k0)(−i)^k J_k(tR) T_k(Ḡ/R) ,
 
-run block by block, with R the Gershgorin bound on the spectrum of the
-block of S — a guaranteed bound, since the series diverges on any level
-outside [−R, R] — and the sum cut at the first order K > tR with
-|J_K(tR)| < 1e−17.  Each block's R and its scaled matrix 2S/R are built
-once per operator with the blocks.  It is unitary only up to
-that truncation, so every run measures its W-norm drift and raises past
-1e−8.  It costs about tR matvecs and no solve, and it has no time-step
-error, so the backward wave operator, the velocity traces and the
-free-oracle check (the discrete comparison flow against the closed form
-below) run on it.
+with R the Gershgorin bound of Ḡ — a guaranteed bound, since the series
+diverges on any level outside [−R, R] — and the sum cut at the first
+order K > tR with |J_K(tR)| < 1e−17.  R and 2Ḡ/R are built once per
+operator with the blocks.  The run is unitary only up to that truncation,
+so it measures its drift and raises past 1e−8.  It costs about tR
+matvecs and no solve, and it has no time-step error, so the backward wave
+operator, the velocity traces and the free-oracle check (the discrete
+comparison flow against the closed form below) run on it.
 
 The comparison generator Γ¹D_x with the bag-type wall has an explicit
 method-of-characteristics solution: components (1, 4) transport with speed
@@ -95,7 +88,11 @@ class Direction(Enum):
 
 
 class NumericError(RuntimeError):
-    """Linear solve failed to reach the requested residual tolerance."""
+    """A numerical step failed, or its result failed the check it is held
+    to, so nothing is returned: an unconverged or failed solve, a drifting
+    Chebyshev run, a state that left the grid, a bad pivot of the inertia
+    sweep, a miscounted or inaccurate eigensolve.  ``diagnostics`` holds
+    the numbers behind it."""
 
     def __init__(self, message: str, diagnostics: Optional[dict] = None):
         super().__init__(message)
@@ -135,16 +132,13 @@ def check_step(dt: float, grid: Grid) -> None:
 class CayleyStepper:
     """Factorized one-step map; ``direction`` picks e^{∓i·dt·H}.
 
-    Keeps M₊ = 𝟙 + i·sgn·dt/2·H and its LU factor for each block of
-    ``op.sectors()``.  ``step`` takes a state in sector coordinates and, on
-    every block the state occupies, solves y = M₊⁻¹v and forms the residual
-    r = v − M₊y; it checks ‖r‖ ≤ ``SOLVER_TOL``·‖v‖ over the whole state
-    on every call (one round of iterative refinement, then ``NumericError``)
-    and returns 2(y + r) − v, which is (𝟙 + A)⁻¹(𝟙 − A)v up to rounding.  A
-    block the state does not occupy is left at exactly zero.
-    ``max_residual`` is the largest relative residual ‖r‖/‖v‖ of the
-    accepted steps, ``refinements`` the number of steps that needed the
-    refinement round.
+    Keeps M₊ = 𝟙 + i·sgn·dt/2·G_b and its LU factor for each block G_b of
+    ``op.sectors()``.  ``step`` solves on the blocks the state occupies,
+    checks the residual against ``SOLVER_TOL`` over the whole state (one
+    round of iterative refinement, then ``NumericError``) and leaves the
+    other blocks at exactly zero.  ``max_residual`` is the largest relative
+    residual ‖r‖/‖u‖ of the accepted steps, ``refinements`` the number of
+    steps that needed the refinement round.
     """
 
     def __init__(
@@ -154,24 +148,24 @@ class CayleyStepper:
         direction: Direction = Direction.FORWARD,
     ):
         check_step(dt, op.grid)
-        sgn = 1.0 if direction == Direction.FORWARD else -1.0
+        a = 0.5j * (1.0 if direction == Direction.FORWARD else -1.0) * dt  # A = a·G_b
         self.dt = dt
         self.max_residual = 0.0
         self.refinements = 0
-        self._rows, self._implicit, self._lu = [], [], []
-        for block in op.sectors():
-            eye = sp.identity(block.hamiltonian.shape[0], dtype=complex, format="csc")
-            implicit = (eye + 0.5j * sgn * dt * block.hamiltonian).tocsc()
-            self._rows.append(block.rows)
-            self._implicit.append(implicit)
-            self._lu.append(splu(implicit))
+        blocks = op.sectors()
+        self._rows = [block.rows for block in blocks]
+        self._implicit = [
+            (sp.identity(b.generator.shape[0], format="csc") + a * b.generator).tocsc()
+            for b in blocks
+        ]
+        self._lu = [splu(implicit) for implicit in self._implicit]
 
-    def step(self, v: np.ndarray) -> np.ndarray:
-        """Advance a state in sector coordinates (``channel.to_sectors``)
+    def step(self, u: np.ndarray) -> np.ndarray:
+        """Advance a state u in sector coordinates (``channel.to_sectors``)
         by one step of dt; returns a new vector."""
-        out = np.zeros_like(v)
-        # (block, its part of v, its part of the result) per occupied block
-        work = [(k, v[rows], out[rows]) for k, rows in enumerate(self._rows) if v[rows].any()]
+        out = np.zeros_like(u)
+        # (block, its part of u, its part of the result) per occupied block
+        work = [(k, u[rows], out[rows]) for k, rows in enumerate(self._rows) if u[rows].any()]
         for k, part, y in work:
             y[:] = self._lu[k].solve(part)
         resid = self._residuals(work)
@@ -193,7 +187,7 @@ class CayleyStepper:
         self.max_residual = max(self.max_residual, res / max(scale, 1e-30))
         # y + r is a Richardson sweep with 𝟙 for M₊ = 𝟙 + A: it maps the
         # solve error e to −A·e.  The factor's rounding error is the same on
-        # every step, so 2y − v, which doubles it, would let the norm drift
+        # every step, so 2y − u, which doubles it, would let the norm drift
         # linearly in the step count at twice the two-matrix form's rate.
         for (_, part, y), r in zip(work, resid):
             y += r
@@ -202,12 +196,17 @@ class CayleyStepper:
         return out
 
     def _residuals(self, work) -> List[np.ndarray]:
-        """v − M₊y on each occupied block."""
+        """u − M₊y on each occupied block."""
         return [part - self._implicit[k] @ y for k, part, y in work]
 
 
 def _norm(v: np.ndarray) -> float:
     return math.sqrt(np.vdot(v, v).real)
+
+
+def _field(u: np.ndarray, grid: Grid) -> SpinorField:
+    """The field of sector coordinates u."""
+    return SpinorField(grid, from_sectors(u, grid).reshape((4, grid.n), order="F"))
 
 
 @dataclass
@@ -219,7 +218,7 @@ class Trajectory:
     norm_drift: float
     dt_effective: float
     steps: int
-    max_residual: float  # largest relative solve residual ‖M₊y − ψ‖/‖ψ‖
+    max_residual: float  # largest relative solve residual ‖M₊y − u‖/‖u‖
     refinements: int  # steps that needed the refinement round
 
     @property
@@ -257,26 +256,16 @@ def evolve(
     if not snap_steps or snap_steps[-1] != n_steps:
         snap_steps.append(n_steps)
 
-    n = op.grid.n
-    # W-norm of the sector state through its float view: in each half,
-    # node j owns floats 4j … 4j+3, so the weights repeat 4 times, twice
-    root_w = np.tile(np.sqrt(np.repeat(op.grid.weights, 4)), 2)
-    buf = np.empty(root_w.size)
-
-    def w_norm(v: np.ndarray) -> float:
-        np.multiply(root_w, v.view(float), out=buf)
-        return math.sqrt(buf @ buf)
-
-    v = to_sectors(psi0.values.flatten(order="F"))
-    norm0 = w_norm(v)
+    u = to_sectors(psi0)
+    norm0 = _norm(u)
     taken = set(snap_steps)
     at_step = {0: psi0.copy()}
     drift = 0.0
     for k in range(1, n_steps + 1):
-        v = stepper.step(v)
-        drift = max(drift, abs(w_norm(v) - norm0) / max(norm0, 1e-30))
+        u = stepper.step(u)
+        drift = max(drift, abs(_norm(u) - norm0) / max(norm0, 1e-30))
         if k in taken:
-            at_step[k] = SpinorField(op.grid, from_sectors(v).reshape((4, n), order="F"))
+            at_step[k] = _field(u, op.grid)
     return Trajectory(
         times=np.asarray([0.0] + [k * dt_eff for k in snap_steps]),
         fields=[at_step[0]] + [at_step[k] for k in snap_steps],
@@ -294,8 +283,8 @@ class Propagation:
     counters."""
 
     fields: List[SpinorField]
-    matvecs: int  # products with a sector block of S over the whole run
-    bound: float  # the largest R, the Gershgorin bound of a sector block of S
+    matvecs: int  # products with a sector block over the whole run
+    bound: float  # the largest R, the Gershgorin bound of an averaged block
     norm_drift: float  # worst relative W-norm change over the snapshots
     asymmetry: float  # row-sum bound on ‖S − S†‖₂, which the run averages away
 
@@ -348,30 +337,28 @@ def chebyshev_propagate(
 ) -> Propagation:
     """e^{∓itH}ψ⁰ at each requested time, by the Chebyshev expansion.
 
-    The run works on u = W^{1/2}ψ and S = W^{1/2} H W^{−1/2}, so the
-    W-norm of ψ is the plain norm of u.  S is Hermitian-averaged first; the
-    bound on what that drops is ``asymmetry``, the operator's
-    ``hermiticity_defect``.  The series runs on each sector block that u
-    occupies, with that block's R; ``matvecs`` counts the products with
-    every block, ``bound`` is the largest R.  Snapshots chain: the state at
-    t_{k+1} is e^{∓i(t_{k+1}−t_k)S} applied to the state at t_k, so one run
+    The series runs on the Hermitian average of each sector block of
+    G = PSPᵀ/2 that u = PW^{1/2}ψ occupies, with that block's R; the bound
+    on what the average drops is ``asymmetry``, the operator's
+    ``hermiticity_defect``.  ``matvecs`` counts the products with every
+    block, ``bound`` is the largest R.  Snapshots chain: the state at
+    t_{k+1} is e^{∓i(t_{k+1}−t_k)H} applied to the state at t_k, so one run
     costs about t_last·R matvecs per occupied block whatever the number of
     times.  ``times`` must be non-negative and non-decreasing; a repeated
-    time repeats the state.  After every interval the W-norm is compared
-    with the input's, and a relative drift past 1e−8 raises
-    ``NumericError`` — the sign of a bound R below the spectral radius.
+    time repeats the state.  After every interval ‖u‖ is compared with the
+    input's, and a relative drift past 1e−8 raises ``NumericError`` — the
+    sign of a bound R below the spectral radius.
     """
     if not np.array_equal(psi0.grid.nodes, op.grid.nodes):
         raise ConfigurationError("field and operator live on different grids")
     t = np.asarray(times, dtype=float)
     if t.size == 0 or t[0] < 0 or np.any(np.diff(t) < 0):
         raise ConfigurationError("times must be non-negative and non-decreasing")
-    root = np.sqrt(np.repeat(op.grid.weights, 4))
     blocks = op.sectors()
     bound = max(block.bound for block in blocks)
     phase = -1j if direction == Direction.FORWARD else 1j
 
-    u = to_sectors(root * psi0.values.flatten(order="F"))
+    u = to_sectors(psi0)
     norm0 = _norm(u)
     field = psi0.copy()
     fields: List[SpinorField] = []
@@ -391,8 +378,7 @@ def chebyshev_propagate(
                     {"t": float(t_k), "norm_drift": change, "bound": bound},
                 )
             drift = max(drift, change)
-            flat = from_sectors(u) / root
-            field = SpinorField(op.grid, flat.reshape((4, op.grid.n), order="F"))
+            field = _field(u, op.grid)
             now = t_k
         fields.append(field)
     return Propagation(fields, matvecs, bound, drift, op.hermiticity_defect())

@@ -3,14 +3,14 @@
 Three numerical shadows of the channel operator's spectral theory:
 
 * ``level_count`` and ``eigendecompose`` — the weighted symmetric
-  eigenproblem.  The discrete operator H is self-adjoint in the quadrature
-  inner product ⟨u, v⟩_W = Σ_j w_j u(x_j)†v(x_j), so S = W^{1/2} H W^{−1/2}
-  is Hermitian and its eigenpairs give spectral projections by functional
-  calculus.  Every solver reads S as its γ³γ⁵ sector blocks, each block
-  tridiagonal in nodes: the levels below any σ come from the inertia of
-  one block LDL† sweep of S − σI, in O(n), those of a window [a, b] from
-  one shift-invert Lanczos solve per block about the window centre, sized
-  by its count.  Nothing computes the whole spectrum.
+  eigenproblem.  H is self-adjoint in ⟨u, v⟩_W = Σ_j w_j u(x_j)†v(x_j), so
+  S = W^{1/2} H W^{−1/2} is Hermitian and its eigenpairs give spectral
+  projections by functional calculus.  Every solver reads S in the sector
+  coordinates u = PW^{1/2}ψ, as the Hermitian averages of the γ³γ⁵ blocks
+  of G = PSPᵀ/2, each tridiagonal in nodes: the levels below any σ come
+  from the inertia of one block LDL† sweep, in O(n), those of a window
+  [a, b] from one shift-invert Lanczos solve per block about the window
+  centre, sized by its count.  Nothing computes the whole spectrum.
 * ``mourre_check`` — positivity of the localized commutator: the minimum
   Rayleigh quotient of P_I C P_I on ran P_I, with C the closed-form
   commutator i[H, 𝒜].  PASS means min quotient ≥ 1 − ``MOURRE_EPS``; η =
@@ -106,9 +106,9 @@ class SpectralDecomposition:
 
 
 def _block_counts(op: ChannelOperator, sigmas) -> np.ndarray:
-    """``level_count`` per sector block, shape (blocks,) + σ's shape.  Index
-    k of a block sits at node (k mod 2n) // 2 and local index 2·(k // 2n) +
-    k mod 2 (``to_sectors``): d = 2 per node for a split block, 4 for one."""
+    """``level_count`` per sector block, shape (blocks,) + σ's shape.  Each
+    coordinate of a block sits at the node and slot the split records:
+    d = 2 per node for a split block, 4 for one."""
     sigmas = np.asarray(sigmas, dtype=float)
     blocks, n = op.sectors(), op.grid.n
     d = blocks[0].scaled.shape[0] // n
@@ -116,8 +116,8 @@ def _block_counts(op: ChannelOperator, sigmas) -> np.ndarray:
     upper = np.zeros_like(diag)  # the block of nodes (j − 1, j) at j; zero at 0
     for i, block in enumerate(blocks):
         s = block.scaled.tocoo()
-        node, a = (s.row % (2 * n)) // 2, 2 * (s.row // (2 * n)) + s.row % 2
-        col, c = (s.col % (2 * n)) // 2, 2 * (s.col // (2 * n)) + s.col % 2
+        node, a = block.nodes[s.row], block.slots[s.row]
+        col, c = block.nodes[s.col], block.slots[s.col]
         distance = int(np.max(np.abs(node - col), initial=0))
         if distance >= 2:  # the sweep would read the entry as zero
             raise ConfigurationError(f"inertia sweep: S couples nodes {distance} apart")
@@ -157,7 +157,7 @@ def _block_counts(op: ChannelOperator, sigmas) -> np.ndarray:
 def level_count(op: ChannelOperator, sigmas) -> np.ndarray:
     """The number of levels of H below each σ, by Sylvester's law of inertia.
 
-    On each sector block of S = W^{1/2}HW^{−1/2}, the block LDL† sweep
+    On each averaged sector block S of G = PSPᵀ/2, the block LDL† sweep
     D_j = S_jj − σ − S_{j−1,j}† D_{j−1}^{−1} S_{j−1,j} over nodes reduces
     S − σI congruently to pivots whose negative eigenvalues are the levels
     below σ: O(n) small solves for every σ and block at once, on 2S/R
@@ -200,7 +200,7 @@ def eigendecompose(op: ChannelOperator, window: Tuple[float, float]) -> Spectral
     σ and their number.  Each block holding levels gets one shift-invert
     Lanczos solve of its 2S/R about 2σ/R, for its count plus a margin, and
     a Rayleigh–Ritz step; the vectors map back by √2·``from_sectors``, as
-    PᵀP = 2·𝟙.  The count levels nearest the centre are exactly the
+    ‖u‖ = √2·‖ψ‖_W.  The count levels nearest the centre are exactly the
     block's window levels, so a solve with another number raises
     ``NumericError`` naming the totals found and counted; a window too wide
     for Lanczos (2k ≥ the block's dimension) raises ``ConfigurationError``.
@@ -253,7 +253,7 @@ def eigendecompose(op: ChannelOperator, window: Tuple[float, float]) -> Spectral
         values.append(lam[keep])
         v = np.zeros((dim, found[-1]), dtype=complex)
         v[block.rows] = q @ y[:, keep]
-        fields.append(from_sectors(v))
+        fields.append(from_sectors(v, op.grid))
     if found != [int(c) for c in counts if c]:
         raise NumericError(
             f"window solve found {sum(found)} levels in [{a}, {b}], inertia counts {count}",
@@ -261,8 +261,7 @@ def eigendecompose(op: ChannelOperator, window: Tuple[float, float]) -> Spectral
         )
     lam = np.concatenate(values)
     order = np.argsort(lam, kind="stable")
-    lift = math.sqrt(2.0) / np.sqrt(np.repeat(op.grid.weights, 4))  # ‖Pᵀv/2‖² = ‖v‖²/2
-    vectors = lift[:, None] * np.hstack(fields)[:, order]
+    vectors = math.sqrt(2.0) * np.hstack(fields)[:, order]
     max_res, ortho = _accuracy(op, lam[order], vectors)
     return SpectralDecomposition(
         lam[order], vectors, op.grid, max_res, ortho, requested, op.hermiticity_defect()

@@ -33,12 +33,17 @@ def perturbed(op: ChannelOperator, row: int, col: int, size: float) -> ChannelOp
     return dataclasses.replace(op, matrix=(op.matrix + bump).tocsc())
 
 
-def dense_symmetric(op: ChannelOperator):
-    """(S, √W) with S = W^{1/2} H W^{−1/2} averaged with its adjoint, dense,
-    formed here from the assembled H and the grid weights: the reference
-    the package's sector blocks and spectral solvers are tested against."""
+def dense_scaled(op: ChannelOperator):
+    """(S, √W) with S = W^{1/2} H W^{−1/2} dense, formed here from the
+    assembled H and the grid weights."""
     root = np.sqrt(np.repeat(op.grid.weights, 4))
-    s = root[:, None] * op.matrix.toarray() / root[None, :]
+    return root[:, None] * op.matrix.toarray() / root[None, :], root
+
+
+def dense_symmetric(op: ChannelOperator):
+    """(S averaged with its adjoint, √W), dense: the reference the
+    package's sector blocks and spectral solvers are tested against."""
+    s, root = dense_scaled(op)
     return (s + s.conj().T) / 2.0, root
 
 

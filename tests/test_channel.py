@@ -4,7 +4,14 @@ brute-force oracle."""
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from conftest import SECTOR_ROWS, apply, dense_sector_blocks, dense_symmetric, perturbed
+from conftest import (
+    SECTOR_ROWS,
+    apply,
+    dense_scaled,
+    dense_sector_blocks,
+    dense_symmetric,
+    perturbed,
+)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -16,11 +23,13 @@ from adsdirac.channel import (
     assemble_hamiltonian,
     commutator_closed_form,
     free_operator,
+    from_sectors,
     mit_reflection,
     select_bc,
+    to_sectors,
 )
 from adsdirac.geometry import CoordinateMap, make_params
-from adsdirac.grids import BoundaryGraded, gaussian_packet, make_grid
+from adsdirac.grids import BoundaryGraded, SpinorField, gaussian_packet, make_grid
 from adsdirac.harness import ExperimentConfig, _run_evolve, parse_config_dict
 
 P_MIT = make_params(1.0, 1.0, 0.25)  # 2ml = 1/2 — bag-type wall
@@ -471,8 +480,9 @@ class TestSectors:
     def test_every_operator_splits_into_isospectral_sectors(self, kind, x_min, n, s, mass):
         """Uniform and graded grids, every coupling, both regimes (the
         graded bag case with the exponent wall row), the free generator and
-        potentials passed by the caller: two blocks, as the dense transform
-        gives them, with the same spectrum."""
+        potentials passed by the caller: two blocks of G = PSPᵀ/2 and of its
+        Hermitian average, as the dense transform gives them, with the same
+        spectrum."""
         if kind == "graded-bag":
             mass = 0.01 + 0.24 * mass  # 2ml < 1 with m > 0: the exponent row
         elif kind == "graded":
@@ -494,14 +504,14 @@ class TestSectors:
         bound = max(b.bound for b in blocks)
         plus, minus, cross = dense_sector_blocks(dense_symmetric(op)[0])
         assert cross <= 1e-14 * bound
-        h_plus, h_minus, h_cross = dense_sector_blocks(op.matrix.toarray())
-        scale = np.abs(op.matrix.data).max()
-        assert h_cross <= 1e-14 * scale
-        for block, s_dense, h_dense in zip(blocks, (plus, minus), (h_plus, h_minus)):
+        g_plus, g_minus, g_cross = dense_sector_blocks(dense_scaled(op)[0])
+        scale = np.abs(op._similar.data).max()
+        assert g_cross <= 1e-14 * scale
+        for block, s_dense, g_dense in zip(blocks, (plus, minus), (g_plus, g_minus)):
             assert block.bound == pytest.approx(np.abs(s_dense).sum(axis=1).max(), rel=1e-14)
             scaled = block.scaled.toarray() * (block.bound / 2.0)
             assert np.max(np.abs(scaled - s_dense)) <= 1e-14 * bound
-            assert np.max(np.abs(block.hamiltonian.toarray() - h_dense)) <= 1e-14 * scale
+            assert np.max(np.abs(block.generator.toarray() - g_dense)) <= 1e-14 * scale
         levels = [np.linalg.eigvalsh(b) for b in (plus, minus)]
         assert np.max(np.abs(levels[0] - levels[1])) <= 1e-12 * bound
 
@@ -550,7 +560,68 @@ class TestSectors:
         with pytest.raises(ValueError):
             first[0].scaled.data[0] = 0.0
         with pytest.raises(ValueError):
-            first[1].hamiltonian.data[0] = 0.0
+            first[1].generator.data[0] = 0.0
+        with pytest.raises(ValueError):
+            first[0].nodes[0] = 1
+
+    @pytest.mark.parametrize("first", ["defect", "sectors"])
+    def test_s_is_formed_and_transformed_once(self, monkeypatch, first):
+        """Whichever of the hermiticity bound and the split runs first, the
+        operator forms S once and transforms it to G once; a copy with
+        another matrix forms its own."""
+        calls = []
+        scaled, split = channel._scaled, channel._split_sectors
+        monkeypatch.setattr(channel, "_scaled", lambda *a: calls.append("S") or scaled(*a))
+        monkeypatch.setattr(channel, "_split_sectors", lambda *a: calls.append("G") or split(*a))
+        op = assemble_hamiltonian(Channel(0.5, 0.5), P_MIT, make_grid(-8.0, 64))
+        readers = [op.hermiticity_defect, op.sectors]
+        for read in readers if first == "defect" else readers[::-1]:
+            read()
+            read()
+        assert calls == ["S", "G"]
+        perturbed(op, 8, 12, 1e-7).sectors()
+        assert calls == ["S", "G", "S", "G"]
+
+
+class TestStateMaps:
+    """The one coordinate system every solver shares, u = PW^{1/2}ψ."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        graded=st.booleans(),
+        x_min=st.floats(-16.0, -4.0),
+        n=st.integers(16, 128),
+        mass=st.floats(0.0, 2.0),
+        broken=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_round_trip_norm_and_generator(self, graded, x_min, n, mass, broken, seed):
+        """On uniform and graded grids, for operators that split and a
+        one-block control with an entry across the sectors: the round trip
+        ψ → u → ψ is exact to rounding, column by column too, ‖u‖ is
+        √2·‖ψ‖_W, and the blocks of G act on u as H acts on ψ."""
+        if graded:
+            g = make_grid(x_min, policy=BoundaryGraded(h_min=1e-2, ratio=1.08))
+        else:
+            g = make_grid(x_min, n)
+        op = assemble_hamiltonian(Channel(0.5, 0.5), make_params(1.0, 1.0, mass), g)
+        if broken:
+            op = perturbed(op, 4 * (g.n // 2), 4 * (g.n // 2) + 4, 1e-2)
+        assert len(op.sectors()) == (1 if broken else 2)
+        rng = np.random.default_rng(seed)
+        psi = SpinorField(g, rng.normal(size=(4, g.n)) + 1j * rng.normal(size=(4, g.n)))
+        u = to_sectors(psi)
+        flat = psi.values.flatten(order="F")
+        assert np.max(np.abs(from_sectors(u, g) - flat)) <= 4e-16 * np.abs(flat).max()
+        assert np.linalg.norm(u) == pytest.approx(np.sqrt(2.0) * psi.norm(), rel=1e-14)
+        columns = np.column_stack([u, 1j * u])
+        assert np.array_equal(from_sectors(columns, g)[:, 1], 1j * from_sectors(u, g))
+        h_psi = SpinorField(g, apply(op, psi.values))
+        g_u = np.zeros_like(u)
+        for block in op.sectors():
+            g_u[block.rows] = block.generator @ u[block.rows]
+        expected = to_sectors(h_psi)
+        assert np.max(np.abs(g_u - expected)) <= 1e-12 * np.abs(expected).max()
 
 
 class TestStencilEntrywise:

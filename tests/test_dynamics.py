@@ -178,11 +178,11 @@ class TestCayleyStep:
         op = assemble_hamiltonian(Channel(0.5, 0.5), P_NAT, g)
         dt = g.min_spacing / 2
         packet = gaussian_packet(g, -5.0, 0.5, components=(1.0, 0.0, 0.0, 1.0))
-        v = to_sectors(packet.values.flatten(order="F"))
+        v = to_sectors(packet)
         empty, occupied = op.sectors()
         assert not v[empty.rows].any() and v[occupied.rows].any()
         exact = CayleyStepper(op, dt).step(v)
-        plus = _plus_matrix(occupied.hamiltonian, dt)
+        plus = _plus_matrix(occupied.generator, dt)
         noise = sp.diags(np.random.default_rng(1).standard_normal(plus.shape[0]))
 
         unused = CayleyStepper(op, dt)

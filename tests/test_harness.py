@@ -679,6 +679,27 @@ class TestRun:
         doc = json.loads((tmp_path / "velocity.json").read_text())
         assert doc["scalars"] == {"bc": "natural"}
 
+    def test_short_scatter_domain_fails_its_checks(self, tmp_path):
+        # the forward packet at -4 (width 0.5) moves left for t = 16, so the
+        # default schedule needs x_min <= -23: forward, backward and adjoint
+        # FAIL lines saying so, where the free flow once raised, the trivial
+        # oracle on its own grid, and the increments file with its header only
+        cfg = parse_config_dict({**MINIMAL, "grid": {"x_min": -16, "n": 256}})
+        manifest = run(cfg, experiments=["scatter"], out=str(tmp_path))
+        (result,) = manifest.results
+        assert result.error is None and result.status == "fail"
+        checks = {c.name: c for c in result.checks}
+        assert list(checks) == ["forward", "backward", "adjoint", "trivial"]
+        for name in ("forward", "backward", "adjoint"):
+            assert not checks[name].passed
+            assert checks[name].detail == "scatter to t = 16 needs x_min <= -23"
+        assert checks["trivial"].passed
+        assert sorted(result.files) == ["scatter.json", "scatter_increments.csv"]
+        rows = (tmp_path / "scatter_increments.csv").read_text().splitlines()
+        assert rows[-1] == "t,forward_increment,backward_increment"
+        doc = json.loads((tmp_path / "scatter.json").read_text())
+        assert sorted(doc["scalars"]) == ["bc", "schedule", "trivial_max"]
+
     def test_free_mourre_window_on_the_configured_domain(self, tmp_path):
         # on x_min = -32 the free window [0.5, 0.9] holds as many levels as
         # the interacting one; on a fixed (-16, 0) it held half, too few

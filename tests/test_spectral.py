@@ -366,15 +366,17 @@ class TestSectorBlocks:
         block."""
         op = _sads_operator(320, m=mass)
         dec = eigendecompose(op, WINDOW)
-        sym, root = dense_symmetric(op)
-        plus, minus, _ = dense_sector_blocks(sym)
+        plus, minus, _ = dense_sector_blocks(dense_symmetric(op)[0])
         inside = []
         for block in (plus, minus):
             x = np.linalg.eigvalsh(block)
             inside.append(x[(x >= WINDOW[0]) & (x <= WINDOW[1])])
         assert [x.size for x in inside] == [20, 20]
         assert dec.requested == 2 * (20 + 8)
-        v = np.column_stack([to_sectors(root * column) for column in dec.vectors.T])
+        v = np.column_stack([
+            to_sectors(SpinorField(op.grid, column.reshape((4, -1), order="F")))
+            for column in dec.vectors.T
+        ])
         half = 2 * op.grid.n
         weight = np.linalg.norm(v[:half], axis=0), np.linalg.norm(v[half:], axis=0)
         in_plus = weight[0] > weight[1]
