@@ -29,18 +29,21 @@ making the closed operator self-adjoint in the weighted inner product:
   x_min far enough left that no signal reaches it (propagation speed ≤ 1),
   so the wall only has to be norm-preserving, not physical.
 
-Row 4j + a of the assembled matrix (node j, component a) holds at most
-four entries: the difference's ∓i/(2w_j)·Γ¹_aa at columns 4(j ∓ 1) + a,
-and node j's potential block at two partner columns 4j + c.  Γ¹ is
-diagonal, and the two partners of each component are the supports of
-γ⁰γ² and γ⁰, on which the wall closures Γ¹S fall too; both facts are read
-off the algebra at assembly, which refuses anything that breaks them.
-The rows are written straight into compressed sparse arrays.
+The assembled matrix is S = W^{1/2}HW^{−1/2}, W the grid weights, Hermitian
+exactly when H is self-adjoint in the weighted inner product.  Its row
+4j + a (node j, component a) holds at most four entries: the difference's
+∓i·Γ¹_aa/(2√(w_j w_{j±1})) at columns 4(j ± 1) + a, formed once per edge
+and mirrored, so Hermitian to the last bit on every grid, and node j's
+potential block (as in H) at two partner columns 4j + c.  Γ¹ is diagonal,
+and the two partners of each component are the supports of γ⁰γ² and γ⁰,
+on which the wall closures Γ¹S fall too; both facts are read off the
+algebra at assembly, which refuses anything that breaks them.  The rows
+are written straight into compressed sparse arrays.
 
 Every solver works in one coordinate system, u = PW^{1/2}ψ (``to_sectors``),
-with P the per-node transform onto the sectors of γ³γ⁵: S = W^{1/2}HW^{−1/2}
-is formed once per operator and transformed once to G = PSPᵀ/2, whose blocks
-Cayley steps with and whose Hermitian averages the other solvers read.
+with P the per-node transform onto the sectors of γ³γ⁵: S is transformed
+once per operator to G = PSPᵀ/2, whose blocks Cayley steps with and whose
+Hermitian averages the other solvers read.
 """
 from __future__ import annotations
 
@@ -125,11 +128,11 @@ def mit_reflection() -> np.ndarray:
 
 @dataclass
 class ChannelOperator:
-    """Assembled banded Hamiltonian of one channel on one grid.
+    """Assembled banded channel operator on one grid.
 
-    Immutable after assembly.  ``matrix`` acts on node-major flattened
-    fields (component index fastest, i.e. ``values.flatten(order="F")`` of
-    a (4, n) array).
+    Immutable after assembly.  ``matrix`` is S = W^{1/2}HW^{−1/2}; it acts
+    on W^{1/2} times node-major flattened fields (component index fastest,
+    i.e. ``values.flatten(order="F")`` of a (4, n) array).
     """
 
     channel: Channel
@@ -149,11 +152,11 @@ class ChannelOperator:
         return self.params.m if self.params is not None else 0.0
 
     def hermiticity_defect(self, seed: Optional[int] = None) -> float:
-        """The largest absolute row sum of the anti-Hermitian S − S†, for
-        S = W^{1/2} H W^{−1/2}: a bound on ‖S − S†‖₂, zero up to rounding
-        exactly when H is self-adjoint in the weighted inner product, and at
-        least |⟨Hu, v⟩ − ⟨u, Hv⟩| / (‖u‖‖v‖) for every field pair.  Computed
-        once, without the sector split; ``seed`` is accepted and ignored."""
+        """The largest absolute row sum of the anti-Hermitian S − S†: a bound
+        on ‖S − S†‖₂, zero exactly when H is self-adjoint in the weighted
+        inner product, and at least |⟨Hu, v⟩ − ⟨u, Hv⟩| / (‖u‖‖v‖) for every
+        field pair.  Computed once, without the sector split; ``seed`` is
+        accepted and ignored."""
         return self._defect
 
     def sectors(self) -> Tuple["SectorBlock", ...]:
@@ -161,20 +164,25 @@ class ChannelOperator:
         the arrays are read-only, since every caller shares them."""
         return self._sectors
 
-    # S = W^{1/2} H W^{−1/2}, and what the two methods above read off it:
-    # each is formed on first use and kept for the operator's lifetime
-    @cached_property
-    def _similar(self) -> sp.csc_matrix:
-        return _scaled(self.matrix, self.grid.weights)
-
+    # what the two methods above read off S, each formed on first use
     @cached_property
     def _defect(self) -> float:
-        s = self._similar
-        return float(np.max(abs(s - s.conj().T).sum(axis=1)))
+        # In a symmetric pattern, as assembled, S's p-th entry in row-major
+        # order (data[order[p]]) mirrors its p-th in CSC order, so the rows
+        # of S − S† are summed in column order, as the sparse row sum that
+        # any other pattern takes does.
+        s, size = self.matrix, self.matrix.shape[0]
+        col = np.repeat(np.arange(size, dtype=s.indices.dtype), np.diff(s.indptr))
+        order = np.argsort(s.indices, kind="stable")
+        if not (np.array_equal(s.indices[order], col) and np.array_equal(col[order], s.indices)):
+            return float(np.max(abs(s - s.conj().T).sum(axis=1)))
+        gap = s.data[order] - s.data.conj()
+        live = np.flatnonzero(gap)
+        return float(np.max(np.bincount(col[live], np.abs(gap[live]), size)))
 
     @cached_property
     def _sectors(self) -> Tuple["SectorBlock", ...]:
-        return _split_sectors(self._similar)
+        return _split_sectors(self.matrix)
 
 
 def _root(weights: np.ndarray) -> np.ndarray:
@@ -182,19 +190,10 @@ def _root(weights: np.ndarray) -> np.ndarray:
     return np.sqrt(np.repeat(weights, 4))
 
 
-def _scaled(matrix: sp.csc_matrix, weights: np.ndarray) -> sp.csc_matrix:
-    """S = W^{1/2} H W^{−1/2} of a CSC matrix, entry by entry, each entry's
-    column read from ``indptr``: bit for bit the dense product."""
-    root = _root(weights)
-    col = np.repeat(np.arange(matrix.shape[1]), np.diff(matrix.indptr))
-    data = root[matrix.indices] * matrix.data / root[col]
-    return sp.csc_matrix((data, matrix.indices, matrix.indptr), shape=matrix.shape)
-
-
 # ---------------------------------------------------------------- sectors
 #
 # Q = γ³γ⁵ commutes with Γ¹, ANGULAR, MASS and the wall reflection, so it
-# commutes with every assembled H node by node.  The rows of _SECTOR_ROWS
+# commutes with every assembled S node by node.  The rows of _SECTOR_ROWS
 # span its eigenspaces, (1, 0, 0, −1) and (0, 1, 1, 0) for Q = +1 and
 # (1, 0, 0, 1) and (0, 1, −1, 0) for Q = −1; with P that matrix at every node,
 # PPᵀ = 2·𝟙, so S acts on u = PW^{1/2}ψ as G = PSPᵀ/2, whose entries are sums
@@ -315,18 +314,19 @@ def _partner_columns(reflection: np.ndarray) -> np.ndarray:
 
 
 def _block_matrix(grid: Grid, coupling, m, a_vals, b_vals, left, right, partners) -> sp.csc_matrix:
-    """Node-major sparse matrix of −i·VELOCITY·(centered difference) plus the
-    pointwise potential coupling·A(x)·ANGULAR − m·B(x)·MASS.
+    """Node-major sparse S = W^{1/2}HW^{−1/2} of H = −i·VELOCITY·(centered
+    difference) + coupling·A(x)·ANGULAR − m·B(x)·MASS.
 
-    Row 4j + a holds at most four entries, in column order: −coef_j·v_a at
+    Row 4j + a holds at most four entries, in column order: c_{j−1}·v_a at
     column 4(j − 1) + a, node j's potential block at its two ``partners``
-    columns 4j + c for component a, and coef_j·v_a at column 4(j + 1) + a,
-    with coef = −i/(2w) and v = diag(VELOCITY).  ``left``/``right`` are the
-    ghost closures added to the first and last potential blocks; an entry
-    of theirs off the partner columns raises ``ConfigurationError``.  The
-    entries go into a value table of four slots per row beside their column
-    table, exact zeros are dropped with one mask, and the CSR arrays so
-    written are converted to CSC once.
+    columns 4j + c for component a, and −c_j·v_a at column 4(j + 1) + a,
+    with c_j = i/(2√(w_j w_{j+1})) the coefficient of edge (j, j + 1) and
+    v = diag(VELOCITY).  ``left``/``right`` are the ghost closures added to
+    the first and last potential blocks; an entry of theirs off the
+    partner columns raises ``ConfigurationError``.  The entries go into a
+    value table of four slots per row beside their column table, exact
+    zeros are dropped with one mask, and the CSR arrays so written are
+    converted to CSC once.
     """
     n = grid.n
     comp = np.arange(4)[:, None]
@@ -335,7 +335,8 @@ def _block_matrix(grid: Grid, coupling, m, a_vals, b_vals, left, right, partners
     if np.any(left[off_pattern]) or np.any(right[off_pattern]):
         raise ConfigurationError("a wall closure has an entry off the potential blocks' pattern")
     v = np.diag(VELOCITY).astype(complex)
-    coef = (-1j / (2.0 * grid.weights))[:, None]
+    w = grid.weights
+    edge = (-1j / (2.0 * np.sqrt(w[:-1] * w[1:])))[:, None]
     diag = (
         (coupling * a_vals)[:, None] * ANGULAR.astype(complex)[comp, partners].ravel()
         - (m * b_vals)[:, None] * MASS[comp, partners].ravel()
@@ -343,9 +344,9 @@ def _block_matrix(grid: Grid, coupling, m, a_vals, b_vals, left, right, partners
     diag[0] += left[comp, partners]
     diag[-1] += right[comp, partners]
     values = np.empty((n, 4, 4), dtype=complex)
-    values[:, :, 0] = -coef * v
+    values[1:, :, 0] = -edge * v
     values[:, :, 1:3] = diag
-    values[:, :, 3] = coef * v
+    values[:-1, :, 3] = edge * v
     values[0, :, 0] = values[-1, :, 3] = 0.0  # no node beyond either wall
     offsets = np.column_stack([comp - 4, partners, comp + 4]).astype(np.int32)
     columns = 4 * np.arange(n, dtype=np.int32)[:, None, None] + offsets
@@ -363,7 +364,7 @@ def assemble_hamiltonian(
     grid: Grid,
     potentials: Optional[Callable] = None,
 ) -> ChannelOperator:
-    """Build the banded channel Hamiltonian.
+    """Build the banded channel operator, S = W^{1/2}HW^{−1/2} of H.
 
     The potentials are the black-hole pair √F/r and √F of ``params``,
     unless ``potentials`` maps the node array x to (A(x), B(x)).  The wall

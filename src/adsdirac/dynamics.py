@@ -1,13 +1,13 @@
 """Norm-preserving time evolution and the exact comparison propagator.
 
 Both propagators work in the sector coordinates u = PW^{1/2}ψ of
-``channel.to_sectors``, ‖u‖ = √2·‖ψ‖_W, on the blocks of G = PSPᵀ/2 with
-S = W^{1/2} H W^{−1/2} (``ChannelOperator.sectors``): one 2n-row block per
-sector of γ³γ⁵, or one 4n-row block for an operator that mixes them.  A
-run maps the state to u once at the start and back once per snapshot, and
-propagates only the blocks u occupies; the others stay exactly zero, so
-the packets (1, 0, 0, 1) of the experiments, which lie in one sector,
-pay half of every solve and product.
+``channel.to_sectors``, ‖u‖ = √2·‖ψ‖_W, on the blocks of G = PSPᵀ/2
+(``ChannelOperator.sectors``), with S = W^{1/2} H W^{−1/2} the assembled
+matrix: one 2n-row block per sector of γ³γ⁵, or one 4n-row block for an
+operator that mixes them.  A run maps the state to u once at the start and
+back once per snapshot, and propagates only the blocks u occupies; the
+others stay exactly zero, so the packets (1, 0, 0, 1) of the experiments,
+which lie in one sector, pay half of every solve and product.
 
 The one-step map is the Cayley (trapezoidal) rational approximation of the
 exponential,

@@ -724,7 +724,7 @@ def _run_velocity(cfg: ExperimentConfig) -> ExperimentResult:
     res = ExperimentResult("velocity")
     grid = cfg.grid
     op = cfg.operator()
-    times = cfg.option("velocity", "times")
+    times = cfg.options["velocity"]["times"]
     columns = ("t", "minimal", "maximal", "unit", "cone", "v")
     if abs(grid.x_min) < times[-1] + 6.0:
         short = f"velocity traces to t = {times[-1]:g} need x_min <= -{times[-1] + 6:g}"
@@ -798,9 +798,8 @@ def _run_mourre(cfg: ExperimentConfig) -> ExperimentResult:
     refinement, plus the free operator on the coarse grid, where the
     quotient is exactly one."""
     res = ExperimentResult("mourre")
-    n = cfg.option("mourre", "n")
-    factor = cfg.option("mourre", "fine_factor")
-    interval = tuple(cfg.option("mourre", "interval"))
+    block = cfg.options["mourre"]
+    n, factor, interval = block["n"], block["fine_factor"], tuple(block["interval"])
     x_min = cfg.grid.x_min
 
     coarse = cfg.operator(make_grid(x_min, n))
@@ -882,7 +881,7 @@ def _run_spectrum(cfg: ExperimentConfig) -> ExperimentResult:
     becomes two FAIL lines carrying the rejected numbers; the sweep still
     runs and the eigenvalue table holds its header only."""
     res = ExperimentResult("spectrum")
-    n = cfg.option("spectrum", "n")
+    n = cfg.options["spectrum"]["n"]
     op = cfg.operator(make_grid(cfg.grid.x_min, n))
     cuts = np.array([1, 2, 4, 8])
     below = level_count(op, np.concatenate([-cuts, cuts]))
@@ -906,8 +905,7 @@ def _run_spectrum(cfg: ExperimentConfig) -> ExperimentResult:
         )
     )
 
-    lambdas = cfg.option("spectrum", "lambdas")
-    depth = cfg.option("spectrum", "depth")
+    lambdas, depth = cfg.options["spectrum"]["lambdas"], cfg.options["spectrum"]["depth"]
     sweep = []
     for lam in lambdas:
         rep = no_eigenvalue_test(lam, cfg.channel, params=cfg.params, depth=depth)
@@ -931,6 +929,7 @@ def _run_spectrum(cfg: ExperimentConfig) -> ExperimentResult:
         "conditions": [r.condition for r in sweep],
         "depth_differences": [r.depth_difference for r in sweep],
         "current_defects": [r.current_defect for r in sweep],
+        "integral_tails": [r.integral_tail for r in sweep],
         "steps": [r.steps for r in sweep],
     }
     res.tables["spectrum_eigenvalues.csv"] = (
@@ -943,16 +942,17 @@ def _run_domain_exponent(cfg: ExperimentConfig) -> ExperimentResult:
     """Wall decay rate of generic resolvent elements on a graded grid, one
     fit per mass, judged against the regime's expected exponent."""
     res = ExperimentResult("domain-exponent")
-    masses = cfg.option("domain-exponent", "masses")
     block = cfg.options["domain-exponent"]
+    masses = block["masses"]
     grid = _graded_grid(block)
 
-    rows = []
+    rows, walls = [], []
     for mass in masses:
         p = make_params(cfg.params.M, cfg.params.l, mass)
         op = assemble_hamiltonian(cfg.channel, p, grid)
         rep = boundary_exponent_fit(op)
         rows.append((mass, p.two_ml, rep))
+        walls.append(op.wall_exponent)
         label = f"slope[2ml={p.two_ml:g}]"
         if not rep.fitted:
             res.checks.append(CheckLine(label, False, f"fit failed: {rep.reason}"))
@@ -983,6 +983,7 @@ def _run_domain_exponent(cfg: ExperimentConfig) -> ExperimentResult:
         "grading": {k: block[k] for k in ("h_min", "ratio", "h_max", "x_min")},
         "slopes": [r.slope for _, _, r in rows],
         "targets": [r.target for _, _, r in rows],
+        "wall_exponents": walls,  # what each wall row carries, null for the mirror
     }
     res.tables["domain_exponent.csv"] = (
         ("mass", "two_ml", "slope", "target", "n_points"),
@@ -1183,7 +1184,7 @@ def run(
         wall_clock=time.perf_counter() - t0,
         peak_rss_mb=_peak_rss_mb(),
     )
-    doc = manifest.to_dict()
+    doc = {**manifest.to_dict(), "canonical": cfg.canonical}  # what the digest hashes
     if extra_files:
         doc["extra_files"] = extra_files
     (out_dir / "manifest.json").write_text(

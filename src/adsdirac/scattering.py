@@ -79,7 +79,6 @@ class ScatteringReport:
     times: np.ndarray
     increments: np.ndarray
     limit: SpinorField
-    input_norm: float
     limit_norm: float
     converged: bool
     norm_drift: float  # worst over every run of the estimate
@@ -153,14 +152,12 @@ def wave_operator_forward(
             for a, b in zip(omegas[:-1], omegas[1:])
         ]
     )
-    nrm = phi.norm()
     return ScatteringReport(
         times=np.asarray(traj.times[1:]),
         increments=increments,
         limit=omegas[-1],
-        input_norm=nrm,
         limit_norm=omegas[-1].norm(),
-        converged=_verdict(increments, nrm),
+        converged=_verdict(increments, phi.norm()),
         norm_drift=drift,
     )
 
@@ -194,14 +191,12 @@ def wave_operator_backward(
         [op.grid.norm(r.fields[0].values - z.values) for r, z in zip(runs, zetas)]
     )
     limit = runs[-1].fields[-1]
-    nrm = psi.norm()
     return BackwardReport(
         times=times,
         increments=increments,
         limit=limit,
-        input_norm=nrm,
         limit_norm=limit.norm(),
-        converged=_verdict(increments, nrm),
+        converged=_verdict(increments, psi.norm()),
         matvecs=sum(r.matvecs for r in runs),
         bound=runs[0].bound,
         norm_drift=max(r.norm_drift for r in runs),

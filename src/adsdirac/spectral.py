@@ -4,13 +4,14 @@ Three numerical shadows of the channel operator's spectral theory:
 
 * ``level_count`` and ``eigendecompose`` — the weighted symmetric
   eigenproblem.  H is self-adjoint in ⟨u, v⟩_W = Σ_j w_j u(x_j)†v(x_j), so
-  S = W^{1/2} H W^{−1/2} is Hermitian and its eigenpairs give spectral
-  projections by functional calculus.  Every solver reads S in the sector
-  coordinates u = PW^{1/2}ψ, as the Hermitian averages of the γ³γ⁵ blocks
-  of G = PSPᵀ/2, each tridiagonal in nodes: the levels below any σ come
-  from the inertia of one block LDL† sweep, in O(n), those of a window
-  [a, b] from one shift-invert Lanczos solve per block about the window
-  centre, sized by its count.  Nothing computes the whole spectrum.
+  the assembled S = W^{1/2} H W^{−1/2} (``ChannelOperator.matrix``) is
+  Hermitian and its eigenpairs give spectral projections by functional
+  calculus.  Every solver reads S in the sector coordinates u = PW^{1/2}ψ,
+  as the Hermitian averages of the γ³γ⁵ blocks of G = PSPᵀ/2, each
+  tridiagonal in nodes: the levels below any σ come from the inertia of
+  one block LDL† sweep, in O(n), those of a window [a, b] from one
+  shift-invert Lanczos solve per block about the window centre, sized by
+  its count.  Nothing computes the whole spectrum.
 * ``mourre_check`` — positivity of the localized commutator: the minimum
   Rayleigh quotient of P_I C P_I on ran P_I, with C the closed-form
   commutator i[H, 𝒜].  PASS means min quotient ≥ 1 − ``MOURRE_EPS``; η =
@@ -26,8 +27,8 @@ Three numerical shadows of the channel operator's spectral theory:
   coordinate inverse; it keeps the conserved current Φ†Γ¹Φ = Γ¹ to
   rounding.
 * ``boundary_exponent_fit`` — the wall behavior of domain elements probed
-  through the resolvent: solve (H − z)u = f and fit log‖u‖ against
-  log(−x) on a boundary-graded tail.
+  through the resolvent: solve (H − z)u = f, as (S − z)W^{1/2}u = W^{1/2}f,
+  and fit log‖u‖ against log(−x) on a boundary-graded tail.
 """
 from __future__ import annotations
 
@@ -41,7 +42,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .algebra import ANGULAR, Channel, MASS, VELOCITY
-from .channel import ChannelOperator, ConfigurationError, commutator_closed_form, from_sectors
+from .channel import (
+    ChannelOperator, ConfigurationError, _root, commutator_closed_form, from_sectors
+)
 from .dynamics import NumericError
 from .geometry import CoordinateMap, Params, Regime
 from .grids import Grid, SpinorField
@@ -173,15 +176,13 @@ def level_count(op: ChannelOperator, sigmas) -> np.ndarray:
 def _accuracy(
     op: ChannelOperator, lam: np.ndarray, vectors: np.ndarray
 ) -> Tuple[float, float]:
-    """Largest W-norm residual ‖Hv − λv‖_W and W-Gram defect of the pairs;
-    raises past 1e−10·max|λ| or 1e−10, since every downstream projection
-    trusts them."""
-    w4 = np.repeat(op.grid.weights, 4)
-    resid = op.matrix @ vectors - vectors * lam[None, :]
-    max_res = float(np.sqrt(np.sum(w4[:, None] * np.abs(resid) ** 2, axis=0)).max(initial=0.0))
+    """Largest W-norm residual ‖Hv − λv‖_W and W-Gram defect of the pairs,
+    read on y = W^{1/2}v as ‖Sy − λy‖ and y†y; raises past 1e−10·max|λ| or
+    1e−10, since every downstream projection trusts them."""
+    y = _root(op.grid.weights)[:, None] * vectors
+    max_res = float(np.linalg.norm(op.matrix @ y - y * lam[None, :], axis=0).max(initial=0.0))
     scale = float(np.max(np.abs(lam), initial=0.0))
-    gram = (vectors.conj().T * w4[None, :]) @ vectors
-    ortho = float(np.max(np.abs(gram - np.eye(lam.size)), initial=0.0))
+    ortho = float(np.max(np.abs(y.conj().T @ y - np.eye(lam.size)), initial=0.0))
     if max_res > 1e-10 * scale or ortho > 1e-10:
         raise NumericError(
             "eigendecomposition accuracy contract violated",
@@ -352,8 +353,7 @@ def mourre_refinement_study(
 
 @dataclass
 class NoEigenvalueReport:
-    propagation: np.ndarray  # Φ(−X → x₀)
-    depth_difference: float  # ‖Φ_X − Φ_{2X}‖₂
+    depth_difference: float  # ‖Φ_X − Φ_{2X}‖₂, Φ_X = Φ(−X → x₀)
     condition: float  # cond₂ Φ_X
     integral_tail: float  # ∫_{−2X}^{−X} ‖W‖ dx
     invertible_limit: bool
@@ -495,7 +495,6 @@ def no_eigenvalue_test(
         float(np.max(np.abs(f.conj().T @ VELOCITY @ f - VELOCITY))) for f in (phi, phi_deep)
     )
     return NoEigenvalueReport(
-        propagation=phi,
         depth_difference=difference,
         condition=condition,
         integral_tail=tail,
@@ -529,9 +528,10 @@ def _slope_target(op: ChannelOperator) -> Optional[float]:
 def boundary_exponent_fit(
     op: ChannelOperator, f: Optional[SpinorField] = None
 ) -> BoundaryFitReport:
-    """Resolvent probe of the wall behavior: solve (H − z)u = f at z = 2i
-    and fit log‖u(x)‖ against log(−x) over the lowest decade of −x,
-    excluding the last three nodes (the ghost rows contaminate them)."""
+    """Resolvent probe of the wall behavior: solve (H − z)u = f at z = 2i,
+    as (S − z)y = W^{1/2}f with u = W^{−1/2}y, and fit log‖u(x)‖ against
+    log(−x) over the lowest decade of −x, excluding the last three nodes
+    (the ghost rows contaminate them)."""
     z = 2j
     grid = op.grid
     if f is None:
@@ -541,13 +541,14 @@ def boundary_exponent_fit(
     elif not np.array_equal(f.grid.nodes, grid.nodes):
         raise ConfigurationError("probe data lives on a different grid")
     shifted = (op.matrix - z * sp.identity(4 * grid.n, format="csc", dtype=complex)).tocsc()
+    root = _root(grid.weights)
     try:
-        flat = spla.spsolve(shifted, f.values.flatten(order="F"))
+        y = spla.spsolve(shifted, root * f.values.flatten(order="F"))
     except Exception as exc:
         raise NumericError("resolvent solve failed", {"z": z}) from exc
-    if not np.all(np.isfinite(flat)):
+    if not np.all(np.isfinite(y)):
         raise NumericError("resolvent solve returned non-finite values", {"z": z})
-    u = flat.reshape((4, grid.n), order="F")
+    u = (y / root).reshape((4, grid.n), order="F")
     unorm = np.linalg.norm(u, axis=0)
     t = -grid.nodes
     t_ref = t[-4]  # innermost node that survives the ghost-row exclusion

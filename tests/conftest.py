@@ -1,4 +1,4 @@
-"""Shared test plumbing: the acceptance-line reporter, the operator's
+"""Shared test plumbing: the acceptance-line reporter, the Hamiltonian's
 action on component arrays, the dense symmetric operator and the
 eigensolve oracle built on it, the dense sector split, and a perturbed
 operator and a lossy eigensolver for negative controls.
@@ -21,23 +21,23 @@ from adsdirac.spectral import SpectralDecomposition, _accuracy
 
 
 def apply(op: ChannelOperator, values: np.ndarray) -> np.ndarray:
-    """H acting on a (4, n) component array, through the node-major
-    (component-fastest) flattening of ``op.matrix``."""
-    return (op.matrix @ values.flatten(order="F")).reshape(values.shape, order="F")
+    """H = W^{−1/2}SW^{1/2} acting on a (4, n) component array, through the
+    node-major (component-fastest) flattening and ``op.matrix`` = S."""
+    root = np.sqrt(np.repeat(op.grid.weights, 4))
+    h = op.matrix @ (root * values.flatten(order="F")) / root
+    return h.reshape(values.shape, order="F")
 
 
 def perturbed(op: ChannelOperator, row: int, col: int, size: float) -> ChannelOperator:
-    """``op`` with ``size`` added to the entry (row, col) of H: the negative
+    """``op`` with ``size`` added to the entry (row, col) of S: the negative
     control of every self-adjointness record."""
     bump = sp.csc_matrix(([size], ([row], [col])), shape=op.matrix.shape)
     return dataclasses.replace(op, matrix=(op.matrix + bump).tocsc())
 
 
 def dense_scaled(op: ChannelOperator):
-    """(S, √W) with S = W^{1/2} H W^{−1/2} dense, formed here from the
-    assembled H and the grid weights."""
-    root = np.sqrt(np.repeat(op.grid.weights, 4))
-    return root[:, None] * op.matrix.toarray() / root[None, :], root
+    """(S, √W) with S = W^{1/2} H W^{−1/2} the assembled matrix, dense."""
+    return op.matrix.toarray(), np.sqrt(np.repeat(op.grid.weights, 4))
 
 
 def dense_symmetric(op: ChannelOperator):

@@ -71,17 +71,23 @@ def commutator_brute_force(op, values):
     )
 
 
-def reference_block_matrix(grid, coupling, m, a_vals, b_vals, left, right):
+def reference_block_matrix(grid, coupling, m, a_vals, b_vals, left, right, symmetric):
     """The dense-block construction the assembly replaced, kept as its
     bit-for-bit oracle: a (3n − 2, 4, 4) table of the ±1 and diagonal node
-    blocks, scanned for nonzeros and sorted from COO into CSC."""
-    n = grid.n
+    blocks, scanned for nonzeros and sorted from COO into CSC.  The ±1
+    blocks of node j are ∓i/(2w_j)·Γ¹, those of H, or with ``symmetric``
+    those of S, ∓i/(2√(w_j w_{j±1}))·Γ¹ with each edge's coefficient formed
+    once."""
+    n, w = grid.n, grid.weights
     velocity, angular = VELOCITY.astype(complex), ANGULAR.astype(complex)
-    coef = (-1j / (2.0 * grid.weights))[:, None, None]
+    coef = (-1j / (2.0 * w))[:, None, None]
+    above, below = coef[:-1], coef[1:]
+    if symmetric:
+        above = below = (-1j / (2.0 * np.sqrt(w[:-1] * w[1:])))[:, None, None]
     diag = (coupling * a_vals)[:, None, None] * angular - (m * b_vals)[:, None, None] * MASS
     diag[0] += left
     diag[-1] += right
-    blocks = np.concatenate([coef[:-1] * velocity, diag, -coef[1:] * velocity])
+    blocks = np.concatenate([above * velocity, diag, -below * velocity])
     j = np.arange(n)
     row_node = np.concatenate([j[:-1], j, j[1:]])
     col_node = np.concatenate([j[1:], j, j[:-1]])
@@ -95,12 +101,12 @@ def reference_block_matrix(grid, coupling, m, a_vals, b_vals, left, right):
     )
 
 
-def reference_scaled(matrix, weights):
-    """S = W^{1/2} H W^{−1/2} through a COO round trip: the oracle of
-    ``channel._scaled``."""
-    root = np.sqrt(np.repeat(weights, 4))
-    h = matrix.tocoo()
-    return sp.csc_matrix((root[h.row] * h.data / root[h.col], (h.row, h.col)), shape=h.shape)
+def unscaled(s, weights):
+    """H = W^{−1/2} S W^{1/2} of a CSC matrix S, entry (i, j) times
+    √(w_j/w_i)."""
+    w = np.repeat(weights, 4)
+    col = np.repeat(np.arange(s.shape[1]), np.diff(s.indptr))
+    return sp.csc_matrix((s.data * np.sqrt(w[col] / w[s.indices]), s.indices, s.indptr), s.shape)
 
 
 def same_bits(a, b):
@@ -237,18 +243,18 @@ class TestAssembly:
         assert (op.matrix != free_operator(g).matrix).nnz == 0
 
     def test_hermiticity_defect_is_computed_once_without_the_split(self, monkeypatch):
-        """One scaling pass per operator and never the sector split; an
+        """S is formed once, by assembly, and the defect never splits it; an
         operator copied with another matrix computes its own."""
         calls = []
-        scaled, split = channel._scaled, channel._split_sectors
-        monkeypatch.setattr(channel, "_scaled", lambda *a: calls.append("S") or scaled(*a))
+        block, split = channel._block_matrix, channel._split_sectors
+        monkeypatch.setattr(channel, "_block_matrix", lambda *a: calls.append("S") or block(*a))
         monkeypatch.setattr(channel, "_split_sectors", lambda *a: calls.append("P") or split(*a))
         op = free_operator(make_grid(-10.0, 64))
         first = op.hermiticity_defect()
-        assert op.hermiticity_defect() == first <= 1e-12
+        assert op.hermiticity_defect() == first == 0.0
         assert calls == ["S"]
         assert perturbed(op, 8, 12, 1e-7).hermiticity_defect() >= 1e-7
-        assert calls == ["S", "S"]
+        assert calls == ["S"]
 
     @pytest.mark.parametrize(
         "pair",
@@ -302,8 +308,8 @@ class TestAssembly:
             )
 
     def test_assembly_and_defect_build_no_coo_matrix(self, monkeypatch):
-        """The CSR arrays are written directly and S reads its columns from
-        ``indptr``: no COO matrix on the way, on either wall."""
+        """The CSR arrays are written directly and the defect reads the CSC
+        arrays: no COO matrix on the way, on either wall."""
 
         def refuse(*args, **kwargs):
             raise AssertionError("built a COO matrix")
@@ -327,6 +333,7 @@ class TestAssembly:
     )
     @example(kind="black-hole", graded=True, x_min=-6.0, n=16, ratio=1.08, s=0.5, mass=0.25)
     @example(kind="black-hole", graded=False, x_min=-32.0, n=4096, ratio=1.1, s=3.5, mass=1.0)
+    @example(kind="black-hole", graded=False, x_min=-32.0, n=2048, ratio=1.1, s=0.5, mass=1.0)
     @example(kind="free", graded=False, x_min=-16.0, n=320, ratio=1.1, s=0.5, mass=0.0)
     @example(kind="map", graded=True, x_min=-24.0, n=16, ratio=1.1, s=2.5, mass=0.45)
     def test_bit_for_bit_the_dense_block_construction(
@@ -334,8 +341,12 @@ class TestAssembly:
     ):
         """Uniform and graded grids (the graded bag case with the exponent
         wall row), every coupling, both sides of 2ml = 1, the free operator
-        and a caller's map: the same CSC arrays and the same S to the last
-        bit as the dense-block oracle, and the same hermiticity defect."""
+        and a caller's map: S has the CSC arrays of the dense-block oracle to
+        the last bit when the oracle forms its edge coefficients as S does,
+        and the same hermiticity defect; W^{−1/2}SW^{1/2} is the oracle's H
+        within 4 ulps per entry, and exactly when every √w_j is a power of
+        two.  On a grid of equal weights, such as the desk grid (w = 1/64),
+        S is the oracle's H to the last bit."""
         if graded:
             g = make_grid(x_min, policy=BoundaryGraded(h_min=1e-3, ratio=ratio))
         else:
@@ -350,13 +361,24 @@ class TestAssembly:
         reflection = mit_reflection()
         right = reflection if op.bc is BoundaryCondition.MIT else np.zeros((4, 4))
         left, right = channel._wall_closures(g, reflection, right, op.wall_exponent)
-        expected = reference_block_matrix(
-            g, op.channel.coupling, op.mass, op.a_values, op.b_values, left, right
+        expected, h = (
+            reference_block_matrix(
+                g, op.channel.coupling, op.mass, op.a_values, op.b_values, left, right, symmetric
+            )
+            for symmetric in (True, False)
         )
         assert same_bits(op.matrix, expected)
-        scaled = reference_scaled(expected, g.weights)
-        assert same_bits(channel._scaled(op.matrix, g.weights), scaled)
-        assert op.hermiticity_defect() == float(np.max(abs(scaled - scaled.conj().T).sum(axis=1)))
+        defect = float(np.max(abs(expected - expected.conj().T).sum(axis=1)))
+        assert op.hermiticity_defect() == defect
+        back = unscaled(op.matrix, g.weights)
+        assert np.array_equal(back.indptr, h.indptr) and np.array_equal(back.indices, h.indices)
+        for part in (np.real, np.imag):
+            ulp = np.spacing(np.abs(part(h.data)))
+            assert np.all(np.abs(part(back.data) - part(h.data)) <= 4 * ulp)
+        if np.all(np.frexp(np.sqrt(g.weights))[0] == 0.5):
+            assert np.array_equal(back.data, h.data)
+        if np.all(g.weights == g.weights[0]):  # √(w·w) = w
+            assert same_bits(op.matrix, h)
 
     def test_banded_node_major(self):
         g = make_grid(-10.0, 64)
@@ -414,6 +436,51 @@ class TestHermiticityBound:
 
     @settings(max_examples=40, deadline=None)
     @given(
+        kind=st.sampled_from(["uniform", "graded", "exponent-wall", "free"]),
+        x_min=st.floats(-32.0, -2.0),
+        n=st.integers(16, 512),
+        h_min=st.floats(1e-3, 1e-2),
+        ratio=st.floats(1.02, 1.2),
+        s=st.sampled_from([0.5, 1.5, 2.5, 3.5]),
+        mass=st.floats(0.0, 2.0),
+        entry=st.tuples(st.floats(0.0, 1.0), st.integers(0, 3), st.integers(0, 3)),
+        size=st.sampled_from([1e-12, 1e-7, 1e-2]),
+    )
+    @example(kind="graded", x_min=-6.0, n=16, h_min=1e-3, ratio=1.08, s=0.5, mass=0.25,
+             entry=(0.5, 0, 0), size=1e-12)
+    @example(kind="graded", x_min=-24.0, n=16, h_min=1e-3, ratio=1.1, s=0.5, mass=1.0,
+             entry=(0.5, 1, 2), size=1e-7)
+    @example(kind="graded", x_min=-12.0, n=16, h_min=1e-2, ratio=1.05, s=0.5, mass=0.45,
+             entry=(0.99, 3, 0), size=1e-2)
+    def test_every_assembled_operator_is_hermitian_to_the_last_bit(
+        self, kind, x_min, n, h_min, ratio, s, mass, entry, size
+    ):
+        """Uniform and graded grids on both sides of 2ml = 1, the graded
+        bag case with the exponent wall row and the free operator: the
+        defect is exactly 0, also on the three graded grids that read up to
+        2.3e-13 while S was rescaled from H.  One entry added from a node to
+        the next, on the difference's pattern or off it, reads exactly its
+        size."""
+        if kind == "exponent-wall":
+            mass = 0.01 + 0.12 * mass  # 2ml < 1 with m > 0
+        if kind in ("graded", "exponent-wall"):
+            g = make_grid(x_min, policy=BoundaryGraded(h_min=h_min, ratio=ratio))
+        else:
+            g = make_grid(x_min, n)
+        if kind == "free":
+            op = free_operator(g)
+        else:
+            op = assemble_hamiltonian(Channel(s, 0.5), make_params(1.0, 1.0, mass), g)
+        if kind == "exponent-wall":
+            assert op.wall_exponent == mass
+        assert op.hermiticity_defect() == 0.0
+        # a difference entry (a, a) has no real part, an off-pattern one no
+        # entry at all, so adding a real size is exact
+        j, a, c = min(int(entry[0] * (g.n - 1)), g.n - 2), entry[1], entry[2]
+        assert perturbed(op, 4 * j + a, 4 * (j + 1) + c, size).hermiticity_defect() == size
+
+    @settings(max_examples=40, deadline=None)
+    @given(
         graded=st.booleans(),
         x_min=st.floats(-16.0, -2.0),
         n=st.integers(16, 256),
@@ -445,7 +512,7 @@ class TestHermiticityBound:
         unit_col, unit_row = np.zeros((2, 4 * g.n), dtype=complex)
         unit_col[col] = unit_row[row] = 1.0
         pairs.append(tuple(v.reshape((4, g.n), order="F") for v in (unit_col, unit_row)))
-        # both sides are computed, each to within a few ε·max|H_ij|
+        # both sides are computed, each to within a few ε·max|S_ij|
         slack = 8 * np.finfo(float).eps * np.abs(op.matrix.data).max()
         assert sampled_quotient(op, pairs) <= op.hermiticity_defect() + slack
 
@@ -505,7 +572,7 @@ class TestSectors:
         plus, minus, cross = dense_sector_blocks(dense_symmetric(op)[0])
         assert cross <= 1e-14 * bound
         g_plus, g_minus, g_cross = dense_sector_blocks(dense_scaled(op)[0])
-        scale = np.abs(op._similar.data).max()
+        scale = np.abs(op.matrix.data).max()
         assert g_cross <= 1e-14 * scale
         for block, s_dense, g_dense in zip(blocks, (plus, minus), (g_plus, g_minus)):
             assert block.bound == pytest.approx(np.abs(s_dense).sum(axis=1).max(), rel=1e-14)
@@ -566,12 +633,12 @@ class TestSectors:
 
     @pytest.mark.parametrize("first", ["defect", "sectors"])
     def test_s_is_formed_and_transformed_once(self, monkeypatch, first):
-        """Whichever of the hermiticity bound and the split runs first, the
-        operator forms S once and transforms it to G once; a copy with
-        another matrix forms its own."""
+        """Whichever of the hermiticity bound and the split runs first, S is
+        formed once, by assembly, and transformed to G once; a copy with
+        another matrix transforms its own."""
         calls = []
-        scaled, split = channel._scaled, channel._split_sectors
-        monkeypatch.setattr(channel, "_scaled", lambda *a: calls.append("S") or scaled(*a))
+        block, split = channel._block_matrix, channel._split_sectors
+        monkeypatch.setattr(channel, "_block_matrix", lambda *a: calls.append("S") or block(*a))
         monkeypatch.setattr(channel, "_split_sectors", lambda *a: calls.append("G") or split(*a))
         op = assemble_hamiltonian(Channel(0.5, 0.5), P_MIT, make_grid(-8.0, 64))
         readers = [op.hermiticity_defect, op.sectors]
@@ -580,7 +647,7 @@ class TestSectors:
             read()
         assert calls == ["S", "G"]
         perturbed(op, 8, 12, 1e-7).sectors()
-        assert calls == ["S", "G", "S", "G"]
+        assert calls == ["S", "G", "G"]
 
 
 class TestStateMaps:
@@ -625,9 +692,10 @@ class TestStateMaps:
 
 
 class TestStencilEntrywise:
-    """Every 4×4 block of small assembled operators against its formula:
-    interior ±1 blocks ∓i/(2w_j)·Γ¹, the bag-type ghost +i/(2w_0)·Γ¹S in the
-    first row, and the right wall row of each closure."""
+    """Every 4×4 block of small assembled operators, read as
+    H = W^{−1/2}SW^{1/2}, against its formula: interior ±1 blocks
+    ∓i/(2w_j)·Γ¹, the bag-type ghost +i/(2w_0)·Γ¹S in the first row, and the
+    right wall row of each closure."""
 
     @staticmethod
     def expected(op, right_closure):
@@ -648,7 +716,7 @@ class TestStencilEntrywise:
         return h
 
     def check(self, op, right_closure):
-        dense = op.matrix.toarray()
+        dense = unscaled(op.matrix, op.grid.weights).toarray()
         assert np.max(np.abs(dense - self.expected(op, right_closure))) <= 1e-13 * np.max(
             np.abs(dense)
         )

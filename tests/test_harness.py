@@ -1,6 +1,7 @@
 """Config validation, run orchestration, report files, and the CLI."""
 
 import dataclasses
+import hashlib
 import json
 import multiprocessing
 import os
@@ -274,6 +275,16 @@ class TestDigest:
             again = parse_config_dict(cfg.canonical)
             assert again.digest == cfg.digest
             assert again.canonical == cfg.canonical
+
+    def test_manifest_carries_the_hashed_config(self, tmp_path):
+        """The digest stamped into every report is checked from the outputs
+        alone: it is the SHA-256 of the manifest's canonical config."""
+        cfg = small_config(m=0.25)
+        run(cfg, experiments=["geometry"], out=str(tmp_path))
+        doc = json.loads((tmp_path / "manifest.json").read_text())
+        text = json.dumps(doc["canonical"], sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(text.encode()).hexdigest() == doc["config"] == cfg.digest
+        assert (tmp_path / "geometry_map.csv").read_text().startswith(f"# config {doc['config']}")
 
     def test_spelled_out_defaults_keep_the_digest(self):
         spelled = {
@@ -616,9 +627,20 @@ class TestRun:
         assert scalars["requested"] > scalars["counts"]["1"]
         assert len(scalars["current_defects"]) == len(scalars["steps"]) == 3
         assert max(scalars["current_defects"]) <= 1e-12
+        # ∫‖W‖ over [−2X, −X] does not depend on λ, and e^{−κX} makes it tiny
+        tails = scalars["integral_tails"]
+        assert len(tails) == 3 and len(set(tails)) == 1 and 0.0 < tails[0] <= 1e-12
         assert all(isinstance(k, int) and k > 0 for k in scalars["steps"])
         # the step shrinks with |λ| past 2
         assert scalars["steps"][0] == scalars["steps"][1] < scalars["steps"][2]
+
+    def test_domain_exponent_records_each_wall_row(self, tmp_path):
+        """One wall exponent per mass: none at 2ml = 2 (the natural wall),
+        ml at 2ml = 0.5 (the graded grid resolves the bag wall's layer)."""
+        run(small_config(), experiments=["domain-exponent"], out=str(tmp_path))
+        scalars = json.loads((tmp_path / "domain_exponent.json").read_text())["scalars"]
+        assert scalars["masses"] == [1.0, 0.25]
+        assert scalars["wall_exponents"] == [None, 0.25]
 
     def test_mourre_records_its_eigensolves(self, tmp_path):
         cfg = small_config(options={"mourre": {"n": 160}})

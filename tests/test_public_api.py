@@ -6,10 +6,13 @@ definition by the package itself, by the benchmark driver in
 ``perfbench/`` or by the acceptance criteria in ``tests/test_acceptance.py``.
 A helper that only unit tests call is surface without a user.  A name used
 only by other such helpers counts as unused too, so a dead cluster cannot
-keep itself alive.
+keep itself alive.  Every field of an exported dataclass must be read as
+an attribute somewhere in the same files: a field only unit tests read is
+a record without a reader.
 """
 
 import ast
+import dataclasses
 import inspect
 from importlib import import_module
 from pathlib import Path
@@ -108,6 +111,37 @@ def _unused_exports():
         if not found:
             return unused
         unused |= found
+
+
+def _exported_dataclasses():
+    """(module, name, class) for every dataclass a module exports: those in
+    its ``__all__``, or every public one it defines when it has none."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = import_module(f"adsdirac.{path.stem}")
+        names = getattr(module, "__all__", None) or [
+            name for name, value in vars(module).items()
+            if not name.startswith("_") and getattr(value, "__module__", None) == module.__name__
+        ]
+        for name in names:
+            obj = getattr(module, name)
+            if inspect.isclass(obj) and dataclasses.is_dataclass(obj):
+                yield path.stem, name, obj
+
+
+def test_every_dataclass_field_is_read():
+    reads = {
+        node.attr
+        for path in USERS
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = [
+        f"{module}.{name}.{f.name}"
+        for module, name, cls in _exported_dataclasses()
+        for f in dataclasses.fields(cls)
+        if f.name not in reads
+    ]
+    assert not unread, "fields no attribute read reaches: " + ", ".join(unread)
 
 
 def test_every_export_has_a_user():

@@ -94,21 +94,21 @@ class TestWaveOperators:
         assert rep.converged
         tail = rep.increments[-3:]
         assert np.all(np.diff(tail) < 0)
-        assert rep.increments[-1] <= 1e-2 * rep.input_norm
+        assert rep.increments[-1] <= 1e-2 * self.phi.norm()
         # isometry of the limit within 10x the final increment
-        assert abs(rep.limit_norm - rep.input_norm) <= 10 * rep.increments[-1]
+        assert abs(rep.limit_norm - self.phi.norm()) <= 10 * rep.increments[-1]
 
     def test_backward_converges_strong_mass(self):
         rep = wave_operator_backward(self.psi, self._op(1.0), self.SCHEDULE)
         assert rep.converged
-        assert abs(rep.limit_norm - rep.input_norm) <= 10 * max(rep.increments[-1], 1e-9)
+        assert abs(rep.limit_norm - self.psi.norm()) <= 10 * max(rep.increments[-1], 1e-9)
 
     def test_adjoint_pairing(self):
         op = self._op(1.0)
         fwd = wave_operator_forward(self.phi, op, self.SCHEDULE)
         bwd = wave_operator_backward(self.psi, op, self.SCHEDULE)
         res = adjointness_residual(fwd, bwd, self.phi, self.psi)
-        assert res <= 1e-2 * fwd.input_norm * bwd.input_norm
+        assert res <= 1e-2 * self.phi.norm() * self.psi.norm()
         # the pairing itself must be a genuine overlap, not a trivial zero
         assert abs(fwd.limit.inner(self.psi)) > 0.1
 
@@ -170,7 +170,7 @@ class TestWaveOperators:
         rep = wave_operator_forward(self.phi, self._op(0.45), self.SCHEDULE)
         tail = rep.increments[-3:]
         assert np.all(np.diff(tail) < 0)
-        assert rep.increments[-1] <= 3e-2 * rep.input_norm
+        assert rep.increments[-1] <= 3e-2 * self.phi.norm()
 
 
 class TestCutoffs:

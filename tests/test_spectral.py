@@ -501,10 +501,22 @@ def _adaptive_propagation(lam, params, depth, x0=-1.0):
     return sol.y[:, -1].reshape(4, 4)
 
 
+def with_propagation(monkeypatch, *args, **kwargs):
+    """(``no_eigenvalue_test(*args, **kwargs)``, Φ(−X → x₀)): the report and
+    the matrix whose condition number it carries, caught on its way into
+    ``np.linalg.cond``."""
+    seen, cond = [], np.linalg.cond
+    monkeypatch.setattr(np.linalg, "cond", lambda a, p=None: seen.append(a) or cond(a, p))
+    rep = no_eigenvalue_test(*args, **kwargs)
+    monkeypatch.setattr(np.linalg, "cond", cond)
+    (phi,) = seen
+    return rep, phi
+
+
 class TestNoEigenvalue:
-    def test_zero_potential_propagation_is_identity(self):
-        rep = no_eigenvalue_test(1.0, CHANNEL, None, 20.0, zero_potentials)
-        assert np.max(np.abs(rep.propagation - np.eye(4))) <= 1e-12
+    def test_zero_potential_propagation_is_identity(self, monkeypatch):
+        rep, phi = with_propagation(monkeypatch, 1.0, CHANNEL, None, 20.0, zero_potentials)
+        assert np.max(np.abs(phi - np.eye(4))) <= 1e-12
         assert rep.depth_difference <= 1e-12
         assert rep.condition == pytest.approx(1.0, abs=1e-10)
         assert rep.integral_tail == 0.0
@@ -521,13 +533,13 @@ class TestNoEigenvalue:
         assert rep.invertible_limit
 
     @pytest.mark.parametrize("lam, mass", [(-2.0, 1.0), (1.0, 0.25)])
-    def test_agrees_with_adaptive_reference(self, lam, mass):
+    def test_agrees_with_adaptive_reference(self, lam, mass, monkeypatch):
         """The Magnus sweep against an adaptive integrator of the same ODE:
         Φ within 1e-9 and cond Φ within 1e-8 relative."""
         p = make_params(1.0, 1.0, mass)
-        rep = no_eigenvalue_test(lam, CHANNEL, params=p, depth=20.0)
+        rep, phi = with_propagation(monkeypatch, lam, CHANNEL, params=p, depth=20.0)
         ref = _adaptive_propagation(lam, p, 20.0)
-        assert np.max(np.abs(rep.propagation - ref)) <= 1e-9
+        assert np.max(np.abs(phi - ref)) <= 1e-9
         assert rep.condition == pytest.approx(np.linalg.cond(ref, 2), rel=1e-8)
 
     def test_kink_holds_a_bound_state(self):
@@ -549,11 +561,11 @@ class TestNoEigenvalue:
 
         def halving_gap(lam, step):
             monkeypatch.setattr(spectral, "_STEP", step)
-            coarse = no_eigenvalue_test(lam, CHANNEL, params=p, depth=20.0)
+            coarse, phi_coarse = with_propagation(monkeypatch, lam, CHANNEL, p, 20.0)
             monkeypatch.setattr(spectral, "_STEP", step / 2.0)
-            fine = no_eigenvalue_test(lam, CHANNEL, params=p, depth=20.0)
+            fine, phi_fine = with_propagation(monkeypatch, lam, CHANNEL, p, 20.0)
             assert fine.steps > coarse.steps
-            return np.max(np.abs(fine.propagation - coarse.propagation))
+            return np.max(np.abs(phi_fine - phi_coarse))
 
         step = spectral._STEP
         assert halving_gap(1.0, step) <= 1e-9
@@ -568,8 +580,9 @@ class TestNoEigenvalue:
         evaluators give the same propagation matrix, bit for bit."""
         p = make_params(1.0, 1.0, 1.0)
         cm = CoordinateMap(p)
-        two_calls = no_eigenvalue_test(
-            0.5, CHANNEL, p, 8.0, lambda x: (cm.angular_factor_of_x(x), cm.sqrtF_of_x(x))
+        two_calls, phi_two = with_propagation(
+            monkeypatch,
+            0.5, CHANNEL, p, 8.0, lambda x: (cm.angular_factor_of_x(x), cm.sqrtF_of_x(x)),
         )
         sizes = []
         solve = CoordinateMap._log_gap
@@ -584,8 +597,8 @@ class TestNoEigenvalue:
             rep = no_eigenvalue_test(0.5, CHANNEL, params=p, depth=depth)
             assert len(sizes) == 2
             assert sizes[-1] == 2 * rep.steps
-        one_call = no_eigenvalue_test(0.5, CHANNEL, params=p, depth=8.0)
-        assert np.array_equal(one_call.propagation, two_calls.propagation)
+        one_call, phi_one = with_propagation(monkeypatch, 0.5, CHANNEL, params=p, depth=8.0)
+        assert np.array_equal(phi_one, phi_two)
         assert one_call.integral_tail == two_calls.integral_tail
 
     @settings(max_examples=25, deadline=None)
