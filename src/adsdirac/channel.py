@@ -167,18 +167,8 @@ class ChannelOperator:
     # what the two methods above read off S, each formed on first use
     @cached_property
     def _defect(self) -> float:
-        # In a symmetric pattern, as assembled, S's p-th entry in row-major
-        # order (data[order[p]]) mirrors its p-th in CSC order, so the rows
-        # of S − S† are summed in column order, as the sparse row sum that
-        # any other pattern takes does.
-        s, size = self.matrix, self.matrix.shape[0]
-        col = np.repeat(np.arange(size, dtype=s.indices.dtype), np.diff(s.indptr))
-        order = np.argsort(s.indices, kind="stable")
-        if not (np.array_equal(s.indices[order], col) and np.array_equal(col[order], s.indices)):
-            return float(np.max(abs(s - s.conj().T).sum(axis=1)))
-        gap = s.data[order] - s.data.conj()
-        live = np.flatnonzero(gap)
-        return float(np.max(np.bincount(col[live], np.abs(gap[live]), size)))
+        s = self.matrix
+        return float(np.max(abs(s - s.conj().T).sum(axis=1)))
 
     @cached_property
     def _sectors(self) -> Tuple["SectorBlock", ...]:

@@ -415,7 +415,33 @@ def no_eigenvalue_test(
     square-integrable, which is how the point spectrum stays empty.  V
     takes the black-hole pair of ``params``, both potentials from one
     coordinate inverse, unless ``potentials`` maps an array x to
-    (A(x), B(x)); the matching point is x₀ = ``_X0`` = −1.
+    (A(x), B(x)); the matching point is x₀ = ``_X0`` = −1.  Φ at the depths
+    X and 2X comes from one sweep (``_magnus_sweep``).  W†Γ¹ + Γ¹W = 0, so
+    the true flow keeps Φ†Γ¹Φ = Γ¹; the Magnus flow keeps it to rounding,
+    and the report carries the defect.
+    """
+    phi, phi_deep, steps, tail = _magnus_sweep(lam, channel, params, depth, potentials)
+    difference = float(np.linalg.norm(phi - phi_deep, 2))
+    condition = float(np.linalg.cond(phi, 2))
+    defect = max(
+        float(np.max(np.abs(f.conj().T @ VELOCITY @ f - VELOCITY))) for f in (phi, phi_deep)
+    )
+    return NoEigenvalueReport(
+        depth_difference=difference,
+        condition=condition,
+        integral_tail=tail,
+        invertible_limit=bool(difference <= _CONVERGE_TOL and condition <= _COND_LIMIT),
+        current_defect=defect,
+        steps=steps,
+    )
+
+
+def _magnus_sweep(
+    lam: float, channel: Channel, params: Optional[Params], depth: float,
+    potentials: Optional[Callable] = None,
+) -> Tuple[np.ndarray, np.ndarray, int, float]:
+    """(Φ(−X → x₀), Φ(−2X → x₀), the number of steps, ∫|V| over [−2X, −X])
+    for ``no_eigenvalue_test``'s arguments, X = ``depth``.
 
     One sweep of the fourth-order Gauss–Magnus integrator (Iserles &
     Nørsett 1999; Blanes et al. 2009) over [−2X, x₀] gives both depths:
@@ -426,9 +452,7 @@ def no_eigenvalue_test(
     at both points is one step, every other cell is split into steps of at
     most h = ``_STEP``/max(1, |λ|/2), which follows the e^{±2iλx} phases.
     The probe (with the 201 tail points) and the sweep are one potential
-    evaluation each, whatever the depth.  W†Γ¹ + Γ¹W = 0, so the true flow
-    keeps Φ†Γ¹Φ = Γ¹; the Magnus flow keeps it to rounding, and the report
-    carries the defect.
+    evaluation each, whatever the depth.
     """
     if depth <= -_X0:
         raise ConfigurationError(f"need depth > {-_X0:g}")
@@ -487,21 +511,7 @@ def no_eigenvalue_test(
 
     split = int(per_cell[:n_deep].sum())
     phi = propagate(split, cell.size)
-    phi_deep = phi @ propagate(0, split)
-
-    difference = float(np.linalg.norm(phi - phi_deep, 2))
-    condition = float(np.linalg.cond(phi, 2))
-    defect = max(
-        float(np.max(np.abs(f.conj().T @ VELOCITY @ f - VELOCITY))) for f in (phi, phi_deep)
-    )
-    return NoEigenvalueReport(
-        depth_difference=difference,
-        condition=condition,
-        integral_tail=tail,
-        invertible_limit=bool(difference <= _CONVERGE_TOL and condition <= _COND_LIMIT),
-        current_defect=defect,
-        steps=int(cell.size),
-    )
+    return phi, phi @ propagate(0, split), int(cell.size), tail
 
 
 # ------------------------------------------------- boundary exponent probe

@@ -20,10 +20,15 @@ from adsdirac.channel import ChannelOperator
 from adsdirac.spectral import SpectralDecomposition, _accuracy
 
 
+def sqrt_weights(grid) -> np.ndarray:
+    """√W on node-major flat fields: ``op.matrix`` = S acts on √W·ψ."""
+    return np.sqrt(np.repeat(grid.weights, 4))
+
+
 def apply(op: ChannelOperator, values: np.ndarray) -> np.ndarray:
     """H = W^{−1/2}SW^{1/2} acting on a (4, n) component array, through the
     node-major (component-fastest) flattening and ``op.matrix`` = S."""
-    root = np.sqrt(np.repeat(op.grid.weights, 4))
+    root = sqrt_weights(op.grid)
     h = op.matrix @ (root * values.flatten(order="F")) / root
     return h.reshape(values.shape, order="F")
 
@@ -37,7 +42,7 @@ def perturbed(op: ChannelOperator, row: int, col: int, size: float) -> ChannelOp
 
 def dense_scaled(op: ChannelOperator):
     """(S, √W) with S = W^{1/2} H W^{−1/2} the assembled matrix, dense."""
-    return op.matrix.toarray(), np.sqrt(np.repeat(op.grid.weights, 4))
+    return op.matrix.toarray(), sqrt_weights(op.grid)
 
 
 def dense_symmetric(op: ChannelOperator):

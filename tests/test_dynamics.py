@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
-from conftest import dense_sector_blocks, dense_symmetric, perturbed
+from conftest import dense_sector_blocks, dense_symmetric, perturbed, sqrt_weights
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import expm_multiply, splu, spsolve
@@ -128,17 +128,18 @@ class TestUnitarity:
             evolve(op, psi0, EvolutionConfig(dt=0.05, t_final=1.0, snapshot_times=wanted))
 
 
-def _plus_matrix(h, dt, sgn=1.0):
-    """M₊ = 𝟙 + i·sgn·dt/2·H, built here independently of the stepper."""
-    eye = sp.identity(h.shape[0], dtype=complex, format="csc")
-    return (eye + 0.5j * sgn * dt * h).tocsc()
+def _plus_matrix(s, dt, sgn=1.0):
+    """M₊ = 𝟙 + i·sgn·dt/2·S, built here independently of the stepper."""
+    eye = sp.identity(s.shape[0], dtype=complex, format="csc")
+    return (eye + 0.5j * sgn * dt * s).tocsc()
 
 
 class TestCayleyStep:
     @pytest.mark.parametrize("params", [P_MIT, P_NAT], ids=["mirror", "natural"])
     @pytest.mark.parametrize("direction", [Direction.FORWARD, Direction.BACKWARD])
     def test_matches_two_matrix_cayley_form(self, params, direction):
-        """20 steps of evolve against spsolve of (𝟙 + A)ψ' = (𝟙 − A)ψ."""
+        """20 steps of evolve against spsolve of (𝟙 + A)y' = (𝟙 − A)y with
+        A = i·dt/2·S on y = √W·ψ, so the reference holds on any grid."""
         g = make_grid(-10.0, 256)
         op = assemble_hamiltonian(Channel(0.5, 0.5), params, g)
         psi0 = gaussian_packet(g, -5.0, 0.5, components=(1.0, -0.5j, 0.25, 0.8))
@@ -148,11 +149,12 @@ class TestCayleyStep:
         sgn = 1.0 if direction == Direction.FORWARD else -1.0
         plus = _plus_matrix(op.matrix, traj.dt_effective, sgn)
         minus = _plus_matrix(op.matrix, traj.dt_effective, -sgn)
-        psi = psi0.values.flatten(order="F")
+        root = sqrt_weights(g)
+        y = root * psi0.values.flatten(order="F")
         for _ in range(20):
-            psi = spsolve(plus, minus @ psi)
-        got = traj.final.values.flatten(order="F")
-        assert np.linalg.norm(got - psi) <= 1e-12 * np.linalg.norm(psi)
+            y = spsolve(plus, minus @ y)
+        got = root * traj.final.values.flatten(order="F")
+        assert np.linalg.norm(got - y) <= 1e-12 * np.linalg.norm(y)
 
     def test_non_hermitian_generator_fails_the_drift_bound(self):
         """Negative control for unitarity (criterion 3, drift ≤ 1e-8): the
@@ -229,16 +231,18 @@ class TestCayleyStep:
 class TestChebyshev:
     @pytest.mark.parametrize("direction", [Direction.FORWARD, Direction.BACKWARD])
     def test_agrees_with_expm_multiply(self, direction):
-        """e^{∓itH}ψ against scipy's truncated-Taylor action of the
-        exponential (Al-Mohy & Higham) on an interacting bag-regime operator."""
+        """e^{∓itH}ψ = W^{−1/2}e^{∓itS}W^{1/2}ψ against scipy's
+        truncated-Taylor action of the exponential (Al-Mohy & Higham) on an
+        interacting bag-regime operator."""
         g = make_grid(-12.0, 96)
         op = assemble_hamiltonian(Channel(0.5, 0.5), P_MIT, g)
         psi0 = gaussian_packet(g, -5.0, 0.6, components=(1.0, -0.5j, 0.25, 0.8))
         times = (0.5, 1.5, 4.0)
         run = chebyshev_propagate(op, psi0, times, direction)
         sgn = -1j if direction == Direction.FORWARD else 1j
+        root = sqrt_weights(g)
         for t, field in zip(times, run.fields):
-            ref = expm_multiply(sgn * t * op.matrix, psi0.values.flatten(order="F"))
+            ref = expm_multiply(sgn * t * op.matrix, root * psi0.values.flatten(order="F")) / root
             diff = field.values - ref.reshape((4, g.n), order="F")
             assert g.norm(diff) <= 1e-10 * psi0.norm()
 
@@ -360,25 +364,26 @@ class TestSectors:
         op = self.operator(broken)
         assert len(op.sectors()) == (1 if broken else 2)
         psi0 = gaussian_packet(self.G, -4.0, 0.5, components=components)
-        flat = psi0.values.flatten(order="F")
+        root = sqrt_weights(self.G)
+        flat = root * psi0.values.flatten(order="F")  # y = √W·ψ, on which S acts
 
         cfg = EvolutionConfig(dt=self.G.min_spacing / 2, t_final=3.0, snapshot_times=self.TIMES)
         traj = evolve(op, psi0, cfg)
         a = 0.5j * traj.dt_effective * op.matrix.toarray()
         eye = np.eye(a.shape[0])
         factor = sla.lu_factor(eye + a)
-        psi, done = flat, 0
+        y, done = flat, 0
         for t, field in zip(traj.times[1:], traj.fields[1:]):
             for _ in range(int(round(t / traj.dt_effective)) - done):
-                psi = sla.lu_solve(factor, (eye - a) @ psi)
+                y = sla.lu_solve(factor, (eye - a) @ y)
             done = int(round(t / traj.dt_effective))
-            got = field.values.flatten(order="F")
-            assert np.linalg.norm(got - psi) <= 1e-12 * np.linalg.norm(psi)
+            got = root * field.values.flatten(order="F")
+            assert np.linalg.norm(got - y) <= 1e-12 * np.linalg.norm(y)
 
-        sym, root = dense_symmetric(op)
+        sym, _ = dense_symmetric(op)
         run = chebyshev_propagate(op, psi0, self.TIMES)
         for t, field in zip(self.TIMES, run.fields):
-            ref = sla.expm(-1j * t * sym) @ (root * flat)
+            ref = sla.expm(-1j * t * sym) @ flat
             got = root * field.values.flatten(order="F")
             assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
