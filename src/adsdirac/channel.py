@@ -42,8 +42,8 @@ are written straight into compressed sparse arrays.
 
 Every solver works in one coordinate system, u = PW^{1/2}ψ (``to_sectors``),
 with P the per-node transform onto the sectors of γ³γ⁵: S is transformed
-once per operator to G = PSPᵀ/2, whose blocks Cayley steps with and whose
-Hermitian averages the other solvers read.
+once per operator to G = PSPᵀ/2, and every solver reads G's two diagonal
+blocks as assembled.
 """
 from __future__ import annotations
 
@@ -160,8 +160,8 @@ class ChannelOperator:
         return self._defect
 
     def sectors(self) -> Tuple["SectorBlock", ...]:
-        """The diagonal blocks of G = PSPᵀ/2 (``_split_sectors``), built once;
-        the arrays are read-only, since every caller shares them."""
+        """The two diagonal blocks of G = PSPᵀ/2 (``_split_sectors``), built
+        once; the arrays are read-only, since every caller shares them."""
         return self._sectors
 
     # what the two methods above read off S, each formed on first use
@@ -197,11 +197,8 @@ class SectorBlock:
     """One diagonal block of G = PSPᵀ/2."""
 
     rows: slice  # the sector coordinates the block acts on
-    generator: sp.csc_matrix  # that block of G, which Cayley steps with
-    scaled: sp.csr_matrix  # 2/R times its Hermitian average
-    bound: float  # R, the average's largest absolute row sum
-    nodes: np.ndarray  # the node of each of the block's coordinates
-    slots: np.ndarray  # each coordinate's index among its node's in the block
+    matrix: sp.csc_matrix  # that block G_b of G, as assembled
+    bound: float  # R, its largest absolute row sum
 
 
 def to_sectors(field: SpinorField) -> np.ndarray:
@@ -219,7 +216,7 @@ def to_sectors(field: SpinorField) -> np.ndarray:
 def from_sectors(u: np.ndarray, grid: Grid) -> np.ndarray:
     """The flat node-major field ψ = W^{−1/2}Pᵀu/2 of sector coordinates u
     on ``grid``, column by column when u has columns."""
-    plus, minus = (half.reshape(-1, 2, *u.shape[1:]) for half in np.split(u, 2))
+    plus, minus = (half.reshape(u.shape[0] // 4, 2, *u.shape[1:]) for half in np.split(u, 2))
     out = np.empty((u.shape[0] // 4, 4) + u.shape[1:], dtype=complex)
     out[:, 0], out[:, 3] = 0.5 * (plus[:, 0] + minus[:, 0]), 0.5 * (minus[:, 0] - plus[:, 0])
     out[:, 1], out[:, 2] = 0.5 * (plus[:, 1] + minus[:, 1]), 0.5 * (plus[:, 1] - minus[:, 1])
@@ -232,8 +229,10 @@ def _gershgorin_bound(matrix: sp.spmatrix) -> float:
 
 
 def _split_sectors(s: sp.csc_matrix) -> Tuple[SectorBlock, ...]:
-    """G = PSPᵀ/2 cut into its diagonal blocks: two when no entry crosses
-    the sectors, else one."""
+    """G = PSPᵀ/2 cut into its two 2n-row diagonal blocks, one per sector of
+    γ³γ⁵.  A finite entry of G across the sectors raises
+    ``ConfigurationError``; every entry of S reaches both blocks too, so a
+    non-finite one is left to the solvers, which raise on it."""
     size = s.shape[0]
     j = 4 * np.arange(size // 4)[:, None]
     order = np.concatenate([(j + [0, 1]).ravel(), (j + [2, 3]).ravel()])
@@ -241,21 +240,17 @@ def _split_sectors(s: sp.csc_matrix) -> Tuple[SectorBlock, ...]:
     g = (p @ s @ p.T * 0.5).tocsc()
     g.eliminate_zeros()
     half = size // 2
-    crossing = g[:half, half:].nnz + g[half:, :half].nnz
-    cuts = (slice(0, size),) if crossing else (slice(0, half), slice(half, size))
-    node, row = np.divmod(order, 4)  # each coordinate's node and row of P
+    crossing = sum(int(np.isfinite(c.data).sum()) for c in (g[:half, half:], g[half:, :half]))
+    if crossing:
+        raise ConfigurationError(
+            f"{crossing} entries of G = PSPᵀ/2 cross the sectors of γ³γ⁵"
+        )
     blocks = []
-    for rows in cuts:
-        generator = g[rows, rows]
-        average = (generator + generator.conj().T) / 2.0
-        bound = _gershgorin_bound(average)
-        scaled = (average * (2.0 / bound)).tocsr()
-        # a split block holds rows 0, 1 or rows 2, 3 of P at every node
-        nodes, slots = node[rows], row[rows] % (4 * (rows.stop - rows.start) // size)
-        for frozen in (generator.data, generator.indices, generator.indptr,
-                       scaled.data, scaled.indices, scaled.indptr, nodes, slots):
+    for rows in (slice(0, half), slice(half, size)):
+        matrix = g[rows, rows]
+        for frozen in (matrix.data, matrix.indices, matrix.indptr):
             frozen.flags.writeable = False
-        blocks.append(SectorBlock(rows, generator, scaled, bound, nodes, slots))
+        blocks.append(SectorBlock(rows, matrix, _gershgorin_bound(matrix)))
     return tuple(blocks)
 
 

@@ -3,10 +3,11 @@
 Both propagators work in the sector coordinates u = PW^{1/2}ψ of
 ``channel.to_sectors``, ‖u‖ = √2·‖ψ‖_W, on the blocks of G = PSPᵀ/2
 (``ChannelOperator.sectors``), with S = W^{1/2} H W^{−1/2} the assembled
-matrix: one 2n-row block per sector of γ³γ⁵, or one 4n-row block for an
-operator that mixes them.  A run maps the state to u once at the start and
-back once per snapshot, and propagates only the blocks u occupies; the
-others stay exactly zero, so the packets (1, 0, 0, 1) of the experiments,
+matrix: one 2n-row block per sector of γ³γ⁵, read as assembled.  An
+operator with an entry across the sectors has no such blocks, and both
+propagators raise ``ConfigurationError`` on it.  A run maps the state to
+u once at the start and back once per snapshot, and propagates only the
+blocks u occupies; the others stay exactly zero, so the packets (1, 0, 0, 1) of the experiments,
 which lie in one sector, pay half of every solve and product.
 
 The one-step map is the Cayley (trapezoidal) rational approximation of the
@@ -25,15 +26,15 @@ wave operator run on it.
 
 ``chebyshev_propagate`` applies the exponential itself, by the Chebyshev
 expansion (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)) on each
-occupied block, with Ḡ the Hermitian average of the block of G:
+occupied block G_b of G:
 
-    e^{−itḠ} = Σ_k (2 − δ_k0)(−i)^k J_k(tR) T_k(Ḡ/R) ,
+    e^{−itG_b} = Σ_k (2 − δ_k0)(−i)^k J_k(tR) T_k(G_b/R) ,
 
-with R the Gershgorin bound of Ḡ — a guaranteed bound, since the series
+with R the Gershgorin bound of G_b — a guaranteed bound, since the series
 diverges on any level outside [−R, R] — and the sum cut at the first
-order K > tR with |J_K(tR)| < 1e−17.  R and 2Ḡ/R are built once per
-operator with the blocks.  The run is unitary only up to that truncation,
-so it measures its drift and raises past 1e−8.  It costs about tR
+order K > tR with |J_K(tR)| < 1e−17.  R is built once per operator with
+the blocks, 2G_b/R once per run.  The run is unitary only up to that
+truncation, so it measures its drift and raises past 1e−8.  It costs about tR
 matvecs and no solve, and it has no time-step error, so the backward wave
 operator, the velocity traces and the free-oracle check (the discrete
 comparison flow against the closed form below) run on it.
@@ -155,7 +156,7 @@ class CayleyStepper:
         blocks = op.sectors()
         self._rows = [block.rows for block in blocks]
         self._implicit = [
-            (sp.identity(b.generator.shape[0], format="csc") + a * b.generator).tocsc()
+            (sp.identity(b.matrix.shape[0], format="csc") + a * b.matrix).tocsc()
             for b in blocks
         ]
         self._lu = [splu(implicit) for implicit in self._implicit]
@@ -284,9 +285,8 @@ class Propagation:
 
     fields: List[SpinorField]
     matvecs: int  # products with a sector block over the whole run
-    bound: float  # the largest R, the Gershgorin bound of an averaged block
+    bound: float  # the largest R, the Gershgorin bound of a sector block
     norm_drift: float  # worst relative W-norm change over the snapshots
-    asymmetry: float  # row-sum bound on ‖S − S†‖₂, which the run averages away
 
 
 def _bessel_terms(z: float) -> np.ndarray:
@@ -337,13 +337,12 @@ def chebyshev_propagate(
 ) -> Propagation:
     """e^{∓itH}ψ⁰ at each requested time, by the Chebyshev expansion.
 
-    The series runs on the Hermitian average of each sector block of
-    G = PSPᵀ/2 that u = PW^{1/2}ψ occupies, with that block's R; the bound
-    on what the average drops is ``asymmetry``, the operator's
-    ``hermiticity_defect``.  ``matvecs`` counts the products with every
-    block, ``bound`` is the largest R.  Snapshots chain: the state at
-    t_{k+1} is e^{∓i(t_{k+1}−t_k)H} applied to the state at t_k, so one run
-    costs about t_last·R matvecs per occupied block whatever the number of
+    The series runs on each sector block G_b of G = PSPᵀ/2 that
+    u = PW^{1/2}ψ occupies, as assembled, with that block's R.
+    ``matvecs`` counts the products with every block, ``bound`` is the
+    largest R.  Snapshots chain: the state at t_{k+1} is
+    e^{∓i(t_{k+1}−t_k)H} applied to the state at t_k, so one run costs
+    about t_last·R matvecs per occupied block whatever the number of
     times.  ``times`` must be non-negative and non-decreasing; a repeated
     time repeats the state.  After every interval ‖u‖ is compared with the
     input's, and a relative drift past 1e−8 raises ``NumericError`` — the
@@ -359,18 +358,20 @@ def chebyshev_propagate(
     phase = -1j if direction == Direction.FORWARD else 1j
 
     u = to_sectors(psi0)
+    # (rows, 2G_b/R, R) of each block u occupies; the others stay exactly zero
+    occupied = [
+        (b.rows, (b.matrix * (2.0 / b.bound)).tocsr(), b.bound)
+        for b in blocks if u[b.rows].any()
+    ]
     norm0 = _norm(u)
     field = psi0.copy()
     fields: List[SpinorField] = []
     matvecs, drift, now = 0, 0.0, 0.0
     for t_k in t:
         if t_k > now:
-            for block in blocks:
-                if u[block.rows].any():
-                    u[block.rows], count = _chebyshev_series(
-                        block.scaled, u[block.rows], (t_k - now) * block.bound, phase
-                    )
-                    matvecs += count
+            for rows, scaled, r in occupied:
+                u[rows], count = _chebyshev_series(scaled, u[rows], (t_k - now) * r, phase)
+                matvecs += count
             change = abs(_norm(u) - norm0) / max(norm0, 1e-30)
             if not change <= DRIFT_LIMIT:  # NaN from a diverged series too
                 raise NumericError(
@@ -381,7 +382,7 @@ def chebyshev_propagate(
             field = _field(u, op.grid)
             now = t_k
         fields.append(field)
-    return Propagation(fields, matvecs, bound, drift, op.hermiticity_defect())
+    return Propagation(fields, matvecs, bound, drift)
 
 
 def free_propagate(

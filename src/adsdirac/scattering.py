@@ -90,7 +90,6 @@ class BackwardReport(ScatteringReport):
 
     matvecs: int  # over every run of the estimate
     bound: float  # R of the interacting operator
-    asymmetry: float  # what the runs' Hermitian average of S dropped
 
 
 def _verdict(increments: np.ndarray, input_norm: float) -> bool:
@@ -200,7 +199,6 @@ def wave_operator_backward(
         matvecs=sum(r.matvecs for r in runs),
         bound=runs[0].bound,
         norm_drift=max(r.norm_drift for r in runs),
-        asymmetry=runs[0].asymmetry,
     )
 
 
@@ -243,7 +241,6 @@ class VelocityReport:
     matvecs: int
     bound: float
     norm_drift: float
-    asymmetry: float
 
 
 def velocity_report(
@@ -294,11 +291,10 @@ def velocity_report(
     rows = []
     if op is None:
         fields = [free_propagate(phi, float(t), Direction.FORWARD) for t in times]
-        matvecs, bound, drift, asymmetry = 0, 0.0, 0.0, 0.0
+        matvecs, bound, drift = 0, 0.0, 0.0
     else:
         run = chebyshev_propagate(op, phi, times)
-        fields, matvecs = run.fields, run.matvecs
-        bound, drift, asymmetry = run.bound, run.norm_drift, run.asymmetry
+        fields, matvecs, bound, drift = run.fields, run.matvecs, run.bound, run.norm_drift
     for t, field in zip(times, fields):
         dens = field.grid.weights * np.abs(field.values) ** 2
         arg = signs * field.grid.nodes / t
@@ -334,5 +330,4 @@ def velocity_report(
         matvecs=matvecs,
         bound=bound,
         norm_drift=drift,
-        asymmetry=asymmetry,
     )

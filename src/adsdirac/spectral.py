@@ -7,11 +7,12 @@ Three numerical shadows of the channel operator's spectral theory:
   the assembled S = W^{1/2} H W^{−1/2} (``ChannelOperator.matrix``) is
   Hermitian and its eigenpairs give spectral projections by functional
   calculus.  Every solver reads S in the sector coordinates u = PW^{1/2}ψ,
-  as the Hermitian averages of the γ³γ⁵ blocks of G = PSPᵀ/2, each
-  tridiagonal in nodes: the levels below any σ come from the inertia of
-  one block LDL† sweep, in O(n), those of a window [a, b] from one
+  as the two γ³γ⁵ blocks of G = PSPᵀ/2, each tridiagonal in nodes and
+  read as assembled: the levels below any σ come from the inertia of one
+  block LDL† sweep, in O(n), those of a window [a, b] from one
   shift-invert Lanczos solve per block about the window centre, sized by
-  its count.  Nothing computes the whole spectrum.
+  its count.  Both need S Hermitian and refuse an operator whose
+  ``hermiticity_defect`` is not 0.  Nothing computes the whole spectrum.
 * ``mourre_check`` — positivity of the localized commutator: the minimum
   Rayleigh quotient of P_I C P_I on ran P_I, with C the closed-form
   commutator i[H, 𝒜].  PASS means min quotient ≥ 1 − ``MOURRE_EPS``; η =
@@ -82,7 +83,7 @@ _CHUNK = 4096
 #: two-point Gauss–Legendre nodes on [0, 1]
 _GAUSS = 0.5 + np.array([-1.0, 1.0]) * math.sqrt(3.0) / 6.0
 _DIAG = (np.arange(4), np.arange(4))
-#: a pivot eigenvalue below _ROOT_EPS·max|2S_ij/R| of its sector block is zero
+#: a pivot eigenvalue below _ROOT_EPS·max|G_ij| of its sector block is zero
 _ROOT_EPS = math.sqrt(np.finfo(float).eps)
 
 
@@ -95,8 +96,7 @@ class SpectralDecomposition:
     (component-fastest) eigenvector for ``eigenvalues[k]``.  ``requested``
     is the number of pairs the Lanczos solves of the sector blocks were
     asked for together, 0 when the window holds no level and nothing was
-    solved.  ``asymmetry`` is the row-sum bound on ‖S − S†‖₂ that solving
-    the averaged S drops, the operator's ``hermiticity_defect``.
+    solved.
     """
 
     eigenvalues: np.ndarray
@@ -105,34 +105,38 @@ class SpectralDecomposition:
     max_residual: float
     orthonormality_defect: float
     requested: int
-    asymmetry: float
 
 
 def _block_counts(op: ChannelOperator, sigmas) -> np.ndarray:
-    """``level_count`` per sector block, shape (blocks,) + σ's shape.  Each
-    coordinate of a block sits at the node and slot the split records:
-    d = 2 per node for a split block, 4 for one."""
+    """``level_count`` per sector block, shape (2,) + σ's shape.  Coordinate
+    i of a block sits at node i // 2, slot i % 2.  Raises
+    ``ConfigurationError`` when S is not Hermitian; a NaN entry is left to
+    the pivot check."""
     sigmas = np.asarray(sigmas, dtype=float)
     blocks, n = op.sectors(), op.grid.n
-    d = blocks[0].scaled.shape[0] // n
-    diag = np.zeros((n, len(blocks), d, d), dtype=complex)
+    defect = op.hermiticity_defect()
+    if defect > 0.0:
+        raise ConfigurationError(
+            f"the level count and the window solve need a Hermitian S; "
+            f"its hermiticity defect is {defect:.3e}"
+        )
+    diag = np.zeros((n, len(blocks), 2, 2), dtype=complex)
     upper = np.zeros_like(diag)  # the block of nodes (j − 1, j) at j; zero at 0
     for i, block in enumerate(blocks):
-        s = block.scaled.tocoo()
-        node, a = block.nodes[s.row], block.slots[s.row]
-        col, c = block.nodes[s.col], block.slots[s.col]
+        g = block.matrix.tocoo()
+        (node, a), (col, c) = np.divmod(g.row, 2), np.divmod(g.col, 2)
         distance = int(np.max(np.abs(node - col), initial=0))
         if distance >= 2:  # the sweep would read the entry as zero
             raise ConfigurationError(f"inertia sweep: S couples nodes {distance} apart")
         on, up = node == col, col == node + 1
-        diag[node[on], i, a[on], c[on]] = s.data[on]
-        upper[col[up], i, a[up], c[up]] = s.data[up]
-    # one batch entry per (block, σ), shifted by 2σ/R in the block's scale
+        diag[node[on], i, a[on], c[on]] = g.data[on]
+        upper[col[up], i, a[up], c[up]] = g.data[up]
+    # one batch entry per (block, σ)
     diag, upper = (np.repeat(m, sigmas.size, axis=1) for m in (diag, upper))
-    shift = np.outer([2.0 / b.bound for b in blocks], sigmas).reshape(-1, 1, 1) * np.eye(d)
-    floor = _ROOT_EPS * np.repeat([abs(b.scaled.data).max() for b in blocks], sigmas.size)
+    shift = np.tile(sigmas, len(blocks)).reshape(-1, 1, 1) * np.eye(2)
+    floor = _ROOT_EPS * np.repeat([abs(b.matrix.data).max() for b in blocks], sigmas.size)
     below = np.zeros(floor.size, dtype=int)
-    inverse = np.zeros_like(shift, dtype=complex)  # what S_{j−1,j} meets: D_{j−1}^{−1}
+    inverse = np.zeros_like(shift, dtype=complex)  # what G_{j−1,j} meets: D_{j−1}^{−1}
     merge = np.zeros(floor.size, dtype=bool)  # D_{j−1} is near-singular
     for j in range(n):
         x, b, b_adj = diag[j] - shift, upper[j], upper[j].conj().transpose(0, 2, 1)
@@ -144,13 +148,13 @@ def _block_counts(op: ChannelOperator, sigmas) -> np.ndarray:
         small = np.abs(mu) < floor[:, None]
         # finite stand-ins where a pivot is merged with the next node instead
         inverse = (v / np.where(small, floor[:, None], mu)[:, None, :]) @ v.conj().swapaxes(1, 2)
-        if merge.any():  # D_{j−1} and node j as one 2d×2d pivot
+        if merge.any():  # D_{j−1} and node j as one 4×4 pivot
             block = np.block([[last[merge], b[merge]], [b_adj[merge], x[merge]]])
             nu = np.linalg.eigvalsh(block)
             if np.any(np.abs(nu) < floor[merge, None]):
                 raise NumericError("near-singular merged pivot in the inertia sweep", {"node": j})
             negative[merge] = np.sum(nu < 0.0, axis=1) - last_negative[merge]
-            inverse[merge] = np.linalg.inv(block)[:, d:, d:]
+            inverse[merge] = np.linalg.inv(block)[:, 2:, 2:]
             small[merge] = False
         below += negative
         merge, last, last_negative = small.any(axis=1), pivot, negative
@@ -160,29 +164,33 @@ def _block_counts(op: ChannelOperator, sigmas) -> np.ndarray:
 def level_count(op: ChannelOperator, sigmas) -> np.ndarray:
     """The number of levels of H below each σ, by Sylvester's law of inertia.
 
-    On each averaged sector block S of G = PSPᵀ/2, the block LDL† sweep
-    D_j = S_jj − σ − S_{j−1,j}† D_{j−1}^{−1} S_{j−1,j} over nodes reduces
-    S − σI congruently to pivots whose negative eigenvalues are the levels
-    below σ: O(n) small solves for every σ and block at once, on 2S/R
-    shifted by 2σ/R (inertia ignores the scale).  A pivot eigenvalue below
-    √ε·max|2S_ij/R| (σ at a level of a leading block, as at a wall
-    closure's) would spoil the pivots after it, so that pivot joins the
-    next node, the 2×2-block pivot of Bunch and Kaufman.  A near-singular
-    merged or a non-finite pivot raises ``NumericError``; an entry coupling
-    nodes two or more apart, read as zero otherwise, ``ConfigurationError``."""
+    On each sector block G_b of G = PSPᵀ/2, as assembled, the block LDL†
+    sweep D_j = G_jj − σ − G_{j−1,j}† D_{j−1}^{−1} G_{j−1,j} over 2×2 node
+    blocks reduces G_b − σI congruently to pivots whose negative
+    eigenvalues are the levels below σ: O(n) small solves for every σ and
+    block at once.  Sylvester's law needs G_b Hermitian, so an S with a
+    nonzero ``hermiticity_defect`` raises ``ConfigurationError``.  A pivot
+    eigenvalue below √ε·max|G_ij| (σ at a level of a leading block, as at
+    a wall closure's) would spoil the pivots after it, so that pivot joins
+    the next node, the 2×2-block pivot of Bunch and Kaufman.  A
+    near-singular merged or a non-finite pivot raises ``NumericError``; an
+    entry coupling nodes two or more apart, read as zero otherwise,
+    ``ConfigurationError``."""
     return _block_counts(op, sigmas).sum(axis=0)
 
 
-def _accuracy(
-    op: ChannelOperator, lam: np.ndarray, vectors: np.ndarray
-) -> Tuple[float, float]:
-    """Largest W-norm residual ‖Hv − λv‖_W and W-Gram defect of the pairs,
-    read on y = W^{1/2}v as ‖Sy − λy‖ and y†y; raises past 1e−10·max|λ| or
-    1e−10, since every downstream projection trusts them."""
-    y = _root(op.grid.weights)[:, None] * vectors
-    max_res = float(np.linalg.norm(op.matrix @ y - y * lam[None, :], axis=0).max(initial=0.0))
-    scale = float(np.max(np.abs(lam), initial=0.0))
-    ortho = float(np.max(np.abs(y.conj().T @ y - np.eye(lam.size)), initial=0.0))
+def _accuracy(solved) -> Tuple[float, float]:
+    """Largest residual ‖Gx − λx‖ and Gram defect x†x − 𝟙 over the
+    (G, λ, x) triples of ``solved``, each a matrix with eigenvalues and
+    orthonormal columns; raises past 1e−10·max|λ| over every triple, or
+    past 1e−10, since every downstream projection trusts them."""
+    max_res = ortho = scale = 0.0
+    for g, lam, x in solved:
+        res = np.linalg.norm(g @ x - x * lam[None, :], axis=0)
+        gram = np.abs(x.conj().T @ x - np.eye(lam.size))
+        max_res = max(max_res, float(res.max(initial=0.0)))
+        ortho = max(ortho, float(gram.max(initial=0.0)))
+        scale = max(scale, float(np.max(np.abs(lam), initial=0.0)))
     if max_res > 1e-10 * scale or ortho > 1e-10:
         raise NumericError(
             "eigendecomposition accuracy contract violated",
@@ -196,24 +204,26 @@ def eigendecompose(op: ChannelOperator, window: Tuple[float, float]) -> Spectral
     the window [a, b].
 
     One inertia sweep counts each sector block's levels in the window and
-    within √ε·max|S_ij| of the centre σ.  Levels at σ would make a
-    shift-invert factor singular: they raise ``ConfigurationError`` naming
-    σ and their number.  Each block holding levels gets one shift-invert
-    Lanczos solve of its 2S/R about 2σ/R, for its count plus a margin, and
-    a Rayleigh–Ritz step; the vectors map back by √2·``from_sectors``, as
-    ‖u‖ = √2·‖ψ‖_W.  The count levels nearest the centre are exactly the
-    block's window levels, so a solve with another number raises
-    ``NumericError`` naming the totals found and counted; a window too wide
-    for Lanczos (2k ≥ the block's dimension) raises ``ConfigurationError``.
-    The pairs pass one accuracy check, W-norm residual ≤ 1e−10·max|λ| and
-    W-Gram defect ≤ 1e−10, or ``NumericError``.
+    within √ε·max|G_ij| of the centre σ; like ``level_count`` it refuses an
+    S that is not Hermitian.  Levels at σ would make a shift-invert factor
+    singular: they raise ``ConfigurationError`` naming σ and their number.
+    Each block G_b holding levels gets one shift-invert Lanczos solve about
+    σ, for its count plus a margin, and a Rayleigh–Ritz step.  The count
+    levels nearest the centre are exactly the block's window levels, so a
+    solve with another number raises ``NumericError`` naming the totals
+    found and counted; a window too wide for Lanczos (2k ≥ the block's
+    dimension) raises ``ConfigurationError``.  The pairs pass one accuracy
+    check on their blocks, residual ‖G_b x − λx‖ ≤ 1e−10·max|λ| and Gram
+    defect ≤ 1e−10, or ``NumericError``; in exact arithmetic these are the
+    W-norm residual and W-Gram defect of the eigenfields.  The vectors then
+    map back once, by √2·``from_sectors``, as ‖u‖ = √2·‖ψ‖_W.
     """
     a, b = float(window[0]), float(window[1])
     if not b > a:
         raise ConfigurationError("empty window")
     blocks = op.sectors()
     sigma = 0.5 * (a + b)
-    floor = _ROOT_EPS * max(0.5 * block.bound * abs(block.scaled.data).max() for block in blocks)
+    floor = _ROOT_EPS * max(abs(block.matrix.data).max() for block in blocks)
     lo, below, above, hi = _block_counts(op, (a, sigma - floor, sigma + floor, b)).T
     if np.any(above > below):
         raise ConfigurationError(
@@ -222,11 +232,13 @@ def eigendecompose(op: ChannelOperator, window: Tuple[float, float]) -> Spectral
         )
     counts = hi - lo
     count, dim = int(counts.sum()), 4 * op.grid.n
-    values, fields, found, requested = [np.empty(0)], [np.empty((dim, 0), complex)], [], 0
+    solved, requested = [], 0  # (G_b, λ, x) per block, x orthonormal columns
     for block, block_count in zip(blocks, counts):
+        g = block.matrix
+        size = g.shape[0]
         if block_count == 0:
+            solved.append((g, np.empty(0), np.empty((size, 0))))
             continue
-        size = block.scaled.shape[0]
         k = int(block_count) + max(8, int(block_count) // 4)
         if 2 * k >= size:
             raise ConfigurationError(
@@ -234,39 +246,35 @@ def eigendecompose(op: ChannelOperator, window: Tuple[float, float]) -> Spectral
                 f"Lanczos needs 2k < {size}, k = {k}"
             )
         requested += k
-        shift = 2.0 * sigma / block.bound
         try:
-            lu = spla.splu((block.scaled - shift * sp.identity(size, format="csr")).tocsc())
+            lu = spla.splu((g - sigma * sp.identity(size, format="csc")).tocsc())
         except RuntimeError as exc:
             raise NumericError("shift-invert factorization failed", {"sigma": sigma}) from exc
         opinv = spla.LinearOperator((size, size), matvec=lu.solve, dtype=complex)
         # a fixed start vector keeps the solve reproducible
         v0 = np.random.default_rng(0).standard_normal(size).astype(complex)
         try:
-            _, basis = spla.eigsh(block.scaled, k=k, sigma=shift, OPinv=opinv, v0=v0)
+            _, basis = spla.eigsh(g, k=k, sigma=sigma, OPinv=opinv, v0=v0)
         except spla.ArpackError as exc:
             raise NumericError("shift-invert Lanczos failed", {"k": k}) from exc
         q, _ = np.linalg.qr(basis)
-        ritz = (0.5 * block.bound) * (q.conj().T @ (block.scaled @ q))
+        ritz = q.conj().T @ (g @ q)
         lam, y = sla.eigh((ritz + ritz.conj().T) / 2.0)
         keep = (lam >= a) & (lam <= b)
-        found.append(int(keep.sum()))
-        values.append(lam[keep])
-        v = np.zeros((dim, found[-1]), dtype=complex)
-        v[block.rows] = q @ y[:, keep]
-        fields.append(from_sectors(v, op.grid))
-    if found != [int(c) for c in counts if c]:
+        solved.append((g, lam[keep], q @ y[:, keep]))
+    found = [lam.size for _, lam, _ in solved]
+    if found != counts.tolist():
         raise NumericError(
             f"window solve found {sum(found)} levels in [{a}, {b}], inertia counts {count}",
             {"found": sum(found), "counted": count, "requested": requested},
         )
-    lam = np.concatenate(values)
+    max_res, ortho = _accuracy(solved)
+    lam = np.concatenate([lam for _, lam, _ in solved])
     order = np.argsort(lam, kind="stable")
-    vectors = math.sqrt(2.0) * np.hstack(fields)[:, order]
-    max_res, ortho = _accuracy(op, lam[order], vectors)
-    return SpectralDecomposition(
-        lam[order], vectors, op.grid, max_res, ortho, requested, op.hermiticity_defect()
-    )
+    # the blocks' rows follow one another, so their vectors stack block-diagonally
+    u = sla.block_diag(*(x for _, _, x in solved))[:, order]
+    vectors = math.sqrt(2.0) * from_sectors(u, op.grid)
+    return SpectralDecomposition(lam[order], vectors, op.grid, max_res, ortho, requested)
 
 
 # ------------------------------------------------------------ Mourre check
@@ -277,13 +285,11 @@ class MourreReport:
     min_quotient: float
     eta: float  # ‖P_I (C − 𝟙) P_I‖, the compact-correction magnitude
     passed: bool
-    # the eigensolve behind P_I: pairs requested, largest W-norm residual
-    # and W-Gram defect of the pairs it returned, and the asymmetry its
-    # averaged S dropped
+    # the eigensolve behind P_I: pairs requested, largest residual and
+    # Gram defect of the pairs it returned
     requested: int
     max_residual: float
     orthonormality_defect: float
-    asymmetry: float
 
 
 def mourre_check(op: ChannelOperator, interval: Tuple[float, float]) -> MourreReport:
@@ -323,7 +329,6 @@ def mourre_check(op: ChannelOperator, interval: Tuple[float, float]) -> MourreRe
         requested=dec.requested,
         max_residual=dec.max_residual,
         orthonormality_defect=dec.orthonormality_defect,
-        asymmetry=dec.asymmetry,
     )
 
 

@@ -1,7 +1,7 @@
 """Shared test plumbing: the acceptance-line reporter, the Hamiltonian's
 action on component arrays, the dense symmetric operator and the
-eigensolve oracle built on it, the dense sector split, and a perturbed
-operator and a lossy eigensolver for negative controls.
+eigensolve oracle built on it, the dense sector split, and perturbed
+operators and a lossy eigensolver for negative controls.
 
 Acceptance tests register one human-readable verdict line each; the lines
 are replayed in the terminal summary so the full pass/fail slate is visible
@@ -35,33 +35,41 @@ def apply(op: ChannelOperator, values: np.ndarray) -> np.ndarray:
 
 def perturbed(op: ChannelOperator, row: int, col: int, size: float) -> ChannelOperator:
     """``op`` with ``size`` added to the entry (row, col) of S: the negative
-    control of every self-adjointness record."""
+    control of every self-adjointness record.  An entry without its
+    γ³γ⁵ partner (``paired``) crosses the sectors."""
     bump = sp.csc_matrix(([size], ([row], [col])), shape=op.matrix.shape)
     return dataclasses.replace(op, matrix=(op.matrix + bump).tocsc())
 
 
+#: γ³γ⁵ maps component a of a node to ±component PARTNER[a], with sign SIGN[a]
+PARTNER = np.array([3, 2, 1, 0])
+SIGN = np.array([-1, 1, 1, -1])
+
+
+def paired(op: ChannelOperator, row: int, col: int, size: float) -> ChannelOperator:
+    """``perturbed`` at (row, col) and at its γ³γ⁵ partner (components
+    0 ↔ 3 and 1 ↔ 2, with Q's signs), so S still commutes with Q and still
+    splits into its two sector blocks."""
+    a, c = row % 4, col % 4
+    partner = (row - a + PARTNER[a], col - c + PARTNER[c], SIGN[a] * SIGN[c] * size)
+    return perturbed(perturbed(op, row, col, size), *partner)
+
+
 def dense_scaled(op: ChannelOperator):
-    """(S, √W) with S = W^{1/2} H W^{−1/2} the assembled matrix, dense."""
+    """(S, √W) with S = W^{1/2} H W^{−1/2} the assembled matrix, dense: the
+    reference the package's sector blocks and solvers are tested against."""
     return op.matrix.toarray(), sqrt_weights(op.grid)
 
 
-def dense_symmetric(op: ChannelOperator):
-    """(S averaged with its adjoint, √W), dense: the reference the
-    package's sector blocks and spectral solvers are tested against."""
-    s, root = dense_scaled(op)
-    return (s + s.conj().T) / 2.0, root
-
-
 def dense_decomposition(op: ChannelOperator) -> SpectralDecomposition:
-    """Every eigenpair of H by a dense O(N³) solve of ``dense_symmetric``,
+    """Every eigenpair of H by a dense O(N³) solve of ``dense_scaled``,
     under the package's accuracy contract: the oracle the windowed solve
     and the inertia counts are tested against."""
-    sym, root = dense_symmetric(op)
-    lam, basis = sla.eigh(sym)
-    vectors = basis / root[:, None]
-    max_res, ortho = _accuracy(op, lam, vectors)
+    s, root = dense_scaled(op)
+    lam, basis = sla.eigh(s)
+    max_res, ortho = _accuracy([(op.matrix, lam, basis)])
     return SpectralDecomposition(
-        lam, vectors, op.grid, max_res, ortho, lam.size, op.hermiticity_defect()
+        lam, basis / root[:, None], op.grid, max_res, ortho, lam.size
     )
 
 
@@ -83,7 +91,7 @@ def drop_nearest_level(monkeypatch) -> None:
 
 def dense_levels(op: ChannelOperator) -> np.ndarray:
     """Every eigenvalue of H, sorted, by a dense solve without vectors."""
-    return sla.eigvalsh(dense_symmetric(op)[0])
+    return sla.eigvalsh(dense_scaled(op)[0])
 
 
 #: eigenvectors of γ³γ⁵ at one node, the two of eigenvalue +1 first

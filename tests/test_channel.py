@@ -9,7 +9,7 @@ from conftest import (
     apply,
     dense_scaled,
     dense_sector_blocks,
-    dense_symmetric,
+    paired,
     perturbed,
 )
 from hypothesis import example, given, settings
@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import adsdirac.channel as channel
 from adsdirac.algebra import ANGULAR, Channel, GAMMA, GAMMA5, MASS, VELOCITY
+from adsdirac.dynamics import EvolutionConfig, chebyshev_propagate, evolve
 from adsdirac.channel import (
     BoundaryCondition,
     ConfigurationError,
@@ -31,6 +32,7 @@ from adsdirac.channel import (
 from adsdirac.geometry import CoordinateMap, make_params
 from adsdirac.grids import BoundaryGraded, SpinorField, gaussian_packet, make_grid
 from adsdirac.harness import ExperimentConfig, _run_evolve, parse_config_dict
+from adsdirac.spectral import eigendecompose, level_count
 
 P_MIT = make_params(1.0, 1.0, 0.25)  # 2ml = 1/2 — bag-type wall
 P_NAT = make_params(1.0, 1.0, 1.0)  # 2ml = 2   — no boundary data
@@ -406,15 +408,16 @@ def random_pairs(rng, n, count):
 
 class TestHermiticityBound:
     def test_single_entry_perturbation_fails_the_evolve_check(self, monkeypatch):
-        """1e-7 added to the coupling of one desk-grid node to the next:
-        the bound reads it in full and the ``hermiticity`` line fails,
-        where 100 random field pairs read below the 1e-10 bound."""
+        """1e-7 added to the coupling of one desk-grid node to the next,
+        with its γ³γ⁵ partner so the flow still splits: the bound reads it
+        in full and the ``hermiticity`` line fails, where 100 random field
+        pairs read below the 1e-10 bound."""
         cfg = parse_config_dict({
             "M": 1, "l": 1, "m": 1, "channel": [0.5, 0.5],
             "evolution": {"t_final": 0.5, "snapshots": 1},
         })
         j = cfg.grid.n // 2
-        op = perturbed(cfg.operator(), 4 * j, 4 * j + 4, 1e-7)
+        op = paired(cfg.operator(), 4 * j, 4 * j + 4, 1e-7)
         assert op.hermiticity_defect() >= 1e-7
         rng = np.random.default_rng(0)
         assert sampled_quotient(op, random_pairs(rng, cfg.grid.n, 100)) <= 1e-10
@@ -547,9 +550,9 @@ class TestSectors:
     def test_every_operator_splits_into_isospectral_sectors(self, kind, x_min, n, s, mass):
         """Uniform and graded grids, every coupling, both regimes (the
         graded bag case with the exponent wall row), the free generator and
-        potentials passed by the caller: two blocks of G = PSPᵀ/2 and of its
-        Hermitian average, as the dense transform gives them, with the same
-        spectrum."""
+        potentials passed by the caller: the two blocks of G = PSPᵀ/2 as the
+        dense transform gives them, each its own conjugate transpose to the
+        last bit, with the same spectrum."""
         if kind == "graded-bag":
             mass = 0.01 + 0.24 * mass  # 2ml < 1 with m > 0: the exponent row
         elif kind == "graded":
@@ -569,16 +572,13 @@ class TestSectors:
         half = 2 * g.n
         assert [b.rows for b in blocks] == [slice(0, half), slice(half, 2 * half)]
         bound = max(b.bound for b in blocks)
-        plus, minus, cross = dense_sector_blocks(dense_symmetric(op)[0])
+        plus, minus, cross = dense_sector_blocks(dense_scaled(op)[0])
         assert cross <= 1e-14 * bound
-        g_plus, g_minus, g_cross = dense_sector_blocks(dense_scaled(op)[0])
-        scale = np.abs(op.matrix.data).max()
-        assert g_cross <= 1e-14 * scale
-        for block, s_dense, g_dense in zip(blocks, (plus, minus), (g_plus, g_minus)):
-            assert block.bound == pytest.approx(np.abs(s_dense).sum(axis=1).max(), rel=1e-14)
-            scaled = block.scaled.toarray() * (block.bound / 2.0)
-            assert np.max(np.abs(scaled - s_dense)) <= 1e-14 * bound
-            assert np.max(np.abs(block.generator.toarray() - g_dense)) <= 1e-14 * scale
+        for block, g_dense in zip(blocks, (plus, minus)):
+            assert block.bound == pytest.approx(np.abs(g_dense).sum(axis=1).max(), rel=1e-14)
+            assert np.max(np.abs(block.matrix.toarray() - g_dense)) <= 1e-14 * bound
+            dense = block.matrix.toarray()
+            assert np.array_equal(dense, dense.conj().T)
         levels = [np.linalg.eigvalsh(b) for b in (plus, minus)]
         assert np.max(np.abs(levels[0] - levels[1])) <= 1e-12 * bound
 
@@ -588,25 +588,34 @@ class TestSectors:
         each sector, and the two sector spectra agree."""
         params = make_params(1.0, 1.0, mass)
         op = assemble_hamiltonian(Channel(0.5, 0.5), params, make_grid(-32.0, 320))
-        levels = [
-            np.linalg.eigvalsh(b.scaled.toarray() * (b.bound / 2.0)) for b in op.sectors()
-        ]
+        levels = [np.linalg.eigvalsh(b.matrix.toarray()) for b in op.sectors()]
         assert [int(np.sum((x >= 0.5) & (x <= 1.5))) for x in levels] == [20, 20]
         assert np.max(np.abs(levels[0] - levels[1])) <= 1e-12 * op.sectors()[0].bound
 
-    def test_entry_across_the_sectors_gives_one_block(self):
+    def test_entry_across_the_sectors_is_refused(self):
         """Negative control: one entry from component 1 of a node to
-        component 1 of the next has no γ³γ⁵ partner, and the operator
-        stays one block of every coordinate."""
+        component 1 of the next has no γ³γ⁵ partner, so the operator has
+        no sector blocks, and the split and every solver that reads it
+        raise rather than fall back to one block of every coordinate."""
         g = make_grid(-8.0, 64)
         op = assemble_hamiltonian(Channel(0.5, 0.5), P_MIT, g)
         j = 10
         broken = perturbed(op, 4 * j, 4 * j + 4, 1e-2)
         _, _, cross = dense_sector_blocks(broken.matrix.toarray())
         assert cross == pytest.approx(0.5e-2)
-        (block,) = broken.sectors()
-        assert block.rows == slice(0, 4 * g.n)
         assert len(op.sectors()) == 2
+        psi0 = gaussian_packet(g, -4.0, 0.5, components=(1.0, 0.0, 0.0, 1.0))
+        cfg = EvolutionConfig(dt=g.min_spacing / 2, t_final=0.5)
+        readers = [
+            broken.sectors,
+            lambda: evolve(broken, psi0, cfg),
+            lambda: chebyshev_propagate(broken, psi0, (0.5,)),
+            lambda: level_count(broken, (0.0,)),
+            lambda: eigendecompose(broken, (0.5, 1.5)),
+        ]
+        for read in readers:
+            with pytest.raises(ConfigurationError, match="2 entries of G = PSPᵀ/2 cross"):
+                read()
 
     def test_built_once_by_the_propagators_only(self, monkeypatch):
         """Assembly and the hermiticity bound never split; the first call
@@ -625,11 +634,9 @@ class TestSectors:
         first = op.sectors()
         assert op.sectors() is first and calls == [1]
         with pytest.raises(ValueError):
-            first[0].scaled.data[0] = 0.0
+            first[0].matrix.data[0] = 0.0
         with pytest.raises(ValueError):
-            first[1].generator.data[0] = 0.0
-        with pytest.raises(ValueError):
-            first[0].nodes[0] = 1
+            first[1].matrix.indices[0] = 0
 
     @pytest.mark.parametrize("first", ["defect", "sectors"])
     def test_s_is_formed_and_transformed_once(self, monkeypatch, first):
@@ -646,7 +653,7 @@ class TestSectors:
             read()
             read()
         assert calls == ["S", "G"]
-        perturbed(op, 8, 12, 1e-7).sectors()
+        paired(op, 8, 12, 1e-7).sectors()
         assert calls == ["S", "G", "G"]
 
 
@@ -663,9 +670,9 @@ class TestStateMaps:
         seed=st.integers(0, 2**16),
     )
     def test_round_trip_norm_and_generator(self, graded, x_min, n, mass, broken, seed):
-        """On uniform and graded grids, for operators that split and a
-        one-block control with an entry across the sectors: the round trip
-        ψ → u → ψ is exact to rounding, column by column too, ‖u‖ is
+        """On uniform and graded grids, for assembled operators and a
+        non-Hermitian control with an entry and its γ³γ⁵ partner: the round
+        trip ψ → u → ψ is exact to rounding, column by column too, ‖u‖ is
         √2·‖ψ‖_W, and the blocks of G act on u as H acts on ψ."""
         if graded:
             g = make_grid(x_min, policy=BoundaryGraded(h_min=1e-2, ratio=1.08))
@@ -673,8 +680,8 @@ class TestStateMaps:
             g = make_grid(x_min, n)
         op = assemble_hamiltonian(Channel(0.5, 0.5), make_params(1.0, 1.0, mass), g)
         if broken:
-            op = perturbed(op, 4 * (g.n // 2), 4 * (g.n // 2) + 4, 1e-2)
-        assert len(op.sectors()) == (1 if broken else 2)
+            op = paired(op, 4 * (g.n // 2), 4 * (g.n // 2) + 4, 1e-2)
+        assert len(op.sectors()) == 2
         rng = np.random.default_rng(seed)
         psi = SpinorField(g, rng.normal(size=(4, g.n)) + 1j * rng.normal(size=(4, g.n)))
         u = to_sectors(psi)
@@ -686,7 +693,7 @@ class TestStateMaps:
         h_psi = SpinorField(g, apply(op, psi.values))
         g_u = np.zeros_like(u)
         for block in op.sectors():
-            g_u[block.rows] = block.generator @ u[block.rows]
+            g_u[block.rows] = block.matrix @ u[block.rows]
         expected = to_sectors(h_psi)
         assert np.max(np.abs(g_u - expected)) <= 1e-12 * np.abs(expected).max()
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
-from conftest import dense_sector_blocks, dense_symmetric, perturbed, sqrt_weights
+from conftest import dense_scaled, dense_sector_blocks, paired, sqrt_weights
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import expm_multiply, splu, spsolve
@@ -32,6 +32,7 @@ from adsdirac.dynamics import (
 )
 from adsdirac.geometry import make_params
 from adsdirac.grids import SpinorField, gaussian_packet, make_grid
+from adsdirac.spectral import eigendecompose, level_count
 
 P_MIT = make_params(1.0, 1.0, 0.25)
 P_NAT = make_params(1.0, 1.0, 1.0)
@@ -184,7 +185,7 @@ class TestCayleyStep:
         empty, occupied = op.sectors()
         assert not v[empty.rows].any() and v[occupied.rows].any()
         exact = CayleyStepper(op, dt).step(v)
-        plus = _plus_matrix(occupied.generator, dt)
+        plus = _plus_matrix(occupied.matrix, dt)
         noise = sp.diags(np.random.default_rng(1).standard_normal(plus.shape[0]))
 
         unused = CayleyStepper(op, dt)
@@ -274,7 +275,7 @@ class TestChebyshev:
         first = k[(k > z) & (np.abs(jv(k, z)) < 1e-17)][0]
         # terms T_0 … T_{K−1}: one matvec for each past T_0, in each block
         assert run.matvecs == 2 * (first - 1)
-        plus, minus, _ = dense_sector_blocks(dense_symmetric(op)[0])
+        plus, minus, _ = dense_sector_blocks(dense_scaled(op)[0])
         rows = [np.max(np.abs(b).sum(axis=1)) for b in (plus, minus)]
         assert rows[0] == pytest.approx(rows[1], rel=1e-15)
         assert run.bound == pytest.approx(max(rows), rel=1e-15)
@@ -296,17 +297,32 @@ class TestChebyshev:
         assert evaluated == list(range(len(evaluated)))
         assert first <= len(evaluated) <= int(z) + int(12.0 * np.cbrt(z)) + 33
 
-    def test_records_the_asymmetry_it_averages_away(self):
-        """The run symmetrizes H; a 1e-7 defect in one entry of H shows in
-        its record as the operator's hermiticity defect."""
+    def test_expands_the_operator_as_assembled(self):
+        """Negative control for an expansion on the Hermitian part: with a
+        real 1e-2 entry from component 0 of node 28 to component 2 of node
+        29, and its γ³γ⁵ partner, S is not Hermitian, and over t = 1.5 the
+        run must follow e^{−itS}, not e^{−itS̄} with S̄ = (S + S†)/2, which
+        lies 2.9e-4 away.  The packet's norm moves by 2e-11 only, so the
+        drift guard lets the run through (the same entry from component 0
+        to component 0 moves it by 1.4e-7).  The spectral solvers, which
+        need S Hermitian, refuse the operator."""
         g = make_grid(-8.0, 64)
         op = assemble_hamiltonian(Channel(0.5, 0.5), P_NAT, g)
+        broken = paired(op, 4 * 28, 4 * 29 + 2, 1e-2)
+        assert broken.hermiticity_defect() == 1e-2
         psi0 = gaussian_packet(g, -4.0, 0.5)
-        run = chebyshev_propagate(op, psi0, (0.5,))
-        assert run.asymmetry == op.hermiticity_defect() <= 1e-12
-        broken = perturbed(op, 100, 104, 1e-7)
-        run = chebyshev_propagate(broken, psi0, (0.5,))
-        assert run.asymmetry == broken.hermiticity_defect() >= 1e-7
+        run = chebyshev_propagate(broken, psi0, (1.5,))
+        s, root = dense_scaled(broken)
+        y = root * psi0.values.flatten(order="F")
+        got = root * run.fields[0].values.flatten(order="F")
+        exact = sla.expm(-1.5j * s) @ y
+        averaged = sla.expm(-1.5j * (s + s.conj().T) / 2.0) @ y
+        assert np.linalg.norm(got - exact) <= 1e-12 * np.linalg.norm(y)
+        assert np.linalg.norm(got - averaged) >= 1e-4 * np.linalg.norm(y)
+        with pytest.raises(ConfigurationError, match="need a Hermitian S"):
+            level_count(broken, (0.0,))
+        with pytest.raises(ConfigurationError, match="need a Hermitian S"):
+            eigendecompose(broken, (0.5, 1.5))
 
     def test_snapshots_chain(self):
         g = make_grid(-8.0, 64)
@@ -342,27 +358,30 @@ class TestChebyshev:
 
 class TestSectors:
     """Both propagators work in sector coordinates, block by block.  Dense
-    references of the whole state catch a split that dropped an entry
-    across the sectors or skipped a sector the state occupies."""
+    references of the whole state catch a split that dropped an entry,
+    a block read other than as assembled, or a skipped sector the state
+    occupies."""
 
     G = make_grid(-8.0, 64)
     TIMES = (0.5, 1.5, 3.0)
 
     def operator(self, broken):
         op = assemble_hamiltonian(Channel(0.5, 0.5), P_MIT, self.G)
-        # an entry with no γ³γ⁵ partner, at the node under the packet's
-        # centre: the operator is one block
+        # a real 1e-4 entry from component 0 to component 0 of the next
+        # node, with its γ³γ⁵ partner, under the packet's centre: S is not
+        # Hermitian, e^{−itS} lies 8.6e-6 or more from e^{−itS̄} with
+        # S̄ = (S + S†)/2, and the state's norm stays within 1e-10
         j = 32
-        return perturbed(op, 4 * j, 4 * j + 4, 1e-2) if broken else op
+        return paired(op, 4 * j, 4 * j + 4, 1e-4) if broken else op
 
-    @pytest.mark.parametrize("broken", [False, True], ids=["split", "one-block"])
+    @pytest.mark.parametrize("broken", [False, True], ids=["split", "paired"])
     @pytest.mark.parametrize(
         "components", [(1.0, 0.0, 0.0, 1.0), (1.0, -0.5j, 0.25, 0.8)],
         ids=["one-sector", "two-sector"],
     )
     def test_propagators_match_dense_references(self, broken, components):
         op = self.operator(broken)
-        assert len(op.sectors()) == (1 if broken else 2)
+        assert len(op.sectors()) == 2
         psi0 = gaussian_packet(self.G, -4.0, 0.5, components=components)
         root = sqrt_weights(self.G)
         flat = root * psi0.values.flatten(order="F")  # y = √W·ψ, on which S acts
@@ -380,10 +399,9 @@ class TestSectors:
             got = root * field.values.flatten(order="F")
             assert np.linalg.norm(got - y) <= 1e-12 * np.linalg.norm(y)
 
-        sym, _ = dense_symmetric(op)
         run = chebyshev_propagate(op, psi0, self.TIMES)
         for t, field in zip(self.TIMES, run.fields):
-            ref = sla.expm(-1j * t * sym) @ flat
+            ref = sla.expm(-1j * t * op.matrix.toarray()) @ flat
             got = root * field.values.flatten(order="F")
             assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 

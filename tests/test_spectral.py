@@ -10,9 +10,10 @@ from conftest import (
     apply,
     dense_decomposition,
     dense_levels,
+    dense_scaled,
     dense_sector_blocks,
-    dense_symmetric,
     drop_nearest_level,
+    paired,
     perturbed,
 )
 from hypothesis import assume, example, given, seed, settings
@@ -141,8 +142,6 @@ class TestEigendecompose:
         assert dec.eigenvalues.size == _in_window(op, WINDOW) >= 10
         assert dec.max_residual <= 1e-10 * np.max(np.abs(dec.eigenvalues))
         assert dec.orthonormality_defect <= 1e-10
-        # what solving the averaged S drops is recorded, not discarded
-        assert dec.asymmetry == op.hermiticity_defect() <= 1e-12
 
     def test_eigenfield_is_an_eigenvector(self, free_window):
         _, dec = free_window
@@ -199,7 +198,7 @@ class TestLevelCount:
         the nearest level."""
         op = _sads_operator(64, m=m, x_min=-16.0)
         sigmas = (-2.0, 2.0)
-        first = np.linalg.eigvalsh(dense_symmetric(op)[0][:4, :4])
+        first = np.linalg.eigvalsh(dense_scaled(op)[0][:4, :4])
         assert np.min(np.abs(first - sigmas[0])) <= 1e-12
         levels = dense_levels(op)
         assert level_count(op, sigmas).tolist() == [int(np.sum(levels < s)) for s in sigmas]
@@ -329,7 +328,7 @@ class TestSectorBlocks:
     def test_each_block_counts_its_dense_levels(self, kind, x_min, n, mass, sigmas):
         """Uniform and graded grids in both regimes (2ml < 1 below m = 1/2,
         the graded one with the exponent wall row), the free generator and
-        a one-block control with a Hermitian pair across the sectors: each
+        a control with a Hermitian pair and its γ³γ⁵ partners: each
         block's count is the dense count of that block's levels, and
         ``level_count`` the dense count of H's.  A σ within 1e-6 of a level
         is dropped: the count there is a rounding choice, not an answer."""
@@ -343,17 +342,13 @@ class TestSectorBlocks:
             op = assemble_hamiltonian(CHANNEL, make_params(1.0, 1.0, mass), g)
         if kind == "perturbed":
             j = 4 * (g.n // 2)
-            op = perturbed(perturbed(op, j, j + 4, 1e-2), j + 4, j, 1e-2)
-        sym = dense_symmetric(op)[0]
-        levels = np.linalg.eigvalsh(sym)
+            op = paired(paired(op, j, j + 4, 1e-2), j + 4, j, 1e-2)
+        s = dense_scaled(op)[0]
+        levels = np.linalg.eigvalsh(s)
         sigmas = [x for x in sigmas if np.min(np.abs(levels - x)) > 1e-6]
         assume(sigmas)
-        if kind == "perturbed":
-            per_block = [levels]
-        else:
-            plus, minus, _ = dense_sector_blocks(sym)
-            per_block = [np.linalg.eigvalsh(b) for b in (plus, minus)]
-        assert len(op.sectors()) == len(per_block)
+        plus, minus, _ = dense_sector_blocks(s)
+        per_block = [np.linalg.eigvalsh(b) for b in (plus, minus)]
         expected = [[int(np.sum(x < s)) for s in sigmas] for x in per_block]
         assert spectral._block_counts(op, sigmas).tolist() == expected
         assert level_count(op, sigmas).tolist() == [int(np.sum(levels < s)) for s in sigmas]
@@ -366,7 +361,7 @@ class TestSectorBlocks:
         block."""
         op = _sads_operator(320, m=mass)
         dec = eigendecompose(op, WINDOW)
-        plus, minus, _ = dense_sector_blocks(dense_symmetric(op)[0])
+        plus, minus, _ = dense_sector_blocks(dense_scaled(op)[0])
         inside = []
         for block in (plus, minus):
             x = np.linalg.eigvalsh(block)
@@ -391,16 +386,17 @@ class TestSectorBlocks:
     def test_entry_two_nodes_apart_is_refused(self, split):
         """The sweep reads the blocks of neighbouring nodes only, so a
         Hermitian entry between nodes j and j + 2 must raise, not count as
-        zero: one entry across the sectors (one block), or the same entry
-        on every component, which keeps the split."""
+        zero: the same entry on every component, which keeps the split.
+        Without its γ³γ⁵ partner the entry crosses the sectors, and the
+        split refuses it first."""
         op = _sads_operator(64)
         j = 4 * 20
         for a in range(4) if split else (0,):
             op = perturbed(perturbed(op, j + a, j + 8 + a, 0.5), j + 8 + a, j + a, 0.5)
-        assert len(op.sectors()) == (2 if split else 1)
-        with pytest.raises(ConfigurationError, match="couples nodes 2 apart"):
+        match = "couples nodes 2 apart" if split else "cross the sectors"
+        with pytest.raises(ConfigurationError, match=match):
             level_count(op, (-1.0, 1.0))
-        with pytest.raises(ConfigurationError, match="couples nodes 2 apart"):
+        with pytest.raises(ConfigurationError, match=match):
             eigendecompose(op, WINDOW)
 
 
