@@ -29,21 +29,20 @@ making the closed operator self-adjoint in the weighted inner product:
   x_min far enough left that no signal reaches it (propagation speed ≤ 1),
   so the wall only has to be norm-preserving, not physical.
 
-The assembled matrix is S = W^{1/2}HW^{−1/2}, W the grid weights, Hermitian
-exactly when H is self-adjoint in the weighted inner product.  Its row
-4j + a (node j, component a) holds at most four entries: the difference's
-∓i·Γ¹_aa/(2√(w_j w_{j±1})) at columns 4(j ± 1) + a, formed once per edge
-and mirrored, so Hermitian to the last bit on every grid, and node j's
-potential block (as in H) at two partner columns 4j + c.  Γ¹ is diagonal,
-and the two partners of each component are the supports of γ⁰γ² and γ⁰,
-on which the wall closures Γ¹S fall too; both facts are read off the
-algebra at assembly, which refuses anything that breaks them.  The rows
-are written straight into compressed sparse arrays.
-
 Every solver works in one coordinate system, u = PW^{1/2}ψ (``to_sectors``),
-with P the per-node transform onto the sectors of γ³γ⁵: S is transformed
-once per operator to G = PSPᵀ/2, and every solver reads G's two diagonal
-blocks as assembled.
+with W the grid weights and P the per-node transform onto the sectors of
+γ³γ⁵, and the assembled matrix acts on it: G = PSPᵀ/2 of
+S = W^{1/2}HW^{−1/2}, Hermitian exactly when H is self-adjoint in the
+weighted inner product.  Every node table (Γ¹, the two potential matrices
+and the wall closures) is taken to sector form once per assembly, and
+assembly refuses any with an entry across the sectors, or a Γ¹ that is not
+diagonal there.  So G has no entry across the sectors, and its 4n rows are
+two 2n-row blocks, the + sector's first, which every solver reads as
+assembled.  Row (node j, slot a) of a block holds at most four entries:
+the difference's ∓i·v_a/(2√(w_j w_{j±1})) at columns 2(j ± 1) + a, formed
+once per edge and mirrored, so Hermitian to the last bit on every grid,
+and node j's 2×2 potential block at columns 2j and 2j + 1.  The rows are
+written straight into compressed sparse arrays.
 """
 from __future__ import annotations
 
@@ -130,9 +129,9 @@ def mit_reflection() -> np.ndarray:
 class ChannelOperator:
     """Assembled banded channel operator on one grid.
 
-    Immutable after assembly.  ``matrix`` is S = W^{1/2}HW^{−1/2}; it acts
-    on W^{1/2} times node-major flattened fields (component index fastest,
-    i.e. ``values.flatten(order="F")`` of a (4, n) array).
+    Immutable after assembly.  ``matrix`` is G = PSPᵀ/2 of
+    S = W^{1/2}HW^{−1/2}: 4n rows, the + sector's 2n first, acting on the
+    sector coordinates u = ``to_sectors(ψ)``.
     """
 
     channel: Channel
@@ -152,23 +151,23 @@ class ChannelOperator:
         return self.params.m if self.params is not None else 0.0
 
     def hermiticity_defect(self, seed: Optional[int] = None) -> float:
-        """The largest absolute row sum of the anti-Hermitian S − S†: a bound
-        on ‖S − S†‖₂, zero exactly when H is self-adjoint in the weighted
-        inner product, and at least |⟨Hu, v⟩ − ⟨u, Hv⟩| / (‖u‖‖v‖) for every
-        field pair.  Computed once, without the sector split; ``seed`` is
-        accepted and ignored."""
+        """The largest absolute row sum of the anti-Hermitian G − G†: a bound
+        on ‖G − G†‖₂ = ‖S − S†‖₂ (P/√2 is orthogonal), zero exactly when H is
+        self-adjoint in the weighted inner product, and at least
+        |⟨Hu, v⟩ − ⟨u, Hv⟩| / (‖u‖‖v‖) for every field pair.  Computed once,
+        without the sector split; ``seed`` is accepted and ignored."""
         return self._defect
 
     def sectors(self) -> Tuple["SectorBlock", ...]:
-        """The two diagonal blocks of G = PSPᵀ/2 (``_split_sectors``), built
-        once; the arrays are read-only, since every caller shares them."""
+        """The two diagonal blocks of G (``_split_sectors``), sliced once;
+        the arrays are read-only, since every caller shares them."""
         return self._sectors
 
-    # what the two methods above read off S, each formed on first use
+    # what the two methods above read off G, each formed on first use
     @cached_property
     def _defect(self) -> float:
-        s = self.matrix
-        return float(np.max(abs(s - s.conj().T).sum(axis=1)))
+        g = self.matrix
+        return float(np.max(abs(g - g.conj().T).sum(axis=1)))
 
     @cached_property
     def _sectors(self) -> Tuple["SectorBlock", ...]:
@@ -182,12 +181,11 @@ def _root(weights: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------- sectors
 #
-# Q = γ³γ⁵ commutes with Γ¹, ANGULAR, MASS and the wall reflection, so it
-# commutes with every assembled S node by node.  The rows of _SECTOR_ROWS
-# span its eigenspaces, (1, 0, 0, −1) and (0, 1, 1, 0) for Q = +1 and
-# (1, 0, 0, 1) and (0, 1, −1, 0) for Q = −1; with P that matrix at every node,
-# PPᵀ = 2·𝟙, so S acts on u = PW^{1/2}ψ as G = PSPᵀ/2, whose entries are sums
-# and differences of S's with no rounding where the sectors cancel.
+# Q = γ³γ⁵ commutes with Γ¹, ANGULAR, MASS and the wall reflection.  The rows
+# of _SECTOR_ROWS span its eigenspaces, (1, 0, 0, −1) and (0, 1, 1, 0) for
+# Q = +1 and (1, 0, 0, 1) and (0, 1, −1, 0) for Q = −1; with P that matrix at
+# every node, PPᵀ = 2·𝟙, so a node table T acts on sector coordinates as
+# PTPᵀ/2, with nothing across the sectors.
 
 _SECTOR_ROWS = np.array([[1, 0, 0, -1], [0, 1, 1, 0], [1, 0, 0, 1], [0, 1, -1, 0]])
 
@@ -228,30 +226,35 @@ def _gershgorin_bound(matrix: sp.spmatrix) -> float:
     return float(np.max(abs(matrix).sum(axis=1)))
 
 
-def _split_sectors(s: sp.csc_matrix) -> Tuple[SectorBlock, ...]:
-    """G = PSPᵀ/2 cut into its two 2n-row diagonal blocks, one per sector of
-    γ³γ⁵.  A finite entry of G across the sectors raises
-    ``ConfigurationError``; every entry of S reaches both blocks too, so a
-    non-finite one is left to the solvers, which raise on it."""
-    size = s.shape[0]
-    j = 4 * np.arange(size // 4)[:, None]
-    order = np.concatenate([(j + [0, 1]).ravel(), (j + [2, 3]).ravel()])
-    p = sp.kron(sp.identity(size // 4, format="csr"), _SECTOR_ROWS, format="csr")[order]
-    g = (p @ s @ p.T * 0.5).tocsc()
-    g.eliminate_zeros()
-    half = size // 2
-    crossing = sum(int(np.isfinite(c.data).sum()) for c in (g[:half, half:], g[half:, :half]))
+def _split_sectors(g: sp.csc_matrix) -> Tuple[SectorBlock, ...]:
+    """G's two 2n-row diagonal blocks, one per sector of γ³γ⁵.  Assembly
+    writes nothing across them, but a matrix swapped in by
+    ``dataclasses.replace`` may: a nonzero entry across raises
+    ``ConfigurationError``."""
+    half = g.shape[0] // 2
+    crossing = sum(np.count_nonzero(c.data) for c in (g[:half, half:], g[half:, :half]))
     if crossing:
         raise ConfigurationError(
             f"{crossing} entries of G = PSPᵀ/2 cross the sectors of γ³γ⁵"
         )
     blocks = []
-    for rows in (slice(0, half), slice(half, size)):
+    for rows in (slice(0, half), slice(half, g.shape[0])):
         matrix = g[rows, rows]
         for frozen in (matrix.data, matrix.indices, matrix.indptr):
             frozen.flags.writeable = False
         blocks.append(SectorBlock(rows, matrix, _gershgorin_bound(matrix)))
     return tuple(blocks)
+
+
+def _sector_form(table: np.ndarray, name: str) -> np.ndarray:
+    """The two diagonal 2×2 blocks of P·table·Pᵀ/2, shape (sector, 2, 2), for
+    a node's 4×4 table.  Every table here has one entry per row, so each
+    entry is half a sum of at most two of equal size: exact.  An entry
+    across the sectors raises ``ConfigurationError``."""
+    g = _SECTOR_ROWS @ table @ _SECTOR_ROWS.T / 2.0
+    if np.any(g[:2, 2:]) or np.any(g[2:, :2]):
+        raise ConfigurationError(f"the {name} table has an entry across the sectors of γ³γ⁵")
+    return np.stack([g[:2, :2], g[2:, 2:]])
 
 
 def _wall_closures(grid: Grid, s_left, s_right, wall_exponent=None):
@@ -278,66 +281,54 @@ def _wall_closures(grid: Grid, s_left, s_right, wall_exponent=None):
     return left, right
 
 
-def _partner_columns(reflection: np.ndarray) -> np.ndarray:
-    """The two columns of each component's row in a node's potential block,
-    read off the algebra: the supports of ANGULAR and MASS, on which the
-    wall closures Γ¹S fall too.
-
-    Raises ``ConfigurationError`` unless VELOCITY is diagonal and every row
-    of the union holds exactly two entries: the row layout
-    ``_block_matrix`` writes has room for nothing else.
-    """
-    if np.any(VELOCITY != np.diag(np.diag(VELOCITY))):
-        raise ConfigurationError("the velocity matrix must be diagonal")
-    support = (ANGULAR != 0) | (MASS != 0) | (VELOCITY @ reflection != 0)
-    if np.any(support.sum(axis=1) != 2):
-        raise ConfigurationError(
-            "each row of a node's potential block and wall closures must have "
-            f"exactly two entries, got {support.sum(axis=1).tolist()}"
-        )
-    return np.nonzero(support)[1].reshape(4, 2)
+#: the columns of row (node j, slot a) of a sector block, less 2j:
+#: 2(j − 1) + a, node j's 2j and 2j + 1, and 2(j + 1) + a
+_OFFSETS = np.array([[-2, 0, 1, 2], [-1, 0, 1, 3]], dtype=np.int32)
 
 
-def _block_matrix(grid: Grid, coupling, m, a_vals, b_vals, left, right, partners) -> sp.csc_matrix:
-    """Node-major sparse S = W^{1/2}HW^{−1/2} of H = −i·VELOCITY·(centered
-    difference) + coupling·A(x)·ANGULAR − m·B(x)·MASS.
+def _block_matrix(grid: Grid, coupling, m, a_vals, b_vals, left, right) -> sp.csc_matrix:
+    """G = PSPᵀ/2 of S = W^{1/2}HW^{−1/2}, H = −i·VELOCITY·(centered
+    difference) + coupling·A(x)·ANGULAR − m·B(x)·MASS, written in sector
+    coordinates.
 
-    Row 4j + a holds at most four entries, in column order: c_{j−1}·v_a at
-    column 4(j − 1) + a, node j's potential block at its two ``partners``
-    columns 4j + c for component a, and −c_j·v_a at column 4(j + 1) + a,
-    with c_j = i/(2√(w_j w_{j+1})) the coefficient of edge (j, j + 1) and
-    v = diag(VELOCITY).  ``left``/``right`` are the ghost closures added to
-    the first and last potential blocks; an entry of theirs off the
-    partner columns raises ``ConfigurationError``.  The entries go into a
-    value table of four slots per row beside their column table, exact
-    zeros are dropped with one mask, and the CSR arrays so written are
-    converted to CSC once.
+    Each table is taken to sector form (``_sector_form``), where VELOCITY
+    must be diagonal, v_σ = diag(v_σ0, v_σ1) in sector σ, or
+    ``ConfigurationError`` is raised.  Row 2nσ + 2j + a (sector σ, node j,
+    slot a) holds at most four entries, at the columns ``_OFFSETS`` gives,
+    offset by 2nσ + 2j: −c_{j−1}·v_σa, node j's 2×2 block and c_j·v_σa,
+    with c_j = −i/(2√(w_j w_{j+1})) the coefficient of edge (j, j + 1).
+    ``left``/``right`` are the ghost closures added to the first and last
+    node blocks.  The entries go into a value table of four slots per row
+    beside their column table; zero signs are cleared to +0.0, exact zeros
+    are dropped with one mask, and the CSR arrays so written are converted
+    to CSC once.
     """
     n = grid.n
-    comp = np.arange(4)[:, None]
-    off_pattern = np.ones((4, 4), dtype=bool)
-    off_pattern[comp, partners] = False
-    if np.any(left[off_pattern]) or np.any(right[off_pattern]):
-        raise ConfigurationError("a wall closure has an entry off the potential blocks' pattern")
-    v = np.diag(VELOCITY).astype(complex)
+    velocity = _sector_form(VELOCITY, "velocity")
+    if np.any(velocity[:, [0, 1], [1, 0]]):
+        raise ConfigurationError("the velocity matrix must be diagonal in sector form")
+    v = np.diagonal(velocity, axis1=1, axis2=2)[:, None, :]  # (sector, 1, slot)
     w = grid.weights
     edge = (-1j / (2.0 * np.sqrt(w[:-1] * w[1:])))[:, None]
-    diag = (
-        (coupling * a_vals)[:, None] * ANGULAR.astype(complex)[comp, partners].ravel()
-        - (m * b_vals)[:, None] * MASS[comp, partners].ravel()
-    ).reshape(n, 4, 2)
-    diag[0] += left[comp, partners]
-    diag[-1] += right[comp, partners]
-    values = np.empty((n, 4, 4), dtype=complex)
-    values[1:, :, 0] = -edge * v
-    values[:, :, 1:3] = diag
-    values[:-1, :, 3] = edge * v
-    values[0, :, 0] = values[-1, :, 3] = 0.0  # no node beyond either wall
-    offsets = np.column_stack([comp - 4, partners, comp + 4]).astype(np.int32)
-    columns = 4 * np.arange(n, dtype=np.int32)[:, None, None] + offsets
+    node = (
+        (coupling * a_vals)[:, None, None, None] * _sector_form(ANGULAR, "angular")
+        - (m * b_vals)[:, None, None, None] * _sector_form(MASS, "mass")
+    )
+    node[0] += _sector_form(left, "left wall closure")
+    node[-1] += _sector_form(right, "right wall closure")
+    values = np.empty((2, n, 2, 4), dtype=complex)
+    values[:, 1:, :, 0] = -edge * v
+    values[:, :, :, 1:3] = node.transpose(1, 0, 2, 3)
+    values[:, :-1, :, 3] = edge * v
+    values[:, 0, :, 0] = values[:, -1, :, 3] = 0.0  # no node beyond either wall
+    # the −0.0 the products leave become +0.0, the sign a sum from zero gives
+    values.real += 0.0
+    values.imag += 0.0
+    first = 2 * n * np.arange(2, dtype=np.int32)[:, None] + 2 * np.arange(n, dtype=np.int32)
+    columns = first[:, :, None, None] + _OFFSETS
     keep = values != 0
     indptr = np.zeros(4 * n + 1, dtype=np.int32)
-    np.cumsum(keep.sum(axis=2).ravel(), out=indptr[1:])
+    np.cumsum(keep.sum(axis=3).ravel(), out=indptr[1:])
     return sp.csr_matrix(
         (values[keep], columns[keep], indptr), shape=(4 * n, 4 * n)
     ).tocsc()
@@ -349,7 +340,7 @@ def assemble_hamiltonian(
     grid: Grid,
     potentials: Optional[Callable] = None,
 ) -> ChannelOperator:
-    """Build the banded channel operator, S = W^{1/2}HW^{−1/2} of H.
+    """Build the banded channel operator, G = PSPᵀ/2 of S = W^{1/2}HW^{−1/2}.
 
     The potentials are the black-hole pair √F/r and √F of ``params``,
     unless ``potentials`` maps the node array x to (A(x), B(x)).  The wall
@@ -382,9 +373,7 @@ def assemble_hamiltonian(
     ):
         wall_exponent = m * params.l
     left, right = _wall_closures(grid, s_mirror, s_right, wall_exponent)
-    matrix = _block_matrix(
-        grid, channel.coupling, m, a_vals, b_vals, left, right, _partner_columns(s_mirror)
-    )
+    matrix = _block_matrix(grid, channel.coupling, m, a_vals, b_vals, left, right)
     return ChannelOperator(
         channel=channel,
         params=params,

@@ -12,8 +12,8 @@ it.  The process exits 0 exactly when every acceptance check among them
 passed.  ``--threads N`` runs
 the experiments in up to N worker processes started by ``fork`` (default
 1, which runs them in this process; values below 1 count as 1).
-``--dump-matrix`` additionally writes the assembled operator, S = W^{1/2}HW^{−1/2},
-as a sparse CSV (row, col, re, im) for external inspection.
+``--dump-matrix`` additionally writes the assembled operator G = PSPᵀ/2 (P in
+the README) as a sparse CSV (row, col, re, im) for external inspection.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--dump-matrix", action="store_true",
-        help="also write the assembled operator S = W^{1/2}HW^{-1/2} as matrix.csv (debug)",
+        help="also write the assembled operator G = PSP^T/2 as matrix.csv (debug)",
     )
 
     sub = parser.add_subparsers(dest="experiment", required=True)

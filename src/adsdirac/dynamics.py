@@ -1,9 +1,9 @@
 """Norm-preserving time evolution and the exact comparison propagator.
 
 Both propagators work in the sector coordinates u = PW^{1/2}ψ of
-``channel.to_sectors``, ‖u‖ = √2·‖ψ‖_W, on the blocks of G = PSPᵀ/2
-(``ChannelOperator.sectors``), with S = W^{1/2} H W^{−1/2} the assembled
-matrix: one 2n-row block per sector of γ³γ⁵, read as assembled.  An
+``channel.to_sectors``, ‖u‖ = √2·‖ψ‖_W, on the blocks of the assembled
+matrix G = PSPᵀ/2 (``ChannelOperator.sectors``), S = W^{1/2} H W^{−1/2}:
+one 2n-row block per sector of γ³γ⁵, read as assembled.  An
 operator with an entry across the sectors has no such blocks, and both
 propagators raise ``ConfigurationError`` on it.  A run maps the state to
 u once at the start and back once per snapshot, and propagates only the
@@ -34,10 +34,11 @@ with R the Gershgorin bound of G_b — a guaranteed bound, since the series
 diverges on any level outside [−R, R] — and the sum cut at the first
 order K > tR with |J_K(tR)| < 1e−17.  R is built once per operator with
 the blocks, 2G_b/R once per run.  The run is unitary only up to that
-truncation, so it measures its drift and raises past 1e−8.  It costs about tR
-matvecs and no solve, and it has no time-step error, so the backward wave
-operator, the velocity traces and the free-oracle check (the discrete
-comparison flow against the closed form below) run on it.
+truncation, so it measures its drift and raises past 1e−8, naming R and
+the operator's hermiticity defect, the two possible causes.  It costs
+about tR matvecs and no solve, and it has no time-step error, so the
+backward wave operator, the velocity traces and the free-oracle check
+(the discrete comparison flow against the closed form below) run on it.
 
 The comparison generator Γ¹D_x with the bag-type wall has an explicit
 method-of-characteristics solution: components (1, 4) transport with speed
@@ -345,8 +346,10 @@ def chebyshev_propagate(
     about t_last·R matvecs per occupied block whatever the number of
     times.  ``times`` must be non-negative and non-decreasing; a repeated
     time repeats the state.  After every interval ‖u‖ is compared with the
-    input's, and a relative drift past 1e−8 raises ``NumericError`` — the
-    sign of a bound R below the spectral radius.
+    input's, and a relative drift past 1e−8 raises ``NumericError``, whose
+    diagnostics carry R and the operator's ``hermiticity_defect``: either R
+    is below the spectral radius, or the generator is not Hermitian, so
+    that e^{∓itG} itself changes the norm.
     """
     if not np.array_equal(psi0.grid.nodes, op.grid.nodes):
         raise ConfigurationError("field and operator live on different grids")
@@ -375,8 +378,9 @@ def chebyshev_propagate(
             change = abs(_norm(u) - norm0) / max(norm0, 1e-30)
             if not change <= DRIFT_LIMIT:  # NaN from a diverged series too
                 raise NumericError(
-                    "Chebyshev propagation lost unitarity",
-                    {"t": float(t_k), "norm_drift": change, "bound": bound},
+                    "Chebyshev propagation lost unitarity: R too low or S not Hermitian",
+                    {"t": float(t_k), "norm_drift": change, "bound": bound,
+                     "hermiticity_defect": op.hermiticity_defect()},
                 )
             drift = max(drift, change)
             field = _field(u, op.grid)

@@ -87,6 +87,7 @@ from adsdirac.geometry import (
 from adsdirac.grids import BoundaryGraded, Grid, SpinorField, gaussian_packet, make_grid
 from adsdirac.scattering import (
     CONVERGED_FRACTION,
+    WALL_DISTANCE,
     adjointness_residual,
     velocity_report,
     wave_operator_backward,
@@ -588,6 +589,9 @@ def _run_evolve(cfg: ExperimentConfig) -> ExperimentResult:
 
     psi0 = _packet(cfg.options["evolve"], grid)
     traj = evolve(op, psi0, cfg.evolution)
+    # the largest W-mass of the normalized state near x_min, as in velocity.json
+    near_wall = grid.nodes < grid.x_min + WALL_DISTANCE
+    wall_mass = max(grid.norm(f.values * near_wall) ** 2 for f in traj.fields) / psi0.norm() ** 2
     res.checks.append(
         CheckLine(
             "unitarity", traj.norm_drift <= 1e-8,
@@ -626,6 +630,7 @@ def _run_evolve(cfg: ExperimentConfig) -> ExperimentResult:
         "steps": traj.steps,
         "max_residual": traj.max_residual,
         "refinements": traj.refinements,
+        "wall_mass": wall_mass,
         "free_errors": errors,
         "free_order": order,
         # the oracle's Chebyshev runs, one per resolution
@@ -1030,6 +1035,7 @@ _RUNNERS = {
 
 
 def _dump_matrix(cfg: ExperimentConfig, out_dir: Path) -> str:
+    """matrix.csv: the entries of G = PSPᵀ/2, the assembled matrix, by row."""
     op = cfg.operator()
     coo = op.matrix.tocoo()
     path = out_dir / "matrix.csv"

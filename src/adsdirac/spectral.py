@@ -4,12 +4,13 @@ Three numerical shadows of the channel operator's spectral theory:
 
 * ``level_count`` and ``eigendecompose`` — the weighted symmetric
   eigenproblem.  H is self-adjoint in ⟨u, v⟩_W = Σ_j w_j u(x_j)†v(x_j), so
-  the assembled S = W^{1/2} H W^{−1/2} (``ChannelOperator.matrix``) is
-  Hermitian and its eigenpairs give spectral projections by functional
-  calculus.  Every solver reads S in the sector coordinates u = PW^{1/2}ψ,
-  as the two γ³γ⁵ blocks of G = PSPᵀ/2, each tridiagonal in nodes and
-  read as assembled: the levels below any σ come from the inertia of one
-  block LDL† sweep, in O(n), those of a window [a, b] from one
+  S = W^{1/2} H W^{−1/2} is Hermitian and its eigenpairs give spectral
+  projections by functional calculus.  The assembled matrix
+  (``ChannelOperator.matrix``) is S in the sector coordinates
+  u = PW^{1/2}ψ, G = PSPᵀ/2, and every solver reads its two γ³γ⁵
+  blocks, each tridiagonal in nodes, as assembled: the levels below any σ
+  come from the inertia of one block LDL† sweep, in O(n), those of a
+  window [a, b] from one
   shift-invert Lanczos solve per block about the window centre, sized by
   its count.  Both need S Hermitian and refuse an operator whose
   ``hermiticity_defect`` is not 0.  Nothing computes the whole spectrum.
@@ -28,8 +29,8 @@ Three numerical shadows of the channel operator's spectral theory:
   coordinate inverse; it keeps the conserved current Φ†Γ¹Φ = Γ¹ to
   rounding.
 * ``boundary_exponent_fit`` — the wall behavior of domain elements probed
-  through the resolvent: solve (H − z)u = f, as (S − z)W^{1/2}u = W^{1/2}f,
-  and fit log‖u‖ against log(−x) on a boundary-graded tail.
+  through the resolvent: solve (H − z)u = f as (G − z)y = PW^{1/2}f, and
+  fit log‖u‖ against log(−x) on a boundary-graded tail.
 """
 from __future__ import annotations
 
@@ -44,7 +45,7 @@ import scipy.sparse.linalg as spla
 
 from .algebra import ANGULAR, Channel, MASS, VELOCITY
 from .channel import (
-    ChannelOperator, ConfigurationError, _root, commutator_closed_form, from_sectors
+    ChannelOperator, ConfigurationError, commutator_closed_form, from_sectors, to_sectors
 )
 from .dynamics import NumericError
 from .geometry import CoordinateMap, Params, Regime
@@ -544,9 +545,9 @@ def boundary_exponent_fit(
     op: ChannelOperator, f: Optional[SpinorField] = None
 ) -> BoundaryFitReport:
     """Resolvent probe of the wall behavior: solve (H − z)u = f at z = 2i,
-    as (S − z)y = W^{1/2}f with u = W^{−1/2}y, and fit log‖u(x)‖ against
-    log(−x) over the lowest decade of −x, excluding the last three nodes
-    (the ghost rows contaminate them)."""
+    as (G − z)y = ``to_sectors(f)``, u = ``from_sectors(y)``, and fit
+    log‖u(x)‖ against log(−x) over the lowest decade of −x, excluding the
+    last three nodes (the ghost rows contaminate them)."""
     z = 2j
     grid = op.grid
     if f is None:
@@ -555,15 +556,14 @@ def boundary_exponent_fit(
         f = SpinorField(grid, vals)
     elif not np.array_equal(f.grid.nodes, grid.nodes):
         raise ConfigurationError("probe data lives on a different grid")
-    shifted = (op.matrix - z * sp.identity(4 * grid.n, format="csc", dtype=complex)).tocsc()
-    root = _root(grid.weights)
+    shifted = (op.matrix - z * sp.identity(op.matrix.shape[0], format="csc")).tocsc()
     try:
-        y = spla.spsolve(shifted, root * f.values.flatten(order="F"))
+        y = spla.spsolve(shifted, to_sectors(f))
     except Exception as exc:
         raise NumericError("resolvent solve failed", {"z": z}) from exc
     if not np.all(np.isfinite(y)):
         raise NumericError("resolvent solve returned non-finite values", {"z": z})
-    u = (y / root).reshape((4, grid.n), order="F")
+    u = from_sectors(y, grid).reshape((4, grid.n), order="F")
     unorm = np.linalg.norm(u, axis=0)
     t = -grid.nodes
     t_ref = t[-4]  # innermost node that survives the ghost-row exclusion

@@ -8,9 +8,10 @@ from conftest import (
     SECTOR_ROWS,
     apply,
     dense_scaled,
-    dense_sector_blocks,
     paired,
     perturbed,
+    scaled,
+    sector_transform,
 )
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -103,12 +104,26 @@ def reference_block_matrix(grid, coupling, m, a_vals, b_vals, left, right, symme
     )
 
 
-def unscaled(s, weights):
-    """H = W^{−1/2} S W^{1/2} of a CSC matrix S, entry (i, j) times
-    √(w_j/w_i)."""
-    w = np.repeat(weights, 4)
+def unscaled(s, w):
+    """W^{−1/2} S W^{1/2} of a CSC matrix S, entry (i, j) times √(w_j/w_i),
+    with w the weight of each coordinate's node."""
     col = np.repeat(np.arange(s.shape[1]), np.diff(s.indptr))
     return sp.csc_matrix((s.data * np.sqrt(w[col] / w[s.indices]), s.indices, s.indptr), s.shape)
+
+
+def sector_weights(weights):
+    """The weight of each sector coordinate's node: rows 2j + a and
+    2(n + j) + a sit at node j."""
+    return np.tile(np.repeat(weights, 2), 2)
+
+
+def transformed(m, n):
+    """PMPᵀ/2 of a node-major CSC matrix M, P = ``sector_transform(n)``, as
+    the split before direct assembly formed it: CSC, exact zeros dropped."""
+    p = sector_transform(n)
+    g = (p @ m @ p.T * 0.5).tocsc()
+    g.eliminate_zeros()
+    return g
 
 
 def same_bits(a, b):
@@ -225,7 +240,7 @@ class TestAssembly:
         g = make_grid(-8.0, 64)
         ch = Channel(2.5, -1.5)
         op = assemble_hamiltonian(ch, P_MIT, g)
-        dense = op.matrix.toarray()
+        dense = dense_scaled(op)[0]
         j = 20  # interior node: diagonal block is exactly the potential
         x = g.nodes[j]
         block = dense[4 * j : 4 * j + 4, 4 * j : 4 * j + 4]
@@ -245,18 +260,18 @@ class TestAssembly:
         assert (op.matrix != free_operator(g).matrix).nnz == 0
 
     def test_hermiticity_defect_is_computed_once_without_the_split(self, monkeypatch):
-        """S is formed once, by assembly, and the defect never splits it; an
+        """G is formed once, by assembly, and the defect never splits it; an
         operator copied with another matrix computes its own."""
         calls = []
         block, split = channel._block_matrix, channel._split_sectors
-        monkeypatch.setattr(channel, "_block_matrix", lambda *a: calls.append("S") or block(*a))
-        monkeypatch.setattr(channel, "_split_sectors", lambda *a: calls.append("P") or split(*a))
+        monkeypatch.setattr(channel, "_block_matrix", lambda *a: calls.append("G") or block(*a))
+        monkeypatch.setattr(channel, "_split_sectors", lambda *a: calls.append("cut") or split(*a))
         op = free_operator(make_grid(-10.0, 64))
         first = op.hermiticity_defect()
         assert op.hermiticity_defect() == first == 0.0
-        assert calls == ["S"]
+        assert calls == ["G"]
         assert perturbed(op, 8, 12, 1e-7).hermiticity_defect() >= 1e-7
-        assert calls == ["S"]
+        assert calls == ["G"]
 
     @pytest.mark.parametrize(
         "pair",
@@ -271,43 +286,39 @@ class TestAssembly:
         with pytest.raises(ConfigurationError, match=r"two arrays of shape \(64,\)"):
             assemble_hamiltonian(Channel(0.5, 0.5), None, make_grid(-8.0, 64), pair)
 
-    def test_partner_columns_are_the_supports_of_the_potentials(self):
-        """Two columns per component, read off the algebra: one of ANGULAR,
-        one of MASS, and the wall closure Γ¹S on MASS's."""
-        partners = channel._partner_columns(mit_reflection())
-        g1s = VELOCITY @ mit_reflection()
-        for a, cols in enumerate(partners):
-            assert sorted(cols) == sorted(
-                [int(np.flatnonzero(ANGULAR[a])[0]), int(np.flatnonzero(MASS[a])[0])]
-            )
-            assert set(np.flatnonzero(g1s[a])) <= set(cols)
-
-    def test_reflection_on_the_block_diagonal_raises(self, monkeypatch):
-        """Negative control: S = 𝟙 puts Γ¹·𝟙 on the diagonal of the first
-        block, outside the two partner columns, and assembly refuses."""
-        monkeypatch.setattr(channel, "mit_reflection", lambda: np.eye(4, dtype=complex))
-        with pytest.raises(ConfigurationError, match="exactly two entries"):
-            assemble_hamiltonian(Channel(0.5, 0.5), P_MIT, make_grid(-8.0, 64))
+    @pytest.mark.parametrize("table", ["ANGULAR", "MASS", "mit_reflection"])
+    @pytest.mark.parametrize("params", [P_MIT, P_NAT], ids=["mit", "natural"])
+    def test_table_across_the_sectors_raises(self, monkeypatch, table, params):
+        """Negative control: a potential table or a wall reflection whose
+        closure Γ¹S is γ⁵ = diag(1, 1, −1, −1), which maps each sector of
+        γ³γ⁵ onto the other, has no sector form, and assembly refuses it on
+        either wall rather than drop the crossing entries."""
+        crossing = GAMMA5.real.copy()
+        swapped = {"mit_reflection": lambda: VELOCITY @ crossing}.get(table, crossing)
+        monkeypatch.setattr(channel, table, swapped)
+        with pytest.raises(ConfigurationError, match="across the sectors"):
+            assemble_hamiltonian(Channel(0.5, 0.5), params, make_grid(-8.0, 64))
 
     def test_non_diagonal_velocity_raises(self, monkeypatch):
-        reflection = mit_reflection()
-        monkeypatch.setattr(channel, "VELOCITY", np.roll(VELOCITY, 1, axis=1))
-        with pytest.raises(ConfigurationError, match="diagonal"):
-            channel._partner_columns(reflection)
+        """Negative control: ANGULAR as the velocity stays within the
+        sectors but mixes each sector's two slots, which the row layout has
+        no place for."""
+        mit_reflection()  # built with the true velocity
+        monkeypatch.setattr(channel, "VELOCITY", ANGULAR)
+        with pytest.raises(ConfigurationError, match="diagonal in sector form"):
+            assemble_hamiltonian(Channel(0.5, 0.5), P_MIT, make_grid(-8.0, 64))
 
     @pytest.mark.parametrize("wall", ["left", "right"])
     def test_closure_off_the_pattern_raises(self, wall):
-        """A closure entry the row layout has no slot for is refused, not
-        dropped."""
+        """A closure entry the row layout has no slot for, one on component
+        2's diagonal, which reaches across the sectors, is refused at either
+        wall, not dropped."""
         g = make_grid(-8.0, 64)
         closures = {"left": np.zeros((4, 4), dtype=complex), "right": np.zeros((4, 4), dtype=complex)}
         closures[wall][2, 2] = 1e-3
-        partners = channel._partner_columns(mit_reflection())
         zeros = np.zeros(g.n)
-        with pytest.raises(ConfigurationError, match="off the potential blocks' pattern"):
-            channel._block_matrix(
-                g, 1.0, 0.0, zeros, zeros, closures["left"], closures["right"], partners
-            )
+        with pytest.raises(ConfigurationError, match=f"the {wall} wall closure table"):
+            channel._block_matrix(g, 1.0, 0.0, zeros, zeros, closures["left"], closures["right"])
 
     def test_assembly_and_defect_build_no_coo_matrix(self, monkeypatch):
         """The CSR arrays are written directly and the defect reads the CSC
@@ -343,12 +354,14 @@ class TestAssembly:
     ):
         """Uniform and graded grids (the graded bag case with the exponent
         wall row), every coupling, both sides of 2ml = 1, the free operator
-        and a caller's map: S has the CSC arrays of the dense-block oracle to
-        the last bit when the oracle forms its edge coefficients as S does,
-        and the same hermiticity defect; W^{−1/2}SW^{1/2} is the oracle's H
-        within 4 ulps per entry, and exactly when every √w_j is a power of
-        two.  On a grid of equal weights, such as the desk grid (w = 1/64),
-        S is the oracle's H to the last bit."""
+        and a caller's map: G has the CSC arrays of the dense-block oracle S,
+        transformed to PSPᵀ/2 by the sparse P built entry by entry, to the
+        last bit, zero signs included, when the oracle forms its edge
+        coefficients as assembly does, and the same hermiticity defect;
+        W^{−1/2}GW^{1/2} is the transformed oracle H within 4 ulps per
+        entry, and exactly when every √w_j is a power of two.  On a grid of
+        equal weights, such as the desk grid (w = 1/64), G is the
+        transformed H to the last bit."""
         if graded:
             g = make_grid(x_min, policy=BoundaryGraded(h_min=1e-3, ratio=ratio))
         else:
@@ -364,15 +377,15 @@ class TestAssembly:
         right = reflection if op.bc is BoundaryCondition.MIT else np.zeros((4, 4))
         left, right = channel._wall_closures(g, reflection, right, op.wall_exponent)
         expected, h = (
-            reference_block_matrix(
+            transformed(reference_block_matrix(
                 g, op.channel.coupling, op.mass, op.a_values, op.b_values, left, right, symmetric
-            )
+            ), g.n)
             for symmetric in (True, False)
         )
         assert same_bits(op.matrix, expected)
         defect = float(np.max(abs(expected - expected.conj().T).sum(axis=1)))
         assert op.hermiticity_defect() == defect
-        back = unscaled(op.matrix, g.weights)
+        back = unscaled(op.matrix, sector_weights(g.weights))
         assert np.array_equal(back.indptr, h.indptr) and np.array_equal(back.indices, h.indices)
         for part in (np.real, np.imag):
             ulp = np.spacing(np.abs(part(h.data)))
@@ -383,10 +396,12 @@ class TestAssembly:
             assert same_bits(op.matrix, h)
 
     def test_banded_node_major(self):
+        """Within a sector block, node-major with two slots per node, an
+        entry reaches at most the same slot of a neighbouring node."""
         g = make_grid(-10.0, 64)
-        op = free_operator(g)
+        op = assemble_hamiltonian(Channel(1.5, 0.5), P_MIT, g)
         coo = op.matrix.tocoo()
-        assert np.max(np.abs(coo.row - coo.col)) <= 7
+        assert np.max(np.abs(coo.row - coo.col)) == 2
 
 
 def sampled_quotient(op, pairs):
@@ -550,9 +565,9 @@ class TestSectors:
     def test_every_operator_splits_into_isospectral_sectors(self, kind, x_min, n, s, mass):
         """Uniform and graded grids, every coupling, both regimes (the
         graded bag case with the exponent wall row), the free generator and
-        potentials passed by the caller: the two blocks of G = PSPᵀ/2 as the
-        dense transform gives them, each its own conjugate transpose to the
-        last bit, with the same spectrum."""
+        potentials passed by the caller: G has nothing across the sectors,
+        and its two diagonal blocks, each its own conjugate transpose to the
+        last bit, have the same spectrum."""
         if kind == "graded-bag":
             mass = 0.01 + 0.24 * mass  # 2ml < 1 with m > 0: the exponent row
         elif kind == "graded":
@@ -571,14 +586,14 @@ class TestSectors:
         blocks = op.sectors()
         half = 2 * g.n
         assert [b.rows for b in blocks] == [slice(0, half), slice(half, 2 * half)]
+        dense = op.matrix.toarray()
+        plus, minus = dense[:half, :half], dense[half:, half:]
+        assert not dense[:half, half:].any() and not dense[half:, :half].any()
         bound = max(b.bound for b in blocks)
-        plus, minus, cross = dense_sector_blocks(dense_scaled(op)[0])
-        assert cross <= 1e-14 * bound
         for block, g_dense in zip(blocks, (plus, minus)):
-            assert block.bound == pytest.approx(np.abs(g_dense).sum(axis=1).max(), rel=1e-14)
-            assert np.max(np.abs(block.matrix.toarray() - g_dense)) <= 1e-14 * bound
-            dense = block.matrix.toarray()
-            assert np.array_equal(dense, dense.conj().T)
+            assert block.bound == np.abs(g_dense).sum(axis=1).max()
+            assert np.array_equal(block.matrix.toarray(), g_dense)
+            assert np.array_equal(g_dense, g_dense.conj().T)
         levels = [np.linalg.eigvalsh(b) for b in (plus, minus)]
         assert np.max(np.abs(levels[0] - levels[1])) <= 1e-12 * bound
 
@@ -601,8 +616,9 @@ class TestSectors:
         op = assemble_hamiltonian(Channel(0.5, 0.5), P_MIT, g)
         j = 10
         broken = perturbed(op, 4 * j, 4 * j + 4, 1e-2)
-        _, _, cross = dense_sector_blocks(broken.matrix.toarray())
-        assert cross == pytest.approx(0.5e-2)
+        g_dense, half = broken.matrix.toarray(), 2 * g.n
+        cross = np.abs(np.concatenate([g_dense[:half, half:], g_dense[half:, :half]]))
+        assert np.count_nonzero(cross) == 2 and cross.max() == 0.5e-2
         assert len(op.sectors()) == 2
         psi0 = gaussian_packet(g, -4.0, 0.5, components=(1.0, 0.0, 0.0, 1.0))
         cfg = EvolutionConfig(dt=g.min_spacing / 2, t_final=0.5)
@@ -618,8 +634,8 @@ class TestSectors:
                 read()
 
     def test_built_once_by_the_propagators_only(self, monkeypatch):
-        """Assembly and the hermiticity bound never split; the first call
-        does, every later one returns the same read-only blocks."""
+        """Assembly and the hermiticity bound never split G; the first call
+        slices it, every later one returns the same read-only blocks."""
         calls = []
         split = channel._split_sectors
 
@@ -640,21 +656,21 @@ class TestSectors:
 
     @pytest.mark.parametrize("first", ["defect", "sectors"])
     def test_s_is_formed_and_transformed_once(self, monkeypatch, first):
-        """Whichever of the hermiticity bound and the split runs first, S is
-        formed once, by assembly, and transformed to G once; a copy with
-        another matrix transforms its own."""
+        """Whichever of the hermiticity bound and the split runs first, G is
+        formed once, by assembly, and sliced once; a copy with another
+        matrix slices its own."""
         calls = []
         block, split = channel._block_matrix, channel._split_sectors
-        monkeypatch.setattr(channel, "_block_matrix", lambda *a: calls.append("S") or block(*a))
-        monkeypatch.setattr(channel, "_split_sectors", lambda *a: calls.append("G") or split(*a))
+        monkeypatch.setattr(channel, "_block_matrix", lambda *a: calls.append("G") or block(*a))
+        monkeypatch.setattr(channel, "_split_sectors", lambda *a: calls.append("cut") or split(*a))
         op = assemble_hamiltonian(Channel(0.5, 0.5), P_MIT, make_grid(-8.0, 64))
         readers = [op.hermiticity_defect, op.sectors]
         for read in readers if first == "defect" else readers[::-1]:
             read()
             read()
-        assert calls == ["S", "G"]
+        assert calls == ["G", "cut"]
         paired(op, 8, 12, 1e-7).sectors()
-        assert calls == ["S", "G", "G"]
+        assert calls == ["G", "cut", "cut"]
 
 
 class TestStateMaps:
@@ -723,7 +739,7 @@ class TestStencilEntrywise:
         return h
 
     def check(self, op, right_closure):
-        dense = unscaled(op.matrix, op.grid.weights).toarray()
+        dense = unscaled(scaled(op), np.repeat(op.grid.weights, 4)).toarray()
         assert np.max(np.abs(dense - self.expected(op, right_closure))) <= 1e-13 * np.max(
             np.abs(dense)
         )

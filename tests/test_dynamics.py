@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
-from conftest import dense_scaled, dense_sector_blocks, paired, sqrt_weights
+from conftest import dense_blocks, dense_scaled, paired, scaled, sqrt_weights
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import expm_multiply, splu, spsolve
@@ -148,8 +148,8 @@ class TestCayleyStep:
         traj = evolve(op, psi0, EvolutionConfig(dt=dt, t_final=20 * dt), direction)
         assert traj.steps == 20
         sgn = 1.0 if direction == Direction.FORWARD else -1.0
-        plus = _plus_matrix(op.matrix, traj.dt_effective, sgn)
-        minus = _plus_matrix(op.matrix, traj.dt_effective, -sgn)
+        plus = _plus_matrix(scaled(op), traj.dt_effective, sgn)
+        minus = _plus_matrix(scaled(op), traj.dt_effective, -sgn)
         root = sqrt_weights(g)
         y = root * psi0.values.flatten(order="F")
         for _ in range(20):
@@ -243,7 +243,7 @@ class TestChebyshev:
         sgn = -1j if direction == Direction.FORWARD else 1j
         root = sqrt_weights(g)
         for t, field in zip(times, run.fields):
-            ref = expm_multiply(sgn * t * op.matrix, root * psi0.values.flatten(order="F")) / root
+            ref = expm_multiply(sgn * t * scaled(op), root * psi0.values.flatten(order="F")) / root
             diff = field.values - ref.reshape((4, g.n), order="F")
             assert g.norm(diff) <= 1e-10 * psi0.norm()
 
@@ -275,7 +275,7 @@ class TestChebyshev:
         first = k[(k > z) & (np.abs(jv(k, z)) < 1e-17)][0]
         # terms T_0 … T_{K−1}: one matvec for each past T_0, in each block
         assert run.matvecs == 2 * (first - 1)
-        plus, minus, _ = dense_sector_blocks(dense_scaled(op)[0])
+        plus, minus = dense_blocks(op)
         rows = [np.max(np.abs(b).sum(axis=1)) for b in (plus, minus)]
         assert rows[0] == pytest.approx(rows[1], rel=1e-15)
         assert run.bound == pytest.approx(max(rows), rel=1e-15)
@@ -354,6 +354,27 @@ class TestChebyshev:
         with pytest.raises(NumericError, match="unitarity") as err:
             chebyshev_propagate(op, psi0, (10.0,))
         assert not err.value.diagnostics["norm_drift"] <= dynamics.DRIFT_LIMIT
+        assert err.value.diagnostics["hermiticity_defect"] == 0.0
+
+    def test_drift_names_the_hermiticity_defect(self):
+        """Negative control for the other cause of drift: a real 1e-2 entry
+        from component 0 of node 28 to component 0 of node 29, with its
+        γ³γ⁵ partner (in G, one entry per block), leaves R a true bound, but
+        e^{−itS} itself moves the packet's norm by 1.4e-7 over t = 1.5.  The
+        run raises, and its diagnostics carry the defect beside R."""
+        g = make_grid(-8.0, 64)
+        op = assemble_hamiltonian(Channel(0.5, 0.5), P_NAT, g)
+        broken = paired(op, 4 * 28, 4 * 29, 1e-2)
+        half = 2 * g.n
+        for block in (slice(0, half), slice(half, None)):
+            assert (broken.matrix - op.matrix)[block, block].nnz == 1
+        psi0 = gaussian_packet(g, -4.0, 0.5)
+        with pytest.raises(NumericError, match="not Hermitian") as err:
+            chebyshev_propagate(broken, psi0, (1.5,))
+        diagnostics = err.value.diagnostics
+        assert diagnostics["hermiticity_defect"] == 1e-2
+        assert diagnostics["bound"] == max(b.bound for b in broken.sectors())
+        assert diagnostics["norm_drift"] == pytest.approx(1.4e-7, rel=0.1)
 
 
 class TestSectors:
@@ -388,7 +409,8 @@ class TestSectors:
 
         cfg = EvolutionConfig(dt=self.G.min_spacing / 2, t_final=3.0, snapshot_times=self.TIMES)
         traj = evolve(op, psi0, cfg)
-        a = 0.5j * traj.dt_effective * op.matrix.toarray()
+        s = dense_scaled(op)[0]
+        a = 0.5j * traj.dt_effective * s
         eye = np.eye(a.shape[0])
         factor = sla.lu_factor(eye + a)
         y, done = flat, 0
@@ -401,7 +423,7 @@ class TestSectors:
 
         run = chebyshev_propagate(op, psi0, self.TIMES)
         for t, field in zip(self.TIMES, run.fields):
-            ref = sla.expm(-1j * t * op.matrix.toarray()) @ flat
+            ref = sla.expm(-1j * t * s) @ flat
             got = root * field.values.flatten(order="F")
             assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 

@@ -12,7 +12,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from conftest import dense_scaled, dense_sector_blocks, drop_nearest_level
+from conftest import dense_blocks, drop_nearest_level
 from hypothesis import HealthCheck, given, note, seed, settings
 from hypothesis import strategies as st
 
@@ -754,7 +754,7 @@ class TestRun:
         manifest = run(cfg, experiments=["scatter", "velocity"], out=str(tmp_path))
         assert all(r.error is None for r in manifest.results)
         # R is the largest Gershgorin bound of the two sector blocks
-        blocks = dense_sector_blocks(dense_scaled(cfg.operator())[0])[:2]
+        blocks = dense_blocks(cfg.operator())
         gershgorin = max(float(np.abs(b).sum(axis=1).max()) for b in blocks)
         # W's increments span t_3 − t_1 = 2, and its last increment run goes
         # on from Δ_2 = 1 to the limit at t_3 = 3, 2 more; Ω runs Cayley
@@ -832,11 +832,26 @@ class TestRun:
             (512, 1024, 2048), scalars["free_matvecs"], scalars["free_bounds"],
             scalars["free_drifts"],
         ):
-            s = dense_scaled(free_operator(make_grid(-8.0, n)))[0]
-            assert bound == float(np.max(np.abs(s).sum(axis=1)))
+            blocks = dense_blocks(free_operator(make_grid(-8.0, n)))
+            assert bound == max(float(np.abs(b).sum(axis=1).max()) for b in blocks)
             # at least t·R terms for the run to t = 5
             assert isinstance(matvecs, int) and matvecs >= 5 * bound
             assert 0.0 <= drift <= 1e-12
+
+    @pytest.mark.parametrize(
+        "grid, low, high",
+        [({"x_min": -32.0, "n": 2048}, 0.0, 1e-30), ({"x_min": -8.0, "n": 256}, 0.5, 1.0)],
+        ids=["desk", "short"],
+    )
+    def test_evolve_records_the_mass_at_the_wall(self, tmp_path, grid, low, high):
+        """The default packet, reflected at x = 0, runs left for 6 time
+        units: on the desk grid no mass comes within 2 of x_min = −32; on
+        x_min = −8 most of it does, and the flow's checks still pass."""
+        cfg = parse_config_dict({**MINIMAL, "grid": grid})
+        manifest = run(cfg, experiments=["evolve"], out=str(tmp_path))
+        assert manifest.all_passed
+        scalars = json.loads((tmp_path / "evolve.json").read_text())["scalars"]
+        assert low <= scalars["wall_mass"] <= high
 
     def test_open_right_wall_fails_the_free_oracle(self, tmp_path, monkeypatch):
         """Negative control for criterion 4: the free operator without its
@@ -847,8 +862,10 @@ class TestRun:
         def open_wall(grid):
             op = free_operator(grid)
             matrix = op.matrix.tolil()
-            assert matrix[-4:, -4:].count_nonzero() > 0  # the free closure
-            matrix[-4:, -4:] = 0.0
+            # the last node's 2×2 block in each sector: the free closure
+            last = np.ix_(*[[2 * grid.n - 2, 2 * grid.n - 1, 4 * grid.n - 2, 4 * grid.n - 1]] * 2)
+            assert matrix[last].count_nonzero() == 4
+            matrix[last] = 0.0
             return dataclasses.replace(op, matrix=matrix.tocsc())
 
         monkeypatch.setattr(hn, "free_operator", open_wall)

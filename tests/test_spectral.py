@@ -8,10 +8,10 @@ import pytest
 import scipy.sparse.linalg as spla
 from conftest import (
     apply,
+    dense_blocks,
     dense_decomposition,
     dense_levels,
     dense_scaled,
-    dense_sector_blocks,
     drop_nearest_level,
     paired,
     perturbed,
@@ -347,7 +347,7 @@ class TestSectorBlocks:
         levels = np.linalg.eigvalsh(s)
         sigmas = [x for x in sigmas if np.min(np.abs(levels - x)) > 1e-6]
         assume(sigmas)
-        plus, minus, _ = dense_sector_blocks(s)
+        plus, minus = dense_blocks(op)
         per_block = [np.linalg.eigvalsh(b) for b in (plus, minus)]
         expected = [[int(np.sum(x < s)) for s in sigmas] for x in per_block]
         assert spectral._block_counts(op, sigmas).tolist() == expected
@@ -361,7 +361,7 @@ class TestSectorBlocks:
         block."""
         op = _sads_operator(320, m=mass)
         dec = eigendecompose(op, WINDOW)
-        plus, minus, _ = dense_sector_blocks(dense_scaled(op)[0])
+        plus, minus = dense_blocks(op)
         inside = []
         for block in (plus, minus):
             x = np.linalg.eigvalsh(block)
