@@ -87,6 +87,7 @@ from adsdirac.geometry import (
 from adsdirac.grids import BoundaryGraded, Grid, SpinorField, gaussian_packet, make_grid
 from adsdirac.scattering import (
     CONVERGED_FRACTION,
+    ROUNDING_FLOOR,
     WALL_DISTANCE,
     adjointness_residual,
     velocity_report,
@@ -555,6 +556,9 @@ def _run_geometry(cfg: ExperimentConfig) -> ExperimentResult:
         "regime": p.regime.value,
         "horizon_slope_B": exp["horizon_slope_B"],
         "horizon_slope_A": exp["horizon_slope_A"],
+        "horizon_root": root,
+        "round_trip": trip,
+        "quadrature_gap": gap,
     }
 
     xs = -np.geomspace(1e-8, 0.98 * abs(cfg.grid.x_min), 201)[::-1]
@@ -601,7 +605,8 @@ def _run_evolve(cfg: ExperimentConfig) -> ExperimentResult:
     )
 
     # The discrete free flow against its closed form at three uniform
-    # resolutions: the error must sit below 1e-3 and fall at second order.
+    # resolutions: the error must sit below 1e-3 and fall at second order
+    # under each refinement, so the order checked is the smaller of two.
     errors, runs = [], []
     for n in (512, 1024, 2048):
         g = make_grid(-8.0, n)
@@ -609,7 +614,7 @@ def _run_evolve(cfg: ExperimentConfig) -> ExperimentResult:
         runs.append(chebyshev_propagate(free_operator(g), phi, (5.0,)))
         exact = free_propagate(phi, 5.0)
         errors.append(g.norm(runs[-1].fields[0].values - exact.values))
-    order = float(np.log2(errors[-2] / errors[-1]))
+    orders = [float(np.log2(a / b)) for a, b in zip(errors, errors[1:])]
     res.checks.append(
         CheckLine(
             "free_oracle", errors[-1] <= 1e-3,
@@ -618,8 +623,9 @@ def _run_evolve(cfg: ExperimentConfig) -> ExperimentResult:
     )
     res.checks.append(
         CheckLine(
-            "free_order", order >= 1.8,
-            f"observed order = {order:.2f} between n = 1024 and 2048 (>= 1.8)",
+            "free_order", min(orders) >= 1.8,
+            f"observed orders = {orders[0]:.2f} (n = 512 to 1024), "
+            f"{orders[1]:.2f} (1024 to 2048) (both >= 1.8)",
         )
     )
 
@@ -632,7 +638,7 @@ def _run_evolve(cfg: ExperimentConfig) -> ExperimentResult:
         "refinements": traj.refinements,
         "wall_mass": wall_mass,
         "free_errors": errors,
-        "free_order": order,
+        "free_order": min(orders),
         # the oracle's Chebyshev runs, one per resolution
         "free_matvecs": [r.matvecs for r in runs],
         "free_bounds": [r.bound for r in runs],
@@ -693,7 +699,9 @@ def _run_scatter(cfg: ExperimentConfig) -> ExperimentResult:
             CheckLine(
                 name, rep.converged,
                 f"final increment = {rep.increments[-1]:.3e} "
-                f"(<= {CONVERGED_FRACTION:g}), converged = {rep.converged}",
+                f"(<= {CONVERGED_FRACTION:g}), converged = {rep.converged} "
+                f"(last three increments falling, or all <= {ROUNDING_FLOOR:g}, "
+                "the propagators' rounding floor)",
             )
         )
     pairing = adjointness_residual(fwd, bwd, phi, psi)
@@ -852,7 +860,7 @@ def _run_mourre(cfg: ExperimentConfig) -> ExperimentResult:
     except ConfigurationError as exc:
         res.checks.append(CheckLine("free_quotient", False, f"free operator: {exc}"))
     else:
-        free_gap = abs(free.min_quotient - 1.0)
+        free_gap = res.scalars["free_gap"] = abs(free.min_quotient - 1.0)
         res.checks.append(
             CheckLine(
                 "free_quotient", free_gap <= 1e-9,
