@@ -41,10 +41,14 @@ Numerical conventions
   through δ, so it keeps its e^{κx} decay after δ itself underflows.
 - For -1e-8 < x < 0 the boundary series is used directly:
       r = -l²/x + x/3,   √F = -l/x - x/(6l),   √F/r = 1/l + x²/(2l³).
+- The potentials (√F/r, √F) depend on (M, l) and x only, not on the field
+  mass or the channel, so those of an array of nodes are solved once per
+  spacetime and node set and kept in :func:`potentials_memo`.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -60,6 +64,7 @@ __all__ = [
     "metric_factor_deriv",
     "make_params",
     "expansion_residuals",
+    "potentials_memo",
 ]
 
 # crossover below which the boundary series replaces the inverse solve
@@ -68,6 +73,10 @@ _X_SERIES = -1e-8
 # and raises after _NEWTON_MAXITER iterations
 _NEWTON_TOL = 1e-12
 _NEWTON_MAXITER = 100
+# entries of potentials_memo, least recently used first out: one per
+# spacetime and node set (a channel-scan pass has four; at n = 4096 an
+# entry holds 96 KiB)
+_MEMO_SIZE = 16
 
 
 class Regime(Enum):
@@ -198,6 +207,8 @@ class CoordinateMap:
     All evaluators accept scalars or arrays.  The inverse runs on the log
     gap u = ln(r - r_sads), so :meth:`delta_of_x` stays accurate wherever
     e^u is representable, long after :meth:`r_of_x` rounds to r_sads.
+    The potentials of an array are solved once per (M, l) and node set and
+    then read, read-only, from :func:`potentials_memo`.
     """
 
     def __init__(self, params: Params):
@@ -321,8 +332,18 @@ class CoordinateMap:
         return np.exp(0.5 * u) * np.sqrt(self._F_over_delta(np.exp(u)))
 
     def _potentials_of_x(self, x):
+        """(√F/r, √F) at x, the channel potentials A and B together: for an
+        array, the read-only pair of :func:`potentials_memo`; for a scalar,
+        one inverse solve."""
+        xs = np.asarray(x, dtype=float)
+        if xs.ndim == 0:
+            return self._solve_potentials(xs)
+        p = self.params
+        return potentials_memo(float(p.M), float(p.l), xs.shape, xs.tobytes())
+
+    def _solve_potentials(self, x):
         """(√F/r, √F) at x from one inverse solve, with the boundary series
-        for -1e-8 < x < 0; the channel potentials A and B together."""
+        for -1e-8 < x < 0."""
         p = self.params
         xs, u = self._log_gap(x)
         series = xs > _X_SERIES
@@ -338,6 +359,25 @@ class CoordinateMap:
     def angular_factor_of_x(self, x):
         """√F(r(x)) / r(x); boundary series 1/l + x²/(2l³) near x = 0."""
         return self._potentials_of_x(x)[0]
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def potentials_memo(M: float, l: float, shape: tuple, nodes: bytes):
+    """
+    (√F/r, √F) of the spacetime (M, l) at the float nodes x with ``shape``
+    and raw bytes ``nodes``, as two read-only arrays.
+
+    A miss solves the inverse once, exactly as an unmemoized call would; a
+    solve that raises leaves no entry.  The key has no field mass, which
+    enters neither the geometry nor the potentials.  ``cache_info()``
+    counts the solves (misses) and the reuses (hits).
+    """
+    pair = CoordinateMap(Params(M=M, l=l, m=0.0))._solve_potentials(
+        np.frombuffer(nodes).reshape(shape)
+    )
+    for values in pair:
+        values.flags.writeable = False
+    return pair
 
 
 def expansion_residuals(params: Params) -> dict:

@@ -83,6 +83,7 @@ from adsdirac.geometry import (
     expansion_residuals,
     make_params,
     metric_factor,
+    potentials_memo,
 )
 from adsdirac.grids import BoundaryGraded, Grid, SpinorField, gaussian_packet, make_grid
 from adsdirac.scattering import (
@@ -445,7 +446,9 @@ class CheckLine:
 @dataclass
 class ExperimentResult:
     """One runner's verdicts, scalars and CSV tables (file name → (columns,
-    rows)); ``files`` lists what the writer wrote."""
+    rows)); ``files`` lists what the writer wrote, and
+    ``coordinate_inverses`` how many node sets the job's potentials were
+    solved on and how many it read from ``geometry.potentials_memo``."""
 
     name: str
     checks: List[CheckLine] = field(default_factory=list)
@@ -455,6 +458,9 @@ class ExperimentResult:
     error: Optional[str] = None
     wall_clock: float = 0.0
     cpu_s: float = 0.0
+    coordinate_inverses: Dict[str, int] = field(
+        default_factory=lambda: {"solved": 0, "reused": 0}
+    )
 
     @property
     def status(self) -> str:
@@ -495,6 +501,7 @@ class RunManifest:
                     "status": r.status,
                     "wall_clock": r.wall_clock,
                     "cpu_s": r.cpu_s,
+                    "coordinate_inverses": r.coordinate_inverses,
                     "files": r.files,
                     "checks": {c.name: c.passed for c in r.checks},
                     **({"error": r.error} if r.error else {}),
@@ -1060,10 +1067,13 @@ def _dump_matrix(cfg: ExperimentConfig, out_dir: Path) -> str:
 
 
 def _job(name: str, cfg: ExperimentConfig, out_dir: Path) -> ExperimentResult:
-    """Run one experiment and write its reports, with its wall clock and CPU
-    time; a module error inside marks the experiment as errored and goes no
-    further.  Module level, so that a worker process can run it."""
+    """Run one experiment and write its reports, with its wall clock, CPU
+    time and the coordinate inverses it solved and reused, read from the
+    memo's counters in the process that ran it; a module error inside marks
+    the experiment as errored and goes no further.  Module level, so that a
+    worker process can run it."""
     start, cpu = time.perf_counter(), time.process_time()
+    memo = potentials_memo.cache_info()
     try:
         result = _RUNNERS[name](cfg)
         _write_reports(result, cfg, out_dir)
@@ -1071,6 +1081,10 @@ def _job(name: str, cfg: ExperimentConfig, out_dir: Path) -> ExperimentResult:
         result = ExperimentResult(name, error=f"{type(exc).__name__}: {exc}")
     result.wall_clock = time.perf_counter() - start
     result.cpu_s = time.process_time() - cpu
+    after = potentials_memo.cache_info()
+    result.coordinate_inverses = {
+        "solved": after.misses - memo.misses, "reused": after.hits - memo.hits
+    }
     return result
 
 

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import bisect
 
+import adsdirac.geometry as geometry
 from adsdirac.geometry import (
     CoordinateMap,
     Params,
@@ -27,6 +28,7 @@ from adsdirac.geometry import (
     horizon_radius,
     metric_factor,
     metric_factor_deriv,
+    potentials_memo,
 )
 
 
@@ -315,6 +317,93 @@ class TestMetricAlongX:
         assert np.all(F > 0)
         # leading order F ≈ F'(r_h)·δ = 2κδ
         assert F[0] / deltas[0] == pytest.approx(2 * cm.params.kappa, rel=1e-9)
+
+
+def bits(v):
+    return np.asarray(v).view(np.uint64)
+
+
+def drawn_nodes(cm, s):
+    """Sorted nodes on x ∈ [-100/κ, -1e-12], log-spaced through the samples
+    s, so the boundary series band is drawn too."""
+    lo, hi = math.log(1e-12), math.log(100.0 / cm.params.kappa)
+    return np.sort(-np.exp(lo + (hi - lo) * np.asarray(s)))
+
+
+spacetimes = dict(M=st.floats(0.1, 10.0), l=st.floats(0.1, 10.0))
+node_samples = st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12)
+
+
+class TestPotentialsMemo:
+    """The potentials of an array are solved once per spacetime and node
+    set; what the memo returns is what a solve returns."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(**spacetimes, s=node_samples)
+    def test_memoized_pair_is_the_solve_bit_for_bit(self, M, l, s):
+        potentials_memo.cache_clear()
+        cm = CoordinateMap(Params(M=M, l=l, m=1.0))
+        xs = drawn_nodes(cm, s)
+        solved = cm._solve_potentials(xs)
+        for _ in range(2):
+            memo = cm._potentials_of_x(xs)
+            for got, want in zip(memo, solved):
+                assert np.array_equal(bits(got), bits(want))
+        assert potentials_memo.cache_info().misses == 1
+        assert potentials_memo.cache_info().hits == 1
+
+    @settings(max_examples=10, deadline=None)
+    @given(**spacetimes, s=node_samples)
+    def test_pair_is_read_only(self, M, l, s):
+        cm = CoordinateMap(Params(M=M, l=l, m=1.0))
+        a, b = cm._potentials_of_x(drawn_nodes(cm, s))
+        for values in (a, b, cm.sqrtF_of_x(drawn_nodes(cm, s))):
+            with pytest.raises(ValueError):
+                values[0] = 1.0
+            with pytest.raises(ValueError):
+                values *= 2.0
+
+    @settings(max_examples=20, deadline=None)
+    @given(**spacetimes, s=node_samples)
+    def test_two_spacetimes_on_the_same_nodes_are_two_entries(self, M, l, s):
+        potentials_memo.cache_clear()
+        first, other = Params(M=M, l=l, m=1.0), Params(M=M + 1.0, l=l, m=1.0)
+        # x = -1 reads M; the boundary series band reads l only
+        xs = np.append(drawn_nodes(CoordinateMap(first), s), -1.0)
+        b_first = CoordinateMap(first).sqrtF_of_x(xs)
+        b_other = CoordinateMap(other).sqrtF_of_x(xs)
+        info = potentials_memo.cache_info()
+        assert info.misses == 2 and info.hits == 0 and info.currsize == 2
+        assert b_first[-1] != b_other[-1]
+
+    @settings(max_examples=20, deadline=None)
+    @given(**spacetimes, s=node_samples, masses=st.lists(st.floats(0.0, 5.0), min_size=2, max_size=4))
+    def test_masses_share_one_entry(self, M, l, s, masses):
+        potentials_memo.cache_clear()
+        xs = drawn_nodes(CoordinateMap(Params(M=M, l=l, m=0.0)), s)
+        pairs = [CoordinateMap(Params(M=M, l=l, m=m))._potentials_of_x(xs) for m in masses]
+        info = potentials_memo.cache_info()
+        assert info.misses == 1 and info.hits == len(masses) - 1 and info.currsize == 1
+        assert all(pair is pairs[0] for pair in pairs)
+
+    def test_unconverged_solve_raises_every_time_and_caches_nothing(self, monkeypatch):
+        potentials_memo.cache_clear()
+        cm = CoordinateMap(Params(M=1.0, l=1.0, m=1.0))
+        fresh = -np.geomspace(1e-3, 30.0, 17)
+        monkeypatch.setattr(geometry, "_NEWTON_MAXITER", 1)
+        for _ in range(2):
+            with pytest.raises(ArithmeticError, match="did not converge"):
+                cm.sqrtF_of_x(fresh)
+        assert potentials_memo.cache_info().currsize == 0
+        monkeypatch.undo()
+        assert np.array_equal(bits(cm.sqrtF_of_x(fresh)), bits(cm._solve_potentials(fresh)[1]))
+
+    def test_scalars_are_solved_not_memoized(self):
+        potentials_memo.cache_clear()
+        cm = CoordinateMap(Params(M=1.0, l=1.0, m=1.0))
+        a, b = cm._potentials_of_x(-0.5)
+        assert isinstance(a, np.float64) and isinstance(b, np.float64)
+        assert potentials_memo.cache_info().currsize == 0
 
 
 class TestExpansions:

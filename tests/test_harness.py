@@ -20,7 +20,7 @@ from adsdirac.channel import BoundaryCondition, free_operator
 import adsdirac.cli as cli
 from adsdirac.cli import build_parser, main
 from adsdirac.dynamics import check_step
-from adsdirac.geometry import Regime, make_params
+from adsdirac.geometry import Regime, make_params, potentials_memo
 from adsdirac.grids import BoundaryGraded, gaussian_packet, make_grid
 from adsdirac import __version__ as VERSION
 from adsdirac.harness import (
@@ -579,6 +579,22 @@ class TestRun:
         for entry in doc["experiments"].values():
             assert entry["status"] == "pass"
             assert entry["wall_clock"] > 0.0 and entry["cpu_s"] > 0.0
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_manifest_records_the_coordinate_inverses(self, tmp_path, threads):
+        """Each experiment counts the node sets it solved the potentials on
+        and the reads it took from the memo, in the process that ran it:
+        ``evolve`` assembles once from two calls on one node set, and
+        ``geometry`` reads two node sets twice each."""
+        potentials_memo.cache_clear()
+        run(small_config(), experiments=["geometry", "evolve"], out=str(tmp_path),
+            threads=threads)
+        doc = json.loads((tmp_path / "manifest.json").read_text())
+        counts = {k: v["coordinate_inverses"] for k, v in doc["experiments"].items()}
+        assert counts == {
+            "geometry": {"solved": 2, "reused": 2},
+            "evolve": {"solved": 1, "reused": 1},
+        }
 
     def test_dead_worker_errors_only_its_experiments(self, tmp_path, monkeypatch):
         """``mourre``'s worker exits once ``geometry`` is done; ``spectrum``,

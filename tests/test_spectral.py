@@ -31,7 +31,7 @@ from adsdirac.channel import (
     to_sectors,
 )
 from adsdirac.dynamics import NumericError
-from adsdirac.geometry import CoordinateMap, make_params
+from adsdirac.geometry import CoordinateMap, make_params, potentials_memo
 from adsdirac.grids import BoundaryGraded, SpinorField, gaussian_packet, make_grid
 from adsdirac.spectral import (
     boundary_exponent_fit,
@@ -562,8 +562,10 @@ class TestNoEigenvalue:
         """The probe and the sweep each take their points from one
         vectorized coordinate inverse, the sweep's holding every Gauss
         point, so the number of inverse solves does not grow with the depth.
-        The black-hole pair and the same potentials passed as two separate
-        evaluators give the same propagation matrix, bit for bit."""
+        The memo is cleared before each depth, so that no depth reads the
+        points another sweep solved.  The black-hole pair and the same
+        potentials passed as two separate evaluators give the same
+        propagation matrix, bit for bit."""
         p = make_params(1.0, 1.0, 1.0)
         cm = CoordinateMap(p)
         phi_two, _, _, tail_two = spectral._magnus_sweep(
@@ -579,6 +581,7 @@ class TestNoEigenvalue:
         monkeypatch.setattr(CoordinateMap, "_log_gap", counted_solve)
         for depth in (8.0, 20.0, 40.0):
             sizes.clear()
+            potentials_memo.cache_clear()
             rep = no_eigenvalue_test(0.5, CHANNEL, params=p, depth=depth)
             assert len(sizes) == 2
             assert sizes[-1] == 2 * rep.steps
