@@ -44,8 +44,10 @@ The comparison generator Γ¹D_x with the bag-type wall has an explicit
 method-of-characteristics solution: components (1, 4) transport with speed
 +1 and reflect at x = 0 into components (3, 2) with signs (−, +), matching
 the wall coupling ψ₁(t,0) = −ψ₃(t,0), ψ₂(t,0) = ψ₄(t,0).  ``free_propagate``
-evaluates that closed form by sampling the initial data with cubic
-interpolation, so it serves as an independent oracle for the discrete flow.
+evaluates that closed form by sampling the initial data with the
+not-a-knot cubic spline through the nodes (``scipy.interpolate.CubicSpline``'s
+default, built here by the same arithmetic, so scipy.interpolate is never
+imported), so it serves as an independent oracle for the discrete flow.
 """
 from __future__ import annotations
 
@@ -56,7 +58,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.interpolate import CubicSpline
+from scipy.linalg import solve_banded
 from scipy.sparse.linalg import splu
 from scipy.special import jv
 
@@ -389,6 +391,48 @@ def chebyshev_propagate(
     return Propagation(fields, matvecs, bound, drift)
 
 
+def _not_a_knot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Power-form coefficients c, shape (4, n − 1, k), of the not-a-knot
+    cubic spline through each column of y (shape (n, k), n ≥ 4): on
+    [x_i, x_{i+1}] the spline is c₃ + c₂h + c₁h² + c₀h³ with h = ξ − x_i.
+
+    The slopes at the nodes solve one tridiagonal system for all columns,
+    whose first and last rows make the third derivative continuous at x₁
+    and x_{n−2}.  Every step repeats ``scipy.interpolate.CubicSpline``'s
+    arithmetic, so the two agree bit for bit."""
+    dx = np.diff(x)
+    dxr = dx[:, None]
+    slope = np.diff(y, axis=0) / dxr
+    # the tridiagonal matrix in solve_banded's (1, 1) layout
+    ab = np.zeros((3, x.size))
+    ab[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
+    ab[0, 2:] = dx[:-1]
+    ab[2, :-2] = dx[1:]
+    b = np.empty(y.shape, dtype=y.dtype)
+    b[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
+    # the end rows in scalars: numpy's scalar ** 2 is pow(), its array ** 2 a product
+    d = x[2] - x[0]
+    ab[1, 0], ab[0, 1] = dx[1], d
+    b[0] = ((dx[0] + 2 * d) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d
+    d = x[-1] - x[-3]
+    ab[1, -1], ab[2, -2] = dx[-2], d
+    b[-1] = (dx[-1] ** 2 * slope[-2] + (2 * d + dx[-1]) * dx[-2] * slope[-1]) / d
+    s = solve_banded((1, 1), ab, b, overwrite_ab=True, overwrite_b=True, check_finite=False)
+    t = (s[:-1] + s[1:] - 2 * slope) / dxr
+    return np.stack((t / dxr, (slope - s[:-1]) / dxr - t, s[:-1], y[:-1]))
+
+
+def _spline_at(x: np.ndarray, c: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """The spline of ``_not_a_knot`` coefficients c (one column, shape
+    (4, n − 1)) at points xi in [x₀, x_{n−1}]: each point is read on the
+    interval [x_i, x_{i+1}) that holds it, x_{n−1} on the last, and the sum
+    runs in CubicSpline's order."""
+    i = np.minimum(np.searchsorted(x, xi, side="right") - 1, x.size - 2)
+    h = xi - x[i]
+    h2 = h * h
+    return c[3, i] + c[2, i] * h + c[1, i] * h2 + c[0, i] * (h2 * h)
+
+
 def free_propagate(
     psi0: SpinorField, t: float, direction: Direction = Direction.FORWARD
 ) -> SpinorField:
@@ -403,23 +447,22 @@ def free_propagate(
         ψ₃(x) = ψ₃⁰(x−τ)  if x−τ < 0,  else −ψ₁⁰(−(x−τ))
         ψ₄(x) = ψ₄⁰(x+τ)  if x+τ < 0,  else +ψ₂⁰(−(x+τ))
 
-    Either way the sample point is −|x ± τ|.  Points in the half-cells
-    between the end nodes and the walls read the end node's value; both lie
-    inside the physical domain.  A point left of x_min has no data: when
-    the output's W-mass at such points exceeds 1e−12·‖ψ⁰‖², the flow has
-    carried content through the artificial wall and ``NumericError`` is
-    raised instead of returning mass made up from the end node.
+    Either way the sample point is −|x ± τ|.  The initial data are read
+    through the not-a-knot cubic spline of each component (``_not_a_knot``,
+    CubicSpline's default).  Points in the half-cells between the end nodes
+    and the walls read the end node's value; both lie inside the physical
+    domain.  A point left of x_min has no data: when the output's W-mass at
+    such points exceeds 1e−12·‖ψ⁰‖², the flow has carried content through
+    the artificial wall and ``NumericError`` is raised instead of returning
+    mass made up from the end node.
     """
     grid = psi0.grid
     x = grid.nodes
     tau = t if direction == Direction.BACKWARD else -t
-    splines = [
-        CubicSpline(x, psi0.values[c], extrapolate=False) for c in range(4)
-    ]
+    coef = _not_a_knot(x, psi0.values.T)
 
     def sample(c: int, args: np.ndarray) -> np.ndarray:
-        clamped = np.clip(args, x[0], x[-1])
-        return splines[c](clamped)
+        return _spline_at(x, coef[..., c], np.clip(args, x[0], x[-1]))
 
     out = np.zeros((4, grid.n), dtype=complex)
     outside = np.zeros((4, grid.n), dtype=bool)

@@ -9,6 +9,7 @@ import scipy.sparse as sp
 from conftest import dense_blocks, dense_scaled, paired, scaled, sqrt_weights
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import CubicSpline
 from scipy.sparse.linalg import expm_multiply, splu, spsolve
 from scipy.special import jv
 
@@ -514,6 +515,58 @@ class TestFreeOracle:
         traj = evolve(op, psi0, EvolutionConfig(dt=4.0 / 1024, t_final=3.0), Direction.BACKWARD)
         exact = free_propagate(psi0, 3.0, Direction.BACKWARD)
         assert g.norm(traj.final.values - exact.values) <= 2e-3
+
+
+def cubic_spline_free_flow(psi: SpinorField, t: float) -> np.ndarray:
+    """The forward closed form of ``free_propagate``, written out again and
+    sampled through ``scipy.interpolate.CubicSpline``: the reference the
+    package's own not-a-knot spline is held to."""
+    x = psi.grid.nodes
+    splines = [CubicSpline(x, v) for v in psi.values]
+    out = np.empty_like(psi.values)
+    # (sample points, reflected partner, sign) of ψ₁ … ψ₄ for τ = −t
+    for c, (args, partner, sign) in enumerate(
+        [(x - t, 2, -1.0), (x + t, 3, 1.0), (x + t, 0, -1.0), (x - t, 1, 1.0)]
+    ):
+        direct = args < 0.0
+        out[c, direct] = splines[c](np.clip(args[direct], x[0], x[-1]))
+        out[c, ~direct] = sign * splines[partner](np.clip(-args[~direct], x[0], x[-1]))
+    return out
+
+
+class TestNotAKnotSpline:
+    """``dynamics._not_a_knot`` against scipy's CubicSpline, whose default
+    boundary condition it reproduces."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(16, 300),
+        graded=st.booleans(),
+        ratio=st.floats(1e-4, 0.5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_cubic_spline(self, n, graded, ratio, seed):
+        rng = np.random.default_rng(seed)
+        # geometrically graded nodes (spacings from ratio·h to h) or uniform
+        x = -np.geomspace(10.0, 10.0 * ratio, n) if graded else np.linspace(-10.0, 0.0, n)
+        y = rng.normal(size=(n, 4)) + 1j * rng.normal(size=(n, 4))
+        coef = dynamics._not_a_knot(x, y)
+        points = np.concatenate(
+            (x, 0.5 * (x[1:] + x[:-1]), rng.uniform(x[0], x[-1], 64))
+        )
+        for c in range(4):
+            got = dynamics._spline_at(x, coef[..., c], points)
+            ref = CubicSpline(x, y[:, c])(points)
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+            assert np.array_equal(got[: n - 1], y[:-1, c])
+
+    @pytest.mark.parametrize("n", [512, 1024, 2048])
+    def test_free_oracle_is_the_cubic_spline_flow_bit_for_bit(self, n):
+        # criterion 4's grids and time, with every component filled
+        g = make_grid(-8.0, n)
+        psi = gaussian_packet(g, -3.0, 0.5, components=(1.0, 0.5j, -0.25, 1.0))
+        out = free_propagate(psi, 5.0, Direction.FORWARD).values
+        assert np.array_equal(out, cubic_spline_free_flow(psi, 5.0))
 
 
 class TestPropagationSpeed:

@@ -15,12 +15,13 @@ import pytest
 from conftest import dense_blocks, drop_nearest_level
 from hypothesis import HealthCheck, given, note, seed, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from adsdirac.channel import BoundaryCondition, free_operator
 import adsdirac.cli as cli
 from adsdirac.cli import build_parser, main
 from adsdirac.dynamics import check_step
-from adsdirac.geometry import Regime, make_params, potentials_memo
+from adsdirac.geometry import CoordinateMap, Regime, make_params, metric_factor, potentials_memo
 from adsdirac.grids import BoundaryGraded, gaussian_packet, make_grid
 from adsdirac import __version__ as VERSION
 from adsdirac.harness import (
@@ -30,6 +31,7 @@ from adsdirac.harness import (
     ConfigError,
     ExperimentResult,
     _packet,
+    _tortoise_quadrature,
     parse_config,
     parse_config_dict,
     run,
@@ -460,6 +462,43 @@ class TestSchemaProperty:
         assert not faulty
         _build_inputs(cfg)
         assert parse_config_dict(cfg.canonical).digest == cfg.digest
+
+
+class TestTortoiseQuadrature:
+    """The rule behind ``geometry``'s ``tortoise_quadrature`` line."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(M=st.floats(0.1, 2.0), l=st.floats(0.1, 2.0))
+    def test_matches_adaptive_quadrature(self, M, l):
+        """Against ``quad`` of 1/F in r, on the check's probe intervals.
+        Both read F from ``metric_factor``, whose rounding at δ = 1e−3
+        (F ≈ 2κδ out of 1 − 2M/r + r²/l²) grows with M and l: past 2 it
+        moves either integral by more than 1e−13 relative."""
+        p = make_params(M, l, 1.0)
+        r = p.r_sads + np.array([1e-3, 1e-2, 1e-1, 1.0, 10.0])
+        ref = [
+            quad(lambda rr: 1.0 / metric_factor(rr, M, l), a, b,
+                 epsabs=1e-13, epsrel=1e-13, limit=200)[0]
+            for a, b in zip(r[:-1], r[1:])
+        ]
+        np.testing.assert_allclose(_tortoise_quadrature(p, r), ref, rtol=1e-13, atol=0.0)
+
+    def test_perturbed_tortoise_fails_the_check(self, tmp_path, monkeypatch):
+        """Negative control: a smooth 1e−6·(r − r_sads) error in the closed
+        form moves each probe difference by 9e−9 to 9e−6, and the line must
+        FAIL while the others pass."""
+        exact = CoordinateMap.tortoise
+        monkeypatch.setattr(
+            CoordinateMap, "tortoise",
+            lambda self, r: exact(self, r) + 1e-6 * (r - self.params.r_sads),
+        )
+        manifest = run(small_config(), experiments=["geometry"], out=str(tmp_path))
+        (result,) = manifest.results
+        assert result.error is None and result.status == "fail"
+        checks = {c.name: c.passed for c in result.checks}
+        assert checks == {"horizon_root": True, "round_trip": True, "tortoise_quadrature": False}
+        gap = json.loads((tmp_path / "geometry.json").read_text())["scalars"]["quadrature_gap"]
+        assert 1e-6 < gap < 1e-5
 
 
 class TestRun:

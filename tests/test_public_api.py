@@ -14,6 +14,9 @@ a record without a reader.
 import ast
 import dataclasses
 import inspect
+import os
+import subprocess
+import sys
 from importlib import import_module
 from pathlib import Path
 
@@ -203,3 +206,18 @@ def test_no_random_sampling_in_the_package(path):
             uses, key=lambda u: u[1]
         )
     )
+
+
+def test_cli_import_leaves_out_the_heavy_scipy_subpackages():
+    """``import adsdirac.cli`` loads the whole package; none of it may pull
+    in scipy.integrate, scipy.interpolate or scipy.optimize, which add
+    about 160 ms and 18 MB to every process that starts the lab."""
+    heavy = ("scipy.integrate", "scipy.interpolate", "scipy.optimize")
+    probe = f"import sys, adsdirac.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])
+    )}
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
