@@ -74,6 +74,7 @@ from adsdirac.dynamics import (
     chebyshev_propagate,
     check_step,
     evolve,
+    flushes_subnormals,
     free_propagate,
 )
 from adsdirac.geometry import (
@@ -475,7 +476,8 @@ class ExperimentResult:
 class RunManifest:
     """What ran, what it wrote, and whether everything passed.
     ``peak_rss_mb`` is the larger of the run process's and its workers'
-    peak resident memory."""
+    peak resident memory; ``subnormals_flushed`` says whether the
+    propagators ran with subnormals flushed to zero."""
 
     version: str
     config: str
@@ -484,6 +486,7 @@ class RunManifest:
     results: List[ExperimentResult]
     wall_clock: float
     peak_rss_mb: float
+    subnormals_flushed: bool
 
     @property
     def all_passed(self) -> bool:
@@ -497,6 +500,7 @@ class RunManifest:
             "threads": self.threads,
             "wall_clock": self.wall_clock,
             "peak_rss_mb": self.peak_rss_mb,
+            "subnormals_flushed": self.subnormals_flushed,
             "all_passed": self.all_passed,
             "experiments": {
                 r.name: {
@@ -1222,6 +1226,7 @@ def run(
         results=results,
         wall_clock=time.perf_counter() - t0,
         peak_rss_mb=_peak_rss_mb(),
+        subnormals_flushed=flushes_subnormals(),
     )
     doc = {**manifest.to_dict(), "canonical": cfg.canonical}  # what the digest hashes
     if extra_files:

@@ -1,6 +1,9 @@
 """Unitary evolution against the closed-form comparison flow, plus
 propagation-speed and wall-coupling behavior."""
+import contextlib
 import dataclasses
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -602,3 +605,174 @@ class TestBoundaryTrace:
         at_wall = out[:, -1] - (out[:, -1] - out[:, -2]) / (x[-1] - x[-2]) * x[-1]
         assert abs(at_wall[0] + at_wall[2]) <= 1e-4
         assert abs(at_wall[0]) > 0.5  # the bump really is at the wall
+
+
+#: where ``dynamics._flush_to_zero`` knows the floating-point environment
+ON_X86_64_LINUX = sys.platform == "linux" and os.uname().machine == "x86_64"
+TINY = np.finfo(float).tiny
+
+
+def fenv_words():
+    """The floating-point environment as libm's fegetenv reads it: glibc's
+    x86-64 fenv_t, MXCSR its last 32-bit word."""
+    get, _ = dynamics._fenv_calls()
+    env = dynamics._FenvT()
+    assert get(env) == 0
+    return list(env)
+
+
+def fenv_controls():
+    """The control part of the environment: the x87 control word and MXCSR
+    without its sticky status flags (bits 0–5), which any inexact product
+    between two reads may set."""
+    words = fenv_words()
+    return words[0] & 0xFFFF, words[7] & ~0x3F
+
+
+def subnormals(values):
+    """The count of real and imaginary parts in the subnormal range."""
+    parts = np.ascontiguousarray(values).view(float)
+    return int(np.count_nonzero((parts != 0.0) & (np.abs(parts) < TINY)))
+
+
+def underflowing_product():
+    """1e−300·1e−10: the subnormal 1e−310 in IEEE mode, 0 with FTZ."""
+    return float((np.array([1e-300]) * 1e-10)[0])
+
+
+@pytest.mark.skipif(not ON_X86_64_LINUX, reason="the fenv_t layout is glibc's x86-64 one")
+class TestFlushToZero:
+    def test_sets_the_bits_and_gives_back_the_environment(self):
+        before = fenv_words()
+        with dynamics._flush_to_zero():
+            inside = fenv_words()
+            flushed = underflowing_product()
+        assert fenv_words() == before
+        assert inside[7] & 0x8040 == 0x8040
+        assert flushed == 0.0
+        assert 0.0 < underflowing_product() < TINY
+        assert dynamics.flushes_subnormals()
+
+    def test_exception_inside_gives_back_the_environment(self):
+        before = fenv_words()
+        with pytest.raises(KeyError):
+            with dynamics._flush_to_zero():
+                raise KeyError
+        assert fenv_words() == before
+
+    def test_propagators_give_back_the_environment(self):
+        g = make_grid(-16.0, 128)
+        op = assemble_hamiltonian(Channel(0.5, 0.5), P_NAT, g)
+        psi0 = gaussian_packet(g, -4.0, 0.5, components=(1.0, 0.0, 0.0, 1.0))
+        before = fenv_controls()
+        evolve(op, psi0, EvolutionConfig(dt=g.min_spacing / 2, t_final=1.0))
+        assert fenv_controls() == before
+        chebyshev_propagate(op, psi0, (1.0, 2.0))
+        assert fenv_controls() == before
+        assert 0.0 < underflowing_product() < TINY
+
+    def test_raising_chebyshev_run_gives_back_the_environment(self):
+        """The drift control of ``test_drift_names_the_hermiticity_defect``
+        raises inside the series loop."""
+        g = make_grid(-8.0, 64)
+        op = assemble_hamiltonian(Channel(0.5, 0.5), P_NAT, g)
+        broken = paired(op, 4 * 28, 4 * 29, 1e-2)
+        before = fenv_controls()
+        with pytest.raises(NumericError, match="not Hermitian"):
+            chebyshev_propagate(broken, gaussian_packet(g, -4.0, 0.5), (1.5,))
+        assert fenv_controls() == before
+        assert 0.0 < underflowing_product() < TINY
+
+    def test_raising_evolve_gives_back_the_environment(self, monkeypatch):
+        """A factor of M₊ + 1e−2·𝟙 fails the residual check on the first step."""
+        g = make_grid(-10.0, 128)
+        op = assemble_hamiltonian(Channel(0.5, 0.5), P_NAT, g)
+        exact_splu = dynamics.splu
+        monkeypatch.setattr(
+            dynamics, "splu",
+            lambda a: exact_splu((a + 1e-2 * sp.identity(a.shape[0], format="csc")).tocsc()),
+        )
+        before = fenv_controls()
+        with pytest.raises(NumericError, match="did not converge"):
+            evolve(op, gaussian_packet(g, -5.0, 0.5),
+                   EvolutionConfig(dt=g.min_spacing / 2, t_final=1.0))
+        assert fenv_controls() == before
+        assert 0.0 < underflowing_product() < TINY
+
+
+def test_flush_manager_off_x86_64_linux_is_a_no_op(monkeypatch):
+    """Off x86-64 Linux the manager changes nothing: subnormal arithmetic
+    inside it is IEEE's.  On x86-64 Linux the other platform is pretended."""
+    monkeypatch.setattr(dynamics, "_FLUSH_PLATFORM", False)
+    dynamics._fenv_calls.cache_clear()
+    try:
+        assert dynamics._fenv_calls() is None
+        assert not dynamics.flushes_subnormals()
+        with dynamics._flush_to_zero():
+            assert 0.0 < underflowing_product() < TINY
+    finally:
+        dynamics._fenv_calls.cache_clear()
+
+
+class TestFlushEquivalence:
+    """The flush moves no number that matters: with ``_flush_to_zero``
+    replaced by a no-op, the same runs in IEEE mode give the same counters
+    and drifts, and states that agree bit for bit at every entry of
+    modulus ≥ 1e−100 and within 1e−150 elsewhere."""
+
+    TIMES = (0.5, 1.0, 2.0, 4.0)
+
+    def runs(self, mass, centre, width):
+        """(flushed, IEEE) pairs of the Cayley and the Chebyshev run of a
+        packet on [−32, 0], n = 512, to the snapshot times ``TIMES``."""
+        g = make_grid(-32.0, 512)
+        op = assemble_hamiltonian(Channel(0.5, 0.5), make_params(1.0, 1.0, mass), g)
+        psi0 = gaussian_packet(g, centre, width, components=(1.0, 0.0, 0.0, 1.0))
+        cfg = EvolutionConfig(dt=0.5 * g.min_spacing, t_final=self.TIMES[-1],
+                              snapshot_times=self.TIMES)
+
+        def both():
+            return evolve(op, psi0, cfg), chebyshev_propagate(op, psi0, self.TIMES)
+
+        flushed = both()
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(dynamics, "_flush_to_zero", contextlib.nullcontext)
+            ieee = both()
+        return flushed, ieee
+
+    def assert_same(self, flushed, ieee):
+        (traj, prop), (traj_ieee, prop_ieee) = flushed, ieee
+        assert traj.norm_drift == traj_ieee.norm_drift
+        assert traj.max_residual == traj_ieee.max_residual
+        assert traj.refinements == traj_ieee.refinements
+        assert prop.matvecs == prop_ieee.matvecs
+        assert prop.norm_drift == prop_ieee.norm_drift
+        pairs = list(zip(traj.fields, traj_ieee.fields)) + list(zip(prop.fields, prop_ieee.fields))
+        for field, field_ieee in pairs:
+            a, b = field.values, field_ieee.values
+            large = np.abs(b) >= 1e-100
+            assert np.array_equal(a[large], b[large])
+            assert np.all(np.abs(a - b)[~large] <= 1e-150)
+
+    def test_underflowing_tails_move_no_number_that_matters(self):
+        """In IEEE mode the packet's underflowing tails hold subnormal
+        parts: 138 in the Cayley snapshot at t = 0.5, 50 at t = 1, and
+        12–54 in each Chebyshev snapshot.  Flushed, no snapshot holds one."""
+        flushed, ieee = self.runs(1.0, -4.0, 0.5)
+        traj_ieee, prop_ieee = ieee
+        assert subnormals(traj_ieee.fields[1].values) > 100
+        assert subnormals(traj_ieee.fields[2].values) > 20
+        assert all(subnormals(f.values) > 10 for f in prop_ieee.fields)
+        if dynamics.flushes_subnormals():
+            traj, prop = flushed
+            assert not any(subnormals(f.values) for f in traj.fields[1:] + prop.fields)
+        self.assert_same(flushed, ieee)
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        mass=st.floats(0.1, 1.5),
+        centre=st.floats(-8.0, -2.0),
+        width=st.floats(0.2, 1.0),
+    )
+    def test_flush_moves_no_number_that_matters(self, mass, centre, width):
+        self.assert_same(*self.runs(mass, centre, width))

@@ -6,6 +6,7 @@ import json
 import multiprocessing
 import os
 import re
+import sys
 import time
 from pathlib import Path
 from types import SimpleNamespace
@@ -611,9 +612,14 @@ class TestRun:
         assert report["scalars"]["counts"] == [1] * len(controls)
 
     def test_manifest_records_cpu_time_and_peak_memory(self, tmp_path):
+        """Besides the times and the memory, the manifest says whether the
+        propagators flushed subnormals to zero: they do on x86-64 Linux."""
         run(small_config(), experiments=["geometry", "evolve"], out=str(tmp_path), threads=2)
         doc = json.loads((tmp_path / "manifest.json").read_text())
         assert doc["peak_rss_mb"] > 10.0
+        assert doc["subnormals_flushed"] is (
+            sys.platform == "linux" and os.uname().machine == "x86_64"
+        )
         assert set(doc["experiments"]) == {"geometry", "evolve"}
         for entry in doc["experiments"].values():
             assert entry["status"] == "pass"
