@@ -345,7 +345,7 @@ def assemble_hamiltonian(
     The potentials are the black-hole pair √F/r and √F of ``params``,
     unless ``potentials`` maps the node array x to (A(x), B(x)); the pair
     is solved once per (M, l) and node set, then read from
-    ``geometry.potentials_memo`` whatever the channel and mass.  The wall
+    ``geometry.inverse_memo`` whatever the channel and mass.  The wall
     is always ``select_bc(params)``, bag-type when ``params`` is None; the
     exponent-weighted wall row applies only to the black-hole pair.
     """

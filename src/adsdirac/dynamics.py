@@ -51,8 +51,9 @@ every Chebyshev product (fastest of eight runs each: a step on a
 4096-row block 312 → 229 µs, a product on an 8192-row block 94 → 67 µs;
 ``BENCH_29.json``).  Flushing only moves values some 290 decades below
 ``SOLVER_TOL``, ``DRIFT_LIMIT`` and the Bessel tail, so drifts,
-residuals, refinement and matvec counts do not move, and the states
-agree bit for bit at every entry above 1e−100.  Under DAZ, a block that
+residuals, refinement and matvec counts do not move, and the states'
+real and imaginary parts agree bit for bit wherever the part is above
+1e−100 in modulus.  Under DAZ, a block that
 holds only subnormals reads as empty, so ``CayleyStepper.step`` leaves
 it at exactly zero.  Off x86-64 Linux the loops run in IEEE mode.
 

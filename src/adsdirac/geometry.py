@@ -41,9 +41,10 @@ Numerical conventions
   through δ, so it keeps its e^{κx} decay after δ itself underflows.
 - For -1e-8 < x < 0 the boundary series is used directly:
       r = -l²/x + x/3,   √F = -l/x - x/(6l),   √F/r = 1/l + x²/(2l³).
-- The potentials (√F/r, √F) depend on (M, l) and x only, not on the field
-  mass or the channel, so those of an array of nodes are solved once per
-  spacetime and node set and kept in :func:`potentials_memo`.
+- u and the potentials (√F/r, √F) depend on (M, l) and x only, not on the
+  field mass or the channel, so the inverse is solved once per spacetime
+  and node set and kept, with both potentials, in :func:`inverse_memo`.
+  Every evaluator along x reads it there; a 0-d x is a node set of one.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ __all__ = [
     "metric_factor_deriv",
     "make_params",
     "expansion_residuals",
-    "potentials_memo",
+    "inverse_memo",
 ]
 
 # crossover below which the boundary series replaces the inverse solve
@@ -73,9 +74,10 @@ _X_SERIES = -1e-8
 # and raises after _NEWTON_MAXITER iterations
 _NEWTON_TOL = 1e-12
 _NEWTON_MAXITER = 100
-# entries of potentials_memo, least recently used first out: one per
+# entries of inverse_memo, least recently used first out: one per
 # spacetime and node set (a channel-scan pass has four; at n = 4096 an
-# entry holds 96 KiB)
+# entry holds 128 KiB, the key's node bytes and the three arrays u, √F/r
+# and √F)
 _MEMO_SIZE = 16
 
 
@@ -134,8 +136,7 @@ def horizon_radius(M: float, l: float) -> float:
     r = float(np.cbrt(M * l * l + s) + np.cbrt(M * l * l - s))
     # one Newton polish on F (the cube roots lose a couple of ulps)
     for _ in range(2):
-        f = 1.0 - 2.0 * M / r + r * r / (l * l)
-        r -= f / (2.0 * M / r**2 + 2.0 * r / l**2)
+        r -= float(metric_factor(r, M, l) / metric_factor_deriv(r, M, l))
     return r
 
 
@@ -207,8 +208,9 @@ class CoordinateMap:
     All evaluators accept scalars or arrays.  The inverse runs on the log
     gap u = ln(r - r_sads), so :meth:`delta_of_x` stays accurate wherever
     e^u is representable, long after :meth:`r_of_x` rounds to r_sads.
-    The potentials of an array are solved once per (M, l) and node set and
-    then read, read-only, from :func:`potentials_memo`.
+    u and the potentials √F/r and √F are solved once per (M, l) and node
+    set, a 0-d x being a node set of one, and every evaluator reads them,
+    read-only, from :func:`inverse_memo`.
     """
 
     def __init__(self, params: Params):
@@ -260,8 +262,8 @@ class CoordinateMap:
 
     def _log_gap(self, x):
         """
-        u = ln δ(min(x, -1e-8)) for every x < 0, returned with x as a float
-        array; the callers take -1e-8 < x < 0 from the boundary series.
+        u = ln δ(min(x, -1e-8)) at every x < 0, as a float array of the shape
+        of x; the callers take -1e-8 < x < 0 from the boundary series.
 
         A bracketed Newton iteration solves x(u) = x, with slope dx/du = δ/F
         taken from the cancellation-free F/δ.  It starts from the horizon
@@ -269,13 +271,10 @@ class CoordinateMap:
         otherwise.  Where x(u) turns from convex to concave Newton can cycle,
         so a step longer than half the bracket is replaced by bisection.  Each
         element freezes once its step falls below the tolerance, so a batch
-        gives the same bits as scalar calls.
+        gives the same bits as a node set of one.
         """
         p = self.params
-        # [()] turns 0-d arrays into numpy scalars, whose arithmetic is several
-        # times cheaper, for single-point calls (the expansion checks); the
-        # solvers pass every node or Gauss point in one array
-        xs = np.asarray(x, dtype=float)[()]
+        xs = np.asarray(x, dtype=float)
         if not ((xs < 0.0) & (xs > -np.inf)).all():
             raise ValueError("working coordinate must be finite and satisfy x < 0")
         xf = np.minimum(xs, _X_SERIES)
@@ -283,7 +282,7 @@ class CoordinateMap:
             xf < self._x_unit,
             np.minimum((xf - self._x_horizon) / p.alpha1, 0.0),
             np.maximum(np.log(-p.l**2 / xf), 0.0),
-        )[()]
+        )
         lo, hi, done = -np.inf, np.inf, np.False_
         for _ in range(_NEWTON_MAXITER):
             res = self._x_of_u(u) - xf
@@ -292,147 +291,104 @@ class CoordinateMap:
             done = abs(step) <= _NEWTON_TOL * (1.0 + abs(u))
             # u is now one end of the bracket and the step points inside it;
             # a step longer than half the bracket is replaced by bisection
-            lo = np.where(res <= 0.0, u, lo)[()]
-            hi = np.where(res > 0.0, u, hi)[()]
+            lo = np.where(res <= 0.0, u, lo)
+            hi = np.where(res > 0.0, u, hi)
             newton = done | (abs(step) <= 0.5 * (hi - lo))
-            u = np.where(newton, u - step, 0.5 * (lo + hi))[()]
+            u = np.where(newton, u - step, 0.5 * (lo + hi))
             if done.all():
-                return xs, u
+                return u
         raise ArithmeticError(
             f"coordinate inverse did not converge in {_NEWTON_MAXITER} iterations"
         )
+
+    def _inverse(self, x):
+        """(u, √F/r, √F) at x, the read-only arrays of :func:`inverse_memo`:
+        the one way in to the inverse for every evaluator along x."""
+        xs = np.asarray(x, dtype=float)
+        p = self.params
+        return inverse_memo(float(p.M), float(p.l), xs.shape, xs.tobytes())
 
     def delta_of_x(self, x):
         """Horizon gap δ(x) = r(x) - r_sads, as e^u; it underflows to 0 only
         where e^u does (x below about -372/κ)."""
         p = self.params
-        xs, u = self._log_gap(x)
+        xs = np.asarray(x, dtype=float)
+        u = self._inverse(xs)[0]
         return np.where(xs > _X_SERIES, -p.l**2 / xs + xs / 3.0 - p.r_sads, np.exp(u))[()]
 
     def r_of_x(self, x):
         """Inverse map r(x): the boundary series -l²/x + x/3 for
         -1e-8 < x < 0, r_sads + e^u otherwise."""
         p = self.params
-        xs, u = self._log_gap(x)
+        xs = np.asarray(x, dtype=float)
+        u = self._inverse(xs)[0]
         return np.where(xs > _X_SERIES, -p.l**2 / xs + xs / 3.0, p.r_sads + np.exp(u))[()]
 
     # -- metric quantities along x ---------------------------------------
 
     def _F_over_delta(self, delta):
+        """Cancellation-free F(r_sads + δ)/δ."""
         p = self.params
         return 2.0 * p.M / (p.r_sads * (p.r_sads + delta)) + (2.0 * p.r_sads + delta) / (p.l * p.l)
-
-    def F_of_delta(self, delta):
-        """Cancellation-free F(r_sads + δ)."""
-        delta = np.asarray(delta, dtype=float)
-        return delta * self._F_over_delta(delta)
 
     def _sqrtF_of_u(self, u):
         """√F = e^{u/2}·√(F/δ): no underflow through δ itself."""
         return np.exp(0.5 * u) * np.sqrt(self._F_over_delta(np.exp(u)))
 
     def _potentials_of_x(self, x):
-        """(√F/r, √F) at x, the channel potentials A and B together: for an
-        array, the read-only pair of :func:`potentials_memo`; for a scalar,
-        one inverse solve."""
-        xs = np.asarray(x, dtype=float)
-        if xs.ndim == 0:
-            return self._solve_potentials(xs)
-        p = self.params
-        return potentials_memo(float(p.M), float(p.l), xs.shape, xs.tobytes())
-
-    def _solve_potentials(self, x):
-        """(√F/r, √F) at x from one inverse solve, with the boundary series
-        for -1e-8 < x < 0."""
-        p = self.params
-        xs, u = self._log_gap(x)
-        series = xs > _X_SERIES
-        root = self._sqrtF_of_u(u)
-        a = np.where(series, 1.0 / p.l + xs * xs / (2.0 * p.l**3), root / (p.r_sads + np.exp(u)))
-        b = np.where(series, -p.l / xs - xs / (6.0 * p.l), root)
+        """(√F/r, √F) at x, the channel potentials A and B together."""
+        _, a, b = self._inverse(x)
         return a[()], b[()]
 
     def sqrtF_of_x(self, x):
         """√F(r(x)); boundary series −l/x − x/(6l) for -1e-8 < x < 0."""
-        return self._potentials_of_x(x)[1]
+        return self._inverse(x)[2][()]
 
     def angular_factor_of_x(self, x):
         """√F(r(x)) / r(x); boundary series 1/l + x²/(2l³) near x = 0."""
-        return self._potentials_of_x(x)[0]
+        return self._inverse(x)[1][()]
 
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
-def potentials_memo(M: float, l: float, shape: tuple, nodes: bytes):
+def inverse_memo(M: float, l: float, shape: tuple, nodes: bytes):
     """
-    (√F/r, √F) of the spacetime (M, l) at the float nodes x with ``shape``
-    and raw bytes ``nodes``, as two read-only arrays.
+    (u, √F/r, √F) of the spacetime (M, l) at the float nodes x with
+    ``shape`` and raw bytes ``nodes``, as three read-only arrays, u = ln δ
+    being the solve's log gap; -1e-8 < x < 0 takes the boundary series.
 
-    A miss solves the inverse once, exactly as an unmemoized call would; a
-    solve that raises leaves no entry.  The key has no field mass, which
-    enters neither the geometry nor the potentials.  ``cache_info()``
-    counts the solves (misses) and the reuses (hits).
+    A miss runs one inverse solve; a solve that raises leaves no entry.  The
+    key has no field mass, which enters neither the geometry nor the
+    potentials.  ``cache_info()`` counts the solves (misses) and the reuses
+    (hits).
     """
-    pair = CoordinateMap(Params(M=M, l=l, m=0.0))._solve_potentials(
-        np.frombuffer(nodes).reshape(shape)
-    )
-    for values in pair:
+    cm = CoordinateMap(Params(M=M, l=l, m=0.0))
+    p = cm.params
+    x = np.frombuffer(nodes).reshape(shape)
+    u = cm._log_gap(x)
+    series = x > _X_SERIES
+    root = cm._sqrtF_of_u(u)
+    a = np.where(series, 1.0 / p.l + x * x / (2.0 * p.l**3), root / (p.r_sads + np.exp(u)))
+    b = np.where(series, -p.l / x - x / (6.0 * p.l), root)
+    for values in (u, a, b):
         values.flags.writeable = False
-    return pair
+    return u, a, b
 
 
 def expansion_residuals(params: Params) -> dict:
     """
-    Check the two asymptotic expansions of the coordinate map.
+    Check the horizon expansion of the coordinate map (x → -∞): the
+    least-squares slopes of ln √F(x) and ln(√F/r)(x) against x at 21 points
+    of [-80/κ, -40/κ] must both reproduce the surface gravity κ, since √F
+    and √F/r decay like e^{κx}.
 
-    Boundary side (x → 0⁻): residuals of r(x), √F(x) and √F/r against
-        r = -l²/x + x/3,  √F = -l/x - x/(6l),  √F/r = 1/l + x²/(2l³),
-    evaluated at x = -1e-1, -1e-2, -1e-3 (below |x| ~ 1e-3 the residuals
-    sink under the inversion noise floor) together with the observed decay
-    order of each residual between consecutive points.
-
-    Horizon side (x → -∞): least-squares slope of ln √F(x) against x at 21
-    points of [-40/κ, -20/κ], which must reproduce the surface gravity κ
-    (√F decays like e^{κx}), and the same for the angular factor √F/r.
-
-    Returns a dict with keys ``boundary`` (list of rows), ``horizon_slope_B``,
-    ``horizon_slope_A`` and ``kappa``.
+    Returns a dict with keys ``horizon_slope_B`` and ``horizon_slope_A``.
     """
     cm = CoordinateMap(params)
-    p = params
-    x_boundary = np.array([-1e-1, -1e-2, -1e-3])
-    lo = -40.0 / (2.0 * p.kappa) * 2.0
+    lo = -40.0 / params.kappa
     x_horizon = np.linspace(2 * lo, lo, 21)  # safely exponential region
-
-    rows = []
-    for xv in x_boundary:
-        r = cm.r_of_x(xv)
-        delta = cm.delta_of_x(xv)
-        sqrtF = math.sqrt(float(cm.F_of_delta(delta)))
-        rows.append(
-            {
-                "x": float(xv),
-                "r_residual": float(r - (-p.l**2 / xv + xv / 3.0)),
-                "sqrtF_residual": float(sqrtF - (-p.l / xv - xv / (6.0 * p.l))),
-                "ang_residual": float(sqrtF / r - (1.0 / p.l + xv * xv / (2.0 * p.l**3))),
-            }
-        )
-    # decay orders between consecutive sample points (expected ≥ stated order)
-    orders = {}
-    for key, expected in (("r_residual", 1.0), ("sqrtF_residual", 1.0), ("ang_residual", 2.0)):
-        res = np.array([abs(row[key]) for row in rows])
-        xs = np.abs(x_boundary)
-        with np.errstate(divide="ignore"):
-            slopes = np.diff(np.log(res)) / np.diff(np.log(xs))
-        orders[key] = {"expected_at_least": expected, "observed": slopes.tolist()}
-
     lnB = np.log(cm.sqrtF_of_x(x_horizon))
     lnA = np.log(cm.angular_factor_of_x(x_horizon))
-    slope_B = float(np.polyfit(x_horizon, lnB, 1)[0])
-    slope_A = float(np.polyfit(x_horizon, lnA, 1)[0])
     return {
-        "boundary": rows,
-        "boundary_orders": orders,
-        "horizon_slope_B": slope_B,
-        "horizon_slope_A": slope_A,
-        "kappa": p.kappa,
+        "horizon_slope_B": float(np.polyfit(x_horizon, lnB, 1)[0]),
+        "horizon_slope_A": float(np.polyfit(x_horizon, lnA, 1)[0]),
     }

@@ -82,9 +82,9 @@ from adsdirac.geometry import (
     Params,
     Regime,
     expansion_residuals,
+    inverse_memo,
     make_params,
     metric_factor,
-    potentials_memo,
 )
 from adsdirac.grids import BoundaryGraded, Grid, SpinorField, gaussian_packet, make_grid
 from adsdirac.scattering import (
@@ -450,8 +450,8 @@ class CheckLine:
 class ExperimentResult:
     """One runner's verdicts, scalars and CSV tables (file name → (columns,
     rows)); ``files`` lists what the writer wrote, and
-    ``coordinate_inverses`` how many node sets the job's potentials were
-    solved on and how many it read from ``geometry.potentials_memo``."""
+    ``coordinate_inverses`` how many node sets the job solved the coordinate
+    inverse on and how many it read from ``geometry.inverse_memo``."""
 
     name: str
     checks: List[CheckLine] = field(default_factory=list)
@@ -588,9 +588,9 @@ def _run_geometry(cfg: ExperimentConfig) -> ExperimentResult:
     xs = -np.geomspace(1e-8, 0.98 * abs(cfg.grid.x_min), 201)[::-1]
     rows = zip(
         xs.tolist(),
-        np.atleast_1d(cm.r_of_x(xs)).tolist(),
-        np.atleast_1d(cm.sqrtF_of_x(xs)).tolist(),
-        np.atleast_1d(cm.angular_factor_of_x(xs)).tolist(),
+        cm.r_of_x(xs).tolist(),
+        cm.sqrtF_of_x(xs).tolist(),
+        cm.angular_factor_of_x(xs).tolist(),
     )
     res.tables["geometry_map.csv"] = (("x", "r", "sqrtF", "angular"), list(rows))
     return res
@@ -1090,7 +1090,7 @@ def _job(name: str, cfg: ExperimentConfig, out_dir: Path) -> ExperimentResult:
     the experiment as errored and goes no further.  Module level, so that a
     worker process can run it."""
     start, cpu = time.perf_counter(), time.process_time()
-    memo = potentials_memo.cache_info()
+    memo = inverse_memo.cache_info()
     try:
         result = _RUNNERS[name](cfg)
         _write_reports(result, cfg, out_dir)
@@ -1098,7 +1098,7 @@ def _job(name: str, cfg: ExperimentConfig, out_dir: Path) -> ExperimentResult:
         result = ExperimentResult(name, error=f"{type(exc).__name__}: {exc}")
     result.wall_clock = time.perf_counter() - start
     result.cpu_s = time.process_time() - cpu
-    after = potentials_memo.cache_info()
+    after = inverse_memo.cache_info()
     result.coordinate_inverses = {
         "solved": after.misses - memo.misses, "reused": after.hits - memo.hits
     }

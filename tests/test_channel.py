@@ -30,7 +30,7 @@ from adsdirac.channel import (
     select_bc,
     to_sectors,
 )
-from adsdirac.geometry import CoordinateMap, make_params, potentials_memo
+from adsdirac.geometry import CoordinateMap, inverse_memo, make_params
 from adsdirac.grids import BoundaryGraded, SpinorField, gaussian_packet, make_grid
 from adsdirac.harness import ExperimentConfig, _run_evolve, parse_config_dict
 from adsdirac.spectral import eigendecompose, level_count
@@ -153,15 +153,15 @@ class TestPotentials:
         """Twelve operators on one grid (four channels × three masses) share
         one coordinate inverse, and each holds the potentials of a fresh
         solve to the last bit."""
-        potentials_memo.cache_clear()
+        inverse_memo.cache_clear()
         grid = make_grid(-32.0, 1024)
         ops = [
             assemble_hamiltonian(Channel(s, 0.5), make_params(1.0, 1.0, m), grid)
             for s in (0.5, 1.5, 2.5, 3.5) for m in (0.25, 0.45, 1.0)
         ]
-        info = potentials_memo.cache_info()
+        info = inverse_memo.cache_info()
         assert info.misses == 1 and info.hits == 2 * len(ops) - 1
-        a, b = CoordinateMap(P_NAT)._solve_potentials(grid.nodes)
+        _, a, b = inverse_memo.__wrapped__(1.0, 1.0, grid.nodes.shape, grid.nodes.tobytes())
         for op in ops:
             assert np.array_equal(op.a_values.view(np.int64), a.view(np.int64))
             assert np.array_equal(op.b_values.view(np.int64), b.view(np.int64))

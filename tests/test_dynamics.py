@@ -4,13 +4,14 @@ import contextlib
 import dataclasses
 import os
 import sys
+import types
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 from conftest import dense_blocks, dense_scaled, paired, scaled, sqrt_weights
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
 from scipy.sparse.linalg import expm_multiply, splu, spsolve
@@ -717,8 +718,10 @@ def test_flush_manager_off_x86_64_linux_is_a_no_op(monkeypatch):
 class TestFlushEquivalence:
     """The flush moves no number that matters: with ``_flush_to_zero``
     replaced by a no-op, the same runs in IEEE mode give the same counters
-    and drifts, and states that agree bit for bit at every entry of
-    modulus ≥ 1e−100 and within 1e−150 elsewhere."""
+    and drifts, and states whose real and imaginary parts agree bit for bit
+    wherever the part is ≥ 1e−100 in modulus and within 1e−150 elsewhere.
+    The check goes part by part because an entry can pair a real part near
+    1e−100 with a subnormal imaginary part, which the flush zeroes."""
 
     TIMES = (0.5, 1.0, 2.0, 4.0)
 
@@ -749,10 +752,32 @@ class TestFlushEquivalence:
         assert prop.norm_drift == prop_ieee.norm_drift
         pairs = list(zip(traj.fields, traj_ieee.fields)) + list(zip(prop.fields, prop_ieee.fields))
         for field, field_ieee in pairs:
-            a, b = field.values, field_ieee.values
-            large = np.abs(b) >= 1e-100
-            assert np.array_equal(a[large], b[large])
-            assert np.all(np.abs(a - b)[~large] <= 1e-150)
+            for a, b in ((field.values.real, field_ieee.values.real),
+                         (field.values.imag, field_ieee.values.imag)):
+                large = np.abs(b) >= 1e-100
+                assert np.array_equal(a[large], b[large])
+                assert np.all(np.abs(a - b)[~large] <= 1e-150)
+
+    def test_the_check_sees_the_last_bit_of_a_part(self):
+        """Zeroing a subnormal part passes the check; moving either part of
+        an entry by one ulp where that part is ≥ 1e−100 fails it."""
+
+        def run(values):
+            fields = [types.SimpleNamespace(values=values)]
+            traj = types.SimpleNamespace(norm_drift=0.0, max_residual=0.0, refinements=0,
+                                         fields=fields)
+            return traj, types.SimpleNamespace(matvecs=0, norm_drift=0.0, fields=fields)
+
+        ieee = np.array([1e-100 + 1.24e-308j, 3e-120 + 2e-90j, 0.5 - 0.25j])
+        flushed = ieee.copy()
+        flushed[0] = 1e-100
+        self.assert_same(run(flushed), run(ieee))
+        for index, part in ((0, "real"), (1, "imag"), (2, "real"), (2, "imag")):
+            moved = ieee.copy()
+            view = getattr(moved, part)
+            view[index] = np.nextafter(view[index], np.inf)
+            with pytest.raises(AssertionError):
+                self.assert_same(run(moved), run(ieee))
 
     def test_underflowing_tails_move_no_number_that_matters(self):
         """In IEEE mode the packet's underflowing tails hold subnormal
@@ -774,5 +799,6 @@ class TestFlushEquivalence:
         centre=st.floats(-8.0, -2.0),
         width=st.floats(0.2, 1.0),
     )
+    @example(mass=0.5, centre=-4.0, width=0.75)
     def test_flush_moves_no_number_that_matters(self, mass, centre, width):
         self.assert_same(*self.runs(mass, centre, width))

@@ -26,9 +26,9 @@ from adsdirac.geometry import (
     Regime,
     expansion_residuals,
     horizon_radius,
+    inverse_memo,
     metric_factor,
     metric_factor_deriv,
-    potentials_memo,
 )
 
 
@@ -313,7 +313,7 @@ class TestMetricAlongX:
         cm = CoordinateMap(Params(M=1, l=1, m=1))
         # tiny gaps: no sign flips, exact exponential ratios
         deltas = np.geomspace(1e-60, 1e-10, 11)
-        F = cm.F_of_delta(deltas)
+        F = deltas * cm._F_over_delta(deltas)
         assert np.all(F > 0)
         # leading order F ≈ F'(r_h)·δ = 2κδ
         assert F[0] / deltas[0] == pytest.approx(2 * cm.params.kappa, rel=1e-9)
@@ -335,75 +335,97 @@ node_samples = st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12)
 
 
 class TestPotentialsMemo:
-    """The potentials of an array are solved once per spacetime and node
-    set; what the memo returns is what a solve returns."""
+    """Every evaluator along x reads u and the potentials from one
+    ``inverse_memo`` entry per spacetime and node set, a 0-d x being a node
+    set of one; what the memo returns is what a solve returns."""
 
     @settings(max_examples=40, deadline=None)
     @given(**spacetimes, s=node_samples)
-    def test_memoized_pair_is_the_solve_bit_for_bit(self, M, l, s):
-        potentials_memo.cache_clear()
+    def test_memoized_entry_is_the_solve_bit_for_bit(self, M, l, s):
+        inverse_memo.cache_clear()
         cm = CoordinateMap(Params(M=M, l=l, m=1.0))
         xs = drawn_nodes(cm, s)
-        solved = cm._solve_potentials(xs)
+        solved = inverse_memo.__wrapped__(M, l, xs.shape, xs.tobytes())
         for _ in range(2):
-            memo = cm._potentials_of_x(xs)
-            for got, want in zip(memo, solved):
+            memo = cm._inverse(xs)
+            for got, want in zip(memo, solved, strict=True):
                 assert np.array_equal(bits(got), bits(want))
-        assert potentials_memo.cache_info().misses == 1
-        assert potentials_memo.cache_info().hits == 1
+        assert inverse_memo.cache_info().misses == 1
+        assert inverse_memo.cache_info().hits == 1
+
+    @settings(max_examples=20, deadline=None)
+    @given(**spacetimes, s=node_samples, one=st.booleans())
+    def test_five_readers_cost_one_miss_and_four_hits(self, M, l, s, one):
+        """r, δ, √F, √F/r and the potential pair on one node set, or at one
+        0-d x, solve the inverse once; a 0-d x reads numpy scalars."""
+        cm = CoordinateMap(Params(M=M, l=l, m=1.0))
+        x = drawn_nodes(cm, s)[0] if one else drawn_nodes(cm, s)
+        inverse_memo.cache_clear()
+        values = [cm.r_of_x(x), cm.delta_of_x(x), cm.sqrtF_of_x(x),
+                  cm.angular_factor_of_x(x), *cm._potentials_of_x(x)]
+        info = inverse_memo.cache_info()
+        assert info.misses == 1 and info.hits == 4 and info.currsize == 1
+        assert all(isinstance(v, np.float64) if one else v.shape == x.shape for v in values)
 
     @settings(max_examples=10, deadline=None)
     @given(**spacetimes, s=node_samples)
-    def test_pair_is_read_only(self, M, l, s):
+    def test_arrays_are_read_only(self, M, l, s):
         cm = CoordinateMap(Params(M=M, l=l, m=1.0))
-        a, b = cm._potentials_of_x(drawn_nodes(cm, s))
-        for values in (a, b, cm.sqrtF_of_x(drawn_nodes(cm, s))):
+        xs = drawn_nodes(cm, s)
+        for values in (*cm._inverse(xs), *cm._inverse(xs[0]), cm.sqrtF_of_x(xs)):
             with pytest.raises(ValueError):
-                values[0] = 1.0
+                values[...] = 1.0
             with pytest.raises(ValueError):
                 values *= 2.0
 
     @settings(max_examples=20, deadline=None)
     @given(**spacetimes, s=node_samples)
     def test_two_spacetimes_on_the_same_nodes_are_two_entries(self, M, l, s):
-        potentials_memo.cache_clear()
+        inverse_memo.cache_clear()
         first, other = Params(M=M, l=l, m=1.0), Params(M=M + 1.0, l=l, m=1.0)
         # x = -1 reads M; the boundary series band reads l only
         xs = np.append(drawn_nodes(CoordinateMap(first), s), -1.0)
         b_first = CoordinateMap(first).sqrtF_of_x(xs)
         b_other = CoordinateMap(other).sqrtF_of_x(xs)
-        info = potentials_memo.cache_info()
+        info = inverse_memo.cache_info()
         assert info.misses == 2 and info.hits == 0 and info.currsize == 2
         assert b_first[-1] != b_other[-1]
 
     @settings(max_examples=20, deadline=None)
     @given(**spacetimes, s=node_samples, masses=st.lists(st.floats(0.0, 5.0), min_size=2, max_size=4))
     def test_masses_share_one_entry(self, M, l, s, masses):
-        potentials_memo.cache_clear()
+        inverse_memo.cache_clear()
         xs = drawn_nodes(CoordinateMap(Params(M=M, l=l, m=0.0)), s)
-        pairs = [CoordinateMap(Params(M=M, l=l, m=m))._potentials_of_x(xs) for m in masses]
-        info = potentials_memo.cache_info()
+        entries = [CoordinateMap(Params(M=M, l=l, m=m))._inverse(xs) for m in masses]
+        info = inverse_memo.cache_info()
         assert info.misses == 1 and info.hits == len(masses) - 1 and info.currsize == 1
-        assert all(pair is pairs[0] for pair in pairs)
+        assert all(entry is entries[0] for entry in entries)
 
     def test_unconverged_solve_raises_every_time_and_caches_nothing(self, monkeypatch):
-        potentials_memo.cache_clear()
+        inverse_memo.cache_clear()
         cm = CoordinateMap(Params(M=1.0, l=1.0, m=1.0))
         fresh = -np.geomspace(1e-3, 30.0, 17)
         monkeypatch.setattr(geometry, "_NEWTON_MAXITER", 1)
-        for _ in range(2):
+        for x in (fresh, fresh[8], fresh, fresh[8]):
             with pytest.raises(ArithmeticError, match="did not converge"):
-                cm.sqrtF_of_x(fresh)
-        assert potentials_memo.cache_info().currsize == 0
+                cm.sqrtF_of_x(x)
+        assert inverse_memo.cache_info().currsize == 0
         monkeypatch.undo()
-        assert np.array_equal(bits(cm.sqrtF_of_x(fresh)), bits(cm._solve_potentials(fresh)[1]))
+        solved = inverse_memo.__wrapped__(1.0, 1.0, fresh.shape, fresh.tobytes())
+        assert np.array_equal(bits(cm.sqrtF_of_x(fresh)), bits(solved[2]))
 
-    def test_scalars_are_solved_not_memoized(self):
-        potentials_memo.cache_clear()
-        cm = CoordinateMap(Params(M=1.0, l=1.0, m=1.0))
-        a, b = cm._potentials_of_x(-0.5)
-        assert isinstance(a, np.float64) and isinstance(b, np.float64)
-        assert potentials_memo.cache_info().currsize == 0
+
+def boundary_residuals(M, l):
+    """x = -1e-1, -1e-2, -1e-3 and the residuals of r, √F and √F/r there
+    against their boundary series; below |x| ~ 1e-3 the residuals sink
+    under the inversion noise floor."""
+    cm = CoordinateMap(Params(M=M, l=l, m=1.0))
+    x = np.array([-1e-1, -1e-2, -1e-3])
+    return x, {
+        "r": cm.r_of_x(x) - (-l**2 / x + x / 3.0),
+        "sqrtF": cm.sqrtF_of_x(x) - (-l / x - x / (6.0 * l)),
+        "angular": cm.angular_factor_of_x(x) - (1.0 / l + x * x / (2.0 * l**3)),
+    }
 
 
 class TestExpansions:
@@ -421,17 +443,17 @@ class TestExpansions:
         assert res["horizon_slope_A"] == pytest.approx(p.kappa, rel=0.01)
 
     def test_boundary_orders(self):
-        """Observed decay of series residuals: r and √F beyond linear,
-        angular factor beyond quadratic."""
-        res = expansion_residuals(Params(M=1, l=1, m=1))
-        assert min(res["boundary_orders"]["r_residual"]["observed"]) > 1.5
-        assert min(res["boundary_orders"]["sqrtF_residual"]["observed"]) > 1.5
-        assert min(res["boundary_orders"]["ang_residual"]["observed"]) > 2.5
+        """Observed decay of series residuals between consecutive points:
+        r and √F beyond linear, angular factor beyond quadratic."""
+        x, res = boundary_residuals(1.0, 1.0)
+        orders = {k: np.diff(np.log(np.abs(v))) / np.diff(np.log(-x)) for k, v in res.items()}
+        assert min(orders["r"]) > 1.5
+        assert min(orders["sqrtF"]) > 1.5
+        assert min(orders["angular"]) > 2.5
 
     def test_boundary_residual_magnitudes(self):
         # frozen order-of-magnitude table (unit case, x = -1e-2)
-        res = expansion_residuals(Params(M=1, l=1, m=1))
-        row = next(r for r in res["boundary"] if r["x"] == -1e-2)
-        assert 1e-5 < abs(row["r_residual"]) < 1e-4
-        assert 1e-5 < abs(row["sqrtF_residual"]) < 1e-4
-        assert 1e-7 < abs(row["ang_residual"]) < 1e-5
+        _, res = boundary_residuals(1.0, 1.0)
+        assert 1e-5 < abs(res["r"][1]) < 1e-4
+        assert 1e-5 < abs(res["sqrtF"][1]) < 1e-4
+        assert 1e-7 < abs(res["angular"][1]) < 1e-5

@@ -22,7 +22,7 @@ from adsdirac.channel import BoundaryCondition, free_operator
 import adsdirac.cli as cli
 from adsdirac.cli import build_parser, main
 from adsdirac.dynamics import check_step
-from adsdirac.geometry import CoordinateMap, Regime, make_params, metric_factor, potentials_memo
+from adsdirac.geometry import CoordinateMap, Regime, inverse_memo, make_params, metric_factor
 from adsdirac.grids import BoundaryGraded, gaussian_packet, make_grid
 from adsdirac import __version__ as VERSION
 from adsdirac.harness import (
@@ -627,17 +627,18 @@ class TestRun:
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_manifest_records_the_coordinate_inverses(self, tmp_path, threads):
-        """Each experiment counts the node sets it solved the potentials on
-        and the reads it took from the memo, in the process that ran it:
-        ``evolve`` assembles once from two calls on one node set, and
-        ``geometry`` reads two node sets twice each."""
-        potentials_memo.cache_clear()
+        """Each experiment counts the node sets it solved the coordinate
+        inverse on and the reads it took from the memo, in the process that
+        ran it: ``evolve`` assembles once from two calls on one node set;
+        ``geometry`` solves each round trip's nodes once, reads the horizon
+        fit's nodes twice and the map table's three times."""
+        inverse_memo.cache_clear()
         run(small_config(), experiments=["geometry", "evolve"], out=str(tmp_path),
             threads=threads)
         doc = json.loads((tmp_path / "manifest.json").read_text())
         counts = {k: v["coordinate_inverses"] for k, v in doc["experiments"].items()}
         assert counts == {
-            "geometry": {"solved": 2, "reused": 2},
+            "geometry": {"solved": 4, "reused": 3},
             "evolve": {"solved": 1, "reused": 1},
         }
 

@@ -31,7 +31,7 @@ from adsdirac.channel import (
     to_sectors,
 )
 from adsdirac.dynamics import NumericError
-from adsdirac.geometry import CoordinateMap, make_params, potentials_memo
+from adsdirac.geometry import CoordinateMap, inverse_memo, make_params
 from adsdirac.grids import BoundaryGraded, SpinorField, gaussian_packet, make_grid
 from adsdirac.spectral import (
     boundary_exponent_fit,
@@ -581,7 +581,7 @@ class TestNoEigenvalue:
         monkeypatch.setattr(CoordinateMap, "_log_gap", counted_solve)
         for depth in (8.0, 20.0, 40.0):
             sizes.clear()
-            potentials_memo.cache_clear()
+            inverse_memo.cache_clear()
             rep = no_eigenvalue_test(0.5, CHANNEL, params=p, depth=depth)
             assert len(sizes) == 2
             assert sizes[-1] == 2 * rep.steps
