@@ -18,13 +18,15 @@ collapses to the identity at solver rounding — the trivial oracle for the
 whole pipeline.  Any other ``free_factor`` is a ``ConfigurationError``.
 
 Convergence of Ω_k φ = e^{+it_kH_c} e^{−it_kH} φ along a geometric schedule
-is judged by the Cauchy increments ‖Ω_{k+1}φ − Ω_kφ‖: "converged" means the
-final increment is at most ``CONVERGED_FRACTION``·‖φ‖ = 1e−2·‖φ‖ (a
-deliberately conservative engineering threshold — existence of the limit
-carries no rate) and the last three increments either decrease strictly or
-all lie at or below ``ROUNDING_FLOOR``·‖φ‖ = 1e−9·‖φ‖: the increments of an
-estimate exact up to its propagators, such as the trivial oracle's
-identity, are solver rounding (about 1e−15) and rise and fall at random.
+is judged by the Cauchy increments ‖Ω_{k+1}φ − Ω_kφ‖, in two parts that
+the harness holds to their bounds one line each: the final increment is
+at most ``CONVERGED_FRACTION``·‖φ‖ = 1e−2·‖φ‖ (a deliberately conservative
+engineering threshold — existence of the limit carries no rate), and the
+report's ``tail_rises``, the steps among the last three increments that
+do not fall strictly, is 0.  It counts 0 as well when all three lie at or
+below ``ROUNDING_FLOOR``·‖φ‖ = 1e−9·‖φ‖: the increments of an estimate
+exact up to its propagators, such as the trivial oracle's identity, are
+solver rounding (about 1e−15) and rise and fall at random.
 ``adjointness_residual`` measures how far the two finite-time estimates are
 from adjoint: |⟨Ωφ, ψ⟩ − ⟨φ, Wψ⟩|.  Every report carries the worst norm
 drift over every run of the estimate; W's also carries the expansion's
@@ -70,7 +72,7 @@ __all__ = [
 CONVERGED_FRACTION = 1e-2
 #: the width of the strip next to x_min whose W-mass a velocity report records
 WALL_DISTANCE = 2.0
-#: a tail at or below this, relative to ‖φ‖, is propagator noise: converged
+#: a tail at or below this, relative to ‖φ‖, is propagator noise: no rises
 ROUNDING_FLOOR = 1e-9
 
 
@@ -84,7 +86,9 @@ class ScatteringReport:
     increments: np.ndarray
     limit: SpinorField
     limit_norm: float
-    converged: bool
+    #: steps among the last three increments that do not fall strictly; 0
+    #: when all three lie at or below ROUNDING_FLOOR·‖φ‖
+    tail_rises: int
     norm_drift: float  # worst over every run of the estimate
 
 
@@ -96,13 +100,12 @@ class BackwardReport(ScatteringReport):
     bound: float  # R of the interacting operator
 
 
-def _verdict(increments: np.ndarray, input_norm: float) -> bool:
-    # the convergence rule of the module docstring
+def _tail_rises(increments: np.ndarray, input_norm: float) -> int:
+    # the tail rule of the module docstring; a NaN step counts as a rise
     tail = increments[-3:]
-    monotone = bool(np.all(np.diff(tail) < 0.0)) if tail.size >= 2 else True
-    at_floor = bool(np.max(tail) <= ROUNDING_FLOOR * input_norm)
-    small = bool(increments[-1] <= CONVERGED_FRACTION * input_norm)
-    return small and (monotone or at_floor)
+    if np.max(tail) <= ROUNDING_FLOOR * input_norm:
+        return 0
+    return int(np.sum(~(np.diff(tail) < 0.0)))
 
 
 def _check_schedule(schedule: Sequence[float]) -> np.ndarray:
@@ -157,7 +160,7 @@ def wave_operator_forward(
         increments=increments,
         limit=omegas[-1],
         limit_norm=omegas[-1].norm(),
-        converged=_verdict(increments, phi.norm()),
+        tail_rises=_tail_rises(increments, phi.norm()),
         norm_drift=drift,
     )
 
@@ -175,7 +178,7 @@ def wave_operator_backward(
     on from Δ_{K−1} to t_K, where it reaches the limit W_Kψ = e^{+it_KH}ζ_K:
     t_K − t_1 + t_{K−1} time units in all, not Σ t_k.  The identity holds
     for the expansion up to its truncation level, far below any increment
-    the verdict reads.
+    a check reads.
     """
     times = _check_schedule(schedule)
     zetas = [free_propagate(psi, float(t), Direction.FORWARD) for t in times]
@@ -196,7 +199,7 @@ def wave_operator_backward(
         increments=increments,
         limit=limit,
         limit_norm=limit.norm(),
-        converged=_verdict(increments, psi.norm()),
+        tail_rises=_tail_rises(increments, psi.norm()),
         matvecs=sum(r.matvecs for r in runs),
         bound=runs[0].bound,
         norm_drift=max(r.norm_drift for r in runs),

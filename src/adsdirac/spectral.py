@@ -16,7 +16,8 @@ Three numerical shadows of the channel operator's spectral theory:
   ``hermiticity_defect`` is not 0.  Nothing computes the whole spectrum.
 * ``mourre_check`` — positivity of the localized commutator: the minimum
   Rayleigh quotient of P_I C P_I on ran P_I, with C the closed-form
-  commutator i[H, 𝒜].  PASS means min quotient ≥ 1 − ``MOURRE_EPS``; η =
+  commutator i[H, 𝒜].  The harness holds it to 1 − ``MOURRE_EPS`` on two
+  grids, and the drift between them to ``MOURRE_STABILITY``; η =
   ‖P_I(C − 𝟙)P_I‖, the measured size of the compact correction, is
   reported alongside.
 * ``no_eigenvalue_test`` — the ODE mechanism behind the empty point
@@ -27,7 +28,8 @@ Three numerical shadows of the channel operator's spectral theory:
   from one sweep of a fourth-order Gauss–Magnus integrator on a graded
   fixed-step mesh, with W at every Gauss point from one vectorized
   coordinate inverse; it keeps the conserved current Φ†Γ¹Φ = Γ¹ to
-  rounding.
+  rounding.  The harness holds ‖Φ_X − Φ_{2X}‖₂ to ``DEPTH_TOL`` and
+  cond₂ Φ_X to ``CONDITION_LIMIT``, a line each.
 * ``boundary_exponent_fit`` — the wall behavior of domain elements probed
   through the resolvent: solve (H − z)u = f as (G − z)y = PW^{1/2}f, and
   fit log‖u‖ against log(−x) on a boundary-graded tail.
@@ -57,23 +59,24 @@ __all__ = [
     "eigendecompose",
     "MourreReport",
     "mourre_check",
-    "mourre_refinement_study",
     "NoEigenvalueReport",
     "no_eigenvalue_test",
     "BoundaryFitReport",
     "boundary_exponent_fit",
 ]
 
-#: the Mourre verdict: PASS means min quotient ≥ 1 − MOURRE_EPS, and a
-#: refinement study whose quotient moves more than MOURRE_STABILITY between
-#: its two grids is inconclusive
+#: the Mourre bounds: each grid's min quotient at least 1 − MOURRE_EPS, and
+#: the quotient moving at most MOURRE_STABILITY between the two grids
 MOURRE_EPS = 0.5
 MOURRE_STABILITY = 0.05
+#: the no-eigenvalue bounds: ‖Φ_X − Φ_{2X}‖₂ and cond₂ Φ_X at most these
+DEPTH_TOL = 1e-8
+CONDITION_LIMIT = 1e3
+#: the eigensolve's contract: residual ‖G_b x − λx‖ at most EIGEN_TOL·max|λ|
+#: and Gram defect at most EIGEN_TOL
+EIGEN_TOL = 1e-10
 #: the matching point x₀ of the no-eigenvalue sweep, which runs from −2X to it
 _X0 = -1.0
-#: the no-eigenvalue verdict: ‖Φ_X − Φ_{2X}‖₂ and cond₂ Φ_X at most these
-_CONVERGE_TOL = 1e-8
-_COND_LIMIT = 1e3
 #: the no-eigenvalue sweep: Magnus step h = _STEP/max(1, |λ|/2) where W
 #: matters, one step per probe cell (length ≤ _CELL) where ‖W‖ ≤ _NEGLIGIBLE
 _STEP = 0.01
@@ -183,8 +186,9 @@ def level_count(op: ChannelOperator, sigmas) -> np.ndarray:
 def _accuracy(solved) -> Tuple[float, float]:
     """Largest residual ‖Gx − λx‖ and Gram defect x†x − 𝟙 over the
     (G, λ, x) triples of ``solved``, each a matrix with eigenvalues and
-    orthonormal columns; raises past 1e−10·max|λ| over every triple, or
-    past 1e−10, since every downstream projection trusts them."""
+    orthonormal columns; raises past ``EIGEN_TOL``·max|λ| over every
+    triple, or past ``EIGEN_TOL``, since every downstream projection trusts
+    them."""
     max_res = ortho = scale = 0.0
     for g, lam, x in solved:
         res = np.linalg.norm(g @ x - x * lam[None, :], axis=0)
@@ -192,7 +196,7 @@ def _accuracy(solved) -> Tuple[float, float]:
         max_res = max(max_res, float(res.max(initial=0.0)))
         ortho = max(ortho, float(gram.max(initial=0.0)))
         scale = max(scale, float(np.max(np.abs(lam), initial=0.0)))
-    if max_res > 1e-10 * scale or ortho > 1e-10:
+    if max_res > EIGEN_TOL * scale or ortho > EIGEN_TOL:
         raise NumericError(
             "eigendecomposition accuracy contract violated",
             {"max_residual": max_res, "orthonormality": ortho, "scale": scale},
@@ -214,9 +218,9 @@ def eigendecompose(op: ChannelOperator, window: Tuple[float, float]) -> Spectral
     solve with another number raises ``NumericError`` naming the totals
     found and counted; a window too wide for Lanczos (2k ≥ the block's
     dimension) raises ``ConfigurationError``.  The pairs pass one accuracy
-    check on their blocks, residual ‖G_b x − λx‖ ≤ 1e−10·max|λ| and Gram
-    defect ≤ 1e−10, or ``NumericError``; in exact arithmetic these are the
-    W-norm residual and W-Gram defect of the eigenfields.  The vectors then
+    check on their blocks, residual ‖G_b x − λx‖ ≤ ``EIGEN_TOL``·max|λ| and
+    Gram defect ≤ ``EIGEN_TOL``, or ``NumericError``; in exact arithmetic
+    these are the W-norm residual and W-Gram defect of the eigenfields.  The vectors then
     map back once, by √2·``from_sectors``, as ‖u‖ = √2·‖ψ‖_W.
     """
     a, b = float(window[0]), float(window[1])
@@ -285,7 +289,6 @@ class MourreReport:
     n_states: int
     min_quotient: float
     eta: float  # ‖P_I (C − 𝟙) P_I‖, the compact-correction magnitude
-    passed: bool
     # the eigensolve behind P_I: pairs requested, largest residual and
     # Gram defect of the pairs it returned
     requested: int
@@ -298,8 +301,8 @@ def mourre_check(op: ChannelOperator, interval: Tuple[float, float]) -> MourreRe
 
     P_I is spanned by the eigenpairs of ``eigendecompose`` in [a, b].  The
     quotient matrix ⟨v_i, C v_j⟩_W is a Rayleigh–Ritz restriction, so its
-    smallest eigenvalue is the true minimum over the computed subspace.
-    PASS means that minimum is at least 1 − ``MOURRE_EPS``; η = ‖P_I(C − 𝟙)P_I‖ is
+    smallest eigenvalue is the true minimum over the computed subspace,
+    which the harness holds to 1 − ``MOURRE_EPS``; η = ‖P_I(C − 𝟙)P_I‖ is
     reported, not credited.  The interval must hold at least ten levels —
     a thinner window is below the discrete resolution — counted from the
     window's pairs, which ``eigendecompose`` has matched against the
@@ -326,33 +329,10 @@ def mourre_check(op: ChannelOperator, interval: Tuple[float, float]) -> MourreRe
         n_states=k,
         min_quotient=min_q,
         eta=eta,
-        passed=bool(min_q >= 1.0 - MOURRE_EPS),
         requested=dec.requested,
         max_residual=dec.max_residual,
         orthonormality_defect=dec.orthonormality_defect,
     )
-
-
-def mourre_refinement_study(
-    coarse: ChannelOperator,
-    fine: ChannelOperator,
-    interval: Tuple[float, float],
-) -> dict:
-    """Run the check at two resolutions and map the pair to a verdict.
-
-    The continuous estimate has no level-spacing artifacts; its discrete
-    shadow does.  A window whose PASS flips under refinement, or whose
-    quotient moves more than ``MOURRE_STABILITY``, is "inconclusive"
-    rather than failed.
-    """
-    rep_c = mourre_check(coarse, interval)
-    rep_f = mourre_check(fine, interval)
-    drift = abs(rep_f.min_quotient - rep_c.min_quotient)
-    if drift > MOURRE_STABILITY or rep_c.passed != rep_f.passed:
-        verdict = "inconclusive"
-    else:
-        verdict = "pass" if rep_f.passed else "fail"
-    return {"coarse": rep_c, "fine": rep_f, "quotient_drift": drift, "verdict": verdict}
 
 
 # ------------------------------------------------------ no-eigenvalue test
@@ -436,7 +416,7 @@ def no_eigenvalue_test(
         depth_difference=difference,
         condition=condition,
         integral_tail=tail,
-        invertible_limit=bool(difference <= _CONVERGE_TOL and condition <= _COND_LIMIT),
+        invertible_limit=bool(difference <= DEPTH_TOL and condition <= CONDITION_LIMIT),
         current_defect=defect,
         steps=steps,
     )

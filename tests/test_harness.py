@@ -14,11 +14,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from conftest import dense_blocks, drop_nearest_level
-from hypothesis import HealthCheck, given, note, seed, settings
+from hypothesis import HealthCheck, example, given, note, seed, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from adsdirac.channel import BoundaryCondition, free_operator
+from adsdirac.channel import BoundaryCondition, assemble_hamiltonian, free_operator
 import adsdirac.cli as cli
 from adsdirac.cli import build_parser, main
 from adsdirac.dynamics import check_step
@@ -30,6 +30,7 @@ from adsdirac.harness import (
     EXPERIMENTS,
     CheckLine,
     ConfigError,
+    ExperimentConfig,
     ExperimentResult,
     _packet,
     _tortoise_quadrature,
@@ -41,6 +42,8 @@ from adsdirac.scattering import _check_schedule, velocity_report
 from adsdirac.spectral import level_count
 
 MINIMAL = {"M": 1, "l": 1, "m": 1, "channel": [0.5, 0.5]}
+#: the scatter lines of the two wave operators and their pairing
+_WAVE_LINES = ("forward", "forward_tail", "backward", "backward_tail", "adjoint")
 #: keys the config no longer has: the Mourre and velocity verdict bounds
 #: and the main grid's graded triple
 _REMOVED_KEYS = (
@@ -502,6 +505,32 @@ class TestTortoiseQuadrature:
         assert 1e-6 < gap < 1e-5
 
 
+class TestCheckLine:
+    """A check line is one value held to one bound; its verdict and its
+    text derive from those."""
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @example(value=float("nan"), bound=1.0, relation="<=", note="")
+    @example(value=float("nan"), bound=1.0, relation=">=", note="")
+    @example(value=1.0, bound=float("nan"), relation="<=", note="")
+    @example(value=1.0, bound=float("nan"), relation=">=", note="")
+    @given(
+        value=st.floats(allow_infinity=False) | st.integers(-3, 3),
+        bound=st.floats(allow_infinity=False),
+        relation=st.sampled_from(["<=", ">="]),
+        note=st.text(max_size=12),
+    )
+    def test_passed_is_the_stated_comparison(self, value, bound, relation, note):
+        line = CheckLine("x", "the value", value, relation, bound, note)
+        if np.isnan(value) or np.isnan(bound):
+            assert not line.passed
+        else:
+            assert line.passed == (value <= bound if relation == "<=" else value >= bound)
+        shown = f"{value:.3e}" if isinstance(value, float) else str(value)
+        assert line.detail.startswith(f"the value = {shown} ({relation} {bound:g})")
+        assert line.detail.endswith(f"; {note}" if note else ")")
+
+
 class TestRun:
 
     def test_geometry_only_writes_one_csv_one_json(self, tmp_path):
@@ -724,9 +753,9 @@ class TestRun:
         (result,) = manifest.results
         assert result.error is None and result.status == "fail"
         checks = {c.name: c for c in result.checks}
-        assert sorted(checks) == ["free_quotient", "refinement", "window"]
-        for name in ("window", "refinement"):
-            assert not checks[name].passed
+        assert sorted(checks) == ["fine_window", "free_quotient", "refinement", "window"]
+        for name in ("window", "fine_window", "refinement"):
+            assert not checks[name].passed and np.isnan(checks[name].value)
             assert "holds only 0 levels" in checks[name].detail
         assert result.files == ["mourre.json"]
         scalars = json.loads((tmp_path / "mourre.json").read_text())["scalars"]
@@ -752,8 +781,8 @@ class TestRun:
         checks = {c.name: c for c in result.checks}
         assert sorted(checks) == ["asymptotic", "cone", "maximal", "minimal"]
         for check in checks.values():
-            assert not check.passed
-            assert check.detail == "velocity traces to t = 20 need x_min <= -26"
+            assert not check.passed and np.isnan(check.value)
+            assert check.detail.endswith("; velocity traces to t = 20 need x_min <= -26")
         assert sorted(result.files) == ["velocity.json", "velocity_traces.csv"]
         rows = (tmp_path / "velocity_traces.csv").read_text().splitlines()
         assert rows[-1] == "t,minimal,maximal,unit,cone,v"
@@ -762,18 +791,19 @@ class TestRun:
 
     def test_short_scatter_domain_fails_its_checks(self, tmp_path):
         # the forward packet at -4 (width 0.5) moves left for t = 16, so the
-        # default schedule needs x_min <= -23: forward, backward and adjoint
-        # FAIL lines saying so, where the free flow once raised, the trivial
-        # oracle on its own grid, and the increments file with its header only
+        # default schedule needs x_min <= -23: the forward, backward and
+        # adjoint lines unmeasured and saying so, where the free flow once
+        # raised, the trivial oracle on its own grid, and the increments
+        # file with its header only
         cfg = parse_config_dict({**MINIMAL, "grid": {"x_min": -16, "n": 256}})
         manifest = run(cfg, experiments=["scatter"], out=str(tmp_path))
         (result,) = manifest.results
         assert result.error is None and result.status == "fail"
         checks = {c.name: c for c in result.checks}
-        assert list(checks) == ["forward", "backward", "adjoint", "trivial"]
-        for name in ("forward", "backward", "adjoint"):
-            assert not checks[name].passed
-            assert checks[name].detail == "scatter to t = 16 needs x_min <= -23"
+        assert list(checks) == [*_WAVE_LINES, "trivial"]
+        for name in _WAVE_LINES:
+            assert not checks[name].passed and np.isnan(checks[name].value)
+            assert checks[name].detail.endswith("; scatter to t = 16 needs x_min <= -23")
         assert checks["trivial"].passed
         assert sorted(result.files) == ["scatter.json", "scatter_increments.csv"]
         rows = (tmp_path / "scatter_increments.csv").read_text().splitlines()
@@ -1006,7 +1036,10 @@ class TestRun:
         def stub(name):
             if name == "evolve":
                 raise RuntimeError("synthetic failure")
-            checks = [CheckLine("a", True, "one"), CheckLine("b", name != "mourre", "two")]
+            checks = [
+                CheckLine("a", "one", 0.0, "<=", 1.0),
+                CheckLine("b", "two", 2.0 if name == "mourre" else 0.5, "<=", 1.0),
+            ]
             return ExperimentResult(name, checks=checks)
 
         for name in EXPERIMENTS:
@@ -1023,13 +1056,15 @@ class TestRun:
             expected += [c.line(r.name) for c in r.checks]
         assert lines[:-1] == expected
         assert "[ERROR] evolve: RuntimeError: synthetic failure" in lines
-        assert "[pass] geometry.a: one" in lines and "[FAIL] mourre.b: two" in lines
+        assert "[pass] geometry.a: one = 0.000e+00 (<= 1)" in lines
+        assert "[FAIL] mourre.b: two = 2.000e+00 (<= 1)" in lines
         assert re.fullmatch(r"FAILURES present \(7 experiment\(s\), \d+\.\d s\)", lines[-1])
 
     def test_tables_are_written_before_the_json(self, tmp_path, monkeypatch):
         """A runner only returns its tables; one writer stamps each as CSV,
-        then writes ``<name>.json`` (dashes as underscores), and the
-        manifest lists the files in that order."""
+        then writes ``<name>.json`` (dashes as underscores) with each
+        check's value, relation, bound, verdict and text, and the manifest
+        lists the files in that order and keeps one verdict per check."""
         import adsdirac.harness as hn
 
         written = []
@@ -1040,9 +1075,11 @@ class TestRun:
             )
 
         def stub(cfg):
-            res = ExperimentResult(
-                "domain-exponent", checks=[CheckLine("a", True, "x")], scalars={"k": 1.5}
-            )
+            checks = [
+                CheckLine("a", "x", 0.5, "<=", 1.0, "why"),
+                CheckLine("b", "y", float("nan"), ">=", 0.0, "not run"),
+            ]
+            res = ExperimentResult("domain-exponent", checks=checks, scalars={"k": 1.5})
             res.tables["second.csv"] = (("t", "v"), [(1.0, 0.25), (2.0, 0.5)])
             res.tables["first.csv"] = (("k",), [])
             return res
@@ -1055,6 +1092,7 @@ class TestRun:
         assert manifest.results[0].files == order
         doc = json.loads((tmp_path / "manifest.json").read_text())
         assert doc["experiments"]["domain-exponent"]["files"] == order
+        assert doc["experiments"]["domain-exponent"]["checks"] == {"a": True, "b": False}
         stamp = [f"# config {cfg.digest}", f"# artifact {VERSION}"]
         assert (tmp_path / "second.csv").read_text().splitlines() == [
             *stamp, "t,v", "1,0.25", "2,0.5",
@@ -1062,7 +1100,114 @@ class TestRun:
         assert (tmp_path / "first.csv").read_text().splitlines() == [*stamp, "k"]
         report = json.loads((tmp_path / "domain_exponent.json").read_text())
         assert report["config"] == cfg.digest and report["scalars"] == {"k": 1.5}
-        assert report["checks"] == {"a": {"passed": True, "detail": "x"}}
+        checks = report["checks"]
+        assert checks["a"] == {
+            "value": 0.5, "relation": "<=", "bound": 1.0, "passed": True,
+            "detail": "x = 5.000e-01 (<= 1); why",
+        }
+        assert np.isnan(checks["b"].pop("value"))
+        assert checks["b"] == {
+            "relation": ">=", "bound": 0.0, "passed": False, "detail": "y = nan (>= 0); not run",
+        }
+
+    def test_manifest_keeps_one_verdict_per_check(self, tmp_path):
+        """On a real run of every experiment, unmeasured lines included,
+        the manifest maps each check to its verdict, a bool, and each
+        report's check records the same verdict next to its numbers."""
+        manifest = run(small_config(), experiments=EXPERIMENTS, out=str(tmp_path))
+        doc = json.loads((tmp_path / "manifest.json").read_text())
+        for result in manifest.results:
+            flags = doc["experiments"][result.name]["checks"]
+            assert flags == {c.name: c.passed for c in result.checks}
+            assert all(type(flag) is bool for flag in flags.values())
+            name = result.name.replace("-", "_") + ".json"
+            report = json.loads((tmp_path / name).read_text())["checks"]
+            assert sorted(report) == sorted(flags)
+            for check, entry in report.items():
+                assert sorted(entry) == ["bound", "detail", "passed", "relation", "value"]
+                assert entry["passed"] is flags[check]
+        assert not doc["experiments"]["scatter"]["checks"]["forward"]  # short domain
+
+
+class TestControls:
+    """Negative controls run through the harness lines: an input on which
+    a line must FAIL, next to one on which it passes."""
+
+    def test_short_schedule_fails_the_wave_lines(self, tmp_path):
+        """On (−32, 512) the schedule [1, 2, 3] stops while the increments
+        still rise, forward 0.085 → 0.508 and backward 0.984 → 1.493: both
+        final increments and both tails FAIL, each rule on its own line,
+        while the trivial oracle passes."""
+        cfg = parse_config_dict({
+            **MINIMAL, "grid": {"x_min": -32, "n": 512},
+            "options": {"scatter": {"schedule": [1, 2, 3]}},
+        })
+        (result,) = run(cfg, experiments=["scatter"], out=str(tmp_path)).results
+        checks = {c.name: c for c in result.checks}
+        for name in ("forward", "backward"):
+            assert not checks[name].passed and checks[name].value > 1e-2
+            assert not checks[f"{name}_tail"].passed and checks[f"{name}_tail"].value == 1
+        assert checks["trivial"].passed
+
+    @pytest.mark.parametrize("x_min,n", [(-12, 16), (-16, 16), (-12, 24)])
+    def test_free_flow_left_of_x_min_fails_the_wave_lines(self, tmp_path, x_min, n):
+        """The domain passes the reach guard, but on so coarse a grid the
+        free flow still samples data left of x_min: the wave lines are
+        unmeasured, with the mass outside in their note, and the
+        experiment records no error."""
+        cfg = parse_config_dict({
+            **MINIMAL, "grid": {"x_min": x_min, "n": n},
+            "options": {"scatter": {"schedule": [1, 2, 4]}},
+        })
+        (result,) = run(cfg, experiments=["scatter"], out=str(tmp_path)).results
+        assert result.error is None and result.status == "fail"
+        checks = {c.name: c for c in result.checks}
+        assert list(checks) == [*_WAVE_LINES, "trivial"]
+        for name in _WAVE_LINES:
+            assert not checks[name].passed and np.isnan(checks[name].value)
+            assert "free flow samples data left of x_min" in checks[name].detail
+            assert "mass_outside = " in checks[name].detail
+        assert checks["trivial"].passed
+        rows = (tmp_path / "scatter_increments.csv").read_text().splitlines()
+        assert rows[-1] == "t,forward_increment,backward_increment"
+
+    @pytest.mark.parametrize("speed,passes", [(1.0, True), (1.3, False)])
+    def test_faster_operator_fails_the_velocity_lines(self, tmp_path, monkeypatch, speed, passes):
+        """G scaled by 1.3 on (−26, 1024) carries content faster than light
+        and into the wall (W-mass 0.56 there): all four lines FAIL, where
+        the unscaled operator passes all four."""
+        exact = ExperimentConfig.operator
+
+        def scaled(self, grid=None):
+            op = exact(self, grid)
+            return dataclasses.replace(op, matrix=speed * op.matrix)
+
+        monkeypatch.setattr(ExperimentConfig, "operator", scaled)
+        cfg = parse_config_dict({**MINIMAL, "grid": {"x_min": -26, "n": 1024}})
+        (result,) = run(cfg, experiments=["velocity"], out=str(tmp_path)).results
+        assert {c.name: c.passed for c in result.checks} == dict.fromkeys(
+            ("minimal", "maximal", "cone", "asymptotic"), passes
+        )
+
+    def test_angular_well_fails_both_window_lines(self, tmp_path, monkeypatch):
+        """A Gaussian well of depth 40 added to A drives the localized
+        commutator negative on both grids: window and fine_window FAIL,
+        while the free operator's line passes."""
+        cm = CoordinateMap(make_params(1.0, 1.0, 1.0))
+
+        def well(x):
+            return cm.angular_factor_of_x(x) + 40.0 * np.exp(-((x + 3.0) ** 2)), cm.sqrtF_of_x(x)
+
+        monkeypatch.setattr(
+            ExperimentConfig, "operator",
+            lambda self, grid=None: assemble_hamiltonian(self.channel, self.params, grid, well),
+        )
+        cfg = parse_config_dict({**MINIMAL, "options": {"mourre": {"n": 320}}})
+        (result,) = run(cfg, experiments=["mourre"], out=str(tmp_path)).results
+        checks = {c.name: c for c in result.checks}
+        for name in ("window", "fine_window"):
+            assert not checks[name].passed and checks[name].value < 0.0
+        assert checks["free_quotient"].passed
 
 
 class TestCli:

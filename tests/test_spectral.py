@@ -38,7 +38,6 @@ from adsdirac.spectral import (
     eigendecompose,
     level_count,
     mourre_check,
-    mourre_refinement_study,
     no_eigenvalue_test,
 )
 
@@ -310,7 +309,7 @@ class TestWindowedEigendecompose:
         assert rep.requested < 4 * 8192
         assert rep.max_residual <= 1e-10 * WINDOW[1]
         assert rep.orthonormality_defect <= 1e-10
-        assert rep.passed
+        assert rep.min_quotient >= 1.0 - spectral.MOURRE_EPS
 
 
 class TestSectorBlocks:
@@ -411,14 +410,13 @@ class TestMourre:
         # i[Γ¹D, Γ¹x] = 𝟙 identically: the localized quotient is the Gram matrix
         assert rep.min_quotient == pytest.approx(1.0, abs=1e-9)
         assert rep.eta <= 1e-9
-        assert rep.passed
+        assert rep.min_quotient >= 1.0 - spectral.MOURRE_EPS
 
     def test_interacting_window_passes(self, sads_decomposition, monkeypatch):
         op, dec = sads_decomposition
         hand_in(monkeypatch, dec)
         rep = mourre_check(op, (0.5, 1.5))
         assert rep.n_states >= 30
-        assert rep.passed
         assert rep.min_quotient >= 1.0 - spectral.MOURRE_EPS
 
     def test_compact_correction_shrinks_on_nested_windows(
@@ -445,15 +443,15 @@ class TestMourre:
             mourre_check(op, (1.5, 0.5))
 
     def test_refinement_study_verdict(self):
+        # what the harness's window, fine_window and refinement lines read
         p = make_params(1.0, 1.0, 1.0)
-        study = mourre_refinement_study(
-            assemble_hamiltonian(CHANNEL, p, make_grid(-16.0, 320)),
-            assemble_hamiltonian(CHANNEL, p, make_grid(-16.0, 400)),
-            (0.5, 1.5),
+        coarse, fine = (
+            mourre_check(assemble_hamiltonian(CHANNEL, p, make_grid(-16.0, n)), (0.5, 1.5))
+            for n in (320, 400)
         )
-        assert study["verdict"] == "pass"
-        assert study["quotient_drift"] <= 0.05
-        assert study["coarse"].passed and study["fine"].passed
+        assert abs(fine.min_quotient - coarse.min_quotient) <= 0.05
+        for rep in (coarse, fine):
+            assert rep.min_quotient >= 1.0 - spectral.MOURRE_EPS
 
     def test_angular_well_fails(self):
         """Negative control: a Gaussian well of depth 40 added to A drives
@@ -468,12 +466,9 @@ class TestMourre:
         coarse, fine = (
             assemble_hamiltonian(CHANNEL, params, make_grid(-32.0, n), well) for n in (320, 640)
         )
-        study = mourre_refinement_study(coarse, fine, (0.5, 1.5))
-        for rep in (study["coarse"], study["fine"]):
+        for rep in (mourre_check(op, (0.5, 1.5)) for op in (coarse, fine)):
             assert rep.min_quotient < 0.0
             assert rep.min_quotient >= (1.0 - spectral.MOURRE_EPS) - rep.eta
-            assert not rep.passed
-        assert study["verdict"] == "fail"
 
 
 def _adaptive_propagation(lam, params, depth, x0=-1.0):
