@@ -5,38 +5,39 @@ A run is described by one JSON file.  Parsing walks one table,
 test demands: unknown keys are errors, a null is the same as a missing key,
 and defaults are filled in.  A short list of rules then ties keys together
 by handing the values to the modules that will consume them (parameters and
-channel, the grids, dt against the grid spacing, the wave packets), and the
-parsed config keeps the grid and the evolution settings those rules built.
-All complaints are aggregated into a single :class:`ConfigError` so a long
-run cannot die late on a typo.  Execution runs the selected experiments in
-up to ``threads`` worker processes started by ``fork`` (in this process
-when the width is 1) and collects them in a fixed order; each runner
-returns its check lines (each one value held to one bound), its scalars
-and its CSV tables, and one writer emits the tables, then a JSON file of
-the lines and scalars.  ``run`` prints nothing; the CLI prints the check
-lines.  Numeric outputs are byte-reproducible for identical configs: fixed
-float formatting, deterministic solvers.  Timing lives only in the
-manifest, which is the one file allowed to differ between reruns.
+channel, the grids, the wave packets on the configured grid), and the
+parsed config keeps the grid those rules built.  All complaints are
+aggregated into a single :class:`ConfigError` so a long run cannot die late
+on a typo.  Execution runs the selected experiments in up to ``threads``
+worker processes started by ``fork`` (in this process when the width is 1)
+and collects them in a fixed order; each runner returns its check lines
+(each one value held to one bound), its scalars and its CSV tables, and one
+writer emits the tables, then a JSON file of the lines and scalars.
+``run`` prints nothing; the CLI prints the check lines.  Numeric outputs
+are byte-reproducible for identical configs: fixed float formatting,
+deterministic solvers.  Timing lives only in the manifest, which is the one
+file allowed to differ between reruns.
 
 Config shape (only ``M``, ``l``, ``m``, ``channel`` are required; shown
-with the defaults, ``options`` abridged)::
+with the defaults, ``options`` without its empty blocks)::
 
     {
       "M": 1.0, "l": 1.0, "m": 1.0,
       "channel": [0.5, 0.5],
       "grid": {"x_min": -32.0, "n": 2048},
-      "evolution": {"dt": null, "t_final": 10.0, "snapshots": 5},
       "out": "runs",
       "seed": 0,
-      "options": {"scatter": {"schedule": [1, 2, 4, 8, 16], ...}, ...}
+      "options": {"scatter": {"schedule": [1, 2, 4, 8, 16]},
+                  "mourre": {"n": 640}, "spectrum": {"n": 640}}
     }
 
-``grid`` is uniform (only ``domain-exponent`` grades, from its own keys);
-``dt`` null is half the minimum spacing.  Verdict bounds are constants, not
-keys.  The boundary condition at the wall is the one the 2ml regime
-requires; every report records it.  The canonical form of a config is this
-tree with every default filled in, and its SHA-256 is the digest stamped
-into every report.
+``grid`` is uniform; ``evolve`` steps at half its minimum spacing.  What
+else an experiment reads (its packets, times, windows, trial energies,
+masses and the graded grid of ``domain-exponent``) is a private constant
+of this module, and so is every verdict bound.  The boundary condition at
+the wall is the one the 2ml regime requires; every report records it.  The
+canonical form of a config is this tree with every default filled in, and
+its SHA-256 is the digest stamped into every report.
 
 Every emitted number traces to a module operation; the harness itself only
 builds inputs, forwards them, and formats what comes back.
@@ -74,7 +75,6 @@ from adsdirac.dynamics import (
     EvolutionConfig,
     NumericError,
     chebyshev_propagate,
-    check_step,
     evolve,
     flushes_subnormals,
     free_propagate,
@@ -121,11 +121,35 @@ EXPERIMENTS: Tuple[str, ...] = (
     "domain-exponent",
 )
 
-#: the spinor of the runners' packets (the evolve default too):
-#: components 1 and 4, the two that move toward the wall
+#: the spinor of the runners' packets: components 1 and 4, the two that
+#: move toward the wall
 _PAIR = (1.0, 0.0, 0.0, 1.0)
+#: (centre, width) of each packet a runner starts from, each with the
+#: spinor ``_PAIR``; the parser builds every one on the configured grid
+_PACKETS = {
+    "evolve": (-4.0, 0.5),
+    "scatter": (-4.0, 0.5),  # φ, which Ω carries
+    "scatter target": (-2.5, 0.4),  # ψ, which W carries
+    "velocity": (-2.5, 0.25),
+}
+#: the snapshot times of ``evolve``'s flow, which runs to the last
+_EVOLVE_TIMES = (2.0, 4.0, 6.0, 8.0, 10.0)
+#: the trace times of ``velocity``
+_VELOCITY_TIMES = (4.0, 8.0, 12.0, 16.0, 20.0)
+#: the spectral window ``mourre`` tests, on ``mourre.n`` nodes and on this
+#: many times as many
+_MOURRE_WINDOW = (0.5, 1.5)
+_MOURRE_FINE_FACTOR = 2
 #: the levels ``spectrum`` solves for; the channel operators keep a gap at 0
 _SPECTRUM_WINDOW = (-1.0, 1.0)
+#: the trial energies of the no-eigenvalue sweep, and the depth X its probe
+#: integrates from (x = -X to x = -1)
+_SPECTRUM_LAMBDAS = (-2.0, -1.0, 0.0, 1.0, 2.0)
+_SPECTRUM_DEPTH = 20.0
+#: the masses ``domain-exponent`` fits, on its graded grid over (x_min, 0)
+_DOMAIN_MASSES = (1.0, 0.25)
+_DOMAIN_X_MIN = -24.0
+_DOMAIN_GRADING = BoundaryGraded(h_min=1e-3, ratio=1.1, h_max=0.05)
 _REQUIRED = object()  # the default of a key that must be given
 #: nodes of the Gauss–Legendre rule of the ``tortoise_quadrature`` check
 _TORTOISE_NODES = 40
@@ -159,15 +183,6 @@ def _numbers(v, size: Optional[int] = None) -> bool:
     )
 
 
-def _times(least: int):
-    """The test for at least ``least`` increasing positive times."""
-    return lambda v: (
-        _numbers(v) and len(v) >= least and v[0] > 0
-        and all(a < b for a, b in zip(v, v[1:]))
-    )
-
-
-_NUMBER = (_is_number, "a number")
 _POSITIVE = (lambda v: _is_number(v) and v > 0, "a positive number")
 _NEGATIVE = (lambda v: _is_number(v) and v < 0, "a negative number")
 _INTEGER = (_is_int, "an integer")
@@ -183,63 +198,24 @@ _SCHEMA: Dict = {
         "x_min": (-32.0, *_NEGATIVE),
         "n": (2048, *_INTEGER),
     },
-    "evolution": {
-        "dt": (None, *_POSITIVE),
-        "t_final": (10.0, *_POSITIVE),
-        "snapshots": (5, lambda v: _is_int(v) and v >= 1, "a positive integer"),
-    },
     "out": ("runs", lambda v: isinstance(v, str) and v != "", "a non-empty string"),
     # accepted and read by nothing since no check samples random fields
     "seed": (0, lambda v: _is_int(v) and v >= 0, "a non-negative integer"),
     "options": {
         "geometry": {},
-        "evolve": {
-            "center": (-4.0, *_NUMBER),
-            "width": (0.5, *_POSITIVE),
-            "components": (_PAIR, lambda v: _numbers(v, 4), "a list of four numbers"),
-        },
+        "evolve": {},
         "scatter": {
             "schedule": (
-                (1.0, 2.0, 4.0, 8.0, 16.0), _times(3),
+                (1.0, 2.0, 4.0, 8.0, 16.0),
+                lambda v: _numbers(v) and len(v) >= 3 and v[0] > 0
+                and all(a < b for a, b in zip(v, v[1:])),
                 "at least 3 increasing positive times",
             ),
-            "center": (-4.0, *_NUMBER),
-            "width": (0.5, *_POSITIVE),
-            "target_center": (-2.5, *_NUMBER),
-            "target_width": (0.4, *_POSITIVE),
         },
-        "velocity": {
-            "times": (
-                (4.0, 8.0, 12.0, 16.0, 20.0), _times(2),
-                "at least 2 increasing positive times",
-            ),
-            "center": (-2.5, *_NUMBER),
-            "width": (0.25, *_POSITIVE),
-        },
-        "mourre": {
-            "n": (640, *_INTEGER),
-            "fine_factor": (2, lambda v: _is_int(v) and v >= 2, "an integer >= 2"),
-            "interval": (
-                (0.5, 1.5), lambda v: _numbers(v, 2) and v[0] < v[1],
-                "two numbers [a, b] with a < b",
-            ),
-        },
-        "spectrum": {
-            "n": (640, *_INTEGER),
-            "lambdas": ((-2.0, -1.0, 0.0, 1.0, 2.0), _numbers, "a non-empty list of numbers"),
-            # the probe integrates from x = -depth to x = -1
-            "depth": (20.0, lambda v: _is_number(v) and v > 1, "a number > 1"),
-        },
-        "domain-exponent": {
-            "masses": (
-                (1.0, 0.25), lambda v: _numbers(v) and min(v) >= 0,
-                "a non-empty list of non-negative numbers",
-            ),
-            "h_min": (1e-3, *_POSITIVE),
-            "ratio": (1.1, *_POSITIVE),
-            "h_max": (0.05, *_POSITIVE),
-            "x_min": (-24.0, *_NEGATIVE),
-        },
+        "velocity": {},
+        "mourre": {"n": (640, *_INTEGER)},
+        "spectrum": {"n": (640, *_INTEGER)},
+        "domain-exponent": {},
     },
 }
 
@@ -283,30 +259,10 @@ def _walk(schema: Mapping, raw, where: str, errors: List[str]) -> Optional[Dict]
     return block
 
 
-def _graded_grid(block: Mapping) -> Grid:
-    """The domain-exponent grid; the parser builds it too, so the grid
-    module's rules decide at parse time."""
-    policy = BoundaryGraded(block["h_min"], block["ratio"], block["h_max"])
-    return make_grid(block["x_min"], policy=policy)
-
-
-def _packet(block: Mapping, grid: Grid, prefix: str = "") -> SpinorField:
-    """The packet an option block describes (``prefix`` picks the scatter
-    target); the parser builds each one on the configured grid."""
-    return gaussian_packet(
-        grid, block[prefix + "center"], block[prefix + "width"],
-        components=block.get("components", _PAIR),
-    )
-
-
-def _evolution(block: Mapping, grid: Grid) -> EvolutionConfig:
-    """The evolution block on ``grid``: dt null is half the minimum
-    spacing, and the snapshots are evenly spaced up to t_final."""
-    dt = block["dt"] if block["dt"] is not None else 0.5 * grid.min_spacing
-    check_step(dt, grid)
-    t_final = block["t_final"]
-    times = np.linspace(0.0, t_final, block["snapshots"] + 1)[1:]
-    return EvolutionConfig(dt=dt, t_final=t_final, snapshot_times=tuple(times.tolist()))
+def _packet(grid: Grid, name: str) -> SpinorField:
+    """The packet ``_PACKETS[name]`` on ``grid``."""
+    center, width = _PACKETS[name]
+    return gaussian_packet(grid, center, width, components=_PAIR)
 
 
 @dataclass(frozen=True)
@@ -322,7 +278,6 @@ class ExperimentConfig:
     params: Params
     channel: Channel
     grid: Grid
-    evolution: EvolutionConfig
     out: str
     seed: int
     options: Mapping[str, Mapping]
@@ -364,16 +319,11 @@ def parse_config_dict(data: Mapping) -> ExperimentConfig:
     params = rule("params", lambda: make_params(tree["M"], tree["l"], tree["m"]))
     channel = rule("channel", lambda: Channel(*tree["channel"]))
     grid = rule("grid", lambda: make_grid(tree["grid"]["x_min"], tree["grid"]["n"]))
-    evolution = None
     if grid is not None:
-        evolution = rule("evolution", lambda: _evolution(tree["evolution"], grid))
-        for name, prefix in (("evolve", ""), ("scatter", ""), ("scatter", "target_"),
-                             ("velocity", "")):
-            label = f"options.{name}: {prefix.replace('_', ' ')}packet"
-            rule(label, lambda: _packet(opts[name], grid, prefix))
+        for name in _PACKETS:
+            rule(f"grid: {name} packet", lambda: _packet(grid, name))
     for name in ("mourre", "spectrum"):
         rule(f"options.{name}: n", lambda: make_grid(tree["grid"]["x_min"], opts[name]["n"]))
-    rule("options.domain-exponent", lambda: _graded_grid(opts["domain-exponent"]))
     if errors:
         raise ConfigError(errors)
 
@@ -384,7 +334,6 @@ def parse_config_dict(data: Mapping) -> ExperimentConfig:
         params=params,
         channel=channel,
         grid=grid,
-        evolution=evolution,
         out=tree["out"],
         seed=tree["seed"],
         options=tree["options"],
@@ -491,9 +440,12 @@ class ExperimentResult:
 
     @property
     def status(self) -> str:
+        """"error" when the runner raised, "pass" when it wrote check lines
+        and each one passed, and "fail" otherwise: a run that checked
+        nothing has shown nothing."""
         if self.error is not None:
             return "error"
-        return "pass" if all(c.passed for c in self.checks) else "fail"
+        return "pass" if self.checks and all(c.passed for c in self.checks) else "fail"
 
 
 @dataclass
@@ -639,15 +591,18 @@ def _run_evolve(cfg: ExperimentConfig) -> ExperimentResult:
         )
     )
 
-    psi0 = _packet(cfg.options["evolve"], grid)
-    traj = evolve(op, psi0, cfg.evolution)
+    psi0 = _packet(grid, "evolve")
+    run_to = EvolutionConfig(
+        dt=0.5 * grid.min_spacing, t_final=_EVOLVE_TIMES[-1], snapshot_times=_EVOLVE_TIMES
+    )
+    traj = evolve(op, psi0, run_to)
     # the largest W-mass of the normalized state near x_min, as in velocity.json
     near_wall = grid.nodes < grid.x_min + WALL_DISTANCE
     wall_mass = max(grid.norm(f.values * near_wall) ** 2 for f in traj.fields) / psi0.norm() ** 2
     res.checks.append(
         CheckLine(
             "unitarity", "norm drift", traj.norm_drift, "<=", 1e-8,
-            f"over t = {cfg.evolution.t_final:g}",
+            f"over t = {run_to.t_final:g}",
         )
     )
 
@@ -714,8 +669,7 @@ def _run_scatter(cfg: ExperimentConfig) -> ExperimentResult:
     their note, and the increments table with its header only."""
     res = ExperimentResult("scatter")
     op = cfg.operator()
-    block = cfg.options["scatter"]
-    schedule = block["schedule"]
+    schedule = cfg.options["scatter"]["schedule"]
     columns = ("t", "forward_increment", "backward_increment")
 
     # Self-comparison: the interacting and comparison factors are the same
@@ -733,8 +687,8 @@ def _run_scatter(cfg: ExperimentConfig) -> ExperimentResult:
     )
     res.scalars = {"schedule": schedule, "trivial_max": triv_max, "bc": op.bc.value}
 
-    phi = _packet(block, cfg.grid)
-    psi = _packet(block, cfg.grid, "target_")
+    phi = _packet(cfg.grid, "scatter")
+    psi = _packet(cfg.grid, "scatter target")
     rises = f"rises among the last three increments (none if all <= {ROUNDING_FLOOR:g})"
 
     def lines(fwd_final, fwd_rises, bwd_final, bwd_rises, pairing, note=""):
@@ -750,7 +704,8 @@ def _run_scatter(cfg: ExperimentConfig) -> ExperimentResult:
         ]
 
     reach = schedule[-1] + max(
-        abs(block[p + "center"]) + 6.0 * block[p + "width"] for p in ("", "target_")
+        abs(center) + 6.0 * width
+        for center, width in (_PACKETS["scatter"], _PACKETS["scatter target"])
     )
     failure = None
     if abs(cfg.grid.x_min) < reach:
@@ -798,14 +753,14 @@ def _run_velocity(cfg: ExperimentConfig) -> ExperimentResult:
     res = ExperimentResult("velocity")
     grid = cfg.grid
     op = cfg.operator()
-    times = cfg.options["velocity"]["times"]
+    times = _VELOCITY_TIMES
     columns = ("t", "minimal", "maximal", "unit", "cone", "v")
     short = ""
     if abs(grid.x_min) < times[-1] + 6.0:
         short = f"velocity traces to t = {times[-1]:g} need x_min <= -{times[-1] + 6:g}"
         mn = mx = cone = v = math.nan
     else:
-        rep = velocity_report(_packet(cfg.options["velocity"], grid), times, op)
+        rep = velocity_report(_packet(grid, "velocity"), times, op)
         mn = float(rep.minimal_values[-1])
         mx = float(abs(rep.maximal_values[-1]))
         cone = float(rep.cone_fractions[-1])
@@ -858,10 +813,9 @@ def _run_mourre(cfg: ExperimentConfig) -> ExperimentResult:
     ``MOURRE_STABILITY``, plus the free operator on the coarse grid, where
     the quotient is exactly one."""
     res = ExperimentResult("mourre")
-    block = cfg.options["mourre"]
-    n, factor, interval = block["n"], block["fine_factor"], tuple(block["interval"])
+    n = cfg.options["mourre"]["n"]
     coarse_grid = make_grid(cfg.grid.x_min, n)
-    res.scalars = {"interval": list(interval), "eps": MOURRE_EPS}
+    res.scalars = {"interval": list(_MOURRE_WINDOW), "eps": MOURRE_EPS}
     # A window holding fewer than ten levels is below the discrete
     # resolution, and one centred on a level cannot be shift-inverted; the
     # ConfigurationError names the levels and becomes the note of an
@@ -869,11 +823,11 @@ def _run_mourre(cfg: ExperimentConfig) -> ExperimentResult:
     reports, failures = {}, {}
     for name, op in (
         ("coarse", cfg.operator(coarse_grid)),
-        ("fine", cfg.operator(make_grid(cfg.grid.x_min, factor * n))),
+        ("fine", cfg.operator(make_grid(cfg.grid.x_min, _MOURRE_FINE_FACTOR * n))),
         ("free", free_operator(coarse_grid)),
     ):
         try:
-            reports[name] = mourre_check(op, interval)
+            reports[name] = mourre_check(op, _MOURRE_WINDOW)
         except ConfigurationError as exc:
             failures[name] = str(exc)
 
@@ -882,7 +836,7 @@ def _run_mourre(cfg: ExperimentConfig) -> ExperimentResult:
         rep = reports.get(name)
         res.checks.append(
             CheckLine(
-                line, f"min quotient on {list(interval)}", quotient.get(name, math.nan),
+                line, f"min quotient on {list(_MOURRE_WINDOW)}", quotient.get(name, math.nan),
                 ">=", 1.0 - MOURRE_EPS,
                 f"η = {rep.eta:.4f}, {rep.n_states} states" if rep else failures[name],
             )
@@ -962,10 +916,9 @@ def _run_spectrum(cfg: ExperimentConfig) -> ExperimentResult:
     )
     res.checks.append(CheckLine("orthonormality", "defect", ortho, "<=", EIGEN_TOL, rejected))
 
-    lambdas, depth = cfg.options["spectrum"]["lambdas"], cfg.options["spectrum"]["depth"]
     sweep = []
-    for lam in lambdas:
-        rep = no_eigenvalue_test(lam, cfg.channel, params=cfg.params, depth=depth)
+    for lam in _SPECTRUM_LAMBDAS:
+        rep = no_eigenvalue_test(lam, cfg.channel, params=cfg.params, depth=_SPECTRUM_DEPTH)
         sweep.append(rep)
         res.checks += [
             CheckLine(f"no_eigenvalue[{lam:g}]", "depth difference", rep.depth_difference,
@@ -979,8 +932,8 @@ def _run_spectrum(cfg: ExperimentConfig) -> ExperimentResult:
         "window": list(_SPECTRUM_WINDOW),
         "requested": None if dec is None else dec.requested,
         "counts": counts,
-        "lambdas": lambdas,
-        "depth": depth,
+        "lambdas": list(_SPECTRUM_LAMBDAS),
+        "depth": _SPECTRUM_DEPTH,
         "conditions": [r.condition for r in sweep],
         "depth_differences": [r.depth_difference for r in sweep],
         "current_defects": [r.current_defect for r in sweep],
@@ -998,12 +951,10 @@ def _run_domain_exponent(cfg: ExperimentConfig) -> ExperimentResult:
     fit per mass, judged against the regime's expected exponent; the
     critical regime's slope carries no claim and is only recorded."""
     res = ExperimentResult("domain-exponent")
-    block = cfg.options["domain-exponent"]
-    masses = block["masses"]
-    grid = _graded_grid(block)
+    grid = make_grid(_DOMAIN_X_MIN, policy=_DOMAIN_GRADING)
 
     rows, walls = [], []
-    for mass in masses:
+    for mass in _DOMAIN_MASSES:
         p = make_params(cfg.params.M, cfg.params.l, mass)
         op = assemble_hamiltonian(cfg.channel, p, grid)
         rep = boundary_exponent_fit(op)
@@ -1024,8 +975,11 @@ def _run_domain_exponent(cfg: ExperimentConfig) -> ExperimentResult:
             ))
 
     res.scalars = {
-        "masses": masses,
-        "grading": {k: block[k] for k in ("h_min", "ratio", "h_max", "x_min")},
+        "masses": list(_DOMAIN_MASSES),
+        "grading": {
+            "x_min": _DOMAIN_X_MIN, "h_min": _DOMAIN_GRADING.h_min,
+            "ratio": _DOMAIN_GRADING.ratio, "h_max": _DOMAIN_GRADING.h_max,
+        },
         "slopes": [r.slope for _, _, r in rows],
         "targets": [r.target for _, _, r in rows],
         "wall_exponents": walls,  # what each wall row carries, null for the mirror

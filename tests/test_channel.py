@@ -32,6 +32,7 @@ from adsdirac.channel import (
 )
 from adsdirac.geometry import CoordinateMap, inverse_memo, make_params
 from adsdirac.grids import BoundaryGraded, SpinorField, gaussian_packet, make_grid
+from adsdirac import harness
 from adsdirac.harness import ExperimentConfig, _run_evolve, parse_config_dict
 from adsdirac.spectral import eigendecompose, level_count
 
@@ -444,10 +445,8 @@ class TestHermiticityBound:
         with its γ³γ⁵ partner so the flow still splits: the bound reads it
         in full and the ``hermiticity`` line fails, where 100 random field
         pairs read below the 1e-10 bound."""
-        cfg = parse_config_dict({
-            "M": 1, "l": 1, "m": 1, "channel": [0.5, 0.5],
-            "evolution": {"t_final": 0.5, "snapshots": 1},
-        })
+        monkeypatch.setattr(harness, "_EVOLVE_TIMES", (0.5,))
+        cfg = parse_config_dict({"M": 1, "l": 1, "m": 1, "channel": [0.5, 0.5]})
         j = cfg.grid.n // 2
         op = paired(cfg.operator(), 4 * j, 4 * j + 4, 1e-7)
         assert op.hermiticity_defect() >= 1e-7
@@ -457,13 +456,13 @@ class TestHermiticityBound:
         (line,) = [c for c in _run_evolve(cfg).checks if c.name == "hermiticity"]
         assert not line.passed and "defect = 1.000e-07" in line.detail
 
-    def test_desk_operator_has_no_rounding_defect(self):
+    def test_desk_operator_has_no_rounding_defect(self, monkeypatch):
         """With the exact reflection, the desk operator's S is Hermitian to
         the last bit, and the ``hermiticity`` line reads 0."""
+        monkeypatch.setattr(harness, "_EVOLVE_TIMES", (0.5,))
         cfg = parse_config_dict({
             "M": 1, "l": 1, "m": 1, "channel": [0.5, 0.5],
             "grid": {"x_min": -32.0, "n": 2048},
-            "evolution": {"t_final": 0.5, "snapshots": 1},
         })
         assert cfg.operator().hermiticity_defect() == 0.0
         (line,) = [c for c in _run_evolve(cfg).checks if c.name == "hermiticity"]

@@ -21,10 +21,10 @@ from scipy.integrate import quad
 from adsdirac.channel import BoundaryCondition, assemble_hamiltonian, free_operator
 import adsdirac.cli as cli
 from adsdirac.cli import build_parser, main
-from adsdirac.dynamics import check_step
 from adsdirac.geometry import CoordinateMap, Regime, inverse_memo, make_params, metric_factor
-from adsdirac.grids import BoundaryGraded, gaussian_packet, make_grid
+from adsdirac.grids import BoundaryGraded, make_grid
 from adsdirac import __version__ as VERSION
+from adsdirac import harness
 from adsdirac.harness import (
     _SCHEMA,
     EXPERIMENTS,
@@ -44,24 +44,27 @@ from adsdirac.spectral import level_count
 MINIMAL = {"M": 1, "l": 1, "m": 1, "channel": [0.5, 0.5]}
 #: the scatter lines of the two wave operators and their pairing
 _WAVE_LINES = ("forward", "forward_tail", "backward", "backward_tail", "adjoint")
-#: keys the config no longer has: the Mourre and velocity verdict bounds
-#: and the main grid's graded triple
+#: keys the config no longer has: the Mourre and velocity verdict bounds,
+#: the main grid's graded triple, and every value that only unit tests set
+#: (now a constant of ``harness``)
 _REMOVED_KEYS = (
     "options.mourre.eps", "options.mourre.stability", "options.velocity.delta",
     "options.velocity.eps", "options.velocity.cone_delta",
     "grid.h_min", "grid.ratio", "grid.h_max",
+    "evolution",  # the whole block: dt, t_final and snapshots
+    *(f"options.{name}.{key}" for name in ("evolve", "scatter", "velocity")
+      for key in ("center", "width")),
+    "options.evolve.components", "options.scatter.target_center", "options.scatter.target_width",
+    "options.velocity.times", "options.mourre.fine_factor", "options.mourre.interval",
+    "options.spectrum.lambdas", "options.spectrum.depth",
+    *(f"options.domain-exponent.{key}" for key in ("masses", "h_min", "ratio", "h_max", "x_min")),
 )
 
 
 def small_config(**extra):
     """A config whose experiments finish in well under a second."""
     data = dict(MINIMAL)
-    data.update(
-        {
-            "grid": {"x_min": -16.0, "n": 64},
-            "evolution": {"t_final": 1.0, "snapshots": 2},
-        }
-    )
+    data["grid"] = {"x_min": -16.0, "n": 64}
     data.update(extra)
     return parse_config_dict(data)
 
@@ -74,12 +77,10 @@ class TestConfigValidation:
         assert cfg.operator().bc == BoundaryCondition.NATURAL
         assert cfg.channel.coupling == 1.0
 
-    def test_keeps_the_grid_and_evolution_it_built(self):
-        cfg = parse_config_dict({**MINIMAL, "evolution": {"t_final": 2.0, "snapshots": 4}})
+    def test_keeps_the_grid_it_built(self):
+        cfg = parse_config_dict(MINIMAL)
         assert cfg.grid.n == 2048 and cfg.grid.x_min == -32.0
-        assert cfg.evolution.dt == 0.5 * cfg.grid.min_spacing
-        assert cfg.evolution.t_final == 2.0
-        assert cfg.evolution.snapshot_times == (0.5, 1.0, 1.5, 2.0)
+        assert cfg.grid is cfg.operator().grid
 
     def test_subcritical_selects_bag_rows(self):
         cfg = parse_config_dict({**MINIMAL, "m": 0.25})
@@ -103,15 +104,16 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("path", _REMOVED_KEYS)
     def test_removed_keys_are_unknown(self, path):
-        # the verdict bounds are constants, and only domain-exponent grades
+        # the verdict bounds and the values only unit tests set are
+        # constants, and only domain-exponent grades
         *blocks, key = path.split(".")
         data = {**MINIMAL}
         node = data
         for name in blocks:
             node = node.setdefault(name, {})
         node[key] = 0.2
-        where = ".".join(blocks)
-        with pytest.raises(ConfigError, match=f"{where}: unknown key '{key}'"):
+        where = f"{'.'.join(blocks)}: " if blocks else ""
+        with pytest.raises(ConfigError, match=f"{where}unknown key '{key}'"):
             parse_config_dict(data)
 
     def test_errors_aggregate(self):
@@ -192,18 +194,25 @@ class TestConfigValidation:
             {
                 **MINIMAL,
                 "options": {
-                    "mourre": {"n": 320, "fine_factor": 3, "interval": [0.5, 1.5]},
-                    "domain-exponent": {"h_min": 1e-2, "ratio": 1.2, "x_min": -12.0},
+                    "scatter": {"schedule": [1, 2, 4]},
+                    "mourre": {"n": 320},
+                    "spectrum": {"n": 160},
                 },
             }
         )
-        assert cfg.option("mourre", "fine_factor", 2) == 3
+        assert cfg.option("scatter", "schedule") == [1.0, 2.0, 4.0]
+        assert cfg.option("mourre", "n") == 320 and cfg.option("spectrum", "n") == 160
 
-    def test_bad_evolution_block(self):
-        # dt = 1.0 is more than half the default grid's spacing
-        for evolution in ({"dt": -0.1, "steps": 3}, {"dt": 1.0}):
-            with pytest.raises(ConfigError, match="evolution"):
-                parse_config_dict({**MINIMAL, "evolution": evolution})
+    def test_packets_that_underflow_are_rejected(self):
+        """On (−1e6, 0) with 16 cells no node comes near any fixed packet,
+        so each one is zero and cannot be normalized: the parser says so
+        for every packet, before anything runs."""
+        with pytest.raises(ConfigError) as err:
+            parse_config_dict({**MINIMAL, "grid": {"x_min": -1e6, "n": 16}})
+        assert err.value.errors == [
+            f"grid: {name} packet: cannot normalize the zero field"
+            for name in ("evolve", "scatter", "scatter target", "velocity")
+        ]
 
     def test_unknown_experiment_name(self):
         # the subcommand names the experiments; the config has no say
@@ -213,10 +222,8 @@ class TestConfigValidation:
             parse_config_dict({**MINIMAL, "experiments": ["geometry"]})
 
     def test_experiment_selection_keeps_canonical_order(self, tmp_path, monkeypatch):
-        import adsdirac.harness as hn
-
         for name in EXPERIMENTS:
-            monkeypatch.setitem(hn._RUNNERS, name, lambda cfg, name=name: (
+            monkeypatch.setitem(harness._RUNNERS, name, lambda cfg, name=name: (
                 ExperimentResult(name)
             ))
         selected = list(reversed(EXPERIMENTS))
@@ -265,7 +272,8 @@ class TestDigest:
     def test_canonical_fills_defaults(self):
         cfg = parse_config_dict(MINIMAL)
         assert cfg.canonical["grid"] == {"x_min": -32.0, "n": 2048}
-        assert cfg.canonical["evolution"]["t_final"] == 10.0
+        assert cfg.canonical["options"]["scatter"] == {"schedule": [1.0, 2.0, 4.0, 8.0, 16.0]}
+        assert cfg.canonical["options"]["velocity"] == {}
         assert cfg.canonical["seed"] == 0
 
 
@@ -273,8 +281,7 @@ class TestDigest:
         given = {
             **MINIMAL, "m": 0.25,
             "grid": {"x_min": -10, "n": 128},
-            "evolution": {"t_final": 2, "snapshots": 1},
-            "options": {"mourre": {"n": 320, "interval": [1, 2]}, "evolve": None},
+            "options": {"mourre": {"n": 320}, "scatter": {"schedule": [1, 2, 3]}, "evolve": None},
         }
         for data in (MINIMAL, given):
             cfg = parse_config_dict(data)
@@ -296,11 +303,10 @@ class TestDigest:
         spelled = {
             **MINIMAL,
             "grid": {"x_min": -32, "n": 2048},
-            "evolution": {"dt": None, "t_final": 10},
             "seed": 0,
             "options": {
                 "scatter": {"schedule": [1, 2, 4, 8, 16]},
-                "mourre": {"n": 640, "interval": [0.5, 1.5]},
+                "mourre": {"n": 640},
                 "geometry": {},
             },
         }
@@ -327,14 +333,8 @@ class TestDigest:
         assert parse_config_dict(data).digest == parse_config_dict(MINIMAL).digest
 
 
-_PACKET = {
-    "center": ((-4.0, -2, -12.0, 5.0), (1e6, "x")),  # 1e6: the packet underflows
-    "width": ((0.5, 0.25, 1e-2), (0, -1)),
-}
-
 #: key path → (valid values, type and range violations); grids stay at
-#: n <= 256, the domain-exponent one at a few thousand nodes at most; a
-#: removed key has no valid value
+#: n <= 256; a removed key has no valid value
 _VALUES = {
     "M": ((1, 1.0, 2.5), (0, "x", True)),
     "l": ((1, 0.5), (-1.0, float("nan"))),
@@ -347,36 +347,18 @@ _VALUES = {
     "grid.h_min": ((), (0.05, -1)),
     "grid.ratio": ((), (1.1, 1.5)),
     "grid.h_max": ((), (0.2, 0.01)),
-    "evolution.dt": ((None, 0.01, 1e-4), (100.0, -0.1, "x")),  # 100 > any h/2
-    "evolution.t_final": ((1.0, 5), (0, float("inf"), "x")),
-    "evolution.snapshots": ((1, 3), (0, 2.5)),
     "experiments": ((), (["all"], ["geometry", "mourre"])),
     "out": (("runs", "elsewhere"), ("", 3)),
     "seed": ((0, 7), (-1, True)),
     "options.geometry.typo": ((), (1,)),
-    "options.evolve.components": (([1, 0, 0, 1], [0, 1, 0, 0]), ([0, 0, 0, 0], [1, 0], "x")),
-    **{f"options.{name}.{key}": values
-       for name in ("evolve", "scatter", "velocity") for key, values in _PACKET.items()},
-    "options.scatter.target_center": _PACKET["center"],
-    "options.scatter.target_width": _PACKET["width"],
     "options.scatter.schedule": (([1, 2, 4], [0.5, 1, 2, 3]), ([1], [3, 2, 1], [0, 1, 2], "abc")),
-    "options.velocity.times": (([4, 8], [1, 2, 3]), ([40], [2, 1], [-1, 2])),
     "options.velocity.delta": ((), (0.2, 0.7)),
     "options.velocity.eps": ((), (0.2, -0.1)),
     "options.velocity.cone_delta": ((), (0.25, 1.0)),
     "options.mourre.n": ((16, 64), (8, 320.0, "abc")),
-    "options.mourre.fine_factor": ((2, 3), (1, 2.0)),
-    "options.mourre.interval": (([0.5, 1.5], [-1, 1]), ([1.5, 0.5], [0.5], [0.5, "1.5"])),
     "options.mourre.eps": ((), (0.5, 1.0)),
     "options.mourre.stability": ((), (0.05, -1)),
     "options.spectrum.n": ((16, 64), (8, "x")),
-    "options.spectrum.lambdas": (([0.0], [-1, 1]), ([], "x")),
-    "options.spectrum.depth": ((5.0, 20), (1, -1)),
-    "options.domain-exponent.masses": (([1.0, 0.25], [0]), ([], [-1], "x")),
-    "options.domain-exponent.h_min": ((0.05, 0.02), (-1e-3, "x")),
-    "options.domain-exponent.ratio": ((1.0, 1.1), (1.5,)),
-    "options.domain-exponent.h_max": ((0.2, 0.5), (1e-4,)),
-    "options.domain-exponent.x_min": ((-8.0, -24.0), (1.0,)),
 }
 
 
@@ -387,7 +369,7 @@ def _configs(draw):
 
     The physics keys, ``grid.x_min`` and ``grid.n`` are always given; any
     other key only sometimes.  Rules that tie keys together (index rule,
-    dt against the spacing) can still reject such a config."""
+    the packets on the grid) can still reject such a config."""
     faults = draw(st.sets(st.sampled_from(sorted(_VALUES)), max_size=2))
     data: dict = {}
     for path, (good, bad) in _VALUES.items():
@@ -408,38 +390,16 @@ def _configs(draw):
 
 
 def _build_inputs(cfg):
-    """Every input the selected experiments build before they compute,
-    through the consuming modules' own constructors and checks."""
+    """Every input the experiments build from the config before they
+    compute, through the consuming modules' own constructors and checks."""
     opts = cfg.options
-    grid = cfg.grid
-    check_step(cfg.evolution.dt, grid)
-    assert len(cfg.evolution.snapshot_times) == cfg.canonical["evolution"]["snapshots"]
-    for name, prefix, components in (
-        ("evolve", "", opts["evolve"]["components"]),
-        ("scatter", "", (1, 0, 0, 1)),
-        ("scatter", "target_", (1, 0, 0, 1)),
-        ("velocity", "", (1, 0, 0, 1)),
-    ):
-        block = opts[name]
-        gaussian_packet(
-            grid, block[prefix + "center"], block[prefix + "width"], components=components
-        )
+    for name in harness._PACKETS:
+        _packet(cfg.grid, name)
     _check_schedule(opts["scatter"]["schedule"])
-    times = np.asarray(opts["velocity"]["times"])
-    assert times.size >= 2 and times[0] > 0 and np.all(np.diff(times) > 0)
-    mourre = opts["mourre"]
-    make_grid(cfg.grid.x_min, mourre["n"])
-    make_grid(cfg.grid.x_min, mourre["fine_factor"] * mourre["n"])
-    assert mourre["interval"][0] < mourre["interval"][1]
-    spectrum = opts["spectrum"]
-    make_grid(cfg.grid.x_min, spectrum["n"])
-    assert spectrum["depth"] > 1
-    graded = opts["domain-exponent"]
-    make_grid(
-        graded["x_min"],
-        policy=BoundaryGraded(graded["h_min"], graded["ratio"], graded["h_max"]),
-    )
-    for mass in graded["masses"]:
+    make_grid(cfg.grid.x_min, opts["mourre"]["n"])
+    make_grid(cfg.grid.x_min, harness._MOURRE_FINE_FACTOR * opts["mourre"]["n"])
+    make_grid(cfg.grid.x_min, opts["spectrum"]["n"])
+    for mass in harness._DOMAIN_MASSES:
         make_params(cfg.params.M, cfg.params.l, mass)
 
 
@@ -562,12 +522,10 @@ class TestRun:
             ).read_bytes()
 
     def test_module_error_aborts_only_that_experiment(self, tmp_path, monkeypatch):
-        import adsdirac.harness as hn
-
         def boom(cfg):
             raise RuntimeError("synthetic failure")
 
-        monkeypatch.setitem(hn._RUNNERS, "evolve", boom)
+        monkeypatch.setitem(harness._RUNNERS, "evolve", boom)
         cfg = small_config()
         manifest = run(
             cfg, experiments=["geometry", "evolve"], out=str(tmp_path)
@@ -582,9 +540,7 @@ class TestRun:
         assert doc["all_passed"] is False
 
     def test_pool_collection_is_order_deterministic(self, tmp_path):
-        cfg = small_config(
-            options={"spectrum": {"n": 64, "lambdas": [0.0], "depth": 5.0}}
-        )
+        cfg = small_config(options={"spectrum": {"n": 64}})
         manifest = run(
             cfg,
             experiments=["spectrum", "geometry"],
@@ -616,17 +572,15 @@ class TestRun:
     def test_experiments_run_on_one_blas_thread(self, tmp_path, monkeypatch, threads):
         """In this process and in the workers every OpenBLAS runs one thread
         during the run, and gets its count back after."""
-        import adsdirac.harness as hn
-
-        controls = hn._openblas_thread_controls()
+        controls = harness._openblas_thread_controls()
         if not controls:
             pytest.skip("no OpenBLAS found in this process")
 
         def probe(cfg):
-            counts = [get() for get, _ in hn._openblas_thread_controls()]
+            counts = [get() for get, _ in harness._openblas_thread_controls()]
             return ExperimentResult("geometry", scalars={"counts": counts})
 
-        monkeypatch.setitem(hn._RUNNERS, "geometry", probe)
+        monkeypatch.setitem(harness._RUNNERS, "geometry", probe)
         before = [get() for get, _ in controls]
         try:
             for _, put in controls:
@@ -675,8 +629,6 @@ class TestRun:
         """``mourre``'s worker exits once ``geometry`` is done; ``spectrum``,
         running on the other worker when the pool breaks, errors too, and
         ``geometry`` keeps its result."""
-        import adsdirac.harness as hn
-
         def die(cfg):
             deadline = time.monotonic() + 30.0
             while not (tmp_path / "geometry.json").exists() and time.monotonic() < deadline:
@@ -684,8 +636,8 @@ class TestRun:
             time.sleep(0.5)
             os._exit(3)
 
-        monkeypatch.setitem(hn._RUNNERS, "mourre", die)
-        monkeypatch.setitem(hn._RUNNERS, "spectrum", lambda cfg: time.sleep(60))
+        monkeypatch.setitem(harness._RUNNERS, "mourre", die)
+        monkeypatch.setitem(harness._RUNNERS, "spectrum", lambda cfg: time.sleep(60))
         manifest = run(
             small_config(),
             experiments=["geometry", "mourre", "spectrum"],
@@ -700,10 +652,9 @@ class TestRun:
             assert doc["experiments"][name]["error"].startswith("BrokenProcessPool: ")
         assert [r.status for r in manifest.results] == ["pass", "error", "error"]
 
-    def test_spectrum_records_the_sweep_counters(self, tmp_path):
-        cfg = small_config(
-            options={"spectrum": {"n": 64, "lambdas": [-1.0, 0.0, 4.0], "depth": 20.0}}
-        )
+    def test_spectrum_records_the_sweep_counters(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(harness, "_SPECTRUM_LAMBDAS", (-1.0, 0.0, 4.0))
+        cfg = small_config(options={"spectrum": {"n": 64}})
         manifest = run(cfg, experiments=["spectrum"], out=str(tmp_path))
         assert manifest.all_passed
         scalars = json.loads((tmp_path / "spectrum.json").read_text())["scalars"]
@@ -747,8 +698,9 @@ class TestRun:
             assert solve["max_residual"] <= 1e-10 * 1.5
             assert solve["orthonormality_defect"] <= 1e-10
 
-    def test_thin_mourre_window_fails_with_its_level_count(self, tmp_path):
-        cfg = small_config(options={"mourre": {"n": 64, "interval": [100, 101]}})
+    def test_thin_mourre_window_fails_with_its_level_count(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(harness, "_MOURRE_WINDOW", (100.0, 101.0))
+        cfg = small_config(options={"mourre": {"n": 64}})
         manifest = run(cfg, experiments=["mourre"], out=str(tmp_path))
         (result,) = manifest.results
         assert result.error is None and result.status == "fail"
@@ -761,9 +713,10 @@ class TestRun:
         scalars = json.loads((tmp_path / "mourre.json").read_text())["scalars"]
         assert scalars["interval"] == [100, 101]
 
-    def test_mourre_window_centred_on_a_level_fails_its_checks(self, tmp_path):
+    def test_mourre_window_centred_on_a_level_fails_its_checks(self, tmp_path, monkeypatch):
         # the free operator has levels at 0, the centre of [-0.5, 0.5]
-        cfg = small_config(options={"mourre": {"n": 64, "interval": [-0.5, 0.5]}})
+        monkeypatch.setattr(harness, "_MOURRE_WINDOW", (-0.5, 0.5))
+        cfg = small_config(options={"mourre": {"n": 64}})
         manifest = run(cfg, experiments=["mourre"], out=str(tmp_path))
         (result,) = manifest.results
         assert result.error is None and result.status == "fail"
@@ -811,12 +764,13 @@ class TestRun:
         doc = json.loads((tmp_path / "scatter.json").read_text())
         assert sorted(doc["scalars"]) == ["bc", "schedule", "trivial_max"]
 
-    def test_free_mourre_window_on_the_configured_domain(self, tmp_path):
+    def test_free_mourre_window_on_the_configured_domain(self, tmp_path, monkeypatch):
         # on x_min = -32 the free window [0.5, 0.9] holds as many levels as
         # the interacting one; on a fixed (-16, 0) it held half, too few
+        monkeypatch.setattr(harness, "_MOURRE_WINDOW", (0.5, 0.9))
         cfg = parse_config_dict({
             **MINIMAL, "grid": {"x_min": -32, "n": 256},
-            "options": {"mourre": {"n": 320, "interval": [0.5, 0.9]}},
+            "options": {"mourre": {"n": 320}},
         })
         manifest = run(cfg, experiments=["mourre"], out=str(tmp_path))
         (result,) = manifest.results
@@ -837,11 +791,11 @@ class TestRun:
         assert rows[-3] == "t,forward_increment,backward_increment"
         assert [float(r.split(",")[0]) for r in rows[-2:]] == pytest.approx([1.001, 2])
 
-    def test_scatter_and_velocity_record_propagator_counters(self, tmp_path):
+    def test_scatter_and_velocity_record_propagator_counters(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(harness, "_VELOCITY_TIMES", (1.0, 2.0, 4.0))
         cfg = parse_config_dict({
             **MINIMAL, "grid": {"x_min": -16, "n": 128},
-            "options": {"scatter": {"schedule": [1, 2, 3]},
-                        "velocity": {"times": [1, 2, 4]}},
+            "options": {"scatter": {"schedule": [1, 2, 3]}},
         })
         manifest = run(cfg, experiments=["scatter", "velocity"], out=str(tmp_path))
         assert all(r.error is None for r in manifest.results)
@@ -858,7 +812,7 @@ class TestRun:
             assert 0.0 <= scalars["norm_drift"] <= 1e-12
         # the velocity run's largest mass next to x_min, as its report reads it
         velocity = json.loads((tmp_path / "velocity.json").read_text())["scalars"]
-        phi = _packet(cfg.options["velocity"], cfg.grid)
+        phi = _packet(cfg.grid, "velocity")
         assert velocity["wall_mass"] == velocity_report(phi, [1, 2, 4], cfg.operator()).wall_mass
 
     def test_trivial_oracle_fails_on_a_lagging_pullback(self, tmp_path, monkeypatch):
@@ -949,8 +903,6 @@ class TestRun:
         """Negative control for criterion 4: the free operator without its
         right-wall closure block (a zero ghost at x = 0) reflects the packet
         into the wrong components, and both oracle lines must FAIL."""
-        import adsdirac.harness as hn
-
         def open_wall(grid):
             op = free_operator(grid)
             matrix = op.matrix.tolil()
@@ -960,7 +912,7 @@ class TestRun:
             matrix[last] = 0.0
             return dataclasses.replace(op, matrix=matrix.tocsc())
 
-        monkeypatch.setattr(hn, "free_operator", open_wall)
+        monkeypatch.setattr(harness, "free_operator", open_wall)
         manifest = run(small_config(), experiments=["evolve"], out=str(tmp_path))
         (result,) = manifest.results
         assert result.error is None and result.status == "fail"
@@ -984,9 +936,9 @@ class TestRun:
             return lam + 1e-6, vec * (1.0 + 1e-6)
 
         monkeypatch.setattr(sla, "eigh", bad_eigh)
-        cfg = small_config(
-            options={"spectrum": {"n": 64, "lambdas": [0.0], "depth": 5.0}}
-        )
+        monkeypatch.setattr(harness, "_SPECTRUM_LAMBDAS", (0.0,))
+        monkeypatch.setattr(harness, "_SPECTRUM_DEPTH", 5.0)
+        cfg = small_config(options={"spectrum": {"n": 64}})
         manifest = run(cfg, experiments=["spectrum"], out=str(tmp_path))
         (result,) = manifest.results
         assert result.status == "fail"
@@ -1008,9 +960,9 @@ class TestRun:
         inertia counts in [−1, 1]; both lines must FAIL carrying the two
         numbers while the sweep still runs."""
         drop_nearest_level(monkeypatch)
-        cfg = small_config(
-            options={"spectrum": {"n": 64, "lambdas": [0.0], "depth": 5.0}}
-        )
+        monkeypatch.setattr(harness, "_SPECTRUM_LAMBDAS", (0.0,))
+        monkeypatch.setattr(harness, "_SPECTRUM_DEPTH", 5.0)
+        cfg = small_config(options={"spectrum": {"n": 64}})
         manifest = run(cfg, experiments=["spectrum"], out=str(tmp_path))
         (result,) = manifest.results
         assert result.status == "fail"
@@ -1031,8 +983,6 @@ class TestRun:
         """``run`` prints nothing; ``main`` prints an [ERROR] line per
         errored experiment and a line per check of the manifest it gets
         back, then the summary line."""
-        import adsdirac.harness as hn
-
         def stub(name):
             if name == "evolve":
                 raise RuntimeError("synthetic failure")
@@ -1043,7 +993,7 @@ class TestRun:
             return ExperimentResult(name, checks=checks)
 
         for name in EXPERIMENTS:
-            monkeypatch.setitem(hn._RUNNERS, name, lambda cfg, name=name: stub(name))
+            monkeypatch.setitem(harness._RUNNERS, name, lambda cfg, name=name: stub(name))
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(MINIMAL))
         manifest = run(parse_config(path), experiments=EXPERIMENTS, out=str(tmp_path / "a"))
@@ -1065,13 +1015,11 @@ class TestRun:
         then writes ``<name>.json`` (dashes as underscores) with each
         check's value, relation, bound, verdict and text, and the manifest
         lists the files in that order and keeps one verdict per check."""
-        import adsdirac.harness as hn
-
         written = []
         for writer in ("write_csv", "write_json"):
-            real = getattr(hn, writer)
+            real = getattr(harness, writer)
             monkeypatch.setattr(
-                hn, writer, lambda path, *rest, real=real: written.append(path.name) or real(path, *rest)
+                harness, writer, lambda path, *rest, real=real: written.append(path.name) or real(path, *rest)
             )
 
         def stub(cfg):
@@ -1084,7 +1032,7 @@ class TestRun:
             res.tables["first.csv"] = (("k",), [])
             return res
 
-        monkeypatch.setitem(hn._RUNNERS, "domain-exponent", stub)
+        monkeypatch.setitem(harness._RUNNERS, "domain-exponent", stub)
         cfg = small_config()
         manifest = run(cfg, experiments=["domain-exponent"], out=str(tmp_path))
         order = ["second.csv", "first.csv", "domain_exponent.json"]
@@ -1235,13 +1183,11 @@ class TestCli:
         code = main(["geometry", "--config", str(tmp_path / "absent.json")])
         assert code == 2
 
-    def test_failing_check_exit_one(self, tmp_path, capsys):
+    def test_failing_check_exit_one(self, tmp_path, capsys, monkeypatch):
         # sub-cell grading cannot see the wall exponent; the fit misses
         # its target and the exit code must say so
-        path = self.write(
-            tmp_path,
-            {**MINIMAL, "options": {"domain-exponent": {"h_min": 0.02}}},
-        )
+        monkeypatch.setattr(harness, "_DOMAIN_GRADING", BoundaryGraded(0.02, 1.1, 0.05))
+        path = self.write(tmp_path, MINIMAL)
         code = main(
             ["domain-exponent", "--config", path, "--out", str(tmp_path / "out")]
         )
@@ -1300,7 +1246,12 @@ class TestCli:
             assert args.experiment == name
 
     def test_status_property(self):
+        # a run that wrote no check line has shown nothing, so it fails
         r = ExperimentResult("x")
+        assert r.status == "fail"
+        r.checks.append(CheckLine("a", "one", 0.0, "<=", 1.0))
         assert r.status == "pass"
+        r.checks.append(CheckLine("b", "two", 2.0, "<=", 1.0))
+        assert r.status == "fail"
         r.error = "boom"
         assert r.status == "error"
