@@ -134,7 +134,7 @@ def horizon_radius(M: float, l: float) -> float:
         raise ValueError("require M > 0 and l > 0")
     s = math.sqrt(M * M * l**4 + l**6 / 27.0)
     r = float(np.cbrt(M * l * l + s) + np.cbrt(M * l * l - s))
-    # one Newton polish on F (the cube roots lose a couple of ulps)
+    # two Newton steps on F polish the root (the cube roots lose a couple of ulps)
     for _ in range(2):
         r -= float(metric_factor(r, M, l) / metric_factor_deriv(r, M, l))
     return r

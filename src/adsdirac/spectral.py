@@ -1,6 +1,6 @@
 """Discrete spectral experiments.
 
-Three numerical shadows of the channel operator's spectral theory:
+Four numerical shadows of the channel operator's spectral theory:
 
 * ``level_count`` and ``eigendecompose`` — the weighted symmetric
   eigenproblem.  H is self-adjoint in ⟨u, v⟩_W = Σ_j w_j u(x_j)†v(x_j), so
@@ -24,12 +24,12 @@ Three numerical shadows of the channel operator's spectral theory:
   spectrum: after the phase rotation e^{iλγ⁰γ¹x}, a putative eigenfunction
   satisfies w′ = W(x)w with ∫‖W‖ finite (exponential horizon decay), so
   the propagation matrix from depth −X has an invertible limit and no
-  nonzero solution can decay at −∞.  The 4×4 propagation matrix comes
-  from one sweep of a fourth-order Gauss–Magnus integrator on a graded
-  fixed-step mesh, with W at every Gauss point from one vectorized
-  coordinate inverse; it keeps the conserved current Φ†Γ¹Φ = Γ¹ to
-  rounding.  The harness holds ‖Φ_X − Φ_{2X}‖₂ to ``DEPTH_TOL`` and
-  cond₂ Φ_X to ``CONDITION_LIMIT``, a line each.
+  nonzero solution can decay at −∞.  W commutes with γ³γ⁵, so Φ is two
+  2×2 sector blocks, from one sweep of a fourth-order Gauss–Magnus
+  integrator on a graded fixed-step mesh, with W at every Gauss point from
+  one vectorized coordinate inverse and each exponential in closed form;
+  it keeps Φ†Γ¹Φ = Γ¹ to rounding.  The harness holds ‖Φ_X − Φ_{2X}‖₂ to
+  ``DEPTH_TOL`` and cond₂ Φ_X to ``CONDITION_LIMIT``, a line each.
 * ``boundary_exponent_fit`` — the wall behavior of domain elements probed
   through the resolvent: solve (H − z)u = f as (G − z)y = PW^{1/2}f, and
   fit log‖u‖ against log(−x) on a boundary-graded tail.
@@ -47,7 +47,8 @@ import scipy.sparse.linalg as spla
 
 from .algebra import ANGULAR, Channel, MASS, VELOCITY
 from .channel import (
-    ChannelOperator, ConfigurationError, commutator_closed_form, from_sectors, to_sectors
+    ChannelOperator, ConfigurationError, _sector_form, commutator_closed_form, from_sectors,
+    to_sectors,
 )
 from .dynamics import NumericError
 from .geometry import CoordinateMap, Params, Regime
@@ -86,7 +87,8 @@ _NEGLIGIBLE = 1e-13
 _CHUNK = 4096
 #: two-point Gauss–Legendre nodes on [0, 1]
 _GAUSS = 0.5 + np.array([-1.0, 1.0]) * math.sqrt(3.0) / 6.0
-_DIAG = (np.arange(4), np.arange(4))
+#: Γ¹, ANGULAR and MASS in sector form, (sector, 2, 2): W is two 2×2 blocks
+_VELOCITY, _ANGULAR, _MASS = (_sector_form(t, "sweep") for t in (VELOCITY, ANGULAR, MASS))
 #: a pivot eigenvalue below _ROOT_EPS·max|G_ij| of its sector block is zero
 _ROOT_EPS = math.sqrt(np.finfo(float).eps)
 
@@ -343,46 +345,38 @@ class NoEigenvalueReport:
     condition: float  # cond₂ Φ_X
     integral_tail: float  # ∫_{−2X}^{−X} ‖W‖ dx
     invertible_limit: bool
-    # max|Φ†Γ¹Φ − Γ¹| over Φ_X and Φ_{2X}: the flow conserves the current
+    # max|Φ†Γ¹Φ − Γ¹| over the sector blocks of Φ_X and Φ_{2X}: the current
     current_defect: float
     steps: int  # Magnus steps of the sweep over [−2X, x₀]
 
 
 def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Products a_k·b_k of two stacks of 4×4 matrices laid out (4, 4, n),
-    as four broadcast products over n instead of n small matrix products."""
-    return sum(a[:, j, None] * b[None, j] for j in range(4))
+    """Products a_k·b_k of two stacks of 2×2 matrices laid out (..., 2, 2, n),
+    as two broadcast products over n instead of n small matrix products."""
+    return sum(a[..., :, j, None, :] * b[..., None, j, :, :] for j in range(2))
 
 
-def _expm(omega: np.ndarray) -> np.ndarray:
-    """e^Ω for a (4, 4, n) stack: every Ω scaled by the same 2^−s to
-    ‖Ω‖₁ ≤ 1/2, the Taylor series (Horner) up to the first degree whose
-    next term is below 1e-17, then s squarings."""
-    theta = float(np.abs(omega).sum(axis=0).max())
-    s = math.ceil(math.log2(2.0 * theta)) if theta > 0.5 else 0
-    omega = omega / 2.0**s
-    theta /= 2.0**s
-    degree, term = 1, 0.5 * theta * theta
-    while term > 1e-17:
-        degree += 1
-        term *= theta / (degree + 1)
-    flow = omega / degree
-    flow[_DIAG] += 1.0
-    for k in range(degree - 1, 0, -1):
-        flow = _mul(omega, flow) / k
-        flow[_DIAG] += 1.0
-    for _ in range(s):
-        flow = _mul(flow, flow)
-    return flow
+def _exp2x2(omega: np.ndarray) -> np.ndarray:
+    """e^Ω for a (..., 2, 2, n) stack in closed form: μ = tr Ω/2 and
+    q² = μ² − det Ω give (Ω − μ𝟙)² = q²𝟙, so e^Ω = e^μ[cosh q·𝟙 +
+    (sinh q/q)(Ω − μ𝟙)], both even in q, with sinh q/q = sinc(iq/π)."""
+    mu = 0.5 * (omega[..., 0, 0, :] + omega[..., 1, 1, :])
+    q = np.sqrt((omega[..., 0, 0, :] - mu) ** 2 + omega[..., 0, 1, :] * omega[..., 1, 0, :])
+    sinc = np.sinc(1j * q / np.pi)
+    flow = sinc[..., None, None, :] * omega
+    for i in range(2):
+        flow[..., i, i, :] += np.cosh(q) - sinc * mu
+    return np.exp(mu)[..., None, None, :] * flow
 
 
 def _ordered_product(flows: np.ndarray) -> np.ndarray:
-    """F_{n−1}⋯F_1·F_0 of a (4, 4, n) stack, by rounds of pairwise products."""
-    while flows.shape[2] > 1:
-        if flows.shape[2] % 2:
-            flows = np.concatenate([flows, np.eye(4)[:, :, None]], axis=2)
-        flows = _mul(flows[:, :, 1::2], flows[:, :, 0::2])
-    return flows[:, :, 0]
+    """F_{n−1}⋯F_1·F_0 of a (..., 2, 2, n) stack, by rounds of pairwise products."""
+    while flows.shape[-1] > 1:
+        if flows.shape[-1] % 2:
+            pad = np.broadcast_to(np.eye(2)[:, :, None], flows.shape[:-1] + (1,))
+            flows = np.concatenate([flows, pad], axis=-1)
+        flows = _mul(flows[..., 1::2], flows[..., 0::2])
+    return flows[..., 0]
 
 
 def no_eigenvalue_test(
@@ -401,17 +395,19 @@ def no_eigenvalue_test(
     square-integrable, which is how the point spectrum stays empty.  V
     takes the black-hole pair of ``params``, both potentials from one
     coordinate inverse, unless ``potentials`` maps an array x to
-    (A(x), B(x)); the matching point is x₀ = ``_X0`` = −1.  Φ at the depths
-    X and 2X comes from one sweep (``_magnus_sweep``).  W†Γ¹ + Γ¹W = 0, so
-    the true flow keeps Φ†Γ¹Φ = Γ¹; the Magnus flow keeps it to rounding,
-    and the report carries the defect.
+    (A(x), B(x)); the matching point is x₀ = ``_X0`` = −1.  The sector
+    blocks of Φ at the depths X and 2X come from one sweep
+    (``_magnus_sweep``); P/√2 is orthogonal, so their singular values are
+    Φ's, and so are ‖Φ_X − Φ_{2X}‖₂ and cond₂ Φ_X.  W†Γ¹ + Γ¹W = 0, so the
+    true flow keeps Φ†Γ¹Φ = Γ¹; the Magnus flow keeps it to rounding in
+    Γ¹'s sector form, and the report carries the defect.
     """
     phi, phi_deep, steps, tail = _magnus_sweep(lam, channel, params, depth, potentials)
-    difference = float(np.linalg.norm(phi - phi_deep, 2))
-    condition = float(np.linalg.cond(phi, 2))
-    defect = max(
-        float(np.max(np.abs(f.conj().T @ VELOCITY @ f - VELOCITY))) for f in (phi, phi_deep)
-    )
+    difference = float(np.linalg.norm(phi - phi_deep, 2, axis=(1, 2)).max())
+    singular = np.linalg.svd(phi, compute_uv=False)
+    condition = float(singular.max() / singular.min())
+    flows = np.array([phi, phi_deep])
+    defect = float(np.max(np.abs(flows.conj().swapaxes(2, 3) @ _VELOCITY @ flows - _VELOCITY)))
     return NoEigenvalueReport(
         depth_difference=difference,
         condition=condition,
@@ -427,18 +423,21 @@ def _magnus_sweep(
     potentials: Optional[Callable] = None,
 ) -> Tuple[np.ndarray, np.ndarray, int, float]:
     """(Φ(−X → x₀), Φ(−2X → x₀), the number of steps, ∫|V| over [−2X, −X])
-    for ``no_eigenvalue_test``'s arguments, X = ``depth``.
+    for ``no_eigenvalue_test``'s arguments, X = ``depth``, each Φ as its
+    sector blocks, shape (sector, 2, 2), + sector first.
 
-    One sweep of the fourth-order Gauss–Magnus integrator (Iserles &
-    Nørsett 1999; Blanes et al. 2009) over [−2X, x₀] gives both depths:
-    Ω = h/2·(W₁ + W₂) + (√3/12)·h²·[W₂, W₁] from the two Gauss points of
-    each step, Φ the ordered product of the e^Ω, and −X a step edge, so
-    Φ_{2X} = Φ_X·Φ(−2X → −X).  A probe at the Gauss points of cells of
-    length ≤ ``_CELL`` grades the step: a cell where ‖W‖ ≤ ``_NEGLIGIBLE``
-    at both points is one step, every other cell is split into steps of at
-    most h = ``_STEP``/max(1, |λ|/2), which follows the e^{±2iλx} phases.
-    The probe (with the 201 tail points) and the sweep are one potential
-    evaluation each, whatever the depth.
+    W is a (sector, 2, 2, n) stack from the sector forms of γ⁰γ¹ (diagonal
+    there), ANGULAR and MASS.  One sweep of the fourth-order Gauss–Magnus
+    integrator (Iserles & Nørsett 1999; Blanes et al. 2009) over [−2X, x₀]
+    gives both depths: Ω = h/2·(W₁ + W₂) + (√3/12)·h²·[W₂, W₁] from the two
+    Gauss points of each step, e^Ω in closed form (``_exp2x2``), Φ their
+    ordered product, and −X a step edge, so Φ_{2X} = Φ_X·Φ(−2X → −X).  A
+    probe at the Gauss points of cells of length ≤ ``_CELL`` grades the
+    step: a cell where ‖W‖ ≤ ``_NEGLIGIBLE`` at both points is one step,
+    every other cell is split into steps of at most h =
+    ``_STEP``/max(1, |λ|/2), which follows the e^{±2iλx} phases.  The probe
+    (with the 201 tail points) and the sweep are one potential evaluation
+    each, whatever the depth.
     """
     if depth <= -_X0:
         raise ConfigurationError(f"need depth > {-_X0:g}")
@@ -448,13 +447,13 @@ def _magnus_sweep(
         potentials = CoordinateMap(params)._potentials_of_x
     m = params.m if params is not None else 0.0
     coupling = channel.coupling
-    g01 = -np.diag(VELOCITY)  # γ⁰γ¹ = diag(−1, 1, 1, −1)
+    g01 = -np.diagonal(_VELOCITY, axis1=1, axis2=2)  # γ⁰γ¹ = diag(−1, 1) in each sector
 
     def w_stack(x, a, b):
-        """W at the points x as a (4, 4, n) stack."""
-        e = np.exp(1j * lam * g01[:, None] * x)
-        v = coupling * a * ANGULAR[:, :, None] - m * b * MASS[:, :, None]
-        return 1j * g01[:, None, None] * e[:, None] * v * np.conj(e)[None]
+        """W at the points x as a (sector, 2, 2, n) stack."""
+        e = np.exp(1j * lam * g01[:, :, None] * x)
+        v = coupling * a * _ANGULAR[..., None] - m * b * _MASS[..., None]
+        return 1j * g01[:, :, None, None] * e[:, :, None] * v * np.conj(e)[:, None]
 
     # cell edges on [−2X, −X] and [−X, x₀]; −X is an edge
     n_deep = math.ceil(depth / _CELL)
@@ -483,16 +482,16 @@ def _magnus_sweep(
 
     def propagate(lo, hi):
         """Φ over the steps lo … hi − 1, _CHUNK steps at a time."""
-        phi = np.eye(4, dtype=complex)
+        phi = np.eye(2, dtype=complex)
         for start in range(lo, hi, _CHUNK):
             k = slice(start, min(start + _CHUNK, hi))
             g = slice(2 * k.start, 2 * k.stop)
             w = w_stack(x[g], a[g], b[g])
-            w1, w2 = w[:, :, 0::2], w[:, :, 1::2]
+            w1, w2 = w[..., 0::2], w[..., 1::2]
             omega = 0.5 * step[k] * (w1 + w2) + (math.sqrt(3.0) / 12.0) * step[k] ** 2 * (
                 _mul(w2, w1) - _mul(w1, w2)
             )
-            phi = _ordered_product(_expm(omega)) @ phi
+            phi = _ordered_product(_exp2x2(omega)) @ phi
         return phi
 
     split = int(per_cell[:n_deep].sum())

@@ -1137,6 +1137,31 @@ class TestControls:
             ("minimal", "maximal", "cone", "asymptotic"), passes
         )
 
+    def test_kink_fails_every_no_eigenvalue_line(self, tmp_path, monkeypatch):
+        """The Jackiw–Rebbi kink A = 2·tanh(x + 10), B ≡ 0, as the sweep's
+        potentials: A does not decay toward the horizon, so Φ(−X → x₀) has
+        no limit and all five no_eigenvalue lines FAIL (depth differences
+        2.0e2, 1.8e28 and 1.8e18 at |λ| = 2, 1, 0).  condition[±2] (4.4e3)
+        and condition[±1] (2.1e16) FAIL too.  condition[0] passes (60; A
+        integrates to about −2 over [−20, −1], so the exact cond₂ Φ_X is
+        e⁴ ≈ 55): at λ = 0 only Φ_{2X} blows up."""
+        def kink(x):
+            return 2.0 * np.tanh(x + 10.0), np.zeros_like(x)
+
+        exact = harness.no_eigenvalue_test
+        monkeypatch.setattr(
+            harness, "no_eigenvalue_test",
+            lambda lam, channel, params, depth: exact(lam, channel, params, depth, kink),
+        )
+        cfg = small_config(options={"spectrum": {"n": 64}})
+        (result,) = run(cfg, experiments=["spectrum"], out=str(tmp_path)).results
+        checks = {c.name: c for c in result.checks}
+        for lam in (-2, -1, 0, 1, 2):
+            assert not checks[f"no_eigenvalue[{lam}]"].passed
+            assert checks[f"no_eigenvalue[{lam}]"].value > 1e2
+            assert checks[f"condition[{lam}]"].passed == (lam == 0)
+        assert checks["condition[0]"].value < 1e2
+
     def test_angular_well_fails_both_window_lines(self, tmp_path, monkeypatch):
         """A Gaussian well of depth 40 added to A drives the localized
         commutator negative on both grids: window and fine_window FAIL,

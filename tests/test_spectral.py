@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 from conftest import (
+    SECTOR_ROWS,
     apply,
     dense_blocks,
     dense_decomposition,
@@ -19,6 +20,7 @@ from conftest import (
 from hypothesis import assume, example, given, seed, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
+from scipy.linalg import block_diag, expm
 
 import adsdirac.channel as channel
 import adsdirac.spectral as spectral
@@ -492,10 +494,36 @@ def _adaptive_propagation(lam, params, depth, x0=-1.0):
     return sol.y[:, -1].reshape(4, 4)
 
 
+def _components(blocks):
+    """A propagation matrix from its two sector blocks to the component
+    basis: PᵀΦ_sP/2, Φ_s block-diagonal."""
+    return SECTOR_ROWS.T @ block_diag(*blocks) @ SECTOR_ROWS / 2.0
+
+
+def _two_by_two(kind, entries):
+    """One 2×2 matrix of ``kind`` from four complex entries, scaled to
+    ‖Ω‖₂ ≤ 1 if larger: a general Ω; a traceless one; μ𝟙 plus a 1e−9
+    traceless part (q near 0); a traceless anti-Hermitian one (q
+    imaginary); a nilpotent one, uvᵀ with vᵀu = 0 (q = 0)."""
+    omega = np.array(entries).reshape(2, 2)
+    traceless = omega - 0.5 * np.trace(omega) * np.eye(2)
+    if kind == "traceless":
+        omega = traceless
+    elif kind == "near":
+        omega = omega[0, 0] * np.eye(2) + 1e-9 * traceless
+    elif kind == "imaginary":
+        omega = 0.5 * (traceless - traceless.conj().T)
+    elif kind == "nilpotent":
+        u = omega[0]
+        omega = np.outer(u, [u[1], -u[0]])
+    return omega / max(1.0, np.linalg.norm(omega, 2))
+
+
 class TestNoEigenvalue:
     def test_zero_potential_propagation_is_identity(self):
         phi, phi_deep, _, _ = spectral._magnus_sweep(1.0, CHANNEL, None, 20.0, zero_potentials)
-        assert max(np.max(np.abs(f - np.eye(4))) for f in (phi, phi_deep)) <= 1e-12
+        assert phi.shape == phi_deep.shape == (2, 2, 2)  # (sector, 2, 2)
+        assert max(np.max(np.abs(f - np.eye(2))) for f in (phi, phi_deep)) <= 1e-12
         rep = no_eigenvalue_test(1.0, CHANNEL, None, 20.0, zero_potentials)
         assert rep.depth_difference <= 1e-12
         assert rep.condition == pytest.approx(1.0, abs=1e-10)
@@ -512,12 +540,14 @@ class TestNoEigenvalue:
         assert rep.condition <= 1e3
         assert rep.invertible_limit
 
-    @pytest.mark.parametrize("lam, mass", [(-2.0, 1.0), (1.0, 0.25)])
+    @pytest.mark.parametrize("lam, mass", [(-2.0, 1.0), (1.0, 0.25), (8.0, 0.45)])
     def test_agrees_with_adaptive_reference(self, lam, mass):
-        """The Magnus sweep against an adaptive integrator of the same ODE:
-        Φ within 1e-9 and cond Φ within 1e-8 relative."""
+        """The Magnus sweep against an adaptive integrator of the same ODE
+        in the component basis: Φ, mapped from its sector blocks, within
+        1e-9 and cond Φ within 1e-8 relative, also at λ = 8, where the
+        step shrinks."""
         p = make_params(1.0, 1.0, mass)
-        phi = spectral._magnus_sweep(lam, CHANNEL, p, 20.0)[0]
+        phi = _components(spectral._magnus_sweep(lam, CHANNEL, p, 20.0)[0])
         rep = no_eigenvalue_test(lam, CHANNEL, params=p, depth=20.0)
         ref = _adaptive_propagation(lam, p, 20.0)
         assert np.max(np.abs(phi - ref)) <= 1e-9
@@ -546,7 +576,7 @@ class TestNoEigenvalue:
             monkeypatch.setattr(spectral, "_STEP", step / 2.0)
             phi_fine, _, fine_steps, _ = spectral._magnus_sweep(lam, CHANNEL, p, 20.0)
             assert fine_steps > coarse_steps
-            return np.max(np.abs(phi_fine - phi_coarse))
+            return np.max(np.abs(_components(phi_fine) - _components(phi_coarse)))
 
         step = spectral._STEP
         assert halving_gap(1.0, step) <= 1e-9
@@ -592,6 +622,32 @@ class TestNoEigenvalue:
         it to rounding."""
         rep = no_eigenvalue_test(lam, CHANNEL, params=make_params(1.0, 1.0, mass), depth=20.0)
         assert rep.current_defect <= 1e-12
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["general", "traceless", "near", "imaginary", "nilpotent"]),
+                st.lists(st.complex_numbers(max_magnitude=1.0), min_size=4, max_size=4),
+            ),
+            min_size=1, max_size=6,
+        )
+    )
+    @example([("nilpotent", [0.0, 0.0, 0.0, 0.0])])
+    @example([("nilpotent", [1.0, 0.0, 0.0, 0.0])])
+    def test_closed_form_exponential(self, drawn):
+        """The closed-form 2×2 exponential of a (sector, 2, 2, n) stack
+        against scipy's expm, within 1e-13 relative for ‖Ω‖₂ ≤ 1, over
+        general, traceless, near-degenerate (q ≈ 0), imaginary-q and
+        nilpotent Ω; the sweep's steps have ‖Ω‖ of a few 1e−2."""
+        omegas = np.array([_two_by_two(kind, entries) for kind, entries in drawn])
+        stack = np.stack([omegas, -omegas]).transpose(0, 2, 3, 1)  # (sector, 2, 2, n)
+        flows = spectral._exp2x2(stack)
+        for sector, sign in enumerate((1.0, -1.0)):
+            for k, omega in enumerate(omegas):
+                ref = expm(sign * omega)
+                error = np.linalg.norm(flows[sector, :, :, k] - ref, 2)
+                assert error <= 1e-13 * np.linalg.norm(ref, 2)
 
     def test_needs_params_or_potentials(self):
         with pytest.raises(ConfigurationError, match="need params or potentials"):
