@@ -33,11 +33,11 @@ Every solver works in one coordinate system, u = PW^{1/2}ψ (``to_sectors``),
 with W the grid weights and P the per-node transform onto the sectors of
 γ³γ⁵, and the assembled matrix acts on it: G = PSPᵀ/2 of
 S = W^{1/2}HW^{−1/2}, Hermitian exactly when H is self-adjoint in the
-weighted inner product.  Every node table (Γ¹, the two potential matrices
-and the wall closures) is taken to sector form once per assembly, and
-assembly refuses any with an entry across the sectors, or a Γ¹ that is not
-diagonal there.  So G has no entry across the sectors, and its 4n rows are
-two 2n-row blocks, the + sector's first, which every solver reads as
+weighted inner product.  Γ¹ and the two potential matrices are taken to
+sector form once at import, the wall closures once per assembly, and a
+table with an entry across the sectors, or a Γ¹ not diagonal there, is
+refused.  So G has no entry across the sectors, and its 4n rows are two
+2n-row blocks, the + sector's first, which every solver reads as
 assembled.  Row (node j, slot a) of a block holds at most four entries:
 the difference's ∓i·v_a/(2√(w_j w_{j±1})) at columns 2(j ± 1) + a, formed
 once per edge and mirrored, so Hermitian to the last bit on every grid,
@@ -257,6 +257,13 @@ def _sector_form(table: np.ndarray, name: str) -> np.ndarray:
     return np.stack([g[:2, :2], g[2:, 2:]])
 
 
+#: Γ¹ (diagonal, v_σ = diag(v_σ0, v_σ1) in sector σ), ANGULAR and MASS in sector form
+_VELOCITY = _sector_form(VELOCITY, "velocity")
+_ANGULAR, _MASS = _sector_form(ANGULAR, "angular"), _sector_form(MASS, "mass")
+if np.any(_VELOCITY[:, [0, 1], [1, 0]]):
+    raise ConfigurationError("the velocity matrix must be diagonal in sector form")
+
+
 def _wall_closures(grid: Grid, s_left, s_right, wall_exponent=None):
     """Ghost closures of −i·Γ¹·(centered difference), one 4×4 block per wall.
 
@@ -291,9 +298,8 @@ def _block_matrix(grid: Grid, coupling, m, a_vals, b_vals, left, right) -> sp.cs
     difference) + coupling·A(x)·ANGULAR − m·B(x)·MASS, written in sector
     coordinates.
 
-    Each table is taken to sector form (``_sector_form``), where VELOCITY
-    must be diagonal, v_σ = diag(v_σ0, v_σ1) in sector σ, or
-    ``ConfigurationError`` is raised.  Row 2nσ + 2j + a (sector σ, node j,
+    The tables are read in their sector forms taken at import, the wall
+    closures taken to it here (``_sector_form``).  Row 2nσ + 2j + a (sector σ, node j,
     slot a) holds at most four entries, at the columns ``_OFFSETS`` gives,
     offset by 2nσ + 2j: −c_{j−1}·v_σa, node j's 2×2 block and c_j·v_σa,
     with c_j = −i/(2√(w_j w_{j+1})) the coefficient of edge (j, j + 1).
@@ -304,15 +310,12 @@ def _block_matrix(grid: Grid, coupling, m, a_vals, b_vals, left, right) -> sp.cs
     to CSC once.
     """
     n = grid.n
-    velocity = _sector_form(VELOCITY, "velocity")
-    if np.any(velocity[:, [0, 1], [1, 0]]):
-        raise ConfigurationError("the velocity matrix must be diagonal in sector form")
-    v = np.diagonal(velocity, axis1=1, axis2=2)[:, None, :]  # (sector, 1, slot)
+    v = np.diagonal(_VELOCITY, axis1=1, axis2=2)[:, None, :]  # (sector, 1, slot)
     w = grid.weights
     edge = (-1j / (2.0 * np.sqrt(w[:-1] * w[1:])))[:, None]
     node = (
-        (coupling * a_vals)[:, None, None, None] * _sector_form(ANGULAR, "angular")
-        - (m * b_vals)[:, None, None, None] * _sector_form(MASS, "mass")
+        (coupling * a_vals)[:, None, None, None] * _ANGULAR
+        - (m * b_vals)[:, None, None, None] * _MASS
     )
     node[0] += _sector_form(left, "left wall closure")
     node[-1] += _sector_form(right, "right wall closure")

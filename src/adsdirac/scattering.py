@@ -82,7 +82,6 @@ ROUNDING_FLOOR = 1e-9
 class ScatteringReport:
     """One wave-operator estimate along a geometric schedule."""
 
-    times: np.ndarray
     increments: np.ndarray
     limit: SpinorField
     limit_norm: float
@@ -156,7 +155,6 @@ def wave_operator_forward(
         ]
     )
     return ScatteringReport(
-        times=np.asarray(traj.times[1:]),
         increments=increments,
         limit=omegas[-1],
         limit_norm=omegas[-1].norm(),
@@ -195,7 +193,6 @@ def wave_operator_backward(
     )
     limit = runs[-1].fields[-1]
     return BackwardReport(
-        times=times,
         increments=increments,
         limit=limit,
         limit_norm=limit.norm(),
@@ -230,7 +227,6 @@ def quintic_step(t):
 class VelocityReport:
     """Everything the velocity diagnostics measure, from one evolution."""
 
-    times: np.ndarray
     minimal_values: np.ndarray
     maximal_values: np.ndarray
     unit_values: np.ndarray  # J ≡ 1 trace; equals ‖ψ(t)‖² identically
@@ -322,7 +318,6 @@ def velocity_report(
     t1, t2 = times[-2], times[-1]
     v1, v2 = v_vals[-2], v_vals[-1]
     return VelocityReport(
-        times=times,
         minimal_values=minimal,
         maximal_values=maximal,
         unit_values=unit,

@@ -9,11 +9,11 @@ Four numerical shadows of the channel operator's spectral theory:
   (``ChannelOperator.matrix``) is S in the sector coordinates
   u = PW^{1/2}ψ, G = PSPᵀ/2, and every solver reads its two γ³γ⁵
   blocks, each tridiagonal in nodes, as assembled: the levels below any σ
-  come from the inertia of one block LDL† sweep, in O(n), those of a
-  window [a, b] from one
-  shift-invert Lanczos solve per block about the window centre, sized by
-  its count.  Both need S Hermitian and refuse an operator whose
-  ``hermiticity_defect`` is not 0.  Nothing computes the whole spectrum.
+  come from the inertia of one block LDL† sweep of closed-form 2×2
+  pivots, in O(n), those of a window [a, b] from one shift-invert ARPACK
+  Arnoldi solve per block about the window centre, sized by its count,
+  then QR and Rayleigh–Ritz.  Both need S Hermitian and refuse an operator
+  whose ``hermiticity_defect`` is not 0.  Nothing computes the whole spectrum.
 * ``mourre_check`` — positivity of the localized commutator: the minimum
   Rayleigh quotient of P_I C P_I on ran P_I, with C the closed-form
   commutator i[H, 𝒜].  The harness holds it to 1 − ``MOURRE_EPS`` on two
@@ -45,14 +45,14 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .algebra import ANGULAR, Channel, MASS, VELOCITY
+from .algebra import Channel
 from .channel import (
-    ChannelOperator, ConfigurationError, _sector_form, commutator_closed_form, from_sectors,
-    to_sectors,
+    ChannelOperator, ConfigurationError, _ANGULAR, _MASS, _VELOCITY, commutator_closed_form,
+    from_sectors, to_sectors,
 )
 from .dynamics import NumericError
 from .geometry import CoordinateMap, Params, Regime
-from .grids import Grid, SpinorField
+from .grids import SpinorField
 
 __all__ = [
     "SpectralDecomposition",
@@ -87,8 +87,6 @@ _NEGLIGIBLE = 1e-13
 _CHUNK = 4096
 #: two-point Gauss–Legendre nodes on [0, 1]
 _GAUSS = 0.5 + np.array([-1.0, 1.0]) * math.sqrt(3.0) / 6.0
-#: Γ¹, ANGULAR and MASS in sector form, (sector, 2, 2): W is two 2×2 blocks
-_VELOCITY, _ANGULAR, _MASS = (_sector_form(t, "sweep") for t in (VELOCITY, ANGULAR, MASS))
 #: a pivot eigenvalue below _ROOT_EPS·max|G_ij| of its sector block is zero
 _ROOT_EPS = math.sqrt(np.finfo(float).eps)
 
@@ -100,14 +98,13 @@ class SpectralDecomposition:
     """Eigenvalues (sorted) and W-orthonormal eigenvectors of a channel
     operator on a window; ``vectors[:, k]`` is the flattened
     (component-fastest) eigenvector for ``eigenvalues[k]``.  ``requested``
-    is the number of pairs the Lanczos solves of the sector blocks were
+    is the number of pairs the Arnoldi solves of the sector blocks were
     asked for together, 0 when the window holds no level and nothing was
     solved.
     """
 
     eigenvalues: np.ndarray
     vectors: np.ndarray
-    grid: Grid
     max_residual: float
     orthonormality_defect: float
     requested: int
@@ -149,11 +146,14 @@ def _block_counts(op: ChannelOperator, sigmas) -> np.ndarray:
         pivot = x - b_adj @ inverse @ b
         if not np.all(np.isfinite(pivot)):
             raise NumericError("non-finite pivot in the inertia sweep", {"node": j})
-        mu, v = np.linalg.eigh(pivot)
+        # μ± = (p + r)/2 ± |((p − r)/2, q)| of the Hermitian pivot [[p, q̄], [q, r]]
+        p, r, q = pivot[:, 0, 0].real, pivot[:, 1, 1].real, pivot[:, 1, 0]
+        mu = 0.5 * (p + r)[:, None] + np.hypot(0.5 * (p - r), np.abs(q))[:, None] * [-1.0, 1.0]
         negative = np.sum(mu < 0.0, axis=1)
         small = np.abs(mu) < floor[:, None]
-        # finite stand-ins where a pivot is merged with the next node instead
-        inverse = (v / np.where(small, floor[:, None], mu)[:, None, :]) @ v.conj().swapaxes(1, 2)
+        # the adjugate over μ₋μ₊, finite where the pivot merges with the next node
+        det = np.where(small, floor[:, None], mu).prod(axis=1)
+        inverse = np.stack([r, -q.conj(), -q, p], axis=1).reshape(-1, 2, 2) / det[:, None, None]
         if merge.any():  # D_{j−1} and node j as one 4×4 pivot
             block = np.block([[last[merge], b[merge]], [b_adj[merge], x[merge]]])
             nu = np.linalg.eigvalsh(block)
@@ -174,14 +174,14 @@ def level_count(op: ChannelOperator, sigmas) -> np.ndarray:
     sweep D_j = G_jj − σ − G_{j−1,j}† D_{j−1}^{−1} G_{j−1,j} over 2×2 node
     blocks reduces G_b − σI congruently to pivots whose negative
     eigenvalues are the levels below σ: O(n) small solves for every σ and
-    block at once.  Sylvester's law needs G_b Hermitian, so an S with a
-    nonzero ``hermiticity_defect`` raises ``ConfigurationError``.  A pivot
-    eigenvalue below √ε·max|G_ij| (σ at a level of a leading block, as at
-    a wall closure's) would spoil the pivots after it, so that pivot joins
-    the next node, the 2×2-block pivot of Bunch and Kaufman.  A
-    near-singular merged or a non-finite pivot raises ``NumericError``; an
-    entry coupling nodes two or more apart, read as zero otherwise,
-    ``ConfigurationError``."""
+    block at once, each pivot's eigenvalues and inverse in closed form.
+    Sylvester's law needs G_b Hermitian, so an S with a nonzero
+    ``hermiticity_defect`` raises ``ConfigurationError``.  A pivot
+    eigenvalue below √ε·max|G_ij| (σ at a level of a leading block, as at a
+    wall closure's) would spoil the pivots after it, so that pivot joins the
+    next node, the 2×2-block pivot of Bunch and Kaufman.  A near-singular
+    merged or a non-finite pivot raises ``NumericError``; an entry coupling
+    nodes two or more apart, read as zero otherwise, ``ConfigurationError``."""
     return _block_counts(op, sigmas).sum(axis=0)
 
 
@@ -214,16 +214,19 @@ def eigendecompose(op: ChannelOperator, window: Tuple[float, float]) -> Spectral
     within √ε·max|G_ij| of the centre σ; like ``level_count`` it refuses an
     S that is not Hermitian.  Levels at σ would make a shift-invert factor
     singular: they raise ``ConfigurationError`` naming σ and their number.
-    Each block G_b holding levels gets one shift-invert Lanczos solve about
-    σ, for its count plus a margin, and a Rayleigh–Ritz step.  The count
-    levels nearest the centre are exactly the block's window levels, so a
-    solve with another number raises ``NumericError`` naming the totals
-    found and counted; a window too wide for Lanczos (2k ≥ the block's
-    dimension) raises ``ConfigurationError``.  The pairs pass one accuracy
-    check on their blocks, residual ‖G_b x − λx‖ ≤ ``EIGEN_TOL``·max|λ| and
-    Gram defect ≤ ``EIGEN_TOL``, or ``NumericError``; in exact arithmetic
-    these are the W-norm residual and W-Gram defect of the eigenfields.  The vectors then
-    map back once, by √2·``from_sectors``, as ‖u‖ = √2·‖ψ‖_W.
+    Each block G_b holding levels gets one ``eigsh`` solve about σ, for its
+    count plus a margin: G_b is complex, so that is ARPACK's shift-invert
+    Arnoldi (``eigs``), not Lanczos, and QR and a Rayleigh–Ritz step
+    follow; a failed SuperLU factor or solve raises ``NumericError`` naming
+    σ and k.  The count levels nearest the centre are exactly the block's
+    window levels, so a solve with another number raises ``NumericError``
+    naming the totals found and counted; a window too wide for the solve
+    (2k ≥ the block's dimension) raises ``ConfigurationError``.  The pairs
+    pass one accuracy check on their blocks, residual ‖G_b x − λx‖ ≤
+    ``EIGEN_TOL``·max|λ| and Gram defect ≤ ``EIGEN_TOL``, or
+    ``NumericError``; in exact arithmetic these are the W-norm residual and
+    W-Gram defect of the eigenfields.  The vectors then map back once, by
+    √2·``from_sectors``, as ‖u‖ = √2·‖ψ‖_W.
     """
     a, b = float(window[0]), float(window[1])
     if not b > a:
@@ -250,20 +253,15 @@ def eigendecompose(op: ChannelOperator, window: Tuple[float, float]) -> Spectral
         if 2 * k >= size:
             raise ConfigurationError(
                 f"window [{a}, {b}] holds {count} of {dim} levels; "
-                f"Lanczos needs 2k < {size}, k = {k}"
+                f"Arnoldi needs 2k < {size}, k = {k}"
             )
         requested += k
-        try:
-            lu = spla.splu((g - sigma * sp.identity(size, format="csc")).tocsc())
-        except RuntimeError as exc:
-            raise NumericError("shift-invert factorization failed", {"sigma": sigma}) from exc
-        opinv = spla.LinearOperator((size, size), matvec=lu.solve, dtype=complex)
         # a fixed start vector keeps the solve reproducible
         v0 = np.random.default_rng(0).standard_normal(size).astype(complex)
-        try:
-            _, basis = spla.eigsh(g, k=k, sigma=sigma, OPinv=opinv, v0=v0)
-        except spla.ArpackError as exc:
-            raise NumericError("shift-invert Lanczos failed", {"k": k}) from exc
+        try:  # eigsh factors G_b − σ by SuperLU itself
+            _, basis = spla.eigsh(g, k=k, sigma=sigma, v0=v0)
+        except RuntimeError as exc:  # ArpackError, or a singular factor
+            raise NumericError("shift-invert Arnoldi failed", {"sigma": sigma, "k": k}) from exc
         q, _ = np.linalg.qr(basis)
         ritz = q.conj().T @ (g @ q)
         lam, y = sla.eigh((ritz + ritz.conj().T) / 2.0)
@@ -281,7 +279,7 @@ def eigendecompose(op: ChannelOperator, window: Tuple[float, float]) -> Spectral
     # the blocks' rows follow one another, so their vectors stack block-diagonally
     u = sla.block_diag(*(x for _, _, x in solved))[:, order]
     vectors = math.sqrt(2.0) * from_sectors(u, op.grid)
-    return SpectralDecomposition(lam[order], vectors, op.grid, max_res, ortho, requested)
+    return SpectralDecomposition(lam[order], vectors, max_res, ortho, requested)
 
 
 # ------------------------------------------------------------ Mourre check
@@ -450,10 +448,14 @@ def _magnus_sweep(
     g01 = -np.diagonal(_VELOCITY, axis1=1, axis2=2)  # γ⁰γ¹ = diag(−1, 1) in each sector
 
     def w_stack(x, a, b):
-        """W at the points x as a (sector, 2, 2, n) stack."""
-        e = np.exp(1j * lam * g01[:, :, None] * x)
+        """W at the points x as a (sector, 2, 2, n) stack: iγ⁰γ¹V, entry
+        (c, d) times e^{iλ(g_c − g_d)x}, so e^{∓2iλx} off the diagonal."""
         v = coupling * a * _ANGULAR[..., None] - m * b * _MASS[..., None]
-        return 1j * g01[:, :, None, None] * e[:, :, None] * v * np.conj(e)[:, None]
+        w = 1j * g01[:, :, None, None] * v
+        phase = np.exp(2j * lam * x)
+        w[:, 0, 1] *= np.conj(phase)
+        w[:, 1, 0] *= phase
+        return w
 
     # cell edges on [−2X, −X] and [−X, x₀]; −X is an edge
     n_deep = math.ceil(depth / _CELL)

@@ -112,7 +112,7 @@ def dense_decomposition(op: ChannelOperator) -> SpectralDecomposition:
     order = np.argsort(lam, kind="stable")
     u = sla.block_diag(*(x for _, _, x in solved))[:, order]
     vectors = np.sqrt(2.0) * from_sectors(u, op.grid)
-    return SpectralDecomposition(lam[order], vectors, op.grid, max_res, ortho, lam.size)
+    return SpectralDecomposition(lam[order], vectors, max_res, ortho, lam.size)
 
 
 def drop_nearest_level(monkeypatch) -> None:

@@ -1,6 +1,9 @@
 """Channel Hamiltonians: potentials, envelopes, boundary closures,
 self-adjointness, and the conjugate-operator commutator against its
 brute-force oracle."""
+import importlib.util
+import sys
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -16,6 +19,7 @@ from conftest import (
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import adsdirac.algebra as algebra
 import adsdirac.channel as channel
 from adsdirac.algebra import ANGULAR, Channel, GAMMA, GAMMA5, MASS, VELOCITY
 from adsdirac.dynamics import EvolutionConfig, chebyshev_propagate, evolve
@@ -35,6 +39,18 @@ from adsdirac.grids import BoundaryGraded, SpinorField, gaussian_packet, make_gr
 from adsdirac import harness
 from adsdirac.harness import ExperimentConfig, _run_evolve, parse_config_dict
 from adsdirac.spectral import eigendecompose, level_count
+
+def _import_channel_with(monkeypatch, name: str, table: np.ndarray) -> None:
+    """Execute a fresh copy of the ``channel`` module with ``algebra.<name>``
+    replaced by ``table``, so its import-time sector forms read the table.
+    The copy is in ``sys.modules`` only while the test runs; its errors are
+    its own ``ConfigurationError``, a ``ValueError``."""
+    monkeypatch.setattr(algebra, name, table)
+    spec = importlib.util.spec_from_file_location("adsdirac._channel_copy", channel.__file__)
+    copy = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, copy)
+    spec.loader.exec_module(copy)
+
 
 P_MIT = make_params(1.0, 1.0, 0.25)  # 2ml = 1/2 — bag-type wall
 P_NAT = make_params(1.0, 1.0, 1.0)  # 2ml = 2   — no boundary data
@@ -309,22 +325,35 @@ class TestAssembly:
     def test_table_across_the_sectors_raises(self, monkeypatch, table, params):
         """Negative control: a potential table or a wall reflection whose
         closure Γ¹S is γ⁵ = diag(1, 1, −1, −1), which maps each sector of
-        γ³γ⁵ onto the other, has no sector form, and assembly refuses it on
-        either wall rather than drop the crossing entries."""
+        γ³γ⁵ onto the other, has no sector form.  A potential table is
+        refused when ``channel`` is imported, a reflection by assembly on
+        either wall, rather than drop the crossing entries."""
         crossing = GAMMA5.real.copy()
-        swapped = {"mit_reflection": lambda: VELOCITY @ crossing}.get(table, crossing)
-        monkeypatch.setattr(channel, table, swapped)
+        if table != "mit_reflection":
+            with pytest.raises(ValueError, match=f"the {table.lower()} table has an entry"):
+                _import_channel_with(monkeypatch, table, crossing)
+            return
+        monkeypatch.setattr(channel, table, lambda: VELOCITY @ crossing)
         with pytest.raises(ConfigurationError, match="across the sectors"):
             assemble_hamiltonian(Channel(0.5, 0.5), params, make_grid(-8.0, 64))
 
     def test_non_diagonal_velocity_raises(self, monkeypatch):
         """Negative control: ANGULAR as the velocity stays within the
         sectors but mixes each sector's two slots, which the row layout has
-        no place for."""
-        mit_reflection()  # built with the true velocity
-        monkeypatch.setattr(channel, "VELOCITY", ANGULAR)
-        with pytest.raises(ConfigurationError, match="diagonal in sector form"):
-            assemble_hamiltonian(Channel(0.5, 0.5), P_MIT, make_grid(-8.0, 64))
+        no place for: ``channel`` refuses it at import."""
+        with pytest.raises(ValueError, match="diagonal in sector form"):
+            _import_channel_with(monkeypatch, "VELOCITY", ANGULAR)
+
+    def test_tables_are_taken_to_sector_form_once(self, monkeypatch):
+        """Assembly reads the import-time sector forms of Γ¹, ANGULAR and
+        MASS and takes only the two wall closures to sector form."""
+        names = []
+        form = channel._sector_form
+        monkeypatch.setattr(
+            channel, "_sector_form", lambda table, name: names.append(name) or form(table, name)
+        )
+        assemble_hamiltonian(Channel(0.5, 0.5), P_MIT, make_grid(-8.0, 64))
+        assert names == ["left wall closure", "right wall closure"]
 
     @pytest.mark.parametrize("wall", ["left", "right"])
     def test_closure_off_the_pattern_raises(self, wall):

@@ -195,7 +195,7 @@ def _random_uses(path):
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_random_sampling_in_the_package(path):
     # no verdict may rest on random sampling; the one exception is the
-    # fixed start vector that keeps eigendecompose's Lanczos solve
+    # fixed start vector that keeps eigendecompose's Arnoldi solve
     # reproducible, a single line
     uses = _random_uses(path)
     start = {u for u in uses if path.name == "spectral.py" and u[0] == "eigendecompose"}

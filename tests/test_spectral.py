@@ -5,6 +5,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from conftest import (
     SECTOR_ROWS,
@@ -145,10 +146,9 @@ class TestEigendecompose:
         assert dec.orthonormality_defect <= 1e-10
 
     def test_eigenfield_is_an_eigenvector(self, free_window):
-        _, dec = free_window
+        op, dec = free_window
         k = dec.eigenvalues.size // 3
-        field = SpinorField(dec.grid, dec.vectors[:, k].reshape((4, dec.grid.n), order="F"))
-        op = free_operator(field.grid)
+        field = SpinorField(op.grid, dec.vectors[:, k].reshape((4, op.grid.n), order="F"))
         resid = apply(op, field.values) - dec.eigenvalues[k] * field.values
         assert field.grid.norm(resid) <= 1e-10 * max(abs(dec.eigenvalues[k]), 1.0)
 
@@ -216,7 +216,7 @@ class TestLevelCount:
 
 
 class TestWindowedEigendecompose:
-    """Shift-invert Lanczos on a window against the dense oracle."""
+    """Shift-invert Arnoldi on a window against the dense oracle."""
 
     @pytest.fixture(params=["free-320", "sads-320", "sads-640"])
     def oracle(self, request, free_decomposition, sads_320, sads_decomposition):
@@ -226,7 +226,7 @@ class TestWindowedEigendecompose:
 
     def test_agrees_with_dense_oracle(self, oracle, monkeypatch):
         """Same levels, same quotient.  The free levels are doubly degenerate
-        (two decoupled transport systems), so a Lanczos solve that kept one
+        (two decoupled transport systems), so an Arnoldi solve that kept one
         copy of a pair would miss the dense count."""
         op, dense = oracle
         win = eigendecompose(op, WINDOW)
@@ -275,6 +275,20 @@ class TestWindowedEigendecompose:
     def test_empty_window_rejected(self):
         with pytest.raises(ConfigurationError):
             eigendecompose(_sads_operator(64), (1.5, 0.5))
+
+    def test_unconverged_solve_names_sigma_and_k(self, monkeypatch):
+        """Negative control: an ARPACK solve that does not converge is a
+        ``NumericError`` naming the shift and the pairs asked for, 20 + 8
+        per block on [0.5, 1.5] at n = 320."""
+
+        def unconverged(a, k, sigma, **kw):
+            raise spla.ArpackNoConvergence("no convergence", np.empty(0), np.empty((a.shape[0], 0)))
+
+        monkeypatch.setattr(spla, "eigsh", unconverged)
+        with pytest.raises(NumericError, match="shift-invert Arnoldi failed") as failed:
+            eigendecompose(_sads_operator(320), WINDOW)
+        assert failed.value.diagnostics == {"sigma": 1.0, "k": 28}
+        assert isinstance(failed.value.__cause__, spla.ArpackNoConvergence)
 
     @pytest.mark.parametrize("x_min,n", [(-32.0, 320), (-16.0, 64)])
     def test_window_centred_on_a_level_rejected(self, x_min, n):
@@ -353,6 +367,38 @@ class TestSectorBlocks:
         expected = [[int(np.sum(x < s)) for s in sigmas] for x in per_block]
         assert spectral._block_counts(op, sigmas).tolist() == expected
         assert level_count(op, sigmas).tolist() == [int(np.sum(levels < s)) for s in sigmas]
+
+    @seed(3434)
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(16, 40),
+        scale=st.floats(1e-3, 1e3),
+        seed_=st.integers(0, 2**16),
+        sigmas=st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=6),
+    )
+    def test_counts_complex_neighbour_couplings(self, n, scale, seed_, sigmas):
+        """An exactly Hermitian G swapped in, each sector block with full
+        complex 2×2 node blocks and neighbour couplings, which no assembled
+        operator has (its couplings are diagonal): the closed-form pivots
+        count each block's dense levels.  A σ within 1e-6 of a level is
+        dropped."""
+        rng = np.random.default_rng(seed_)
+        node = np.arange(2 * n) // 2
+        band = np.abs(node[:, None] - node) <= 1  # node blocks j and j ± 1
+        blocks = []
+        for _ in range(2):
+            full = rng.standard_normal((2 * n, 2 * n)) + 1j * rng.standard_normal((2 * n, 2 * n))
+            upper = scale * np.triu(np.where(band, full, 0.0), 1)
+            blocks.append(upper + upper.conj().T + np.diag(scale * rng.standard_normal(2 * n)))
+        op = _sads_operator(n)
+        op = dataclasses.replace(op, matrix=sp.csc_matrix(block_diag(*blocks)))
+        assert op.hermiticity_defect() == 0.0
+        per_block = [np.linalg.eigvalsh(b) for b in blocks]
+        levels = np.concatenate(per_block)
+        sigmas = [scale * s for s in sigmas if np.min(np.abs(levels - scale * s)) >= 1e-6]
+        assume(sigmas)
+        expected = [[int(np.sum(x < s)) for s in sigmas] for x in per_block]
+        assert spectral._block_counts(op, sigmas).tolist() == expected
 
     @pytest.mark.parametrize("mass", [1.0, 0.45])
     def test_window_solve_returns_each_level_once_per_sector(self, mass):
