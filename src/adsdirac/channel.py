@@ -7,15 +7,18 @@ controls).  The wall is always the one the params' regime requires, and
 bag-type without params.  The discrete operator is a banded matrix on a
 cell-centered grid: a centered first difference (exactly skew-adjoint
 against the grid inner product, see grids.py) plus pointwise 4×4 potential
-blocks.  Boundary closures eliminate one ghost node per wall through a
-reflection matrix S with Γ¹S + S*Γ¹ = 0, which is precisely the condition
-making the closed operator self-adjoint in the weighted inner product:
+blocks.  Each wall eliminates one ghost node through a reflection S with
+Γ¹S + S*Γ¹ = 0, which is precisely the condition making the closed
+operator self-adjoint in the weighted inner product.  The bag-type
+reflection through ker(γ¹ + i·𝟙) is S = iγ¹, so its closure Γ¹S is iγ⁰ and
+the wall is a mass step at the end node, the infinite-mass reading of the
+bag condition: H gains −γ⁰/(2w₀) at the first node, +γ⁰/(2w_{n−1}) at the
+last:
 
-* right wall (x = 0): for 2ml < 1 the reflection through the kernel of
-  (γ¹ + i·𝟙) — the bag-type condition; for 2ml ≥ 1 a zero ghost — the mass
-  barrier ~ ml/(−x) enforces decay by itself and no boundary data is needed.
-  For the black-hole pair in the massive bag regime, when the grid
-  resolves the wall layer (boundary-graded spacing), the ghost weight
+* right wall (x = 0): for 2ml < 1 the bag-type step; for 2ml ≥ 1 none —
+  the mass barrier ~ ml/(−x) enforces decay by itself and no boundary data
+  is needed.  For the black-hole pair in the massive bag regime, when the
+  grid resolves the wall layer (boundary-graded spacing), the step
   additionally carries the boundary exponent: states there behave like
   (−x)^{−ml} times a kernel spinor, and a plain mirrored difference
   misreads that power by an O(1) factor.  Tuning the single
@@ -25,7 +28,7 @@ making the closed operator self-adjoint in the weighted inner product:
   stationary solves.  On uniform grids the layer is sub-cell — the
   weighted row would only plant a spurious quasi-mode in the last cell —
   so those keep the plain mirror, whose reflections are clean;
-* left wall (x = x_min): always the bag-type reflection; experiments place
+* left wall (x = x_min): always the bag-type step; experiments place
   x_min far enough left that no signal reaches it (propagation speed ≤ 1),
   so the wall only has to be norm-preserving, not physical.
 
@@ -34,26 +37,25 @@ with W the grid weights and P the per-node transform onto the sectors of
 γ³γ⁵, and the assembled matrix acts on it: G = PSPᵀ/2 of
 S = W^{1/2}HW^{−1/2}, Hermitian exactly when H is self-adjoint in the
 weighted inner product.  Γ¹ and the two potential matrices are taken to
-sector form once at import, the wall closures once per assembly, and a
-table with an entry across the sectors, or a Γ¹ not diagonal there, is
-refused.  So G has no entry across the sectors, and its 4n rows are two
-2n-row blocks, the + sector's first, which every solver reads as
-assembled.  Row (node j, slot a) of a block holds at most four entries:
-the difference's ∓i·v_a/(2√(w_j w_{j±1})) at columns 2(j ± 1) + a, formed
-once per edge and mirrored, so Hermitian to the last bit on every grid,
-and node j's 2×2 potential block at columns 2j and 2j + 1.  The rows are
-written straight into compressed sparse arrays.
+sector form once at import, and a table with an entry across the
+sectors, or a Γ¹ not diagonal there, is refused.  So G has no entry
+across the sectors, and its 4n rows are two 2n-row blocks, the + sector's
+first, which every solver reads as assembled.  Row (node j, slot a) of a
+block holds at most four entries: the difference's
+∓i·v_a/(2√(w_j w_{j±1})) at columns 2(j ± 1) + a, formed once per edge and
+mirrored, so Hermitian to the last bit on every grid, and node j's 2×2
+potential block at columns 2j and 2j + 1.  The rows are written straight
+into compressed sparse arrays.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache, cached_property
+from functools import cached_property
 from typing import Callable, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import null_space
 
 from .algebra import ANGULAR, Channel, GAMMA, MASS, VELOCITY
 from .geometry import CoordinateMap, Params, Regime
@@ -63,7 +65,6 @@ __all__ = [
     "ConfigurationError",
     "BoundaryCondition",
     "select_bc",
-    "mit_reflection",
     "ChannelOperator",
     "to_sectors",
     "from_sectors",
@@ -83,7 +84,7 @@ class BoundaryCondition(Enum):
     NATURAL = "natural"
 
 
-# ------------------------------------------------------ boundary closures
+# ---------------------------------------------------- boundary conditions
 
 def select_bc(p: Params) -> BoundaryCondition:
     """Bag-type wall for 2ml < 1, no boundary data for 2ml ≥ 1.
@@ -91,36 +92,6 @@ def select_bc(p: Params) -> BoundaryCondition:
     Depends on the product m·l only, never on the black-hole mass.
     """
     return BoundaryCondition.MIT if p.regime is Regime.SUBCRITICAL else BoundaryCondition.NATURAL
-
-
-@cache
-def mit_reflection() -> np.ndarray:
-    """Ghost reflection S = 2Π − 𝟙 with Π the orthogonal projector onto
-    ker(γ¹ + i·𝟙).
-
-    The kernel is computed numerically (rank 2), so the two scalar
-    constraints of the bag condition enter without hand-derived component
-    relations.  Its entries are Gaussian integers, so the numeric S is
-    snapped to the nearest ones (none may move by more than 1e−13): the
-    rounding of the kernel solve would otherwise reach every operator as
-    a hermiticity defect and as entries that mix the two sectors of
-    γ³γ⁵.  Checked once at build: S is an involution and satisfies
-    Γ¹S + S*Γ¹ = 0, the exact discrete self-adjointness condition.
-    """
-    kernel = null_space(GAMMA[1] + 1j * np.eye(4))
-    if kernel.shape[1] != 2:
-        raise AssertionError("(γ¹ + i) must have a two-dimensional kernel")
-    numeric = 2.0 * kernel @ kernel.conj().T - np.eye(4)
-    # + 0.0 turns the −0.0 that rounding leaves into +0.0
-    s = np.round(numeric.real) + 0.0 + 1j * (np.round(numeric.imag) + 0.0)
-    if np.max(np.abs(s - numeric)) > 1e-13:
-        raise AssertionError("reflection entries must be Gaussian integers")
-    g1 = VELOCITY.astype(complex)
-    if not np.allclose(g1 @ s + s.conj().T @ g1, 0.0, atol=1e-13):
-        raise AssertionError("reflection fails the self-adjointness condition")
-    if not np.allclose(s @ s, np.eye(4), atol=1e-13):
-        raise AssertionError("reflection must be an involution")
-    return s
 
 
 # ------------------------------------------------------- operator assembly
@@ -141,9 +112,10 @@ class ChannelOperator:
     matrix: sp.csc_matrix
     a_values: np.ndarray
     b_values: np.ndarray
-    #: boundary exponent ml carried by the wall ghost weight, or None when
-    #: the plain mirror closure is in effect (massless, natural, potentials
-    #: passed by the caller, or wall layer not resolved by the grid)
+    #: boundary exponent ml carried by the right wall's mass step, or None
+    #: when that step is the plain mirror's 1/(2w) (massless, potentials
+    #: passed by the caller, or wall layer not resolved by the grid) or
+    #: there is none (natural)
     wall_exponent: Optional[float] = None
 
     @property
@@ -181,8 +153,8 @@ def _root(weights: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------- sectors
 #
-# Q = γ³γ⁵ commutes with Γ¹, ANGULAR, MASS and the wall reflection.  The rows
-# of _SECTOR_ROWS span its eigenspaces, (1, 0, 0, −1) and (0, 1, 1, 0) for
+# Q = γ³γ⁵ commutes with Γ¹, ANGULAR and MASS, so with every wall step.  The
+# rows of _SECTOR_ROWS span its eigenspaces, (1, 0, 0, −1) and (0, 1, 1, 0) for
 # Q = +1 and (1, 0, 0, 1) and (0, 1, −1, 0) for Q = −1; with P that matrix at
 # every node, PPᵀ = 2·𝟙, so a node table T acts on sector coordinates as
 # PTPᵀ/2, with nothing across the sectors.
@@ -264,50 +236,25 @@ if np.any(_VELOCITY[:, [0, 1], [1, 0]]):
     raise ConfigurationError("the velocity matrix must be diagonal in sector form")
 
 
-def _wall_closures(grid: Grid, s_left, s_right, wall_exponent=None):
-    """Ghost closures of −i·Γ¹·(centered difference), one 4×4 block per wall.
-
-    Mirrored ghosts S·ψ fold +i/(2w₀)·Γ¹S_left into the first and
-    −i/(2w_{n−1})·Γ¹S_right into the last diagonal block.  ``wall_exponent``
-    = ν activates the exponent-weighted ghost at the right wall: the closure
-    coefficient 1/(2w) becomes ν/t + (t/t′)^ν/(2w) with t, t′ the last two
-    node distances, the unique symmetry-preserving choice that differentiates
-    (−x)^{−ν}·(kernel spinor) exactly at the last row.  ``None`` keeps the
-    plain mirror (massless / given potentials / natural cases).
-    """
-    w = grid.weights
-    g1 = VELOCITY.astype(complex)
-    left = (1j / (2.0 * w[0])) * (g1 @ s_left)
-    if wall_exponent is None:
-        right = (-1j / (2.0 * w[-1])) * (g1 @ s_right)
-    else:
-        t_last = -grid.nodes[-1]
-        t_prev = -grid.nodes[-2]
-        g_wall = wall_exponent / t_last + (t_last / t_prev) ** wall_exponent / (2.0 * w[-1])
-        right = (-1j * g_wall) * (g1 @ s_right)
-    return left, right
-
-
 #: the columns of row (node j, slot a) of a sector block, less 2j:
 #: 2(j − 1) + a, node j's 2j and 2j + 1, and 2(j + 1) + a
 _OFFSETS = np.array([[-2, 0, 1, 2], [-1, 0, 1, 3]], dtype=np.int32)
 
 
-def _block_matrix(grid: Grid, coupling, m, a_vals, b_vals, left, right) -> sp.csc_matrix:
+def _block_matrix(grid: Grid, coupling, a_vals, mass) -> sp.csc_matrix:
     """G = PSPᵀ/2 of S = W^{1/2}HW^{−1/2}, H = −i·VELOCITY·(centered
-    difference) + coupling·A(x)·ANGULAR − m·B(x)·MASS, written in sector
+    difference) + coupling·A(x)·ANGULAR − mass(x)·MASS, written in sector
     coordinates.
 
-    The tables are read in their sector forms taken at import, the wall
-    closures taken to it here (``_sector_form``).  Row 2nσ + 2j + a (sector σ, node j,
-    slot a) holds at most four entries, at the columns ``_OFFSETS`` gives,
-    offset by 2nσ + 2j: −c_{j−1}·v_σa, node j's 2×2 block and c_j·v_σa,
-    with c_j = −i/(2√(w_j w_{j+1})) the coefficient of edge (j, j + 1).
-    ``left``/``right`` are the ghost closures added to the first and last
-    node blocks.  The entries go into a value table of four slots per row
-    beside their column table; zero signs are cleared to +0.0, exact zeros
-    are dropped with one mask, and the CSR arrays so written are converted
-    to CSC once.
+    ``mass`` is the node profile m·B(x) with the wall steps added at the
+    end nodes.  The tables are read in their sector forms taken at import.
+    Row 2nσ + 2j + a (sector σ, node j, slot a) holds at most four entries,
+    at the columns ``_OFFSETS`` gives, offset by 2nσ + 2j: −c_{j−1}·v_σa,
+    node j's 2×2 block and c_j·v_σa, with c_j = −i/(2√(w_j w_{j+1})) the
+    coefficient of edge (j, j + 1).  The entries go into a value table of
+    four slots per row beside their column table; zero signs are cleared
+    to +0.0, exact zeros are dropped with one mask, and the CSR arrays so
+    written are converted to CSC once.
     """
     n = grid.n
     v = np.diagonal(_VELOCITY, axis1=1, axis2=2)[:, None, :]  # (sector, 1, slot)
@@ -315,10 +262,8 @@ def _block_matrix(grid: Grid, coupling, m, a_vals, b_vals, left, right) -> sp.cs
     edge = (-1j / (2.0 * np.sqrt(w[:-1] * w[1:])))[:, None]
     node = (
         (coupling * a_vals)[:, None, None, None] * _ANGULAR
-        - (m * b_vals)[:, None, None, None] * _MASS
+        - mass[:, None, None, None] * _MASS
     )
-    node[0] += _sector_form(left, "left wall closure")
-    node[-1] += _sector_form(right, "right wall closure")
     values = np.empty((2, n, 2, 4), dtype=complex)
     values[:, 1:, :, 0] = -edge * v
     values[:, :, :, 1:3] = node.transpose(1, 0, 2, 3)
@@ -367,18 +312,23 @@ def assemble_hamiltonian(
     bc = select_bc(params) if params is not None else BoundaryCondition.MIT
     m = params.m if params is not None else 0.0
 
-    s_mirror = mit_reflection()
-    s_right = s_mirror if bc == BoundaryCondition.MIT else np.zeros((4, 4))
+    # each bag wall's ghost closure ±i·g·Γ¹S is ∓g·γ⁰ (S = iγ¹): a step of
+    # the mass profile, g = 1/(2w) for the plain mirror
+    w = grid.weights
+    mass = m * b_vals
+    mass[0] += 1.0 / (2.0 * w[0])
     wall_exponent = None
-    if (
-        bc == BoundaryCondition.MIT
-        and potentials is None
-        and m > 0.0
-        and grid.resolves_wall_layer
-    ):
-        wall_exponent = m * params.l
-    left, right = _wall_closures(grid, s_mirror, s_right, wall_exponent)
-    matrix = _block_matrix(grid, channel.coupling, m, a_vals, b_vals, left, right)
+    if bc == BoundaryCondition.MIT:
+        if potentials is None and m > 0.0 and grid.resolves_wall_layer:
+            # the exponent row: g = ν/t + (t/t′)^ν/(2w) with t, t′ the last two
+            # node distances, the unique symmetry-preserving choice that
+            # differentiates (−x)^{−ν}·(kernel spinor) exactly at the last row
+            wall_exponent = nu = m * params.l
+            t, t_prev = -grid.nodes[-1], -grid.nodes[-2]
+            mass[-1] -= nu / t + (t / t_prev) ** nu / (2.0 * w[-1])
+        else:
+            mass[-1] -= 1.0 / (2.0 * w[-1])
+    matrix = _block_matrix(grid, channel.coupling, a_vals, mass)
     return ChannelOperator(
         channel=channel,
         params=params,

@@ -1053,11 +1053,12 @@ def _dump_matrix(cfg: ExperimentConfig, out_dir: Path) -> str:
 def _job(name: str, cfg: ExperimentConfig, out_dir: Path) -> ExperimentResult:
     """Run one experiment and write its reports, with its wall clock, CPU
     time and the coordinate inverses it solved and reused, read from the
-    memo's counters in the process that ran it; a module error inside marks
-    the experiment as errored and goes no further.  Module level, so that a
-    worker process can run it."""
+    memo's counters in the process that ran it.  The memo starts empty, so
+    the counts do not depend on which experiments a worker ran before.  A
+    module error inside marks the experiment as errored and goes no
+    further.  Module level, so that a worker process can run it."""
     start, cpu = time.perf_counter(), time.process_time()
-    memo = inverse_memo.cache_info()
+    inverse_memo.cache_clear()
     try:
         result = _RUNNERS[name](cfg)
         _write_reports(result, cfg, out_dir)
@@ -1065,10 +1066,8 @@ def _job(name: str, cfg: ExperimentConfig, out_dir: Path) -> ExperimentResult:
         result = ExperimentResult(name, error=f"{type(exc).__name__}: {exc}")
     result.wall_clock = time.perf_counter() - start
     result.cpu_s = time.process_time() - cpu
-    after = inverse_memo.cache_info()
-    result.coordinate_inverses = {
-        "solved": after.misses - memo.misses, "reused": after.hits - memo.hits
-    }
+    memo = inverse_memo.cache_info()
+    result.coordinate_inverses = {"solved": memo.misses, "reused": memo.hits}
     return result
 
 

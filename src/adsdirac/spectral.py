@@ -177,11 +177,12 @@ def level_count(op: ChannelOperator, sigmas) -> np.ndarray:
     block at once, each pivot's eigenvalues and inverse in closed form.
     Sylvester's law needs G_b Hermitian, so an S with a nonzero
     ``hermiticity_defect`` raises ``ConfigurationError``.  A pivot
-    eigenvalue below √ε·max|G_ij| (σ at a level of a leading block, as at a
-    wall closure's) would spoil the pivots after it, so that pivot joins the
-    next node, the 2×2-block pivot of Bunch and Kaufman.  A near-singular
-    merged or a non-finite pivot raises ``NumericError``; an entry coupling
-    nodes two or more apart, read as zero otherwise, ``ConfigurationError``."""
+    eigenvalue below √ε·max|G_ij| (σ at a level of a leading block, as at
+    ±1/(2w₀), the left wall's mass step on a free operator) would spoil
+    the pivots after it, so that pivot joins the next node, the 2×2-block
+    pivot of Bunch and Kaufman.  A near-singular merged or a non-finite
+    pivot raises ``NumericError``; an entry coupling nodes two or more
+    apart, read as zero otherwise, ``ConfigurationError``."""
     return _block_counts(op, sigmas).sum(axis=0)
 
 

@@ -3,6 +3,7 @@ self-adjointness, and the conjugate-operator commutator against its
 brute-force oracle."""
 import importlib.util
 import sys
+from functools import cache
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from conftest import (
 )
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import null_space
 
 import adsdirac.algebra as algebra
 import adsdirac.channel as channel
@@ -30,7 +32,6 @@ from adsdirac.channel import (
     commutator_closed_form,
     free_operator,
     from_sectors,
-    mit_reflection,
     select_bc,
     to_sectors,
 )
@@ -89,6 +90,40 @@ def commutator_brute_force(op, values):
         apply(op, conjugate_apply(values, op.grid))
         - conjugate_apply(apply(op, values), op.grid)
     )
+
+
+@cache
+def bag_reflection():
+    """The bag-type ghost reflection S = 2Π − 𝟙, Π the orthogonal projector
+    onto ker(γ¹ + i·𝟙), from a numeric kernel, snapped to the Gaussian
+    integers its entries are (none moves by more than 1e−13): the
+    independent oracle of the mass steps assembly writes at the walls."""
+    kernel = null_space(GAMMA[1] + 1j * np.eye(4))
+    assert kernel.shape[1] == 2
+    numeric = 2.0 * kernel @ kernel.conj().T - np.eye(4)
+    # + 0.0 turns the −0.0 that rounding leaves into +0.0
+    s = np.round(numeric.real) + 0.0 + 1j * (np.round(numeric.imag) + 0.0)
+    assert np.max(np.abs(s - numeric)) <= 1e-13
+    return s
+
+
+def ghost_closures(op):
+    """The ghost closures of −i·Γ¹·(centered difference), one 4×4 block per
+    wall: mirrored ghosts S·ψ fold +i/(2w₀)·Γ¹S into the first and
+    −i·g·Γ¹S into the last diagonal block, with g = 1/(2w_{n−1}) for the
+    plain mirror, ν/t + (t/t′)^ν/(2w_{n−1}) for the exponent row (t, t′ the
+    last two node distances, ν = ``op.wall_exponent``), and no closure at a
+    natural wall."""
+    g, w = op.grid, op.grid.weights
+    g1s = VELOCITY.astype(complex) @ bag_reflection()
+    left = (1j / (2.0 * w[0])) * g1s
+    if op.bc is BoundaryCondition.NATURAL:
+        return left, np.zeros((4, 4), dtype=complex)
+    if op.wall_exponent is None:
+        return left, (-1j / (2.0 * w[-1])) * g1s
+    t_last, t_prev = -g.nodes[-1], -g.nodes[-2]
+    nu = op.wall_exponent
+    return left, (-1j * (nu / t_last + (t_last / t_prev) ** nu / (2.0 * w[-1]))) * g1s
 
 
 def reference_block_matrix(grid, coupling, m, a_vals, b_vals, left, right, symmetric):
@@ -227,18 +262,20 @@ class TestBoundarySelection:
         assert select_bc(make_params(1.0, 1.0, 0.5)) == BoundaryCondition.NATURAL
 
     def test_reflection_matrix(self):
-        s = mit_reflection()
+        """The reflection through ker(γ¹ + i·𝟙) is iγ¹, so its closure Γ¹S
+        is iγ⁰: the bag wall is a mass step, the one assembly writes."""
+        s = bag_reflection()
         expected = np.zeros((4, 4))
         expected[0, 2] = expected[2, 0] = -1.0
         expected[1, 3] = expected[3, 1] = 1.0
-        assert np.allclose(s, expected, atol=1e-14)
-        g1 = VELOCITY.astype(complex)
-        assert np.allclose(g1 @ s + s.conj().T @ g1, 0.0, atol=1e-14)
+        assert np.array_equal(s, expected)
+        assert np.array_equal(s, 1j * GAMMA[1])
+        assert np.array_equal(VELOCITY @ s, 1j * MASS)
 
     def test_reflection_is_exact(self):
         """The snapped reflection holds Gaussian integers only, and its
         conditions hold with no rounding."""
-        s = mit_reflection()
+        s = bag_reflection()
         assert set(s.ravel().tolist()) <= {0, 1, -1, 1j, -1j}
         g1 = VELOCITY.astype(complex)
         assert not np.any(g1 @ s + s.conj().T @ g1)
@@ -320,22 +357,20 @@ class TestAssembly:
         with pytest.raises(ConfigurationError, match=r"two arrays of shape \(64,\)"):
             assemble_hamiltonian(Channel(0.5, 0.5), None, make_grid(-8.0, 64), pair)
 
-    @pytest.mark.parametrize("table", ["ANGULAR", "MASS", "mit_reflection"])
+    @pytest.mark.parametrize("table", ["ANGULAR", "MASS"])
     @pytest.mark.parametrize("params", [P_MIT, P_NAT], ids=["mit", "natural"])
     def test_table_across_the_sectors_raises(self, monkeypatch, table, params):
-        """Negative control: a potential table or a wall reflection whose
-        closure Γ¹S is γ⁵ = diag(1, 1, −1, −1), which maps each sector of
-        γ³γ⁵ onto the other, has no sector form.  A potential table is
-        refused when ``channel`` is imported, a reflection by assembly on
-        either wall, rather than drop the crossing entries."""
+        """Negative control: a potential table γ⁵ = diag(1, 1, −1, −1), which
+        maps each sector of γ³γ⁵ onto the other, has no sector form, and is
+        refused when ``channel`` is imported rather than drop the crossing
+        entries.  The MASS table carries both walls' steps too.  The refused
+        copy leaves the package's module as it was: it still assembles
+        either wall."""
         crossing = GAMMA5.real.copy()
-        if table != "mit_reflection":
-            with pytest.raises(ValueError, match=f"the {table.lower()} table has an entry"):
-                _import_channel_with(monkeypatch, table, crossing)
-            return
-        monkeypatch.setattr(channel, table, lambda: VELOCITY @ crossing)
-        with pytest.raises(ConfigurationError, match="across the sectors"):
-            assemble_hamiltonian(Channel(0.5, 0.5), params, make_grid(-8.0, 64))
+        with pytest.raises(ValueError, match=f"the {table.lower()} table has an entry"):
+            _import_channel_with(monkeypatch, table, crossing)
+        op = assemble_hamiltonian(Channel(0.5, 0.5), params, make_grid(-8.0, 64))
+        assert op.hermiticity_defect() == 0.0
 
     def test_non_diagonal_velocity_raises(self, monkeypatch):
         """Negative control: ANGULAR as the velocity stays within the
@@ -346,26 +381,19 @@ class TestAssembly:
 
     def test_tables_are_taken_to_sector_form_once(self, monkeypatch):
         """Assembly reads the import-time sector forms of Γ¹, ANGULAR and
-        MASS and takes only the two wall closures to sector form."""
+        MASS and takes nothing to sector form itself: each wall is a step
+        of the mass profile."""
         names = []
         form = channel._sector_form
         monkeypatch.setattr(
             channel, "_sector_form", lambda table, name: names.append(name) or form(table, name)
         )
-        assemble_hamiltonian(Channel(0.5, 0.5), P_MIT, make_grid(-8.0, 64))
-        assert names == ["left wall closure", "right wall closure"]
-
-    @pytest.mark.parametrize("wall", ["left", "right"])
-    def test_closure_off_the_pattern_raises(self, wall):
-        """A closure entry the row layout has no slot for, one on component
-        2's diagonal, which reaches across the sectors, is refused at either
-        wall, not dropped."""
-        g = make_grid(-8.0, 64)
-        closures = {"left": np.zeros((4, 4), dtype=complex), "right": np.zeros((4, 4), dtype=complex)}
-        closures[wall][2, 2] = 1e-3
-        zeros = np.zeros(g.n)
-        with pytest.raises(ConfigurationError, match=f"the {wall} wall closure table"):
-            channel._block_matrix(g, 1.0, 0.0, zeros, zeros, closures["left"], closures["right"])
+        graded = make_grid(-0.4, policy=BoundaryGraded(h_min=0.005, ratio=1.2, h_max=0.05))
+        for params, grid in ((P_MIT, make_grid(-8.0, 64)), (P_NAT, make_grid(-8.0, 64)),
+                             (P_MIT, graded)):
+            assemble_hamiltonian(Channel(0.5, 0.5), params, grid)
+        free_operator(make_grid(-8.0, 64))
+        assert names == []
 
     def test_assembly_and_defect_build_no_coo_matrix(self, monkeypatch):
         """The CSR arrays are written directly and the defect reads the CSC
@@ -420,9 +448,7 @@ class TestAssembly:
             op = assemble_hamiltonian(
                 Channel(s, 0.5), params, g, smooth_well if kind == "map" else None
             )
-        reflection = mit_reflection()
-        right = reflection if op.bc is BoundaryCondition.MIT else np.zeros((4, 4))
-        left, right = channel._wall_closures(g, reflection, right, op.wall_exponent)
+        left, right = ghost_closures(op)
         expected, h = (
             transformed(reference_block_matrix(
                 g, op.channel.coupling, op.mass, op.a_values, op.b_values, left, right, symmetric
@@ -779,7 +805,7 @@ class TestStencilEntrywise:
                 h[row, 4 * j + 4 : 4 * j + 8] = -1j / (2.0 * g.weights[j]) * g1
             if j > 0:
                 h[row, 4 * j - 4 : 4 * j] = 1j / (2.0 * g.weights[j]) * g1
-        h[:4, :4] += 1j / (2.0 * g.weights[0]) * g1 @ mit_reflection()
+        h[:4, :4] += 1j / (2.0 * g.weights[0]) * g1 @ bag_reflection()
         h[-4:, -4:] += right_closure
         return h
 
@@ -793,7 +819,7 @@ class TestStencilEntrywise:
     def test_plain_mirror(self):
         op = assemble_hamiltonian(Channel(1.5, 0.5), P_MIT, make_grid(-8.0, 16))
         assert op.grid.n == 16 and op.wall_exponent is None
-        g1s = VELOCITY.astype(complex) @ mit_reflection()
+        g1s = VELOCITY.astype(complex) @ bag_reflection()
         self.check(op, -1j / (2.0 * op.grid.weights[-1]) * g1s)
 
     def test_natural_wall(self):
@@ -808,7 +834,7 @@ class TestStencilEntrywise:
         assert g.n == 16 and op.wall_exponent == nu
         t, t_prev = -g.nodes[-1], -g.nodes[-2]
         g_wall = nu / t + (t / t_prev) ** nu / (2.0 * g.weights[-1])
-        g1s = VELOCITY.astype(complex) @ mit_reflection()
+        g1s = VELOCITY.astype(complex) @ bag_reflection()
         self.check(op, -1j * g_wall * g1s)
 
     def test_exponent_row_only_for_the_black_hole_pair(self):
@@ -817,7 +843,7 @@ class TestStencilEntrywise:
         g = make_grid(-0.4, policy=BoundaryGraded(h_min=0.005, ratio=1.2, h_max=0.05))
         op = assemble_hamiltonian(Channel(0.5, 0.5), P_MIT, g, black_hole_map(P_MIT))
         assert op.bc is BoundaryCondition.MIT and op.wall_exponent is None
-        g1s = VELOCITY.astype(complex) @ mit_reflection()
+        g1s = VELOCITY.astype(complex) @ bag_reflection()
         self.check(op, -1j / (2.0 * g.weights[-1]) * g1s)
 
 

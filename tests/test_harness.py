@@ -21,7 +21,7 @@ from scipy.integrate import quad
 from adsdirac.channel import BoundaryCondition, assemble_hamiltonian, free_operator
 import adsdirac.cli as cli
 from adsdirac.cli import build_parser, main
-from adsdirac.geometry import CoordinateMap, Regime, inverse_memo, make_params, metric_factor
+from adsdirac.geometry import CoordinateMap, Regime, make_params, metric_factor
 from adsdirac.grids import BoundaryGraded, make_grid
 from adsdirac import __version__ as VERSION
 from adsdirac import harness
@@ -611,19 +611,28 @@ class TestRun:
     @pytest.mark.parametrize("threads", [1, 2])
     def test_manifest_records_the_coordinate_inverses(self, tmp_path, threads):
         """Each experiment counts the node sets it solved the coordinate
-        inverse on and the reads it took from the memo, in the process that
-        ran it: ``evolve`` assembles once from two calls on one node set;
-        ``geometry`` solves each round trip's nodes once, reads the horizon
-        fit's nodes twice and the map table's three times."""
-        inverse_memo.cache_clear()
-        run(small_config(), experiments=["geometry", "evolve"], out=str(tmp_path),
-            threads=threads)
-        doc = json.loads((tmp_path / "manifest.json").read_text())
-        counts = {k: v["coordinate_inverses"] for k, v in doc["experiments"].items()}
-        assert counts == {
+        inverse on and the reads it took from the memo, from an empty memo
+        in the process that ran it, so a second run, with the memo left warm
+        by the first, counts the same: ``evolve`` assembles once from two
+        calls on one node set; ``geometry`` solves each round trip's nodes
+        once, reads the horizon fit's nodes twice and the map table's three
+        times."""
+        expected = {
             "geometry": {"solved": 4, "reused": 3},
             "evolve": {"solved": 1, "reused": 1},
+            "scatter": {"solved": 1, "reused": 1},
+            "velocity": {"solved": 1, "reused": 1},
+            "mourre": {"solved": 2, "reused": 2},
+            "spectrum": {"solved": 3, "reused": 9},
+            "domain-exponent": {"solved": 1, "reused": 3},
         }
+        assert set(expected) == set(EXPERIMENTS)
+        for attempt in ("first", "second"):
+            run(small_config(), experiments=EXPERIMENTS, out=str(tmp_path / attempt),
+                threads=threads)
+            doc = json.loads((tmp_path / attempt / "manifest.json").read_text())
+            counts = {k: v["coordinate_inverses"] for k, v in doc["experiments"].items()}
+            assert counts == expected, attempt
 
     def test_dead_worker_errors_only_its_experiments(self, tmp_path, monkeypatch):
         """``mourre``'s worker exits once ``geometry`` is done; ``spectrum``,
